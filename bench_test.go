@@ -731,8 +731,10 @@ func BenchmarkE15_BatchedJoinRTS(b *testing.B) {
 
 // E21 — §4.13: incremental subscription views. Steady-state maintenance
 // cost for a pool of spectator subscriptions over the battle-royale arena
-// (~7% of rows touched per tick), delta-driven vs rescan-per-sub. Both
-// arms emit bit-identical delta streams; only the maintenance work differs.
+// (~7% of rows touched per tick): rescan-per-sub, forced per-sub delta
+// maintenance, and the default — touched rows probing the subscription
+// index. All arms emit bit-identical delta streams; only the maintenance
+// work differs.
 func BenchmarkE21_SubscriptionViews(b *testing.B) {
 	const objects, subs = 4000, 2000
 	for _, cfg := range []struct {
@@ -740,7 +742,8 @@ func BenchmarkE21_SubscriptionViews(b *testing.B) {
 		mode plan.ViewMode
 	}{
 		{"rescan", plan.ViewRescan},
-		{"delta", plan.ViewAuto},
+		{"delta", plan.ViewDelta},
+		{"indexed", plan.ViewAuto},
 	} {
 		b.Run(fmt.Sprintf("%s/subs=%d", cfg.name, subs), func(b *testing.B) {
 			sc := core.MustLoad("arena", core.SrcArena)
@@ -787,7 +790,7 @@ func BenchmarkE21_SubscriptionViews(b *testing.B) {
 				}
 				r.Apply(nil)
 			}
-			baseRescans := w.ExecStats().ViewRescans
+			baseRescans, baseProbes := w.ExecStats().ViewRescans, w.ExecStats().ViewIndexProbes
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -804,6 +807,7 @@ func BenchmarkE21_SubscriptionViews(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(rows)/float64(b.N), "deltarows/tick")
 			b.ReportMetric(float64(w.ExecStats().ViewRescans-baseRescans)/float64(b.N), "rescans/tick")
+			b.ReportMetric(float64(w.ExecStats().ViewIndexProbes-baseProbes)/float64(b.N), "probes/tick")
 		})
 	}
 }

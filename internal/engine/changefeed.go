@@ -196,15 +196,24 @@ func (w *World) ClassTable(class string) *table.Table {
 	return nil
 }
 
+// ViewTick is one views.Registry.Apply's accounting.
+type ViewTick struct {
+	Subs, IndexedSubs               int64 // gauges: live subscriptions, and those in a subscription index
+	DeltaRows, Rescans, IndexProbes int64
+	Nanos                           int64
+}
+
 // NoteViewStats folds subscription-view maintenance counters into the
 // world's execution statistics (no-op under DisableStats — the counters
 // observe view maintenance, they never drive it).
-func (w *World) NoteViewStats(subs, deltaRows, rescans, nanos int64) {
+func (w *World) NoteViewStats(v ViewTick) {
 	if w.opts.DisableStats {
 		return
 	}
-	w.execStats.ViewSubs = subs
-	w.execStats.ViewDeltaRows += deltaRows
-	w.execStats.ViewRescans += rescans
-	w.execStats.ViewMaintNanos += nanos
+	w.execStats.ViewSubs = v.Subs
+	w.execStats.ViewIndexedSubs = v.IndexedSubs
+	w.execStats.ViewDeltaRows += v.DeltaRows
+	w.execStats.ViewRescans += v.Rescans
+	w.execStats.ViewIndexProbes += v.IndexProbes
+	w.execStats.ViewMaintNanos += v.Nanos
 }

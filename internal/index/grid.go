@@ -200,6 +200,32 @@ func (g *Grid) SyncRows(x, y []float64, rows []int32, ids []value.ID, maxDirty i
 	return dirty, true
 }
 
+// Insert adds one entry to a Builder-built (row-tracking) grid without a
+// rebuild, keeping each cell sorted by row. row must not be present. It is
+// the single-entry form of Sync for holders that know exactly which entry
+// arrived — the subscription index (internal/views), whose rows are
+// subscription slots rather than table rows.
+func (g *Grid) Insert(id value.ID, row int32, x, y float64) {
+	if !g.track {
+		panic("index: Insert on an untracked grid")
+	}
+	g.ensureRow(row)
+	if g.present[row] {
+		panic("index: Insert of a row already present")
+	}
+	g.insertSorted(id, row, x, y)
+}
+
+// Remove deletes the entry backed by row from a row-tracking grid, reporting
+// whether it was present.
+func (g *Grid) Remove(row int32) bool {
+	if !g.track || int(row) >= len(g.present) || !g.present[row] {
+		return false
+	}
+	g.remove(row)
+	return true
+}
+
 func (g *Grid) remove(row int32) {
 	k := g.keyOf(g.prevX[row], g.prevY[row])
 	c := g.cells[k]

@@ -246,15 +246,19 @@ type Costs struct {
 	// Subscription views (internal/views): the per-kernel-op cost of
 	// filtering one changed-row candidate through a subscription's mask
 	// kernel (gather + compact-lane eval + membership merge) versus
-	// streaming one extent row through the same kernel on a full rescan,
-	// plus the fixed per-subscription cost of arming either path for a
-	// tick. Delta maintenance pays more per row (candidate gather and the
+	// streaming one extent row through the same kernel on a full rescan.
+	// Delta maintenance pays more per row (candidate gather and the
 	// sorted-member merge) but visits only the rows the changefeed names;
-	// the ratio sets the churn fraction above which rescanning wins. See
-	// ChooseView.
+	// the ratio sets the churn fraction above which rescanning wins (see
+	// ChooseView). ViewSetup is the fixed cost of arming one subscription's
+	// own path for a tick and ViewProbe the cost of one point probe of a
+	// subscription index (cell walk, exact recheck, event bucketing): a
+	// group of same-shape subscriptions is probed once per touched row
+	// instead of run one by one when that is cheaper (see ChooseViewIndex).
 	ViewDeltaRow float64
 	ViewScanRow  float64
 	ViewSetup    float64
+	ViewProbe    float64
 
 	// Hibernation (many-world server): the per-tick cost of keeping an idle
 	// world resident (its share of arena/scratch memory pressure, in row
@@ -301,6 +305,7 @@ func DefaultCosts() Costs {
 		ViewDeltaRow: 2.0,
 		ViewScanRow:  1.0,
 		ViewSetup:    16,
+		ViewProbe:    96,
 
 		IdleTickCost: 32,
 		HibernateRow: 0.5,
@@ -314,21 +319,34 @@ func DefaultCosts() Costs {
 // extent. Quiet ticks keep delta maintenance; churn approaching the extent
 // size — mass migration, a battle-royale collapse — tips into rescan, which
 // touches each row once with no merge bookkeeping. Both paths are pinned
-// bit-identical, so the decision is pure cost.
-func (c Costs) ChooseView(mode ViewMode, live, candidates, kernels int) ViewMode {
+// bit-identical, so the decision is pure cost (the kernel count and the
+// per-subscription setup weigh on both sides alike and cancel).
+func (c Costs) ChooseView(mode ViewMode, live, candidates int) ViewMode {
 	if mode != ViewAuto {
 		return mode
 	}
+	if c.ViewDeltaRow*float64(candidates) <= c.ViewScanRow*float64(live) {
+		return ViewDelta
+	}
+	return ViewRescan
+}
+
+// ChooseViewIndex decides, for one group of subs same-shape indexed
+// subscriptions this tick, whether probing the group's subscription index
+// with the tick's touched rows (once at the last-applied point, once at the
+// new one) beats running every subscription's own delta-or-rescan path —
+// §4.1's index join against the nested loop, with the subscriptions as the
+// indexed relation. Small groups under heavy churn (a fifty-spectator world
+// where every row changes every tick) stay on the per-subscription path;
+// thousands of spectators over a mostly quiet extent take the index.
+func (c Costs) ChooseViewIndex(subs, live, touched, kernels int) bool {
 	k := float64(kernels)
 	if k < 1 {
 		k = 1
 	}
-	delta := c.ViewSetup + c.ViewDeltaRow*k*float64(candidates)
-	scan := c.ViewSetup + c.ViewScanRow*k*float64(live)
-	if delta <= scan {
-		return ViewDelta
-	}
-	return ViewRescan
+	perRow := math.Min(c.ViewDeltaRow*float64(touched), c.ViewScanRow*float64(live))
+	perSub := float64(subs) * (c.ViewSetup + k*perRow)
+	return 2*c.ViewProbe*float64(touched) < perSub
 }
 
 // HibernateHorizon returns the number of consecutive idle ticks after which

@@ -237,16 +237,22 @@ type ExecCounters struct {
 	DictLookups int64
 
 	// Subscription-view accounting (internal/views). ViewSubs is a gauge of
-	// live subscriptions registered against this world; ViewDeltaRows counts
-	// delta rows emitted across all subscriptions (adds + updates +
-	// removes); ViewRescans counts subscription-ticks that fell back to a
+	// live subscriptions registered against this world and ViewIndexedSubs
+	// of those sitting in a subscription index; ViewDeltaRows counts delta
+	// rows emitted across all subscriptions (adds + updates + removes);
+	// ViewRescans counts subscription-ticks that fell back to a
 	// full-extent rescan (unstable predicate, structure-version mismatch, or
 	// the cost model deciding churn outweighed the delta path);
-	// ViewMaintNanos is wall time spent maintaining all subscriptions.
-	ViewSubs       int64
-	ViewDeltaRows  int64
-	ViewRescans    int64
-	ViewMaintNanos int64
+	// ViewIndexProbes counts point probes of the subscription indexes (a
+	// touched row costs one per index group, two when it moved) — zero on
+	// ticks where the cost model kept every group on the per-subscription
+	// path; ViewMaintNanos is wall time spent maintaining all subscriptions.
+	ViewSubs        int64
+	ViewIndexedSubs int64
+	ViewDeltaRows   int64
+	ViewRescans     int64
+	ViewIndexProbes int64
+	ViewMaintNanos  int64
 
 	// Load balance: per tick the effect-phase row visits (scalar rows,
 	// vectorized rows, join candidates) are tallied per partition;

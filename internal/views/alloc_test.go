@@ -2,7 +2,10 @@ package views_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -18,7 +21,17 @@ import (
 // covers every kind plus a spread of Select thresholds that canonicalize to
 // one shared kernel, and the churn driver dirties rows through SetState so
 // the measurement isolates view maintenance from engine tick costs.
+//
+// It runs twice: under ViewAuto the threshold band sits in a subscription
+// index and is probed; forced ViewDelta keeps every subscription on the
+// per-subscription path, which must stay allocation-free too.
 func TestApplySteadyStateZeroAlloc(t *testing.T) {
+	for _, mode := range []plan.ViewMode{plan.ViewAuto, plan.ViewDelta} {
+		t.Run(mode.String(), func(t *testing.T) { applySteadyStateZeroAlloc(t, mode) })
+	}
+}
+
+func applySteadyStateZeroAlloc(t *testing.T, mode plan.ViewMode) {
 	w := unitWorld(t, 256, engine.Options{})
 	ids := w.IDs("Unit")
 	r := views.New(w, plan.DefaultCosts())
@@ -27,11 +40,12 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 			Class:   "Unit",
 			Pred:    fmt.Sprintf("health < %d", 55+i),
 			Payload: []string{"health"},
+			Mode:    mode,
 		})
 	}
-	mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 75", Kind: views.Count})
-	mustSub(t, r, views.Def{Class: "Unit", Pred: "true", Kind: views.Sum, Attr: "health"})
-	mustSub(t, r, views.Def{Class: "Unit", Pred: "true", Kind: views.TopK, Attr: "health", K: 8})
+	mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 75", Kind: views.Count, Mode: mode})
+	mustSub(t, r, views.Def{Class: "Unit", Pred: "true", Kind: views.Sum, Attr: "health", Mode: mode})
+	mustSub(t, r, views.Def{Class: "Unit", Pred: "true", Kind: views.TopK, Attr: "health", K: 8, Mode: mode})
 
 	var sunk int
 	sink := func(d *views.Delta) { sunk += len(d.AddIDs) + len(d.UpdIDs) + len(d.RemIDs) }
@@ -63,5 +77,123 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 	}
 	if sunk == 0 {
 		t.Fatal("churn driver produced no deltas; the measurement is vacuous")
+	}
+}
+
+// TestIndexedApplyShiftingMembershipZeroAlloc is the guard the fixed-churn
+// test above cannot give: memberships that keep changing. Movers walk a
+// closed circuit across 96 interest boxes of mixed radii while healths swing
+// across a band of 40 thresholds in both directions, all of it maintained
+// through the subscription index (ViewAuto, groups large enough to clear the
+// cost rule). Every delta is emitted through the registry's one shared
+// buffer and memberships merge in place with headroom, so once each
+// subscription has seen its fullest moment a round allocates nothing.
+func TestIndexedApplyShiftingMembershipZeroAlloc(t *testing.T) {
+	w := unitWorld(t, 400, engine.Options{})
+	ids := w.IDs("Unit")
+	r := views.New(w, plan.DefaultCosts())
+	for i := 0; i < 96; i++ {
+		pred := boxPred(t, float64(i%12)*10, float64(i/12)*15, float64(6+4*(i%4)))
+		def := views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "y", "health"}}
+		switch i % 12 {
+		case 10:
+			def = views.Def{Class: "Unit", Pred: pred, Kind: views.Sum, Attr: "health"}
+		case 11:
+			def = views.Def{Class: "Unit", Pred: pred, Kind: views.TopK, Attr: "health", K: 4}
+		}
+		if s := mustSub(t, r, def); !s.Indexed() {
+			t.Fatalf("box %d not indexed: %s", i, s.IndexReason())
+		}
+	}
+	for i := 0; i < 40; i++ {
+		mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 50+i), Payload: []string{"health"}})
+	}
+
+	const period = 48
+	var sunk int
+	sink := func(d *views.Delta) { sunk += len(d.AddIDs) + len(d.RemIDs) }
+	step := 0
+	round := func() {
+		// Forty movers on a closed circuit of the map, each a phase apart,
+		// and forty healths on a triangle wave through the threshold band.
+		step++
+		for i := 0; i < 40; i++ {
+			phase := 2 * math.Pi * float64((step+i*7)%period) / period
+			id := ids[i*9]
+			for attr, v := range [...]float64{55 + 50*math.Cos(phase), 55 + 50*math.Sin(phase)} {
+				if err := w.SetState("Unit", id, [...]string{"x", "y"}[attr], value.Num(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hp := 45 + math.Abs(float64((step*3+i*5)%100-50))
+			if err := w.SetState("Unit", ids[i*9+1], "health", value.Num(hp)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Apply(sink)
+	}
+	r.Apply(sink)
+	for i := 0; i < 3*100; i++ { // the health wave's period is 100 rounds
+		round()
+	}
+	before := w.ExecStats().ViewIndexProbes
+	sunk = 0
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("indexed Apply under shifting membership allocates %.1f times per round, want 0", allocs)
+	}
+	if sunk == 0 {
+		t.Fatal("no row entered or left a subscription; the measurement is vacuous")
+	}
+	if w.ExecStats().ViewIndexProbes == before {
+		t.Fatal("the rounds never probed the subscription index")
+	}
+}
+
+// TestSubscribeCostIndependentOfRegistrySize pins Subscribe/Unsubscribe to
+// O(log subs): replacing one spectator costs about the same in a registry
+// of ten thousand as in one of a thousand (it was 36 µs against 418 µs when
+// every call walked the registry). The two registries are measured in
+// alternating batches and compared on their fastest batch, so neither a
+// scheduling stall nor a slow spell of the host can fail it.
+func TestSubscribeCostIndependentOfRegistrySize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock ratio; the race detector's overhead scales with the working set")
+	}
+	w := unitWorld(t, 50, engine.Options{})
+	rng := rand.New(rand.NewSource(5))
+	def := func(i int) views.Def {
+		if i%10 == 9 {
+			return views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 20+rng.Intn(60)), Payload: []string{"health"}}
+		}
+		return views.Def{Class: "Unit", Pred: boxPred(t, rng.Float64()*1000, rng.Float64()*1000, 40),
+			Payload: []string{"x", "y", "health"}}
+	}
+	type sized struct {
+		r    *views.Registry
+		ids  []views.SubID
+		best time.Duration
+	}
+	build := func(n int) *sized {
+		z := &sized{r: views.New(w, plan.DefaultCosts()), best: time.Duration(math.MaxInt64)}
+		for i := 0; i < n; i++ {
+			z.ids = append(z.ids, mustSub(t, z.r, def(i)).ID())
+		}
+		return z
+	}
+	small, large := build(1000), build(10000)
+	for batch := 0; batch < 9; batch++ {
+		for _, z := range []*sized{small, large} {
+			start := time.Now()
+			for k := 0; k < 200; k++ {
+				i := rng.Intn(len(z.ids))
+				z.r.Unsubscribe(z.ids[i])
+				z.ids[i] = mustSub(t, z.r, def(i)).ID()
+			}
+			z.best = min(z.best, time.Since(start))
+		}
+	}
+	t.Logf("200 swaps: %v at 1k subscriptions, %v at 10k", small.best, large.best)
+	if large.best > 2*small.best {
+		t.Errorf("swapping a subscription costs %v at 10k subscriptions against %v at 1k: more than 2x", large.best, small.best)
 	}
 }

@@ -1,26 +1,37 @@
 package views
 
-// Per-tick maintenance. Apply drains the engine changefeed once, then
-// maintains each subscription in ascending SubID order — a pure function of
-// committed state, so the emitted delta stream is bit-identical across
+// Per-tick maintenance. Apply drains the engine changefeed once, probes the
+// subscription indexes with it, then maintains each subscription that has
+// anything to do in ascending SubID order — a pure function of committed
+// state, so the emitted delta stream is bit-identical across
 // Workers/Partitions/Exec configurations (the feed itself is) and across
-// maintenance modes (delta and rescan compute membership from the same
-// kernels; updates are defined as member ∩ candidate ∩ pass in both).
+// maintenance paths (index probe, delta and rescan compute membership from
+// the same compares; updates are defined as member ∩ candidate ∩ pass in all
+// three).
 //
-// The per-subscription fast paths, cheapest first:
+// The maintenance ladder, cheapest first:
 //
-//  1. version skip: the class structure version and every watched column
-//     version are unchanged since this subscription last ran — nothing it
-//     can observe moved, skip without evaluating anything;
-//  2. delta maintain: run the mask kernel over the gathered candidate
+//  1. index probe (subindex.go): subscriptions whose predicate is a box in
+//     slot space are found by the touched rows instead of filtering them.
+//     A subscription no touched row entered, left or stayed in is never
+//     visited at all;
+//  2. version skip: the class structure version and every watched column
+//     version are unchanged since the previous Apply — nothing the
+//     subscription can observe moved, skip without evaluating anything;
+//  3. delta maintain: run the mask kernel over the gathered candidate
 //     lanes (the feed's rows), adjust membership by binary search against
 //     the sorted member set;
-//  3. rescan: run the kernel over the whole extent and diff memberships —
+//  4. rescan: run the kernel over the whole extent and diff memberships —
 //     chosen by plan.Costs.ChooseView when candidates approach the live
 //     count, forced by unstable predicates, resyncs and fresh
 //     subscriptions.
+//
+// Rungs 2–4 are the per-subscription path: forced-mode and ineligible
+// subscriptions always take it, and so does a whole index group on a tick
+// where plan.Costs.ChooseViewIndex prices the probes above it.
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -53,21 +64,62 @@ func (r *Registry) Apply(fn func(*Delta)) {
 	}
 	r.eng.DrainChangeFeed(r.drainFn)
 	r.slotSub = nil
+	r.seq++
+	p := &r.probe
+	p.events, p.active, p.count, p.probes = p.events[:0], p.active[:0], p.count[:0], 0
+
+	// The worklist: every subscription off the index, every one a probe
+	// produced an event for, and the ones that must rescan regardless.
+	r.work = r.work[:0]
+	for _, cs := range r.classList {
+		cs.diffVersions()
+		for _, s := range cs.slow {
+			r.queue(s)
+		}
+		if cs.resync {
+			cs.each(r.queueFn)
+		}
+		r.probeClass(cs)
+	}
+	for _, s := range r.fresh {
+		r.queue(s)
+	}
+	clear(r.fresh)
+	r.fresh = r.fresh[:0]
+	p.bucketEvents()
+	slices.SortFunc(r.work, func(a, b *Sub) int { return cmp.Compare(a.id, b.id) })
+
 	tick := r.eng.Tick()
-	for _, s := range r.subs {
-		s.d.reset(s.id, s.cs.name, tick)
-		if !r.maintain(s) {
+	for _, s := range r.work {
+		if !r.maintain(s, tick) {
 			continue
 		}
-		if s.d.changed {
-			r.deltaBytes += s.d.Bytes()
+		if r.d.changed {
+			r.deltaBytes += r.d.Bytes()
 			if fn != nil {
-				fn(&s.d)
+				fn(&r.d)
 			}
 		}
 	}
-	r.eng.NoteViewStats(int64(len(r.subs)), r.deltaRows, r.rescans,
-		time.Since(start).Nanoseconds())
+	clear(r.work)
+	clear(p.active)
+	for _, cs := range r.classList {
+		cs.syncImage()
+		cs.storeVersions()
+	}
+	r.eng.NoteViewStats(engine.ViewTick{
+		Subs: int64(len(r.byID)), IndexedSubs: r.indexed,
+		DeltaRows: r.deltaRows, Rescans: r.rescans, IndexProbes: p.probes,
+		Nanos: time.Since(start).Nanoseconds(),
+	})
+}
+
+// queue puts s on this Apply's worklist once.
+func (r *Registry) queue(s *Sub) {
+	if s.queued != r.seq {
+		s.queued = r.seq
+		r.work = append(r.work, s)
+	}
 }
 
 // DeltaBytes reports the total Delta.Bytes emitted by the last Apply.
@@ -81,7 +133,7 @@ func (r *Registry) Rescans() int64 { return r.rescans }
 // valid only during the callback, so the per-class state copies them out.
 func (r *Registry) copyFeed(d engine.ClassDelta) {
 	cs := r.classes[d.Class]
-	if cs == nil || len(cs.subs) == 0 {
+	if cs == nil || len(cs.slow)+len(cs.groupList) == 0 {
 		return
 	}
 	cs.rows = append(cs.rows[:0], d.Rows...)
@@ -90,52 +142,66 @@ func (r *Registry) copyFeed(d engine.ClassDelta) {
 	cs.drained = true
 }
 
-// maintain runs one subscription; false reports the version skip (no
-// evaluation happened, cached versions still hold).
-func (r *Registry) maintain(s *Sub) bool {
+// maintain runs one subscription into r.d; false reports the version skip
+// (no evaluation happened).
+func (r *Registry) maintain(s *Sub, tick int64) bool {
 	cs := s.cs
 	resync := cs.resync || s.fresh
 	if !resync && s.versionsUnchanged(cs) {
 		return false
 	}
-	mode := plan.ViewRescan
-	if !resync && s.stable {
-		kernels := 16
-		if s.pp != nil {
-			kernels = s.pp.prog.Kernels()
+	r.d.reset(s, tick)
+	switch {
+	case !resync && s.grp != nil && s.grp.probed:
+		if s.evSeq == r.seq {
+			r.applyEvents(s, cs)
 		}
-		mode = r.costs.ChooseView(s.def.Mode, cs.tab.Len(), len(cs.rows), kernels)
-	}
-	if mode == plan.ViewDelta {
+	case !resync && s.stable &&
+		r.costs.ChooseView(s.def.Mode, cs.tab.Len(), len(cs.rows)) == plan.ViewDelta:
 		r.applyDelta(s, cs)
-	} else {
+	default:
 		r.applyRescan(s, cs, resync)
 		r.rescans++
 	}
 	s.fresh = false
-	s.storeVersions(cs)
-	r.deltaRows += int64(len(s.d.AddIDs) + len(s.d.UpdIDs) + len(s.d.RemIDs))
+	r.deltaRows += int64(len(r.d.AddIDs) + len(r.d.UpdIDs) + len(r.d.RemIDs))
 	return true
 }
 
+// diffVersions records which of the class's columns (and whether its
+// structure) were written since the previous Apply.
+func (cs *classState) diffVersions() {
+	n := len(cs.cls.State)
+	if cs.lastColVer == nil {
+		cs.lastColVer = make([]uint64, n)
+		cs.colChanged = make([]bool, n)
+	}
+	cs.structChanged = !cs.versValid || cs.tab.StructVersion() != cs.lastStruct
+	for c := range cs.colChanged {
+		cs.colChanged[c] = !cs.versValid || cs.tab.ColVersion(c) != cs.lastColVer[c]
+	}
+}
+
+func (cs *classState) storeVersions() {
+	cs.lastStruct = cs.tab.StructVersion()
+	for c := range cs.lastColVer {
+		cs.lastColVer[c] = cs.tab.ColVersion(c)
+	}
+	cs.versValid = true
+}
+
+// versionsUnchanged reports nothing the subscription watches moved since
+// the previous Apply.
 func (s *Sub) versionsUnchanged(cs *classState) bool {
-	if !s.versValid || cs.tab.StructVersion() != s.lastStruct {
+	if cs.structChanged {
 		return false
 	}
-	for i, c := range s.cols {
-		if cs.tab.ColVersion(c) != s.lastCols[i] {
+	for _, c := range s.cols {
+		if cs.colChanged[c] {
 			return false
 		}
 	}
 	return true
-}
-
-func (s *Sub) storeVersions(cs *classState) {
-	s.lastStruct = cs.tab.StructVersion()
-	for i, c := range s.cols {
-		s.lastCols[i] = cs.tab.ColVersion(c)
-	}
-	s.versValid = true
 }
 
 // buildCandIDs fills the candidate id lane and id list for the drained rows.
@@ -237,7 +303,7 @@ func (t tabRow) Attr(attrIdx int) value.Value { return t.tab.At(t.row, attrIdx) 
 func (r *Registry) applyDelta(s *Sub, cs *classState) {
 	cs.buildCandIDs()
 	mask := r.evalCandidates(s, cs)
-	d := &s.d
+	d := &r.d
 	r.addPairs = r.addPairs[:0]
 	r.updPairs = r.updPairs[:0]
 	for i, row := range cs.rows {
@@ -267,7 +333,7 @@ func (r *Registry) applyDelta(s *Sub, cs *classState) {
 // applyRescan recomputes membership from the full extent and diffs.
 func (r *Registry) applyRescan(s *Sub, cs *classState, resync bool) {
 	newPairs := r.evalFull(s, cs) // ascending id
-	d := &s.d
+	d := &r.d
 	r.addPairs = r.addPairs[:0]
 	r.updPairs = r.updPairs[:0]
 	if resync {
@@ -275,11 +341,7 @@ func (r *Registry) applyRescan(s *Sub, cs *classState, resync bool) {
 		// replaces its state, so prior membership is irrelevant.
 		d.Resync = true
 		r.addPairs = append(r.addPairs, newPairs...)
-		s.memScratch = s.memScratch[:0]
-		for _, p := range newPairs {
-			s.memScratch = append(s.memScratch, p.id)
-		}
-		s.members, s.memScratch = s.memScratch, s.members
+		s.setMembers(newPairs)
 		if s.def.Kind == Select {
 			d.changed = true
 		}
@@ -316,36 +378,62 @@ func (r *Registry) applyRescan(s *Sub, cs *classState, resync bool) {
 		}
 	}
 	sortPairs(r.updPairs)
-	s.memScratch = s.memScratch[:0]
-	for _, p := range newPairs {
-		s.memScratch = append(s.memScratch, p.id)
-	}
-	s.members, s.memScratch = s.memScratch, s.members
+	s.setMembers(newPairs)
 	r.finishAfterMembership(s, cs)
 }
 
-// finishRowDelta merges membership and emits, shared by the delta path.
+// setMembers replaces the membership with the ids of pairs (ascending).
+// Growth leaves headroom, so a box whose population drifts upward as movers
+// pass through does not reallocate on every new high.
+func (s *Sub) setMembers(pairs []idRow) {
+	s.members = growIDs(s.members[:0], len(pairs))
+	for i, p := range pairs {
+		s.members[i] = p.id
+	}
+}
+
+// growIDs resizes ids to n, keeping the contents that fit.
+func growIDs(ids []value.ID, n int) []value.ID {
+	if cap(ids) < n {
+		grown := make([]value.ID, n, n+n/4+8)
+		copy(grown, ids)
+		return grown
+	}
+	return ids[:n]
+}
+
+// finishRowDelta merges the sorted add and remove lists into the sorted
+// membership in place and emits; the tail shared by the delta path and the
+// index path. Only the stretch of the membership at or above the smallest
+// changed id moves.
 func (r *Registry) finishRowDelta(s *Sub, cs *classState) {
-	d := &s.d
-	if len(r.addPairs) > 0 || len(d.RemIDs) > 0 {
-		out := s.memScratch[:0]
-		old := s.members
-		i, j, k := 0, 0, 0
-		for i < len(old) || j < len(r.addPairs) {
-			if j == len(r.addPairs) || (i < len(old) && old[i] < r.addPairs[j].id) {
-				id := old[i]
-				i++
-				if k < len(d.RemIDs) && d.RemIDs[k] == id {
-					k++
-					continue
-				}
-				out = append(out, id)
+	if rem := r.d.RemIDs; len(rem) > 0 {
+		m := s.members
+		w, _ := slices.BinarySearch(m, rem[0])
+		k := 0
+		for i := w; i < len(m); i++ {
+			if k < len(rem) && rem[k] == m[i] {
+				k++
+				continue
+			}
+			m[w] = m[i]
+			w++
+		}
+		s.members = m[:w]
+	}
+	if add := r.addPairs; len(add) > 0 {
+		i := len(s.members) - 1
+		m := growIDs(s.members, len(s.members)+len(add))
+		for j, k := len(add)-1, len(m)-1; j >= 0; k-- {
+			if i >= 0 && m[i] > add[j].id {
+				m[k] = m[i]
+				i--
 			} else {
-				out = append(out, r.addPairs[j].id)
-				j++
+				m[k] = add[j].id
+				j--
 			}
 		}
-		s.members, s.memScratch = out, s.members
+		s.members = m
 	}
 	r.finishAfterMembership(s, cs)
 }
@@ -354,7 +442,7 @@ func (r *Registry) finishRowDelta(s *Sub, cs *classState) {
 // The aggregate fold runs before emitRows: it consults the remove list,
 // which emitRows clears for aggregate kinds.
 func (r *Registry) finishAfterMembership(s *Sub, cs *classState) {
-	d := &s.d
+	d := &r.d
 	if s.def.Kind == Select &&
 		(len(r.addPairs) > 0 || len(r.updPairs) > 0 || len(d.RemIDs) > 0) {
 		d.changed = true
@@ -366,7 +454,7 @@ func (r *Registry) finishAfterMembership(s *Sub, cs *classState) {
 // emitRows fills the delta's id lists and payload columns (Select only;
 // aggregates deliver Agg/Top instead of rows).
 func (r *Registry) emitRows(s *Sub, cs *classState) {
-	d := &s.d
+	d := &r.d
 	for _, p := range r.addPairs {
 		d.AddIDs = append(d.AddIDs, p.id)
 	}
@@ -398,7 +486,7 @@ func (r *Registry) emitRows(s *Sub, cs *classState) {
 // candidates against the current kth key and falls back to a full
 // recompute when a ranked row retracts (leaves, or changes key).
 func (r *Registry) recomputeAgg(s *Sub, cs *classState, force bool) {
-	d := &s.d
+	d := &r.d
 	membersTouched := len(r.addPairs) > 0 || len(d.RemIDs) > 0 || d.Resync
 	switch s.def.Kind {
 	case Select:
@@ -435,7 +523,7 @@ func (r *Registry) recomputeAgg(s *Sub, cs *classState, force bool) {
 }
 
 func (r *Registry) maintainTopK(s *Sub, cs *classState, force bool) {
-	d := &s.d
+	d := &r.d
 	col := cs.tab.NumColumn(s.aggAttr)
 	retract := force || d.Resync
 	if !retract {
@@ -500,7 +588,7 @@ func (r *Registry) maintainTopK(s *Sub, cs *classState, force bool) {
 
 // commitTop installs a recomputed ranking, emitting only on change.
 func (r *Registry) commitTop(s *Sub, force bool) {
-	d := &s.d
+	d := &r.d
 	changed := force || len(r.topCand) != len(s.top)
 	if !changed {
 		for i, e := range r.topCand {
@@ -524,7 +612,19 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 	tab := cs.tab
 	n := tab.Cap()
 	pairs := r.fullPairs[:0]
-	if s.pp != nil {
+	if g := s.grp; g != nil {
+		// An indexed predicate is a handful of compares against the
+		// subscription's own constants: scanning the one or two columns
+		// with early exit beats streaming every conjunct over the extent.
+		raw := tab.RawIDs()
+		xs := tab.NumColumn(g.attrs[0])
+		ys := tab.NumColumn(g.attrs[len(g.attrs)-1])
+		for row := 0; row < n; row++ {
+			if g.passes(s.consts, xs[row], ys[row]) && tab.Alive(row) {
+				pairs = append(pairs, idRow{raw[row], int32(row)})
+			}
+		}
+	} else if s.pp != nil {
 		mask := growFloats(r.mask, n)
 		r.mask = mask
 		if n > 0 {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/expr"
 	"repro/internal/sgl/ast"
+	"repro/internal/sgl/token"
 	"repro/internal/value"
 	"repro/internal/vexpr"
 )
@@ -90,18 +91,23 @@ type canonicalizer struct {
 	key    strings.Builder
 }
 
+// slotFor allocates the next frame slot for a numeric constant.
+func (c *canonicalizer) slotFor(pos token.Pos, v float64) ast.Expr {
+	slot := len(c.consts)
+	c.consts = append(c.consts, v)
+	c.key.WriteByte('$')
+	return &ast.Ident{
+		Pos:  pos,
+		Name: fmt.Sprintf("$const%d", slot),
+		Bind: ast.Binding{Kind: ast.BindLocal, Slot: slot},
+		Ty:   ast.NumberT,
+	}
+}
+
 func (c *canonicalizer) rewrite(e ast.Expr) ast.Expr {
 	switch e := e.(type) {
 	case *ast.NumLit:
-		slot := len(c.consts)
-		c.consts = append(c.consts, e.V)
-		c.key.WriteByte('$')
-		return &ast.Ident{
-			Pos:  e.Pos,
-			Name: fmt.Sprintf("$const%d", slot),
-			Bind: ast.Binding{Kind: ast.BindLocal, Slot: slot},
-			Ty:   ast.NumberT,
-		}
+		return c.slotFor(e.Pos, e.V)
 	case *ast.BoolLit:
 		fmt.Fprintf(&c.key, "B%v", e.V)
 		return e
@@ -122,6 +128,11 @@ func (c *canonicalizer) rewrite(e ast.Expr) ast.Expr {
 		cp.X = x
 		return &cp
 	case *ast.UnaryExpr:
+		// A negated literal is a constant like any other: folding it keeps
+		// "x >= -5" and "x >= 5" one shape (one kernel, one index group).
+		if lit, ok := e.X.(*ast.NumLit); ok && e.Op == token.MINUS {
+			return c.slotFor(e.Pos, -lit.V)
+		}
 		fmt.Fprintf(&c.key, "u%d(", e.Op)
 		x := c.rewrite(e.X)
 		c.key.WriteByte(')')

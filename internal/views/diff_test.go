@@ -13,22 +13,45 @@ import (
 )
 
 // wallDefs is the subscription mix the differential wall maintains: row
-// selects (threshold and spatial box), every aggregate kind, and a
-// match-everything select. Mode is stamped per arm.
+// selects (threshold and spatial box), every aggregate kind, a
+// match-everything select, and — so the auto arm's index groups clear the
+// cost rule and actually probe — 72 interest boxes of mixed radii (selects
+// and aggregates over the same shape) plus a band of 24 health thresholds
+// and ranges. Mode is stamped per arm.
 func wallDefs(t *testing.T, mode plan.ViewMode) []views.Def {
 	t.Helper()
-	box, err := views.InterestPred([]string{"x", "y"}, []float64{60, 60}, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []views.Def{
+	box := func(cx, cy, radius float64) string { return boxPred(t, cx, cy, radius) }
+	defs := []views.Def{
 		{Class: "Unit", Pred: "health < 99", Payload: []string{"health", "x"}, Mode: mode},
-		{Class: "Unit", Pred: box, Payload: []string{"x", "y"}, Mode: mode},
+		{Class: "Unit", Pred: box(60, 60, 25), Payload: []string{"x", "y"}, Mode: mode},
 		{Class: "Unit", Pred: "health < 99 && x >= 30", Kind: views.Count, Mode: mode},
 		{Class: "Unit", Pred: "health < 99", Kind: views.Sum, Attr: "health", Mode: mode},
 		{Class: "Unit", Pred: "true", Kind: views.TopK, Attr: "health", K: 7, Mode: mode},
 		{Class: "Unit", Payload: []string{"health"}, Mode: mode},
 	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 72; i++ {
+		// Centres reach past the map so some lower bounds go negative.
+		pred := box(rng.Float64()*140-10, rng.Float64()*140-10, []float64{3, 8, 15, 30}[i%4])
+		switch i % 9 {
+		case 6:
+			defs = append(defs, views.Def{Class: "Unit", Pred: pred, Kind: views.Count, Mode: mode})
+		case 7:
+			defs = append(defs, views.Def{Class: "Unit", Pred: pred, Kind: views.Sum, Attr: "health", Mode: mode})
+		case 8:
+			defs = append(defs, views.Def{Class: "Unit", Pred: pred, Kind: views.TopK, Attr: "health", K: 3, Mode: mode})
+		default:
+			defs = append(defs, views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "health"}, Mode: mode})
+		}
+	}
+	for i := 0; i < 24; i++ {
+		pred := fmt.Sprintf("health < %d", 76+i)
+		if i%4 == 3 {
+			pred = fmt.Sprintf("health >= %d && health <= %d", 60+i, 90+i/2)
+		}
+		defs = append(defs, views.Def{Class: "Unit", Pred: pred, Payload: []string{"health"}, Mode: mode})
+	}
+	return defs
 }
 
 // wallStream runs the crowding scenario under one engine configuration and
@@ -71,6 +94,21 @@ func wallStream(t *testing.T, opts engine.Options, mode plan.ViewMode) string {
 				t.Fatal(err)
 			}
 		}
+		// Movers and healers: rows cross box edges and thresholds in both
+		// directions, so memberships shrink as well as grow.
+		for i := 0; i < 8; i++ {
+			ids := w.IDs("Unit")
+			id := ids[rng.Intn(len(ids))]
+			for _, attr := range []string{"x", "y", "health"} {
+				v := rng.Float64() * 120
+				if attr == "health" {
+					v = 55 + rng.Float64()*45
+				}
+				if err := w.SetState("Unit", id, attr, value.Num(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		if tick == 6 {
 			// Mid-run snapshot round-trip: the feed cannot express the
 			// compaction, so every subscription must resync identically.
@@ -88,6 +126,11 @@ func wallStream(t *testing.T, opts engine.Options, mode plan.ViewMode) string {
 	for _, s := range subs {
 		fmt.Fprintf(&b, "final sub=%d members=%v agg=%x top=%v\n",
 			s.ID(), s.Members(), s.Agg(), s.Top())
+	}
+	// The arms must differ in how they maintain, not only agree on what:
+	// auto probes the subscription index, forced modes never touch it.
+	if probes := w.ExecStats().ViewIndexProbes; (probes > 0) != (mode == plan.ViewAuto) {
+		t.Errorf("mode %v: ViewIndexProbes = %d", mode, probes)
 	}
 	return b.String()
 }
@@ -146,6 +189,10 @@ func TestViewStatsCounters(t *testing.T) {
 		r := views.New(w, plan.DefaultCosts())
 		mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 99", Kind: views.Count})
 		mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 99", Mode: plan.ViewRescan})
+		// A threshold band big enough for the cost rule to probe it.
+		for i := 0; i < 100; i++ {
+			mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 70+i%30), Payload: []string{"health"}})
+		}
 		for i := 0; i < 3; i++ {
 			if err := w.RunTick(); err != nil {
 				t.Fatal(err)
@@ -154,19 +201,26 @@ func TestViewStatsCounters(t *testing.T) {
 		}
 		st := w.ExecStats()
 		if disable {
-			if st.ViewSubs != 0 || st.ViewDeltaRows != 0 || st.ViewRescans != 0 || st.ViewMaintNanos != 0 {
+			if st.ViewSubs != 0 || st.ViewIndexedSubs != 0 || st.ViewDeltaRows != 0 ||
+				st.ViewRescans != 0 || st.ViewIndexProbes != 0 || st.ViewMaintNanos != 0 {
 				t.Fatalf("DisableStats: view counters must stay zero, got %+v", st)
 			}
 			continue
 		}
-		if st.ViewSubs != 2 {
-			t.Errorf("ViewSubs = %d, want 2", st.ViewSubs)
+		if st.ViewSubs != 102 {
+			t.Errorf("ViewSubs = %d, want 102", st.ViewSubs)
+		}
+		if st.ViewIndexedSubs != 101 {
+			t.Errorf("ViewIndexedSubs = %d, want 101 (all but the forced-rescan one)", st.ViewIndexedSubs)
 		}
 		if st.ViewRescans < 3 {
 			t.Errorf("ViewRescans = %d, want >= 3 (one forced rescan per tick plus resyncs)", st.ViewRescans)
 		}
 		if st.ViewDeltaRows == 0 {
 			t.Error("ViewDeltaRows stayed zero across crowding damage ticks")
+		}
+		if st.ViewIndexProbes == 0 {
+			t.Error("ViewIndexProbes stayed zero with a 101-subscription threshold group")
 		}
 		if st.ViewMaintNanos <= 0 {
 			t.Error("ViewMaintNanos not accumulated")

@@ -1,0 +1,5 @@
+//go:build !race
+
+package views_test
+
+const raceEnabled = false

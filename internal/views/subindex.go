@@ -1,0 +1,657 @@
+package views
+
+// The subscription index: §4.1's index join with the roles swapped. The
+// engine indexes the data and probes with the query; here the queries are
+// the indexed relation and the tick's touched rows are the probes.
+//
+// A stable predicate that canonicalizes to a conjunction of
+// `attr {<,<=,>,>=} $slot` compares over numeric own columns is an
+// axis-aligned box whose corners are the subscription's constant vector.
+// Subscriptions sharing a canonical shape key form one group per class:
+//
+//   - two attributes with both bounds on each: an internal/index grid over
+//     the box centres (subscription slot as the grid's row), probed with the
+//     group's largest half-extent and rechecked exactly against the slots;
+//   - one attribute: an array sorted on the first compare's bound, of which
+//     a touched value selects a prefix or suffix, rechecked the same way.
+//
+// Each Apply a touched row is probed at its new point and at its
+// last-applied point — read from a registry-side copy of the indexed
+// columns (the image), because the table only holds the new one. The two
+// hit sets give the subscriptions the row entered, left or stayed in; killed
+// ids have no row any more and are found through the image's id → row map.
+// The events are bucketed per subscription and each bucket feeds the same
+// merge-and-emit tail the per-subscription delta path ends in, so the
+// stream is bit-identical to it.
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+
+	"repro/internal/index"
+	"repro/internal/plan"
+	"repro/internal/schema"
+	"repro/internal/sgl/ast"
+	"repro/internal/sgl/token"
+	"repro/internal/value"
+)
+
+// boxCmp is one `attr op $slot` conjunct of an indexable predicate.
+type boxCmp struct {
+	axis int        // index into the group's attrs
+	op   token.Kind // LT, LE, GT, GE
+	slot int        // constant slot holding the bound
+}
+
+func (c boxCmp) upper() bool { return c.op == token.LT || c.op == token.LE }
+
+// holds evaluates the conjunct exactly as the mask kernel would.
+func (c boxCmp) holds(v, bound float64) bool {
+	switch c.op {
+	case token.LT:
+		return v < bound
+	case token.LE:
+		return v <= bound
+	case token.GT:
+		return v > bound
+	default:
+		return v >= bound
+	}
+}
+
+const (
+	whyForced   = "maintenance mode is forced"
+	whyUnstable = "predicate is unstable"
+	whyShape    = "predicate is not a conjunction of `attr <|<=|>|>= constant` compares over numeric own attributes"
+	whyDims     = "predicate ranges over more than two attributes"
+	whyOpen     = "two-attribute box lacks a lower or an upper bound on an attribute"
+	whyEmpty    = "two-attribute box is empty or has no extent"
+	whyTiny     = "box extent is too small against its distance from the origin for the grid"
+)
+
+// boxShapeOf recognizes the indexable shape in a canonicalized predicate:
+// the conjuncts in source order and the distinct attributes they range
+// over, or why the predicate has no such shape.
+func boxShapeOf(pred ast.Expr, cls *schema.Class) (cmps []boxCmp, attrs []int, why string) {
+	var walk func(e ast.Expr) bool
+	walk = func(e ast.Expr) bool {
+		b, ok := e.(*ast.BinaryExpr)
+		if !ok {
+			return false
+		}
+		switch b.Op {
+		case token.ANDAND:
+			return walk(b.X) && walk(b.Y)
+		case token.LT, token.LE, token.GT, token.GE:
+		default:
+			return false
+		}
+		x, ok := b.X.(*ast.Ident)
+		if !ok || x.Bind.Kind != ast.BindStateAttr ||
+			cls.State[x.Bind.AttrIdx].Kind != value.KindNumber {
+			return false
+		}
+		y, ok := b.Y.(*ast.Ident)
+		if !ok || y.Bind.Kind != ast.BindLocal {
+			return false
+		}
+		axis := slices.Index(attrs, x.Bind.AttrIdx)
+		if axis < 0 {
+			axis = len(attrs)
+			attrs = append(attrs, x.Bind.AttrIdx)
+		}
+		cmps = append(cmps, boxCmp{axis: axis, op: b.Op, slot: y.Bind.Slot})
+		return true
+	}
+	if !walk(pred) {
+		return nil, nil, whyShape
+	}
+	if len(attrs) > 2 {
+		return nil, nil, whyDims
+	}
+	if len(attrs) == 2 {
+		var lower, upper [2]bool
+		for _, c := range cmps {
+			if c.upper() {
+				upper[c.axis] = true
+			} else {
+				lower[c.axis] = true
+			}
+		}
+		if !(lower[0] && upper[0] && lower[1] && upper[1]) {
+			return nil, nil, whyOpen
+		}
+	}
+	return cmps, attrs, ""
+}
+
+// subGroup indexes the subscriptions of one class that share one canonical
+// predicate shape. Slots are stable small integers handed out per group;
+// they are the grid's "rows" and index the per-probe stamp array.
+type subGroup struct {
+	key     string
+	cmps    []boxCmp
+	attrs   []int // one or two indexed state attributes
+	kernels int   // the shape's kernel op count, for the cost rule
+
+	slots []*Sub // slot → subscription; nil when free
+	free  []int32
+	n     int
+	stamp []uint64 // per slot: probe sequence of the last old-point hit
+
+	// Two-attribute groups: a row-tracking grid over box centres.
+	build   index.Builder
+	grid    *index.Grid
+	maxHalf float64 // largest half-extent ever inserted: the probe's reach
+
+	// One-attribute groups: bounds of cmps[0], ascending (ties by slot).
+	bounds []boundEntry
+
+	ready  bool // image columns hold last-applied values for this group
+	probed bool // this Apply's cost decision
+}
+
+type boundEntry struct {
+	bound float64
+	slot  int32
+}
+
+func compareBound(a, b boundEntry) int {
+	if c := cmp.Compare(a.bound, b.bound); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.slot, b.slot)
+}
+
+// each visits the group's subscriptions in slot order.
+func (g *subGroup) each(fn func(*Sub)) {
+	for _, s := range g.slots {
+		if s != nil {
+			fn(s)
+		}
+	}
+}
+
+// maxGridKey bounds |coordinate / cell| so index.Grid's int32 cell keys
+// cannot overflow, with room for the probe's reach.
+const maxGridKey = 1 << 30
+
+// boxOf returns the centre and half-extent of a two-attribute subscription's
+// box along each axis.
+func (g *subGroup) boxOf(consts []float64) (centre, half [2]float64) {
+	lo := [2]float64{math.Inf(-1), math.Inf(-1)}
+	hi := [2]float64{math.Inf(1), math.Inf(1)}
+	for _, c := range g.cmps {
+		if b := consts[c.slot]; c.upper() {
+			hi[c.axis] = math.Min(hi[c.axis], b)
+		} else {
+			lo[c.axis] = math.Max(lo[c.axis], b)
+		}
+	}
+	for a := range centre {
+		centre[a] = lo[a]/2 + hi[a]/2
+		half[a] = hi[a]/2 - lo[a]/2
+	}
+	return centre, half
+}
+
+// indexSub places a freshly compiled subscription into its class's
+// subscription index, returning "" on success or the reason it stays on the
+// per-subscription path.
+func (r *Registry) indexSub(s *Sub) string {
+	switch {
+	case s.def.Mode != plan.ViewAuto:
+		return whyForced
+	case !s.stable:
+		return whyUnstable
+	}
+	cs := s.cs
+	g := cs.groups[s.key]
+	if g == nil {
+		cmps, attrs, why := boxShapeOf(s.pred, cs.cls)
+		if why != "" {
+			return why
+		}
+		g = &subGroup{key: s.key, cmps: cmps, attrs: attrs, kernels: 16}
+		if s.pp != nil {
+			g.kernels = s.pp.prog.Kernels()
+		}
+	}
+	var centre, half [2]float64
+	if len(g.attrs) == 2 {
+		centre, half = g.boxOf(s.consts)
+		reach := math.Max(half[0], half[1])
+		switch {
+		case !(half[0] > 0 && half[1] > 0):
+			return whyEmpty
+		case math.Abs(centre[0])/reach >= maxGridKey || math.Abs(centre[1])/reach >= maxGridKey:
+			return whyTiny
+		}
+	}
+	if g.n == 0 {
+		cs.groups[g.key] = g
+		cs.groupList = append(cs.groupList, g)
+		cs.imageRef(g.attrs, +1)
+	}
+
+	slot := int32(len(g.slots))
+	if k := len(g.free); k > 0 {
+		slot = g.free[k-1]
+		g.free = g.free[:k-1]
+		g.slots[slot] = s
+	} else {
+		g.slots = append(g.slots, s)
+		g.stamp = append(g.stamp, 0)
+	}
+	g.n++
+	s.grp, s.slot = g, slot
+	r.indexed++
+
+	if len(g.attrs) == 1 {
+		e := boundEntry{s.consts[g.cmps[0].slot], slot}
+		i, _ := slices.BinarySearchFunc(g.bounds, e, compareBound)
+		g.bounds = slices.Insert(g.bounds, i, e)
+		return ""
+	}
+	reach := math.Max(half[0], half[1])
+	g.maxHalf = math.Max(g.maxHalf, reach)
+	if g.grid == nil || reach > g.grid.Cell() {
+		// The cell follows the largest half-extent, so a probe's reach
+		// spans three cells an axis; growing by at least half again keeps
+		// ascending radii from rebuilding on every Subscribe.
+		cell := reach
+		if g.grid != nil {
+			cell = math.Max(reach, 1.5*g.grid.Cell())
+		}
+		g.rebuildGrid(cell)
+		return ""
+	}
+	g.grid.Insert(value.ID(s.id), slot, centre[0], centre[1])
+	return ""
+}
+
+// rebuildGrid refills the group's grid from its live slots at a new cell
+// size.
+func (g *subGroup) rebuildGrid(cell float64) {
+	entries := g.build.Entries(g.n)
+	coords := g.build.Coords(2 * g.n)
+	i := 0
+	for slot, s := range g.slots {
+		if s == nil {
+			continue
+		}
+		centre, _ := g.boxOf(s.consts)
+		coords[2*i], coords[2*i+1] = centre[0], centre[1]
+		entries[i] = index.Entry{ID: value.ID(s.id), Row: int32(slot), Coords: coords[2*i : 2*i+2]}
+		i++
+	}
+	g.grid = g.build.BuildGrid(cell, entries)
+}
+
+// unindexSub removes a subscription from its group, dissolving the group
+// with its last member.
+func (r *Registry) unindexSub(s *Sub) {
+	g, cs := s.grp, s.cs
+	if len(g.attrs) == 1 {
+		e := boundEntry{s.consts[g.cmps[0].slot], s.slot}
+		if i, ok := slices.BinarySearchFunc(g.bounds, e, compareBound); ok {
+			g.bounds = slices.Delete(g.bounds, i, i+1)
+		}
+	} else {
+		g.grid.Remove(s.slot)
+	}
+	g.slots[s.slot] = nil
+	g.free = append(g.free, s.slot)
+	g.n--
+	s.grp = nil
+	r.indexed--
+	if s.fresh {
+		if i := slices.Index(r.fresh, s); i >= 0 {
+			r.fresh = slices.Delete(r.fresh, i, i+1)
+		}
+	}
+	if g.n == 0 {
+		delete(cs.groups, g.key)
+		cs.groupList = slices.DeleteFunc(cs.groupList, func(x *subGroup) bool { return x == g })
+		cs.imageRef(g.attrs, -1)
+	}
+}
+
+// match appends the slots of the group's subscriptions whose box contains
+// the point cols[attr][row] — index probe, then exact recheck against each
+// candidate's constants.
+func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int32) []int32 {
+	p.probes++
+	if len(g.attrs) == 1 {
+		v := cols[g.attrs[0]][row]
+		if math.IsNaN(v) {
+			return out
+		}
+		// Entries whose first bound admits v: a suffix for `v < bound`
+		// shapes, a prefix for `v > bound` ones. The search is inclusive of
+		// ties and the recheck settles strictness.
+		cand := g.bounds
+		if g.cmps[0].upper() {
+			cand = cand[sort.Search(len(cand), func(i int) bool { return cand[i].bound >= v }):]
+		} else {
+			cand = cand[:sort.Search(len(cand), func(i int) bool { return cand[i].bound > v })]
+		}
+		for _, e := range cand {
+			if g.passes(g.slots[e.slot].consts, v, 0) {
+				out = append(out, e.slot)
+			}
+		}
+		return out
+	}
+	x, y := cols[g.attrs[0]][row], cols[g.attrs[1]][row]
+	cell := g.grid.Cell()
+	// NaN fails every compare and an infinite or far-off coordinate lies in
+	// no finite box whose centre key fits the grid: no probe needed (and
+	// the grid's integer cell keys must not see them).
+	if !(math.Abs(x)/cell < maxGridKey+2 && math.Abs(y)/cell < maxGridKey+2) {
+		return out
+	}
+	// Centres within the largest half-extent of the point, padded for the
+	// rounding in centre = lo/2 + hi/2; the recheck is exact.
+	reach := g.maxHalf * (1 + 1.0/(1<<16))
+	p.lo[0], p.lo[1] = x-reach, y-reach
+	p.hi[0], p.hi[1] = x+reach, y+reach
+	p.cand = g.grid.QueryRows(p.lo[:], p.hi[:], p.cand[:0])
+	for _, slot := range p.cand {
+		if g.passes(g.slots[slot].consts, x, y) {
+			out = append(out, slot)
+		}
+	}
+	return out
+}
+
+func (g *subGroup) passes(consts []float64, x, y float64) bool {
+	for _, c := range g.cmps {
+		v := x
+		if c.axis == 1 {
+			v = y
+		}
+		if !c.holds(v, consts[c.slot]) {
+			return false
+		}
+	}
+	return true
+}
+
+// image is a class's last-applied copy of its indexed columns: what each
+// row's indexed attributes were when the previous Apply finished, which is
+// what every indexed subscription's membership reflects. Sized
+// O(rows × indexed columns), independent of how many subscriptions or
+// memberships there are.
+type image struct {
+	imgRef   []int              // per attr: index groups reading it
+	imgFill  []bool             // per attr: referenced since the last sync, needs a full copy
+	img      [][]float64        // per attr: column copy (nil when unreferenced)
+	imgID    []value.ID         // per row: the id the image row describes, or NullID
+	imgRow   map[value.ID]int32 // id → image row, for killed ids
+	imgBuilt bool
+}
+
+func (cs *classState) imageRef(attrs []int, delta int) {
+	if cs.imgRef == nil {
+		n := len(cs.cls.State)
+		cs.imgRef = make([]int, n)
+		cs.imgFill = make([]bool, n)
+		cs.img = make([][]float64, n)
+		cs.imgRow = map[value.ID]int32{}
+	}
+	for _, a := range attrs {
+		if cs.imgRef[a] == 0 && delta > 0 {
+			cs.imgFill[a] = true
+		}
+		cs.imgRef[a] += delta
+	}
+}
+
+// dropImage forgets the image (the table behind it was replaced); the next
+// syncImage rebuilds it and no group probes until then.
+func (cs *classState) dropImage() {
+	cs.imgBuilt = false
+	for _, g := range cs.groupList {
+		g.ready = false
+	}
+}
+
+// syncImage brings the image up to the state this Apply maintained against:
+// a full copy after a resync or a drop, otherwise just the feed's rows.
+func (cs *classState) syncImage() {
+	if len(cs.groupList) == 0 {
+		cs.imgBuilt = false
+		return
+	}
+	tab := cs.tab
+	n := tab.Cap()
+	raw := tab.RawIDs()
+	full := cs.resync || !cs.imgBuilt
+	if full {
+		clear(cs.imgRow)
+		cs.imgID = cs.imgID[:0]
+		for row := 0; row < n; row++ {
+			id := value.NullID
+			if tab.Alive(row) {
+				id = raw[row]
+				cs.imgRow[id] = int32(row)
+			}
+			cs.imgID = append(cs.imgID, id)
+		}
+	} else {
+		for len(cs.imgID) < n {
+			cs.imgID = append(cs.imgID, value.NullID)
+		}
+		for _, id := range cs.killed {
+			if row, ok := cs.imgRow[id]; ok {
+				delete(cs.imgRow, id)
+				cs.imgID[row] = value.NullID
+			}
+		}
+		for _, row := range cs.rows {
+			if id := raw[row]; cs.imgID[row] != id {
+				cs.imgID[row] = id
+				cs.imgRow[id] = row
+			}
+		}
+	}
+	for a, refs := range cs.imgRef {
+		if refs == 0 {
+			continue
+		}
+		src := tab.NumColumn(a)
+		if full || cs.imgFill[a] {
+			cs.img[a] = append(cs.img[a][:0], src[:n]...)
+		} else {
+			for len(cs.img[a]) < n {
+				cs.img[a] = append(cs.img[a], 0)
+			}
+			for _, row := range cs.rows {
+				cs.img[a][row] = src[row]
+			}
+		}
+		cs.imgFill[a] = false
+	}
+	cs.imgBuilt = true
+	for _, g := range cs.groupList {
+		g.ready = true
+	}
+}
+
+// subEvent is one probe result: row id entered, stayed in or left the
+// subscription bucketed at `at`.
+type subEvent struct {
+	id  value.ID
+	row int32
+	at  uint32 // bucket index << 2 | kind
+}
+
+const (
+	evAdd = iota
+	evUpd
+	evRem
+)
+
+// probeScratch is the registry's retained probing state.
+type probeScratch struct {
+	lo, hi   [2]float64
+	cand     []int32 // grid candidates before the exact recheck
+	oldHits  []int32
+	newHits  []int32
+	seq      uint64 // stamp generation, two per moved row
+	probes   int64
+	events   []subEvent // in probe order
+	bucketed []subEvent // grouped by subscription
+	active   []*Sub     // subscriptions with events this Apply
+	count    []int32    // per active subscription: events, then bucket end
+}
+
+// emit records one event for s, opening its bucket on the first.
+func (r *Registry) emit(s *Sub, id value.ID, row int32, kind uint32) {
+	if s.fresh {
+		return // about to rescan from scratch
+	}
+	p := &r.probe
+	if s.evSeq != r.seq {
+		s.evSeq = r.seq
+		s.evAt = int32(len(p.active))
+		p.active = append(p.active, s)
+		p.count = append(p.count, 0)
+		r.queue(s)
+	}
+	p.count[s.evAt]++
+	p.events = append(p.events, subEvent{id: id, row: row, at: uint32(s.evAt)<<2 | kind})
+}
+
+// probeClass decides, per index group, between probing and the
+// per-subscription path, and runs the probes of the groups that take the
+// index.
+func (r *Registry) probeClass(cs *classState) {
+	touched := len(cs.rows) + len(cs.killed)
+	for _, g := range cs.groupList {
+		g.probed = g.ready && !cs.resync &&
+			r.costs.ChooseViewIndex(g.n, cs.tab.Len(), touched, g.kernels)
+		if !g.probed {
+			g.each(r.queueFn)
+			continue
+		}
+		if touched > 0 {
+			r.probeGroup(cs, g)
+		}
+	}
+}
+
+// probeGroup turns the class's drained feed into add/update/remove events
+// for the subscriptions of one group.
+func (r *Registry) probeGroup(cs *classState, g *subGroup) {
+	p := &r.probe
+	for _, id := range cs.killed {
+		row, ok := cs.imgRow[id]
+		if !ok {
+			continue // spawned and killed between two Applies: never seen
+		}
+		p.oldHits = g.match(p, cs.img, row, p.oldHits[:0])
+		for _, slot := range p.oldHits {
+			r.emit(g.slots[slot], id, -1, evRem)
+		}
+	}
+	raw := cs.tab.RawIDs()
+	cols := cs.tab.NumColumns()
+	for _, row := range cs.rows {
+		id := raw[row]
+		p.newHits = g.match(p, cols, row, p.newHits[:0])
+		if int(row) >= len(cs.imgID) || cs.imgID[row] != id {
+			// Spawned since the previous Apply (a previous occupant of the
+			// row left through the killed list above).
+			for _, slot := range p.newHits {
+				r.emit(g.slots[slot], id, row, evAdd)
+			}
+			continue
+		}
+		moved := false
+		for _, a := range g.attrs {
+			if math.Float64bits(cs.img[a][row]) != math.Float64bits(cols[a][row]) {
+				moved = true
+			}
+		}
+		if !moved {
+			for _, slot := range p.newHits {
+				r.emit(g.slots[slot], id, row, evUpd)
+			}
+			continue
+		}
+		p.oldHits = g.match(p, cs.img, row, p.oldHits[:0])
+		p.seq += 2
+		for _, slot := range p.oldHits {
+			g.stamp[slot] = p.seq
+		}
+		for _, slot := range p.newHits {
+			if g.stamp[slot] == p.seq {
+				g.stamp[slot] = p.seq + 1 // in both: stayed
+				r.emit(g.slots[slot], id, row, evUpd)
+			} else {
+				r.emit(g.slots[slot], id, row, evAdd)
+			}
+		}
+		for _, slot := range p.oldHits {
+			if g.stamp[slot] == p.seq {
+				r.emit(g.slots[slot], id, -1, evRem)
+			}
+		}
+	}
+}
+
+// bucketEvents groups the Apply's events by subscription (a counting sort:
+// order within a bucket stays probe order), leaving count[at] as bucket
+// at's end offset.
+func (p *probeScratch) bucketEvents() {
+	end := int32(0)
+	for i, n := range p.count {
+		p.count[i] = end // start for now; advanced to the end by the scatter
+		end += n
+	}
+	if cap(p.bucketed) < len(p.events) {
+		p.bucketed = make([]subEvent, len(p.events), len(p.events)+len(p.events)/4)
+	}
+	p.bucketed = p.bucketed[:len(p.events)]
+	for _, e := range p.events {
+		at := e.at >> 2
+		p.bucketed[p.count[at]] = e
+		p.count[at]++
+	}
+}
+
+// bucket returns the events of the subscription bucketed at `at`.
+func (p *probeScratch) bucket(at int32) []subEvent {
+	start := int32(0)
+	if at > 0 {
+		start = p.count[at-1]
+	}
+	return p.bucketed[start:p.count[at]]
+}
+
+// applyEvents maintains an indexed subscription from its probe events: the
+// same three lists the delta path derives with its kernel and per-candidate
+// membership searches, handed to the same merge-and-emit tail.
+func (r *Registry) applyEvents(s *Sub, cs *classState) {
+	d := &r.d
+	r.addPairs = r.addPairs[:0]
+	r.updPairs = r.updPairs[:0]
+	for _, e := range r.probe.bucket(s.evAt) {
+		switch e.at & 3 {
+		case evAdd:
+			r.addPairs = append(r.addPairs, idRow{e.id, e.row})
+		case evUpd:
+			r.updPairs = append(r.updPairs, idRow{e.id, e.row})
+		default:
+			d.RemIDs = append(d.RemIDs, e.id)
+		}
+	}
+	sortPairs(r.addPairs)
+	sortPairs(r.updPairs)
+	slices.Sort(d.RemIDs)
+	r.finishRowDelta(s, cs)
+}

@@ -18,20 +18,30 @@
 //     subscriptions that differ only in thresholds share one compiled
 //     program (and one machine register slab) with per-subscription
 //     constants fed through Env.Slots lanes;
-//   - plan.Costs.ChooseView arbitrates delta-maintain vs rescan per
-//     subscription per tick from the same cost vocabulary as ChooseExec;
+//   - same-shape range predicates (interest boxes, thresholds) are points in
+//     slot space, so the subscriptions themselves are indexed — an
+//     internal/index grid over box centres, a sorted bound array for
+//     one-attribute shapes — and each touched row probes the index instead
+//     of every subscription filtering every touched row (subindex.go);
+//   - plan.Costs arbitrates index probe vs per-subscription maintenance per
+//     group per tick (ChooseViewIndex), and delta-maintain vs rescan per
+//     subscription per tick (ChooseView), from the same cost vocabulary as
+//     ChooseExec;
 //   - spatial interest subscriptions build rectangular predicates whose
 //     reach plan.InteractionRadius bounds — the same box the partitioned
 //     executor ghosts, which is why the changefeed (and thus every view)
 //     is identical under Workers > 1 and Partitions > 1.
 //
-// Everything the registry retains — membership sets, delta buffers,
-// candidate lanes, constant lanes — is reused across ticks; steady-state
-// maintenance of a warmed subscription set performs zero heap allocations.
+// Everything the registry retains — membership sets, the one delta buffer
+// every subscription emits through, candidate lanes, constant lanes, probe
+// events — is reused across ticks; steady-state maintenance of a warmed
+// subscription set performs zero heap allocations.
 package views
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -99,8 +109,9 @@ type TopEntry struct {
 }
 
 // Delta is one subscription's per-tick change set. All slices alias
-// registry-retained buffers: they are valid only during the Apply callback
-// and must be copied to retain. Lists are sorted by ascending id.
+// registry-retained buffers shared by every subscription: they are valid
+// only during the Apply callback and must be copied to retain. Lists are
+// sorted by ascending id.
 type Delta struct {
 	Sub   SubID
 	Class string
@@ -122,7 +133,8 @@ type Delta struct {
 	Agg        float64
 	Top        []TopEntry
 
-	changed bool
+	changed          bool
+	addCols, updCols [][]float64 // backing for AddCols/UpdCols at full width
 }
 
 // Bytes is the wire size of the delta at 8 bytes per id or payload cell —
@@ -142,16 +154,22 @@ func (d *Delta) Bytes() int64 {
 	return int64(n)
 }
 
-func (d *Delta) reset(id SubID, class string, tick int64) {
-	d.Sub, d.Class, d.Tick = id, class, tick
+func (d *Delta) reset(s *Sub, tick int64) {
+	d.Sub, d.Class, d.Tick = s.id, s.cs.name, tick
 	d.Resync = false
 	d.AddIDs = d.AddIDs[:0]
 	d.UpdIDs = d.UpdIDs[:0]
 	d.RemIDs = d.RemIDs[:0]
+	// One column buffer per payload attribute, carved from the registry's
+	// widest-payload retention.
+	for len(d.addCols) < len(s.payload) {
+		d.addCols = append(d.addCols, nil)
+		d.updCols = append(d.updCols, nil)
+	}
+	d.AddCols = d.addCols[:len(s.payload)]
+	d.UpdCols = d.updCols[:len(s.payload)]
 	for i := range d.AddCols {
 		d.AddCols[i] = d.AddCols[i][:0]
-	}
-	for i := range d.UpdCols {
 		d.UpdCols[i] = d.UpdCols[i][:0]
 	}
 	d.AggChanged = false
@@ -178,22 +196,25 @@ type Sub struct {
 	stable   bool
 	reasons  []string
 
-	// cols is reads ∪ payload ∪ aggAttr: the column versions whose
-	// stillness (plus an unchanged structure version) makes skipping the
-	// subscription entirely sound.
-	cols       []int
-	lastStruct uint64
-	lastCols   []uint64
-	versValid  bool
-	fresh      bool // force rescan + Resync delta on next Apply
+	// cols is reads ∪ payload ∪ aggAttr: the columns whose stillness (plus
+	// an unchanged structure version) makes skipping the subscription
+	// entirely sound.
+	cols  []int
+	fresh bool // force rescan + Resync delta on next Apply
 
-	members    []value.ID // current matching ids, ascending
-	memScratch []value.ID
+	// Subscription-index membership (subindex.go): the shape group and the
+	// slot inside it, or why the subscription stays on the per-sub path.
+	grp    *subGroup
+	slot   int32
+	whyNot string
+	queued uint64 // Apply sequence the sub joined the worklist in
+	evSeq  uint64 // Apply sequence evAt is valid for
+	evAt   int32  // index into the registry's per-Apply event buckets
+
+	members []value.ID // current matching ids, ascending
 
 	agg float64
 	top []TopEntry
-
-	d Delta
 }
 
 // ID returns the subscription's registry id.
@@ -208,6 +229,17 @@ func (s *Sub) Stable() bool { return s.stable }
 
 // Reasons returns the stability analysis's why-reasons (nil when Stable).
 func (s *Sub) Reasons() []string { return s.reasons }
+
+// Indexed reports whether the subscription sits in a subscription index —
+// its predicate is a box in slot space, so touched rows find it by probe
+// instead of it filtering every touched row. When false, IndexReason says
+// what keeps it on the per-subscription path. (Whether an indexed group is
+// actually probed on a given tick is the cost model's call;
+// ExecCounters.ViewIndexProbes shows it.)
+func (s *Sub) Indexed() bool { return s.grp != nil }
+
+// IndexReason explains why the subscription is not indexed ("" when it is).
+func (s *Sub) IndexReason() string { return s.whyNot }
 
 // Members returns a copy of the current matching ids, ascending.
 func (s *Sub) Members() []value.ID {
@@ -234,12 +266,13 @@ type predProg struct {
 }
 
 // classState is the registry's per-class maintenance state: the drained
-// changefeed, and candidate lanes shared by every subscription on the class.
+// changefeed, candidate lanes shared by every subscription on the class,
+// the subscription index groups and the last-applied image they probe from.
 type classState struct {
 	name string
 	cls  *schema.Class
 	tab  *table.Table
-	subs []*Sub // ascending SubID
+	slow []*Sub // the non-indexed ones, ascending SubID: walked every Apply
 
 	// Drained feed, copied out of engine scratch each Apply.
 	rows    []int32
@@ -247,9 +280,21 @@ type classState struct {
 	resync  bool
 	drained bool
 
+	// Column/structure versions as of the previous Apply, and which of them
+	// moved since: the version-skip rung is a per-class fact (every
+	// subscription's cached versions equal the previous Apply's), so it is
+	// computed once here instead of stored per subscription.
+	lastStruct    uint64
+	lastColVer    []uint64
+	colChanged    []bool
+	structChanged bool
+	versValid     bool
+
 	// Candidate lanes over rows, built lazily per Apply: gathered payload
 	// lanes for gatherCols (attr-indexed), the candidate id lane, and the
-	// ids as values.
+	// ids as values. gatherRef counts the subscriptions watching each
+	// column; gatherCols lists the watched ones ascending.
+	gatherRef  []int
 	gatherCols []int
 	lanes      [][]float64
 	idLane     []float64
@@ -258,6 +303,11 @@ type classState struct {
 	idsBuilt   bool
 
 	fullIDLane []float64 // whole-extent id lane for rescanning kernels
+
+	// Subscription index (subindex.go).
+	groups    map[string]*subGroup
+	groupList []*subGroup
+	image
 }
 
 // Registry maintains every subscription of one engine world. Not
@@ -269,16 +319,20 @@ type Registry struct {
 	costs plan.Costs
 
 	nextID    SubID
-	subs      []*Sub // ascending SubID
 	byID      map[SubID]*Sub
 	classes   map[string]*classState
 	classList []*classState
+	indexed   int64 // subscriptions currently in an index group
 
 	progCache map[string]*predProg
 	mach      vexpr.Machine
 	env       vexpr.Env // retained: a per-call Env escapes to the heap
 
 	// Shared per-Apply scratch.
+	seq       uint64      // Apply sequence number (worklist/event stamps)
+	work      []*Sub      // this Apply's worklist, sorted ascending SubID
+	fresh     []*Sub      // indexed subs awaiting their first (resync) Apply
+	d         Delta       // the one delta every subscription emits through
 	slotLanes [][]float64 // constant lanes, indexed by canonical slot
 	slotSub   *Sub        // whose constants currently fill slotLanes
 	slotLen   int
@@ -287,8 +341,11 @@ type Registry struct {
 	updPairs  []idRow
 	fullPairs []idRow
 	topCand   []TopEntry
+	probe     probeScratch
 
+	// Method values bound once: binding per Apply would allocate.
 	drainFn func(engine.ClassDelta)
+	queueFn func(*Sub)
 
 	// Per-Apply counters.
 	deltaRows  int64
@@ -312,6 +369,7 @@ func New(eng *engine.World, costs plan.Costs) *Registry {
 		progCache: map[string]*predProg{},
 	}
 	r.drainFn = r.copyFeed
+	r.queueFn = r.queue
 	eng.EnableChangeFeed()
 	return r
 }
@@ -378,28 +436,29 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 	}
 
 	// Version-watched columns: predicate reads plus everything delivered.
-	seen := map[int]bool{}
+	watched := make([]bool, len(cp.Class.State))
 	for _, c := range s.reads {
-		seen[c] = true
+		watched[c] = true
 	}
 	for _, c := range s.payload {
-		seen[c] = true
+		watched[c] = true
 	}
 	if s.aggAttr >= 0 {
-		seen[s.aggAttr] = true
+		watched[s.aggAttr] = true
 	}
-	for c := range len(cp.Class.State) {
-		if seen[c] {
+	for c, w := range watched {
+		if w {
 			s.cols = append(s.cols, c)
 		}
 	}
-	s.lastCols = make([]uint64, len(s.cols))
-	s.d.AddCols = make([][]float64, len(s.payload))
-	s.d.UpdCols = make([][]float64, len(s.payload))
 
 	cs := r.classes[def.Class]
 	if cs == nil {
-		cs = &classState{name: def.Class, cls: cp.Class, tab: r.eng.ClassTable(def.Class)}
+		cs = &classState{
+			name: def.Class, cls: cp.Class, tab: r.eng.ClassTable(def.Class),
+			gatherRef: make([]int, len(cp.Class.State)),
+			groups:    map[string]*subGroup{},
+		}
 		r.classes[def.Class] = cs
 		r.classList = append(r.classList, cs)
 	}
@@ -409,10 +468,13 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 
 	r.nextID++
 	s.id = r.nextID
-	r.subs = append(r.subs, s)
 	r.byID[s.id] = s
-	cs.subs = append(cs.subs, s)
-	cs.recomputeGatherCols()
+	cs.watch(s.cols, +1)
+	if s.whyNot = r.indexSub(s); s.whyNot != "" {
+		cs.slow = append(cs.slow, s)
+	} else {
+		r.fresh = append(r.fresh, s)
+	}
 	return s, nil
 }
 
@@ -423,14 +485,18 @@ func (r *Registry) Unsubscribe(id SubID) bool {
 		return false
 	}
 	delete(r.byID, id)
-	r.subs = removeSub(r.subs, s)
-	s.cs.subs = removeSub(s.cs.subs, s)
-	s.cs.recomputeGatherCols()
+	cs := s.cs
+	if s.grp != nil {
+		r.unindexSub(s)
+	} else {
+		cs.slow = removeSub(cs.slow, s)
+	}
+	cs.watch(s.cols, -1)
 	return true
 }
 
 // Subs returns the number of live subscriptions.
-func (r *Registry) Subs() int { return len(r.subs) }
+func (r *Registry) Subs() int { return len(r.byID) }
 
 // Get returns a subscription by id.
 func (r *Registry) Get(id SubID) (*Sub, bool) {
@@ -438,25 +504,39 @@ func (r *Registry) Get(id SubID) (*Sub, bool) {
 	return s, ok
 }
 
+// removeSub deletes s from an ascending-SubID list by binary search, and
+// nils the vacated tail slot so the list does not keep the last *Sub
+// reachable past its own removal.
 func removeSub(subs []*Sub, s *Sub) []*Sub {
-	for i, x := range subs {
-		if x == s {
-			return append(subs[:i], subs[i+1:]...)
-		}
+	i, ok := slices.BinarySearchFunc(subs, s.id, func(x *Sub, id SubID) int {
+		return cmp.Compare(x.id, id)
+	})
+	if !ok {
+		return subs
 	}
-	return subs
+	copy(subs[i:], subs[i+1:])
+	subs[len(subs)-1] = nil
+	return subs[:len(subs)-1]
 }
 
-func (cs *classState) recomputeGatherCols() {
-	cs.gatherCols = cs.gatherCols[:0]
-	seen := map[int]bool{}
-	for _, s := range cs.subs {
-		for _, c := range s.cols {
-			seen[c] = true
+// watch adjusts the per-column watcher counts by delta for one
+// subscription's columns, relisting gatherCols only when a column gains its
+// first or loses its last watcher.
+func (cs *classState) watch(cols []int, delta int) {
+	relist := false
+	for _, c := range cols {
+		was := cs.gatherRef[c] > 0
+		cs.gatherRef[c] += delta
+		if was != (cs.gatherRef[c] > 0) {
+			relist = true
 		}
 	}
-	for c := range len(cs.cls.State) {
-		if seen[c] {
+	if !relist {
+		return
+	}
+	cs.gatherCols = cs.gatherCols[:0]
+	for c, n := range cs.gatherRef {
+		if n > 0 {
 			cs.gatherCols = append(cs.gatherCols, c)
 		}
 	}
@@ -468,20 +548,39 @@ func (cs *classState) recomputeGatherCols() {
 func (r *Registry) Detach() { r.eng = nil }
 
 // Attach rebinds the registry to a (restored) engine world: tables and
-// dictionaries are fresh objects, so every predicate kernel recompiles and
-// every subscription resyncs on the next Apply.
+// dictionaries are fresh objects, so every predicate kernel recompiles,
+// every last-applied image is dropped and every subscription resyncs on
+// the next Apply. The subscription indexes hold only the subscriptions'
+// own constants and carry over untouched.
 func (r *Registry) Attach(eng *engine.World) {
 	r.eng = eng
 	r.prog = eng.Program()
 	eng.EnableChangeFeed()
 	r.mach = vexpr.Machine{}
 	clear(r.progCache)
+	r.fresh = r.fresh[:0]
 	for _, cs := range r.classList {
 		cs.tab = eng.ClassTable(cs.name)
+		cs.versValid = false
+		cs.dropImage()
+		cs.each(func(s *Sub) {
+			s.recompileKernel(r)
+			s.fresh = true
+			if s.grp != nil {
+				r.fresh = append(r.fresh, s)
+			}
+		})
 	}
-	for _, s := range r.subs {
-		s.recompileKernel(r)
-		s.fresh = true
+}
+
+// each visits every subscription on the class — the non-indexed ones and
+// the index groups' members — in no particular order.
+func (cs *classState) each(fn func(*Sub)) {
+	for _, s := range cs.slow {
+		fn(s)
+	}
+	for _, g := range cs.groupList {
+		g.each(fn)
 	}
 }
 

@@ -38,6 +38,16 @@ func mustSub(t *testing.T, r *views.Registry, def views.Def) *views.Sub {
 	return s
 }
 
+// boxPred is InterestPred over (x, y), fatal on error.
+func boxPred(t *testing.T, cx, cy, radius float64) string {
+	t.Helper()
+	pred, err := views.InterestPred([]string{"x", "y"}, []float64{cx, cy}, radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pred
+}
+
 // bruteMembers recomputes a predicate's matching ids from scratch through
 // the engine's scalar read path, ascending by id — the registry's canonical
 // membership (and Sum fold) order.
