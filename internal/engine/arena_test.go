@@ -1,20 +1,26 @@
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
 func pooledVehicleWorld(t *testing.T, n int, pool *engine.ArenaPool) *engine.World {
+	return pooledVehicleWorldOpts(t, n, pool, engine.Options{Workers: 1})
+}
+
+func pooledVehicleWorldOpts(t *testing.T, n int, pool *engine.ArenaPool, opts engine.Options) *engine.World {
 	t.Helper()
 	sc, err := core.LoadScenario("vehicles", core.SrcVehicles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sc.NewWorld(engine.Options{Workers: 1})
+	w, err := sc.NewWorld(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,23 +34,55 @@ func pooledVehicleWorld(t *testing.T, n int, pool *engine.ArenaPool) *engine.Wor
 // TestSteadyStateTickAllocsZero is the arena-pooling acceptance guard: a
 // warmed world ticking through a shared arena pool must not allocate at
 // all in steady state — kernel machines, index builders, execution
-// contexts and accumulator slabs are all checked out or pooled, never
-// remade per tick.
+// contexts, shard sinks and accumulator slabs are all checked out or
+// pooled, never remade per tick. That holds for every split of the extent
+// the driver runs inline (Workers=1, partitioned or not). A fan-out pays
+// for its goroutines and nothing else: Workers=4 must allocate the same at
+// 2k and 20k rows — nothing per row, per emission or per shard.
 func TestSteadyStateTickAllocsZero(t *testing.T) {
-	pool := &engine.ArenaPool{}
-	w := pooledVehicleWorld(t, 500, pool)
-	for i := 0; i < 5; i++ {
-		if err := w.RunTick(); err != nil {
-			t.Fatal(err)
+	warmAllocs := func(w *engine.World) float64 {
+		for i := 0; i < 5; i++ {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return testing.AllocsPerRun(20, func() {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := w.RunTick(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state RunTick allocates %.1f objects/tick, want 0", avg)
+	for _, c := range []struct {
+		name string
+		opts engine.Options
+	}{
+		{"serial", engine.Options{Workers: 1}},
+		{"partitions=4", engine.Options{Workers: 1, Partitions: 4}},
+		{"scalar", engine.Options{Workers: 1, Exec: plan.ExecScalar}},
+		{"scalar/partitions=4", engine.Options{Workers: 1, Exec: plan.ExecScalar, Partitions: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := pooledVehicleWorldOpts(t, 500, &engine.ArenaPool{}, c.opts)
+			if avg := warmAllocs(w); avg != 0 {
+				t.Fatalf("steady-state RunTick allocates %.1f objects/tick, want 0", avg)
+			}
+		})
+	}
+	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
+		t.Run(fmt.Sprintf("workers=4/%v", exec), func(t *testing.T) {
+			var allocs [2]float64
+			for i, n := range []int{2000, 20000} {
+				w := pooledVehicleWorldOpts(t, n, &engine.ArenaPool{}, engine.Options{Workers: 4, Exec: exec})
+				allocs[i] = warmAllocs(w)
+				if w.ExecStats().ParallelShards == 0 {
+					t.Fatalf("%d rows never fanned out", n)
+				}
+			}
+			t.Logf("Workers=4 %v: %.1f allocs/tick", exec, allocs[0])
+			if allocs[0] != allocs[1] {
+				t.Fatalf("Workers=4 allocates %.1f objects/tick at 2k rows but %.1f at 20k", allocs[0], allocs[1])
+			}
+		})
 	}
 }
 

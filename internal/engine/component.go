@@ -83,28 +83,13 @@ func (u *UpdateCtx) Stage(class string, id value.ID, attr string, v value.Value)
 	if v.Kind() != rt.cls.State[i].Kind {
 		return fmt.Errorf("engine: staging %s into %s.%s (%s)", v.Kind(), class, attr, rt.cls.State[i].Kind)
 	}
-	if rt.staged == nil {
-		rt.staged = make(map[int]map[value.ID]value.Value)
+	row := rt.tab.Row(id)
+	if row < 0 {
+		return nil // no such object: nothing to write
 	}
-	m := rt.staged[i]
-	if m == nil {
-		m = make(map[value.ID]value.Value)
-		rt.staged[i] = m
-	}
-	m[id] = v
+	col := &rt.stage[i]
+	col.ensure(rt.tab.Cap())
+	col.vals[row] = v
+	col.rows = append(col.rows, int32(row))
 	return nil
-}
-
-// stageRule is the internal unchecked staging used by the expression-rule
-// evaluator for attributes that have rules (never owned ones).
-func (u *UpdateCtx) stageRule(rt *classRT, attrIdx int, id value.ID, v value.Value) {
-	if rt.staged == nil {
-		rt.staged = make(map[int]map[value.ID]value.Value)
-	}
-	m := rt.staged[attrIdx]
-	if m == nil {
-		m = make(map[value.ID]value.Value)
-		rt.staged[attrIdx] = m
-	}
-	m[id] = v
 }

@@ -25,11 +25,13 @@ import (
 
 // Options configure a World.
 type Options struct {
-	// Workers caps the worker pool for the sharded execution paths
-	// (effect phase, update rules, reactive handlers); 0 or 1 runs
-	// serially. The pool is a ceiling, not a mandate: per class and tick
-	// the cost model decides how many batch-aligned row shards are worth
-	// fanning out, so small extents run inline regardless of Workers.
+	// Workers caps the worker pool of the sharded tick driver (effect
+	// phase, update rules, reactive handlers); 0 or 1 runs every pass as one
+	// shard on the calling goroutine. The pool is a ceiling, not a mandate:
+	// per class and tick the cost model decides how many batch-aligned row
+	// shards are worth fanning out, so small extents run inline regardless
+	// of Workers. End states are bit-identical across worker counts: shards
+	// log their emissions and the logs replay in row order.
 	Workers int
 	// Strategy forces a single physical strategy for every accum join
 	// (plan.Auto enables adaptive selection, the default).
@@ -38,12 +40,10 @@ type Options struct {
 	// rules and simple effect phases. The default (plan.ExecAuto) lets the
 	// cost model vectorize every extent large enough to amortize batch
 	// setup; plan.ExecScalar and plan.ExecVectorized force one path. Exec
-	// and Workers compose: vectorized phases run their kernels per shard
-	// across the pool, everything else falls back to the sharded scalar
-	// row loop. At a fixed worker count, end states are bit-identical
-	// across Exec modes; across worker counts they are ⊕-equivalent, and
-	// bit-identical whenever each accumulator's contributions come from a
-	// single shard (the self-emission common case) or fold exactly.
+	// and Workers compose: within each shard, vectorized phases run their
+	// kernels over the shard's lanes and every other row runs the scalar
+	// row loop. End states are bit-identical across Exec modes and worker
+	// counts.
 	Exec plan.ExecMode
 	// Join selects how accum-join matches execute: the interpreted per-match
 	// loop body (plan.JoinScalar), or the batched driver (plan.JoinBatched)
@@ -55,15 +55,15 @@ type Options struct {
 	Join plan.JoinMode
 	// Partitions > 0 enables shared-nothing partitioned execution (§4.2):
 	// each class extent splits into spatial partitions and every partition
-	// runs the tick pipeline — vectorized phases, scalar rows, batched
-	// joins over its own partition-local indexes — against its owned rows
-	// plus read-only ghost replicas of neighbor rows within the scripts'
-	// derived interaction radius. Cross-partition effects and boundary
-	// migrations are staged as messages, merged deterministically in
-	// (partition, row) order, so any partition count produces bit-identical
-	// state to Partitions: 1. Workers composes: partitions fan out across
-	// the worker pool. 0 disables partitioning (the default single-extent
-	// executor).
+	// is one shard of the tick driver — vectorized phases, scalar rows,
+	// batched joins over its own partition-local indexes — over its owned
+	// rows plus read-only ghost replicas of neighbor rows within the
+	// scripts' derived interaction radius. Cross-partition effects and
+	// boundary migrations are staged as messages, merged deterministically
+	// in (partition, row) order, so any partition count produces
+	// bit-identical state to Partitions: 1. Workers composes: partitions fan
+	// out across the worker pool. 0 disables partitioning (shards are then
+	// plain row ranges of the whole extent).
 	Partitions int
 	// Partition picks the partitioning layout (plan.PartitionAuto by
 	// default: the least-cut-length spatial layout; stripes, grid and the
@@ -125,9 +125,7 @@ type World struct {
 	arena     *Arena
 	arenaPool *ArenaPool
 
-	// xctx/uctx are the pooled serial execution and update contexts,
-	// re-armed per class pass so steady-state ticks allocate nothing.
-	xctx *execCtx
+	// uctx is the pooled update context, re-armed per component.
 	uctx *UpdateCtx
 
 	// ai is the program's unified static analysis (internal/analysis):
@@ -163,18 +161,24 @@ type World struct {
 	txnSites map[*compile.AtomicStep]*txnSite
 	txnrt    txnRuntime
 
-	tracer      TraceFn
-	inspectors  []Inspector
-	workerSinks []*workerSink
-	shardCtxs   []*shardCtx // per-worker machines, counters, staging
-	shardBuf    []shard     // scratch shard partition, reused per pass
+	tracer     TraceFn
+	inspectors []Inspector
+
+	// The sharded tick driver's retained state (shard.go): the pass in
+	// flight, per-worker execution state, per-shard sinks and the merge's
+	// scratch. runShardFn is the pre-bound runShard method value, so a
+	// fan-out allocates no closure per pass.
+	pass       classPass
+	slots      []*workerSlot
+	sinks      []*shardSink
+	shardBuf   []shard
+	mergeRows  [][]int32
+	mergeIdx   []int
+	runShardFn func(slot, si int)
 
 	// parts is the shared-nothing partitioned-execution state (nil unless
-	// Options.Partitions > 0); see partition.go. partPrepGen identifies the
-	// current partitioned class pass, so each worker prepares its private
-	// kernel scratch exactly once per pass.
-	parts       *partWorld
-	partPrepGen uint64
+	// Options.Partitions > 0); see partition.go.
+	parts *partWorld
 
 	// dict is the world-wide string dictionary: one shared interning space,
 	// so codes are comparable across columns, tables and compiled literals.
@@ -186,9 +190,6 @@ type World struct {
 	// model, extended to execution mode); execStats tallies which path ran.
 	execCosts plan.Costs
 	execStats stats.ExecCounters
-
-	// scratch evaluation context reused across rows in serial execution
-	ctx expr.Ctx
 
 	// gatherFn is the pre-bound gatherState method value; binding it once
 	// keeps per-tick kernel environment setup allocation-free.
@@ -267,8 +268,11 @@ type classRT struct {
 	txnViewCols [][]float64
 	txnViewGen  []uint64
 	txnFxGen    []uint64
-	// staged new-state values for the update step.
-	staged map[int]map[value.ID]value.Value // attrIdx -> id -> value
+
+	// stage holds this update step's new-state values, one dense column per
+	// state attr; effectZero is the cached expr.Ctx.EffectZero callback.
+	stage      []stageCol
+	effectZero func(int) value.Value
 
 	// vlog accumulates the class's state changes for the subscription-view
 	// changefeed (nil until EnableChangeFeed; see changefeed.go).
@@ -302,7 +306,7 @@ func (f *fxColumn) add(row int, v value.Value, key float64) {
 	f.acc[row].Add(v, key)
 }
 
-// addLogged is add for sharded writers: the empty→touched transition is
+// addLogged is add for concurrent shards: the empty→touched transition is
 // recorded in the caller's private log (merged in shard order after the
 // barrier) instead of the shared touched list.
 func (f *fxColumn) addLogged(row int, v value.Value, key float64, log *[]int) {
@@ -312,21 +316,22 @@ func (f *fxColumn) addLogged(row int, v value.Value, key float64, log *[]int) {
 	f.acc[row].Add(v, key)
 }
 
-// addPayload / addPayloadLogged fold a raw column payload without boxing a
-// value.Value — the fused emission path (kernel outputs are already
-// payloads). Bit-identical to add via the AddPayload contract.
-func (f *fxColumn) addPayload(row int, p, key float64) {
-	if f.acc[row].N() == 0 {
-		f.touched = append(f.touched, row)
-	}
-	f.acc[row].AddPayload(p, key)
+// stageCol is the update step's staging of one state attribute: new values
+// dense over physical rows, reset at the start of every update step so a
+// tick that failed before the apply leaves nothing behind. A rule pass fills
+// every live row (full; shards write row-disjoint cells, so they need no
+// synchronization and no merge); UpdateCtx.Stage writes single cells and
+// lists them in rows.
+type stageCol struct {
+	vals []value.Value
+	full bool
+	rows []int32
 }
 
-func (f *fxColumn) addPayloadLogged(row int, p, key float64, log *[]int) {
-	if f.acc[row].N() == 0 {
-		*log = append(*log, row)
+func (c *stageCol) ensure(capacity int) {
+	if n := capacity - len(c.vals); n > 0 {
+		c.vals = append(c.vals, make([]value.Value, n)...)
 	}
-	f.acc[row].AddPayload(p, key)
 }
 
 // New builds a World for a compiled program: a one-world convenience that
@@ -360,6 +365,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 		dict:       c.dict,
 	}
 	w.gatherFn = w.gatherState
+	w.runShardFn = w.runShard
 	if !opts.DisableStats {
 		w.execStats.FusedOps = c.fusedOps
 	}
@@ -374,6 +380,11 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 			hasRule:     cc.hasRule,
 			phaseCost:   cc.phaseCost,
 			handlerCost: cc.handlerCost,
+			stage:       make([]stageCol, len(cc.cls.State)),
+		}
+		rt.effectZero = func(attrIdx int) value.Value {
+			e := rt.cls.Effects[attrIdx]
+			return value.Zero(e.Comb.ResultKind(e.Kind))
 		}
 		for _, e := range cc.cls.Effects {
 			rt.fx = append(rt.fx, fxColumn{comb: e.Comb, kind: e.Kind})
@@ -683,13 +694,6 @@ type fxReader struct {
 
 func (r fxReader) EffectValue(attrIdx int) (value.Value, bool) {
 	return r.rt.fx[attrIdx].acc[r.row].Result()
-}
-
-func effectZeroFn(rt *classRT) func(int) value.Value {
-	return func(attrIdx int) value.Value {
-		e := rt.cls.Effects[attrIdx]
-		return value.Zero(e.Comb.ResultKind(e.Kind))
-	}
 }
 
 // EffectValue returns the ⊕-combined effect contribution for an object this

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/compile"
@@ -205,6 +206,53 @@ func TestOwnershipPartitionEnforced(t *testing.T) {
 	err := w.RunTick()
 	if err == nil {
 		t.Fatal("staging an unowned attribute must fail the tick")
+	}
+}
+
+const twoOwnerSrc = `
+class P {
+  state:
+    number a = 0 by first;
+    number b = 0 by second;
+}
+`
+
+// scripted is a component whose behavior the test switches between ticks.
+type scripted struct {
+	name   string
+	update func(ctx *UpdateCtx) error
+}
+
+func (s *scripted) Name() string                { return s.name }
+func (s *scripted) Update(ctx *UpdateCtx) error { return s.update(ctx) }
+
+// TestFailedUpdateStepLeavesNoStaging pins the staging lifetime: values a
+// component staged in a tick whose update step then failed must not apply in
+// a later tick in which nobody staged them.
+func TestFailedUpdateStepLeavesNoStaging(t *testing.T) {
+	w := newWorld(t, twoOwnerSrc, Options{})
+	id, _ := w.Spawn("P", nil)
+	first := &scripted{name: "first", update: func(ctx *UpdateCtx) error {
+		return ctx.Stage("P", id, "a", value.Num(5))
+	}}
+	second := &scripted{name: "second", update: func(*UpdateCtx) error {
+		return errors.New("boom")
+	}}
+	for _, c := range []UpdateComponent{first, second} {
+		if err := w.Register(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.RunTick(); err == nil {
+		t.Fatal("a failing component must fail the tick")
+	}
+	idle := func(*UpdateCtx) error { return nil }
+	first.update, second.update = idle, idle
+	if err := w.RunTick(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.MustGet("P", id, "a").AsNumber(); got != 0 {
+		t.Fatalf("a = %v: the failed tick's staged write applied a tick later", got)
 	}
 }
 

@@ -15,29 +15,6 @@ import (
 	"repro/internal/vexpr"
 )
 
-// emitSink receives effect emissions and transaction intents. The serial
-// executor writes straight into the world's effect buffers; parallel
-// workers write into private buffers merged afterwards (§4.2: effect
-// computation needs no synchronization).
-type emitSink interface {
-	emit(w *World, e Emission)
-	addTxn(t *Txn)
-}
-
-// directSink writes into the world's effect buffers.
-type directSink struct{ w *World }
-
-func (d directSink) emit(w *World, e Emission) {
-	rt := w.classes[e.Class]
-	row := rt.tab.Row(e.Target)
-	if row < 0 {
-		return // dangling target: contribution is dropped
-	}
-	rt.fx[e.AttrIdx].add(row, e.Val, e.Key)
-}
-
-func (d directSink) addTxn(t *Txn) { d.w.txns = append(d.w.txns, t) }
-
 // execCtx executes compiled steps for one row at a time.
 type execCtx struct {
 	w     *World
@@ -45,16 +22,17 @@ type execCtx struct {
 	frame []value.Value
 	accum []*combinator.Accumulator // active accum accumulators by slot
 
-	rt  *classRT
-	row int
-	id  value.ID
+	rt   *classRT
+	row  int
+	id   value.ID
+	self rowReader // ctx.Self points here, so binding a row boxes nothing
 
 	// part is the shared-nothing partition this context executes for
 	// (always 0 outside partitioned mode); accum probes resolve their
 	// partition-local index through it.
 	part int32
 
-	sink   emitSink
+	sink   *shardSink
 	curTxn *Txn
 
 	// scratch buffers reused across rows
@@ -88,39 +66,13 @@ type execCtx struct {
 	dictLookups int64
 }
 
-// newExecCtx builds a fresh context for concurrent executors (shard and
-// partition workers). m is the kernel machine the context's batched joins
-// run on; nil allocates a private one. The serial paths use the pooled
-// World.serialExecCtx instead.
-func newExecCtx(w *World, sink emitSink, slots int, m *vexpr.Machine) *execCtx {
-	if m == nil {
-		m = new(vexpr.Machine)
-	}
-	x := &execCtx{
-		w:       w,
-		frame:   make([]value.Value, slots),
-		accum:   make([]*combinator.Accumulator, slots),
-		accSlab: make([]combinator.Accumulator, slots),
-		sink:    sink,
-		machine: m,
-	}
-	x.ctx.W = w
-	x.ctx.Frame = x.frame
-	return x
-}
-
-// serialExecCtx re-arms the world's pooled serial context, resetting every
-// piece of per-pass state a fresh newExecCtx would zero — frame contents
+// arm readies a worker slot's pooled context for one shard, resetting
+// every piece of per-pass state a fresh context would zero — frame contents
 // (runAtomic copies the whole frame into Txn.Frame), accumulator bindings,
-// row bindings, probe sequencing — so pooling is invisible to execution.
-// Valid only while the tick's arena is held.
-func (w *World) serialExecCtx(sink emitSink, slots int) *execCtx {
-	x := w.xctx
-	if x == nil {
-		x = &execCtx{w: w}
-		x.ctx.W = w
-		w.xctx = x
-	}
+// row bindings, probe sequencing — so pooling is invisible to execution and
+// a warmed tick allocates no execution state. m is the kernel machine the
+// context's batched joins run on.
+func (x *execCtx) arm(sink *shardSink, m *vexpr.Machine, slots int) {
 	if cap(x.accSlab) < slots {
 		x.frame = make([]value.Value, slots)
 		x.accum = make([]*combinator.Accumulator, slots)
@@ -135,11 +87,10 @@ func (w *World) serialExecCtx(sink emitSink, slots int) *execCtx {
 	}
 	x.ctx.Frame = x.frame
 	x.sink = sink
-	x.machine = w.arenaMachine()
+	x.machine = m
 	x.rt, x.row, x.id = nil, 0, 0
 	x.ctx.Class, x.ctx.SelfID, x.ctx.Self = "", 0, nil
 	x.part, x.curTxn, x.probeSeq = 0, nil, 0
-	return x
 }
 
 // updateCtx re-arms the world's pooled update context for one component (or
@@ -157,7 +108,8 @@ func (x *execCtx) bindRow(rt *classRT, row int) {
 	x.rt, x.row, x.id = rt, row, rt.tab.ID(row)
 	x.ctx.Class = rt.name
 	x.ctx.SelfID = x.id
-	x.ctx.Self = rowReader{rt: rt, row: row}
+	x.self = rowReader{rt: rt, row: row}
+	x.ctx.Self = &x.self
 }
 
 // sitePart resolves the site index this context probes: the partition-local
@@ -235,7 +187,7 @@ func (x *execCtx) runEmit(s *compile.EmitStep) {
 		x.curTxn.Emissions = append(x.curTxn.Emissions, e)
 		return
 	}
-	x.sink.emit(x.w, e)
+	x.sink.emit(e)
 }
 
 func (x *execCtx) runAtomic(s *compile.AtomicStep) {
@@ -580,7 +532,6 @@ func (w *World) prepareSites() {
 // via a shared worklist. Kept out of prepareSites so its escaping closures
 // never cost the serial path an allocation.
 func (w *World) buildSitesParallel(rebuild []*siteRT) {
-	w.ensureWorkers()
 	w.runPool(len(rebuild), w.opts.Workers, func(_, j int) {
 		site := rebuild[j]
 		w.buildSiteIndex(site, &site.parts[0], w.classes[site.step.SourceClass], nil, false)
@@ -758,7 +709,6 @@ func (w *World) fillEntries(srcRT *classRT, dims []int, entries []index.Entry, c
 		fillEntryRange(tab, dims, entries, coords, 0, tab.Cap(), 0)
 		return
 	}
-	w.ensureWorkers()
 	shards := shardRows(tab.Cap(), nw, w.shardBuf)
 	w.shardBuf = shards
 	if len(shards) <= 1 {
@@ -780,8 +730,8 @@ func (w *World) fillEntries(srcRT *classRT, dims []int, entries []index.Entry, c
 		}
 		offs[si+1] = offs[si] + c
 	}
-	w.runShards(shards, func(si int, sh shard) {
-		fillEntryRange(tab, dims, entries, coords, sh.lo, sh.hi, offs[si])
+	w.runPool(len(shards), len(shards), func(_, si int) {
+		fillEntryRange(tab, dims, entries, coords, shards[si].lo, shards[si].hi, offs[si])
 	})
 }
 

@@ -158,20 +158,187 @@ func diffClassWorlds(a, b *engine.World, class string, attrs []string, ids []val
 	return ""
 }
 
+// srcCrossFloat is the fold-order probe of the matrix below: two classes
+// whose every object emits a non-dyadic float (0.1 * w) into a handful of
+// shared sum targets in both classes. Float addition does not associate, so
+// each target's combined value is bit-identical across configurations only
+// if its contributions fold in the serial order — all Ants in row order,
+// then all Bees — whichever shard or partition ran the emitting row.
+const srcCrossFloat = `
+class Ant {
+  state:
+    number x = 0;
+    number y = 0;
+    number w = 0;
+    number load = 0;
+    ref<Ant> a = null;
+    ref<Bee> b = null;
+  effects:
+    number gain : sum;
+  update:
+    load = load + gain;
+  run {
+    if (a != null) { a.gain <- 0.1 * w; }
+    if (b != null) { b.gain <- 0.1 * w; }
+  }
+}
+class Bee {
+  state:
+    number x = 0;
+    number y = 0;
+    number w = 0;
+    number load = 0;
+    ref<Ant> a = null;
+    ref<Bee> b = null;
+  effects:
+    number gain : sum;
+  update:
+    load = load + gain;
+  run {
+    if (a != null) { a.gain <- 0.1 * w; }
+    if (b != null) { b.gain <- 0.1 * w; }
+  }
+}
+`
+
+const crossFloatTargets = 48
+
+// crossFloatInit wires object i of an n-per-class population: Ants take ids
+// 1..n and Bees n+1..2n, and everyone aims at the first few of each class.
+func crossFloatInit(n, i int) map[string]value.Value {
+	return map[string]value.Value{
+		"x": value.Num(float64(i*37%400) * 10), "y": value.Num(float64(i*53%400) * 10),
+		"w": value.Num(float64(i) + 1),
+		"a": value.Ref(value.ID(1 + i*7%crossFloatTargets)),
+		"b": value.Ref(value.ID(n + 1 + i*11%crossFloatTargets)),
+	}
+}
+
+func crossFloatWorld(t *testing.T, n int, opts engine.Options) *engine.World {
+	t.Helper()
+	sc, err := core.LoadScenario("cross-float", srcCrossFloat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sc.NewWorld(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []string{"Ant", "Bee"} {
+		for i := 0; i < n; i++ {
+			if _, err := w.Spawn(class, crossFloatInit(n, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return w
+}
+
+// srcMixedEffects pins sink reuse across classes: Hub (three effects, a
+// vectorizable run block) runs its pass before Leaf (one effect, a scalar run
+// block emitting to a Hub and to itself), on the same pooled sinks. A sink's
+// vectorized touched log is sized by the widest class that used it, so the
+// merge of a narrower class's pass must not read the log by slot count.
+const srcMixedEffects = `
+class Hub {
+  state:
+    number x = 0;
+    number y = 0;
+    number w = 0;
+    number p = 0;
+    number q = 0;
+    number load = 0;
+  effects:
+    number dp : sum;
+    number dq : max;
+    number gain : sum;
+  update:
+    p = p + dp;
+    q = dq;
+    load = load + gain;
+  run {
+    dp <- 0.1 * w;
+    if (w > 40) { dq <- w * 0.3; }
+  }
+}
+class Leaf {
+  state:
+    number x = 0;
+    number y = 0;
+    number w = 0;
+    number load = 0;
+    ref<Hub> h = null;
+  effects:
+    number gain : sum;
+  update:
+    load = load + gain;
+  run {
+    gain <- 0.1 * w;
+    if (h != null) { h.gain <- 0.7 * w; }
+  }
+}
+`
+
+func mixedEffectsInit(i int) map[string]value.Value {
+	return map[string]value.Value{
+		"x": value.Num(float64(i*37%400) * 10), "y": value.Num(float64(i*53%400) * 10),
+		"w": value.Num(float64(i%83) + 1),
+	}
+}
+
+func mixedEffectsWorld(t *testing.T, n int, opts engine.Options) *engine.World {
+	t.Helper()
+	sc, err := core.LoadScenario("mixed-effects", srcMixedEffects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sc.NewWorld(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := w.Spawn("Hub", mixedEffectsInit(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		init := mixedEffectsInit(i)
+		init["h"] = value.Ref(value.ID(1 + i*7%crossFloatTargets))
+		if _, err := w.Spawn("Leaf", init); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
 // TestParallelMatrixDifferential is the acceptance guard for the sharded
-// executor: Workers ∈ {1, 4} × Exec ∈ {scalar, vectorized, auto} over the
-// traffic and rts scenarios with spawn/kill churn must end bit-identical to
-// the Workers=1/ExecScalar reference. It extends the scalar≡vectorized
-// guards in vector_test.go with the parallelism axis.
+// tick driver: Workers ∈ {1, 4} × Exec ∈ {scalar, vectorized, auto} × the
+// partition layouts below over the traffic, rts, cross-float and
+// mixed-effects scenarios with spawn/kill churn must end bit-identical to the
+// Workers=1/ExecScalar/unpartitioned reference — one shard, one sink, a
+// straight replay. The layouts are every Partitions {1, 2, 4} × {grid,
+// stripes} cell of TestPartitionMatrixDifferential, which leaves its
+// join-free scenario to this matrix, plus a prime count (stripes only).
 func TestParallelMatrixDifferential(t *testing.T) {
+	type layout struct {
+		parts int
+		strat plan.PartitionStrategy
+	}
 	type cfg struct {
 		workers int
 		exec    plan.ExecMode
+		layout
 	}
 	var cfgs []cfg
-	for _, wk := range []int{1, 4} {
-		for _, ex := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized, plan.ExecAuto} {
-			cfgs = append(cfgs, cfg{wk, ex})
+	for _, l := range []layout{
+		{0, plan.PartitionAuto}, {1, plan.PartitionGrid}, {1, plan.PartitionStripes},
+		{2, plan.PartitionGrid}, {2, plan.PartitionStripes}, {3, plan.PartitionAuto},
+		{4, plan.PartitionGrid}, {4, plan.PartitionStripes},
+	} {
+		for _, wk := range []int{1, 4} {
+			for _, ex := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized, plan.ExecAuto} {
+				cfgs = append(cfgs, cfg{wk, ex, l})
+			}
 		}
 	}
 	scenarios := []struct {
@@ -182,6 +349,10 @@ func TestParallelMatrixDifferential(t *testing.T) {
 		ticks int
 		build func(t *testing.T, n int, opts engine.Options) *engine.World
 		spawn func(w *engine.World, i int) (value.ID, error)
+		// also names a second class diffed over its whole extent, on
+		// alsoAttrs (nil = attrs).
+		also      string
+		alsoAttrs []string
 	}{
 		{
 			name: "traffic", class: "Vehicle", attrs: vehicleAttrs, n: 2500, ticks: 5,
@@ -205,14 +376,30 @@ func TestParallelMatrixDifferential(t *testing.T) {
 				})
 			},
 		},
+		{
+			name: "cross-float", class: "Ant", attrs: []string{"load"}, n: 2500, ticks: 4,
+			build: crossFloatWorld, also: "Bee",
+			spawn: func(w *engine.World, i int) (value.ID, error) {
+				return w.Spawn("Ant", crossFloatInit(2500, i))
+			},
+		},
+		{
+			name: "mixed-effects", class: "Hub", attrs: []string{"p", "q", "load"}, n: 3000, ticks: 4,
+			build: mixedEffectsWorld, also: "Leaf", alsoAttrs: []string{"load"},
+			spawn: func(w *engine.World, i int) (value.ID, error) {
+				return w.Spawn("Hub", mixedEffectsInit(i))
+			},
+		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			worlds := make([]*engine.World, len(cfgs))
 			for i, c := range cfgs {
-				worlds[i] = sc.build(t, sc.n, engine.Options{Workers: c.workers, Exec: c.exec})
+				worlds[i] = sc.build(t, sc.n, engine.Options{
+					Workers: c.workers, Exec: c.exec, Partitions: c.parts, Partition: c.strat,
+				})
 			}
-			ref := worlds[0] // Workers=1, ExecScalar
+			ref := worlds[0] // Workers=1, ExecScalar, Partitions=0
 			live := append([]value.ID(nil), ref.IDs(sc.class)...)
 			rng := rand.New(rand.NewSource(11))
 			for tick := 0; tick < sc.ticks; tick++ {
@@ -248,8 +435,16 @@ func TestParallelMatrixDifferential(t *testing.T) {
 				}
 			}
 			for wi := 1; wi < len(worlds); wi++ {
-				if d := diffClassWorlds(ref, worlds[wi], sc.class, sc.attrs, live); d != "" {
-					t.Fatalf("cfg %+v diverged from Workers=1/ExecScalar: %s", cfgs[wi], d)
+				d := diffClassWorlds(ref, worlds[wi], sc.class, sc.attrs, live)
+				if d == "" && sc.also != "" {
+					attrs := sc.alsoAttrs
+					if attrs == nil {
+						attrs = sc.attrs
+					}
+					d = diffClassWorlds(ref, worlds[wi], sc.also, attrs, ref.IDs(sc.also))
+				}
+				if d != "" {
+					t.Errorf("cfg %+v diverged from Workers=1/ExecScalar/Partitions=0: %s", cfgs[wi], d)
 				}
 			}
 		})

@@ -3,9 +3,9 @@ package engine
 // Shared-nothing partitioned execution (§4.2 of the paper). With
 // Options.Partitions > 0 every class extent is split across spatial
 // partitions and the real tick pipeline — vectorized effect phases, the
-// scalar row loop, batched joins over per-partition indexes — runs
-// partition-at-a-time over each partition's owned rows plus read-only ghost
-// replicas of the neighbor rows its probes can reach.
+// scalar row loop, batched joins over per-partition indexes — runs with
+// one shard per partition, over each partition's owned rows plus read-only
+// ghost replicas of the neighbor rows its probes can reach.
 //
 // The runtime is decomposed along its three concerns:
 //
@@ -32,13 +32,14 @@ package engine
 //     ghost across a rebalance. Per-partition grids are patched in place by
 //     the member-view-aware index.Grid.SyncRows when churn is small.
 //
-//   - partition_exec.go: partition-parallel execution. Partitions fan out
-//     across the worker pool for vectorized phases (per-worker vexpr
-//     scratch; self-only emissions are row-disjoint across partitions),
-//     scalar rows and handlers; per-partition sinks merge in (partition,
-//     row) order — exactly ascending physical-row order — which is what
-//     makes ANY partition count, layout, epoch sequence and worker count
-//     bit-identical to Partitions=1.
+//   - shard.go: execution. A partition is an ownership-masked shard of the
+//     tick driver: partitions fan out across the worker pool for vectorized
+//     sweeps (per-worker vexpr scratch; self-only emissions are
+//     row-disjoint across partitions), scalar rows and handlers; the
+//     per-shard sinks merge in (partition, row) order — exactly ascending
+//     physical-row order — which is what makes ANY partition count,
+//     layout, epoch sequence and worker count bit-identical to
+//     Partitions=1.
 
 import (
 	"fmt"
@@ -57,9 +58,7 @@ type partWorld struct {
 	ready     bool   // layouts measured and first assignment done
 	assignVer uint64 // bumps whenever any row's ownership changes
 
-	sinks    []*partSink
-	mergeIdx []int
-	loads    []int64 // per-partition fold scratch (foldPartitionLoads)
+	loads []int64 // per-partition fold scratch (foldPartitionLoads)
 
 	buildList []partBuild // per-tick (site, partition) rebuild worklist
 
@@ -146,11 +145,6 @@ func (w *World) initPartitions() error {
 	}
 	pw := &partWorld{n: w.opts.Partitions}
 	pw.loads = make([]int64, pw.n)
-	pw.mergeIdx = make([]int, pw.n)
-	pw.sinks = make([]*partSink, pw.n)
-	for i := range pw.sinks {
-		pw.sinks[i] = &partSink{}
-	}
 	w.parts = pw
 	return nil
 }

@@ -52,12 +52,13 @@ var (
 
 // TestPartitionMatrixDifferential is the acceptance guard for shared-
 // nothing partitioned execution: Partitions ∈ {1, 2, 4} × layout ∈ {grid,
-// stripes} × Workers ∈ {1, 4} over the traffic (vectorized phases, no
-// joins), headway-join traffic and flock (three range joins per boid per
-// tick) scenarios, with spawn/kill churn and continuous movement driving
-// boundary-crossing migrations — every configuration must end bit-identical
-// to the single-partition run. This is the same bar PR 2 set for the
-// Workers×Exec axes and PR 3 for the Join axis.
+// stripes} × Workers ∈ {1, 4} over the headway-join traffic and flock
+// (three range joins per boid per tick) scenarios, with spawn/kill churn
+// and continuous movement driving boundary-crossing migrations — every
+// configuration must end bit-identical to the single-partition run. The
+// join-free traffic scenario, where a layout only decides which shard runs
+// a row, runs these same twelve cells against the unpartitioned scalar
+// reference in TestParallelMatrixDifferential, under every Exec mode.
 func TestPartitionMatrixDifferential(t *testing.T) {
 	type cfg struct {
 		parts   int
@@ -81,17 +82,6 @@ func TestPartitionMatrixDifferential(t *testing.T) {
 		build func(t *testing.T, n int, opts engine.Options) *engine.World
 		spawn func(w *engine.World, i int) (value.ID, error)
 	}{
-		{
-			name: "traffic", class: "Vehicle", attrs: vehicleAttrs, n: 2000, ticks: 5,
-			build: trafficWorld,
-			spawn: func(w *engine.World, i int) (value.ID, error) {
-				return w.Spawn("Vehicle", map[string]value.Value{
-					"x": value.Num(float64(i%97) * 40), "y": value.Num(float64(i%89) * 40),
-					"dx": value.Num(1), "speed": value.Num(float64(2 + i%4)),
-					"fuel": value.Num(float64(300 + i%57)),
-				})
-			},
-		},
 		{
 			name: "traffic-prox", class: "Car", attrs: carAttrs, n: 1500, ticks: 4,
 			build: carWorldFor,

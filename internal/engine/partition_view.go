@@ -544,7 +544,6 @@ func fillMemberEntries(tab *table.Table, dims []int, rows []int32, entries []ind
 // worker pool. Views are immutable by now; every build writes only its own
 // retained arena.
 func (w *World) buildPartsParallel(builds []partBuild) {
-	w.ensureWorkers()
 	w.runPool(len(builds), w.opts.Workers, func(_, j int) {
 		w.buildPartIndex(builds[j].site, builds[j].pp)
 	})

@@ -48,6 +48,59 @@ func TestShardRows(t *testing.T) {
 	}
 }
 
+// TestNextRun pins the (shard, row) merge: whatever the split, walking the
+// runs visits every entry of every stream exactly once in globally ascending
+// row order, entries of one row staying together in their stream's order;
+// streams whose row ranges do not overlap are each one run.
+func TestNextRun(t *testing.T) {
+	cases := []struct {
+		name    string
+		streams [][]int32
+		runs    int // expected run count; -1 = not pinned
+	}{
+		{"no sinks", nil, 0},
+		{"all empty", [][]int32{{}, {}, nil}, 0},
+		{"single sink", [][]int32{{0, 0, 3, 7, 7, 7, 9}}, 1},
+		{"contiguous", [][]int32{{0, 1, 1, 5}, {1024, 1024, 1030}, {}, {3072}}, 3},
+		{"disjoint, out of shard order", [][]int32{{50, 51}, {}, {0, 0, 9}, {20}}, 3},
+		{"interleaved", [][]int32{{0, 4, 4, 8, 9}, {1, 2, 10}, {3, 5, 5, 6, 7, 11, 12}}, -1},
+		{"alternating", [][]int32{{0, 2, 4, 6}, {1, 3, 5, 7}}, 8},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			total := 0
+			for _, rs := range c.streams {
+				total += len(rs)
+			}
+			idx := make([]int, len(c.streams))
+			seen, runs, last := 0, 0, int32(-1)
+			for {
+				si, from, to := nextRun(c.streams, idx)
+				if si < 0 {
+					break
+				}
+				if to <= from || idx[si] != to {
+					t.Fatalf("run %d: stream %d [%d, %d), idx %d", runs, si, from, to, idx[si])
+				}
+				for _, r := range c.streams[si][from:to] {
+					if r < last {
+						t.Fatalf("run %d: row %d after %d", runs, r, last)
+					}
+					last = r
+				}
+				seen += to - from
+				runs++
+			}
+			if seen != total {
+				t.Fatalf("visited %d of %d entries", seen, total)
+			}
+			if c.runs >= 0 && runs != c.runs {
+				t.Fatalf("%d runs, want %d", runs, c.runs)
+			}
+		})
+	}
+}
+
 // TestStepsCostWeighting pins the parallelism-axis work weights: an accum
 // join must dominate plain steps by an order of magnitude, so join-heavy
 // classes fan out at smaller extents than emit-only classes.

@@ -32,19 +32,8 @@ func (w *World) RunTick() error {
 	}
 	w.prepareSites()
 
-	// (2) Query/effect phase. Partitioned worlds run partition-at-a-time
-	// (partitions fan out across the pool; see partition.go); otherwise the
-	// parallel path composes both execution axes (sharded batch kernels +
-	// sharded scalar rows), with small extents still running inline — the
-	// cost model, not the option alone, decides the actual fan-out.
-	switch {
-	case w.parts != nil:
-		w.runEffectPhasePartitioned()
-	case w.parallelOK():
-		w.runEffectPhaseParallel()
-	default:
-		w.runEffectPhaseSerial()
-	}
+	// (2) Query/effect phase, through the sharded driver (shard.go).
+	w.runEffectPhase()
 
 	// (3) Transaction admission.
 	if len(w.txns) > 0 {
@@ -100,60 +89,6 @@ func (w *World) Run(n int) error {
 	return nil
 }
 
-func (w *World) runEffectPhaseSerial() {
-	sink := directSink{w: w}
-	for _, rt := range w.order {
-		if rt.plan.Decl.Run == nil {
-			continue
-		}
-		// Vectorized phases run first, whole-extent. They emit only to
-		// the executing object, so each accumulator still receives its
-		// contributions in scalar row-loop order. Tracing forces scalar
-		// so the per-emission hook keeps firing (chooseEffectExec gates
-		// on the tracer). The exec-axis decision is shared with the
-		// sharded path, so Workers=1 and Workers=N vectorize identically.
-		var vecRun []bool
-		if rt.vec != nil && rt.vec.hasPhases && w.tracer == nil && w.opts.Exec != plan.ExecScalar {
-			vecRun, _ = w.chooseEffectExec(rt, rt.phaseCounts())
-			if vecRun != nil {
-				w.prepareVecPhases(rt, vecRun, rt.tab.Cap())
-				vecRows := int64(0)
-				for p, on := range vecRun {
-					if on {
-						vecRows += int64(w.vecPhaseRange(rt, p, rt.vec.phases[p], 0, rt.tab.Cap(), &rt.vec.sc, w.arenaMachine(), nil))
-					}
-				}
-				if !w.opts.DisableStats {
-					w.execStats.VectorRows += vecRows
-				}
-			}
-		}
-		x := w.serialExecCtx(sink, rt.plan.NumSlots)
-		tab := rt.tab
-		scalarRows := int64(0)
-		for r := 0; r < tab.Cap(); r++ {
-			if !tab.Alive(r) {
-				continue
-			}
-			pc := int(tab.At(r, rt.pcCol).AsNumber())
-			if vecRun != nil && vecRun[pc] {
-				continue
-			}
-			steps := rt.plan.Phases[pc]
-			if len(steps) == 0 {
-				continue
-			}
-			x.bindRow(rt, r)
-			x.runSteps(steps)
-			scalarRows++
-		}
-		x.flushJoinStats()
-		if !w.opts.DisableStats {
-			w.execStats.ScalarRows += scalarRows
-		}
-	}
-}
-
 // admitTxns delegates to the registered transaction policy, or the built-in
 // greedy arrival-order policy.
 func (w *World) admitTxns() error {
@@ -169,19 +104,21 @@ func (w *World) admitTxns() error {
 func (w *World) SetTxnPolicy(p TxnPolicy) { w.txnPolicy = p }
 
 func (w *World) runUpdateStep() error {
-	// (a) Expression rules, evaluated over old state + combined effects.
-	// Rules that compiled to batch kernels run whole-extent over the
-	// columns when the cost model (or Options.Exec) picks the vectorized
-	// path; the rest interpret closures row-at-a-time. Both stage their
-	// results, applied together in (c).
-	ruleCtx := w.updateCtx("")
-	// Discard any dense staging left over from a tick that errored out
-	// before the apply step; stale vectors must never apply later.
+	// Discard any staging left over from a tick that errored out before the
+	// apply step; stale values must never apply later.
 	for _, rt := range w.order {
+		for i := range rt.stage {
+			rt.stage[i].full, rt.stage[i].rows = false, rt.stage[i].rows[:0]
+		}
 		if rt.vec != nil {
 			rt.vec.staged = false
 		}
 	}
+	// (a) Expression rules, evaluated over old state + combined effects.
+	// Rules that compiled to batch kernels run over the columns when the
+	// cost model (or Options.Exec) picks the vectorized path; the rest
+	// interpret closures row-at-a-time. Both stage their results, applied
+	// together in (c).
 	for _, rt := range w.order {
 		if len(rt.plan.Updates) == 0 {
 			continue
@@ -192,10 +129,9 @@ func (w *World) runUpdateStep() error {
 			w.runVecUpdates(rt)
 			rules = rt.vec.scalarUpdates
 		}
-		if len(rules) == 0 {
-			continue
+		if len(rules) > 0 {
+			w.runScalarUpdates(rt, rules)
 		}
-		w.runScalarUpdates(ruleCtx, rt, rules)
 	}
 	// (b) Owner components.
 	for _, c := range w.comps {
@@ -204,29 +140,41 @@ func (w *World) runUpdateStep() error {
 			return fmt.Errorf("component %q: %w", c.Name(), err)
 		}
 	}
-	// (c) Apply all staged writes atomically: map-staged values from
-	// scalar rules and components, then the dense columns staged by the
-	// vectorized rules (disjoint attributes by strict ownership).
+	// (c) Apply all staged writes atomically: the staging columns of scalar
+	// rules and components, then the result vectors of the vectorized rules
+	// (disjoint attributes by strict ownership).
 	for _, rt := range w.order {
-		for attrIdx, m := range rt.staged { //sglvet:allow maprange: keyed writes to disjoint (attr, id) cells, order-free
-			for id, v := range m { //sglvet:allow maprange: keyed writes to disjoint (attr, id) cells, order-free
-				row := rt.tab.Row(id)
-				if row < 0 {
-					continue // object died this tick
-				}
-				// Changefeed marks diff on raw bits so rows rewritten to the
-				// same payload stay out of the feed; marks are a set, so the
-				// map-iteration order here cannot leak into the drained feed.
-				if rt.vlog != nil && changedValue(rt.tab.At(row, attrIdx), v) {
-					rt.vlog.mark(row)
-				}
-				rt.tab.SetAt(row, attrIdx, v)
-			}
-			delete(rt.staged, attrIdx)
-		}
+		rt.applyStaged()
 		rt.applyVecUpdates()
 	}
 	return nil
+}
+
+// applyStaged writes the staging columns back: every live row of a rule-
+// filled column, the listed rows of a component-staged one.
+func (rt *classRT) applyStaged() {
+	for attrIdx := range rt.stage {
+		col := &rt.stage[attrIdx]
+		if col.full {
+			for row, ok := range rt.tab.AliveMask() {
+				if ok {
+					rt.commit(row, attrIdx, col.vals[row])
+				}
+			}
+		}
+		for _, row := range col.rows {
+			rt.commit(int(row), attrIdx, col.vals[row])
+		}
+	}
+}
+
+// commit applies one staged cell. Changefeed marks diff on raw bits so rows
+// rewritten to the same payload stay out of the feed.
+func (rt *classRT) commit(row, attrIdx int, v value.Value) {
+	if rt.vlog != nil && changedValue(rt.tab.At(row, attrIdx), v) {
+		rt.vlog.mark(row)
+	}
+	rt.tab.SetAt(row, attrIdx, v)
 }
 
 func (w *World) advancePCs() {

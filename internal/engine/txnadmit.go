@@ -144,7 +144,7 @@ func (t *tentWorld) StateValue(class string, id value.ID, attrIdx int) (value.Va
 			SelfID:     id,
 			Self:       rowReader{rt: rt, row: row},
 			Effects:    fxReader{rt: rt, row: row},
-			EffectZero: effectZeroFn(rt),
+			EffectZero: rt.effectZero,
 		}
 		return u.Fn(&ectx), true
 	}

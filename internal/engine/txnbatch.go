@@ -642,7 +642,6 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 			}
 			return 0
 		}
-		w.ensureWorkers()
 		w.resetGroupLogs(len(s.groups))
 		w.runPool(len(s.groups), nw, func(_, gi int) {
 			runGroup(gi, &s.gtouch[gi])
@@ -672,7 +671,6 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 	}
 	pooled := 0
 	if w.parallelOK() && len(s.partList) > 1 {
-		w.ensureWorkers()
 		w.resetGroupLogs(len(s.groups))
 		w.runPool(len(s.partList), w.opts.Workers, func(_, pi int) {
 			for _, gi := range s.partBkt[s.partList[pi]] {

@@ -88,12 +88,12 @@ type vecPhase struct {
 
 // vecScratch is one independent set of kernel I/O state: the environment
 // binding, the id vector for self() kernels, frame-slot vectors, emit/if
-// output buffers and the selection-mask stack. The serial and sharded
-// executors share the class's embedded scratch (shards write range-disjoint
-// [lo, hi) slices, so pre-sizing makes that safe); the partitioned executor
-// hands each worker its own (World.shardCtxs), because partition row spans
-// may interleave arbitrarily — hash layouts, drifted ownership — and so
-// cannot share mask storage.
+// output buffers and the selection-mask stack. Contiguous shards share the
+// class's embedded scratch (they write range-disjoint [lo, hi) slices, so
+// pre-sizing makes that safe); ownership-masked shards running on several
+// workers use the worker's own (workerSlot.pvec), because partition row
+// spans may interleave arbitrarily — hash layouts, drifted ownership — and
+// so cannot share mask storage.
 type vecScratch struct {
 	env      vexpr.Env
 	ids      []float64
@@ -119,8 +119,7 @@ type vecClassProgs struct {
 
 // vecClassPlan is the per-world half: the shared kernels (embedded by
 // pointer) plus this world's scratch, sized to its table capacity on
-// demand. Serial kernel runs use the world's arena machine; sharded runs
-// use the per-worker machines in World.shardCtxs.
+// demand. Kernels run on the executing worker slot's machine.
 type vecClassPlan struct {
 	*vecClassProgs
 
@@ -157,14 +156,18 @@ func (rt *classRT) phaseCounts() []int {
 
 // chooseEffectExec makes the per-class two-axis decision for the effect
 // phase. The exec axis picks, per phase, batch kernels vs the scalar row
-// loop (same rule on the serial and sharded paths, so Workers=1 and
-// Workers=N make identical choices); the returned work estimate feeds the
-// parallelism axis (plan.Costs.ChooseWorkers). vecSel is nil when no phase
-// vectorizes. counts must come from rt.phaseCounts().
-func (w *World) chooseEffectExec(rt *classRT, counts []int) (vecSel []bool, work float64) {
+// loop — before the extent is split, so every worker and partition count
+// makes identical choices; the returned work estimate feeds the parallelism
+// axis (plan.Costs.ChooseWorkers). vecSel is nil when no phase vectorizes.
+// Tracing keeps every phase scalar so the per-emission hook keeps firing.
+func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, work float64) {
 	c := w.execCosts
-	capRows := rt.tab.Cap()
 	vecOK := rt.vec != nil && rt.vec.hasPhases && w.tracer == nil && w.opts.Exec != plan.ExecScalar
+	if !vecOK && (!w.parallelOK() || w.parts != nil) {
+		return nil, 0 // neither axis has a choice: spare the per-phase row count
+	}
+	counts := rt.phaseCounts()
+	capRows := rt.tab.Cap()
 	for p, steps := range rt.plan.Phases {
 		if len(steps) == 0 {
 			continue
@@ -424,18 +427,10 @@ func (s *vecScratch) bindEnv(w *World, rt *classRT) {
 	s.env.Gather = w.gatherFn
 }
 
-// prepareVecPhases readies the class's shared scratch for every selected
-// phase. Sharded execution depends on this: once pre-sized, kernel runs
-// only ever write range-disjoint slices of the shared vectors, so lazy
-// growth (which would race) never happens inside a worker.
-func (w *World) prepareVecPhases(rt *classRT, vecSel []bool, n int) {
-	w.prepareVecScratch(rt, &rt.vec.sc, vecSel, n)
-}
-
 // prepareVecScratch readies one scratch for every selected phase —
 // environment binding, id vector, slot/buf/mask sizing — before any kernel
-// runs through it. The partitioned executor calls it once per worker and
-// class pass, giving each worker a fully independent set of vectors.
+// runs through it: once per pass for the class's shared scratch, once per
+// worker and pass for private ones.
 func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n int) {
 	v := rt.vec
 	sc.bindEnv(w, rt)
@@ -468,7 +463,7 @@ func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n 
 }
 
 // touchedLog records rows whose accumulator went from empty to non-empty
-// during a sharded vectorized phase. Shards write the shared accumulator
+// during a shard's vectorized sweeps. Shards write the shared accumulator
 // cells directly (rows are disjoint) but must not append to the shared
 // touched lists concurrently; the logs merge in shard order after the
 // barrier, keeping the list contents deterministic.
@@ -488,36 +483,36 @@ func (t *touchedLog) reset() {
 	}
 }
 
-// vecPhaseRange executes one vectorized effect phase over physical rows
-// [lo, hi): the base selection mask is alive ∧ pc=phase, refined by nested
-// if conditions; kernels evaluate unmasked (expressions are total, dead
-// lanes are ignored) and only masked rows emit. sc must have been pre-sized
-// by prepareVecPhases/prepareVecScratch. tl is nil on the serial path
-// (emissions append to the shared touched lists directly); sharded and
-// partitioned runs pass their private log. Returns the number of selected
-// rows.
-func (w *World) vecPhaseRange(rt *classRT, phase int, vp *vecPhase, lo, hi int, sc *vecScratch, m *vexpr.Machine, tl *touchedLog) int {
-	mask := sc.masks[0]
-	alive := rt.tab.AliveMask()
-	selected := 0
-	if rt.plan.NumPhases > 1 {
-		pcCol := rt.tab.NumColumn(rt.pcCol)
-		for r := lo; r < hi; r++ {
-			mask[r] = alive[r] && int(pcCol[r]) == phase
-			if mask[r] {
-				selected++
-			}
-		}
+// vecPhaseRange executes one vectorized effect phase over the shard's rows:
+// the base selection mask is (alive, or owned by the shard's partition when
+// assign is non-nil) ∧ pc=phase, refined by nested if conditions; kernels
+// evaluate unmasked (expressions are total, dead lanes are ignored) and only
+// masked rows emit. Emissions are self-only and therefore row-disjoint
+// across shards, so they fold into the shared accumulators directly; tl
+// keeps the shared touched lists out of the concurrent path. sc must have
+// been pre-sized by prepareVecScratch. Returns the number of selected rows.
+func (w *World) vecPhaseRange(rt *classRT, phase int, vp *vecPhase, sh shard, assign []int32, sc *vecScratch, m *vexpr.Machine, tl *touchedLog) int {
+	mask := sc.masks[0][sh.lo:sh.hi]
+	if assign == nil {
+		copy(mask, rt.tab.AliveMask()[sh.lo:sh.hi])
 	} else {
-		for r := lo; r < hi; r++ {
-			mask[r] = alive[r]
-			if mask[r] {
-				selected++
-			}
+		for i, o := range assign[sh.lo:sh.hi] {
+			mask[i] = o == sh.owner
+		}
+	}
+	if rt.plan.NumPhases > 1 {
+		for i, pc := range rt.tab.NumColumn(rt.pcCol)[sh.lo:sh.hi] {
+			mask[i] = mask[i] && int(pc) == phase
+		}
+	}
+	selected := 0
+	for _, on := range mask {
+		if on {
+			selected++
 		}
 	}
 	if selected > 0 {
-		w.execVecSteps(rt, vp.steps, mask, lo, hi, sc, m, tl)
+		w.execVecSteps(rt, vp.steps, sc.masks[0], sh.lo, sh.hi, sc, m, tl)
 	}
 	return selected
 }
@@ -535,15 +530,11 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 				key = sc.bufs[s.keyBuf]
 				s.key.Run(m, &sc.env, lo, hi, key)
 			}
-			fx := &rt.fx[s.attrIdx]
+			fx, log := &rt.fx[s.attrIdx], &tl.rows[s.attrIdx]
 			if s.fold {
 				// Fused fold: kernel outputs are already column payloads, so
 				// they go straight into the accumulator's batch payload fold
 				// with no per-row boxing or combinator dispatch.
-				log := &fx.touched
-				if tl != nil {
-					log = &tl.rows[s.attrIdx]
-				}
 				combinator.AddPayloadRows(fx.acc, mask, lo, hi, val, key, log)
 				break
 			}
@@ -567,11 +558,7 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 				} else {
 					v = payloadValue(s.kind, val[r])
 				}
-				if tl == nil {
-					fx.add(r, v, k)
-				} else {
-					fx.addLogged(r, v, k, &tl.rows[s.attrIdx])
-				}
+				fx.addLogged(r, v, k, log)
 			}
 			if decodes > 0 && !w.opts.DisableStats {
 				atomic.AddInt64(&w.execStats.DictLookups, decodes)
@@ -605,10 +592,8 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 // runVecUpdates evaluates the class's vectorized update rules, leaving the
 // new-state payloads staged in outVecs. They apply with all other staged
 // writes at the end of the update step, so components still observe old
-// state. When the parallelism axis picks more than one worker, the rules
-// stream batch-aligned shards concurrently — each result vector is written
-// in disjoint [lo, hi) ranges, so the only per-worker state is the kernel
-// machine.
+// state. Shards stream batch-aligned ranges of each result vector, so the
+// only per-worker state is the kernel machine.
 func (w *World) runVecUpdates(rt *classRT) {
 	v := rt.vec
 	n := rt.tab.Cap()
@@ -628,43 +613,12 @@ func (w *World) runVecUpdates(rt *classRT) {
 	for i := range v.updates {
 		v.outVecs[i] = growFloats(v.outVecs[i], n)
 	}
-	shards := w.updateShards(rt)
-	if len(shards) <= 1 {
-		m := w.arenaMachine()
-		for i, u := range v.updates {
-			u.prog.Run(m, &v.sc.env, 0, n, v.outVecs[i])
-		}
-	} else {
-		w.runShards(shards, func(si int, sh shard) {
-			m := &w.shardCtxs[si].machine
-			for i, u := range v.updates {
-				u.prog.Run(m, &v.sc.env, sh.lo, sh.hi, v.outVecs[i])
-			}
-		})
-		if !w.opts.DisableStats {
-			w.execStats.ParallelShards += int64(len(shards))
-		}
-	}
+	c := w.execCosts
+	w.runPass(classPass{kind: passVecRules, rt: rt}, c.VecSetup+c.VecVisit*float64(n*v.updateKernels))
 	v.staged = true
 	if !w.opts.DisableStats {
 		w.execStats.VectorRows += int64(rt.tab.Len() * len(v.updates))
 	}
-}
-
-// updateShards applies the parallelism axis to a class's vectorized update
-// rules.
-func (w *World) updateShards(rt *classRT) []shard {
-	nw := 1
-	if w.parallelOK() {
-		c := w.execCosts
-		work := c.VecSetup + c.VecVisit*float64(rt.tab.Cap()*rt.vec.updateKernels)
-		nw = c.ChooseWorkers(w.opts.Workers, work)
-	}
-	if nw > 1 {
-		w.ensureWorkers()
-	}
-	w.shardBuf = shardRows(rt.tab.Cap(), nw, w.shardBuf)
-	return w.shardBuf
 }
 
 // fillFxVec materializes the dense combined-effect vector for one effect
@@ -701,9 +655,9 @@ func (rt *classRT) fillFxVec(ai, n int) []float64 {
 	return vec
 }
 
-// applyVecUpdates writes the staged dense columns back for live rows. Rule
-// and component attributes are disjoint (strict ownership), so ordering
-// against the map-staged writes is immaterial.
+// applyVecUpdates writes the staged kernel result vectors back for live
+// rows. Attributes are staged by exactly one rule or owner (strict
+// ownership), so ordering against the staging columns is immaterial.
 func (rt *classRT) applyVecUpdates() {
 	v := rt.vec
 	if v == nil || !v.staged {

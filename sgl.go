@@ -44,7 +44,8 @@ type (
 	// independent axes decided per class and tick by the cost model:
 	// Workers > 1 shards the effect phase, update rules and handlers
 	// across a worker pool, and vectorized phases run their batch
-	// kernels per shard. See README's options table.
+	// kernels per shard. End states are bit-identical across worker
+	// counts and Exec modes. See README's options table.
 	Options = engine.Options
 	// Strategy selects a physical accum-join strategy.
 	Strategy = plan.Strategy
