@@ -343,7 +343,7 @@ func splitPhases(run *ast.Block) [][]ast.Stmt {
 
 // admitTxns mirrors engine.AdmitOrdered: deterministic order, tentative
 // application, constraint check against rule-replayed post-state, rollback
-// on violation.
+// on violation by restoring each touched accumulator to its saved state.
 func (w *World) admitTxns() {
 	sort.SliceStable(w.txns, func(i, j int) bool {
 		if w.txns[i].class != w.txns[j].class {
@@ -353,10 +353,9 @@ func (w *World) admitTxns() {
 	})
 	for _, t := range w.txns {
 		type applied struct {
-			o    *object
-			attr int
-			val  value.Value
-			key  float64
+			o     *object
+			attr  int
+			saved combinator.Accumulator
 		}
 		var done []applied
 		for _, e := range t.emissions {
@@ -365,8 +364,8 @@ func (w *World) admitTxns() {
 			if !ok {
 				continue
 			}
+			done = append(done, applied{o, e.attrIdx, o.fx[e.attrIdx]})
 			o.fx[e.attrIdx].Add(e.val, e.key)
-			done = append(done, applied{o, e.attrIdx, e.val, e.key})
 		}
 		cb := w.classes[t.class]
 		o, live := cb.objs[t.source]
@@ -381,8 +380,9 @@ func (w *World) admitTxns() {
 			}
 		}
 		if !ok {
-			for _, a := range done {
-				a.o.fx[a.attr].Remove(a.val, a.key)
+			for i := len(done) - 1; i >= 0; i-- {
+				a := done[i]
+				a.o.fx[a.attr] = a.saved
 			}
 		}
 	}

@@ -290,3 +290,103 @@ func TestScenarioEquivalence(t *testing.T) {
 		}
 	}
 }
+
+const srcRollback = `
+class Trader {
+  state:
+    number gold = 0;
+    number pay = 0;
+    number tip = 0;
+    ref<Trader> seller = null;
+  effects:
+    number dgold : sum;
+  update:
+    gold = gold + dgold;
+  run {
+    if (seller != null && tip > 0) {
+      seller.dgold <- tip;
+    }
+    if (seller != null && pay > 0) {
+      atomic (gold >= 0) {
+        dgold <- 0 - pay;
+        seller.dgold <- pay;
+      }
+    }
+  }
+}
+`
+
+// An aborted transaction must leave every effect it touched exactly as it
+// found it. A buyer paying 1e17 who cannot afford it folds into the same
+// seller.dgold as 0.1 that did commit (from a conflicting buyer, or from a
+// plain emission); subtracting the abort back out would leave 0 there, not
+// 0.1. Covered under serial admission, batched admission — the conflict
+// group path and the single-transaction lane path — and the baseline.
+func TestAbortedTxnLeavesCommittedSumExact(t *testing.T) {
+	sc := core.MustLoad("rollback", srcRollback)
+	type world interface {
+		Spawn(string, map[string]value.Value) (value.ID, error)
+		RunTick() error
+		Get(string, value.ID, string) (value.Value, bool)
+	}
+	scenarios := []struct {
+		name   string
+		lanes  int64                    // transactions batched admission runs as lanes
+		buyers []map[string]value.Value // "seller" is filled in
+	}{
+		{"conflict group", 0, []map[string]value.Value{
+			{"gold": value.Num(1), "pay": value.Num(0.1)},
+			{"pay": value.Num(1e17)},
+		}},
+		{"single lane", 1, []map[string]value.Value{
+			{"tip": value.Num(0.1)},
+			{"pay": value.Num(1e17)},
+		}},
+	}
+	for _, s := range scenarios {
+		worlds := map[string]func() world{
+			"engine/scalar": func() world {
+				w, err := sc.NewWorld(engine.Options{Txn: plan.TxnScalar})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			},
+			"engine/batched": func() world {
+				w, err := sc.NewWorld(engine.Options{Txn: plan.TxnBatched})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			},
+			"baseline": func() world { return sc.NewBaseline() },
+		}
+		for wname, mk := range worlds {
+			w := mk()
+			seller, err := w.Spawn("Trader", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range s.buyers {
+				init := map[string]value.Value{"seller": value.Ref(seller)}
+				for k, v := range b {
+					init[k] = v
+				}
+				if _, err := w.Spawn("Trader", init); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+			if g, _ := w.Get("Trader", seller, "gold"); g.AsNumber() != 0.1 {
+				t.Errorf("%s, %s: seller gold = %v, want 0.1", s.name, wname, g)
+			}
+			if ew, ok := w.(*engine.World); ok && wname == "engine/batched" {
+				if got := ew.ExecStats().TxnBatchedRows; got != s.lanes {
+					t.Errorf("%s: %d transactions ran as lanes, want %d", s.name, got, s.lanes)
+				}
+			}
+		}
+	}
+}

@@ -124,9 +124,10 @@ func (k Kind) Accepts(attr value.Kind) bool {
 // pair during one tick. The zero Accumulator (after New) represents "no
 // contributions"; Result reports whether any arrived.
 //
-// Accumulators are value types so they can live densely in per-worker
-// buffers; Merge combines two partial accumulations, enabling parallel
-// effect computation with no synchronization (paper §4.2).
+// Accumulators are value types: Merge combines two partial accumulations,
+// enabling parallel effect computation with no synchronization (paper §4.2).
+// A per-row effect buffer is a Column, which stores the payload combinators
+// unboxed and keeps Accumulators only for minby, maxby and union.
 type Accumulator struct {
 	kind  Kind
 	n     int64
@@ -272,176 +273,6 @@ func (a *Accumulator) AddPayloads(vals, keys []float64) {
 	a.n += int64(len(vals))
 }
 
-// AddPayload folds one contribution given as its raw column payload — the
-// single-element form of AddPayloads, with the same bit-identical contract
-// against Add. The fused emission path uses it to fold kernel outputs
-// without boxing a value.Value per row.
-func (a *Accumulator) AddPayload(v, key float64) {
-	switch a.kind {
-	case Sum, Avg:
-		a.num += v
-	case Min:
-		if a.n == 0 || v < a.num {
-			a.num = v
-		}
-	case Max:
-		if a.n == 0 || v > a.num {
-			a.num = v
-		}
-	case Count:
-	case And:
-		if a.n == 0 {
-			a.num = 1
-		}
-		if v == 0 {
-			a.num = 0
-		}
-	case Or:
-		if v != 0 {
-			a.num = 1
-		}
-	case MinBy:
-		if a.n == 0 || key < a.key || (key == a.key && v < a.val.AsNumber()) {
-			a.key, a.val = key, payloadValue(a.attrK, v)
-		}
-	case MaxBy:
-		if a.n == 0 || key > a.key || (key == a.key && v < a.val.AsNumber()) {
-			a.key, a.val = key, payloadValue(a.attrK, v)
-		}
-	case SetUnion:
-		panic("combinator: AddPayload on a set-union accumulator")
-	}
-	a.n++
-}
-
-// AddPayloadRows folds one kernel output batch into an effect column: for
-// every masked row r in [lo, hi) it appends r to *touched when the
-// accumulator is empty (the caller's first-contribution bookkeeping) and
-// then folds vals[r] exactly as AddPayload would, with the combinator
-// dispatch hoisted out of the row loop. keys carries minby/maxby selection
-// keys and may be nil for other combinators. All accumulators in acc must
-// share one combinator (they are one effect column). Bit-identical to the
-// equivalent per-row AddPayload sequence.
-func AddPayloadRows(acc []Accumulator, mask []bool, lo, hi int, vals, keys []float64, touched *[]int) {
-	if hi <= lo {
-		return
-	}
-	t := *touched
-	switch acc[lo].kind {
-	case Sum, Avg:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-			}
-			a.num += vals[r]
-			a.n++
-		}
-	case Min:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-				a.num = vals[r]
-			} else if vals[r] < a.num {
-				a.num = vals[r]
-			}
-			a.n++
-		}
-	case Max:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-				a.num = vals[r]
-			} else if vals[r] > a.num {
-				a.num = vals[r]
-			}
-			a.n++
-		}
-	case Count:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-			}
-			a.n++
-		}
-	case And:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-				a.num = 1
-			}
-			if vals[r] == 0 {
-				a.num = 0
-			}
-			a.n++
-		}
-	case Or:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-			}
-			if vals[r] != 0 {
-				a.num = 1
-			}
-			a.n++
-		}
-	case MinBy:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-			}
-			if a.n == 0 || keys[r] < a.key || (keys[r] == a.key && vals[r] < a.val.AsNumber()) {
-				a.key, a.val = keys[r], payloadValue(a.attrK, vals[r])
-			}
-			a.n++
-		}
-	case MaxBy:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
-				continue
-			}
-			a := &acc[r]
-			if a.n == 0 {
-				t = append(t, r)
-			}
-			if a.n == 0 || keys[r] > a.key || (keys[r] == a.key && vals[r] < a.val.AsNumber()) {
-				a.key, a.val = keys[r], payloadValue(a.attrK, vals[r])
-			}
-			a.n++
-		}
-	case SetUnion:
-		panic("combinator: AddPayloadRows on a set-union accumulator")
-	}
-	*touched = t
-}
-
 // ResultPayload returns the combined value as a raw column payload, for
 // accumulators whose result kind has one (callers guarantee that; it is
 // exactly payloadOf(Result()) without the boxing). The second result is
@@ -476,76 +307,6 @@ func (a *Accumulator) ResultPayload() (float64, bool) {
 		}
 	default:
 		return 0, false
-	}
-}
-
-// ResultPayloads writes acc[r]'s payload result into out[r] for every row
-// in rows that received contributions — the bulk form of ResultPayload
-// with the combinator dispatch hoisted out of the row loop. All
-// accumulators in acc must share one combinator (they are one effect
-// column); rows with no contributions leave out[r] untouched.
-func ResultPayloads(acc []Accumulator, rows []int, out []float64) {
-	if len(rows) == 0 {
-		return
-	}
-	switch acc[rows[0]].kind {
-	case Sum, Min, Max:
-		for _, r := range rows {
-			if a := &acc[r]; a.n > 0 {
-				out[r] = a.num
-			}
-		}
-	case Avg:
-		for _, r := range rows {
-			if a := &acc[r]; a.n > 0 {
-				out[r] = a.num / float64(a.n)
-			}
-		}
-	case Count:
-		for _, r := range rows {
-			if a := &acc[r]; a.n > 0 {
-				out[r] = float64(a.n)
-			}
-		}
-	case And, Or:
-		for _, r := range rows {
-			if a := &acc[r]; a.n > 0 {
-				if a.num != 0 {
-					out[r] = 1
-				} else {
-					out[r] = 0
-				}
-			}
-		}
-	default:
-		for _, r := range rows {
-			if p, ok := acc[r].ResultPayload(); ok {
-				out[r] = p
-			}
-		}
-	}
-}
-
-// ResetRows resets acc[r] for every row in rows — the bulk form of Reset
-// with the combinator dispatch hoisted out of the row loop. All
-// accumulators in acc must share one combinator.
-func ResetRows(acc []Accumulator, rows []int) {
-	if len(rows) == 0 {
-		return
-	}
-	switch acc[rows[0]].kind {
-	case MinBy, MaxBy, SetUnion:
-		for _, r := range rows {
-			a := &acc[r]
-			a.n, a.num, a.key = 0, 0, 0
-			a.val = value.Value{}
-			a.set = nil
-		}
-	default:
-		for _, r := range rows {
-			a := &acc[r]
-			a.n, a.num, a.key = 0, 0, 0
-		}
 	}
 }
 
@@ -642,23 +403,6 @@ func (a *Accumulator) Result() (value.Value, bool) {
 
 // N returns the number of contributions folded so far.
 func (a *Accumulator) N() int64 { return a.n }
-
-// Remove undoes a prior Add. Only the invertible combinators (sum, avg,
-// count) support removal; it returns false otherwise. Transaction rollback
-// (§3.1) relies on this, which is why the language requires additive
-// effects inside atomic blocks.
-func (a *Accumulator) Remove(v value.Value, key float64) bool {
-	switch a.kind {
-	case Sum, Avg:
-		a.num -= v.AsNumber()
-	case Count:
-		// payload ignored
-	default:
-		return false
-	}
-	a.n--
-	return true
-}
 
 // Reset empties the accumulator for reuse, preserving kind information.
 // Only the combinators that carry a boxed payload or a set clear those

@@ -125,30 +125,6 @@ func TestEmptyResult(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	a := New(Sum, value.KindNumber)
-	a.Add(value.Num(5), 0)
-	a.Add(value.Num(3), 0)
-	if !a.Remove(value.Num(3), 0) {
-		t.Fatal("sum must support Remove")
-	}
-	if v, _ := a.Result(); v.AsNumber() != 5 {
-		t.Errorf("after remove: %v", v)
-	}
-	b := New(Max, value.KindNumber)
-	b.Add(value.Num(5), 0)
-	if b.Remove(value.Num(5), 0) {
-		t.Error("max must not support Remove")
-	}
-	c := New(Avg, value.KindNumber)
-	c.Add(value.Num(2), 0)
-	c.Add(value.Num(4), 0)
-	c.Remove(value.Num(4), 0)
-	if v, _ := c.Result(); v.AsNumber() != 2 {
-		t.Errorf("avg after remove: %v", v)
-	}
-}
-
 func TestReset(t *testing.T) {
 	a := New(Sum, value.KindNumber)
 	a.Add(value.Num(5), 0)

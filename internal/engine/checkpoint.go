@@ -77,9 +77,9 @@ func (w *World) Restore(c *Checkpoint) error {
 			return fmt.Errorf("engine: checkpoint class %s: %w", rt.name, err)
 		}
 		for i := range rt.fx {
-			rt.fx[i].acc = rt.fx[i].acc[:0]
+			rt.fx[i].Clear()
 			rt.fx[i].touched = rt.fx[i].touched[:0]
-			rt.fx[i].ensure(rt.tab.Cap())
+			rt.fx[i].Grow(rt.tab.Cap())
 		}
 	}
 	w.tick = c.Tick

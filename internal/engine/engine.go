@@ -279,41 +279,22 @@ type classRT struct {
 	vlog *changeLog
 }
 
-// fxColumn is the per-tick effect accumulation for one effect attribute,
-// dense over physical rows.
+// fxColumn is the per-tick effect buffer of one effect attribute, dense
+// over physical rows, plus the rows that received a first contribution.
 type fxColumn struct {
-	comb    combinator.Kind
-	kind    value.Kind
-	acc     []combinator.Accumulator
+	combinator.Column
 	touched []int
 }
 
-func (f *fxColumn) ensure(capacity int) {
-	for len(f.acc) < capacity {
-		f.acc = append(f.acc, combinator.New(f.comb, f.kind))
-	}
-}
-
 func (f *fxColumn) reset() {
-	combinator.ResetRows(f.acc, f.touched)
+	f.Reset(f.touched)
 	f.touched = f.touched[:0]
 }
 
 func (f *fxColumn) add(row int, v value.Value, key float64) {
-	if f.acc[row].N() == 0 {
+	if f.Add(row, v, key) {
 		f.touched = append(f.touched, row)
 	}
-	f.acc[row].Add(v, key)
-}
-
-// addLogged is add for concurrent shards: the empty→touched transition is
-// recorded in the caller's private log (merged in shard order after the
-// barrier) instead of the shared touched list.
-func (f *fxColumn) addLogged(row int, v value.Value, key float64, log *[]int) {
-	if f.acc[row].N() == 0 {
-		*log = append(*log, row)
-	}
-	f.acc[row].Add(v, key)
 }
 
 // stageCol is the update step's staging of one state attribute: new values
@@ -387,7 +368,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 			return value.Zero(e.Comb.ResultKind(e.Kind))
 		}
 		for _, e := range cc.cls.Effects {
-			rt.fx = append(rt.fx, fxColumn{comb: e.Comb, kind: e.Kind})
+			rt.fx = append(rt.fx, fxColumn{Column: combinator.NewColumn(e.Comb, e.Kind)})
 		}
 		if cc.vec != nil {
 			rt.vec = &vecClassPlan{vecClassProgs: cc.vec}
@@ -558,7 +539,7 @@ func (w *World) doSpawn(rt *classRT, id value.ID, init map[string]value.Value) {
 		rt.vlog.noteSpawn(row, rt.tab.StructVersion())
 	}
 	for i := range rt.fx {
-		rt.fx[i].ensure(rt.tab.Cap())
+		rt.fx[i].Grow(rt.tab.Cap())
 	}
 }
 
@@ -693,7 +674,7 @@ type fxReader struct {
 }
 
 func (r fxReader) EffectValue(attrIdx int) (value.Value, bool) {
-	return r.rt.fx[attrIdx].acc[r.row].Result()
+	return r.rt.fx[attrIdx].Result(r.row)
 }
 
 // EffectValue returns the ⊕-combined effect contribution for an object this
@@ -711,7 +692,7 @@ func (w *World) EffectValue(class string, id value.ID, attr string) (value.Value
 	if row < 0 {
 		return value.Value{}, false
 	}
-	return rt.fx[idx].acc[row].Result()
+	return rt.fx[idx].Result(row)
 }
 
 // Txn is a transaction intent collected from an atomic block (§3.1).

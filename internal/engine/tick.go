@@ -226,7 +226,7 @@ func (w *World) applyPending() {
 	// those rows must be clean. fx reset already ran; sizes may grow.
 	for _, rt := range w.order {
 		for i := range rt.fx {
-			rt.fx[i].ensure(rt.tab.Cap())
+			rt.fx[i].Grow(rt.tab.Cap())
 		}
 	}
 }

@@ -62,7 +62,7 @@ func (w *World) admitSerial(txns []*Txn) {
 // anything applies — a half-applied purchase from a despawned seller would
 // otherwise duplicate goods. Targets are resolved up front; only a fully
 // resolvable transaction applies, then validates, then rolls back on
-// constraint failure.
+// constraint failure by restoring every cell it touched.
 func admitOne(w *World, tw *tentWorld, t *Txn) {
 	if w.classes[t.Class].tab.Row(t.Source) < 0 {
 		t.Aborted = true
@@ -75,18 +75,22 @@ func admitOne(w *World, tw *tentWorld, t *Txn) {
 			return
 		}
 	}
+	saved := w.txnrt.cells[:0]
 	for i := range t.Emissions {
 		e := &t.Emissions[i]
 		rt := w.classes[e.Class]
-		rt.fx[e.AttrIdx].add(rt.tab.Row(e.Target), e.Val, e.Key)
+		row := rt.tab.Row(e.Target)
+		saved = append(saved, rt.fx[e.AttrIdx].Save(row))
+		rt.fx[e.AttrIdx].add(row, e.Val, e.Key)
 	}
+	w.txnrt.cells = saved
 	if constraintsHold(w, tw, t) {
 		return
 	}
-	for i := range t.Emissions {
+	for i := len(t.Emissions) - 1; i >= 0; i-- {
 		e := &t.Emissions[i]
 		rt := w.classes[e.Class]
-		rt.fx[e.AttrIdx].acc[rt.tab.Row(e.Target)].Remove(e.Val, e.Key)
+		rt.fx[e.AttrIdx].Restore(rt.tab.Row(e.Target), saved[i])
 	}
 	t.Aborted = true
 }

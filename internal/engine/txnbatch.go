@@ -28,6 +28,7 @@ package engine
 // side-effect-free, so evaluation order cannot change outcomes.
 
 import (
+	"repro/internal/combinator"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -87,6 +88,7 @@ type txnRuntime struct {
 	emOff  []int32
 	emRow  []int32
 	emRT   []*classRT
+	cells  []combinator.Cell // each emission's target cell before it applied
 
 	groups   []txnGroup
 	gmem     []int32
@@ -327,6 +329,10 @@ func (w *World) admitBatched(txns []*Txn) {
 		}
 	}
 	s.emOff[n] = int32(len(s.emRow))
+	if cap(s.cells) < len(s.emRow) {
+		s.cells = make([]combinator.Cell, len(s.emRow))
+	}
+	s.cells = s.cells[:len(s.emRow)]
 	for i := range txns {
 		if s.srcRow[i] < 0 {
 			s.root[i] = -1
@@ -356,10 +362,7 @@ func (w *World) admitBatched(txns []*Txn) {
 		}
 		singles++
 		w.txnSites[t.step].lanes = append(w.txnSites[t.step].lanes, int32(i))
-		for k := s.emOff[i]; k < s.emOff[i+1]; k++ {
-			e := &t.Emissions[k-s.emOff[i]]
-			s.emRT[k].fx[e.AttrIdx].add(int(s.emRow[k]), e.Val, e.Key)
-		}
+		s.applyTxn(t, i, nil)
 	}
 	if singles > 0 {
 		for _, site := range s.sites {
@@ -463,7 +466,7 @@ func (w *World) buildTxnView(va txnViewAttr) {
 			continue
 		}
 		rt.txnFxGen[ai] = s.gen
-		rt.fillFxVec(ai, n)
+		rt.bindFxVec(ai, n)
 	}
 	out := growFloats(rt.txnViewCols[va.attr], n)
 	rt.txnViewCols[va.attr] = out
@@ -575,46 +578,49 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		}
 	}
 	for k, li := range site.lanes {
-		if pass[k] {
-			continue
+		if !pass[k] {
+			s.rollbackTxn(txns[li], int(li))
 		}
-		t := txns[li]
-		for j := s.emOff[li]; j < s.emOff[li+1]; j++ {
-			e := &t.Emissions[j-s.emOff[li]]
-			s.emRT[j].fx[e.AttrIdx].acc[s.emRow[j]].Remove(e.Val, e.Key)
-		}
-		t.Aborted = true
 	}
 }
 
-// admitGroupTxn is the serial greedy step for one member of a conflict
-// group, using the rows resolved during grouping. A non-nil log records
-// empty→non-empty accumulator transitions instead of appending to the
-// shared touched lists (pooled groups merge logs in group order).
-func (w *World) admitGroupTxn(t *Txn, i int, log *[]fxTouch) {
-	s := &w.txnrt
+// applyTxn folds transaction i's emissions into their cells, using the rows
+// resolved during grouping and saving each cell first for rollbackTxn. A
+// non-nil log records empty→non-empty transitions instead of appending to
+// the shared touched lists (pooled groups merge logs in group order).
+func (s *txnRuntime) applyTxn(t *Txn, i int, log *[]fxTouch) {
 	lo, hi := s.emOff[i], s.emOff[i+1]
 	for k := lo; k < hi; k++ {
 		e := &t.Emissions[k-lo]
 		f := &s.emRT[k].fx[e.AttrIdx]
 		row := int(s.emRow[k])
+		s.cells[k] = f.Save(row)
 		if log == nil {
 			f.add(row, e.Val, e.Key)
-		} else {
-			if f.acc[row].N() == 0 {
-				*log = append(*log, fxTouch{col: f, row: s.emRow[k]})
-			}
-			f.acc[row].Add(e.Val, e.Key)
+		} else if f.Add(row, e.Val, e.Key) {
+			*log = append(*log, fxTouch{col: f, row: s.emRow[k]})
 		}
 	}
-	if constraintsHold(w, &s.tw, t) {
-		return
-	}
-	for k := lo; k < hi; k++ {
-		e := &t.Emissions[k-lo]
-		s.emRT[k].fx[e.AttrIdx].acc[s.emRow[k]].Remove(e.Val, e.Key)
+}
+
+// rollbackTxn aborts transaction i, restoring its cells in reverse
+// application order so a cell it folded into twice ends at its saved state.
+func (s *txnRuntime) rollbackTxn(t *Txn, i int) {
+	lo := s.emOff[i]
+	for k := s.emOff[i+1] - 1; k >= lo; k-- {
+		s.emRT[k].fx[t.Emissions[k-lo].AttrIdx].Restore(int(s.emRow[k]), s.cells[k])
 	}
 	t.Aborted = true
+}
+
+// admitGroupTxn is the serial greedy step for one member of a conflict
+// group (log as for applyTxn).
+func (w *World) admitGroupTxn(t *Txn, i int, log *[]fxTouch) {
+	s := &w.txnrt
+	s.applyTxn(t, i, log)
+	if !constraintsHold(w, &s.tw, t) {
+		s.rollbackTxn(t, i)
+	}
 }
 
 // runTxnGroups executes the multi-transaction conflict groups, returning

@@ -203,7 +203,7 @@ func TestBatchedAdmissionZeroAlloc(t *testing.T) {
 		t.Fatal("market atomic site missing or unanalyzable")
 	}
 	for i := range rt.fx {
-		rt.fx[i].ensure(rt.tab.Cap())
+		rt.fx[i].Grow(rt.tab.Cap())
 	}
 	txns := make([]*Txn, 0, pairs)
 	for i := 0; i < pairs; i++ {
@@ -243,6 +243,45 @@ func TestBatchedAdmissionZeroAlloc(t *testing.T) {
 	for _, tx := range txns {
 		if tx.Aborted {
 			t.Fatal("alloc-guard transactions unexpectedly aborted")
+		}
+	}
+}
+
+// A world whose effects are all payload combinators keeps its effect
+// buffers unboxed — no Accumulator per (row, attr) — and its vectorized
+// update kernels read the fold columns themselves rather than a copy.
+func TestPayloadEffectBuffersUnboxed(t *testing.T) {
+	w := newWorld(t, txnMarketSrc, Options{Exec: plan.ExecVectorized})
+	var ids []value.ID
+	for i := 0; i < 300; i++ {
+		id, err := w.Spawn("Trader", map[string]value.Value{"gold": value.Num(100), "stock": value.Num(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		if i%2 == 1 {
+			w.SetState("Trader", id, "seller", value.Ref(ids[i-1]))
+			w.SetState("Trader", id, "wants", value.Num(1))
+		}
+	}
+	if err := w.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	rt := w.classes["Trader"]
+	for i := range rt.fx {
+		if b := rt.fx[i].BoxedCells(); b != 0 {
+			t.Errorf("effect %s holds %d boxed accumulators, want 0", rt.cls.Effects[i].Name, b)
+		}
+	}
+	if rt.vec == nil || len(rt.vec.updateFx) == 0 {
+		t.Fatal("trader update rules did not vectorize")
+	}
+	n := rt.tab.Cap()
+	for _, ai := range rt.vec.updateFx {
+		if &rt.vec.fxVecs[ai][0] != &rt.fx[ai].ResultPayloads(nil, n)[0] {
+			t.Errorf("update kernels read a copy of effect %s", rt.cls.Effects[ai].Name)
 		}
 	}
 }

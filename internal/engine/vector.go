@@ -28,7 +28,6 @@ package engine
 import (
 	"sync/atomic"
 
-	"repro/internal/combinator"
 	"repro/internal/compile"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -58,9 +57,9 @@ type vecEmit struct {
 	valBuf  int
 	keyBuf  int
 	// fold routes contributions through the unboxed payload fold
-	// (AddPayload) instead of constructing a value.Value per row. Set for
-	// payload-kind emissions unless Options.Unfused pins the pre-fusion
-	// executor; string emissions always decode at the boundary.
+	// (Column.AddPayloadRows) instead of constructing a value.Value per
+	// row. Set for payload-kind emissions unless Options.Unfused pins the
+	// pre-fusion executor; string emissions always decode at the boundary.
 	fold bool
 }
 
@@ -125,7 +124,6 @@ type vecClassPlan struct {
 
 	sc      vecScratch
 	fxVecs  [][]float64 // indexed by effect attr; nil when unused
-	fxStale [][]int     // rows of fxVecs[ai] that may hold non-zero payloads
 	outVecs [][]float64 // staged update-rule results, one per vec rule
 	staged  bool        // outVecs hold this tick's results
 	diffBuf []int32     // changefeed write-back diff scratch, reused
@@ -533,9 +531,9 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 			fx, log := &rt.fx[s.attrIdx], &tl.rows[s.attrIdx]
 			if s.fold {
 				// Fused fold: kernel outputs are already column payloads, so
-				// they go straight into the accumulator's batch payload fold
-				// with no per-row boxing or combinator dispatch.
-				combinator.AddPayloadRows(fx.acc, mask, lo, hi, val, key, log)
+				// they go straight into the column's batch payload fold with
+				// no per-row boxing or combinator dispatch.
+				fx.AddPayloadRows(mask, lo, hi, val, key, log)
 				break
 			}
 			// String-valued kernels emit dictionary codes; decode at the
@@ -558,7 +556,9 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 				} else {
 					v = payloadValue(s.kind, val[r])
 				}
-				fx.addLogged(r, v, k, log)
+				if fx.Add(r, v, k) {
+					*log = append(*log, r)
+				}
 			}
 			if decodes > 0 && !w.opts.DisableStats {
 				atomic.AddInt64(&w.execStats.DictLookups, decodes)
@@ -598,10 +598,8 @@ func (w *World) runVecUpdates(rt *classRT) {
 	v := rt.vec
 	n := rt.tab.Cap()
 	v.sc.bindEnv(w, rt)
-	// Dense combined-effect vectors: zero payload everywhere, overwritten
-	// at rows that received contributions (fx.touched).
 	for _, ai := range v.updateFx {
-		rt.fillFxVec(ai, n)
+		rt.bindFxVec(ai, n)
 	}
 	v.sc.env.Fx = v.fxVecs
 	if v.updateNeedIDs {
@@ -621,38 +619,15 @@ func (w *World) runVecUpdates(rt *classRT) {
 	}
 }
 
-// fillFxVec materializes the dense combined-effect vector for one effect
-// attr: zero payload everywhere, overwritten at rows that received
-// contributions (fx.touched). Instead of sweeping the whole capacity every
-// tick, it re-zeroes only the rows the previous fill wrote (fxStale) —
-// every other lane still holds the zero payload from the last full sweep.
-func (rt *classRT) fillFxVec(ai, n int) []float64 {
+// bindFxVec points vec.fxVecs[ai] at effect attr ai's dense result payloads
+// over rows [0, n): the fold column itself for the zero-copy kinds, a fill
+// of the vector's own buffer for the others (Column.ResultPayloads).
+func (rt *classRT) bindFxVec(ai, n int) {
 	v := rt.vec
 	for len(v.fxVecs) < len(rt.fx) {
 		v.fxVecs = append(v.fxVecs, nil)
 	}
-	for len(v.fxStale) < len(rt.fx) {
-		v.fxStale = append(v.fxStale, nil)
-	}
-	old := v.fxVecs[ai]
-	vec := growFloats(old, n)
-	v.fxVecs[ai] = vec
-	e := rt.cls.Effects[ai]
-	zero := payloadOf(value.Zero(e.Comb.ResultKind(e.Kind)))
-	if len(old) != n {
-		// Fresh or resized storage: establish the zero base everywhere.
-		for r := range vec {
-			vec[r] = zero
-		}
-	} else {
-		for _, r := range v.fxStale[ai] {
-			vec[r] = zero
-		}
-	}
-	fx := &rt.fx[ai]
-	combinator.ResultPayloads(fx.acc, fx.touched, vec)
-	v.fxStale[ai] = append(v.fxStale[ai][:0], fx.touched...)
-	return vec
+	v.fxVecs[ai] = rt.fx[ai].ResultPayloads(v.fxVecs[ai], n)
 }
 
 // applyVecUpdates writes the staged kernel result vectors back for live

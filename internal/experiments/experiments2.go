@@ -233,12 +233,14 @@ class Guard {
 // E6 compares reactive handlers against the inline-conditional rewrite
 // (§3.2: the simplest handler model "would simply be syntactic sugar").
 // The two differ by one tick of latency by design (handlers observe
-// post-update state); the cost must be comparable.
+// post-update state); the cost must be comparable. The handler-rows column
+// counts condition evaluations per tick (warmup included): one linear pass
+// over the guards, the same work the inline prologue does.
 func E6(n, ticks int) (Table, error) {
 	t := Table{
 		ID:     "E6",
 		Title:  fmt.Sprintf("reactive handlers vs inline conditional prologue (n=%d, ms/tick)", n),
-		Header: []string{"variant", "ms/tick", "fleeing count"},
+		Header: []string{"variant", "ms/tick", "fleeing count", "handler rows/tick"},
 	}
 	for _, variant := range []struct{ name, src string }{
 		{"inline conditionals", srcInlineGuard},
@@ -267,7 +269,8 @@ func E6(n, ticks int) (Table, error) {
 				fleeing++
 			}
 		}
-		t.Rows = append(t.Rows, []string{variant.name, ms(d), fmt.Sprint(fleeing)})
+		perTick := w.ExecStats().HandlerRows / int64(ticks+1)
+		t.Rows = append(t.Rows, []string{variant.name, ms(d), fmt.Sprint(fleeing), fmt.Sprint(perTick)})
 	}
 	return t, nil
 }
