@@ -231,17 +231,21 @@ func (c *Column) Restore(row int, s Cell) { c.num[row], c.n[row] = s.num, s.n }
 // Reset empties the listed rows. When they cover at least half the column it
 // clears the whole column instead: one streaming pass beats a scatter.
 func (c *Column) Reset(rows []int) {
-	switch {
-	case c.kind.boxed():
-		for _, r := range rows {
-			c.box[r].Reset()
-		}
-	case 2*len(rows) >= len(c.n):
+	if !c.kind.boxed() && 2*len(rows) >= len(c.n) {
 		c.Clear()
-	default:
-		for _, r := range rows {
-			c.num[r], c.n[r] = 0, 0
-		}
+		return
+	}
+	for _, r := range rows {
+		c.ResetRow(r)
+	}
+}
+
+// ResetRow empties one row's cell.
+func (c *Column) ResetRow(r int) {
+	if c.kind.boxed() {
+		c.box[r].Reset()
+	} else {
+		c.num[r], c.n[r] = 0, 0
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/plan"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -68,6 +69,7 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 			}
 		})
 	}
+	fanOut := 0.0 // the most a vehicle Workers=4 row allocates per tick
 	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
 		t.Run(fmt.Sprintf("workers=4/%v", exec), func(t *testing.T) {
 			var allocs [2]float64
@@ -82,8 +84,66 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 			if allocs[0] != allocs[1] {
 				t.Fatalf("Workers=4 allocates %.1f objects/tick at 2k rows but %.1f at 20k", allocs[0], allocs[1])
 			}
+			fanOut = max(fanOut, allocs[0])
 		})
 	}
+	// Transaction-bearing rows: every buyer of the market submits one atomic
+	// intent per tick. Intents are recycled and admission runs on retained
+	// scratch, so a market tick allocates nothing either — under both
+	// admission drivers, with the default policy and with a pass-through
+	// custom one — and a fan-out pays only what the vehicle fan-out pays.
+	for _, mode := range []plan.TxnMode{plan.TxnScalar, plan.TxnBatched} {
+		for _, custom := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("market/%v/custom=%v/workers=%d", mode, custom, workers), func(t *testing.T) {
+					w := pooledMarketWorld(t, 2000, engine.Options{Workers: workers, Txn: mode})
+					counting := &txn.CountingPolicy{}
+					if custom {
+						w.SetTxnPolicy(passThrough{counting})
+					}
+					avg := warmAllocs(w)
+					if custom && counting.Stats.Committed == 0 {
+						t.Fatal("no transaction committed")
+					}
+					if workers == 1 && avg != 0 {
+						t.Fatalf("steady-state market RunTick allocates %.1f objects/tick, want 0", avg)
+					}
+					if workers > 1 && avg > fanOut {
+						t.Fatalf("Workers=%d market allocates %.1f objects/tick, above the vehicle fan-out's %.1f", workers, avg, fanOut)
+					}
+				})
+			}
+		}
+	}
+}
+
+// passThrough is the benchmark's policy shape: the default greedy
+// admission behind a custom TxnPolicy.
+type passThrough struct{ inner *txn.CountingPolicy }
+
+func (p passThrough) Admit(ctx *engine.UpdateCtx, txns []*engine.Txn) error {
+	return p.inner.Admit(ctx, txns)
+}
+
+// pooledMarketWorld spawns pairs buyer/seller pairs whose gold and stock
+// never run out, so every buyer submits a transaction every tick.
+func pooledMarketWorld(t *testing.T, pairs int, opts engine.Options) *engine.World {
+	t.Helper()
+	sc, err := core.LoadScenario("market", core.SrcMarket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sc.NewWorld(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetArenaPool(&engine.ArenaPool{})
+	if _, _, err := core.PopulateMarket(w, workload.Market{
+		Sellers: pairs, BuyersPerItem: 1, Stock: 1 << 40, Price: 25, Gold: 1e12,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // TestArenaPoolSharedAcrossWorlds pins the checkout protocol: two worlds

@@ -60,20 +60,40 @@ func (w *World) Restore(c *Checkpoint) error {
 			return fmt.Errorf("engine: checkpoint has unknown class %q", name)
 		}
 	}
-	for _, rt := range w.order {
-		if snap, ok := c.Tables[rt.name]; ok {
-			if err := rt.tab.Validate(snap); err != nil {
-				return fmt.Errorf("engine: checkpoint class %s: %w", rt.name, err)
-			}
-		}
+	// Beyond each table's shape, the id space: NextID within the id index's
+	// bound, every id in [1, NextID) so no later Spawn can collide with a
+	// restored object, and no id in two classes.
+	if c.NextID < 1 || c.NextID > table.MaxID+1 {
+		return fmt.Errorf("engine: checkpoint NextID %d outside [1, %d]", c.NextID, table.MaxID+1)
+	}
+	var owner map[value.ID]string // ids are unique within a class already
+	if len(c.Tables) > 1 {
+		owner = make(map[value.ID]string)
 	}
 	for _, rt := range w.order {
 		snap, ok := c.Tables[rt.name]
 		if !ok {
-			rt.tab.Clear()
 			continue
 		}
-		if err := rt.tab.Restore(snap); err != nil {
+		if err := rt.tab.Validate(snap); err != nil {
+			return fmt.Errorf("engine: checkpoint class %s: %w", rt.name, err)
+		}
+		for _, id := range snap.IDs {
+			if id < 1 || id >= c.NextID {
+				return fmt.Errorf("engine: checkpoint class %s: id %d outside [1, NextID %d)", rt.name, id, c.NextID)
+			}
+			if other, dup := owner[id]; dup {
+				return fmt.Errorf("engine: checkpoint class %s: id %d also belongs to class %s", rt.name, id, other)
+			}
+			if owner != nil {
+				owner[id] = rt.name
+			}
+		}
+	}
+	for _, rt := range w.order {
+		if snap, ok := c.Tables[rt.name]; !ok {
+			rt.tab.Clear()
+		} else if err := rt.tab.Restore(snap); err != nil {
 			return fmt.Errorf("engine: checkpoint class %s: %w", rt.name, err)
 		}
 		for i := range rt.fx {
@@ -86,7 +106,7 @@ func (w *World) Restore(c *Checkpoint) error {
 	w.nextID = c.NextID
 	w.pendingSpawn = w.pendingSpawn[:0]
 	w.pendingKill = w.pendingKill[:0]
-	w.txns = w.txns[:0]
+	w.clearTxns()
 	// Every row's payload may have changed and physical rows were
 	// compacted: the changefeed cannot express that as a delta, so flag
 	// subscription views for a full resync.

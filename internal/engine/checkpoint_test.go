@@ -138,3 +138,82 @@ func TestCheckpointSnapshotIsolation(t *testing.T) {
 			cp.Tables["Vehicle"].Version, table.SnapshotVersion)
 	}
 }
+
+// TestCheckpointRejectsBadIDSpace pins the id-space checks: a checkpoint
+// whose ids fall outside [1, NextID) — so the next Spawn would collide with
+// a restored object — or whose NextID exceeds the id index's bound is
+// rejected before anything is touched, naming the class, and the world
+// keeps spawning normally afterwards.
+func TestCheckpointRejectsBadIDSpace(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt func(cp *engine.Checkpoint)
+		want    []string
+	}{
+		{"NextID at a live id", func(cp *engine.Checkpoint) { cp.NextID = cp.Tables["Vehicle"].IDs[0] }, []string{"Vehicle", "NextID"}},
+		{"NextID below every id", func(cp *engine.Checkpoint) { cp.NextID = 1 }, []string{"Vehicle", "NextID"}},
+		{"id zero", func(cp *engine.Checkpoint) { cp.Tables["Vehicle"].IDs[0] = 0 }, []string{"Vehicle", "outside"}},
+		{"NextID past the bound", func(cp *engine.Checkpoint) { cp.NextID = table.MaxID + 2 }, []string{"NextID"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := checkpointWorld(t)
+			before := worldSig(w)
+			cp, err := w.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(cp)
+			err = w.Restore(cp)
+			for _, s := range c.want {
+				if err == nil || !strings.Contains(err.Error(), s) {
+					t.Fatalf("Restore = %v, want an error mentioning %q", err, s)
+				}
+			}
+			if !sigEqual(worldSig(w), before) {
+				t.Fatal("failed restore mutated the world")
+			}
+			if _, err := w.Spawn("Vehicle", nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCheckpointRejectsIDInTwoClasses rejects a checkpoint that restores
+// one id into two classes, naming both.
+func TestCheckpointRejectsIDInTwoClasses(t *testing.T) {
+	sc, err := core.LoadScenario("pair", `
+class A {
+  state:
+    number n = 0;
+}
+class B {
+  state:
+    number n = 0;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sc.NewWorld(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := w.Spawn("A", nil)
+	b, _ := w.Spawn("B", nil)
+	cp, err := w.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Tables["B"].IDs[0] = a
+	err = w.Restore(cp)
+	if err == nil || !strings.Contains(err.Error(), "class A") || !strings.Contains(err.Error(), "class B") {
+		t.Fatalf("Restore = %v, want a duplicate-id error naming both classes", err)
+	}
+	if w.Count("A") != 1 || w.Count("B") != 1 || w.MustGet("B", b, "n").AsNumber() != 0 {
+		t.Fatal("failed restore mutated the world")
+	}
+}

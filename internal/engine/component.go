@@ -21,7 +21,9 @@ type UpdateComponent interface {
 // TxnPolicy decides which collected transactions commit (§3.1). The engine
 // gives the policy the tick's transactions in deterministic order; the
 // policy marks losers via Txn.Aborted and is responsible for leaving the
-// effect accumulators consistent with the commit set.
+// effect accumulators consistent with the commit set. The engine recycles
+// the intents: the *Txn pointers are valid only until Admit returns and
+// must not be retained.
 type TxnPolicy interface {
 	Admit(ctx *UpdateCtx, txns []*Txn) error
 }
@@ -41,15 +43,15 @@ func (u *UpdateCtx) Tick() int64 { return u.w.tick }
 
 // State reads a tick-start state attribute.
 func (u *UpdateCtx) State(class string, id value.ID, attr string) (value.Value, bool) {
-	rt, ok := u.w.classes[class]
-	if !ok {
+	rt, row := u.w.lookup(class, id)
+	if row < 0 {
 		return value.Value{}, false
 	}
 	i := rt.cls.StateIndex(attr)
 	if i < 0 {
 		return value.Value{}, false
 	}
-	return u.w.StateValue(class, id, i)
+	return rt.tab.At(row, i), true
 }
 
 // Effect reads the ⊕-combined effect contribution for an object; ok is

@@ -383,6 +383,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 	}
 	w.collectSites()
 	w.collectTxnSites()
+	w.txnrt.init(w)
 	if err := w.initPartitions(); err != nil {
 		return nil, err
 	}
@@ -509,6 +510,9 @@ func (w *World) Spawn(class string, init map[string]value.Value) (value.ID, erro
 		}
 	}
 	id := w.nextID
+	if id > table.MaxID {
+		return value.NullID, fmt.Errorf("engine: spawn %s: object ids exhausted (bound %d)", class, table.MaxID)
+	}
 	w.nextID++
 	if w.inTick {
 		w.pendingSpawn = append(w.pendingSpawn, pendingSpawn{class: class, id: id, init: init})
@@ -554,10 +558,25 @@ func (w *World) Kill(class string, id value.ID) error {
 		w.pendingKill = append(w.pendingKill, pendingKill{class: class, id: id})
 		return nil
 	}
-	if rt.tab.Delete(id) && rt.vlog != nil {
+	rt.kill(id)
+	return nil
+}
+
+// kill deletes id's row and empties the row's effect cells: handlers may
+// have armed effects for the dead object, and the next object to take the
+// row must not inherit them.
+func (rt *classRT) kill(id value.ID) {
+	row := rt.tab.Row(id)
+	if row < 0 {
+		return
+	}
+	rt.tab.Delete(id)
+	for i := range rt.fx {
+		rt.fx[i].ResetRow(row)
+	}
+	if rt.vlog != nil {
 		rt.vlog.noteKill(id, rt.tab.StructVersion())
 	}
-	return nil
 }
 
 // Count returns the number of live objects of a class.
@@ -635,24 +654,26 @@ func (w *World) SetPC(class string, id value.ID, phase int) error {
 
 // PC returns the current phase of an object's script.
 func (w *World) PC(class string, id value.ID) int {
-	rt, ok := w.classes[class]
-	if !ok {
-		return -1
-	}
-	row := rt.tab.Row(id)
+	rt, row := w.lookup(class, id)
 	if row < 0 {
 		return -1
 	}
 	return int(rt.tab.At(row, rt.pcCol).AsNumber())
 }
 
-// StateValue implements expr.World over committed (tick-start) state.
-func (w *World) StateValue(class string, id value.ID, attrIdx int) (value.Value, bool) {
+// lookup resolves an object to its class runtime and row: rt is nil for an
+// unknown class, row -1 for an unknown class or a dead object.
+func (w *World) lookup(class string, id value.ID) (*classRT, int) {
 	rt, ok := w.classes[class]
 	if !ok {
-		return value.Value{}, false
+		return nil, -1
 	}
-	row := rt.tab.Row(id)
+	return rt, rt.tab.Row(id)
+}
+
+// StateValue implements expr.World over committed (tick-start) state.
+func (w *World) StateValue(class string, id value.ID, attrIdx int) (value.Value, bool) {
+	rt, row := w.lookup(class, id)
 	if row < 0 {
 		return value.Value{}, false
 	}
@@ -680,22 +701,23 @@ func (r fxReader) EffectValue(attrIdx int) (value.Value, bool) {
 // EffectValue returns the ⊕-combined effect contribution for an object this
 // tick (valid during update components and inspectors).
 func (w *World) EffectValue(class string, id value.ID, attr string) (value.Value, bool) {
-	rt, ok := w.classes[class]
-	if !ok {
+	rt, row := w.lookup(class, id)
+	if row < 0 {
 		return value.Value{}, false
 	}
 	idx := rt.cls.EffectIndex(attr)
 	if idx < 0 {
 		return value.Value{}, false
 	}
-	row := rt.tab.Row(id)
-	if row < 0 {
-		return value.Value{}, false
-	}
 	return rt.fx[idx].Result(row)
 }
 
 // Txn is a transaction intent collected from an atomic block (§3.1).
+//
+// The engine recycles intents: a *Txn handed to a TxnPolicy, or returned by
+// World.Txns, is valid only until admission returns. Policies must not
+// retain the pointers or modify Emissions; copy out what must outlive the
+// tick.
 type Txn struct {
 	Class       string
 	Source      value.ID
@@ -709,10 +731,26 @@ type Txn struct {
 	// to the build-time constraint analysis (txnsite.go). Nil for
 	// hand-crafted transactions, which always admit through the serial loop.
 	step *compile.AtomicStep
+
+	// The source and emission targets as (class runtime, row): resolved at
+	// emit time for engine intents, which kills deferred to the tick
+	// boundary keep valid, and when admission starts for hand-crafted
+	// ones. Row -1 marks a dead object, which aborts the transaction.
+	rt       *classRT
+	row      int32
+	fx       []txnFx // parallel to Emissions
+	resolved bool
 }
 
-// Emission is one effect contribution, either inside a Txn or flowing
-// directly into the effect buffers.
+// txnFx is one emission's target cell and its state before the fold.
+type txnFx struct {
+	rt   *classRT
+	row  int32
+	attr int32
+	cell combinator.Cell
+}
+
+// Emission is one effect contribution inside a Txn.
 type Emission struct {
 	Class     string
 	Target    value.ID
@@ -722,8 +760,9 @@ type Emission struct {
 	SetInsert bool
 }
 
-// Txns returns the transactions collected during the current tick (valid
-// for admission policies and inspectors).
+// Txns returns the transactions collected during the current tick, for
+// admission policies and inspectors. The slice and the recycled intents in
+// it are valid only until admission returns and must not be retained.
 func (w *World) Txns() []*Txn { return w.txns }
 
 // siteRT is the per-accum-site runtime: adaptive selector, statistics, the
@@ -826,11 +865,10 @@ func (pp *sitePart) builderValid() bool {
 	return pp.builder != nil && pp.builder == pp.builtBuilder && pp.builder.Gen() == pp.builtGen
 }
 
-// boxProber is a spatial index answering closed-box probes by id (scalar
-// path) or physical row (batched path) in identical candidate order, and
-// reporting its resident size for the §4.2 partitioned-memory accounting.
+// boxProber is a spatial index answering closed-box probes by physical row,
+// and reporting its resident size for the §4.2 partitioned-memory
+// accounting.
 type boxProber interface {
-	Query(lo, hi []float64, out []value.ID) []value.ID
 	QueryRows(lo, hi []float64, out []int32) []int32
 	EstimatedBytes() int
 }

@@ -34,11 +34,11 @@ type execCtx struct {
 
 	sink   *shardSink
 	curTxn *Txn
+	dst    *classRT // target class of the last cross-object emission
 
 	// scratch buffers reused across rows
-	idsBuf []value.ID
-	loBuf  []float64
-	hiBuf  []float64
+	loBuf []float64
+	hiBuf []float64
 
 	// batched-join scratch (see join.go)
 	rowsBuf  []int32
@@ -166,44 +166,54 @@ func (x *execCtx) runEmit(s *compile.EmitStep) {
 		acc.Add(val, key)
 		return
 	}
-	target := x.id
+	// Resolve the target once, here: self-emissions are the executing row,
+	// and a ref is looked up in its class's id index.
+	dst, row, target := x.rt, x.row, x.id
 	if s.TargetFn != nil {
 		ref := s.TargetFn(&x.ctx)
 		if ref.IsNullRef() {
 			return
 		}
 		target = ref.AsRef()
+		if x.dst == nil || x.dst.name != s.Class {
+			x.dst = x.w.classes[s.Class]
+		}
+		dst = x.dst
+		row = dst.tab.Row(target)
 	}
 	var key float64
 	if s.KeyFn != nil {
 		key = s.KeyFn(&x.ctx).AsNumber()
 	}
-	e := Emission{Class: s.Class, Target: target, AttrIdx: s.AttrIdx, Val: val, Key: key, SetInsert: s.SetInsert}
 	if x.w.tracer != nil {
-		attr := x.w.classes[s.Class].cls.Effects[s.AttrIdx].Name
-		x.w.tracer(x.w.tick, x.rt.name, x.id, s.Class, target, attr, val)
+		x.w.tracer(x.w.tick, x.rt.name, x.id, s.Class, target, dst.cls.Effects[s.AttrIdx].Name, val)
 	}
-	if x.curTxn != nil {
-		x.curTxn.Emissions = append(x.curTxn.Emissions, e)
+	if t := x.curTxn; t != nil {
+		t.Emissions = append(t.Emissions, Emission{Class: s.Class, Target: target, AttrIdx: s.AttrIdx, Val: val, Key: key, SetInsert: s.SetInsert})
+		t.fx = append(t.fx, txnFx{rt: dst, row: int32(row), attr: int32(s.AttrIdx)})
 		return
 	}
-	x.sink.emit(e)
+	if row < 0 {
+		return // dangling target: the contribution is dropped
+	}
+	x.sink.emit(dst, row, s.AttrIdx, val, key)
 }
 
+// runAtomic collects the block's emissions into a recycled intent whose
+// source is the executing row.
 func (x *execCtx) runAtomic(s *compile.AtomicStep) {
-	txn := &Txn{
-		Class:       x.rt.name,
-		Source:      x.id,
-		Constraints: s.Constraints,
-		step:        s,
-	}
-	txn.Frame = append([]value.Value(nil), x.frame...)
-	prev := x.curTxn
-	x.curTxn = txn
+	t := x.sink.takeTxn()
+	t.Class, t.Source, t.Constraints, t.step, t.Aborted = x.rt.name, x.id, s.Constraints, s, false
+	t.Frame = append(t.Frame[:0], x.frame...)
+	t.Emissions, t.fx = t.Emissions[:0], t.fx[:0]
+	t.rt, t.row, t.resolved = x.rt, int32(x.row), true
+	x.curTxn = t
 	x.runSteps(s.Body)
-	x.curTxn = prev
-	if len(txn.Emissions) > 0 {
-		x.sink.addTxn(txn)
+	x.curTxn = nil
+	if len(t.Emissions) > 0 {
+		x.sink.addTxn(t)
+	} else {
+		x.sink.txnUsed-- // nothing to admit: the intent goes straight back
 	}
 }
 
@@ -245,9 +255,7 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 			for _, r := range rows {
 				runBody(ids[r])
 			}
-			site.observe(x.w, 1, int64(len(rows)))
-			x.joinProbes++
-			x.joinMatches += int64(len(rows))
+			x.probed(site, len(rows))
 			break
 		}
 		tab := srcRT.tab
@@ -258,9 +266,7 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 		}
 		if site != nil {
 			// Upper bound; the cost model treats NL matches as whole-scan.
-			site.observe(x.w, 1, int64(tab.Len()))
-			x.joinProbes++
-			x.joinMatches += int64(tab.Len())
+			x.probed(site, tab.Len())
 		}
 	case site.strategy == plan.HashIndex:
 		key := x.evalEqKeys(site)
@@ -276,51 +282,31 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 		for _, id := range ids {
 			runBody(id)
 		}
-		site.observe(x.w, 1, int64(len(ids)))
-		x.joinProbes++
-		x.joinMatches += int64(len(ids))
+		x.probed(site, len(ids))
 	default: // RangeTreeIndex or GridIndex
 		lo, hi := x.evalBox(site)
 		x.sampleExtent(site, lo, hi)
-		pp := x.sitePart(site)
+		rows := x.rowsBuf[:0]
+		if pp := x.sitePart(site); pp.tree != nil {
+			rows = pp.tree.QueryRows(lo, hi, rows)
+		}
 		if x.w.parts != nil {
 			// Partitioned probes canonicalize candidates to physical-row
 			// order: the fold order of ⊕ contributions is then independent
 			// of the partition layout and of which index traversal produced
 			// the candidates, which is what makes any partition count
 			// bit-identical to Partitions=1.
-			rows := x.rowsBuf[:0]
-			if pp.tree != nil {
-				rows = pp.tree.QueryRows(lo, hi, rows)
-			}
 			index.SortRows(rows)
-			ids := srcRT.tab.RawIDs()
-			// Stack-discipline the buffer: a nested accum inside the body
-			// must append past our candidates, not clobber them.
-			x.rowsBuf = rows[len(rows):]
-			for _, r := range rows {
-				runBody(ids[r])
-			}
-			x.rowsBuf = rows[:0]
-			site.observe(x.w, 1, int64(len(rows)))
-			x.joinProbes++
-			x.joinMatches += int64(len(rows))
-			break
 		}
-		ids := x.idsBuf[:0]
-		if pp.tree != nil {
-			ids = pp.tree.Query(lo, hi, ids)
-		}
+		ids := srcRT.tab.RawIDs()
 		// Stack-discipline the buffer: a nested accum inside the body must
 		// append past our candidates, not clobber them.
-		x.idsBuf = ids[len(ids):]
-		for _, id := range ids {
-			runBody(id)
+		x.rowsBuf = rows[len(rows):]
+		for _, r := range rows {
+			runBody(ids[r])
 		}
-		x.idsBuf = ids[:0]
-		site.observe(x.w, 1, int64(len(ids)))
-		x.joinProbes++
-		x.joinMatches += int64(len(ids))
+		x.rowsBuf = rows[:0]
+		x.probed(site, len(rows))
 	}
 
 	// Publish the combined result for the `in` block and later steps.
@@ -412,6 +398,13 @@ func (x *execCtx) evalEqKeys(site *siteRT) uint64 {
 		x.eqVals = append(x.eqVals, v)
 	}
 	return h
+}
+
+// probed records one probe of site whose body ran for matches candidates.
+func (x *execCtx) probed(site *siteRT, matches int) {
+	site.observe(x.w, 1, int64(matches))
+	x.joinProbes++
+	x.joinMatches += int64(matches)
 }
 
 // observe records execution feedback. Counters use atomics because the

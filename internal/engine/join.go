@@ -331,7 +331,7 @@ func (x *execCtx) filterResidualVec(b *siteBatch, srcRT *classRT, rows []int32) 
 	}
 	x.gatherLanes(srcRT, b.resCols, b.resNeedIDs, rows)
 	env := &x.accEnv
-	mask := growFloats(x.resBuf, k)
+	mask := grow(x.resBuf, k)
 	x.resBuf = mask
 	for pi, prog := range b.resProgs {
 		env.Bcast = x.fillBcast(b.resBcast[pi])
@@ -339,7 +339,7 @@ func (x *execCtx) filterResidualVec(b *siteBatch, srcRT *classRT, rows []int32) 
 			prog.Run(x.machine, env, 0, k, mask)
 			continue
 		}
-		tmp := growFloats(x.resBuf2, k)
+		tmp := grow(x.resBuf2, k)
 		x.resBuf2 = tmp
 		prog.Run(x.machine, env, 0, k, tmp)
 		for i, v := range tmp[:k] {
@@ -368,7 +368,7 @@ func (x *execCtx) gatherLanes(srcRT *classRT, cols []int, needIDs bool, rows []i
 	}
 	for _, a := range cols {
 		src := tab.NumColumn(a)
-		lane := growFloats(x.lanes[a], k)
+		lane := grow(x.lanes[a], k)
 		x.lanes[a] = lane
 		for i, r := range rows {
 			lane[i] = src[r]
@@ -378,7 +378,7 @@ func (x *execCtx) gatherLanes(srcRT *classRT, cols []int, needIDs bool, rows []i
 	env.Cols = x.lanes
 	env.Gather = x.w.gatherFn
 	if needIDs {
-		idLane := growFloats(x.idLane, k)
+		idLane := grow(x.idLane, k)
 		x.idLane = idLane
 		rawIDs := tab.RawIDs()
 		for i, r := range rows {
@@ -395,12 +395,12 @@ func (x *execCtx) foldVec(s *compile.AccumStep, b *siteBatch, srcRT *classRT, ro
 	k := len(rows)
 	x.gatherLanes(srcRT, b.cols, b.needIDs, rows)
 	env := &x.accEnv
-	x.valBuf = growFloats(x.valBuf, k)
+	x.valBuf = grow(x.valBuf, k)
 	env.Bcast = x.fillBcast(b.valBcast)
 	b.valProg.Run(x.machine, env, 0, k, x.valBuf)
 	var keys []float64
 	if b.keyProg != nil {
-		x.keyBuf = growFloats(x.keyBuf, k)
+		x.keyBuf = grow(x.keyBuf, k)
 		env.Bcast = x.fillBcast(b.keyBcast)
 		b.keyProg.Run(x.machine, env, 0, k, x.keyBuf)
 		keys = x.keyBuf

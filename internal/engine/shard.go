@@ -39,6 +39,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/expr"
+	"repro/internal/value"
 	"repro/internal/vexpr"
 )
 
@@ -106,12 +107,17 @@ func stepsCost(steps []compile.Step) float64 {
 // which makes the merge a k-way merge of sorted streams. A sink belongs to
 // exactly one worker for the duration of a pass, so nothing here needs
 // atomics.
+//
+// txnPool recycles the sink's intents across ticks: the first txnUsed are
+// this tick's, and clearTxns rewinds the cursor once admission is over.
 type shardSink struct {
 	curRow  int32
-	ems     []Emission
+	ems     []sinkEm
 	rows    []int32
 	txns    []*Txn
 	txnRows []int32
+	txnPool []*Txn
+	txnUsed int
 
 	touched     touchedLog // vectorized-phase empty→touched transitions
 	vecRows     int64
@@ -120,9 +126,28 @@ type shardSink struct {
 	load        int64 // row visits + join matches, the owning partition's load
 }
 
-func (s *shardSink) emit(e Emission) {
-	s.ems = append(s.ems, e)
+// sinkEm is one logged effect contribution, its target already resolved
+// to a live (class runtime, row) at emit time.
+type sinkEm struct {
+	rt   *classRT
+	row  int32
+	attr int32
+	val  value.Value
+	key  float64
+}
+
+func (s *shardSink) emit(rt *classRT, row, attr int, val value.Value, key float64) {
+	s.ems = append(s.ems, sinkEm{rt: rt, row: int32(row), attr: int32(attr), val: val, key: key})
 	s.rows = append(s.rows, s.curRow)
+}
+
+// takeTxn returns a recycled intent for the row being executed.
+func (s *shardSink) takeTxn() *Txn {
+	if s.txnUsed == len(s.txnPool) {
+		s.txnPool = append(s.txnPool, &Txn{})
+	}
+	s.txnUsed++
+	return s.txnPool[s.txnUsed-1]
 }
 
 func (s *shardSink) addTxn(t *Txn) {
@@ -157,6 +182,20 @@ type workerSlot struct {
 	rule expr.Ctx
 	self rowReader
 	fx   fxReader
+
+	// tw evaluates transaction constraints for admission running on this
+	// slot (txnadmit.go).
+	tw tentWorld
+}
+
+// growSlots makes worker slots [0, n) exist. Slots are created only here,
+// before any fan-out, never concurrently.
+func (w *World) growSlots(n int) {
+	for len(w.slots) < max(n, 1) {
+		ws := &workerSlot{}
+		ws.x.w, ws.x.ctx.W, ws.tw.w = w, w, w
+		w.slots = append(w.slots, ws)
+	}
 }
 
 // passKind selects the row body a pass runs. The kinds that emit effects
@@ -252,11 +291,7 @@ func (w *World) runPass(p classPass, work float64) {
 		nw = len(shards)
 	}
 	w.shardBuf = shards
-	for len(w.slots) < max(nw, 1) {
-		ws := &workerSlot{}
-		ws.x.w, ws.x.ctx.W = w, w
-		w.slots = append(w.slots, ws)
-	}
+	w.growSlots(nw)
 	for len(w.sinks) < len(shards) {
 		w.sinks = append(w.sinks, &shardSink{})
 	}
@@ -450,7 +485,6 @@ func (w *World) mergeSinks(rt *classRT, sinks []*shardSink, masked bool) {
 	}
 	w.mergeRows, w.mergeIdx = streams, idx
 
-	var dst *classRT // of the last emission: runs rarely change class
 	for {
 		si, from, to := nextRun(streams, idx)
 		if si < 0 {
@@ -458,15 +492,8 @@ func (w *World) mergeSinks(rt *classRT, sinks []*shardSink, masked bool) {
 		}
 		for i := from; i < to; i++ {
 			e := &sinks[si].ems[i]
-			if dst == nil || dst.name != e.Class {
-				dst = w.classes[e.Class]
-			}
-			row := dst.tab.Row(e.Target)
-			if row < 0 {
-				continue // dangling target: contribution is dropped
-			}
-			dst.fx[e.AttrIdx].add(row, e.Val, e.Key)
-			if masked && track && dst.prt.assign[row] != int32(si) {
+			e.rt.fx[e.attr].add(int(e.row), e.val, e.key)
+			if masked && track && e.rt.prt.assign[e.row] != int32(si) {
 				w.execStats.PartMsgsEffect++
 				w.execStats.PartBytes += cluster.BytesPerEffect
 			}

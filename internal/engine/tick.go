@@ -58,7 +58,7 @@ func (w *World) RunTick() error {
 			rt.fx[i].reset()
 		}
 	}
-	w.txns = w.txns[:0]
+	w.clearTxns()
 
 	// (6) Reactive handlers on the new state.
 	w.runHandlers()
@@ -77,6 +77,15 @@ func (w *World) RunTick() error {
 		ins.TickEnd(w, w.tick-1)
 	}
 	return nil
+}
+
+// clearTxns empties the tick's transaction list and rewinds the sinks'
+// intent pools: admission has returned, so no intent is referenced any more.
+func (w *World) clearTxns() {
+	w.txns = w.txns[:0]
+	for _, s := range w.sinks {
+		s.txnUsed = 0
+	}
 }
 
 // Run executes n ticks.
@@ -212,23 +221,13 @@ func (w *World) advancePCs() {
 
 func (w *World) applyPending() {
 	for _, p := range w.pendingKill {
-		rt := w.classes[p.class]
-		if rt.tab.Delete(p.id) && rt.vlog != nil {
-			rt.vlog.noteKill(p.id, rt.tab.StructVersion())
-		}
+		w.classes[p.class].kill(p.id)
 	}
 	w.pendingKill = w.pendingKill[:0]
 	for _, p := range w.pendingSpawn {
 		w.doSpawn(w.classes[p.class], p.id, p.init)
 	}
 	w.pendingSpawn = w.pendingSpawn[:0]
-	// Deletions may have freed rows reused by spawns: accumulators for
-	// those rows must be clean. fx reset already ran; sizes may grow.
-	for _, rt := range w.order {
-		for i := range rt.fx {
-			rt.fx[i].Grow(rt.tab.Cap())
-		}
-	}
 }
 
 // GreedyPolicy is the default transaction admission policy: transactions

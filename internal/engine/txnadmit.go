@@ -1,7 +1,9 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -17,13 +19,19 @@ import (
 // constraint fails, the candidate's emissions are rolled back and the
 // transaction aborts — none of its effects apply, giving atomicity.
 func AdmitOrdered(ctx *UpdateCtx, txns []*Txn) error {
-	sort.SliceStable(txns, func(i, j int) bool {
-		if txns[i].Class != txns[j].Class {
-			return txns[i].Class < txns[j].Class
-		}
-		return txns[i].Source < txns[j].Source
-	})
+	// The effect phase collects intents in row order, which is usually id
+	// order already: check before paying for a sort.
+	if !slices.IsSortedFunc(txns, cmpTxn) {
+		slices.SortStableFunc(txns, cmpTxn)
+	}
 	return AdmitPrepared(ctx, txns)
+}
+
+func cmpTxn(a, b *Txn) int {
+	if c := strings.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Source, b.Source)
 }
 
 // AdmitPrepared runs greedy admission over transactions in the exact order
@@ -51,69 +59,80 @@ func AdmitPrepared(ctx *UpdateCtx, txns []*Txn) error {
 }
 
 func (w *World) admitSerial(txns []*Txn) {
-	tw := &tentWorld{w: w}
+	w.resolveTxns(txns)
+	w.growSlots(1)
+	tw := &w.slots[0].tw
 	for _, t := range txns {
-		admitOne(w, tw, t)
-	}
-}
-
-// admitOne admits a single transaction: §3.1 atomicity means a dead source
-// *or any dead emission target* aborts the whole transaction before
-// anything applies — a half-applied purchase from a despawned seller would
-// otherwise duplicate goods. Targets are resolved up front; only a fully
-// resolvable transaction applies, then validates, then rolls back on
-// constraint failure by restoring every cell it touched.
-func admitOne(w *World, tw *tentWorld, t *Txn) {
-	if w.classes[t.Class].tab.Row(t.Source) < 0 {
-		t.Aborted = true
-		return
-	}
-	for i := range t.Emissions {
-		e := &t.Emissions[i]
-		if w.classes[e.Class].tab.Row(e.Target) < 0 {
+		if !t.live() {
 			t.Aborted = true
-			return
+			continue
+		}
+		t.apply(nil)
+		if !tw.constraintsHold(t) {
+			t.rollback()
 		}
 	}
-	saved := w.txnrt.cells[:0]
-	for i := range t.Emissions {
-		e := &t.Emissions[i]
-		rt := w.classes[e.Class]
-		row := rt.tab.Row(e.Target)
-		saved = append(saved, rt.fx[e.AttrIdx].Save(row))
-		rt.fx[e.AttrIdx].add(row, e.Val, e.Key)
-	}
-	w.txnrt.cells = saved
-	if constraintsHold(w, tw, t) {
-		return
-	}
-	for i := len(t.Emissions) - 1; i >= 0; i-- {
-		e := &t.Emissions[i]
-		rt := w.classes[e.Class]
-		rt.fx[e.AttrIdx].Restore(rt.tab.Row(e.Target), saved[i])
-	}
-	t.Aborted = true
 }
 
-func constraintsHold(w *World, tw *tentWorld, t *Txn) bool {
-	rt := w.classes[t.Class]
-	row := rt.tab.Row(t.Source)
-	if row < 0 {
-		return false // source died; abort
+// resolveTxns resolves hand-crafted intents' sources and emission targets
+// to rows, which engine intents carry from emit time. It runs each time
+// admission starts, since nothing pins the rows of an intent the engine
+// did not collect this tick.
+func (w *World) resolveTxns(txns []*Txn) {
+	for _, t := range txns {
+		if t.resolved {
+			continue
+		}
+		rt, row := w.lookup(t.Class, t.Source)
+		t.rt, t.row, t.fx = rt, int32(row), t.fx[:0]
+		for _, e := range t.Emissions {
+			rt, row := w.lookup(e.Class, e.Target)
+			t.fx = append(t.fx, txnFx{rt: rt, row: int32(row), attr: int32(e.AttrIdx)})
+		}
 	}
-	ectx := expr.Ctx{
-		W:      tw,
-		Class:  t.Class,
-		SelfID: t.Source,
-		Self:   tentRowReader{tw: tw, rt: rt, row: row},
-		Frame:  t.Frame,
+}
+
+// live reports whether the source and every emission target are live rows.
+// §3.1 atomicity means a dead source *or any dead emission target* aborts
+// the whole transaction before anything applies — a half-applied purchase
+// from a despawned seller would otherwise duplicate goods.
+func (t *Txn) live() bool {
+	if t.row < 0 {
+		return false
 	}
-	for _, c := range t.Constraints {
-		if !c(&ectx).AsBool() {
+	for i := range t.fx {
+		if t.fx[i].row < 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// apply folds the transaction's emissions into their cells, saving each
+// cell first for rollback. A non-nil log records empty→non-empty
+// transitions instead of appending to the shared touched lists (pooled
+// conflict groups merge logs in group order).
+func (t *Txn) apply(log *[]fxTouch) {
+	for k := range t.fx {
+		f, e := &t.fx[k], &t.Emissions[k]
+		col := &f.rt.fx[f.attr]
+		f.cell = col.Save(int(f.row))
+		if log == nil {
+			col.add(int(f.row), e.Val, e.Key)
+		} else if col.Add(int(f.row), e.Val, e.Key) {
+			*log = append(*log, fxTouch{col: col, row: f.row})
+		}
+	}
+}
+
+// rollback aborts the transaction, restoring its cells in reverse
+// application order so a cell it folded into twice ends at its saved state.
+func (t *Txn) rollback() {
+	for k := len(t.fx) - 1; k >= 0; k-- {
+		f := &t.fx[k]
+		f.rt.fx[f.attr].Restore(int(f.row), f.cell)
+	}
+	t.Aborted = true
 }
 
 // tentWorld serves tentative post-update state: for attributes with an
@@ -121,51 +140,66 @@ func constraintsHold(w *World, tw *tentWorld, t *Txn) bool {
 // accumulated effects; other attributes read their tick-start value.
 // Update rules by definition read *old* state plus combined effects
 // (new = f(old, fx)), so rule replay evaluates against the committed
-// snapshot — there is no recursion through the tentative view.
+// snapshot — there is no recursion through the tentative view. A tentWorld
+// owns the contexts it evaluates in, so a read boxes nothing; each serves
+// one goroutine at a time.
 type tentWorld struct {
 	w *World
+
+	rule expr.Ctx // update-rule replay over committed state
+	self rowReader
+	fx   fxReader
+
+	cons expr.Ctx // constraint evaluation over the tentative view
+	tent tentRowReader
 }
 
 func (t *tentWorld) StateValue(class string, id value.ID, attrIdx int) (value.Value, bool) {
-	rt, ok := t.w.classes[class]
-	if !ok {
-		return value.Value{}, false
-	}
-	row := rt.tab.Row(id)
+	rt, row := t.w.lookup(class, id)
 	if row < 0 {
 		return value.Value{}, false
 	}
-	if !rt.hasRule[attrIdx] {
-		return rt.tab.At(row, attrIdx), true
-	}
-	for _, u := range rt.plan.Updates {
-		if u.AttrIdx != attrIdx {
-			continue
+	return t.at(rt, row, attrIdx), true
+}
+
+// at reads one attribute of a live row through the tentative view.
+func (t *tentWorld) at(rt *classRT, row, attrIdx int) value.Value {
+	if rt.hasRule[attrIdx] {
+		for _, u := range rt.plan.Updates {
+			if u.AttrIdx == attrIdx {
+				t.self, t.fx = rowReader{rt: rt, row: row}, fxReader{rt: rt, row: row}
+				t.rule = expr.Ctx{W: t.w, Class: rt.name, SelfID: rt.tab.ID(row),
+					Self: &t.self, Effects: &t.fx, EffectZero: rt.effectZero}
+				return u.Fn(&t.rule) // rules read old state
+			}
 		}
-		ectx := expr.Ctx{
-			W:          t.w, // rules read old state
-			Class:      class,
-			SelfID:     id,
-			Self:       rowReader{rt: rt, row: row},
-			Effects:    fxReader{rt: rt, row: row},
-			EffectZero: rt.effectZero,
-		}
-		return u.Fn(&ectx), true
 	}
-	return rt.tab.At(row, attrIdx), true
+	return rt.tab.At(row, attrIdx)
+}
+
+// bindTxn points the constraint context at a transaction's source row, so
+// constraints like `gold >= 0` see the post-update balance.
+func (t *tentWorld) bindTxn(txn *Txn) {
+	t.tent = tentRowReader{tw: t, rt: txn.rt, row: int(txn.row)}
+	t.cons = expr.Ctx{W: t, Class: txn.Class, SelfID: txn.Source, Self: &t.tent, Frame: txn.Frame}
+}
+
+func (t *tentWorld) constraintsHold(txn *Txn) bool {
+	t.bindTxn(txn)
+	for _, c := range txn.Constraints {
+		if !c(&t.cons).AsBool() {
+			return false
+		}
+	}
+	return true
 }
 
 // tentRowReader reads the executing object's attributes through the
-// tentative view, so that constraints like `gold >= 0` see the post-update
-// balance.
+// tentative view.
 type tentRowReader struct {
 	tw  *tentWorld
-	row int
 	rt  *classRT
+	row int
 }
 
-func (r tentRowReader) Attr(attrIdx int) value.Value {
-	id := r.rt.tab.ID(r.row)
-	v, _ := r.tw.StateValue(r.rt.name, id, attrIdx)
-	return v
-}
+func (r *tentRowReader) Attr(attrIdx int) value.Value { return r.tw.at(r.rt, r.row, attrIdx) }

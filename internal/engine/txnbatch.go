@@ -4,12 +4,13 @@ package engine
 // execution axes). Serial greedy admission validates object-at-a-time,
 // replaying update rules per constraint read; this driver instead:
 //
-//  1. resolves every transaction's touched rows (source, emission targets,
-//     stable-base constraint referents) once, aborting transactions with
-//     dead rows up front, and unions transactions sharing any row into
-//     conflict groups — transactions in different groups commute, because a
-//     group's admission outcome and effect-buffer residue depend only on
-//     committed state plus the group's own accumulator cells;
+//  1. claims every transaction's touched rows (source and emission targets
+//     as resolved at emit time, stable-base constraint referents resolved
+//     here), aborting transactions with dead rows up front, and unions
+//     transactions sharing any row into conflict groups — transactions in
+//     different groups commute, because a group's admission outcome and
+//     effect-buffer residue depend only on committed state plus the
+//     group's own accumulator cells;
 //  2. admits all singleton groups whole-batch: their emissions apply in
 //     admission order, a columnar tentative post-update view is built once
 //     per affected (class, attr) by running the attr's vectorized update
@@ -28,7 +29,6 @@ package engine
 // side-effect-free, so evaluation order cannot change outcomes.
 
 import (
-	"repro/internal/combinator"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -58,22 +58,17 @@ type txnGroup struct {
 // txnRuntime is the retained scratch of the batched admission driver,
 // generation-stamped so nothing clears between admissions.
 type txnRuntime struct {
-	inited bool
-	gen    uint64
-	parts  bool // partition routing active this pass
+	gen   uint64
+	parts bool // partition routing active this pass
 
 	machine  vexpr.Machine
 	fBatch   stats.EMA
-	tw       tentWorld
 	ectx     expr.Ctx // committed-state ctx for stable-base resolution
-	tctx     expr.Ctx // tentative ctx for closure-constraint lanes
-	baseRead *mutRowReader
-	tentRead *mutTentReader
+	baseRead *rowReader
 
-	gatherCommitted func(class string, attrIdx int, refs, out []float64, zero float64)
-	gatherTent      func(class string, attrIdx int, refs, out []float64, zero float64)
-	viewEnv         vexpr.Env
-	viewIDs         []float64
+	gatherTent func(class string, attrIdx int, refs, out []float64, zero float64)
+	viewEnv    vexpr.Env
+	viewIDs    []float64
 
 	sites []*txnSite
 
@@ -84,11 +79,6 @@ type txnRuntime struct {
 	gfirst []int32
 	part   []int32
 	cross  []bool
-	srcRow []int32
-	emOff  []int32
-	emRow  []int32
-	emRT   []*classRT
-	cells  []combinator.Cell // each emission's target cell before it applied
 
 	groups   []txnGroup
 	gmem     []int32
@@ -98,55 +88,20 @@ type txnRuntime struct {
 	crossG   []int32
 }
 
-// mutRowReader is a reusable boxed expr.RowReader over committed state.
-type mutRowReader struct {
-	rt  *classRT
-	row int
-}
-
-func (r *mutRowReader) Attr(attrIdx int) value.Value { return r.rt.tab.At(r.row, attrIdx) }
-
-// mutTentReader is a reusable boxed expr.RowReader over tentative state.
-type mutTentReader struct {
-	tw  *tentWorld
-	rt  *classRT
-	row int
-}
-
-func (r *mutTentReader) Attr(attrIdx int) value.Value {
-	v, _ := r.tw.StateValue(r.rt.name, r.rt.tab.ID(r.row), attrIdx)
-	return v
-}
-
 func (s *txnRuntime) init(w *World) {
-	if s.inited {
-		return
-	}
-	s.inited = true
 	s.fBatch = stats.NewEMA(0.3)
-	s.tw.w = w
-	s.baseRead = &mutRowReader{}
-	s.tentRead = &mutTentReader{tw: &s.tw}
+	s.baseRead = &rowReader{}
 	s.ectx.W = w
 	s.ectx.Self = s.baseRead
-	s.tctx.W = &s.tw
-	s.tctx.Self = s.tentRead
-	s.gatherCommitted = w.gatherFn
 	s.gatherTent = func(class string, attrIdx int, refs, out []float64, zero float64) {
 		rt := w.classes[class]
 		col := rt.tab.NumColumn(attrIdx)
 		if attrIdx < len(rt.txnViewGen) && rt.txnViewGen[attrIdx] == s.gen {
 			col = rt.txnViewCols[attrIdx]
 		}
-		for i, f := range refs {
-			if row := rt.tab.Row(value.ID(f)); row >= 0 {
-				out[i] = col[row]
-			} else {
-				out[i] = zero
-			}
-		}
+		gatherRows(rt, col, refs, out, zero)
 	}
-	s.viewEnv.Gather = s.gatherCommitted
+	s.viewEnv.Gather = w.gatherFn
 }
 
 // txnAdmitMode picks this batch's admission mode: the serial loop whenever
@@ -159,7 +114,6 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 		return plan.TxnScalar
 	}
 	s := &w.txnrt
-	s.init(w)
 	s.gen++
 	s.sites = s.sites[:0]
 	viewRows := 0.0
@@ -187,25 +141,11 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 	return w.execCosts.ChooseTxn(w.opts.Txn, float64(len(txns)), viewRows, fb)
 }
 
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
 func growU64(s []uint64, n int) []uint64 {
 	for len(s) < n {
 		s = append(s, 0)
 	}
 	return s
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }
 
 func (s *txnRuntime) find(i int32) int32 {
@@ -231,7 +171,7 @@ func (w *World) txnClaim(i int, rt *classRT, row int) {
 	s := &w.txnrt
 	if len(rt.txnRowGen) < rt.tab.Cap() {
 		rt.txnRowGen = growU64(rt.txnRowGen, rt.tab.Cap())
-		rt.txnRowOwner = growI32(rt.txnRowOwner, rt.tab.Cap())
+		rt.txnRowOwner = grow(rt.txnRowOwner, rt.tab.Cap())
 	}
 	if rt.txnRowGen[row] == s.gen {
 		s.union(int32(i), rt.txnRowOwner[row])
@@ -258,97 +198,65 @@ func (w *World) txnClaim(i int, rt *classRT, row int) {
 // txnAdmitMode must have stamped the current generation and collected the
 // batch's sites; every transaction carries an analyzable site.
 func (w *World) admitBatched(txns []*Txn) {
+	w.resolveTxns(txns)
 	s := &w.txnrt
 	n := len(txns)
 
-	// (1) Resolve rows, pre-abort dead transactions, group conflicts.
-	s.parent = growI32(s.parent, n)
-	s.root = growI32(s.root, n)
-	s.gsize = growI32(s.gsize, n)
-	s.gfirst = growI32(s.gfirst, n)
-	s.part = growI32(s.part, n)
-	s.cross = growBool(s.cross, n)
-	s.srcRow = growI32(s.srcRow, n)
-	s.emOff = growI32(s.emOff, n+1)
-	s.emRow = s.emRow[:0]
-	s.emRT = s.emRT[:0]
+	// (1) Pre-abort dead transactions, group conflicts over the rows the
+	// intents resolved at emit time.
+	s.parent = grow(s.parent, n)
+	s.root = grow(s.root, n)
+	s.gsize = grow(s.gsize, n)
+	s.gfirst = grow(s.gfirst, n)
+	s.part = grow(s.part, n)
+	s.cross = grow(s.cross, n)
 	s.parts = w.parts != nil && w.parts.ready
 	considered, crossCount := 0, 0
 	for i, t := range txns {
-		s.parent[i] = int32(i)
+		s.parent[i], s.root[i] = int32(i), int32(i)
 		s.part[i] = -2
 		s.cross[i] = false
-		s.emOff[i] = int32(len(s.emRow))
-		rt := w.classes[t.Class]
-		srow := rt.tab.Row(t.Source)
-		live := srow >= 0
-		if live {
-			for k := range t.Emissions {
-				e := &t.Emissions[k]
-				ert := w.classes[e.Class]
-				erow := ert.tab.Row(e.Target)
-				if erow < 0 {
-					live = false
-					break
-				}
-				s.emRow = append(s.emRow, int32(erow))
-				s.emRT = append(s.emRT, ert)
-			}
-		}
-		if !live {
+		if !t.live() {
 			// A dead source or dead emission target aborts the whole
 			// transaction before anything applies (§3.1 atomicity), exactly
 			// like the serial loop.
-			s.emRow = s.emRow[:s.emOff[i]]
-			s.emRT = s.emRT[:s.emOff[i]]
-			s.srcRow[i] = -1
+			s.root[i] = -1
 			t.Aborted = true
 			continue
 		}
 		considered++
-		s.srcRow[i] = int32(srow)
-		w.txnClaim(i, rt, srow)
-		for k := s.emOff[i]; k < int32(len(s.emRow)); k++ {
-			w.txnClaim(i, s.emRT[k], int(s.emRow[k]))
+		w.txnClaim(i, t.rt, int(t.row))
+		for k := range t.fx {
+			w.txnClaim(i, t.fx[k].rt, int(t.fx[k].row))
 		}
 		site := w.txnSites[t.step]
 		if len(site.bases) > 0 {
-			s.baseRead.rt, s.baseRead.row = rt, srow
+			s.baseRead.rt, s.baseRead.row = t.rt, int(t.row)
 			s.ectx.Class, s.ectx.SelfID, s.ectx.Frame = t.Class, t.Source, t.Frame
 			for bi := range site.bases {
-				b := &site.bases[bi]
-				v := b.fn(&s.ectx)
+				v := site.bases[bi].fn(&s.ectx)
 				if v.IsNullRef() {
 					continue
 				}
-				brt := w.classes[b.class]
+				brt := site.baseRTs[bi]
 				if brow := brt.tab.Row(v.AsRef()); brow >= 0 {
 					w.txnClaim(i, brt, brow)
 				}
 			}
 		}
 	}
-	s.emOff[n] = int32(len(s.emRow))
-	if cap(s.cells) < len(s.emRow) {
-		s.cells = make([]combinator.Cell, len(s.emRow))
-	}
-	s.cells = s.cells[:len(s.emRow)]
-	for i := range txns {
-		if s.srcRow[i] < 0 {
-			s.root[i] = -1
-			continue
-		}
-		s.root[i] = s.find(int32(i))
-	}
 	for i := range txns {
 		s.gsize[i] = 0
+		if s.root[i] >= 0 {
+			s.root[i] = s.find(int32(i))
+		}
 	}
 	for i := range txns {
 		if r := s.root[i]; r >= 0 {
 			s.gsize[r]++
-		}
-		if s.cross[i] && s.srcRow[i] >= 0 {
-			crossCount++
+			if s.cross[i] {
+				crossCount++
+			}
 		}
 	}
 
@@ -362,7 +270,7 @@ func (w *World) admitBatched(txns []*Txn) {
 		}
 		singles++
 		w.txnSites[t.step].lanes = append(w.txnSites[t.step].lanes, int32(i))
-		s.applyTxn(t, i, nil)
+		t.apply(nil)
 	}
 	if singles > 0 {
 		for _, site := range s.sites {
@@ -405,7 +313,7 @@ func (w *World) admitBatched(txns []*Txn) {
 			g.off, g.fill = off, off
 			off += g.n
 		}
-		s.gmem = growI32(s.gmem, total)
+		s.gmem = grow(s.gmem, total)
 		for i := range txns {
 			r := s.root[i]
 			if r < 0 || s.gsize[r] <= 1 {
@@ -468,12 +376,12 @@ func (w *World) buildTxnView(va txnViewAttr) {
 		rt.txnFxGen[ai] = s.gen
 		rt.bindFxVec(ai, n)
 	}
-	out := growFloats(rt.txnViewCols[va.attr], n)
+	out := grow(rt.txnViewCols[va.attr], n)
 	rt.txnViewCols[va.attr] = out
 	s.viewEnv.Cols = rt.tab.NumColumns()
 	s.viewEnv.Fx = v.fxVecs
 	if va.prog.NeedIDs() {
-		s.viewIDs = growFloats(s.viewIDs, n)
+		s.viewIDs = grow(s.viewIDs, n)
 		for r := 0; r < n; r++ {
 			s.viewIDs[r] = float64(rt.tab.ID(r))
 		}
@@ -502,14 +410,14 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		site.colBufs = append(site.colBufs, nil)
 	}
 	for bi, a := range site.cols {
-		vec := growFloats(site.colBufs[bi], nl)
+		vec := grow(site.colBufs[bi], nl)
 		site.colBufs[bi] = vec
 		col := rt.tab.NumColumn(a)
 		if rt.hasRule[a] && a < len(rt.txnViewGen) && rt.txnViewGen[a] == s.gen {
 			col = rt.txnViewCols[a]
 		}
 		for k, li := range site.lanes {
-			vec[k] = col[s.srcRow[li]]
+			vec[k] = col[txns[li].row]
 		}
 		site.envCols[a] = vec
 	}
@@ -517,7 +425,7 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		site.slotBufs = append(site.slotBufs, nil)
 	}
 	for bi, sl := range site.slots {
-		vec := growFloats(site.slotBufs[bi], nl)
+		vec := grow(site.slotBufs[bi], nl)
 		site.slotBufs[bi] = vec
 		for len(site.slotVecs) <= sl {
 			site.slotVecs = append(site.slotVecs, nil)
@@ -534,7 +442,7 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		site.slotVecs[sl] = vec
 	}
 	if site.needIDs {
-		site.idBuf = growFloats(site.idBuf, nl)
+		site.idBuf = grow(site.idBuf, nl)
 		for k, li := range site.lanes {
 			site.idBuf[k] = float64(txns[li].Source)
 		}
@@ -544,8 +452,8 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 	env.Slots = site.slotVecs
 	env.IDs = site.idBuf
 	env.Gather = s.gatherTent
-	site.outBuf = growFloats(site.outBuf, nl)
-	site.passBuf = growBool(site.passBuf, nl)
+	site.outBuf = grow(site.outBuf, nl)
+	site.passBuf = grow(site.passBuf, nl)
 	pass := site.passBuf
 	for k := range pass {
 		pass[k] = true
@@ -565,61 +473,21 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		// world — group disjointness confines its reads to the lane's own
 		// accumulators. Constraints are total and side-effect-free, so
 		// skipping already-failed lanes cannot change outcomes.
+		tw := &w.slots[0].tw
 		for k, li := range site.lanes {
 			if !pass[k] {
 				continue
 			}
-			t := txns[li]
-			s.tentRead.rt, s.tentRead.row = rt, int(s.srcRow[li])
-			s.tctx.Class, s.tctx.SelfID, s.tctx.Frame = t.Class, t.Source, t.Frame
-			if !c.fn(&s.tctx).AsBool() {
+			tw.bindTxn(txns[li])
+			if !c.fn(&tw.cons).AsBool() {
 				pass[k] = false
 			}
 		}
 	}
 	for k, li := range site.lanes {
 		if !pass[k] {
-			s.rollbackTxn(txns[li], int(li))
+			txns[li].rollback()
 		}
-	}
-}
-
-// applyTxn folds transaction i's emissions into their cells, using the rows
-// resolved during grouping and saving each cell first for rollbackTxn. A
-// non-nil log records empty→non-empty transitions instead of appending to
-// the shared touched lists (pooled groups merge logs in group order).
-func (s *txnRuntime) applyTxn(t *Txn, i int, log *[]fxTouch) {
-	lo, hi := s.emOff[i], s.emOff[i+1]
-	for k := lo; k < hi; k++ {
-		e := &t.Emissions[k-lo]
-		f := &s.emRT[k].fx[e.AttrIdx]
-		row := int(s.emRow[k])
-		s.cells[k] = f.Save(row)
-		if log == nil {
-			f.add(row, e.Val, e.Key)
-		} else if f.Add(row, e.Val, e.Key) {
-			*log = append(*log, fxTouch{col: f, row: s.emRow[k]})
-		}
-	}
-}
-
-// rollbackTxn aborts transaction i, restoring its cells in reverse
-// application order so a cell it folded into twice ends at its saved state.
-func (s *txnRuntime) rollbackTxn(t *Txn, i int) {
-	lo := s.emOff[i]
-	for k := s.emOff[i+1] - 1; k >= lo; k-- {
-		s.emRT[k].fx[t.Emissions[k-lo].AttrIdx].Restore(int(s.emRow[k]), s.cells[k])
-	}
-	t.Aborted = true
-}
-
-// admitGroupTxn is the serial greedy step for one member of a conflict
-// group (log as for applyTxn).
-func (w *World) admitGroupTxn(t *Txn, i int, log *[]fxTouch) {
-	s := &w.txnrt
-	s.applyTxn(t, i, log)
-	if !constraintsHold(w, &s.tw, t) {
-		s.rollbackTxn(t, i)
 	}
 }
 
@@ -630,10 +498,17 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 	if len(s.groups) == 0 {
 		return 0
 	}
-	runGroup := func(gi int, log *[]fxTouch) {
+	// runGroup is the serial greedy loop over one conflict group, with the
+	// tentative view of the worker slot it runs on (log as for Txn.apply).
+	runGroup := func(gi, slot int, log *[]fxTouch) {
 		g := &s.groups[gi]
+		tw := &w.slots[slot].tw
 		for _, m := range s.gmem[g.off : g.off+g.n] {
-			w.admitGroupTxn(txns[m], int(m), log)
+			t := txns[m]
+			t.apply(log)
+			if !tw.constraintsHold(t) {
+				t.rollback()
+			}
 		}
 	}
 	if !s.parts {
@@ -644,13 +519,14 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 		}
 		if nw <= 1 {
 			for gi := range s.groups {
-				runGroup(gi, nil)
+				runGroup(gi, 0, nil)
 			}
 			return 0
 		}
+		w.growSlots(nw)
 		w.resetGroupLogs(len(s.groups))
-		w.runPool(len(s.groups), nw, func(_, gi int) {
-			runGroup(gi, &s.gtouch[gi])
+		w.runPool(len(s.groups), nw, func(slot, gi int) {
+			runGroup(gi, slot, &s.gtouch[gi])
 		})
 		w.mergeGroupLogs(len(s.groups))
 		return len(s.groups)
@@ -677,10 +553,11 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 	}
 	pooled := 0
 	if w.parallelOK() && len(s.partList) > 1 {
+		w.growSlots(w.opts.Workers)
 		w.resetGroupLogs(len(s.groups))
-		w.runPool(len(s.partList), w.opts.Workers, func(_, pi int) {
+		w.runPool(len(s.partList), w.opts.Workers, func(slot, pi int) {
 			for _, gi := range s.partBkt[s.partList[pi]] {
-				runGroup(int(gi), &s.gtouch[gi])
+				runGroup(int(gi), slot, &s.gtouch[gi])
 			}
 		})
 		w.mergeGroupLogs(len(s.groups))
@@ -690,7 +567,7 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 	} else {
 		for _, p := range s.partList {
 			for _, gi := range s.partBkt[p] {
-				runGroup(int(gi), nil)
+				runGroup(int(gi), 0, nil)
 			}
 		}
 	}
@@ -698,7 +575,7 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 		s.partBkt[p] = s.partBkt[p][:0]
 	}
 	for _, gi := range s.crossG {
-		runGroup(int(gi), nil)
+		runGroup(int(gi), 0, nil)
 	}
 	return pooled
 }

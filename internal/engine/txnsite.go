@@ -95,7 +95,8 @@ type txnSite struct {
 
 	*txnProgs
 
-	views []txnViewAttr
+	views   []txnViewAttr
+	baseRTs []*classRT // the class runtime of each base, parallel to bases
 
 	// Per-admission lane state (txnbatch.go), generation-stamped.
 	gen      uint64
@@ -121,6 +122,9 @@ func (w *World) collectTxnSites() {
 				site := &txnSite{rt: rt, step: step, txnProgs: w.compiled.txns[step]}
 				for _, ref := range site.viewRefs {
 					site.views = append(site.views, txnViewAttr{rt: w.classes[ref.class], attr: ref.attr, prog: ref.prog})
+				}
+				for _, b := range site.bases {
+					site.baseRTs = append(site.baseRTs, w.classes[b.class])
 				}
 				w.txnSites[step] = site
 			}

@@ -346,7 +346,11 @@ func (vp *vecPhase) newBuf() int {
 // rows read as the attribute's zero payload.
 func (w *World) gatherState(class string, attrIdx int, refs, out []float64, zero float64) {
 	rt := w.classes[class]
-	col := rt.tab.NumColumn(attrIdx)
+	gatherRows(rt, rt.tab.NumColumn(attrIdx), refs, out, zero)
+}
+
+// gatherRows reads col at the row of every ref, zero for dead refs.
+func gatherRows(rt *classRT, col []float64, refs, out []float64, zero float64) {
 	for i, f := range refs {
 		if row := rt.tab.Row(value.ID(f)); row >= 0 {
 			out[i] = col[row]
@@ -383,9 +387,11 @@ func payloadValue(k value.Kind, f float64) value.Value {
 	}
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n elements, reallocated (contents dropped) only
+// when its capacity is short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -394,7 +400,7 @@ func (s *vecScratch) buf(i, n int) []float64 {
 	for len(s.bufs) <= i {
 		s.bufs = append(s.bufs, nil)
 	}
-	s.bufs[i] = growFloats(s.bufs[i], n)
+	s.bufs[i] = grow(s.bufs[i], n)
 	return s.bufs[i]
 }
 
@@ -411,7 +417,7 @@ func (s *vecScratch) mask(depth, n int) []bool {
 
 // fillIDs materializes the per-row object-id vector for self() kernels.
 func (s *vecScratch) fillIDs(rt *classRT, n int) {
-	s.ids = growFloats(s.ids, n)
+	s.ids = grow(s.ids, n)
 	for r := 0; r < n; r++ {
 		s.ids[r] = float64(rt.tab.ID(r))
 	}
@@ -444,7 +450,7 @@ func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n 
 				sc.slotVecs = append(sc.slotVecs, nil)
 			}
 			for i := range sc.slotVecs {
-				sc.slotVecs[i] = growFloats(sc.slotVecs[i], n)
+				sc.slotVecs[i] = grow(sc.slotVecs[i], n)
 			}
 			sc.env.Slots = sc.slotVecs
 		}
@@ -609,7 +615,7 @@ func (w *World) runVecUpdates(rt *classRT) {
 		v.outVecs = append(v.outVecs, nil)
 	}
 	for i := range v.updates {
-		v.outVecs[i] = growFloats(v.outVecs[i], n)
+		v.outVecs[i] = grow(v.outVecs[i], n)
 	}
 	c := w.execCosts
 	w.runPass(classPass{kind: passVecRules, rt: rt}, c.VecSetup+c.VecVisit*float64(n*v.updateKernels))

@@ -29,11 +29,11 @@ type Table struct {
 	strs [][]string     // per column, for string columns (else nil)
 	sets [][]*value.Set // per column, for set columns (else nil)
 
-	ids     []value.ID
-	alive   []bool
-	idToRow map[value.ID]int
-	free    []int
-	n       int // live row count
+	ids   []value.ID
+	alive []bool
+	index idIndex // id → row
+	free  []int
+	n     int // live row count
 
 	// Cheap change detection for index reuse (§4.1): colVer[i] bumps on
 	// every write to column i, structVer on every insert/delete/restore.
@@ -58,15 +58,14 @@ func New(name string, cols []Column) *Table {
 // using (and extending) the given shared dictionary.
 func NewWithDict(name string, cols []Column, dict *Dict) *Table {
 	t := &Table{
-		dict:    dict,
-		name:    name,
-		cols:    cols,
-		colIdx:  make(map[string]int, len(cols)),
-		nums:    make([][]float64, len(cols)),
-		strs:    make([][]string, len(cols)),
-		sets:    make([][]*value.Set, len(cols)),
-		idToRow: make(map[value.ID]int),
-		colVer:  make([]uint64, len(cols)),
+		dict:   dict,
+		name:   name,
+		cols:   cols,
+		colIdx: make(map[string]int, len(cols)),
+		nums:   make([][]float64, len(cols)),
+		strs:   make([][]string, len(cols)),
+		sets:   make([][]*value.Set, len(cols)),
+		colVer: make([]uint64, len(cols)),
 	}
 	for i, c := range cols {
 		if _, dup := t.colIdx[c.Name]; dup {
@@ -102,9 +101,13 @@ func (t *Table) Len() int { return t.n }
 func (t *Table) Cap() int { return len(t.ids) }
 
 // Insert adds a row for id with the given values (one per column, in
-// declaration order). It panics if id already exists or arity mismatches.
+// declaration order). It panics if id already exists, lies outside
+// [0, MaxID] or arity mismatches.
 func (t *Table) Insert(id value.ID, vals []value.Value) int {
-	if _, ok := t.idToRow[id]; ok {
+	if id < 0 || id > MaxID {
+		panic(fmt.Sprintf("table %s: id %d outside [0, %d]", t.name, id, MaxID))
+	}
+	if t.index.get(id) >= 0 {
 		panic(fmt.Sprintf("table %s: duplicate id %d", t.name, id))
 	}
 	if len(vals) != len(t.cols) {
@@ -138,19 +141,19 @@ func (t *Table) Insert(id value.ID, vals []value.Value) int {
 	for i := range t.cols {
 		t.setRaw(row, i, vals[i])
 	}
-	t.idToRow[id] = row
+	t.index.put(id, row)
 	t.n++
 	return row
 }
 
 // Delete removes the row for id. Returns false if id is absent.
 func (t *Table) Delete(id value.ID) bool {
-	row, ok := t.idToRow[id]
-	if !ok {
+	row := t.index.get(id)
+	if row < 0 {
 		return false
 	}
 	t.structVer++
-	delete(t.idToRow, id)
+	t.index.del(id)
 	t.alive[row] = false
 	// Release set pointers so the GC can reclaim them.
 	for i, c := range t.cols {
@@ -164,18 +167,10 @@ func (t *Table) Delete(id value.ID) bool {
 }
 
 // Has reports whether id is a live row.
-func (t *Table) Has(id value.ID) bool {
-	_, ok := t.idToRow[id]
-	return ok
-}
+func (t *Table) Has(id value.ID) bool { return t.index.get(id) >= 0 }
 
 // Row returns the physical row index for id, or -1.
-func (t *Table) Row(id value.ID) int {
-	if r, ok := t.idToRow[id]; ok {
-		return r
-	}
-	return -1
-}
+func (t *Table) Row(id value.ID) int { return t.index.get(id) }
 
 // ID returns the object id stored at physical row r (valid only if alive).
 func (t *Table) ID(r int) value.ID { return t.ids[r] }
@@ -186,8 +181,8 @@ func (t *Table) Alive(r int) bool { return r >= 0 && r < len(t.alive) && t.alive
 // Get returns the value at (id, column name). The second result is false if
 // the id or column is unknown.
 func (t *Table) Get(id value.ID, col string) (value.Value, bool) {
-	row, ok := t.idToRow[id]
-	if !ok {
+	row := t.index.get(id)
+	if row < 0 {
 		return value.Value{}, false
 	}
 	ci, ok := t.colIdx[col]
@@ -199,8 +194,8 @@ func (t *Table) Get(id value.ID, col string) (value.Value, bool) {
 
 // Set assigns the value at (id, column name). Returns false if unknown.
 func (t *Table) Set(id value.ID, col string, v value.Value) bool {
-	row, ok := t.idToRow[id]
-	if !ok {
+	row := t.index.get(id)
+	if row < 0 {
 		return false
 	}
 	ci, ok := t.colIdx[col]
@@ -443,7 +438,7 @@ func (t *Table) Clear() {
 			}
 		}
 	}
-	t.idToRow = make(map[value.ID]int)
+	t.index.clear()
 	t.free = t.free[:0]
 	for r := range t.ids {
 		t.free = append(t.free, r)
@@ -596,6 +591,9 @@ func (t *Table) validateSnapshot(s Snapshot) error {
 	}
 	seen := make(map[value.ID]struct{}, n)
 	for _, id := range s.IDs {
+		if id < 0 || id > MaxID {
+			return fmt.Errorf("table %s: snapshot id %d outside [0, %d]", t.name, id, MaxID)
+		}
 		if _, dup := seen[id]; dup {
 			return fmt.Errorf("table %s: snapshot has duplicate id %d", t.name, id)
 		}
@@ -645,7 +643,7 @@ func (t *Table) Restore(s Snapshot) error {
 		id := s.IDs[r]
 		t.ids[r] = id
 		t.alive[r] = true
-		t.idToRow[id] = r
+		t.index.put(id, r)
 	}
 	t.free = t.free[:0]
 	for r := n; r < len(t.ids); r++ {

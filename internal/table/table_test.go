@@ -200,6 +200,8 @@ func TestSnapshotValidateErrors(t *testing.T) {
 		s.Cols[0].Strs = []string{"a", "b"}
 	}, "column 0")
 	corrupt("duplicate id", func(s *Snapshot) { s.IDs[1] = s.IDs[0] }, "duplicate id")
+	corrupt("id past the bound", func(s *Snapshot) { s.IDs[1] = MaxID + 1 }, "outside")
+	corrupt("negative id", func(s *Snapshot) { s.IDs[0] = -5 }, "outside")
 	corrupt("non-set payload", func(s *Snapshot) {
 		for i := range s.Cols {
 			if s.Cols[i].Kind == "set" {
