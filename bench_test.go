@@ -557,9 +557,11 @@ func BenchmarkAblation_IndexRebuild(b *testing.B) {
 	ps := workload.Uniform(n, side, side, 4)
 	es := make([]index.Entry, n)
 	coords := make([]float64, 2*n)
+	xs, ys, rows := make([]float64, n), make([]float64, n), make([]int32, n)
 	for i, p := range ps {
 		coords[2*i], coords[2*i+1] = p.X, p.Y
 		es[i] = index.Entry{ID: value.ID(i + 1), Coords: coords[2*i : 2*i+2]}
+		xs[i], ys[i], rows[i] = p.X, p.Y, int32(i)
 	}
 	b.Run("rangeTree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -568,7 +570,7 @@ func BenchmarkAblation_IndexRebuild(b *testing.B) {
 	})
 	b.Run("grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			index.BuildGrid(20, es)
+			index.BuildGrid(20, xs, ys, rows)
 		}
 	})
 }

@@ -151,6 +151,11 @@ type RangeDim struct {
 	AttrIdx int
 	Lo      []expr.Fn
 	Hi      []expr.Fn
+	// LoSrcs and HiSrcs are the type-checked bound expressions behind Lo
+	// and Hi, retained so the batched join driver can recompile them as
+	// kernels over a batch of probing rows.
+	LoSrcs []ast.Expr
+	HiSrcs []ast.Expr
 	// SelfOnly reports that every bound reads only the executing row's own
 	// state attributes and constants — no let-bound locals — so it may be
 	// evaluated outside the row's step sequence with an empty frame. The
@@ -431,8 +436,10 @@ func classifyConjunct(c ast.Expr, iterSlot int, iterCls *schema.Class, spec *Joi
 		rd.SelfOnly = rd.SelfOnly && selfOnlyExpr(other)
 		if op == token.GE { // iter.attr >= e  → lower bound
 			rd.Lo = append(rd.Lo, expr.Compile(other))
+			rd.LoSrcs = append(rd.LoSrcs, other)
 		} else {
 			rd.Hi = append(rd.Hi, expr.Compile(other))
+			rd.HiSrcs = append(rd.HiSrcs, other)
 		}
 		return true
 	default:

@@ -121,10 +121,18 @@ func compileProgram(prog *compile.Program, unfused bool) *Compiled {
 		cc.vec = buildVecProgs(c, cc)
 	}
 	for _, cc := range c.order {
+		top := make(map[*compile.AccumStep]bool)
+		for _, steps := range cc.plan.Phases {
+			for _, s := range steps {
+				if a, ok := s.(*compile.AccumStep); ok {
+					top[a] = true
+				}
+			}
+		}
 		forEachStep(cc.plan, func(s compile.Step) {
 			switch s := s.(type) {
 			case *compile.AccumStep:
-				if b := newSiteBatch(c, s); b != nil {
+				if b := newSiteBatch(c, s, top[s]); b != nil {
 					c.batches[s] = b
 				}
 			case *compile.AtomicStep:

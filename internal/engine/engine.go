@@ -9,7 +9,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/combinator"
@@ -149,7 +148,7 @@ type World struct {
 	sites         []*siteRT
 	siteIndex     map[*compile.AccumStep]*siteRT
 	siteBuildList []*siteRT // per-tick rebuild worklist, reused
-	buildOffs     []int     // sharded entry-gather offsets, reused
+	oneSegment    bool      // no joinWindow hoisting: the differential tests' reference arm
 	opts          Options
 
 	txns []*Txn
@@ -235,6 +234,10 @@ type classRT struct {
 	// vec holds the class's batch-kernel plan, or nil when nothing about
 	// the class is vectorizable.
 	vec *vecClassPlan
+
+	// hoist lists the class's accum sites joinWindow can probe once per
+	// batch of probing rows (siteBatch.hoist); siteRT.hoistIdx indexes it.
+	hoist []*siteRT
 
 	// phaseCost and handlerCost are crude per-row work weights (step
 	// counts, accum loops weighted heavily) feeding the parallelism axis
@@ -776,10 +779,10 @@ type siteRT struct {
 	class string // probing class
 	phase int
 
+	ord        int // index in World.sites
 	selector   *plan.Selector
 	stats      *stats.SiteStats
-	mu         sync.Mutex
-	boxExtent  stats.EMA
+	boxExtent  stats.EMA // probe-box width, folded after each pass
 	candidates []plan.Strategy
 
 	// batch is the compile-time analysis backing the batched join driver
@@ -789,6 +792,8 @@ type siteRT struct {
 	// Per-tick prepared execution state shared by all partitions.
 	strategy plan.Strategy
 	batched  bool // this tick's join-execution decision
+	hoisted  bool // batched through joinWindow this tick
+	hoistIdx int  // index in the probing class's hoist list
 
 	srcAttrs []int // source attrs the join predicate indexes or keys
 
@@ -890,12 +895,17 @@ func (w *World) collectSites() {
 						step:      s,
 						class:     rt.name,
 						phase:     phase,
+						ord:       len(w.sites),
 						stats:     stats.NewSiteStats(),
 						boxExtent: stats.NewEMA(0.3),
 					}
 					site.candidates = candidatesFor(s)
 					site.selector = plan.NewSelector(site.candidates[0])
 					site.batch = w.compiled.batches[s]
+					if site.batch != nil && site.batch.hoist {
+						site.hoistIdx = len(rt.hoist)
+						rt.hoist = append(rt.hoist, site)
+					}
 					site.parts = make([]sitePart, 1)
 					if j := s.Join; j != nil {
 						for _, r := range j.Ranges {

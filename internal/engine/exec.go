@@ -36,30 +36,42 @@ type execCtx struct {
 	curTxn *Txn
 	dst    *classRT // target class of the last cross-object emission
 
-	// scratch buffers reused across rows
-	loBuf []float64
-	hiBuf []float64
+	// boxBuf holds the probe box being evaluated: lower bounds, then upper.
+	boxBuf []float64
 
-	// batched-join scratch (see join.go)
-	rowsBuf  []int32
+	// Batched-join scratch (see join.go), sized by one batch of probes: the
+	// segmented candidate stream, the per-candidate gathered columns and
+	// probe lanes, and kernel outputs.
+	segRows  []int32 // candidate rows, segment after segment
+	segEnds  []int32 // per segment: end of its candidates in segRows
+	segProbe []int32 // per segment: the probing physical row
 	eqVals   []value.Value
 	lanes    [][]float64 // gathered candidate columns, indexed by attr
 	idLane   []float64
+	pLanes   [][]float64 // probing-row scalars along the stream
 	valBuf   []float64
 	keyBuf   []float64
 	resBuf   []float64
 	resBuf2  []float64
-	bcastBuf []float64
 	accEnv   vexpr.Env
 	machine  *vexpr.Machine
+
+	// Hoisted joins (joinWindow): the probing-row window [winLo, winHi) the
+	// result lanes hold, one lane per hoisted site of the class, and the
+	// window's bound kernel inputs and outputs.
+	winLo, winHi int
+	hoistRes     [][]float64 // result payloads by probing row − winLo
+	boundCols    [][]float64
+	boundOut     [][]float64
 
 	// accSlab backs the accumulators runAccum arms, one cell per frame
 	// slot, so arming an accum loop never heap-allocates. Sized once at
 	// context arming and never regrown mid-run (accum[slot] aliases cells).
 	accSlab []combinator.Accumulator
 
-	// probe accounting, flushed into World.execStats when the ctx retires
-	probeSeq    int64
+	// probe accounting, flushed into World.execStats and the sites' feedback
+	// statistics when the ctx retires
+	pend        []sitePend // by site ordinal
 	joinProbes  int64
 	joinMatches int64
 	joinBatched int64
@@ -90,7 +102,19 @@ func (x *execCtx) arm(sink *shardSink, m *vexpr.Machine, slots int) {
 	x.machine = m
 	x.rt, x.row, x.id = nil, 0, 0
 	x.ctx.Class, x.ctx.SelfID, x.ctx.Self = "", 0, nil
-	x.part, x.curTxn, x.probeSeq = 0, nil, 0
+	x.part, x.curTxn = 0, nil
+	x.winLo, x.winHi = 0, 0
+	if len(x.pend) < len(x.w.sites) {
+		x.pend = make([]sitePend, len(x.w.sites))
+	}
+}
+
+// sitePend is one site's probe accounting inside one shard: probes and
+// candidates not yet charged to the site's statistics, and the 64-row
+// window of the last probe-extent sample (+1; 0 = none yet).
+type sitePend struct {
+	probes, matches int64
+	sampled         int
 }
 
 // updateCtx re-arms the world's pooled update context for one component (or
@@ -122,9 +146,16 @@ func (x *execCtx) sitePart(site *siteRT) *sitePart {
 	return &site.parts[x.part]
 }
 
-// flushJoinStats folds the context's probe counters into the world totals.
-// Called once per class pass per worker; safe to call concurrently.
+// flushJoinStats folds the context's probe counters into the world totals
+// and the sites' feedback statistics. Called once per shard; safe to call
+// concurrently.
 func (x *execCtx) flushJoinStats() {
+	for i := range x.pend {
+		if p := &x.pend[i]; p.probes != 0 {
+			x.w.sites[i].observe(x.w, p.probes, p.matches)
+		}
+		x.pend[i] = sitePend{}
+	}
 	if !x.w.opts.DisableStats {
 		atomic.AddInt64(&x.w.execStats.JoinProbeRows, x.joinProbes)
 		atomic.AddInt64(&x.w.execStats.JoinMatchRows, x.joinMatches)
@@ -219,18 +250,33 @@ func (x *execCtx) runAtomic(s *compile.AtomicStep) {
 
 func (x *execCtx) runAccum(s *compile.AccumStep) {
 	site := x.w.siteIndex[s]
+	kind := s.Comb.ResultKind(s.ValKind)
+	if site.hoisted {
+		x.frame[s.Slot] = payloadValue(kind, x.hoistRes[site.hoistIdx][x.row-x.winLo])
+		return
+	}
+	srcRT := x.w.classes[s.SourceClass]
+	ids := srcRT.tab.RawIDs()
+	indexed := s.Join != nil && s.SourceFn == nil
+	var cand int
+	if indexed {
+		cand = x.probeOne(site, srcRT)
+	}
+	if site.batched && site.batch.vec {
+		x.filterOne(s, site, srcRT, cand)
+		var res [1]float64
+		x.foldSegs(s, site.batch, srcRT, res[:], x.row)
+		x.frame[s.Slot] = payloadValue(kind, res[0])
+		return
+	}
 	// Arm the accumulator in the slot-indexed slab (nested accums occupy
 	// distinct slots), so arming never heap-allocates.
 	x.accSlab[s.Slot] = combinator.New(s.Comb, s.ValKind)
 	acc := &x.accSlab[s.Slot]
 	x.accum[s.Slot] = acc
-
-	srcRT := x.w.classes[s.SourceClass]
-	iterSlot := s.IterSlot
-
-	runBody := func(id value.ID) {
-		x.frame[iterSlot] = value.Ref(id)
-		x.runSteps(s.Body)
+	runBody := func(steps []compile.Step, id value.ID) {
+		x.frame[s.IterSlot] = value.Ref(id)
+		x.runSteps(steps)
 	}
 
 	switch {
@@ -239,21 +285,17 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 		set := s.SourceFn(&x.ctx).AsSet()
 		for _, e := range set.Elems() {
 			if e.Kind() == value.KindRef && srcRT.tab.Has(e.AsRef()) {
-				runBody(e.AsRef())
+				runBody(s.Body, e.AsRef())
 			}
 		}
-	case site != nil && site.batched:
-		x.runAccumBatched(s, site, srcRT)
-	case site == nil || site.strategy == plan.NestedLoop:
-		if site != nil && x.w.parts != nil {
-			// Partitioned scan: the member view (owned + ghosts, ascending
-			// physical rows — the full live extent for shared sites) holds
-			// every row whose predicate can match a probe from this
-			// partition; the body re-checks the predicate per row as usual.
+	case !indexed:
+		// Unanalyzed body: scan every row that can match — under
+		// Partitions the member view, which for these shared sites is the
+		// full live extent.
+		if x.w.parts != nil {
 			rows := x.sitePart(site).view.Rows()
-			ids := srcRT.tab.RawIDs()
 			for _, r := range rows {
-				runBody(ids[r])
+				runBody(s.Body, ids[r])
 			}
 			x.probed(site, len(rows))
 			break
@@ -261,113 +303,62 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 		tab := srcRT.tab
 		for r := 0; r < tab.Cap(); r++ {
 			if tab.Alive(r) {
-				runBody(tab.ID(r))
+				runBody(s.Body, ids[r])
 			}
 		}
-		if site != nil {
-			// Upper bound; the cost model treats NL matches as whole-scan.
-			x.probed(site, tab.Len())
+		x.probed(site, tab.Len())
+	default:
+		// The probed candidates, filtered down to the join's survivors
+		// when batched; the interpreted body re-checks the full predicate
+		// anyway. Stack-discipline the stream: a nested accum inside the
+		// body must append past our candidates, not clobber them.
+		body := s.Body
+		if site.batched {
+			x.filterOne(s, site, srcRT, cand)
+			body = s.Join.Inner
+		} else {
+			x.probed(site, cand)
 		}
-	case site.strategy == plan.HashIndex:
-		key := x.evalEqKeys(site)
-		pp := x.sitePart(site)
-		var ids []value.ID
-		if pp.hash != nil {
-			ids, _ = pp.hash.Lookup(key)
-		}
-		// The interpreted body re-evaluates the full predicate per match,
-		// so composite-key hash collisions are filtered here for free.
-		// Bucket entries are inserted in physical-row order, so this path
-		// is row-canonical already.
-		for _, id := range ids {
-			runBody(id)
-		}
-		x.probed(site, len(ids))
-	default: // RangeTreeIndex or GridIndex
-		lo, hi := x.evalBox(site)
-		x.sampleExtent(site, lo, hi)
-		rows := x.rowsBuf[:0]
-		if pp := x.sitePart(site); pp.tree != nil {
-			rows = pp.tree.QueryRows(lo, hi, rows)
-		}
-		if x.w.parts != nil {
-			// Partitioned probes canonicalize candidates to physical-row
-			// order: the fold order of ⊕ contributions is then independent
-			// of the partition layout and of which index traversal produced
-			// the candidates, which is what makes any partition count
-			// bit-identical to Partitions=1.
-			index.SortRows(rows)
-		}
-		ids := srcRT.tab.RawIDs()
-		// Stack-discipline the buffer: a nested accum inside the body must
-		// append past our candidates, not clobber them.
-		x.rowsBuf = rows[len(rows):]
+		rows := x.segRows
+		x.segRows = rows[len(rows):]
 		for _, r := range rows {
-			runBody(ids[r])
+			runBody(body, ids[r])
 		}
-		x.rowsBuf = rows[:0]
-		x.probed(site, len(rows))
+		x.segRows = rows[:0]
 	}
 
 	// Publish the combined result for the `in` block and later steps.
-	v, ok := acc.Result()
-	if !ok {
-		v = value.Zero(s.Comb.ResultKind(s.ValKind))
-	}
-	x.frame[s.Slot] = v
+	x.frame[s.Slot], _ = acc.Result()
 	x.accum[s.Slot] = nil
 }
 
 // evalBox computes the probe rectangle for the current row from the site's
-// range dimensions. A NaN bound makes its conjunct unsatisfiable (`u.a >=
-// NaN` never holds), so the whole dimension collapses to an empty interval
-// rather than silently dropping the bound.
+// range dimensions (evalDimBounds per dimension). The box lives in the
+// context's scratch until the next evaluation.
 func (x *execCtx) evalBox(site *siteRT) (lo, hi []float64) {
 	d := len(site.step.Join.Ranges)
-	if cap(x.loBuf) < d {
-		x.loBuf = make([]float64, d)
-		x.hiBuf = make([]float64, d)
-	}
-	lo, hi = x.loBuf[:d], x.hiBuf[:d]
+	box := grow(x.boxBuf, 2*d)
+	x.boxBuf = box
+	lo, hi = box[:d:d], box[d:]
 	for i, r := range site.step.Join.Ranges {
-		l := math.Inf(-1)
-		nan := false
-		for _, f := range r.Lo {
-			v := f(&x.ctx).AsNumber()
-			if math.IsNaN(v) {
-				nan = true
-			}
-			if v > l {
-				l = v
-			}
-		}
-		h := math.Inf(1)
-		for _, f := range r.Hi {
-			v := f(&x.ctx).AsNumber()
-			if math.IsNaN(v) {
-				nan = true
-			}
-			if v < h {
-				h = v
-			}
-		}
-		if nan {
-			l, h = math.Inf(1), math.Inf(-1)
-		}
-		lo[i], hi[i] = l, h
+		lo[i], hi[i] = evalDimBounds(&x.ctx, r)
 	}
 	return lo, hi
 }
 
-// sampleExtent feeds the probe-box EMA that sizes grid cells. It samples a
-// small fraction of probes on a per-context counter, deliberately outside
+// sampleExtent feeds the probe-box EMA that sizes grid cells: the first
+// probe of the site in every 64-row window of probing rows contributes its
+// box's mean width. The samples queue in the shard's sink and fold after
+// the pass in (shard, row) order, so the cell size is a function of the
+// tick's input, not of worker scheduling. Sampling is deliberately outside
 // the DisableStats gate: without it the grid would be stuck on the default
 // cell size whenever statistics are disabled.
-func (x *execCtx) sampleExtent(site *siteRT, lo, hi []float64) {
-	x.probeSeq++
-	if x.probeSeq&63 != 1 {
+func (x *execCtx) sampleExtent(site *siteRT, row int, lo, hi []float64) {
+	p := &x.pend[site.ord]
+	if p.sampled == row>>6+1 {
 		return
 	}
+	p.sampled = row>>6 + 1
 	ext, d := 0.0, 0
 	for i := range lo {
 		w := hi[i] - lo[i]
@@ -377,12 +368,9 @@ func (x *execCtx) sampleExtent(site *siteRT, lo, hi []float64) {
 		ext += w
 		d++
 	}
-	if d == 0 {
-		return
+	if d > 0 {
+		x.sink.extents = append(x.sink.extents, extSample{site: site, ext: ext / float64(d)})
 	}
-	site.mu.Lock()
-	site.boxExtent.Add(ext / float64(d))
-	site.mu.Unlock()
 }
 
 // evalEqKeys evaluates the site's equality-conjunct keys for the current
@@ -402,13 +390,15 @@ func (x *execCtx) evalEqKeys(site *siteRT) uint64 {
 
 // probed records one probe of site whose body ran for matches candidates.
 func (x *execCtx) probed(site *siteRT, matches int) {
-	site.observe(x.w, 1, int64(matches))
+	p := &x.pend[site.ord]
+	p.probes++
+	p.matches += int64(matches)
 	x.joinProbes++
 	x.joinMatches += int64(matches)
 }
 
 // observe records execution feedback. Counters use atomics because the
-// parallel effect phase probes sites from several workers.
+// shards of a parallel pass flush concurrently.
 func (s *siteRT) observe(w *World, probes, matches int64) {
 	if w.opts.DisableStats {
 		return
@@ -427,7 +417,7 @@ func (w *World) decideSite(site *siteRT) (srcRT *classRT, n, p int) {
 	st := site.step
 	if st.SourceFn != nil || st.Join == nil {
 		site.strategy = plan.NestedLoop
-		site.batched = false
+		site.batched, site.hoisted = false, false
 		return nil, 0, 0
 	}
 	srcRT = w.classes[st.SourceClass]
@@ -454,15 +444,17 @@ func (w *World) decideSite(site *siteRT) (srcRT *classRT, n, p int) {
 	}
 	site.batched = site.batch != nil &&
 		w.execCosts.ChooseJoin(w.opts.Join, kHat, site.batch.vec) == plan.JoinBatched
+	site.hoisted = site.batched && site.batch.hoist && !w.oneSegment &&
+		(site.strategy == plan.GridIndex || site.strategy == plan.RangeTreeIndex)
 	return srcRT, n, p
 }
 
 // prepareSites runs once per tick before the effect phase: each site's
 // selector chooses this tick's strategy and join-execution mode from
 // feedback statistics, and the per-tick indexes are built (§4.1's
-// multi-plan switching) — or reused, patched incrementally, or skipped
-// entirely when nothing can probe them. Partitioned worlds run the
-// per-partition variant instead (partition.go).
+// multi-plan switching) — or reused, or skipped entirely when nothing can
+// probe them. Partitioned worlds run the per-partition variant instead
+// (partition.go).
 func (w *World) prepareSites() {
 	if w.parts != nil {
 		w.preparePartitionedSites()
@@ -486,34 +478,30 @@ func (w *World) prepareSites() {
 		// nested-loop scan over the source is trivially correct either way.
 		if n == 0 || p == 0 {
 			site.strategy = plan.NestedLoop
+			site.hoisted = false
 			pp.tree, pp.hash = nil, nil
 			pp.builtOK = false
 			continue
 		}
 
-		switch w.siteMaint(site, pp, srcRT, true) {
-		case plan.MaintReuse:
+		if w.siteMaint(site, pp, srcRT) == plan.MaintReuse {
 			if track {
 				w.execStats.IndexReuses++
 			}
-		case plan.MaintIncremental:
-			if track {
-				w.execStats.IndexIncrements++
-			}
-		default:
+		} else {
 			rebuild = append(rebuild, site)
 		}
 	}
 	w.siteBuildList = rebuild
 
-	// Rebuilds: several sites fan out across the worker pool; a single site
-	// shards its entry gather instead (§4.2: tables are read-only here, and
-	// every site builds into its own retained arena).
+	// Rebuilds: several sites fan out across the worker pool (§4.2: tables
+	// are read-only here, and every site builds into its own retained
+	// arena).
 	if w.parallelOK() && len(rebuild) > 1 {
 		w.buildSitesParallel(rebuild)
 	} else {
 		for _, site := range rebuild {
-			w.buildSiteIndex(site, &site.parts[0], w.classes[site.step.SourceClass], nil, true)
+			w.buildSiteIndex(site, &site.parts[0], w.classes[site.step.SourceClass], nil)
 		}
 	}
 	if track {
@@ -527,19 +515,14 @@ func (w *World) prepareSites() {
 func (w *World) buildSitesParallel(rebuild []*siteRT) {
 	w.runPool(len(rebuild), w.opts.Workers, func(_, j int) {
 		site := rebuild[j]
-		w.buildSiteIndex(site, &site.parts[0], w.classes[site.step.SourceClass], nil, false)
+		w.buildSiteIndex(site, &site.parts[0], w.classes[site.step.SourceClass], nil)
 	})
 }
 
-// siteMaint decides how to bring one partition's index up to date. Reuse
-// and incremental maintenance hinge on the table's cheap version counters:
-// an index whose source columns and structure are untouched since it was
-// built is still exact; a grid whose columns drifted by only a few rows is
-// patched in place by Grid.Sync (cell-order canonical, so a synced grid
-// answers probes identically to a rebuild). syncOK is true only when pp
-// spans the full extent — Grid.Sync reconciles against the whole alive
-// mask, which would smuggle non-member rows into a partition-local grid.
-func (w *World) siteMaint(site *siteRT, pp *sitePart, srcRT *classRT, syncOK bool) plan.Maint {
+// siteMaint decides how to bring one partition's index up to date: reuse,
+// when the table's cheap version counters show that the index's source
+// columns and structure are untouched since it was built, else rebuild.
+func (w *World) siteMaint(site *siteRT, pp *sitePart, srcRT *classRT) plan.Maint {
 	tab := srcRT.tab
 	if !pp.builtOK || pp.builtStrategy != site.strategy || !pp.builderValid() {
 		return plan.MaintRebuild
@@ -549,41 +532,23 @@ func (w *World) siteMaint(site *siteRT, pp *sitePart, srcRT *classRT, syncOK boo
 		// otherwise-unchanged grid must rebuild at the new granularity.
 		return plan.MaintRebuild
 	}
-	dirty := tab.StructVersion() != pp.builtStruct
+	dirty := 0
+	if tab.StructVersion() != pp.builtStruct {
+		dirty++
+	}
 	for i, a := range site.srcAttrs {
 		if tab.ColVersion(a) != pp.builtVers[i] {
-			dirty = true
+			dirty++
 		}
 	}
-	if !dirty {
-		return plan.MaintReuse
-	}
-	if syncOK && site.strategy == plan.GridIndex && pp.builder.Grid() != nil {
-		j := site.step.Join
-		a0, a1 := j.Ranges[0].AttrIdx, j.Ranges[1].AttrIdx
-		budget := w.execCosts.MaintDirtyBudget(tab.Len())
-		g := pp.builder.Grid()
-		if dirtyRows, ok := g.Sync(tab.NumColumn(a0), tab.NumColumn(a1), tab.AliveMask(), tab.RawIDs(), budget); ok {
-			switch w.execCosts.ChooseMaint(tab.Len(), dirtyRows, true) {
-			case plan.MaintReuse:
-				pp.noteBuilt(site, tab)
-				return plan.MaintReuse // versions moved but no row changed
-			default:
-				pp.noteBuilt(site, tab)
-				return plan.MaintIncremental
-			}
-		}
-	}
-	return plan.MaintRebuild
+	return w.execCosts.ChooseMaint(dirty)
 }
 
 // gridCell picks the grid cell size: the probe-extent EMA with hysteresis
-// toward the partition's previously built size, so incremental maintenance
-// is not defeated by slow EMA drift.
+// toward the partition's previously built size, so slow EMA drift does not
+// defeat index reuse.
 func (w *World) gridCell(site *siteRT, pp *sitePart) float64 {
-	site.mu.Lock()
 	cell := site.boxExtent.Value()
-	site.mu.Unlock()
 	if cell <= 0 {
 		cell = 64
 	}
@@ -625,23 +590,14 @@ func forceStrategy(s plan.Strategy, site *siteRT) plan.Strategy {
 // member rows (the partitioned executor's owned+ghost views). The build
 // scope is recorded in builtMembers so the maintenance ladders can never
 // reuse a member-scoped index for whole-extent probes or vice versa.
-// allowShard permits sharding the whole-extent entry gather across the
-// worker pool (disabled when sites themselves are being built in parallel;
-// member gathers are already per-partition work units).
-func (w *World) buildSiteIndex(site *siteRT, pp *sitePart, srcRT *classRT, memberRows []int32, allowShard bool) {
+func (w *World) buildSiteIndex(site *siteRT, pp *sitePart, srcRT *classRT, memberRows []int32) {
 	pp.tree, pp.hash = nil, nil
 	j := site.step.Join
 	tab := srcRT.tab
-	n := tab.Len()
-	if memberRows != nil {
-		n = len(memberRows)
-	}
-	fill := func(dims []int, entries []index.Entry, coords []float64) {
-		if memberRows != nil {
-			fillMemberEntries(tab, dims, memberRows, entries, coords)
-		} else {
-			w.fillEntries(srcRT, dims, entries, coords, allowShard)
-		}
+	rows := memberRows
+	if rows == nil {
+		pp.rowsBuf = tab.LiveRows(pp.rowsBuf[:0])
+		rows = pp.rowsBuf
 	}
 	switch site.strategy {
 	case plan.RangeTreeIndex:
@@ -649,34 +605,25 @@ func (w *World) buildSiteIndex(site *siteRT, pp *sitePart, srcRT *classRT, membe
 		for _, r := range j.Ranges {
 			pp.dims = append(pp.dims, r.AttrIdx)
 		}
-		entries := pp.builder.Entries(n)
-		coords := pp.builder.Coords(n * len(pp.dims))
-		fill(pp.dims, entries, coords)
+		entries := pp.builder.Entries(len(rows))
+		coords := pp.builder.Coords(len(rows) * len(pp.dims))
+		fillEntries(tab, pp.dims, rows, entries, coords)
 		pp.tree = pp.builder.BuildRangeTree(len(pp.dims), entries)
 	case plan.GridIndex:
 		cell := w.gridCell(site, pp)
-		pp.dims = pp.dims[:0]
-		pp.dims = append(pp.dims, j.Ranges[0].AttrIdx, j.Ranges[1].AttrIdx)
-		entries := pp.builder.Entries(n)
-		coords := pp.builder.Coords(n * 2)
-		fill(pp.dims, entries, coords)
-		pp.tree = pp.builder.BuildGrid(cell, entries)
+		pp.tree = pp.builder.BuildGrid(cell, tab.NumColumn(j.Ranges[0].AttrIdx), tab.NumColumn(j.Ranges[1].AttrIdx), rows)
 		pp.builtCell = cell
 	case plan.HashIndex:
 		// Hash sites have no range conjuncts, so they are never spatially
 		// partitioned: always whole-extent.
 		h := pp.builder.RowHash()
-		alive := tab.AliveMask()
 		ids := tab.RawIDs()
-		for r, ok := range alive {
-			if !ok {
-				continue
-			}
+		for _, r := range rows {
 			key := index.KeySeed
 			for _, eq := range j.Eqs {
-				key = index.HashValue(key, tab.At(r, eq.AttrIdx))
+				key = index.HashValue(key, tab.At(int(r), eq.AttrIdx))
 			}
-			h.Insert(key, ids[r], int32(r))
+			h.Insert(key, ids[r], r)
 		}
 		pp.hash = h
 	}
@@ -686,63 +633,16 @@ func (w *World) buildSiteIndex(site *siteRT, pp *sitePart, srcRT *classRT, membe
 	pp.noteBuilt(site, tab)
 }
 
-// fillEntries materializes (id, row, coords) entries for every live source
-// row, in physical row order. Large extents shard the gather across the
-// worker pool: per-shard live counts prefix-sum into disjoint output
-// offsets, so workers write non-overlapping ranges and the entry order is
-// identical to the serial fill.
-func (w *World) fillEntries(srcRT *classRT, dims []int, entries []index.Entry, coords []float64, allowShard bool) {
-	tab := srcRT.tab
-	nw := 1
-	if allowShard && w.parallelOK() {
-		work := w.execCosts.IndexBuildRow * float64(tab.Len()) * float64(len(dims))
-		nw = w.execCosts.ChooseWorkers(w.opts.Workers, work)
-	}
-	if nw <= 1 {
-		fillEntryRange(tab, dims, entries, coords, 0, tab.Cap(), 0)
-		return
-	}
-	shards := shardRows(tab.Cap(), nw, w.shardBuf)
-	w.shardBuf = shards
-	if len(shards) <= 1 {
-		fillEntryRange(tab, dims, entries, coords, 0, tab.Cap(), 0)
-		return
-	}
-	alive := tab.AliveMask()
-	if cap(w.buildOffs) < len(shards)+1 {
-		w.buildOffs = make([]int, len(shards)+1)
-	}
-	offs := w.buildOffs[:len(shards)+1]
-	offs[0] = 0
-	for si, sh := range shards {
-		c := 0
-		for r := sh.lo; r < sh.hi; r++ {
-			if alive[r] {
-				c++
-			}
-		}
-		offs[si+1] = offs[si] + c
-	}
-	w.runPool(len(shards), len(shards), func(_, si int) {
-		fillEntryRange(tab, dims, entries, coords, shards[si].lo, shards[si].hi, offs[si])
-	})
-}
-
-// fillEntryRange fills entries for the live rows in [lo, hi), starting at
-// output index k — the shared body of the serial and sharded gathers.
-func fillEntryRange(tab *table.Table, dims []int, entries []index.Entry, coords []float64, lo, hi, k int) {
-	alive := tab.AliveMask()
+// fillEntries materializes the range tree's (id, row, coords) entries for
+// the given rows, in row order.
+func fillEntries(tab *table.Table, dims []int, rows []int32, entries []index.Entry, coords []float64) {
 	ids := tab.RawIDs()
 	d := len(dims)
-	for r := lo; r < hi; r++ {
-		if !alive[r] {
-			continue
-		}
+	for k, r := range rows {
 		c := coords[k*d : k*d+d : k*d+d]
 		for di, ai := range dims {
 			c[di] = tab.NumColumn(ai)[r]
 		}
-		entries[k] = index.Entry{ID: ids[r], Row: int32(r), Coords: c}
-		k++
+		entries[k] = index.Entry{ID: ids[r], Row: r, Coords: c}
 	}
 }

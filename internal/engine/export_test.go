@@ -617,3 +617,19 @@ func (w *World) oldDeriveSiteReach(site *siteRT, srcRT *classRT) (bool, []ReachD
 	}
 	return anchored, reach
 }
+
+// SetOneSegment keeps every batched join on the one-probe driver: the
+// reference arm of the segmented-join differential.
+func (w *World) SetOneSegment(on bool) { w.oneSegment = on }
+
+// HoistedSites counts the sites the last prepared tick probes through
+// joinWindow.
+func (w *World) HoistedSites() int {
+	n := 0
+	for _, s := range w.sites {
+		if s.hoisted {
+			n++
+		}
+	}
+	return n
+}

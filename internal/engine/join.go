@@ -1,32 +1,46 @@
 package engine
 
 // The batched join driver. The scalar accum path interprets the whole loop
-// body once per index candidate: every `u.attr` read is an id→row map
-// lookup plus value boxing, and the predicate the index already served is
+// body once per index candidate: every `u.attr` read is an id→row lookup
+// plus value boxing, and the predicate the index already served is
 // re-evaluated from scratch. The batched driver instead works set-at-a-time
-// per probe (§4.1):
+// (§4.1) over a *segmented candidate stream*: the candidates of one or more
+// probes, one segment per probe.
 //
-//  1. gather candidate *rows* through the index's batch probe (QueryRows /
-//     RowHash.Lookup rows) — no per-match map lookup;
-//  2. re-check the analyzed predicate over raw columns: closed-interval
-//     compares per range dimension (exact, NaN-safe, and they also kill
-//     composite-hash collisions' range cousins), payload equality per
-//     equality conjunct, then the compiled residual per survivor;
-//  3. execute the contribution: single accum emissions over columnar
-//     payloads gather the source columns they touch into vexpr lanes and
-//     fold through batch kernels in candidate order (bit-identical to the
-//     scalar fold); everything else runs the compiled Join.Inner per
-//     survivor — still skipping the interpreted predicate.
+//  1. Probe: each probe's box (or equality key) gathers candidate *rows*
+//     through the index's batch probe, re-checked on raw columns per range
+//     dimension (exact, NaN-safe) and, for single probes, per equality
+//     conjunct; under Partitions each segment is sorted to physical-row
+//     order.
+//  2. Filter: the residual conjuncts run as mask kernels once over the
+//     whole stream, compacting the segments.
+//  3. Fold: the value (and minby/maxby key) kernels run once over the
+//     stream, and each segment folds through combinator.AddPayloads.
 //
-// Candidate order is exactly the order the scalar path would visit, and the
-// fold replicates Accumulator.Add comparison-for-comparison, so scalar and
-// batched execution produce bit-identical worlds at every strategy.
+// Probing-row scalars the kernels read (self attributes, the self id,
+// let-bound locals) are expanded along each segment into per-candidate
+// lanes, so one kernel run serves the candidates of many probes.
+//
+// Sites whose result depends on nothing but frozen state — a single accum
+// emission with compiled kernels, self-only box bounds, no equality keys or
+// frame reads, at the top level of a phase — are hoisted: joinWindow probes
+// them once per batch of up to vexpr.BatchSize probing rows, with the box
+// bounds computed by kernels over the batch, and runAccum just reads the
+// row's result. Every other batched probe runs the same driver with one
+// segment. Candidate order per probe is exactly the order the scalar path
+// visits, and the fold replicates Accumulator.Add comparison for
+// comparison, so hoisted, single-probe and scalar execution produce
+// bit-identical worlds.
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/combinator"
 	"repro/internal/compile"
 	"repro/internal/index"
 	"repro/internal/plan"
+	"repro/internal/sgl/ast"
 	"repro/internal/value"
 	"repro/internal/vexpr"
 )
@@ -53,7 +67,18 @@ type siteBatch struct {
 	resBcast   [][]vexpr.BcastSrc
 	resCols    []int
 	resNeedIDs bool
+
+	// hoist marks a site joinWindow may probe once per batch of probing
+	// rows; loProgs/hiProgs[d] are the kernels of range dimension d's
+	// bounds over the probing class.
+	hoist   bool
+	loProgs [][]*vexpr.Prog
+	hiProgs [][]*vexpr.Prog
 }
+
+// segFlush is the candidate-stream length past which joinWindow folds the
+// segments gathered so far: the lanes stay about one kernel batch long.
+const segFlush = vexpr.BatchSize
 
 // newSiteBatch analyzes an accum step for batched execution. Any accum with
 // an analyzed join can batch (the generic inner runs per survivor); the
@@ -62,8 +87,9 @@ type siteBatch struct {
 // need per-contribution decode — but residual predicates compile through
 // the dictionary, so string conjuncts like `u.player != player` run as mask
 // kernels over code lanes instead of bailing the probe to the scalar loop.
-// The result is immutable and shared by every world on this compilation.
-func newSiteBatch(c *Compiled, s *compile.AccumStep) *siteBatch {
+// top reports that s sits directly in a phase's step list. The result is
+// immutable and shared by every world on this compilation.
+func newSiteBatch(c *Compiled, s *compile.AccumStep, top bool) *siteBatch {
 	j := s.Join
 	if j == nil {
 		return nil
@@ -132,7 +158,48 @@ func newSiteBatch(c *Compiled, s *compile.AccumStep) *siteBatch {
 			b.eqKinds[i] = srcCls.State[eq.AttrIdx].Kind
 		}
 	}
+	// Hoisting evaluates everything before the probing row's steps run, so
+	// no kernel may read its frame slots.
+	b.hoist = top && b.vec && (j.Residual == nil || b.resProgs != nil) &&
+		len(j.Eqs) == 0 && len(j.Ranges) > 0 && b.compileBounds(c, j.Ranges) &&
+		!readsSlots(b.valBcast) && !readsSlots(b.keyBcast) && !slices.ContainsFunc(b.resBcast, readsSlots)
 	return b
+}
+
+// compileBounds compiles every range bound as a kernel over the probing
+// class, reporting whether all of them compiled and read nothing but the
+// probing row's own columns and constants.
+func (b *siteBatch) compileBounds(c *Compiled, dims []compile.RangeDim) bool {
+	o := c.kernelOpts(nil)
+	compileAll := func(srcs []ast.Expr) ([]*vexpr.Prog, bool) {
+		progs := make([]*vexpr.Prog, 0, len(srcs))
+		for _, e := range srcs {
+			p, ok := vexpr.CompileOpts(e, o)
+			if !ok || p.NeedIDs() {
+				return nil, false
+			}
+			progs = append(progs, p)
+		}
+		return progs, true
+	}
+	var los, his [][]*vexpr.Prog
+	for _, rd := range dims {
+		if !rd.SelfOnly || len(rd.LoSrcs) != len(rd.Lo) || len(rd.HiSrcs) != len(rd.Hi) {
+			return false
+		}
+		lo, okLo := compileAll(rd.LoSrcs)
+		hi, okHi := compileAll(rd.HiSrcs)
+		if !okLo || !okHi {
+			return false
+		}
+		los, his = append(los, lo), append(his, hi)
+	}
+	b.loProgs, b.hiProgs = los, his
+	return true
+}
+
+func readsSlots(srcs []vexpr.BcastSrc) bool {
+	return slices.ContainsFunc(srcs, func(s vexpr.BcastSrc) bool { return s.Kind == vexpr.BcastSlot })
 }
 
 func payloadValueKind(k value.Kind) bool {
@@ -140,76 +207,63 @@ func payloadValueKind(k value.Kind) bool {
 }
 
 func mergeCols(a, b []int) []int {
-	out := append([]int(nil), a...)
+	out := slices.Clone(a)
 	for _, c := range b {
-		seen := false
-		for _, o := range out {
-			if o == c {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// runAccumBatched executes one probe of an analyzed accum join through the
-// batch-gathered pipeline. The accumulator for s.Slot is already armed.
-func (x *execCtx) runAccumBatched(s *compile.AccumStep, site *siteRT, srcRT *classRT) {
-	j := s.Join
-	b := site.batch
-	tab := srcRT.tab
-	ids := tab.RawIDs()
+// segReset empties the candidate stream.
+func (x *execCtx) segReset() {
+	x.segRows, x.segEnds, x.segProbe = x.segRows[:0], x.segEnds[:0], x.segProbe[:0]
+}
 
-	var lo, hi []float64
-	if len(j.Ranges) > 0 {
-		lo, hi = x.evalBox(site)
-	}
-
-	// (1) Candidate rows, in the same order the scalar path visits them:
-	// index traversal order normally, canonical physical-row order under
-	// partitioned execution (see the scalar tree/grid path in exec.go).
+// probeSeg appends probing row pr's candidates for the box [lo, hi] (or
+// the equality key) to the stream as one segment, re-checked per range
+// dimension, and returns how many candidates the index produced.
+func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float64, key uint64) int {
+	start := len(x.segRows)
+	rows := x.segRows
 	pp := x.sitePart(site)
-	rows := x.rowsBuf[:0]
 	switch site.strategy {
 	case plan.HashIndex:
-		key := x.evalEqKeys(site)
 		if pp.hash != nil {
 			_, rr := pp.hash.Lookup(key)
 			rows = append(rows, rr...)
 		}
 	case plan.GridIndex, plan.RangeTreeIndex:
-		x.sampleExtent(site, lo, hi)
+		x.sampleExtent(site, pr, lo, hi)
 		if pp.tree != nil {
 			rows = pp.tree.QueryRows(lo, hi, rows)
 		}
 		if x.w.parts != nil {
-			index.SortRows(rows)
+			// Partitioned probes canonicalize candidates to physical-row
+			// order: the fold order of ⊕ contributions is then independent
+			// of the partition layout and of which index traversal produced
+			// the candidates, which is what makes any partition count
+			// bit-identical to Partitions=1.
+			index.SortRows(rows[start:])
 		}
 	default: // NestedLoop
 		if x.w.parts != nil {
 			rows = append(rows, pp.view.Rows()...)
 		} else {
-			for r, ok := range tab.AliveMask() {
-				if ok {
-					rows = append(rows, int32(r))
-				}
-			}
+			rows = srcRT.tab.LiveRows(rows)
 		}
 	}
-	cand := len(rows)
+	cand := len(rows) - start
 
-	// (2a) Range conjuncts: exact closed-interval compares on raw columns.
+	// Range conjuncts: exact closed-interval compares on raw columns.
 	// Index-covered dimensions are nearly free to re-verify and this also
 	// catches NaN coordinates an index cannot order.
-	for di := range j.Ranges {
-		col := tab.NumColumn(j.Ranges[di].AttrIdx)
+	for di, rd := range site.step.Join.Ranges {
+		col := srcRT.tab.NumColumn(rd.AttrIdx)
 		l, h := lo[di], hi[di]
-		k := 0
-		for _, r := range rows {
+		k := start
+		for _, r := range rows[start:] {
 			if c := col[r]; c >= l && c <= h {
 				rows[k] = r
 				k++
@@ -217,78 +271,61 @@ func (x *execCtx) runAccumBatched(s *compile.AccumStep, site *siteRT, srcRT *cla
 		}
 		rows = rows[:k]
 	}
+	x.segRows = rows
+	x.segEnds = append(x.segEnds, int32(len(rows)))
+	x.segProbe = append(x.segProbe, int32(pr))
+	return cand
+}
 
-	// (2b) Equality conjuncts: payload compares (they also filter composite-
-	// hash collisions). Strategies other than hash haven't evaluated keys.
-	if len(j.Eqs) > 0 {
-		if site.strategy != plan.HashIndex {
-			x.evalEqKeys(site)
-		}
-		for i, eq := range j.Eqs {
-			want := x.eqVals[i]
-			if payloadValueKind(b.eqKinds[i]) {
-				if want.Kind() != b.eqKinds[i] {
-					rows = rows[:0] // kind mismatch can never be equal
-					break
-				}
-				p := payloadOf(want)
-				col := tab.NumColumn(eq.AttrIdx)
-				k := 0
-				for _, r := range rows {
-					if col[r] == p {
-						rows[k] = r
-						k++
-					}
-				}
-				rows = rows[:k]
-			} else if b.eqKinds[i] == value.KindString && x.w.dict != nil {
-				// Probe through the dictionary: equal strings ⇔ equal codes.
-				// A never-interned probe value cannot match any stored row.
-				if want.Kind() != value.KindString {
-					rows = rows[:0]
-					break
-				}
-				p, interned := x.w.dict.CodeOf(want.AsString())
-				x.dictLookups++
-				if !interned {
-					rows = rows[:0]
-					break
-				}
-				col := tab.NumColumn(eq.AttrIdx)
-				k := 0
-				for _, r := range rows {
-					if col[r] == p {
-						rows[k] = r
-						k++
-					}
-				}
-				rows = rows[:k]
-			} else {
-				attr := eq.AttrIdx
-				k := 0
-				for _, r := range rows {
-					if tab.At(int(r), attr).Equal(want) {
-						rows[k] = r
-						k++
-					}
-				}
-				rows = rows[:k]
-			}
-		}
+// probeOne probes the site for the executing row as a one-segment stream
+// — the box and equality keys evaluated by closures — and returns how many
+// candidates the index produced.
+func (x *execCtx) probeOne(site *siteRT, srcRT *classRT) int {
+	j := site.step.Join
+	var lo, hi []float64
+	if len(j.Ranges) > 0 {
+		lo, hi = x.evalBox(site)
 	}
+	var key uint64
+	if len(j.Eqs) > 0 {
+		key = x.evalEqKeys(site)
+	}
+	x.segReset()
+	return x.probeSeg(site, srcRT, x.row, lo, hi, key)
+}
 
-	// (2c) Residual predicate: vectorized conjunct masks over gathered
-	// lanes when every conjunct compiled, else the interpreted closure per
-	// survivor.
-	if j.Residual != nil {
-		if len(b.resProgs) > 0 {
-			rows = x.filterResidualVec(b, srcRT, rows)
+// filterOne narrows probeOne's segment to the join's survivors — equality
+// payload compares (they also filter composite-hash collisions), then the
+// residual — and charges the probe.
+func (x *execCtx) filterOne(s *compile.AccumStep, site *siteRT, srcRT *classRT, cand int) {
+	j, b, tab := s.Join, site.batch, srcRT.tab
+	rows := x.segRows
+	for i, eq := range j.Eqs {
+		want := x.eqVals[i]
+		if payloadValueKind(b.eqKinds[i]) {
+			if want.Kind() != b.eqKinds[i] {
+				rows = rows[:0] // kind mismatch can never be equal
+				break
+			}
+			rows = filterPayload(rows, tab.NumColumn(eq.AttrIdx), payloadOf(want))
+		} else if b.eqKinds[i] == value.KindString && x.w.dict != nil {
+			// Probe through the dictionary: equal strings ⇔ equal codes.
+			// A never-interned probe value cannot match any stored row.
+			if want.Kind() != value.KindString {
+				rows = rows[:0]
+				break
+			}
+			p, interned := x.w.dict.CodeOf(want.AsString())
+			x.dictLookups++
+			if !interned {
+				rows = rows[:0]
+				break
+			}
+			rows = filterPayload(rows, tab.NumColumn(eq.AttrIdx), p)
 		} else {
-			iterSlot := s.IterSlot
 			k := 0
 			for _, r := range rows {
-				x.frame[iterSlot] = value.Ref(ids[r])
-				if j.Residual(&x.ctx).AsBool() {
+				if tab.At(int(r), eq.AttrIdx).Equal(want) {
 					rows[k] = r
 					k++
 				}
@@ -296,66 +333,256 @@ func (x *execCtx) runAccumBatched(s *compile.AccumStep, site *siteRT, srcRT *cla
 			rows = rows[:k]
 		}
 	}
-	matched := len(rows)
-
-	// (3) Contributions.
-	if matched > 0 {
-		if b.vec {
-			x.foldVec(s, b, srcRT, rows)
-		} else {
-			// Stack-discipline the buffer: nested accums inside Inner must
-			// append past our survivors, not clobber them.
-			x.rowsBuf = rows[len(rows):]
-			iterSlot := s.IterSlot
-			for _, r := range rows {
-				x.frame[iterSlot] = value.Ref(ids[r])
-				x.runSteps(j.Inner)
+	// The residual: conjunct mask kernels when every conjunct compiled,
+	// else the interpreted closure per survivor.
+	if j.Residual != nil && len(b.resProgs) == 0 {
+		ids := tab.RawIDs()
+		k := 0
+		for _, r := range rows {
+			x.frame[s.IterSlot] = value.Ref(ids[r])
+			if j.Residual(&x.ctx).AsBool() {
+				rows[k] = r
+				k++
 			}
 		}
+		rows = rows[:k]
 	}
-	x.rowsBuf = rows[:0]
+	x.segRows = rows
+	x.segEnds[0] = int32(len(rows))
+	if len(b.resProgs) > 0 {
+		x.filterResidual(b, srcRT)
+	}
+	x.counted(site, 1, cand, len(x.segRows))
+}
 
-	site.observe(x.w, 1, int64(cand))
-	x.joinProbes++
+func filterPayload(rows []int32, col []float64, p float64) []int32 {
+	k := 0
+	for _, r := range rows {
+		if col[r] == p {
+			rows[k] = r
+			k++
+		}
+	}
+	return rows[:k]
+}
+
+// joinWindow probes every hoisted site of class rt for the probing rows in
+// [lo, hi) — the live rows (owned by partition owner, when assign is set)
+// whose program counter is at the site's phase — and leaves each row's
+// combined result in the site's result lane for runAccum to read.
+func (x *execCtx) joinWindow(rt *classRT, lo, hi int, assign []int32, owner int32) {
+	x.rt, x.winLo, x.winHi = rt, lo, hi
+	alive := rt.tab.AliveMask()
+	pcs := rt.tab.NumColumn(rt.pcCol)
+	for len(x.hoistRes) < len(rt.hoist) {
+		x.hoistRes = append(x.hoistRes, make([]float64, vexpr.BatchSize))
+	}
+	for h, site := range rt.hoist {
+		if !site.hoisted {
+			continue
+		}
+		s, b := site.step, site.batch
+		srcRT := x.w.classes[s.SourceClass]
+		x.windowBounds(b, rt, lo, hi)
+		dims := len(s.Join.Ranges)
+		box := grow(x.boxBuf, 2*dims)
+		x.boxBuf = box
+		x.segReset()
+		probes, cand, matched := 0, 0, 0
+		for r := lo; r < hi; r++ {
+			if assign != nil {
+				if assign[r] != owner {
+					continue
+				}
+			} else if !alive[r] {
+				continue
+			}
+			if int(pcs[r]) != site.phase {
+				continue
+			}
+			x.windowBox(b, r-lo, box[:dims], box[dims:])
+			cand += x.probeSeg(site, srcRT, r, box[:dims], box[dims:], 0)
+			probes++
+			if len(x.segRows) >= segFlush {
+				matched += x.flushSegs(s, b, srcRT, x.hoistRes[h], lo)
+				x.segReset()
+			}
+		}
+		matched += x.flushSegs(s, b, srcRT, x.hoistRes[h], lo)
+		if probes > 0 {
+			x.counted(site, probes, cand, matched)
+		}
+	}
+}
+
+// windowBounds runs a hoisted site's bound kernels over the probing rows
+// [lo, hi), one output lane per bound in dimension order (lower bounds,
+// then upper bounds), indexed by row − lo.
+func (x *execCtx) windowBounds(b *siteBatch, rt *classRT, lo, hi int) {
+	n := hi - lo
+	cols := rt.tab.NumColumns()
+	x.boundCols = grow(x.boundCols, len(cols))
+	for a, c := range cols {
+		x.boundCols[a] = nil
+		if c != nil {
+			x.boundCols[a] = c[lo:hi]
+		}
+	}
+	env := &x.accEnv // gatherLanes rebinds Cols before any candidate kernel
+	env.Cols, env.Gather = x.boundCols, x.w.gatherFn
+	k := 0
+	run := func(progs []*vexpr.Prog) {
+		for _, p := range progs {
+			if len(x.boundOut) == k {
+				x.boundOut = append(x.boundOut, nil)
+			}
+			x.boundOut[k] = grow(x.boundOut[k], n)
+			p.Run(x.machine, env, 0, n, x.boundOut[k])
+			k++
+		}
+	}
+	for d := range b.loProgs {
+		run(b.loProgs[d])
+		run(b.hiProgs[d])
+	}
+}
+
+// windowBox assembles probing row i's box from the bound lanes with
+// evalDimBounds' semantics: the tightest bounds, and a NaN bound collapses
+// its dimension to the empty interval.
+func (x *execCtx) windowBox(b *siteBatch, i int, lo, hi []float64) {
+	k := 0
+	for d := range b.loProgs {
+		l, h, nan := math.Inf(-1), math.Inf(1), false
+		for range b.loProgs[d] {
+			v := x.boundOut[k][i]
+			k++
+			nan = nan || math.IsNaN(v)
+			if v > l {
+				l = v
+			}
+		}
+		for range b.hiProgs[d] {
+			v := x.boundOut[k][i]
+			k++
+			nan = nan || math.IsNaN(v)
+			if v < h {
+				h = v
+			}
+		}
+		if nan {
+			l, h = math.Inf(1), math.Inf(-1)
+		}
+		lo[d], hi[d] = l, h
+	}
+}
+
+// flushSegs filters and folds the stream gathered so far into res (indexed
+// by probing row − base) and returns the surviving candidate count.
+func (x *execCtx) flushSegs(s *compile.AccumStep, b *siteBatch, srcRT *classRT, res []float64, base int) int {
+	if len(x.segEnds) == 0 {
+		return 0
+	}
+	if len(b.resProgs) > 0 {
+		x.filterResidual(b, srcRT)
+	}
+	x.foldSegs(s, b, srcRT, res, base)
+	return len(x.segRows)
+}
+
+// counted charges one batch of probes to the site's feedback statistics and
+// the join counters: probes, the candidates the index produced, and the
+// survivors that reached the fold.
+func (x *execCtx) counted(site *siteRT, probes, cand, matched int) {
+	p := &x.pend[site.ord]
+	p.probes += int64(probes)
+	p.matches += int64(cand)
+	x.joinProbes += int64(probes)
 	x.joinMatches += int64(matched)
 	x.joinBatched += int64(cand)
 }
 
-// filterResidualVec evaluates the compiled residual conjuncts as mask
-// kernels over gathered candidate lanes and compacts rows to the survivors.
+// filterResidual evaluates the compiled residual conjuncts as mask kernels
+// over the candidate stream and compacts every segment to its survivors.
 // Conjunction order is immaterial: SGL expressions are pure and total.
-func (x *execCtx) filterResidualVec(b *siteBatch, srcRT *classRT, rows []int32) []int32 {
-	k := len(rows)
-	if k == 0 {
-		return rows
+func (x *execCtx) filterResidual(b *siteBatch, srcRT *classRT) {
+	rows := x.segRows
+	m := len(rows)
+	if m == 0 {
+		return
 	}
 	x.gatherLanes(srcRT, b.resCols, b.resNeedIDs, rows)
 	env := &x.accEnv
-	mask := grow(x.resBuf, k)
+	mask := grow(x.resBuf, m)
 	x.resBuf = mask
 	for pi, prog := range b.resProgs {
-		env.Bcast = x.fillBcast(b.resBcast[pi])
+		env.Slots = x.probeLanes(b.resBcast[pi])
 		if pi == 0 {
-			prog.Run(x.machine, env, 0, k, mask)
+			prog.Run(x.machine, env, 0, m, mask)
 			continue
 		}
-		tmp := grow(x.resBuf2, k)
+		tmp := grow(x.resBuf2, m)
 		x.resBuf2 = tmp
-		prog.Run(x.machine, env, 0, k, tmp)
-		for i, v := range tmp[:k] {
+		prog.Run(x.machine, env, 0, m, tmp)
+		for i, v := range tmp {
 			if v == 0 {
 				mask[i] = 0
 			}
 		}
 	}
-	kk := 0
-	for i, r := range rows {
-		if mask[i] != 0 {
-			rows[kk] = r
-			kk++
+	k, start := int32(0), int32(0)
+	for si, end := range x.segEnds {
+		for i := start; i < end; i++ {
+			if mask[i] != 0 {
+				rows[k] = rows[i]
+				k++
+			}
+		}
+		start, x.segEnds[si] = end, k
+	}
+	x.segRows = rows[:k]
+}
+
+// foldSegs runs the value (and key) kernels once over the candidate stream
+// and folds each segment into a fresh accumulator, storing the combined
+// result's payload at res[probing row − base] (the result kind's zero
+// value when no candidate survived).
+func (x *execCtx) foldSegs(s *compile.AccumStep, b *siteBatch, srcRT *classRT, res []float64, base int) {
+	rows := x.segRows
+	m := len(rows)
+	var vals, keys []float64
+	if m > 0 {
+		x.gatherLanes(srcRT, b.cols, b.needIDs, rows)
+		env := &x.accEnv
+		x.valBuf = grow(x.valBuf, m)
+		env.Slots = x.probeLanes(b.valBcast)
+		b.valProg.Run(x.machine, env, 0, m, x.valBuf)
+		vals = x.valBuf
+		if b.keyProg != nil {
+			x.keyBuf = grow(x.keyBuf, m)
+			env.Slots = x.probeLanes(b.keyBcast)
+			b.keyProg.Run(x.machine, env, 0, m, x.keyBuf)
+			keys = x.keyBuf
 		}
 	}
-	return rows[:kk]
+	zero := payloadOf(value.Zero(s.Comb.ResultKind(s.ValKind)))
+	start := int32(0)
+	for si, end := range x.segEnds {
+		acc := combinator.New(s.Comb, s.ValKind)
+		if end > start {
+			var k []float64
+			if keys != nil {
+				k = keys[start:end]
+			}
+			acc.AddPayloads(vals[start:end], k)
+		}
+		p, ok := acc.ResultPayload()
+		if !ok {
+			p = zero
+		}
+		res[int(x.segProbe[si])-base] = p
+		start = end
+	}
 }
 
 // gatherLanes fills the context's per-attr candidate lanes (and the id lane
@@ -388,50 +615,49 @@ func (x *execCtx) gatherLanes(srcRT *classRT, cols []int, needIDs bool, rows []i
 	}
 }
 
-// foldVec gathers the columns the contribution reads into candidate lanes,
-// runs the compiled value (and key) kernels, and folds the result lanes into
-// the armed accumulator in candidate order.
-func (x *execCtx) foldVec(s *compile.AccumStep, b *siteBatch, srcRT *classRT, rows []int32) {
-	k := len(rows)
-	x.gatherLanes(srcRT, b.cols, b.needIDs, rows)
-	env := &x.accEnv
-	x.valBuf = grow(x.valBuf, k)
-	env.Bcast = x.fillBcast(b.valBcast)
-	b.valProg.Run(x.machine, env, 0, k, x.valBuf)
-	var keys []float64
-	if b.keyProg != nil {
-		x.keyBuf = grow(x.keyBuf, k)
-		env.Bcast = x.fillBcast(b.keyBcast)
-		b.keyProg.Run(x.machine, env, 0, k, x.keyBuf)
-		keys = x.keyBuf
+// probeLanes expands the probing-row scalars a gathered program reads into
+// per-candidate lanes: every candidate of a segment carries its probe's
+// value. String-kinded sources carry dictionary codes: state attrs read
+// their code lane directly; frame slots (single-probe streams only) intern
+// through Code — interning (not a NaN miss sentinel) keeps slot-vs-slot
+// comparisons correct: two slots holding the same never-stored string must
+// still compare equal, exactly as the scalar evaluator would. Dict.Code is
+// safe under worker parallelism (mutex-guarded copy-on-write against
+// lock-free snapshot readers).
+func (x *execCtx) probeLanes(srcs []vexpr.BcastSrc) [][]float64 {
+	m := len(x.segRows)
+	for len(x.pLanes) < len(srcs) {
+		x.pLanes = append(x.pLanes, nil)
 	}
-	x.accum[s.Slot].AddPayloads(x.valBuf[:k], keys)
-}
-
-// fillBcast evaluates the probing-row scalars a gathered program broadcasts.
-// String-kinded sources broadcast dictionary codes: state attrs read their
-// code lane directly; frame slots intern through Code — interning (not a
-// NaN miss sentinel) keeps slot-vs-slot comparisons correct: two slots
-// holding the same never-stored string must still compare equal, exactly as
-// the scalar evaluator would. Dict.Code is safe under worker parallelism
-// (mutex-guarded copy-on-write against lock-free snapshot readers).
-func (x *execCtx) fillBcast(srcs []vexpr.BcastSrc) []float64 {
-	bc := x.bcastBuf[:0]
-	for _, s := range srcs {
-		switch s.Kind {
-		case vexpr.BcastStateAttr:
-			bc = append(bc, x.rt.tab.NumColumn(s.Idx)[x.row])
-		case vexpr.BcastSlot:
-			if v := x.frame[s.Idx]; v.Kind() == value.KindString {
-				x.dictLookups++
-				bc = append(bc, x.w.dict.Code(v.AsString()))
-			} else {
-				bc = append(bc, payloadOf(v))
+	tab := x.rt.tab
+	for i, src := range srcs {
+		lane := grow(x.pLanes[i], m)
+		x.pLanes[i] = lane
+		start := int32(0)
+		for si, end := range x.segEnds {
+			if end == start {
+				continue
 			}
-		default: // BcastSelfID
-			bc = append(bc, float64(x.id))
+			pr := x.segProbe[si]
+			var v float64
+			switch src.Kind {
+			case vexpr.BcastStateAttr:
+				v = tab.NumColumn(src.Idx)[pr]
+			case vexpr.BcastSlot:
+				if f := x.frame[src.Idx]; f.Kind() == value.KindString {
+					x.dictLookups++
+					v = x.w.dict.Code(f.AsString())
+				} else {
+					v = payloadOf(f)
+				}
+			default: // BcastSelfID
+				v = float64(tab.RawIDs()[pr])
+			}
+			for k := start; k < end; k++ {
+				lane[k] = v
+			}
+			start = end
 		}
 	}
-	x.bcastBuf = bc
-	return bc
+	return x.pLanes[:len(srcs)]
 }

@@ -309,7 +309,7 @@ func TestPrepareSitesZeroAllocSteadyState(t *testing.T) {
 		flip := 0.0
 		bump := func() {
 			// Perturb one coordinate so the version check cannot shortcut
-			// to full reuse: trees rebuild, grids sync incrementally.
+			// to full reuse: every index rebuilds.
 			flip = 1 - flip
 			rt.tab.SetNumAt(0, xCol, flip)
 			w.prepareSites()
@@ -348,22 +348,28 @@ func TestPrepareSitesZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestIndexReuseAndIncrement checks the maintenance ladder: a static world
-// reuses its indexes verbatim; light churn patches the grid in place.
+// reuses its indexes verbatim; light churn rebuilds the grid, which answers
+// exactly as the range tree does on the same churn.
 func TestIndexReuseAndIncrement(t *testing.T) {
-	w := newWorld(t, diffRangeSrc, Options{Strategy: plan.GridIndex})
-	var ids []value.ID
-	for i := 0; i < 200; i++ {
-		id, err := w.Spawn("U", map[string]value.Value{
-			"x": value.Num(float64(i % 37)), "y": value.Num(float64(i % 41)),
-		})
-		if err != nil {
+	build := func(strat plan.Strategy) (*World, []value.ID) {
+		w := newWorld(t, diffRangeSrc, Options{Strategy: strat})
+		var ids []value.ID
+		for i := 0; i < 200; i++ {
+			id, err := w.Spawn("U", map[string]value.Value{
+				"x": value.Num(float64(i % 37)), "y": value.Num(float64(i % 41)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		if err := w.Run(2); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		return w, ids
 	}
-	if err := w.Run(2); err != nil {
-		t.Fatal(err)
-	}
+	w, ids := build(plan.GridIndex)
+	ref, _ := build(plan.RangeTreeIndex)
 	// The workload writes no indexed column (x and y have no update rules),
 	// so after warmup every tick must reuse.
 	before := w.ExecStats()
@@ -374,16 +380,31 @@ func TestIndexReuseAndIncrement(t *testing.T) {
 	if after.IndexReuses <= before.IndexReuses {
 		t.Fatalf("static world did not reuse indexes (%d -> %d)", before.IndexReuses, after.IndexReuses)
 	}
-	// Light churn: move two objects between ticks → incremental sync.
-	w.SetState("U", ids[3], "x", value.Num(500))
-	w.SetState("U", ids[5], "y", value.Num(700))
+	if err := ref.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	// Light churn: move two objects between ticks → the grids rebuild.
+	for _, v := range []*World{w, ref} {
+		v.SetState("U", ids[3], "x", value.Num(500))
+		v.SetState("U", ids[5], "y", value.Num(700))
+	}
 	before = w.ExecStats()
 	if err := w.RunTick(); err != nil {
 		t.Fatal(err)
 	}
+	if err := ref.RunTick(); err != nil {
+		t.Fatal(err)
+	}
 	after = w.ExecStats()
-	if after.IndexIncrements <= before.IndexIncrements {
-		t.Fatalf("light churn did not sync incrementally (%d -> %d)", before.IndexIncrements, after.IndexIncrements)
+	if after.IndexReuses != before.IndexReuses || after.IndexIncrements != 0 {
+		t.Fatalf("light churn: reuses %d -> %d, increments %d; want a rebuild", before.IndexReuses, after.IndexReuses, after.IndexIncrements)
+	}
+	for _, id := range ids {
+		for _, attr := range []string{"seen", "best"} {
+			if a, b := w.MustGet("U", id, attr), ref.MustGet("U", id, attr); !a.Equal(b) {
+				t.Fatalf("id %d %s: rebuilt grid %v, range tree %v", id, attr, a, b)
+			}
+		}
 	}
 }
 

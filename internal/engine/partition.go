@@ -29,8 +29,8 @@ package engine
 //     reaches, and each partition's member view (owned rows + ghosts) is
 //     filled with the layout's own monotone clamped-coordinate arithmetic —
 //     identical under every epoch, so no float rounding can drop a boundary
-//     ghost across a rebalance. Per-partition grids are patched in place by
-//     the member-view-aware index.Grid.SyncRows when churn is small.
+//     ghost across a rebalance. Per-partition indexes rebuild over exactly
+//     the member rows whenever anything feeding them changed.
 //
 //   - shard.go: execution. A partition is an ownership-masked shard of the
 //     tick driver: partitions fan out across the worker pool for vectorized

@@ -724,8 +724,7 @@ func TestPartitionedVecFanOut(t *testing.T) {
 
 // srcSparseMove is a mostly-static 2-D join workload: only movers (v != 0)
 // change position, so per-partition grids see a small dirty fraction per
-// tick — the regime where member-view-aware Grid.SyncRows patches in place
-// instead of rebuilding.
+// tick.
 const srcSparseMove = `
 class P {
   state:
@@ -750,10 +749,8 @@ class P {
 }
 `
 
-// TestPartitionMemberGridSync pins incremental maintenance of partition-
-// local grids: under sparse churn the per-partition grids must patch in
-// place (IndexIncrements, previously always zero in partitioned mode
-// because Grid.Sync reconciled against the whole alive mask) and the
+// TestPartitionMemberGridSync pins maintenance of partition-local grids
+// under sparse churn: rebuilt over exactly the member rows every tick, the
 // results must stay bit-identical to Partitions=1.
 func TestPartitionMemberGridSync(t *testing.T) {
 	build := func(parts int) *engine.World {
@@ -790,11 +787,7 @@ func TestPartitionMemberGridSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := parted.ExecStats()
-	if st.IndexIncrements == 0 {
-		t.Fatal("partition-local grids never patched incrementally under sparse churn")
-	}
 	if d := diffClassWorlds(ref, parted, "P", []string{"x", "y", "v", "near"}, ref.IDs("P")); d != "" {
-		t.Fatalf("synced partition grids diverged from Partitions=1: %s", d)
+		t.Fatalf("rebuilt partition grids diverged from Partitions=1: %s", d)
 	}
 }

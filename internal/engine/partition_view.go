@@ -15,13 +15,9 @@ package engine
 // state, hash layouts) fall back to one shared whole-extent index,
 // accounted as a full replica per partition.
 //
-// Per-partition indexes maintain through a three-rung ladder: full reuse
-// when nothing that feeds them changed (columns, structure, ownership,
-// reach, strategy); in-place patching of member-scoped grids through the
-// member-view-aware index.Grid.SyncRows when churn fits the cost-model
-// budget — including across layout epochs, when the new epoch barely moved
-// this partition's ownership intervals; rebuild otherwise, fanned out
-// across the worker pool.
+// Per-partition indexes are reused when nothing that feeds them changed
+// (columns, structure, ownership, reach, strategy) and rebuilt otherwise,
+// fanned out across the worker pool.
 
 import (
 	"math"
@@ -30,9 +26,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/expr"
-	"repro/internal/index"
 	"repro/internal/plan"
-	"repro/internal/table"
 )
 
 // dimReach is one range dimension's derived interaction reach: probes bound
@@ -91,6 +85,7 @@ func (w *World) preparePartitionedSites() {
 		}
 		if n == 0 || p == 0 {
 			site.strategy = plan.NestedLoop
+			site.hoisted = false
 			site.shared = true
 			pp := &site.parts[0]
 			pp.tree, pp.hash = nil, nil
@@ -117,21 +112,15 @@ func (w *World) preparePartitionedSites() {
 				pp.builtOK = false
 				continue
 			}
-			switch w.siteMaint(site, pp, srcRT, true) {
-			case plan.MaintReuse:
+			if w.siteMaint(site, pp, srcRT) == plan.MaintReuse {
 				if track {
 					w.execStats.IndexReuses++
 				}
-			case plan.MaintIncremental:
-				if track {
-					w.execStats.IndexIncrements++
-					w.chargeGhosts(site, int64(pw.n-1)*int64(n))
-				}
-			default:
-				pw.buildList = append(pw.buildList, partBuild{site: site, pp: pp})
-				if track {
-					w.chargeGhosts(site, int64(pw.n-1)*int64(n))
-				}
+				continue
+			}
+			pw.buildList = append(pw.buildList, partBuild{site: site, pp: pp})
+			if track {
+				w.chargeGhosts(site, int64(pw.n-1)*int64(n))
 			}
 			continue
 		}
@@ -181,8 +170,8 @@ func (w *World) fillSharedView(site *siteRT, srcRT *classRT, track bool) {
 }
 
 // chargeGhosts accounts ghost refresh messages for one site's replicas
-// (called when its indexes are rebuilt or patched — a reused index means
-// nothing changed, so nothing is sent).
+// (called when its indexes are rebuilt — a reused index means nothing
+// changed, so nothing is sent).
 func (w *World) chargeGhosts(site *siteRT, ghosts int64) {
 	if w.opts.DisableStats {
 		return
@@ -194,9 +183,8 @@ func (w *World) chargeGhosts(site *siteRT, ghosts int64) {
 // prepareSpatialSite brings one spatially bounded site's per-partition
 // views and indexes up to date: reuse everything when nothing that feeds
 // them changed (source columns, structure, ownership, reach, strategy);
-// otherwise refill the member views in one pass, then patch each
-// partition's grid in place when the churn fits the maintenance budget and
-// queue index rebuilds for the rest.
+// otherwise refill the member views in one pass and queue every
+// partition's index rebuild.
 func (w *World) prepareSpatialSite(site *siteRT, srcRT *classRT, track bool) {
 	pw := w.parts
 	tab := srcRT.tab
@@ -266,48 +254,8 @@ func (w *World) prepareSpatialSite(site *siteRT, srcRT *classRT, track bool) {
 			pp.noteBuilt(site, tab) // version basis for next tick's freshness check
 			continue
 		}
-		if w.syncMemberGrid(site, pp, srcRT) {
-			if track {
-				w.execStats.IndexIncrements++
-			}
-			continue
-		}
 		pw.buildList = append(pw.buildList, partBuild{site: site, pp: pp})
 	}
-}
-
-// syncMemberGrid patches one partition's member-scoped grid in place
-// against the refilled member view (index.Grid.SyncRows): rows that
-// entered or left the partition's ownership intervals, moved or churned
-// since the grid was built are reconciled cell-by-cell, under the same
-// cost-model dirty budget as the whole-extent sync. Because SyncRows diffs
-// row-by-row against whatever the new membership is, it works unchanged
-// across layout epochs — a rebalance that barely moved this partition's
-// intervals patches a handful of rows instead of rebuilding. Returns false
-// (rebuild) when the site isn't a member-scoped grid, the desired cell size
-// drifted, or the churn blew the budget.
-func (w *World) syncMemberGrid(site *siteRT, pp *sitePart, srcRT *classRT) bool {
-	if site.strategy != plan.GridIndex || !pp.builtOK ||
-		pp.builtStrategy != plan.GridIndex || !pp.builtMembers || !pp.builderValid() {
-		return false
-	}
-	g := pp.builder.Grid()
-	if g == nil || pp.tree != g {
-		return false
-	}
-	if w.gridCell(site, pp) != pp.builtCell {
-		return false
-	}
-	tab := srcRT.tab
-	j := site.step.Join
-	x := tab.NumColumn(j.Ranges[0].AttrIdx)
-	y := tab.NumColumn(j.Ranges[1].AttrIdx)
-	budget := w.execCosts.MaintDirtyBudget(len(pp.rowsBuf))
-	if _, ok := g.SyncRows(x, y, pp.rowsBuf, tab.RawIDs(), budget); !ok {
-		return false // partially patched; the rebuild below refills it
-	}
-	pp.noteBuilt(site, tab)
-	return true
 }
 
 // stateFingerprint folds every table's structural and per-column write
@@ -515,29 +463,13 @@ func (w *World) fillSiteMembers(site *siteRT, srcRT *classRT) int64 {
 }
 
 // buildPartIndex rebuilds one partition's index — over its member view for
-// spatial sites, over the whole extent for shared ones (the entry gather
-// may not shard there: several builds can be in flight on the pool).
+// spatial sites, over the whole extent for shared ones.
 func (w *World) buildPartIndex(site *siteRT, pp *sitePart) {
-	srcRT := w.classes[site.step.SourceClass]
-	if site.shared {
-		w.buildSiteIndex(site, pp, srcRT, nil, false)
-		return
+	var members []int32
+	if !site.shared {
+		members = pp.view.Rows()
 	}
-	w.buildSiteIndex(site, pp, srcRT, pp.view.Rows(), false)
-}
-
-// fillMemberEntries materializes (id, row, coords) entries for a member
-// view, in view (= physical row) order.
-func fillMemberEntries(tab *table.Table, dims []int, rows []int32, entries []index.Entry, coords []float64) {
-	ids := tab.RawIDs()
-	d := len(dims)
-	for k, r := range rows {
-		c := coords[k*d : k*d+d : k*d+d]
-		for di, ai := range dims {
-			c[di] = tab.NumColumn(ai)[int(r)]
-		}
-		entries[k] = index.Entry{ID: ids[r], Row: r, Coords: c}
-	}
+	w.buildSiteIndex(site, pp, w.classes[site.step.SourceClass], members)
 }
 
 // buildPartsParallel fans the per-partition index rebuilds out across the

@@ -110,6 +110,7 @@ func stepsCost(steps []compile.Step) float64 {
 //
 // txnPool recycles the sink's intents across ticks: the first txnUsed are
 // this tick's, and clearTxns rewinds the cursor once admission is over.
+// extents queues the shard's probe-extent samples for the grid cell EMA.
 type shardSink struct {
 	curRow  int32
 	ems     []sinkEm
@@ -118,6 +119,7 @@ type shardSink struct {
 	txnRows []int32
 	txnPool []*Txn
 	txnUsed int
+	extents []extSample
 
 	touched     touchedLog // vectorized-phase empty→touched transitions
 	vecRows     int64
@@ -134,6 +136,12 @@ type sinkEm struct {
 	attr int32
 	val  value.Value
 	key  float64
+}
+
+// extSample is one probe's mean box width, for site's grid cell size.
+type extSample struct {
+	site *siteRT
+	ext  float64
 }
 
 func (s *shardSink) emit(rt *classRT, row, attr int, val value.Value, key float64) {
@@ -160,6 +168,7 @@ func (s *shardSink) reset() {
 	s.rows = s.rows[:0]
 	s.txns = s.txns[:0]
 	s.txnRows = s.txnRows[:0]
+	s.extents = s.extents[:0]
 	s.touched.reset()
 	s.vecRows, s.scalarRows, s.handlerRows, s.load = 0, 0, 0, 0
 }
@@ -373,7 +382,13 @@ func (w *World) runShard(slot, si int) {
 	x.part = max(sh.owner, 0)
 	tab := rt.tab
 	rows := int64(0)
+	hoist := p.kind == passEffect && len(rt.hoist) > 0
 	for r := sh.lo; r < sh.hi; r++ {
+		if hoist && r >= x.winHi {
+			// A new window of probing rows: probe the hoisted sites for
+			// all of it at once.
+			x.joinWindow(rt, r, min(r+vexpr.BatchSize, sh.hi), assign, sh.owner)
+		}
 		if assign != nil {
 			if assign[r] != sh.owner {
 				continue
@@ -456,7 +471,8 @@ func nextRun(streams [][]int32, idx []int) (si, from, to int) {
 // vectorized touched-row logs and row counters in shard order, then the
 // emission and transaction logs in ascending source-row order — the order
 // the plain row loop would have produced them in. For one sink that is a
-// straight replay and for contiguous shards a concatenation. The merged
+// straight replay and for contiguous shards a concatenation. The sinks'
+// probe-extent samples fold in shard order, on contiguous shards row order. The merged
 // touched lists are deterministic but row-sorted only while spans do not
 // interleave; every consumer treats them as a set (accumulator resets, dense
 // effect-vector scatter). On ownership-masked passes each shard's visits
@@ -480,6 +496,9 @@ func (w *World) mergeSinks(rt *classRT, sinks []*shardSink, masked bool) {
 		}
 		if masked {
 			rt.prt.loads[si] += s.load
+		}
+		for _, e := range s.extents {
+			e.site.boxExtent.Add(e.ext)
 		}
 		streams, idx = append(streams, s.rows), append(idx, 0)
 	}

@@ -5,11 +5,13 @@ import "sync"
 // Builder is a per-site build arena. The engine rebuilds accum-join indexes
 // every tick (§4.1: a large fraction of game state changes per tick), which
 // with naive construction means one fresh allocation storm per site per
-// tick. A Builder retains everything a build needs — the entry/coordinate
-// input slabs, the range tree's node, header and replica slabs, the grid's
-// cell table and the hash index's buckets — so that once slab sizes converge
-// (after the first tick or two of a stable regime) rebuilding an index
-// allocates nothing at all.
+// tick. A Builder retains everything a build needs — the range tree's entry,
+// coordinate, node, header and replica slabs, the grid's arrays and the
+// hash index's buckets — so that once slab sizes converge (after the first
+// tick or two of a stable regime) rebuilding an index allocates nothing at
+// all. Range-tree slabs are released after treeIdleBuilds consecutive
+// builds of other kinds: a site that switched to the grid does not keep
+// pinning them.
 //
 // A Builder is not safe for concurrent use, and the indexes it returns alias
 // its memory: a tree, grid or hash obtained from a Builder is valid only
@@ -36,16 +38,22 @@ type Builder struct {
 	needTrees int
 	needNodes int
 	needReps  int
+	treeIdle  int // consecutive builds since the last range tree
 
 	grid *Grid
 	hash *RowHash
 }
 
+// treeIdleBuilds is how many consecutive non-tree builds release the
+// range-tree slabs. It only has to outlast the plan selector's switching
+// hysteresis, so a pooled builder alternating between a tree site and a
+// grid site keeps its slabs.
+const treeIdleBuilds = 8
+
 // Gen returns the builder's build generation. It increments on every
-// BuildRangeTree/BuildGrid/RowHash call (incremental Sync of an existing
-// grid keeps the generation: contents still belong to the same build
-// owner), so a holder that recorded (builder, gen) at build time can detect
-// that a pooled builder has since been rebuilt by someone else.
+// BuildRangeTree/BuildGrid/RowHash call, so a holder that recorded
+// (builder, gen) at build time can detect that a pooled builder has since
+// been rebuilt by someone else.
 func (b *Builder) Gen() uint64 { return b.gen }
 
 // BuilderPool is a free list of build arenas shared by many worlds. Checking
@@ -115,24 +123,20 @@ func (b *Builder) BuildRangeTree(dims int, entries []Entry) *RangeTree {
 	b.treeN, b.nodeN, b.repN = 0, 0, 0
 	b.needTrees, b.needNodes, b.needReps = 0, 0, 0
 	b.gen++
+	b.treeIdle = 0
 	return buildRangeTree(b, dims, entries)
 }
 
-// BuildGrid builds (or rebuilds) the builder's retained grid. Cell slices
-// and the row-tracking arrays are reused; only brand-new cells allocate. The
-// returned grid supports Sync for incremental maintenance and stays owned by
-// the builder.
-func (b *Builder) BuildGrid(cellSize float64, entries []Entry) *Grid {
+// BuildGrid rebuilds the builder's retained grid over the points
+// (x[r], y[r]) for r in rows (see BuildGrid); its arrays are reused.
+func (b *Builder) BuildGrid(cellSize float64, x, y []float64, rows []int32) *Grid {
 	if b.grid == nil {
-		b.grid = newTrackedGrid()
+		b.grid = new(Grid)
 	}
-	b.gen++
-	b.grid.rebuild(cellSize, entries)
+	b.otherBuild()
+	b.grid.build(cellSize, x, y, rows)
 	return b.grid
 }
-
-// Grid returns the builder's retained grid from the last BuildGrid, or nil.
-func (b *Builder) Grid() *Grid { return b.grid }
 
 // RowHash returns the builder's retained hash index, emptied for refill via
 // Insert. Buckets and their slices are reused across builds.
@@ -140,9 +144,20 @@ func (b *Builder) RowHash() *RowHash {
 	if b.hash == nil {
 		b.hash = NewRowHash()
 	}
-	b.gen++
+	b.otherBuild()
 	b.hash.Reset()
 	return b.hash
+}
+
+// otherBuild counts a non-tree build, releasing the range-tree slabs once
+// treeIdleBuilds of them ran in a row.
+func (b *Builder) otherBuild() {
+	b.gen++
+	if b.treeIdle++; b.treeIdle == treeIdleBuilds {
+		b.entries, b.coords = nil, nil
+		b.trees, b.nodes, b.reps = nil, nil, nil
+		b.needTrees, b.needNodes, b.needReps = 0, 0, 0
+	}
 }
 
 // allocTree hands out a tree header, from the slab when one is available.

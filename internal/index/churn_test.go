@@ -77,6 +77,17 @@ func (s *tableSim) entries() []Entry {
 	return out
 }
 
+// rows returns the live rows, ascending — what the engine builds grids over.
+func (s *tableSim) rows() []int32 {
+	var out []int32
+	for r, ok := range s.alive {
+		if ok {
+			out = append(out, int32(r))
+		}
+	}
+	return out
+}
+
 func (s *tableSim) bruteBox(lo, hi []float64) map[value.ID]bool {
 	m := map[value.ID]bool{}
 	for r, ok := range s.alive {
@@ -87,52 +98,49 @@ func (s *tableSim) bruteBox(lo, hi []float64) map[value.ID]bool {
 	return m
 }
 
-func checkGridAgainstFresh(t *testing.T, sim *tableSim, g *Grid, rng *rand.Rand) {
+// checkGridAgainstFresh checks a grid reused through churn against a fresh
+// build over the same rows (identical candidate order) and, when brute is
+// set, against a brute-force box filter of the live extent.
+func checkGridAgainstFresh(t *testing.T, sim *tableSim, g *Grid, rows []int32, brute bool, rng *rand.Rand) {
 	t.Helper()
-	var fb Builder
-	fresh := fb.BuildGrid(g.Cell(), sim.entries())
-	if g.Len() != fresh.Len() {
-		t.Fatalf("synced grid has %d entries, fresh rebuild %d", g.Len(), fresh.Len())
+	fresh := BuildGrid(g.Cell(), sim.x, sim.y, rows)
+	if g.Len() != fresh.Len() || g.Len() != len(rows) {
+		t.Fatalf("reused grid has %d entries, fresh build %d, rows %d", g.Len(), fresh.Len(), len(rows))
 	}
 	for q := 0; q < 30; q++ {
 		cx, cy := float64(rng.Intn(400)), float64(rng.Intn(400))
 		w := float64(rng.Intn(80) + 1)
 		lo := []float64{cx - w, cy - w}
 		hi := []float64{cx + w, cy + w}
-		got := g.Query(lo, hi, nil)
-		want := fresh.Query(lo, hi, nil)
+		got := g.QueryRows(lo, hi, nil)
+		want := fresh.QueryRows(lo, hi, nil)
 		if len(got) != len(want) {
-			t.Fatalf("query %v..%v: synced %d ids, fresh %d", lo, hi, len(got), len(want))
+			t.Fatalf("query %v..%v: reused %d rows, fresh %d", lo, hi, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("query %v..%v: candidate order diverged at %d: %d vs %d", lo, hi, i, got[i], want[i])
+				t.Fatalf("query %v..%v: candidate order diverged at %d: row %d vs %d", lo, hi, i, got[i], want[i])
 			}
 		}
-		rows := g.QueryRows(lo, hi, nil)
-		if len(rows) != len(got) {
-			t.Fatalf("QueryRows returned %d, Query %d", len(rows), len(got))
+		if !brute {
+			continue
 		}
-		for i, r := range rows {
-			if sim.ids[r] != got[i] {
-				t.Fatalf("QueryRows[%d] = row %d (id %d), Query id %d", i, r, sim.ids[r], got[i])
-			}
+		m := sim.bruteBox(lo, hi)
+		if len(m) != len(got) {
+			t.Fatalf("brute force %d matches, grid %d", len(m), len(got))
 		}
-		brute := sim.bruteBox(lo, hi)
-		if len(brute) != len(got) {
-			t.Fatalf("brute force %d matches, grid %d", len(brute), len(got))
-		}
-		for _, id := range got {
-			if !brute[id] {
-				t.Fatalf("grid returned non-matching id %d", id)
+		for _, r := range got {
+			if !m[sim.ids[r]] {
+				t.Fatalf("grid returned non-matching row %d", r)
 			}
 		}
 	}
 }
 
-// TestGridSyncChurn drives a Builder grid through spawn/kill/move churn via
-// Sync and checks it stays exactly — including candidate order — a fresh
-// rebuild of the current extent, and agrees with brute force.
+// TestGridSyncChurn drives one Builder's grid through spawn/kill/move churn,
+// rebuilding it in place each round, and checks it stays exactly —
+// including candidate order — a fresh build of the current extent, and
+// agrees with brute force.
 func TestGridSyncChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sim := &tableSim{}
@@ -140,8 +148,8 @@ func TestGridSyncChurn(t *testing.T) {
 		sim.spawn(rng)
 	}
 	var b Builder
-	g := b.BuildGrid(48, sim.entries())
-	checkGridAgainstFresh(t, sim, g, rng)
+	g := b.BuildGrid(48, sim.x, sim.y, sim.rows())
+	checkGridAgainstFresh(t, sim, g, sim.rows(), true, rng)
 
 	for round := 0; round < 25; round++ {
 		ops := rng.Intn(20) + 1
@@ -155,23 +163,8 @@ func TestGridSyncChurn(t *testing.T) {
 				sim.move(rng)
 			}
 		}
-		dirty, ok := g.Sync(sim.x, sim.y, sim.alive, sim.ids, 1<<30)
-		if !ok {
-			t.Fatalf("round %d: sync refused with unlimited budget", round)
-		}
-		if dirty == 0 && ops > 0 {
-			// Moves by zero are possible but all-ops-noop is unlikely; don't fail.
-			t.Logf("round %d: no dirty rows for %d ops", round, ops)
-		}
-		checkGridAgainstFresh(t, sim, g, rng)
-	}
-
-	// Budget bail-out: a tiny budget must refuse large churn.
-	for i := 0; i < 100; i++ {
-		sim.move(rng)
-	}
-	if _, ok := g.Sync(sim.x, sim.y, sim.alive, sim.ids, 3); ok {
-		t.Fatal("sync with budget 3 accepted heavy churn")
+		g = b.BuildGrid(48, sim.x, sim.y, sim.rows())
+		checkGridAgainstFresh(t, sim, g, sim.rows(), true, rng)
 	}
 }
 
@@ -310,10 +303,9 @@ func TestBuilderZeroAllocSteadyState(t *testing.T) {
 	}
 
 	var gb Builder
+	rows := sim.rows()
 	buildGrid := func() {
-		slab := gb.Entries(n)
-		copy(slab, es)
-		gb.BuildGrid(32, slab)
+		gb.BuildGrid(32, sim.x, sim.y, rows)
 	}
 	buildGrid()
 	buildGrid()
@@ -335,13 +327,13 @@ func TestBuilderZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestGridSyncRowsMemberChurn drives SyncRows — the member-view-aware
-// reconciliation the partitioned engine patches per-partition grids with —
-// through random membership churn: each round perturbs the extent (moves,
-// spawns, kills) AND re-draws the member subset (rows entering/leaving a
-// partition's ownership interval), then checks the synced grid is
-// bit-indistinguishable, candidate order included, from a fresh rebuild
-// over exactly the current members.
+// TestGridSyncRowsMemberChurn drives a member-scoped grid — what the
+// partitioned engine builds per partition — through random membership
+// churn: each round perturbs the extent (moves, spawns, kills) AND re-draws
+// the member subset (rows entering/leaving a partition's ownership
+// interval), rebuilds the grid through the same Builder, and checks it is
+// bit-indistinguishable, candidate order included, from a fresh build over
+// exactly the current members.
 func TestGridSyncRowsMemberChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	sim := &tableSim{}
@@ -358,42 +350,12 @@ func TestGridSyncRowsMemberChurn(t *testing.T) {
 		}
 		return rows
 	}
-	memberEntries := func(rows []int32) []Entry {
-		out := make([]Entry, 0, len(rows))
-		for _, r := range rows {
-			out = append(out, Entry{ID: sim.ids[r], Row: r, Coords: []float64{sim.x[r], sim.y[r]}})
-		}
-		return out
-	}
 
 	var b Builder
 	winLo, winHi := 50.0, 250.0
 	rows := memberRows(winLo, winHi)
-	g := b.BuildGrid(40, memberEntries(rows))
-
-	checkAgainstFresh := func(round int, rows []int32) {
-		t.Helper()
-		var fb Builder
-		fresh := fb.BuildGrid(g.Cell(), memberEntries(rows))
-		if g.Len() != fresh.Len() {
-			t.Fatalf("round %d: synced %d entries, fresh %d", round, g.Len(), fresh.Len())
-		}
-		for q := 0; q < 20; q++ {
-			cx, cy := float64(rng.Intn(400)), float64(rng.Intn(400))
-			w := float64(rng.Intn(90) + 1)
-			lo, hi := []float64{cx - w, cy - w}, []float64{cx + w, cy + w}
-			got := g.QueryRows(lo, hi, nil)
-			want := fresh.QueryRows(lo, hi, nil)
-			if len(got) != len(want) {
-				t.Fatalf("round %d: synced %d rows, fresh %d", round, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("round %d: candidate order diverged at %d: row %d vs %d", round, i, got[i], want[i])
-				}
-			}
-		}
-	}
+	g := b.BuildGrid(40, sim.x, sim.y, rows)
+	checkGridAgainstFresh(t, sim, g, rows, false, rng)
 
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 10; i++ {
@@ -412,24 +374,7 @@ func TestGridSyncRowsMemberChurn(t *testing.T) {
 		}
 		winHi = winLo + 200
 		rows = memberRows(winLo, winHi)
-		if dirty, ok := g.SyncRows(sim.x, sim.y, rows, sim.ids, len(sim.alive)*2+16); !ok {
-			t.Fatalf("round %d: unbounded budget sync gave up (dirty %d)", round, dirty)
-		}
-		checkAgainstFresh(round, rows)
-	}
-
-	// The bail-out contract: a tiny budget must report failure once the
-	// dirty count exceeds it.
-	for i := 0; i < 50; i++ {
-		sim.move(rng)
-	}
-	rows = memberRows(winLo-500, winHi+500)
-	if _, ok := g.SyncRows(sim.x, sim.y, rows, sim.ids, 1); ok {
-		t.Fatal("mass churn under a dirty budget of 1 must fail")
-	}
-	// And an untracked grid (not Builder-backed row tracking) refuses.
-	plain := BuildGrid(40, memberEntries(rows))
-	if _, ok := plain.SyncRows(sim.x, sim.y, rows, sim.ids, 1<<30); ok {
-		t.Fatal("untracked grid must refuse SyncRows")
+		g = b.BuildGrid(40, sim.x, sim.y, rows)
+		checkGridAgainstFresh(t, sim, g, rows, false, rng)
 	}
 }

@@ -1,347 +1,169 @@
 package index
 
-import (
-	"math"
-	"sort"
+import "math"
 
-	"repro/internal/value"
-)
-
-// Grid is a uniform spatial hash grid over 2-D points. It is the cheap
-// alternative physical plan the adaptive optimizer (§4.1) weighs against
-// the range tree: O(n) build, queries proportional to the cells touched —
-// excellent for clustered "combat" regimes, poor for huge query boxes.
+// Grid is a uniform grid over 2-D points. It is the cheap alternative
+// physical plan the adaptive optimizer (§4.1) weighs against the range
+// tree: O(n) build, queries proportional to the cells touched — excellent
+// for clustered "combat" regimes, poor for huge query boxes.
 //
-// Grids built through a Builder additionally track which physical table row
-// backs each point, which enables both the batch row probe (QueryRows) and
-// churn-aware incremental maintenance (Sync): when only a small fraction of
-// rows moved, spawned or died since the last build, reconciling the touched
-// cells beats rebuilding. Cell entry lists are kept sorted by row, so an
-// incrementally maintained grid is indistinguishable — including candidate
-// order — from a fresh rebuild of the same data.
+// The layout is dense and static (compressed sparse rows): one int32 offset
+// per cell over the occupied cell-key window, and the points stored in
+// three flat arrays ordered by (cx, cy, input order). Cells are numbered
+// cx-major, so the cells cy0..cy1 of one column are one contiguous run of
+// entries, and a probe is one scan per column. A build is a two-pass
+// counting sort; there is no incremental maintenance — at a large fraction
+// of state changing per tick (§4.1) rebuilding is cheaper than diffing.
 type Grid struct {
-	cell  float64
-	cells map[gridKey]*gridCell
-	n     int
-
-	// Row-tracking state for Sync, populated only by Builder-backed builds.
-	track   bool
-	present []bool
-	prevX   []float64
-	prevY   []float64
-	prevID  []value.ID
+	cell   float64
+	kx, ky float64 // smallest cell key of the window on each axis
+	nx, ny int     // window size in cells
+	off    []int32 // nx·ny+1 offsets into the entry arrays
+	xs, ys []float64
+	rows   []int32
+	cellOf []int32 // build scratch: each input's cell, -1 for a NaN point
 }
 
-type gridKey struct{ x, y int32 }
-
-type gridCell struct{ es []gridEntry }
-
-// gridEntry stores coordinates inline: one cache line covers four entries
-// and incremental inserts need no backing coordinate slab.
-type gridEntry struct {
-	id   value.ID
-	row  int32
-	x, y float64
-}
-
-// BuildGrid buckets entries (first two coordinates) into square cells of
-// the given size. cellSize must be positive.
-func BuildGrid(cellSize float64, entries []Entry) *Grid {
-	g := &Grid{cells: make(map[gridKey]*gridCell, len(entries)/4+1)}
-	g.rebuild(cellSize, entries)
+// BuildGrid buckets the points (x[r], y[r]) for r in rows into square cells
+// of the given size; the grid's rows are the given ones. Callers pass rows
+// ascending so every cell lists its points in row order. cellSize must be
+// positive.
+func BuildGrid(cellSize float64, x, y []float64, rows []int32) *Grid {
+	g := &Grid{}
+	g.build(cellSize, x, y, rows)
 	return g
 }
 
-func newTrackedGrid() *Grid {
-	return &Grid{cells: make(map[gridKey]*gridCell), track: true}
-}
+// maxGridCells bounds the cell window of a grid over n points: a sparse
+// far-flung point set doubles the cell size until the window fits, so a
+// build never allocates more than a constant per point.
+func maxGridCells(n int) float64 { return 16*float64(n) + 65536 }
 
-// rebuild refills the grid in entry order, reusing cells and their slices.
-// Cells that stayed empty through the previous fill are dropped once they
-// outnumber live ones, so roaming entities cannot grow the cell table
-// without bound; with stable occupancy nothing is freed and rebuilds stay
-// allocation-free.
-func (g *Grid) rebuild(cellSize float64, entries []Entry) {
-	if cellSize <= 0 {
+// build refills the grid, reusing its arrays. Points with a NaN coordinate
+// are left out (no box contains them); infinite coordinates land in the
+// window's edge cells.
+func (g *Grid) build(cellSize float64, x, y []float64, rows []int32) {
+	if !(cellSize > 0) {
 		panic("index: grid cell size must be positive")
 	}
-	live := 0
-	for _, c := range g.cells { //sglvet:allow maprange: occupancy count only
-		if len(c.es) > 0 {
-			live++
+	xmin, xmax := math.Inf(1), math.Inf(-1)
+	ymin, ymax := math.Inf(1), math.Inf(-1)
+	for _, r := range rows {
+		if v := x[r]; v-v == 0 { // finite
+			xmin, xmax = min(xmin, v), max(xmax, v)
+		}
+		if v := y[r]; v-v == 0 {
+			ymin, ymax = min(ymin, v), max(ymax, v)
 		}
 	}
-	if len(g.cells) > 2*live+16 {
-		for k, c := range g.cells { //sglvet:allow maprange: keyed deletion of empties, order-free
-			if len(c.es) == 0 {
-				delete(g.cells, k)
-			}
+	if !(xmin <= xmax) {
+		xmin, xmax = 0, 0
+	}
+	if !(ymin <= ymax) {
+		ymin, ymax = 0, 0
+	}
+	limit := maxGridCells(len(rows))
+	for {
+		g.kx, g.ky = math.Floor(xmin/cellSize), math.Floor(ymin/cellSize)
+		wx := math.Floor(xmax/cellSize) - g.kx + 1
+		wy := math.Floor(ymax/cellSize) - g.ky + 1
+		if wx*wy <= limit {
+			g.nx, g.ny = int(wx), int(wy)
+			break
 		}
+		cellSize *= 2
 	}
 	g.cell = cellSize
-	g.n = 0
-	for _, c := range g.cells { //sglvet:allow maprange: independent per-cell resets, order-free
-		c.es = c.es[:0]
-	}
-	for i := range g.present {
-		g.present[i] = false
-	}
-	for _, e := range entries {
-		x, y := e.Coords[0], e.Coords[1]
-		k := g.keyOf(x, y)
-		c := g.cells[k]
-		if c == nil {
-			c = &gridCell{}
-			g.cells[k] = c
+
+	cells := g.nx * g.ny
+	g.off = grow(g.off, cells+1)
+	clear(g.off)
+	g.cellOf = grow(g.cellOf, len(rows))
+	for i, r := range rows {
+		c := int32(-1)
+		if cx, cy, ok := g.key(x[r], y[r]); ok {
+			c = int32(cx*g.ny + cy)
+			g.off[c+1]++
 		}
-		c.es = append(c.es, gridEntry{id: e.ID, row: e.Row, x: x, y: y})
-		g.n++
-		if g.track {
-			g.trackRow(e.Row, e.ID, x, y)
-		}
+		g.cellOf[i] = c
 	}
-}
-
-func (g *Grid) trackRow(row int32, id value.ID, x, y float64) {
-	g.ensureRow(row)
-	g.present[row] = true
-	g.prevX[row], g.prevY[row] = x, y
-	g.prevID[row] = id
-}
-
-func (g *Grid) ensureRow(row int32) {
-	for int(row) >= len(g.present) {
-		g.present = append(g.present, false)
-		g.prevX = append(g.prevX, 0)
-		g.prevY = append(g.prevY, 0)
-		g.prevID = append(g.prevID, 0)
+	for c := 0; c < cells; c++ {
+		g.off[c+1] += g.off[c]
 	}
-}
-
-// Sync incrementally reconciles a Builder-built grid against the current
-// coordinate columns, alive mask and row ids: rows that spawned, died or
-// moved since the last build/sync are fixed up in place. It gives up once
-// more than maxDirty rows changed (returning ok=false; the grid is then
-// partially updated and must be rebuilt). Entry order within each cell stays
-// sorted by row, so a synced grid answers queries identically to a fresh
-// rebuild.
-func (g *Grid) Sync(x, y []float64, alive []bool, ids []value.ID, maxDirty int) (dirty int, ok bool) {
-	if !g.track {
-		return 0, false
-	}
-	rows := len(alive)
-	if len(g.present) > rows {
-		rows = len(g.present)
-	}
-	for r := 0; r < rows; r++ {
-		was := r < len(g.present) && g.present[r]
-		is := r < len(alive) && alive[r]
-		if !was && !is {
+	n := int(g.off[cells])
+	g.xs, g.ys, g.rows = grow(g.xs, n), grow(g.ys, n), grow(g.rows, n)
+	// Scatter with off[c] as cell c's cursor; afterwards off[c] holds the
+	// end of cell c, which is the start of c+1 — shift back by one.
+	for i, r := range rows {
+		c := g.cellOf[i]
+		if c < 0 {
 			continue
 		}
-		if was && is && g.prevX[r] == x[r] && g.prevY[r] == y[r] && g.prevID[r] == ids[r] {
-			continue
-		}
-		dirty++
-		if dirty > maxDirty {
-			return dirty, false
-		}
-		if was {
-			g.remove(int32(r))
-		}
-		if is {
-			g.insertSorted(ids[r], int32(r), x[r], y[r])
-		}
+		k := g.off[c]
+		g.off[c]++
+		g.xs[k], g.ys[k], g.rows[k] = x[r], y[r], r
 	}
-	return dirty, true
+	copy(g.off[1:], g.off[:cells])
+	g.off[0] = 0
 }
 
-// SyncRows is Sync for member views: it reconciles the grid against a
-// sorted list of member physical rows (the engine's partition-local
-// owned+ghost views) instead of the whole alive mask. Rows that joined the
-// membership, left it, moved or changed identity since the last build/sync
-// are fixed up in place, under the same maxDirty bail-out; a synced grid is
-// bit-indistinguishable — candidate order included — from a fresh rebuild
-// over exactly those member rows. This is what lets partitioned execution
-// patch per-partition grids across ticks (and across layout epochs, when
-// ownership intervals barely moved) instead of rebuilding them.
-func (g *Grid) SyncRows(x, y []float64, rows []int32, ids []value.ID, maxDirty int) (dirty int, ok bool) {
-	if !g.track {
-		return 0, false
+// key returns the window-relative cell of a point, clamping keys outside
+// the window (infinite coordinates) to its edge; ok is false for NaN.
+func (g *Grid) key(x, y float64) (cx, cy int, ok bool) {
+	if math.IsNaN(x) || math.IsNaN(y) {
+		return 0, 0, false
 	}
-	n := len(g.present)
-	if k := len(rows); k > 0 && int(rows[k-1])+1 > n {
-		n = int(rows[k-1]) + 1
-	}
-	k := 0
-	for r := 0; r < n; r++ {
-		is := k < len(rows) && int(rows[k]) == r
-		if is {
-			k++
-		}
-		was := r < len(g.present) && g.present[r]
-		if !was && !is {
-			continue
-		}
-		if was && is && g.prevX[r] == x[r] && g.prevY[r] == y[r] && g.prevID[r] == ids[r] {
-			continue
-		}
-		dirty++
-		if dirty > maxDirty {
-			return dirty, false
-		}
-		if was {
-			g.remove(int32(r))
-		}
-		if is {
-			g.insertSorted(ids[r], int32(r), x[r], y[r])
-		}
-	}
-	return dirty, true
+	return clampKey(math.Floor(x/g.cell)-g.kx, g.nx), clampKey(math.Floor(y/g.cell)-g.ky, g.ny), true
 }
 
-// Insert adds one entry to a Builder-built (row-tracking) grid without a
-// rebuild, keeping each cell sorted by row. row must not be present. It is
-// the single-entry form of Sync for holders that know exactly which entry
-// arrived — the subscription index (internal/views), whose rows are
-// subscription slots rather than table rows.
-func (g *Grid) Insert(id value.ID, row int32, x, y float64) {
-	if !g.track {
-		panic("index: Insert on an untracked grid")
+// clampKey clamps a window-relative key to [0, n) in float space, before
+// the integer conversion, so no coordinate can overflow it.
+func clampKey(k float64, n int) int {
+	if k < 0 {
+		return 0
 	}
-	g.ensureRow(row)
-	if g.present[row] {
-		panic("index: Insert of a row already present")
+	if k > float64(n-1) {
+		return n - 1
 	}
-	g.insertSorted(id, row, x, y)
+	return int(k)
 }
 
-// Remove deletes the entry backed by row from a row-tracking grid, reporting
-// whether it was present.
-func (g *Grid) Remove(row int32) bool {
-	if !g.track || int(row) >= len(g.present) || !g.present[row] {
-		return false
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	g.remove(row)
-	return true
-}
-
-func (g *Grid) remove(row int32) {
-	k := g.keyOf(g.prevX[row], g.prevY[row])
-	c := g.cells[k]
-	if c != nil {
-		for i := range c.es {
-			if c.es[i].row == row {
-				c.es = append(c.es[:i], c.es[i+1:]...)
-				g.n--
-				break
-			}
-		}
-	}
-	g.present[row] = false
-}
-
-func (g *Grid) insertSorted(id value.ID, row int32, x, y float64) {
-	k := g.keyOf(x, y)
-	c := g.cells[k]
-	if c == nil {
-		c = &gridCell{}
-		g.cells[k] = c
-	}
-	i := sort.Search(len(c.es), func(i int) bool { return c.es[i].row >= row })
-	c.es = append(c.es, gridEntry{})
-	copy(c.es[i+1:], c.es[i:])
-	c.es[i] = gridEntry{id: id, row: row, x: x, y: y}
-	g.n++
-	g.trackRow(row, id, x, y)
-}
-
-func (g *Grid) keyOf(x, y float64) gridKey {
-	return gridKey{int32(math.Floor(x / g.cell)), int32(math.Floor(y / g.cell))}
+	return s[:n]
 }
 
 // Len returns the number of indexed points.
-func (g *Grid) Len() int { return g.n }
+func (g *Grid) Len() int { return len(g.rows) }
 
-// Cell returns the configured cell size.
+// Cell returns the built cell size: the requested one, doubled as often as
+// the cell-window bound required.
 func (g *Grid) Cell() float64 { return g.cell }
 
-// Cells returns the number of occupied cells.
-func (g *Grid) Cells() int {
-	n := 0
-	for _, c := range g.cells { //sglvet:allow maprange: occupancy count only
-		if len(c.es) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Query appends the ids of points in the closed box [lo0,hi0]×[lo1,hi1].
-func (g *Grid) Query(lo, hi []float64, out []value.ID) []value.ID {
-	k0 := g.keyOf(lo[0], lo[1])
-	k1 := g.keyOf(hi[0], hi[1])
-	for cx := k0.x; cx <= k1.x; cx++ {
-		for cy := k0.y; cy <= k1.y; cy++ {
-			c := g.cells[gridKey{cx, cy}]
-			if c == nil {
-				continue
-			}
-			for _, e := range c.es {
-				if e.x >= lo[0] && e.x <= hi[0] && e.y >= lo[1] && e.y <= hi[1] {
-					out = append(out, e.id)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// QueryRows is Query returning physical table rows, in identical candidate
-// order. Meaningful only for Builder-backed grids (entries built with Row).
+// QueryRows appends the rows of the points in the closed box
+// [lo0,hi0]×[lo1,hi1], visiting cells cx-major then cy and each cell in row
+// order. The box is clamped to the cell window, so a huge or infinite box
+// costs at most the window.
 func (g *Grid) QueryRows(lo, hi []float64, out []int32) []int32 {
-	k0 := g.keyOf(lo[0], lo[1])
-	k1 := g.keyOf(hi[0], hi[1])
-	for cx := k0.x; cx <= k1.x; cx++ {
-		for cy := k0.y; cy <= k1.y; cy++ {
-			c := g.cells[gridKey{cx, cy}]
-			if c == nil {
-				continue
-			}
-			for _, e := range c.es {
-				if e.x >= lo[0] && e.x <= hi[0] && e.y >= lo[1] && e.y <= hi[1] {
-					out = append(out, e.row)
-				}
+	if !(lo[0] <= hi[0] && lo[1] <= hi[1]) || len(g.rows) == 0 {
+		return out // empty or NaN box
+	}
+	cx0, cy0, _ := g.key(lo[0], lo[1])
+	cx1, cy1, _ := g.key(hi[0], hi[1])
+	for cx := cx0; cx <= cx1; cx++ {
+		base := cx * g.ny
+		for k := g.off[base+cy0]; k < g.off[base+cy1+1]; k++ {
+			if x, y := g.xs[k], g.ys[k]; x >= lo[0] && x <= hi[0] && y >= lo[1] && y <= hi[1] {
+				out = append(out, g.rows[k])
 			}
 		}
 	}
 	return out
-}
-
-// Count returns the number of points in the closed box.
-func (g *Grid) Count(lo, hi []float64) int {
-	n := 0
-	k0 := g.keyOf(lo[0], lo[1])
-	k1 := g.keyOf(hi[0], hi[1])
-	for cx := k0.x; cx <= k1.x; cx++ {
-		for cy := k0.y; cy <= k1.y; cy++ {
-			c := g.cells[gridKey{cx, cy}]
-			if c == nil {
-				continue
-			}
-			for _, e := range c.es {
-				if e.x >= lo[0] && e.x <= hi[0] && e.y >= lo[1] && e.y <= hi[1] {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // EstimatedBytes approximates resident memory.
 func (g *Grid) EstimatedBytes() int {
-	const entrySize = 8 + 4 + 2*8
-	const cellOverhead = 64
-	return g.n*entrySize + len(g.cells)*cellOverhead
+	return len(g.rows)*(8+8+4) + len(g.off)*4
 }

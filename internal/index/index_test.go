@@ -155,10 +155,30 @@ func TestRangeTreeSpaceGrowth(t *testing.T) {
 	}
 }
 
+// gridOf builds a grid over 2-D entries, with each entry's slice index as
+// its row.
+func gridOf(cell float64, es []Entry) *Grid {
+	x, y := make([]float64, len(es)), make([]float64, len(es))
+	rows := make([]int32, len(es))
+	for i, e := range es {
+		x[i], y[i], rows[i] = e.Coords[0], e.Coords[1], int32(i)
+	}
+	return BuildGrid(cell, x, y, rows)
+}
+
+// gridIDs probes g and maps the candidate rows back to entry ids.
+func gridIDs(g *Grid, es []Entry, lo, hi []float64) []value.ID {
+	var out []value.ID
+	for _, r := range g.QueryRows(lo, hi, nil) {
+		out = append(out, es[r].ID)
+	}
+	return out
+}
+
 func TestGridMatchesNaive(t *testing.T) {
 	es := randEntries(400, 2, 11, 200)
 	for _, cell := range []float64{5, 32, 500} {
-		g := BuildGrid(cell, es)
+		g := gridOf(cell, es)
 		rng := rand.New(rand.NewSource(4))
 		for q := 0; q < 40; q++ {
 			a, b := rng.Float64()*200, rng.Float64()*200
@@ -166,15 +186,11 @@ func TestGridMatchesNaive(t *testing.T) {
 			lo := []float64{math.Min(a, b), math.Min(c, d)}
 			hi := []float64{math.Max(a, b), math.Max(c, d)}
 			want := naiveQuery(es, lo, hi)
-			got := g.Query(lo, hi, nil)
-			if !equalIDs(got, want) {
+			if got := gridIDs(g, es, lo, hi); !equalIDs(got, want) {
 				t.Fatalf("cell %v: got %d, want %d", cell, len(got), len(want))
 			}
-			if g.Count(lo, hi) != len(want) {
-				t.Fatalf("cell %v: Count mismatch", cell)
-			}
 		}
-		if g.Len() != 400 || g.Cells() == 0 || g.EstimatedBytes() <= 0 {
+		if g.Len() != 400 || g.Cell() != cell || g.EstimatedBytes() <= 0 {
 			t.Error("grid accounting")
 		}
 	}
@@ -186,10 +202,150 @@ func TestGridNegativeCoords(t *testing.T) {
 		{ID: 2, Coords: []float64{-0.5, 0.5}},
 		{ID: 3, Coords: []float64{10, 10}},
 	}
-	g := BuildGrid(4, es)
-	got := g.Query([]float64{-11, -11}, []float64{0, 1}, nil)
-	if !equalIDs(got, []value.ID{1, 2}) {
+	g := gridOf(4, es)
+	if got := gridIDs(g, es, []float64{-11, -11}, []float64{0, 1}); !equalIDs(got, []value.ID{1, 2}) {
 		t.Fatalf("negative coords query = %v", got)
+	}
+}
+
+// TestGridQueryRowsMatchesBruteForceOrder is the grid's defining property:
+// QueryRows returns exactly the points a brute-force closed-box filter
+// keeps, ordered by (cell x key, cell y key, row) with keys floor(v/cell)
+// clamped to the window of finite keys — so a grid over any input answers
+// in the candidate order the engine's bit-identity depends on. Inputs mix
+// negative, infinite and NaN coordinates and boxes, empty grids, and
+// point sets sparse enough to hit the cell-window cap.
+func TestGridQueryRowsMatchesBruteForceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	coord := func(span float64) float64 {
+		if rng.Intn(12) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return (rng.Float64() - 0.5) * span
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(120)
+		span := []float64{50, 400, 1e6, 1e12}[rng.Intn(4)]
+		cell := []float64{0.5, 3, 17, 200}[rng.Intn(4)]
+		x, y := make([]float64, n+5), make([]float64, n+5)
+		var rows []int32
+		for r := range x {
+			x[r], y[r] = coord(span), coord(span)
+			if rng.Intn(4) != 0 { // not every row is a member
+				rows = append(rows, int32(r))
+			}
+		}
+		g := BuildGrid(cell, x, y, rows)
+		c := g.Cell()
+		if c < cell {
+			t.Fatalf("cell shrank: %v < %v", c, cell)
+		}
+		// Reference key window over the finite coordinates, at the built
+		// cell size.
+		kmin, kmax := [2]float64{math.Inf(1), math.Inf(1)}, [2]float64{math.Inf(-1), math.Inf(-1)}
+		for _, r := range rows {
+			for a, v := range [2]float64{x[r], y[r]} {
+				if !math.IsInf(v, 0) && !math.IsNaN(v) {
+					k := math.Floor(v / c)
+					kmin[a], kmax[a] = math.Min(kmin[a], k), math.Max(kmax[a], k)
+				}
+			}
+		}
+		cells := 1.0
+		for a := range kmin {
+			if kmin[a] > kmax[a] {
+				kmin[a], kmax[a] = 0, 0
+			}
+			cells *= kmax[a] - kmin[a] + 1
+		}
+		if cells > maxGridCells(len(rows)) {
+			t.Fatalf("window of %v cells exceeds the cap for %d points", cells, len(rows))
+		}
+		keyOf := func(v float64, a int) float64 {
+			return math.Max(kmin[a], math.Min(kmax[a], math.Floor(v/c)))
+		}
+		for q := 0; q < 20; q++ {
+			lo := []float64{coord(span), coord(span)}
+			hi := []float64{coord(span), coord(span)}
+			if rng.Intn(3) > 0 {
+				for a := range lo {
+					if lo[a] > hi[a] {
+						lo[a], hi[a] = hi[a], lo[a]
+					}
+				}
+			}
+			var want []int32
+			for _, r := range rows {
+				if x[r] >= lo[0] && x[r] <= hi[0] && y[r] >= lo[1] && y[r] <= hi[1] {
+					want = append(want, r)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				a, b := want[i], want[j]
+				if ka, kb := keyOf(x[a], 0), keyOf(x[b], 0); ka != kb {
+					return ka < kb
+				}
+				return keyOf(y[a], 1) < keyOf(y[b], 1)
+			})
+			got := g.QueryRows(lo, hi, nil)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d box %v..%v: %d rows, brute force %d", trial, lo, hi, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d box %v..%v: order diverged at %d: %v vs %v", trial, lo, hi, i, got, want)
+				}
+			}
+		}
+	}
+	// A sparse far-flung set must double its cell rather than allocate a
+	// window per unit of extent.
+	x := []float64{0, 1e12, -1e12, 5}
+	y := []float64{0, 1e12, 3, -1e12}
+	g := BuildGrid(1, x, y, []int32{0, 1, 2, 3})
+	if g.Cell() <= 1 || len(g.off)-1 > int(maxGridCells(4)) {
+		t.Fatalf("cell %v with %d cells: the window cap did not apply", g.Cell(), len(g.off)-1)
+	}
+	if got := g.QueryRows([]float64{-1, -1}, []float64{6, 6}, nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("sparse probe = %v, want [0]", got)
+	}
+	if got := BuildGrid(8, nil, nil, nil).QueryRows([]float64{-1, -1}, []float64{1, 1}, nil); len(got) != 0 {
+		t.Fatalf("empty grid returned %v", got)
+	}
+}
+
+// TestBuilderReleasesTreeSlabs: a builder whose site moved off the range
+// tree drops the tree slabs after treeIdleBuilds other builds, and a later
+// tree build still answers exactly.
+func TestBuilderReleasesTreeSlabs(t *testing.T) {
+	es := randEntries(500, 2, 29, 100)
+	var b Builder
+	slab := b.Entries(len(es))
+	for i := 0; i < 2; i++ { // the second build draws from sized slabs
+		copy(slab, es)
+		b.BuildRangeTree(2, slab)
+	}
+	x, y := make([]float64, len(es)), make([]float64, len(es))
+	rows := make([]int32, len(es))
+	for i, e := range es {
+		x[i], y[i], rows[i] = e.Coords[0], e.Coords[1], int32(i)
+	}
+	for i := 0; i < treeIdleBuilds-1; i++ {
+		b.BuildGrid(10, x, y, rows)
+	}
+	if b.nodes == nil || b.entries == nil {
+		t.Fatal("tree slabs released before the idle bound")
+	}
+	b.BuildGrid(10, x, y, rows)
+	if b.nodes != nil || b.reps != nil || b.trees != nil || b.entries != nil || b.coords != nil {
+		t.Fatal("tree slabs still pinned after the idle bound")
+	}
+	slab = b.Entries(len(es))
+	copy(slab, es)
+	lo, hi := []float64{20, 30}, []float64{60, 45}
+	if got := b.BuildRangeTree(2, slab).Query(lo, hi, nil); !equalIDs(got, naiveQuery(es, lo, hi)) {
+		t.Fatal("tree rebuilt after release answers wrongly")
 	}
 }
 
@@ -242,7 +398,7 @@ func TestIndexEquivalenceProperty(t *testing.T) {
 		hi := []float64{lo[0] + math.Mod(math.Abs(qw), 60), lo[1] + math.Mod(math.Abs(qh), 60)}
 		want := naiveQuery(es, lo, hi)
 		tree := BuildRangeTree(2, es).Query(lo, hi, nil)
-		grid := BuildGrid(13, es).Query(lo, hi, nil)
+		grid := gridIDs(gridOf(13, es), es, lo, hi)
 		return equalIDs(tree, append([]value.ID(nil), want...)) &&
 			equalIDs(grid, append([]value.ID(nil), want...))
 	}

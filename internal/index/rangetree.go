@@ -6,10 +6,8 @@
 // Because a large fraction of game state changes every tick (§4.1), the
 // engine's default is to rebuild spatial indexes per tick rather than
 // maintain them incrementally. Builds go through per-site Builder arenas so
-// steady-state rebuilds allocate nothing; the Grid additionally supports
-// churn-aware incremental maintenance (Sync) for regimes where only a small
-// fraction of rows changed, and every index answers batch row probes
-// (QueryRows/Lookup rows) for the batched join executor.
+// steady-state rebuilds allocate nothing, and every index answers batch row
+// probes (QueryRows/Lookup rows) for the batched join executor.
 package index
 
 import (

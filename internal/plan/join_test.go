@@ -40,29 +40,13 @@ func TestChooseJoin(t *testing.T) {
 
 func TestChooseMaint(t *testing.T) {
 	c := DefaultCosts()
-	if got := c.ChooseMaint(1000, 0, false); got != MaintReuse {
+	if got := c.ChooseMaint(0); got != MaintReuse {
 		t.Errorf("dirty=0 -> %v, want reuse", got)
 	}
-	if got := c.ChooseMaint(1000, 10, true); got != MaintIncremental {
-		t.Errorf("dirty=10/1000 -> %v, want incremental", got)
-	}
-	if got := c.ChooseMaint(1000, 10, false); got != MaintRebuild {
-		t.Errorf("dirty=10/1000 without incremental support -> %v, want rebuild", got)
-	}
-	if got := c.ChooseMaint(1000, 900, true); got != MaintRebuild {
-		t.Errorf("dirty=900/1000 -> %v, want rebuild", got)
-	}
-	// The sync budget agrees with the incremental/rebuild frontier.
-	n := 1000
-	budget := c.MaintDirtyBudget(n)
-	if budget <= 0 || budget >= n {
-		t.Fatalf("budget %d out of range", budget)
-	}
-	if got := c.ChooseMaint(n, budget-1, true); got != MaintIncremental {
-		t.Errorf("dirty=budget-1 -> %v, want incremental", got)
-	}
-	if got := c.ChooseMaint(n, budget+1, true); got != MaintRebuild {
-		t.Errorf("dirty=budget+1 -> %v, want rebuild", got)
+	for _, dirty := range []int{1, 10, 900} {
+		if got := c.ChooseMaint(dirty); got != MaintRebuild {
+			t.Errorf("dirty=%d -> %v, want rebuild", dirty, got)
+		}
 	}
 }
 
@@ -72,7 +56,7 @@ func TestJoinAndMaintStrings(t *testing.T) {
 			t.Errorf("JoinMode %d = %q, want %q", m, m.String(), want)
 		}
 	}
-	for m, want := range map[Maint]string{MaintRebuild: "rebuild", MaintIncremental: "incremental", MaintReuse: "reuse"} {
+	for m, want := range map[Maint]string{MaintRebuild: "rebuild", MaintReuse: "reuse"} {
 		if m.String() != want {
 			t.Errorf("Maint %d = %q, want %q", m, m.String(), want)
 		}

@@ -173,8 +173,6 @@ const (
 	// MaintRebuild rebuilds the index from the current extent (into the
 	// site's retained arena).
 	MaintRebuild Maint = iota
-	// MaintIncremental patches the retained index for the rows that changed.
-	MaintIncremental
 	// MaintReuse keeps last tick's index untouched (nothing changed).
 	MaintReuse
 )
@@ -183,8 +181,6 @@ func (m Maint) String() string {
 	switch m {
 	case MaintRebuild:
 		return "rebuild"
-	case MaintIncremental:
-		return "incremental"
 	case MaintReuse:
 		return "reuse"
 	default:
@@ -217,12 +213,6 @@ type Costs struct {
 	JoinBatchRow    float64
 	JoinBatchRowVec float64
 	JoinBatchProbe  float64
-
-	// Index maintenance: rebuilding one source row versus patching one
-	// dirty row of a retained index. Their ratio bounds the dirty fraction
-	// below which incremental maintenance wins.
-	IndexBuildRow float64
-	IndexApplyRow float64
 
 	// Transaction-admission axis (§3.1): validating one transaction through
 	// the serial greedy loop (per-candidate rule replay) versus streaming it
@@ -294,9 +284,6 @@ func DefaultCosts() Costs {
 		TxnBatchLane:   1.5,
 		TxnBatchSetup:  32,
 		TxnViewRow:     0.35,
-
-		IndexBuildRow: 1.5,
-		IndexApplyRow: 6.0,
 
 		MigrateRow:       2.0,
 		RelayoutRow:      3.0,
@@ -418,27 +405,15 @@ func (c Costs) ChooseTxn(mode TxnMode, n, viewRows, fBatch float64) TxnMode {
 }
 
 // ChooseMaint resolves the per-tick index maintenance decision for a site
-// whose source extent has n rows of which dirty changed since the retained
-// index was built. incrementalOK reports whether the site's index supports
-// in-place patching (the grid does; trees and hashes rebuild).
-func (c Costs) ChooseMaint(n, dirty int, incrementalOK bool) Maint {
+// of which dirty source columns or structure versions moved since the
+// retained index was built: an untouched index is reused, anything else is
+// rebuilt — a counting-sort grid or tree rebuild undercuts diffing at the
+// churn rates games see (§4.1).
+func (c Costs) ChooseMaint(dirty int) Maint {
 	if dirty == 0 {
 		return MaintReuse
 	}
-	if incrementalOK && float64(dirty)*c.IndexApplyRow < float64(n)*c.IndexBuildRow {
-		return MaintIncremental
-	}
 	return MaintRebuild
-}
-
-// MaintDirtyBudget returns the largest dirty-row count for which
-// incremental maintenance still beats rebuilding n rows — the bail-out
-// budget handed to Grid.Sync.
-func (c Costs) MaintDirtyBudget(n int) int {
-	if c.IndexApplyRow <= 0 {
-		return n
-	}
-	return int(float64(n) * c.IndexBuildRow / c.IndexApplyRow)
 }
 
 // ChooseWorkers is the parallelism axis of the two-axis execution model: it

@@ -184,10 +184,10 @@ type ExecCounters struct {
 	TxnCrossPart      int64
 
 	// Index maintenance accounting. IndexBuildNanos is wall time spent
-	// preparing per-tick indexes (builds, syncs and reuse checks);
-	// IndexReuses counts site-ticks that kept last tick's index untouched,
-	// IndexIncrements site-ticks that patched it in place instead of
-	// rebuilding.
+	// preparing per-tick indexes (builds and reuse checks); IndexReuses
+	// counts site-ticks that kept last tick's index untouched.
+	// IndexIncrements always reads 0: indexes are reused or rebuilt, never
+	// patched in place. It is kept because the benchmark harness reads it.
 	IndexBuildNanos int64
 	IndexReuses     int64
 	IndexIncrements int64

@@ -9,8 +9,10 @@ package vexpr
 //   - `u.attr` (a field of the iteration variable) loads the gathered
 //     candidate column for attr;
 //   - `u` itself evaluates to the candidate id lane (Env.IDs);
-//   - self attributes, locals and self() are scalars of the one probing row
-//     driving the join, broadcast across all lanes via Env.Bcast;
+//   - self attributes, locals and self() are scalars of the probing row that
+//     produced the candidate, read from a per-candidate lane of Env.Slots
+//     (the engine expands each probe's scalar along its candidates, so one
+//     run can serve the candidates of many probes);
 //   - fields of non-iter references still gather through Env.Gather.
 
 import (
@@ -31,7 +33,7 @@ const (
 )
 
 // BcastSrc is one probing-row scalar an accum program reads. The engine
-// fills Env.Bcast in this slice's order before each probe's fold.
+// fills one Env.Slots lane per source, in this slice's order.
 type BcastSrc struct {
 	Kind BcastKind
 	Idx  int // attr index (BcastStateAttr) or frame slot (BcastSlot)
@@ -40,7 +42,7 @@ type BcastSrc struct {
 // CompileAccum translates a type-checked accum contribution expression into
 // a batch program over gathered candidate lanes. iterSlot is the frame slot
 // of the iteration variable. On success it also reports the probing-row
-// scalars to broadcast (in Env.Bcast order) and the source-class state
+// scalars to expand (in Env.Slots order) and the source-class state
 // attributes whose columns must be gathered (Env.Cols indices). ok is false
 // when the expression reads anything without a columnar payload.
 func CompileAccum(e ast.Expr, iterSlot int) (p *Prog, bcast []BcastSrc, cols []int, ok bool) {
@@ -83,7 +85,8 @@ func (c *compiler) compileAccumIdent(e *ast.Ident) int {
 	}
 }
 
-// bcastReg emits a broadcast load, deduplicating identical sources.
+// bcastReg emits the lane load of a probing-row scalar, deduplicating
+// identical sources.
 func (c *compiler) bcastReg(src BcastSrc) int {
 	idx := -1
 	for i, b := range c.bcast {
@@ -96,7 +99,7 @@ func (c *compiler) bcastReg(src BcastSrc) int {
 		idx = len(c.bcast)
 		c.bcast = append(c.bcast, src)
 	}
-	return c.emit(instr{op: opBcast, attr: idx})
+	return c.emit(instr{op: opLoadSlot, attr: idx})
 }
 
 // useCol records a gathered candidate column dependency.

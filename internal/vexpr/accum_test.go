@@ -20,7 +20,7 @@ func iterField(attr int) ast.Expr {
 
 // TestCompileAccumGatheredFold: `u.n0 * 2 + selfAttr` compiles with the iter
 // field as a gathered column load and the probing-row attribute as a
-// broadcast, and evaluates lane-for-lane.
+// probe lane, and evaluates lane-for-lane.
 func TestCompileAccumGatheredFold(t *testing.T) {
 	e := &ast.BinaryExpr{
 		Op: token.PLUS,
@@ -50,14 +50,18 @@ func TestCompileAccumGatheredFold(t *testing.T) {
 	}
 	env := &vexpr.Env{
 		Cols:  make([][]float64, 4),
-		Bcast: []float64{3.25},
+		Slots: [][]float64{make([]float64, k)},
+	}
+	probe := env.Slots[0]
+	for i := range probe {
+		probe[i] = float64(i/100) + 0.25 // a new probe every 100 candidates
 	}
 	env.Cols[attrN0] = lane
 	out := make([]float64, k)
 	var m vexpr.Machine
 	prog.Run(&m, env, 0, k, out)
 	for i := range out {
-		if want := lane[i]*2 + 3.25; out[i] != want {
+		if want := lane[i]*2 + probe[i]; out[i] != want {
 			t.Fatalf("lane %d: got %v, want %v", i, out[i], want)
 		}
 	}
@@ -119,7 +123,7 @@ func TestCompileAccumLocalBroadcast(t *testing.T) {
 	}
 	gathered := 0
 	env := &vexpr.Env{
-		Bcast: []float64{42},
+		Slots: [][]float64{{42, 42, 42}},
 		Gather: func(class string, attrIdx int, refs, out []float64, zero float64) {
 			gathered++
 			for i, r := range refs {

@@ -29,7 +29,7 @@ package vexpr
 // arity returns how many operand registers (a, b, c, d in order) an op reads.
 func arity(o op) int {
 	switch o {
-	case opConst, opLoadCol, opLoadFx, opLoadSlot, opSelfID, opBcast:
+	case opConst, opLoadCol, opLoadFx, opLoadSlot, opSelfID:
 		return 0
 	case opNeg, opNot, opAbs, opFloor, opCeil, opSqrt, opGather:
 		return 1
@@ -201,18 +201,18 @@ func (p *Prog) fuse() {
 	p.nRegs = len(nw)
 }
 
-// split partitions the program into batch-invariant instructions (constants
-// and broadcasts, materialized once per Run by fillInv) and per-batch
+// split partitions the program into batch-invariant instructions (constants,
+// materialized once per machine by fillInv) and per-batch
 // instructions. A program whose result is itself invariant has no per-batch
 // output; Run then just copies the materialized register.
 func (p *Prog) split() {
 	for _, in := range p.ins {
-		if in.op == opConst || in.op == opBcast {
+		if in.op == opConst {
 			p.inv = append(p.inv, in)
 		} else {
 			p.batch = append(p.batch, in)
 		}
 	}
 	o := p.ins[p.out].op
-	p.outBatch = o != opConst && o != opBcast
+	p.outBatch = o != opConst
 }

@@ -45,7 +45,6 @@ const (
 	opLoadFx
 	opLoadSlot
 	opSelfID
-	opBcast
 	opGather
 	opNeg
 	opNot
@@ -106,7 +105,7 @@ type Prog struct {
 	fxUsed  []int
 
 	// Optimized execution plan, built once at compile time (world build).
-	// inv holds the batch-invariant instructions (opConst/opBcast) that are
+	// inv holds the batch-invariant instructions (opConst) that are
 	// materialized once per Run instead of once per batch; batch holds the
 	// per-batch instructions in SSA order. chain, when non-nil, is the
 	// closure-chain specialized executor for short straight-line programs.
@@ -135,14 +134,11 @@ type Env struct {
 	// NeedIDs reports true.
 	IDs []float64
 	// Slots holds frame-slot vectors for let-bound locals, indexed by
-	// slot. Only slots permitted at compile time are loaded.
+	// slot. Only slots permitted at compile time are loaded. Accum-gathered
+	// programs instead read their probing-row scalars here, one lane per
+	// BcastSrc in the order CompileAccum reports, each candidate lane
+	// holding the value of the probe that produced the candidate.
 	Slots [][]float64
-	// Bcast holds per-run scalar payloads broadcast across all lanes,
-	// indexed by the BcastSrc order a CompileAccum program reports. Only
-	// consulted by accum-gathered programs, whose lanes are candidate rows
-	// of the joined class while self/local reads refer to the one probing
-	// row driving the join.
-	Bcast []float64
 	// Gather resolves a cross-object state read: for every id payload in
 	// refs it must write the referenced object's attribute payload to out,
 	// or zero for null/dangling references.
@@ -285,7 +281,7 @@ type compiler struct {
 	// Accum-gather mode (CompileAccum): iterSlot >= 0 flips lane meaning —
 	// lanes are candidate rows of the iterated class, iter field reads
 	// become column loads over gathered candidate columns, and probing-row
-	// scalars (self attrs, locals, self id) become broadcasts.
+	// scalars (self attrs, locals, self id) become probe lanes.
 	iterSlot int
 	bcast    []BcastSrc
 	cols     []int
@@ -482,7 +478,7 @@ func (c *compiler) compileCall(e *ast.CallExpr) int {
 		return args[0]
 	case ast.BSelfFn:
 		if c.iterSlot >= 0 {
-			// In accum mode, self() is the probing row — a broadcast.
+			// In accum mode, self() is the probing row — a probe lane.
 			return c.bcastReg(BcastSrc{Kind: BcastSelfID})
 		}
 		c.p.needIDs = true
@@ -549,7 +545,7 @@ func (p *Prog) Run(m *Machine, env *Env, lo, hi int, out []float64) {
 	fresh := m.prepare(p)
 	if !p.opt {
 		// Unoptimized (NoOpt) programs interpret the full instruction list,
-		// re-materializing constants and broadcasts every batch.
+		// re-materializing constants every batch.
 		for start := lo; start < hi; start += batchSize {
 			end := start + batchSize
 			if end > hi {
@@ -560,11 +556,7 @@ func (p *Prog) Run(m *Machine, env *Env, lo, hi int, out []float64) {
 		}
 		return
 	}
-	n := hi - lo
-	if n > batchSize {
-		n = batchSize
-	}
-	p.fillInv(m, env, fresh, n)
+	p.fillInv(m, fresh)
 	for start := lo; start < hi; start += batchSize {
 		end := start + batchSize
 		if end > hi {
@@ -573,8 +565,8 @@ func (p *Prog) Run(m *Machine, env *Env, lo, hi int, out []float64) {
 		n := end - start
 		switch {
 		case !p.outBatch:
-			// The whole program is batch-invariant (a literal or a pure
-			// broadcast): fillInv already produced the answer.
+			// The whole program is batch-invariant (a literal): fillInv
+			// already produced the answer.
 			copy(out[start:end], m.regs[p.out][:n])
 		case p.chain != nil:
 			for _, fn := range p.chain {
@@ -587,27 +579,19 @@ func (p *Prog) Run(m *Machine, env *Env, lo, hi int, out []float64) {
 	}
 }
 
-// fillInv materializes the batch-invariant registers once per Run instead of
-// once per batch. Constants fill all batchSize lanes, but only when this
-// machine has never carved this program (their cached slab persists across
-// program switches). Broadcasts refill every Run (Env.Bcast varies), but
-// only the n lanes this Run's batches can read — join residuals rebroadcast
-// the probe row's bindings per candidate batch, where n is often a handful
-// of rows, and filling 1024 lanes per Run would dominate the kernel.
-func (p *Prog) fillInv(m *Machine, env *Env, fresh bool, n int) {
+// fillInv materializes the batch-invariant registers (constants) once per
+// machine instead of once per batch: only when this machine has never
+// carved this program, as their cached slab persists across program
+// switches.
+func (p *Prog) fillInv(m *Machine, fresh bool) {
+	if !fresh {
+		return
+	}
 	for _, in := range p.inv {
-		if in.op == opBcast {
-			dst := m.regs[in.dst][:n]
-			v := env.Bcast[in.attr]
-			for i := range dst {
-				dst[i] = v
-			}
-		} else if fresh {
-			dst := m.regs[in.dst][:batchSize]
-			v := in.imm
-			for i := range dst {
-				dst[i] = v
-			}
+		dst := m.regs[in.dst][:batchSize]
+		v := in.imm
+		for i := range dst {
+			dst[i] = v
 		}
 	}
 }
@@ -631,12 +615,6 @@ func (p *Prog) runSeq(ins []instr, m *Machine, env *Env, lo, hi int) {
 			m.regs[in.dst] = env.Slots[in.attr][lo:hi]
 		case opSelfID:
 			m.regs[in.dst] = env.IDs[lo:hi]
-		case opBcast:
-			dst := m.regs[in.dst][:n]
-			v := env.Bcast[in.attr]
-			for i := range dst {
-				dst[i] = v
-			}
 		case opGather:
 			env.Gather(in.class, in.attr, m.regs[in.a][:n], m.regs[in.dst][:n], in.imm)
 		case opNeg:

@@ -10,8 +10,10 @@ package views
 // Subscriptions sharing a canonical shape key form one group per class:
 //
 //   - two attributes with both bounds on each: an internal/index grid over
-//     the box centres (subscription slot as the grid's row), probed with the
-//     group's largest half-extent and rechecked exactly against the slots;
+//     the box centres (subscription slot as the grid's row), rebuilt lazily
+//     before the first probe after a Subscribe or Unsubscribe, probed with
+//     the group's largest half-extent and rechecked exactly against the
+//     slots;
 //   - one attribute: an array sorted on the first compare's bound, of which
 //     a touched value selects a prefix or suffix, rechecked the same way.
 //
@@ -141,9 +143,14 @@ type subGroup struct {
 	n     int
 	stamp []uint64 // per slot: probe sequence of the last old-point hit
 
-	// Two-attribute groups: a row-tracking grid over box centres.
+	// Two-attribute groups: a grid over the slots' box centres, rebuilt
+	// before the first probe after the membership changed.
 	build   index.Builder
 	grid    *index.Grid
+	cx, cy  []float64 // per slot
+	live    []int32   // build scratch: the occupied slots
+	cell    float64
+	stale   bool
 	maxHalf float64 // largest half-extent ever inserted: the probe's reach
 
 	// One-attribute groups: bounds of cmps[0], ascending (ties by slot).
@@ -174,8 +181,8 @@ func (g *subGroup) each(fn func(*Sub)) {
 	}
 }
 
-// maxGridKey bounds |coordinate / cell| so index.Grid's int32 cell keys
-// cannot overflow, with room for the probe's reach.
+// maxGridKey bounds |coordinate / cell|: smaller boxes that far out would
+// spread a group over more cells than the grid's window keeps.
 const maxGridKey = 1 << 30
 
 // boxOf returns the centre and half-extent of a two-attribute subscription's
@@ -244,6 +251,7 @@ func (r *Registry) indexSub(s *Sub) string {
 	} else {
 		g.slots = append(g.slots, s)
 		g.stamp = append(g.stamp, 0)
+		g.cx, g.cy = append(g.cx, 0), append(g.cy, 0)
 	}
 	g.n++
 	s.grp, s.slot = g, slot
@@ -257,37 +265,27 @@ func (r *Registry) indexSub(s *Sub) string {
 	}
 	reach := math.Max(half[0], half[1])
 	g.maxHalf = math.Max(g.maxHalf, reach)
-	if g.grid == nil || reach > g.grid.Cell() {
+	if reach > g.cell {
 		// The cell follows the largest half-extent, so a probe's reach
 		// spans three cells an axis; growing by at least half again keeps
-		// ascending radii from rebuilding on every Subscribe.
-		cell := reach
-		if g.grid != nil {
-			cell = math.Max(reach, 1.5*g.grid.Cell())
-		}
-		g.rebuildGrid(cell)
-		return ""
+		// ascending radii from changing it on every Subscribe.
+		g.cell = math.Max(reach, 1.5*g.cell)
 	}
-	g.grid.Insert(value.ID(s.id), slot, centre[0], centre[1])
+	g.cx[slot], g.cy[slot] = centre[0], centre[1]
+	g.stale = true
 	return ""
 }
 
-// rebuildGrid refills the group's grid from its live slots at a new cell
-// size.
-func (g *subGroup) rebuildGrid(cell float64) {
-	entries := g.build.Entries(g.n)
-	coords := g.build.Coords(2 * g.n)
-	i := 0
+// rebuildGrid refills the group's grid from its live slots, in slot order.
+func (g *subGroup) rebuildGrid() {
+	g.live = g.live[:0]
 	for slot, s := range g.slots {
-		if s == nil {
-			continue
+		if s != nil {
+			g.live = append(g.live, int32(slot))
 		}
-		centre, _ := g.boxOf(s.consts)
-		coords[2*i], coords[2*i+1] = centre[0], centre[1]
-		entries[i] = index.Entry{ID: value.ID(s.id), Row: int32(slot), Coords: coords[2*i : 2*i+2]}
-		i++
 	}
-	g.grid = g.build.BuildGrid(cell, entries)
+	g.grid = g.build.BuildGrid(g.cell, g.cx, g.cy, g.live)
+	g.stale = false
 }
 
 // unindexSub removes a subscription from its group, dissolving the group
@@ -300,7 +298,7 @@ func (r *Registry) unindexSub(s *Sub) {
 			g.bounds = slices.Delete(g.bounds, i, i+1)
 		}
 	} else {
-		g.grid.Remove(s.slot)
+		g.stale = true
 	}
 	g.slots[s.slot] = nil
 	g.free = append(g.free, s.slot)
@@ -345,11 +343,13 @@ func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int
 		}
 		return out
 	}
+	if g.stale {
+		g.rebuildGrid()
+	}
 	x, y := cols[g.attrs[0]][row], cols[g.attrs[1]][row]
-	cell := g.grid.Cell()
+	cell := g.cell
 	// NaN fails every compare and an infinite or far-off coordinate lies in
-	// no finite box whose centre key fits the grid: no probe needed (and
-	// the grid's integer cell keys must not see them).
+	// no finite box whose centre key fits the grid: no probe needed.
 	if !(math.Abs(x)/cell < maxGridKey+2 && math.Abs(y)/cell < maxGridKey+2) {
 		return out
 	}
