@@ -99,8 +99,8 @@ type Options struct {
 	// DisableStats turns off runtime statistics collection (experiment E8).
 	DisableStats bool
 	// Unfused compiles every vexpr kernel with the post-compile optimizer
-	// disabled (no superinstruction fusion, no invariant hoisting, no
-	// closure-chain specialization) — the pre-fusion interpreted kernels.
+	// disabled (no superinstruction fusion, no invariant hoisting): the
+	// same closure chain runs the unfused instruction list.
 	// Benchmark arms use it to measure the fusion delta (E13/E15);
 	// production callers leave it false.
 	Unfused bool

@@ -484,7 +484,7 @@ func (w *World) prepareSites() {
 			continue
 		}
 
-		if w.siteMaint(site, pp, srcRT) == plan.MaintReuse {
+		if w.indexFresh(site, pp, srcRT) {
 			if track {
 				w.execStats.IndexReuses++
 			}
@@ -519,29 +519,29 @@ func (w *World) buildSitesParallel(rebuild []*siteRT) {
 	})
 }
 
-// siteMaint decides how to bring one partition's index up to date: reuse,
-// when the table's cheap version counters show that the index's source
-// columns and structure are untouched since it was built, else rebuild.
-func (w *World) siteMaint(site *siteRT, pp *sitePart, srcRT *classRT) plan.Maint {
+// indexFresh reports whether one partition's retained index is reusable:
+// the table's version counters show its source columns and structure
+// untouched since the build. Anything else rebuilds, which undercuts
+// diffing at the churn rates games see (§4.1).
+func (w *World) indexFresh(site *siteRT, pp *sitePart, srcRT *classRT) bool {
 	tab := srcRT.tab
 	if !pp.builtOK || pp.builtStrategy != site.strategy || !pp.builderValid() {
-		return plan.MaintRebuild
+		return false
 	}
 	if site.strategy == plan.GridIndex && w.gridCell(site, pp) != pp.builtCell {
 		// The desired cell size drifted past the hysteresis band: even an
 		// otherwise-unchanged grid must rebuild at the new granularity.
-		return plan.MaintRebuild
+		return false
 	}
-	dirty := 0
 	if tab.StructVersion() != pp.builtStruct {
-		dirty++
+		return false
 	}
 	for i, a := range site.srcAttrs {
 		if tab.ColVersion(a) != pp.builtVers[i] {
-			dirty++
+			return false
 		}
 	}
-	return w.execCosts.ChooseMaint(dirty)
+	return true
 }
 
 // gridCell picks the grid cell size: the probe-extent EMA with hysteresis

@@ -112,7 +112,7 @@ func (w *World) preparePartitionedSites() {
 				pp.builtOK = false
 				continue
 			}
-			if w.siteMaint(site, pp, srcRT) == plan.MaintReuse {
+			if w.indexFresh(site, pp, srcRT) {
 				if track {
 					w.execStats.IndexReuses++
 				}

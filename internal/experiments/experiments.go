@@ -562,7 +562,7 @@ func E13(sizes []int, ticks int) (Table, error) {
 		ID:     "E13",
 		Title:  "vectorized batch kernels vs scalar closures (traffic workload)",
 		Header: []string{"vehicles", "baseline ms/tick", "scalar ms/tick", "unfused ms/tick", "fused ms/tick", "vec speedup", "fused speedup", "vec rows %"},
-		Notes:  "vec speedup = scalar/fused; fused speedup = unfused/fused (fusion+specialization+hoisting delta over one-op-per-batch kernels); vec rows % = share of row evaluations run through batch kernels under ExecAuto",
+		Notes:  "vec speedup = scalar/fused; fused speedup = unfused/fused (fusion+hoisting delta; both arms run one closure per kernel op); vec rows % = share of row evaluations run through batch kernels under ExecAuto",
 	}
 	sc := core.MustLoad("vehicles", core.SrcVehicles)
 	for _, n := range sizes {

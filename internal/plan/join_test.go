@@ -38,27 +38,10 @@ func TestChooseJoin(t *testing.T) {
 	}
 }
 
-func TestChooseMaint(t *testing.T) {
-	c := DefaultCosts()
-	if got := c.ChooseMaint(0); got != MaintReuse {
-		t.Errorf("dirty=0 -> %v, want reuse", got)
-	}
-	for _, dirty := range []int{1, 10, 900} {
-		if got := c.ChooseMaint(dirty); got != MaintRebuild {
-			t.Errorf("dirty=%d -> %v, want rebuild", dirty, got)
-		}
-	}
-}
-
-func TestJoinAndMaintStrings(t *testing.T) {
+func TestJoinModeStrings(t *testing.T) {
 	for m, want := range map[JoinMode]string{JoinAuto: "auto", JoinScalar: "scalar", JoinBatched: "batched"} {
 		if m.String() != want {
 			t.Errorf("JoinMode %d = %q, want %q", m, m.String(), want)
-		}
-	}
-	for m, want := range map[Maint]string{MaintRebuild: "rebuild", MaintReuse: "reuse"} {
-		if m.String() != want {
-			t.Errorf("Maint %d = %q, want %q", m, m.String(), want)
 		}
 	}
 }

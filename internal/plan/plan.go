@@ -166,28 +166,6 @@ func (m ViewMode) String() string {
 	}
 }
 
-// Maint names a per-tick index maintenance decision for one accum site.
-type Maint uint8
-
-const (
-	// MaintRebuild rebuilds the index from the current extent (into the
-	// site's retained arena).
-	MaintRebuild Maint = iota
-	// MaintReuse keeps last tick's index untouched (nothing changed).
-	MaintReuse
-)
-
-func (m Maint) String() string {
-	switch m {
-	case MaintRebuild:
-		return "rebuild"
-	case MaintReuse:
-		return "reuse"
-	default:
-		return fmt.Sprintf("maint(%d)", uint8(m))
-	}
-}
-
 // Costs holds the tunable constants of the cost model, in abstract units of
 // "one row visit". Defaults were calibrated on the bench workloads; the
 // ablation bench E7b perturbs them.
@@ -402,18 +380,6 @@ func (c Costs) ChooseTxn(mode TxnMode, n, viewRows, fBatch float64) TxnMode {
 		return TxnBatched
 	}
 	return TxnScalar
-}
-
-// ChooseMaint resolves the per-tick index maintenance decision for a site
-// of which dirty source columns or structure versions moved since the
-// retained index was built: an untouched index is reused, anything else is
-// rebuilt — a counting-sort grid or tree rebuild undercuts diffing at the
-// churn rates games see (§4.1).
-func (c Costs) ChooseMaint(dirty int) Maint {
-	if dirty == 0 {
-		return MaintReuse
-	}
-	return MaintRebuild
 }
 
 // ChooseWorkers is the parallelism axis of the two-axis execution model: it

@@ -373,7 +373,9 @@ func (h *World) tick() error {
 // RunRounds advances the server n scheduling rounds. Each round ticks
 // every due world (active, round divisible by Every) once, fanned out over
 // the shared worker pool with a barrier between rounds, so relative world
-// progress is deterministic for any pool size.
+// progress is deterministic for any pool size. A failing world does not
+// stop the round: every due world still ticks, and RunRounds then returns
+// the error of the failing world that comes first in server order.
 func (s *Server) RunRounds(n int) error {
 	for i := 0; i < n; i++ {
 		s.mu.Lock()
@@ -386,46 +388,58 @@ func (s *Server) RunRounds(n int) error {
 			}
 		}
 		s.mu.Unlock()
-
-		workers := s.cfg.workers()
-		if workers > len(due) {
-			workers = len(due)
-		}
-		if workers <= 1 {
-			for _, h := range due {
-				if err := h.tick(); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		var next int64
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		wg.Add(workers)
-		for wk := 0; wk < workers; wk++ {
-			go func(wk int) {
-				defer wg.Done()
-				for {
-					j := int(atomic.AddInt64(&next, 1)) - 1
-					if j >= len(due) {
-						return
-					}
-					if err := due[j].tick(); err != nil {
-						errs[wk] = err
-						return
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if err := s.tickAll(due); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// tickAll ticks every world of due once and returns the error of the first
+// failing world in due's order.
+func (s *Server) tickAll(due []*World) error {
+	workers := min(s.cfg.workers(), len(due))
+	if workers <= 1 {
+		var first error
+		for _, h := range due {
+			if err := h.tick(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	// Workers claim increasing indexes, so each worker's first failure is
+	// its earliest; the earliest across workers is the first in order.
+	type failure struct {
+		at  int
+		err error
+	}
+	var next int64
+	var wg sync.WaitGroup
+	fails := make([]failure, workers)
+	wg.Add(workers)
+	for wk := 0; wk < workers; wk++ {
+		go func(wk int) {
+			defer wg.Done()
+			for {
+				j := int(atomic.AddInt64(&next, 1)) - 1
+				if j >= len(due) {
+					return
+				}
+				if err := due[j].tick(); err != nil && fails[wk].err == nil {
+					fails[wk] = failure{at: j, err: err}
+				}
+			}
+		}(wk)
+	}
+	wg.Wait()
+	first := failure{at: len(due)}
+	for _, f := range fails {
+		if f.err != nil && f.at < first.at {
+			first = f
+		}
+	}
+	return first.err
 }
 
 // worldHeap is a min-heap of worlds under a caller-chosen time key.

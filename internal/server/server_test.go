@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -166,6 +167,50 @@ func TestTickRateDivisors(t *testing.T) {
 	}
 	if c := srv.Counters(); c.TicksRun == 0 {
 		t.Error("TicksRun counter never advanced")
+	}
+}
+
+// failingComponent is an update component that owns nothing and fails
+// every tick.
+type failingComponent struct{}
+
+var errBoom = errors.New("boom")
+
+func (failingComponent) Name() string                   { return "boom" }
+func (failingComponent) Update(*engine.UpdateCtx) error { return errBoom }
+
+// TestRunRoundsFailingWorld pins RunRounds under a failing world: every
+// other due world still ticks exactly once, and the error returned is the
+// failing world's, for any pool size.
+func TestRunRoundsFailingWorld(t *testing.T) {
+	var msgs []string
+	for _, workers := range []int{1, 4} {
+		srv := server.New(server.Config{Workers: workers})
+		handles := addFleet(t, srv, fleetSpecs[:3])
+		bad, err := handles[1].Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bad.Register(failingComponent{}); err != nil {
+			t.Fatal(err)
+		}
+		err = srv.RunRounds(1)
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("Workers=%d: RunRounds error %v, want the failing world's", workers, err)
+		}
+		msgs = append(msgs, err.Error())
+		for _, i := range []int{0, 2} {
+			eng, err := handles[i].Engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Tick() != 1 {
+				t.Errorf("Workers=%d: healthy world %d ran %d ticks, want 1", workers, i, eng.Tick())
+			}
+		}
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("error depends on the pool size: %q vs %q", msgs[0], msgs[1])
 	}
 }
 

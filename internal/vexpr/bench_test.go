@@ -9,9 +9,9 @@ import (
 	"repro/internal/vexpr"
 )
 
-// Kernel micro-benchmarks: BenchmarkVexpr* compares the fused, specialized,
-// invariant-hoisted executor against the NoOpt one-op-per-batch interpreter
-// on the same programs, so fusion regressions surface in the CI bench-smoke
+// Kernel micro-benchmarks: BenchmarkVexpr* compares fused, invariant-hoisted
+// programs against their NoOpt compiles (one closure per unfused instruction,
+// constants refilled every batch) on the same expressions, so fusion regressions surface in the CI bench-smoke
 // job (go test -bench BenchmarkVexpr -benchtime 100x ./internal/vexpr).
 
 const benchRows = 64 * 1024
@@ -64,7 +64,7 @@ func BenchmarkVexprFusedArith(b *testing.B) {
 	benchRun(b, benchExpr(), vexpr.Opts{})
 }
 
-func BenchmarkVexprInterpretedArith(b *testing.B) {
+func BenchmarkVexprUnfusedArith(b *testing.B) {
 	benchRun(b, benchExpr(), vexpr.Opts{NoOpt: true})
 }
 
@@ -72,7 +72,7 @@ func BenchmarkVexprFusedMask(b *testing.B) {
 	benchRun(b, benchMaskExpr(), vexpr.Opts{})
 }
 
-func BenchmarkVexprInterpretedMask(b *testing.B) {
+func BenchmarkVexprUnfusedMask(b *testing.B) {
 	benchRun(b, benchMaskExpr(), vexpr.Opts{NoOpt: true})
 }
 

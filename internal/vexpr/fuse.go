@@ -66,15 +66,6 @@ func isCmp(o op) bool {
 	return false
 }
 
-// optimize runs the post-compile pipeline: fusion, invariant/per-batch
-// split, and closure-chain specialization. Called once at compile time.
-func (p *Prog) optimize() {
-	p.fuse()
-	p.split()
-	p.specialize()
-	p.opt = true
-}
-
 // fuse folds single-use producers into matching consumers until fixpoint,
 // then compacts the program. Register numbers equal instruction indices
 // throughout (SSA invariant), so operand fields index p.ins directly.
@@ -198,21 +189,24 @@ func (p *Prog) fuse() {
 	}
 	p.ins = nw
 	p.out = remap[p.out]
-	p.nRegs = len(nw)
 }
 
 // split partitions the program into batch-invariant instructions (constants,
-// materialized once per machine by fillInv) and per-batch
-// instructions. A program whose result is itself invariant has no per-batch
-// output; Run then just copies the materialized register.
-func (p *Prog) split() {
+// materialized once per machine by fillInv) and the per-batch instructions
+// it returns. The output stays per-batch even when it is a constant — its
+// closure fills the caller's window — but only non-constant ops count as
+// kernels, so a bare literal costs the plan model nothing.
+func (p *Prog) split() []instr {
+	var per []instr
 	for _, in := range p.ins {
-		if in.op == opConst {
+		switch {
+		case in.op != opConst:
+			p.kernels++
+		case in.dst != p.out:
 			p.inv = append(p.inv, in)
-		} else {
-			p.batch = append(p.batch, in)
+			continue
 		}
+		per = append(per, in)
 	}
-	o := p.ins[p.out].op
-	p.outBatch = o != opConst
+	return per
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // White-box tests for the optimization pipeline: superinstruction fusion
-// shapes, invariant hoisting, and closure-chain specialization.
+// shapes, invariant hoisting, and the closure chain every program runs as.
 
 func numCol(attr int) *ast.Ident {
 	return &ast.Ident{Name: "n", Bind: ast.Binding{Kind: ast.BindStateAttr, AttrIdx: attr}, Ty: ast.NumberT}
@@ -27,7 +27,15 @@ func mustCompile(t *testing.T, e ast.Expr) *Prog {
 	return p
 }
 
-func lastBatchOp(p *Prog) op { return p.batch[len(p.batch)-1].op }
+// outputOp returns the op of the program's output instruction, which the
+// compiler keeps last so the chain's final closure can write it.
+func outputOp(t *testing.T, p *Prog) op {
+	t.Helper()
+	if p.out != len(p.ins)-1 {
+		t.Fatalf("output register %d is not the last of %d instructions", p.out, len(p.ins))
+	}
+	return p.ins[p.out].op
+}
 
 func TestFuseShapes(t *testing.T) {
 	bin := func(op token.Kind, x, y ast.Expr, ty ast.Type) ast.Expr {
@@ -57,14 +65,14 @@ func TestFuseShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustCompile(t, tc.e)
-			if got := lastBatchOp(p); got != tc.want {
+			if got := outputOp(t, p); got != tc.want {
 				t.Fatalf("output op = %d, want %d (program: %v)", got, tc.want, p.ins)
 			}
 			if p.fused != tc.fused {
 				t.Fatalf("fused = %d, want %d", p.fused, tc.fused)
 			}
-			if p.chain == nil {
-				t.Fatalf("short fused program must specialize")
+			if len(p.chain) != p.Kernels() || len(p.inv) != 0 {
+				t.Fatalf("constant-free program: chain of %d closures, %d kernels, %d hoisted", len(p.chain), p.Kernels(), len(p.inv))
 			}
 		})
 	}
@@ -94,8 +102,8 @@ func TestKernelsReflectsFusion(t *testing.T) {
 	if got := np.Kernels(); got != 5 {
 		t.Fatalf("NoOpt Kernels() = %d, want 5", got)
 	}
-	if np.FusedOps() != 0 || np.Specialized() {
-		t.Fatal("NoOpt program must stay unfused and unspecialized")
+	if np.FusedOps() != 0 || len(np.inv) != 0 || len(np.chain) != len(np.ins) {
+		t.Fatal("NoOpt program must stay unfused and run every instruction, constants included, per batch")
 	}
 }
 
@@ -158,11 +166,12 @@ func TestInvariantHoisting(t *testing.T) {
 }
 
 // TestInvariantOnlyProgram covers programs whose output is itself
-// batch-invariant (a bare literal): Run must still fill every row.
+// batch-invariant (a bare literal): the constant stays in the chain as its
+// only closure, unhoisted, and Run must still fill every row.
 func TestInvariantOnlyProgram(t *testing.T) {
 	p := mustCompile(t, &ast.NumLit{V: 7})
-	if p.outBatch {
-		t.Fatal("literal program must have an invariant output")
+	if len(p.inv) != 0 || len(p.chain) != 1 || p.Kernels() != 0 {
+		t.Fatalf("literal program must be one output closure and no kernels: inv=%v chain=%d kernels=%d", p.inv, len(p.chain), p.Kernels())
 	}
 	n := batchSize + 33
 	out := make([]float64, n)

@@ -2,39 +2,19 @@ package vexpr
 
 import "math"
 
-// Per-program specialization: short straight-line programs (the top kernel
-// shapes — fused arithmetic chains and single-predicate masks) get one
-// prebound closure per per-batch instruction, built once at compile time
-// (world build). Running a batch then walks a flat []batchFn with every
-// operand slice resolved through the machine — no per-instruction opcode
-// dispatch — and the final closure writes straight into the caller's output
-// slice, eliminating the interpreter's result copy as well.
-
-// specMaxOps bounds closure-chain specialization. Longer programs keep the
-// generic per-batch interpreter (still fused and invariant-hoisted).
-const specMaxOps = 8
+// The kernel executor: every program runs as a chain of prebound closures,
+// one per per-batch instruction, built once at compile time (world build).
+// Running a batch walks the flat []batchFn with every operand slice resolved
+// through the machine — no per-instruction opcode dispatch — and the final
+// closure writes straight into the caller's output slice, so there is no
+// result copy either. Each operator's loop exists exactly once, here.
 
 // batchFn executes one instruction over rows [lo, hi) of the environment;
 // n = hi-lo, and out is the caller's output window for this batch (used
 // only by the final closure in a chain).
 type batchFn func(m *Machine, env *Env, lo, hi, n int, out []float64)
 
-func (p *Prog) specialize() {
-	if !p.outBatch || len(p.batch) == 0 || len(p.batch) > specMaxOps {
-		return
-	}
-	chain := make([]batchFn, 0, len(p.batch))
-	for i, in := range p.batch {
-		fn := instrFn(in, i == len(p.batch)-1)
-		if fn == nil {
-			return
-		}
-		chain = append(chain, fn)
-	}
-	p.chain = chain
-}
-
-// instrFn builds the specialized closure for one instruction. final marks
+// instrFn builds the closure for one instruction. final marks
 // the program's output instruction, which writes into the caller's output
 // window instead of machine scratch.
 func instrFn(in instr, final bool) batchFn {
@@ -46,6 +26,15 @@ func instrFn(in instr, final bool) batchFn {
 		return m.regs[in.dst][:n]
 	}
 	switch in.op {
+	case opConst:
+		// Only unhoisted constants run per batch: every constant of a NoOpt
+		// program, and a constant output.
+		return func(m *Machine, env *Env, lo, hi, n int, out []float64) {
+			d := dst(m, n, out)
+			for i := range d {
+				d[i] = in.imm
+			}
+		}
 	case opLoadCol:
 		if final {
 			return func(m *Machine, env *Env, lo, hi, n int, out []float64) {
@@ -325,5 +314,5 @@ func instrFn(in instr, final bool) batchFn {
 			}
 		}
 	}
-	return nil
+	panic("vexpr: no kernel for op")
 }

@@ -20,8 +20,6 @@
 package vexpr
 
 import (
-	"math"
-
 	"repro/internal/sgl/ast"
 	"repro/internal/sgl/token"
 	"repro/internal/value"
@@ -104,19 +102,16 @@ type Prog struct {
 	needIDs bool
 	fxUsed  []int
 
-	// Optimized execution plan, built once at compile time (world build).
-	// inv holds the batch-invariant instructions (opConst) that are
-	// materialized once per Run instead of once per batch; batch holds the
-	// per-batch instructions in SSA order. chain, when non-nil, is the
-	// closure-chain specialized executor for short straight-line programs.
-	// outBatch records whether the output register is produced per batch
-	// (false: the whole program is batch-invariant).
-	inv      []instr
-	batch    []instr
-	chain    []batchFn
-	outBatch bool
-	fused    int
-	opt      bool
+	// Execution plan, built once at compile time (world build). inv holds
+	// the batch-invariant instructions (constants) that are materialized
+	// once per machine instead of once per batch; chain holds one prebound
+	// closure per per-batch instruction in SSA order, the last of which
+	// writes the program's output (spec.go). kernels counts the chain's
+	// non-constant operators for the cost model.
+	inv     []instr
+	chain   []batchFn
+	kernels int
+	fused   int
 }
 
 // Env binds a Prog to one class extent for execution. All slices are
@@ -180,15 +175,11 @@ func (p *Prog) FxUsed() []int { return p.fxUsed }
 // the work unit of the plan cost model. Fusion and invariant hoisting shrink
 // this count, which is how ChooseExec/ChooseJoin learn the fused fast path's
 // true cost without new tuning constants.
-func (p *Prog) Kernels() int { return len(p.batch) }
+func (p *Prog) Kernels() int { return p.kernels }
 
 // FusedOps returns the number of instructions eliminated by superinstruction
 // fusion — the build-time gauge behind the engine's FusedOps counter.
 func (p *Prog) FusedOps() int { return p.fused }
-
-// Specialized reports whether the program runs through the closure-chain
-// specialized executor instead of the generic instruction loop.
-func (p *Prog) Specialized() bool { return p.chain != nil }
 
 // Dict interns strings to dense float64 codes so string predicates compile
 // to numeric kernels; table.Dict satisfies it. Code is only called at
@@ -207,9 +198,11 @@ type Opts struct {
 	// equal strings). Ordered string comparisons still bail — codes are
 	// interned in first-use order, not lexicographically.
 	Dict Dict
-	// NoOpt disables the post-compile fusion/hoisting/specialization passes,
-	// leaving the naive one-op-per-batch interpreter. Benchmark arms use it
-	// to measure the optimization delta; production callers never set it.
+	// NoOpt disables the post-compile fusion and invariant-hoisting passes:
+	// the closure chain then runs every compiled instruction, constants
+	// included, once per batch. Benchmark arms use it to measure the
+	// optimization delta and the differential fuzz uses it as the
+	// optimizer's oracle; production callers never set it.
 	NoOpt bool
 }
 
@@ -235,18 +228,29 @@ func CompileOpts(e ast.Expr, o Opts) (*Prog, bool) {
 	return c.finish(out, o), true
 }
 
-// finish seals the SSA program and, unless disabled, runs the optimization
-// pipeline: superinstruction fusion, invariant hoisting, specialization.
+// finish seals the SSA program, runs the optimization pipeline unless
+// disabled (superinstruction fusion, invariant hoisting) and binds the
+// per-batch instructions into the closure chain.
 func (c *compiler) finish(out int, o Opts) *Prog {
-	c.p.out = out
-	c.p.nRegs = len(c.p.ins)
 	p := &c.p
+	p.out = out
+	per := p.ins
 	if o.NoOpt {
-		p.batch = p.ins
-		p.outBatch = true
-		return p
+		p.kernels = len(per)
+	} else {
+		p.fuse()
+		per = p.split()
 	}
-	p.optimize()
+	// The final closure writes the caller's output window, so the output
+	// must be the last instruction; SSA emission order guarantees it.
+	if p.out != len(p.ins)-1 {
+		panic("vexpr: output is not the last instruction")
+	}
+	p.nRegs = len(p.ins)
+	p.chain = make([]batchFn, len(per))
+	for i, in := range per {
+		p.chain[i] = instrFn(in, i == len(per)-1)
+	}
 	return p
 }
 
@@ -489,7 +493,9 @@ func (c *compiler) compileCall(e *ast.CallExpr) int {
 }
 
 // prepare sizes the machine's registers for p. Alias ops (loads) get their
-// register rebound per batch; compute ops own a batch-sized scratch slice.
+// register rebound per batch; compute ops own a batch-sized scratch slice,
+// except the output, which the chain writes straight into the caller's
+// window.
 // It reports whether the machine switched programs: a machine that just ran
 // the same program keeps its register carving (and the constants already
 // materialized in scratch — no other program's kernels touched them).
@@ -504,7 +510,7 @@ func (m *Machine) prepare(p *Prog) (fresh bool) {
 	}
 	need := 0
 	for _, in := range p.ins {
-		if !aliasOp(in.op) {
+		if p.ownsScratch(in) {
 			need += batchSize
 		}
 	}
@@ -514,7 +520,7 @@ func (m *Machine) prepare(p *Prog) (fresh bool) {
 	}
 	off := 0
 	for _, in := range p.ins {
-		if !aliasOp(in.op) {
+		if p.ownsScratch(in) {
 			st.regs[in.dst] = st.scratch[off : off+batchSize][:batchSize]
 			off += batchSize
 		}
@@ -529,12 +535,12 @@ func (m *Machine) prepare(p *Prog) (fresh bool) {
 	return true
 }
 
-func aliasOp(o op) bool {
-	switch o {
+func (p *Prog) ownsScratch(in instr) bool {
+	switch in.op {
 	case opLoadCol, opLoadFx, opLoadSlot, opSelfID:
-		return true
+		return false
 	}
-	return false
+	return in.dst != p.out
 }
 
 // Run evaluates the program for physical rows [lo, hi), writing each row's
@@ -542,39 +548,11 @@ func aliasOp(o op) bool {
 // be evaluated (their results are ignored by callers), which is safe
 // because SGL expressions are total.
 func (p *Prog) Run(m *Machine, env *Env, lo, hi int, out []float64) {
-	fresh := m.prepare(p)
-	if !p.opt {
-		// Unoptimized (NoOpt) programs interpret the full instruction list,
-		// re-materializing constants every batch.
-		for start := lo; start < hi; start += batchSize {
-			end := start + batchSize
-			if end > hi {
-				end = hi
-			}
-			p.runSeq(p.batch, m, env, start, end)
-			copy(out[start:end], m.regs[p.out][:end-start])
-		}
-		return
-	}
-	p.fillInv(m, fresh)
+	p.fillInv(m, m.prepare(p))
 	for start := lo; start < hi; start += batchSize {
-		end := start + batchSize
-		if end > hi {
-			end = hi
-		}
-		n := end - start
-		switch {
-		case !p.outBatch:
-			// The whole program is batch-invariant (a literal): fillInv
-			// already produced the answer.
-			copy(out[start:end], m.regs[p.out][:n])
-		case p.chain != nil:
-			for _, fn := range p.chain {
-				fn(m, env, start, end, n, out[start:end])
-			}
-		default:
-			p.runSeq(p.batch, m, env, start, end)
-			copy(out[start:end], m.regs[p.out][:n])
+		end := min(start+batchSize, hi)
+		for _, fn := range p.chain {
+			fn(m, env, start, end, end-start, out[start:end])
 		}
 	}
 }
@@ -592,205 +570,6 @@ func (p *Prog) fillInv(m *Machine, fresh bool) {
 		v := in.imm
 		for i := range dst {
 			dst[i] = v
-		}
-	}
-}
-
-// runSeq interprets one instruction sequence over rows [lo, hi) — the full
-// program for NoOpt runs, the per-batch partition for optimized runs.
-func (p *Prog) runSeq(ins []instr, m *Machine, env *Env, lo, hi int) {
-	n := hi - lo
-	for _, in := range ins {
-		switch in.op {
-		case opConst:
-			dst := m.regs[in.dst][:n]
-			for i := range dst {
-				dst[i] = in.imm
-			}
-		case opLoadCol:
-			m.regs[in.dst] = env.Cols[in.attr][lo:hi]
-		case opLoadFx:
-			m.regs[in.dst] = env.Fx[in.attr][lo:hi]
-		case opLoadSlot:
-			m.regs[in.dst] = env.Slots[in.attr][lo:hi]
-		case opSelfID:
-			m.regs[in.dst] = env.IDs[lo:hi]
-		case opGather:
-			env.Gather(in.class, in.attr, m.regs[in.a][:n], m.regs[in.dst][:n], in.imm)
-		case opNeg:
-			dst, a := m.regs[in.dst][:n], m.regs[in.a][:n]
-			for i := range dst {
-				dst[i] = -a[i]
-			}
-		case opNot:
-			dst, a := m.regs[in.dst][:n], m.regs[in.a][:n]
-			for i := range dst {
-				if a[i] == 0 {
-					dst[i] = 1
-				} else {
-					dst[i] = 0
-				}
-			}
-		case opAdd:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = a[i] + b[i]
-			}
-		case opSub:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = a[i] - b[i]
-			}
-		case opMul:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = a[i] * b[i]
-			}
-		case opDiv:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = a[i] / b[i]
-			}
-		case opMod:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = math.Mod(a[i], b[i])
-			}
-		case opLT:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] < b[i])
-			}
-		case opLE:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] <= b[i])
-			}
-		case opGT:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] > b[i])
-			}
-		case opGE:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] >= b[i])
-			}
-		case opEQ:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] == b[i])
-			}
-		case opNEQ:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] != b[i])
-			}
-		case opAnd:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] != 0 && b[i] != 0)
-			}
-		case opOr:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] != 0 || b[i] != 0)
-			}
-		case opSel:
-			dst, cc, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
-			for i := range dst {
-				if cc[i] != 0 {
-					dst[i] = a[i]
-				} else {
-					dst[i] = b[i]
-				}
-			}
-		case opAbs:
-			dst, a := m.regs[in.dst][:n], m.regs[in.a][:n]
-			for i := range dst {
-				dst[i] = math.Abs(a[i])
-			}
-		case opMin:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = math.Min(a[i], b[i])
-			}
-		case opMax:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = math.Max(a[i], b[i])
-			}
-		case opFloor:
-			dst, a := m.regs[in.dst][:n], m.regs[in.a][:n]
-			for i := range dst {
-				dst[i] = math.Floor(a[i])
-			}
-		case opCeil:
-			dst, a := m.regs[in.dst][:n], m.regs[in.a][:n]
-			for i := range dst {
-				dst[i] = math.Ceil(a[i])
-			}
-		case opSqrt:
-			dst, a := m.regs[in.dst][:n], m.regs[in.a][:n]
-			for i := range dst {
-				dst[i] = math.Sqrt(a[i])
-			}
-		case opClamp:
-			dst, x, lov, hiv := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
-			for i := range dst {
-				dst[i] = math.Min(math.Max(x[i], lov[i]), hiv[i])
-			}
-		case opDist:
-			dst, x1, y1, x2, y2 := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n], m.regs[in.d][:n]
-			for i := range dst {
-				dst[i] = math.Hypot(x1[i]-x2[i], y1[i]-y2[i])
-			}
-		case opMulAdd:
-			// The float64 conversion forbids FMA contraction (Go spec):
-			// the product must round separately to stay bitwise identical
-			// to the unfused two-instruction sequence and the closures.
-			dst, a, b, cc := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
-			for i := range dst {
-				dst[i] = float64(a[i]*b[i]) + cc[i]
-			}
-		case opMulSub:
-			dst, a, b, cc := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
-			for i := range dst {
-				dst[i] = float64(a[i]*b[i]) - cc[i]
-			}
-		case opSubMul:
-			dst, a, b, cc := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
-			for i := range dst {
-				dst[i] = float64(a[i]-b[i]) * cc[i]
-			}
-		case opAbsDiff:
-			dst, a, b := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n]
-			for i := range dst {
-				dst[i] = math.Abs(a[i] - b[i])
-			}
-		case opCmpSel:
-			dst, a, b, tv, fv := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n], m.regs[in.d][:n]
-			cmpSel(op(in.attr), dst, a, b, tv, fv)
-		case opAnd3:
-			dst, a, b, cc := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] != 0 && b[i] != 0 && cc[i] != 0)
-			}
-		case opOr3:
-			dst, a, b, cc := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] != 0 || b[i] != 0 || cc[i] != 0)
-			}
-		case opAnd4:
-			dst, a, b, cc, dd := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n], m.regs[in.d][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] != 0 && b[i] != 0 && cc[i] != 0 && dd[i] != 0)
-			}
-		case opOr4:
-			dst, a, b, cc, dd := m.regs[in.dst][:n], m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n], m.regs[in.d][:n]
-			for i := range dst {
-				dst[i] = b2f(a[i] != 0 || b[i] != 0 || cc[i] != 0 || dd[i] != 0)
-			}
 		}
 	}
 }

@@ -308,31 +308,84 @@ func TestCompileRejectsNonColumnar(t *testing.T) {
 	}
 }
 
-// TestBatchBoundaries ensures results are identical across batch seams by
-// evaluating an extent larger than one batch.
+// TestBatchBoundaries ensures results are identical to the scalar closures
+// across batch seams: extents of more than three batches, Run windows that
+// start mid-batch and end on a partial batch (the join-window shape), short
+// and long (more than 8 per-batch ops) programs, a bare literal, each both
+// optimized and NoOpt. Rows outside the window must stay untouched.
 func TestBatchBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	w := newWorld(rng, 3000)
-	e := &ast.BinaryExpr{Op: token.PLUS,
-		X:  ident(attrN0),
-		Y:  &ast.FieldExpr{X: ident(attrR0), Name: "n1", AttrIdx: attrN1, Class: "C", Ty: ast.NumberT},
+	w := newWorld(rng, 3500)
+	num := func(v float64) ast.Expr { return &ast.NumLit{V: v} }
+	bin := func(op token.Kind, x, y ast.Expr, ty ast.Type) ast.Expr {
+		return &ast.BinaryExpr{Op: op, X: x, Y: y, Ty: ty}
+	}
+	call := func(b ast.Builtin, args ...ast.Expr) ast.Expr {
+		return &ast.CallExpr{Builtin: b, Args: args, Ty: ast.NumberT}
+	}
+	field := func(attr int) ast.Expr {
+		return &ast.FieldExpr{X: ident(attrR0), Name: "f", AttrIdx: attr, Class: "C", Ty: ast.NumberT}
+	}
+	fx := &ast.Ident{Name: "fx0", Bind: ast.Binding{Kind: ast.BindEffectAttr, AttrIdx: 0}, Ty: ast.NumberT}
+	slot := &ast.Ident{Name: "s0", Bind: ast.Binding{Kind: ast.BindLocal, Slot: 0}, Ty: ast.NumberT}
+	self := &ast.Ident{Name: "self", Bind: ast.Binding{Kind: ast.BindSelf}, Ty: ast.RefT("C")}
+	short := bin(token.PLUS, ident(attrN0), field(attrN1), ast.NumberT)
+	// (b0 && n0 < n1 || id(self) > s0) ? dist(n0, n1, r0.n0, fx0)*0.5 + floor(n1/3)
+	//                                  : clamp(abs(n0 - r0.n1), 1, 5) % 4
+	long := &ast.CondExpr{
+		C: bin(token.OROR,
+			bin(token.ANDAND, ident(attrB0), bin(token.LT, ident(attrN0), ident(attrN1), ast.BoolT), ast.BoolT),
+			bin(token.GT, call(ast.BID, self), slot, ast.BoolT), ast.BoolT),
+		T: bin(token.PLUS,
+			bin(token.STAR, call(ast.BDist, ident(attrN0), ident(attrN1), field(attrN0), fx), num(0.5), ast.NumberT),
+			call(ast.BFloor, bin(token.SLASH, ident(attrN1), num(3), ast.NumberT)), ast.NumberT),
+		F: bin(token.PERCENT,
+			call(ast.BClamp, call(ast.BAbs, bin(token.MINUS, ident(attrN0), field(attrN1), ast.NumberT)), num(1), num(5)),
+			num(4), ast.NumberT),
 		Ty: ast.NumberT,
 	}
-	prog, ok := vexpr.Compile(e)
-	if !ok {
-		t.Fatal("expression must compile")
-	}
-	fn := expr.Compile(e)
 	n := len(w.ids)
-	out := make([]float64, n)
-	var m vexpr.Machine
-	prog.Run(&m, &vexpr.Env{Cols: w.cols, IDs: w.ids, Gather: w.gather}, 0, n, out)
-	ctx := expr.Ctx{W: w, Class: "C"}
-	for r := 0; r < n; r++ {
-		ctx.SelfID = value.ID(w.ids[r])
-		ctx.Self = rowReader{w: w, row: r}
-		if want := payload(fn(&ctx)); !sameFloat(out[r], want) {
-			t.Fatalf("row %d: vectorized %v scalar %v", r, out[r], want)
+	env := &vexpr.Env{Cols: w.cols, Fx: w.fx, IDs: w.ids, Slots: w.slots, Gather: w.gather}
+	windows := [][2]int{{0, n}, {700, n - 5}, {1500, 2600}, {2049, 2050}}
+	const untouched = -12345.0
+	var m vexpr.Machine // shared across programs: exercises the slab cache
+	for _, e := range []ast.Expr{short, long, num(7)} {
+		fn := expr.Compile(e)
+		want := make([]float64, n)
+		ctx := expr.Ctx{W: w, Class: "C", Frame: make([]value.Value, 1)}
+		for r := range want {
+			ctx.SelfID = value.ID(w.ids[r])
+			ctx.Self = rowReader{w: w, row: r}
+			ctx.Effects = fxReader{w: w, row: r}
+			ctx.Frame[0] = value.Num(w.slots[0][r])
+			want[r] = payload(fn(&ctx))
+		}
+		for _, noOpt := range []bool{false, true} {
+			prog, ok := vexpr.CompileOpts(e, vexpr.Opts{SlotOK: func(s int) bool { return s == 0 }, NoOpt: noOpt})
+			if !ok {
+				t.Fatalf("expression must compile: %s", ast.ExprString(e))
+			}
+			if e == long && prog.Kernels() <= 8 {
+				t.Fatalf("long program has only %d per-batch ops (NoOpt=%v)", prog.Kernels(), noOpt)
+			}
+			for _, win := range windows {
+				lo, hi := win[0], win[1]
+				out := make([]float64, n)
+				for i := range out {
+					out[i] = untouched
+				}
+				prog.Run(&m, env, lo, hi, out)
+				for r := range out {
+					exp := want[r]
+					if r < lo || r >= hi {
+						exp = untouched
+					}
+					if !sameFloat(out[r], exp) {
+						t.Fatalf("%s NoOpt=%v window [%d,%d) row %d: vectorized %v, want %v",
+							ast.ExprString(e), noOpt, lo, hi, r, out[r], exp)
+					}
+				}
+			}
 		}
 	}
 }
