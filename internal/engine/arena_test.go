@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/physics"
 	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -69,6 +70,34 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 			}
 		})
 	}
+	// A physics-owned class: the column loop resolves its handles, stages
+	// whole columns and separates colliding soldiers on retained scratch.
+	t.Run("physics", func(t *testing.T) {
+		sc, err := core.LoadScenario("rts", core.SrcRTS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sc.NewWorld(engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetArenaPool(&engine.ArenaPool{})
+		ph := physics.New2D(physics.Config{
+			Class: "Soldier", XAttr: "x", YAttr: "y", VXEffect: "vx", VYEffect: "vy", Radius: 2, MaxSpeed: 4,
+		})
+		if err := w.Register(ph); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.PopulateSoldiers(w, workload.Uniform(500, 200, 200, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if avg := warmAllocs(w); avg != 0 {
+			t.Fatalf("steady-state physics RunTick allocates %.1f objects/tick, want 0", avg)
+		}
+		if ph.Collisions == 0 {
+			t.Fatal("no collisions: the resolve path went unmeasured")
+		}
+	})
 	fanOut := 0.0 // the most a vehicle Workers=4 row allocates per tick
 	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
 		t.Run(fmt.Sprintf("workers=4/%v", exec), func(t *testing.T) {

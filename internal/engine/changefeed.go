@@ -2,15 +2,16 @@ package engine
 
 // The per-tick change feed behind incremental subscription views
 // (internal/views): every state write that survives the update step —
-// map-staged scalar rule/component results, dense kernel write-back, spawns,
-// kills, out-of-tick SetState — marks the physical row it changed, and the
+// the commit of the next-epoch columns, spawns, kills, out-of-tick
+// SetState — marks the physical row it changed, and the
 // accumulated marks drain as one deterministic, sorted changefeed per class.
 //
 // Two properties make the feed usable as a view-maintenance substrate:
 //
-//   - It is driven by the writes themselves, at the two apply sites every
-//     execution mode funnels through (runUpdateStep's staged-map apply and
-//     applyVecUpdates' column write-back), so the same marks fall out of any
+//   - It is driven by the writes themselves, at the one commit every
+//     execution mode funnels through (commitStaged, which writes the
+//     next-epoch columns of kernel rules, closure rules and components), so
+//     the same marks fall out of any
 //     Workers/Partitions/Exec configuration and of DisableStats — statistics
 //     collection never feeds execution (the PR 3 grid-sizing rule).
 //   - Marks are value-diffed on raw bits: a rule that rewrites x to the same
@@ -35,6 +36,7 @@ type changeLog struct {
 	gen   uint64   // current accumulation generation
 	stamp []uint64 // per-row: generation the row was last marked in
 	rows  []int32  // rows marked this generation, unsorted until drain
+	diff  []int32  // SetNumColumnDiff scratch for full-column commits
 
 	killed []value.ID // ids deleted since the last drain
 
@@ -57,14 +59,6 @@ func (l *changeLog) mark(row int) {
 	if l.stamp[row] != l.gen {
 		l.stamp[row] = l.gen
 		l.rows = append(l.rows, int32(row))
-	}
-}
-
-// markDirtyRows folds a batch of pre-diffed rows (SetNumColumnDiff output)
-// into the log.
-func (l *changeLog) markDirtyRows(rows []int32) {
-	for _, r := range rows {
-		l.mark(int(r))
 	}
 }
 
@@ -164,24 +158,6 @@ func (w *World) markResync() {
 			rt.vlog.resync = true
 			rt.vlog.accounted = rt.tab.StructVersion()
 		}
-	}
-}
-
-// changedValue reports whether writing nv over ov changes the stored
-// payload, on the same raw-bits discipline as Table.SetNumColumnDiff
-// (float payloads compare as bits; sets always count as changed — their
-// identity is a mutable pointer).
-func changedValue(ov, nv value.Value) bool {
-	if ov.Kind() != nv.Kind() {
-		return true
-	}
-	switch nv.Kind() {
-	case value.KindNumber, value.KindBool, value.KindRef:
-		return !sameBits(ov.AsNumber(), nv.AsNumber())
-	case value.KindString:
-		return ov.AsString() != nv.AsString()
-	default:
-		return true
 	}
 }
 

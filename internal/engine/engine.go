@@ -264,7 +264,7 @@ type classRT struct {
 	// nothing is cleared between admissions. txnRowOwner maps a physical
 	// row to the transaction that last claimed it during conflict grouping;
 	// txnViewCols holds the columnar tentative post-update view per state
-	// attr; txnFxGen marks which dense effect vectors in vec.fxVecs are
+	// attr; txnFxGen marks which dense effect vectors in fxVecs are
 	// fresh for the current admission pass.
 	txnRowOwner []int32
 	txnRowGen   []uint64
@@ -272,10 +272,13 @@ type classRT struct {
 	txnViewGen  []uint64
 	txnFxGen    []uint64
 
-	// stage holds this update step's new-state values, one dense column per
-	// state attr; effectZero is the cached expr.Ctx.EffectZero callback.
+	// stage holds this update step's next-epoch columns, one per state
+	// attr; effectZero is the cached expr.Ctx.EffectZero callback.
 	stage      []stageCol
 	effectZero func(int) value.Value
+
+	// fxVecs[ai] is effect attr ai's dense result-payload vector (bindFxVec).
+	fxVecs [][]float64
 
 	// vlog accumulates the class's state changes for the subscription-view
 	// changefeed (nil until EnableChangeFeed; see changefeed.go).
@@ -300,21 +303,26 @@ func (f *fxColumn) add(row int, v value.Value, key float64) {
 	}
 }
 
-// stageCol is the update step's staging of one state attribute: new values
-// dense over physical rows, reset at the start of every update step so a
-// tick that failed before the apply leaves nothing behind. A rule pass fills
-// every live row (full; shards write row-disjoint cells, so they need no
-// synchronization and no merge); UpdateCtx.Stage writes single cells and
-// lists them in rows.
+// stageCol is the update step's next-epoch column of one state attribute,
+// dense over physical rows and reset at the start of every update step, so
+// a tick that failed before the commit leaves nothing behind. Number, bool
+// and ref attributes stage unboxed payloads in num, written by kernel rules,
+// closure rules and components alike; string and set attributes (boxed)
+// stage vals. Rule passes and ClassCols.Stage fill every live row (full);
+// UpdateCtx.Stage lists the cells it writes in rows.
 type stageCol struct {
-	vals []value.Value
-	full bool
-	rows []int32
+	boxed bool
+	num   []float64
+	vals  []value.Value
+	full  bool
+	rows  []int32
 }
 
 func (c *stageCol) ensure(capacity int) {
-	if n := capacity - len(c.vals); n > 0 {
-		c.vals = append(c.vals, make([]value.Value, n)...)
+	if c.boxed {
+		c.vals = append(c.vals, make([]value.Value, max(0, capacity-len(c.vals)))...)
+	} else {
+		c.num = append(c.num, make([]float64, max(0, capacity-len(c.num)))...)
 	}
 }
 
@@ -365,6 +373,9 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 			phaseCost:   cc.phaseCost,
 			handlerCost: cc.handlerCost,
 			stage:       make([]stageCol, len(cc.cls.State)),
+		}
+		for i, a := range cc.cls.State {
+			rt.stage[i].boxed = a.Kind == value.KindString || a.Kind == value.KindSet
 		}
 		rt.effectZero = func(attrIdx int) value.Value {
 			e := rt.cls.Effects[attrIdx]
@@ -717,10 +728,9 @@ func (w *World) EffectValue(class string, id value.ID, attr string) (value.Value
 
 // Txn is a transaction intent collected from an atomic block (§3.1).
 //
-// The engine recycles intents: a *Txn handed to a TxnPolicy, or returned by
-// World.Txns, is valid only until admission returns. Policies must not
-// retain the pointers or modify Emissions; copy out what must outlive the
-// tick.
+// The engine recycles intents: a *Txn handed to a TxnPolicy is valid only
+// until admission returns. Policies must not retain the pointers or modify
+// Emissions; copy out what must outlive the tick.
 type Txn struct {
 	Class       string
 	Source      value.ID
@@ -762,11 +772,6 @@ type Emission struct {
 	Key       float64
 	SetInsert bool
 }
-
-// Txns returns the transactions collected during the current tick, for
-// admission policies and inspectors. The slice and the recycled intents in
-// it are valid only until admission returns and must not be retained.
-func (w *World) Txns() []*Txn { return w.txns }
 
 // siteRT is the per-accum-site runtime: adaptive selector, statistics, the
 // compile-time batch plan, and the per-partition prepared indexes. A

@@ -514,18 +514,3 @@ func (w *World) Partitions() int {
 	}
 	return w.parts.n
 }
-
-// LayoutEpochs reports each class's current layout epoch (1 = still on the
-// first-tick measurement). Valid after at least one partitioned tick.
-func (w *World) LayoutEpochs() map[string]uint64 {
-	if w.parts == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(w.order))
-	for _, rt := range w.order {
-		if rt.prt != nil {
-			out[rt.name] = rt.prt.layout.Epoch
-		}
-	}
-	return out
-}

@@ -39,6 +39,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/expr"
+	"repro/internal/plan"
 	"repro/internal/value"
 	"repro/internal/vexpr"
 )
@@ -214,8 +215,7 @@ type passKind uint8
 const (
 	passEffect   passKind = iota // script phases: kernel sweeps, then the scalar row loop
 	passHandlers                 // reactive handlers on the new state
-	passRules                    // closure update rules into the staging columns
-	passVecRules                 // kernel update rules into the dense result vectors
+	passRules                    // update rules (kernels, then closures) into the next-epoch columns
 )
 
 // classPass is the state of the pass in flight, written by runPass before
@@ -224,7 +224,8 @@ type classPass struct {
 	kind   passKind
 	rt     *classRT
 	vecSel []bool               // passEffect: phases that run as batch kernels, nil = none
-	rules  []compile.UpdatePlan // passRules
+	rules  []compile.UpdatePlan // passRules: the closure-path rules
+	vecOn  bool                 // passRules: rt.vec.updates run as kernels
 
 	shards  []shard
 	private bool   // kernel sweeps use the worker's scratch, not the class's
@@ -343,15 +344,15 @@ func (w *World) runShard(slot, si int) {
 	if slot == 0 {
 		m = w.arenaMachine()
 	}
-	switch p.kind {
-	case passVecRules:
-		v := rt.vec
-		for i, u := range v.updates {
-			u.prog.Run(m, &v.sc.env, sh.lo, sh.hi, v.outVecs[i])
+	if p.kind == passRules {
+		if p.vecOn {
+			for _, u := range rt.vec.updates {
+				u.prog.Run(m, &rt.vec.sc.env, sh.lo, sh.hi, rt.stage[u.attrIdx].num)
+			}
 		}
-		return
-	case passRules:
-		w.runRuleRange(ws, rt, p.rules, sh.lo, sh.hi)
+		if len(p.rules) > 0 {
+			w.runRuleRange(ws, rt, p.rules, sh.lo, sh.hi)
+		}
 		return
 	}
 
@@ -557,20 +558,43 @@ func (w *World) runHandlers() {
 	}
 }
 
-// runScalarUpdates evaluates a class's closure-path update rules into the
-// staging columns. Every live row stages every rule attribute, so the
-// columns are marked full and the shards just write their own rows' cells.
-func (w *World) runScalarUpdates(rt *classRT, rules []compile.UpdatePlan) {
-	for _, u := range rules {
-		col := &rt.stage[u.AttrIdx]
-		col.ensure(rt.tab.Cap())
-		col.full = true
+// runUpdateRules evaluates a class's update rules over old state + combined
+// effects into their next-epoch columns in one pass: batch kernels when the
+// cost model (or Options.Exec) picks the vectorized path, closures for the
+// rest. Every live row stages every rule attribute, so the columns are full
+// and each shard writes just its own rows' cells.
+func (w *World) runUpdateRules(rt *classRT) {
+	c, v, n := w.execCosts, rt.vec, rt.tab.Cap()
+	p := classPass{kind: passRules, rt: rt, rules: rt.plan.Updates}
+	p.vecOn = v != nil && len(v.updates) > 0 && c.ChooseExec(w.opts.Exec, rt.tab.Len(), n, v.updateKernels) == plan.ExecVectorized
+	work := 0.0
+	if p.vecOn {
+		v.sc.bindEnv(w, rt)
+		for _, ai := range v.updateFx {
+			rt.bindFxVec(ai, n)
+		}
+		v.sc.env.Fx = rt.fxVecs
+		if v.updateNeedIDs {
+			v.sc.fillIDs(rt, n)
+		}
+		for _, u := range v.updates {
+			rt.stage[u.attrIdx].ensure(n)
+			rt.stage[u.attrIdx].full = true
+		}
+		p.rules = v.scalarUpdates
+		work = c.VecSetup + c.VecVisit*float64(n*v.updateKernels)
+		if !w.opts.DisableStats {
+			w.execStats.VectorRows += int64(rt.tab.Len() * len(v.updates))
+		}
 	}
-	work := w.execCosts.ScalarVisit * float64(rt.tab.Len()*len(rules))
-	w.runPass(classPass{kind: passRules, rt: rt, rules: rules}, work)
+	for _, u := range p.rules {
+		rt.stage[u.AttrIdx].ensure(n)
+		rt.stage[u.AttrIdx].full = true
+	}
 	if !w.opts.DisableStats {
-		w.execStats.ScalarRows += int64(rt.tab.Len() * len(rules))
+		w.execStats.ScalarRows += int64(rt.tab.Len() * len(p.rules))
 	}
+	w.runPass(p, work+c.ScalarVisit*float64(rt.tab.Len()*len(p.rules)))
 }
 
 // runRuleRange evaluates every rule for the live rows in [lo, hi) over old
@@ -586,7 +610,12 @@ func (w *World) runRuleRange(ws *workerSlot, rt *classRT, rules []compile.Update
 		ws.self = rowReader{rt: rt, row: r}
 		ws.fx = fxReader{rt: rt, row: r}
 		for _, u := range rules {
-			rt.stage[u.AttrIdx].vals[r] = u.Fn(&ws.rule)
+			col := &rt.stage[u.AttrIdx]
+			if v := u.Fn(&ws.rule); col.boxed {
+				col.vals[r] = v
+			} else {
+				col.num[r] = payloadOf(v)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/plan"
 	"repro/internal/value"
 )
 
@@ -14,8 +13,8 @@ import (
 //     reading frozen state and emitting effect contributions (§2);
 //  3. transaction admission over the collected atomic intents (§3.1);
 //  4. the update step: expression rules, then registered update components,
-//     each over old state + combined effects; staged writes apply
-//     atomically (§2.2);
+//     each over old state + combined effects, write next-epoch columns that
+//     commit atomically (§2.2);
 //  5. program-counter advance and reactive interrupts (§3.2);
 //  6. reactive handlers evaluate on the new state and emit effects for the
 //     next tick (§3.2);
@@ -114,32 +113,16 @@ func (w *World) SetTxnPolicy(p TxnPolicy) { w.txnPolicy = p }
 
 func (w *World) runUpdateStep() error {
 	// Discard any staging left over from a tick that errored out before the
-	// apply step; stale values must never apply later.
+	// commit; stale values must never apply later.
 	for _, rt := range w.order {
 		for i := range rt.stage {
 			rt.stage[i].full, rt.stage[i].rows = false, rt.stage[i].rows[:0]
 		}
-		if rt.vec != nil {
-			rt.vec.staged = false
-		}
 	}
-	// (a) Expression rules, evaluated over old state + combined effects.
-	// Rules that compiled to batch kernels run over the columns when the
-	// cost model (or Options.Exec) picks the vectorized path; the rest
-	// interpret closures row-at-a-time. Both stage their results, applied
-	// together in (c).
+	// (a) Expression rules (shard.go).
 	for _, rt := range w.order {
-		if len(rt.plan.Updates) == 0 {
-			continue
-		}
-		rules := rt.plan.Updates
-		if rt.vec != nil && len(rt.vec.updates) > 0 &&
-			w.execCosts.ChooseExec(w.opts.Exec, rt.tab.Len(), rt.tab.Cap(), rt.vec.updateKernels) == plan.ExecVectorized {
-			w.runVecUpdates(rt)
-			rules = rt.vec.scalarUpdates
-		}
-		if len(rules) > 0 {
-			w.runScalarUpdates(rt, rules)
+		if len(rt.plan.Updates) > 0 {
+			w.runUpdateRules(rt)
 		}
 	}
 	// (b) Owner components.
@@ -149,71 +132,88 @@ func (w *World) runUpdateStep() error {
 			return fmt.Errorf("component %q: %w", c.Name(), err)
 		}
 	}
-	// (c) Apply all staged writes atomically: the staging columns of scalar
-	// rules and components, then the result vectors of the vectorized rules
-	// (disjoint attributes by strict ownership).
+	// (c) Commit every next-epoch column atomically.
 	for _, rt := range w.order {
-		rt.applyStaged()
-		rt.applyVecUpdates()
+		rt.commitStaged()
 	}
 	return nil
 }
 
-// applyStaged writes the staging columns back: every live row of a rule-
-// filled column, the listed rows of a component-staged one.
-func (rt *classRT) applyStaged() {
-	for attrIdx := range rt.stage {
-		col := &rt.stage[attrIdx]
-		if col.full {
-			for row, ok := range rt.tab.AliveMask() {
-				if ok {
-					rt.commit(row, attrIdx, col.vals[row])
-				}
-			}
+// stageColumn returns attribute i's next-epoch payload column for
+// ClassCols.Stage, prefilled on the tick's first call (see there).
+func (rt *classRT) stageColumn(i int) []float64 {
+	col := &rt.stage[i]
+	if !col.full {
+		col.ensure(rt.tab.Cap())
+		keep := make([]float64, len(col.rows)) // cells staged before: rare, mixed use
+		for j, r := range col.rows {
+			keep[j] = col.num[r]
 		}
-		for _, row := range col.rows {
-			rt.commit(int(row), attrIdx, col.vals[row])
+		copy(col.num, rt.tab.NumColumn(i))
+		for j, r := range col.rows {
+			col.num[r] = keep[j]
 		}
+		col.rows, col.full = col.rows[:0], true
 	}
+	return col.num[:rt.tab.Cap()]
 }
 
-// commit applies one staged cell. Changefeed marks diff on raw bits so rows
-// rewritten to the same payload stay out of the feed.
-func (rt *classRT) commit(row, attrIdx int, v value.Value) {
-	if rt.vlog != nil && changedValue(rt.tab.At(row, attrIdx), v) {
-		rt.vlog.mark(row)
+// commitStaged writes the next-epoch columns back: every live row of a full
+// column, the listed rows of a cell-staged one. Changefeed marks diff on raw
+// payload bits, so rows rewritten to the same payload stay out of the feed
+// (a whole-column write is not a whole-column change); a set write always
+// counts, its identity being a mutable pointer.
+func (rt *classRT) commitStaged() {
+	alive := rt.tab.AliveMask()
+	for i := range rt.stage {
+		col := &rt.stage[i]
+		switch {
+		case col.boxed:
+			if col.full {
+				col.rows = rt.tab.LiveRows(col.rows[:0])
+			}
+			for _, r := range col.rows {
+				row, v := int(r), col.vals[r]
+				if rt.vlog != nil && (v.Kind() == value.KindSet || rt.tab.At(row, i).AsString() != v.AsString()) {
+					rt.vlog.mark(row)
+				}
+				rt.tab.SetAt(row, i, v)
+			}
+		case col.full && rt.vlog == nil:
+			rt.tab.SetNumColumn(i, col.num, alive)
+		case col.full:
+			l := rt.vlog
+			l.diff = rt.tab.SetNumColumnDiff(i, col.num, alive, l.diff[:0])
+			for _, r := range l.diff {
+				l.mark(int(r))
+			}
+		default:
+			for _, r := range col.rows {
+				if rt.vlog != nil && !sameBits(rt.tab.NumColumn(i)[r], col.num[r]) {
+					rt.vlog.mark(int(r))
+				}
+				rt.tab.SetNumAt(int(r), i, col.num[r])
+			}
+		}
 	}
-	rt.tab.SetAt(row, attrIdx, v)
 }
 
 func (w *World) advancePCs() {
 	for _, rt := range w.order {
-		if rt.plan.NumPhases <= 1 {
-			continue
-		}
-		tab := rt.tab
-		n := float64(rt.plan.NumPhases)
-		for r := 0; r < tab.Cap(); r++ {
-			if !tab.Alive(r) {
-				continue
+		if n := rt.plan.NumPhases; n > 1 {
+			pcs := rt.tab.NumColumn(rt.pcCol)
+			for r, ok := range rt.tab.AliveMask() {
+				if ok {
+					rt.tab.SetNumAt(r, rt.pcCol, float64((int(pcs[r])+1)%n))
+				}
 			}
-			pc := tab.At(r, rt.pcCol).AsNumber()
-			pc = pc + 1
-			if pc >= n {
-				pc = 0
-			}
-			tab.SetAt(r, rt.pcCol, value.Num(pc))
 		}
 	}
 	for _, in := range w.interrupts {
 		rt := w.classes[in.class]
-		tab := rt.tab
-		for r := 0; r < tab.Cap(); r++ {
-			if !tab.Alive(r) {
-				continue
-			}
-			if in.cond(w, tab.ID(r)) {
-				tab.SetAt(r, rt.pcCol, value.Num(float64(in.phase)))
+		for r, ok := range rt.tab.AliveMask() {
+			if ok && in.cond(w, rt.tab.ID(r)) {
+				rt.tab.SetNumAt(r, rt.pcCol, float64(in.phase))
 			}
 		}
 	}

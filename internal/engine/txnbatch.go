@@ -367,7 +367,6 @@ func (w *World) buildTxnView(va txnViewAttr) {
 	}
 	rt.txnViewGen[va.attr] = s.gen
 	n := rt.tab.Cap()
-	v := rt.vec
 	rt.txnFxGen = growU64(rt.txnFxGen, len(rt.fx))
 	for _, ai := range va.prog.FxUsed() {
 		if rt.txnFxGen[ai] == s.gen {
@@ -379,7 +378,7 @@ func (w *World) buildTxnView(va txnViewAttr) {
 	out := grow(rt.txnViewCols[va.attr], n)
 	rt.txnViewCols[va.attr] = out
 	s.viewEnv.Cols = rt.tab.NumColumns()
-	s.viewEnv.Fx = v.fxVecs
+	s.viewEnv.Fx = rt.fxVecs
 	if va.prog.NeedIDs() {
 		s.viewIDs = grow(s.viewIDs, n)
 		for r := 0; r < n; r++ {

@@ -280,7 +280,7 @@ func TestPayloadEffectBuffersUnboxed(t *testing.T) {
 	}
 	n := rt.tab.Cap()
 	for _, ai := range rt.vec.updateFx {
-		if &rt.vec.fxVecs[ai][0] != &rt.fx[ai].ResultPayloads(nil, n)[0] {
+		if &rt.fxVecs[ai][0] != &rt.fx[ai].ResultPayloads(nil, n)[0] {
 			t.Errorf("update kernels read a copy of effect %s", rt.cls.Effects[ai].Name)
 		}
 	}

@@ -122,23 +122,14 @@ type vecClassProgs struct {
 type vecClassPlan struct {
 	*vecClassProgs
 
-	sc      vecScratch
-	fxVecs  [][]float64 // indexed by effect attr; nil when unused
-	outVecs [][]float64 // staged update-rule results, one per vec rule
-	staged  bool        // outVecs hold this tick's results
-	diffBuf []int32     // changefeed write-back diff scratch, reused
+	sc vecScratch
 }
 
 // phaseCounts returns the number of live rows at each script phase — the
 // rows the scalar path would actually visit per phase.
 func (rt *classRT) phaseCounts() []int {
-	if cap(rt.countsBuf) < rt.plan.NumPhases {
-		rt.countsBuf = make([]int, rt.plan.NumPhases)
-	}
-	rt.countsBuf = rt.countsBuf[:rt.plan.NumPhases]
-	for i := range rt.countsBuf {
-		rt.countsBuf[i] = 0
-	}
+	rt.countsBuf = grow(rt.countsBuf, rt.plan.NumPhases)
+	clear(rt.countsBuf)
 	if rt.plan.NumPhases == 1 {
 		rt.countsBuf[0] = rt.tab.Len()
 		return rt.countsBuf
@@ -408,10 +399,7 @@ func (s *vecScratch) mask(depth, n int) []bool {
 	for len(s.masks) <= depth {
 		s.masks = append(s.masks, nil)
 	}
-	if cap(s.masks[depth]) < n {
-		s.masks[depth] = make([]bool, n)
-	}
-	s.masks[depth] = s.masks[depth][:n]
+	s.masks[depth] = grow(s.masks[depth], n)
 	return s.masks[depth]
 }
 
@@ -595,71 +583,15 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 	}
 }
 
-// runVecUpdates evaluates the class's vectorized update rules, leaving the
-// new-state payloads staged in outVecs. They apply with all other staged
-// writes at the end of the update step, so components still observe old
-// state. Shards stream batch-aligned ranges of each result vector, so the
-// only per-worker state is the kernel machine.
-func (w *World) runVecUpdates(rt *classRT) {
-	v := rt.vec
-	n := rt.tab.Cap()
-	v.sc.bindEnv(w, rt)
-	for _, ai := range v.updateFx {
-		rt.bindFxVec(ai, n)
-	}
-	v.sc.env.Fx = v.fxVecs
-	if v.updateNeedIDs {
-		v.sc.fillIDs(rt, n)
-	}
-	for len(v.outVecs) < len(v.updates) {
-		v.outVecs = append(v.outVecs, nil)
-	}
-	for i := range v.updates {
-		v.outVecs[i] = grow(v.outVecs[i], n)
-	}
-	c := w.execCosts
-	w.runPass(classPass{kind: passVecRules, rt: rt}, c.VecSetup+c.VecVisit*float64(n*v.updateKernels))
-	v.staged = true
-	if !w.opts.DisableStats {
-		w.execStats.VectorRows += int64(rt.tab.Len() * len(v.updates))
-	}
-}
-
-// bindFxVec points vec.fxVecs[ai] at effect attr ai's dense result payloads
+// bindFxVec points rt.fxVecs[ai] at effect attr ai's dense result payloads
 // over rows [0, n): the fold column itself for the zero-copy kinds, a fill
 // of the vector's own buffer for the others (Column.ResultPayloads).
-func (rt *classRT) bindFxVec(ai, n int) {
-	v := rt.vec
-	for len(v.fxVecs) < len(rt.fx) {
-		v.fxVecs = append(v.fxVecs, nil)
+func (rt *classRT) bindFxVec(ai, n int) []float64 {
+	for len(rt.fxVecs) < len(rt.fx) {
+		rt.fxVecs = append(rt.fxVecs, nil)
 	}
-	v.fxVecs[ai] = rt.fx[ai].ResultPayloads(v.fxVecs[ai], n)
-}
-
-// applyVecUpdates writes the staged kernel result vectors back for live
-// rows. Attributes are staged by exactly one rule or owner (strict
-// ownership), so ordering against the staging columns is immaterial.
-func (rt *classRT) applyVecUpdates() {
-	v := rt.vec
-	if v == nil || !v.staged {
-		return
-	}
-	alive := rt.tab.AliveMask()
-	if l := rt.vlog; l != nil {
-		// Changefeed on: diff during write-back so only rows whose payload
-		// bits actually changed enter the feed (a whole-column kernel write
-		// is NOT a whole-column change).
-		for i, u := range v.updates {
-			v.diffBuf = rt.tab.SetNumColumnDiff(u.attrIdx, v.outVecs[i], alive, v.diffBuf[:0])
-			l.markDirtyRows(v.diffBuf)
-		}
-		v.staged = false
-		return
-	}
-	for i, u := range v.updates {
-		rt.tab.SetNumColumn(u.attrIdx, v.outVecs[i], alive)
-	}
-	v.staged = false
+	rt.fxVecs[ai] = rt.fx[ai].ResultPayloads(rt.fxVecs[ai], n)
+	return rt.fxVecs[ai]
 }
 
 // ExecStats reports how much per-row expression work ran vectorized versus

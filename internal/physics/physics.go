@@ -8,9 +8,10 @@
 package physics
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/value"
@@ -50,6 +51,9 @@ type Physics struct {
 	// Collisions counts separations performed on the last tick (observable
 	// for tests and the contention experiment E3).
 	Collisions int64
+
+	bodies []body // collision scratch, reused across ticks
+	idx    []int32
 }
 
 // New2D builds the component. Register it on a world whose class declares
@@ -69,56 +73,65 @@ func (p *Physics) Name() string { return "physics" }
 
 type body struct {
 	id   value.ID
+	row  int32
 	x, y float64
 }
 
-// Update implements engine.UpdateComponent: integrate intentions, resolve
-// collisions, clamp to bounds, stage owned attributes.
+// Update implements engine.UpdateComponent as one loop over the class's live
+// rows: integrate intentions, clamp to bounds and write the owned columns.
+// With a collision radius the integrated positions go through resolve
+// first, in storage order.
 func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 	cfg := p.cfg
-	ids := ctx.IDs(cfg.Class)
-	bodies := make([]body, 0, len(ids))
-	for _, id := range ids {
-		xv, ok := ctx.State(cfg.Class, id, cfg.XAttr)
+	c, err := ctx.Class(cfg.Class)
+	if err != nil {
+		return fmt.Errorf("physics: %w", err)
+	}
+	x, err1 := c.State(cfg.XAttr)
+	y, err2 := c.State(cfg.YAttr)
+	vxs, err3 := c.Effect(cfg.VXEffect)
+	vys, err4 := c.Effect(cfg.VYEffect)
+	nx, err5 := c.Stage(cfg.XAttr)
+	ny, err6 := c.Stage(cfg.YAttr)
+	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
+		return fmt.Errorf("physics: %w", err)
+	}
+	collide := cfg.Radius > 0
+	p.bodies = p.bodies[:0]
+	ids := c.IDs()
+	for r, ok := range c.Alive() {
 		if !ok {
-			return fmt.Errorf("physics: missing %s.%s", cfg.Class, cfg.XAttr)
+			continue
 		}
-		yv, _ := ctx.State(cfg.Class, id, cfg.YAttr)
-		x, y := xv.AsNumber(), yv.AsNumber()
-		var vx, vy float64
-		if v, ok := ctx.Effect(cfg.Class, id, cfg.VXEffect); ok {
-			vx = v.AsNumber()
-		}
-		if v, ok := ctx.Effect(cfg.Class, id, cfg.VYEffect); ok {
-			vy = v.AsNumber()
-		}
+		vx, vy := vxs[r], vys[r]
 		if cfg.MaxSpeed > 0 {
 			if sp := math.Hypot(vx, vy); sp > cfg.MaxSpeed {
 				s := cfg.MaxSpeed / sp
 				vx, vy = vx*s, vy*s
 			}
 		}
-		bodies = append(bodies, body{id: id, x: x + vx*cfg.Dt, y: y + vy*cfg.Dt})
-	}
-
-	if cfg.Radius > 0 {
-		p.resolve(bodies)
-	}
-	if cfg.Bounds != nil {
-		for i := range bodies {
-			bodies[i].x = math.Min(math.Max(bodies[i].x, cfg.Bounds.MinX), cfg.Bounds.MaxX)
-			bodies[i].y = math.Min(math.Max(bodies[i].y, cfg.Bounds.MinY), cfg.Bounds.MaxY)
+		b := body{id: ids[r], row: int32(r), x: x[r] + vx*cfg.Dt, y: y[r] + vy*cfg.Dt}
+		if collide {
+			p.bodies = append(p.bodies, b)
+			continue
 		}
+		nx[r], ny[r] = p.clamp(b)
 	}
-	for _, b := range bodies {
-		if err := ctx.Stage(cfg.Class, b.id, cfg.XAttr, value.Num(b.x)); err != nil {
-			return err
-		}
-		if err := ctx.Stage(cfg.Class, b.id, cfg.YAttr, value.Num(b.y)); err != nil {
-			return err
+	if collide {
+		p.resolve(p.bodies)
+		for _, b := range p.bodies {
+			nx[b.row], ny[b.row] = p.clamp(b)
 		}
 	}
 	return nil
+}
+
+// clamp returns b's position clamped to the bounds, if any.
+func (p *Physics) clamp(b body) (x, y float64) {
+	if bd := p.cfg.Bounds; bd != nil {
+		return math.Min(math.Max(b.x, bd.MinX), bd.MaxX), math.Min(math.Max(b.y, bd.MinY), bd.MaxY)
+	}
+	return b.x, b.y
 }
 
 // resolve separates overlapping bodies with a sweep-and-prune pass over x,
@@ -126,12 +139,19 @@ func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 // sorted order and pushed apart symmetrically.
 func (p *Physics) resolve(bodies []body) {
 	r2 := 2 * p.cfg.Radius
-	idx := make([]int, len(bodies))
+	p.idx = slices.Grow(p.idx[:0], len(bodies))[:len(bodies)]
+	idx := p.idx
+	byX := func(a, b int32) int {
+		if bodies[a].x < bodies[b].x {
+			return -1
+		}
+		return 0 // the sort tests only cmp < 0: exactly sort.SliceStable's less
+	}
 	for it := 0; it < p.cfg.Iterations; it++ {
 		for i := range idx {
-			idx[i] = i
+			idx[i] = int32(i)
 		}
-		sort.SliceStable(idx, func(a, b int) bool { return bodies[idx[a]].x < bodies[idx[b]].x })
+		slices.SortStableFunc(idx, byX)
 		moved := false
 		for ii := 0; ii < len(idx); ii++ {
 			i := idx[ii]

@@ -156,7 +156,7 @@ func (r *Registry) maintain(s *Sub, tick int64) bool {
 		if s.evSeq == r.seq {
 			r.applyEvents(s, cs)
 		}
-	case !resync && s.stable &&
+	case !resync && s.sh.stable &&
 		r.costs.ChooseView(s.def.Mode, cs.tab.Len(), len(cs.rows)) == plan.ViewDelta:
 		r.applyDelta(s, cs)
 	default:
@@ -270,11 +270,11 @@ func (r *Registry) evalCandidates(s *Sub, cs *classState) []float64 {
 	if k == 0 {
 		return mask
 	}
-	if s.pp != nil {
+	if s.sh.prog != nil {
 		cs.buildLanes()
 		r.fillSlots(s, k)
 		r.env = vexpr.Env{Cols: cs.lanes, IDs: cs.idLane, Slots: r.slotLanes}
-		s.pp.prog.Run(&r.mach, &r.env, 0, k, mask)
+		s.sh.prog.Run(&r.mach, &r.env, 0, k, mask)
 		return mask
 	}
 	cs.buildCandIDs()
@@ -282,7 +282,7 @@ func (r *Registry) evalCandidates(s *Sub, cs *classState) []float64 {
 	for i, row := range cs.rows {
 		ctx.SelfID = cs.candIDs[i]
 		ctx.Self = tabRow{cs.tab, int(row)}
-		if s.scalarFn(&ctx).AsBool() {
+		if s.sh.scalarFn(&ctx).AsBool() {
 			mask[i] = 1
 		} else {
 			mask[i] = 0
@@ -624,13 +624,13 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 				pairs = append(pairs, idRow{raw[row], int32(row)})
 			}
 		}
-	} else if s.pp != nil {
+	} else if s.sh.prog != nil {
 		mask := growFloats(r.mask, n)
 		r.mask = mask
 		if n > 0 {
 			r.fillSlots(s, n)
 			r.env = vexpr.Env{Cols: tab.NumColumns(), Slots: r.slotLanes}
-			if s.pp.prog.NeedIDs() {
+			if s.sh.prog.NeedIDs() {
 				lane := growFloats(cs.fullIDLane, n)
 				cs.fullIDLane = lane
 				raw := tab.RawIDs()
@@ -639,7 +639,7 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 				}
 				r.env.IDs = lane
 			}
-			s.pp.prog.Run(&r.mach, &r.env, 0, n, mask)
+			s.sh.prog.Run(&r.mach, &r.env, 0, n, mask)
 		}
 		raw := tab.RawIDs()
 		for row := 0; row < n; row++ {
@@ -656,7 +656,7 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 			}
 			ctx.SelfID = raw[row]
 			ctx.Self = tabRow{tab, row}
-			if s.scalarFn(&ctx).AsBool() {
+			if s.sh.scalarFn(&ctx).AsBool() {
 				pairs = append(pairs, idRow{raw[row], int32(row)})
 			}
 		}

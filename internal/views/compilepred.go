@@ -24,63 +24,54 @@ import (
 	"repro/internal/vexpr"
 )
 
-// compilePred canonicalizes, classifies and compiles a sem-checked
-// predicate into the subscription.
-func (s *Sub) compilePred(class string, e ast.Expr) {
+// compilePred canonicalizes a sem-checked predicate into the
+// subscription's constants and points it at the shared shape for its
+// canonical key, analyzing and compiling the shape on first sight: a
+// subscription retains only its constants, never an AST or analysis of its
+// own.
+func (r *Registry) compilePred(s *Sub, class string, e ast.Expr) {
 	c := &canonicalizer{}
 	c.key.WriteString(class)
 	c.key.WriteByte('|')
-	s.pred = c.rewrite(e)
+	pred := c.rewrite(e)
 	s.consts = c.consts
 	s.frame = make([]value.Value, len(c.consts))
 	for i, v := range c.consts {
 		s.frame[i] = value.Num(v)
 	}
-	vp := analysis.AnalyzeViewPred(class, s.pred)
-	s.reads = vp.Reads
-	s.stable = vp.Stable
-	s.reasons = vp.Reasons
-	s.key = c.key.String()
+	if sh, ok := r.progCache[c.key.String()]; ok {
+		s.sh = sh
+		return
+	}
+	vp := analysis.AnalyzeViewPred(class, pred)
+	s.sh = &predShape{key: c.key.String(), pred: pred, reads: vp.Reads, stable: vp.Stable, reasons: vp.Reasons}
+	s.sh.compile(r, class)
 }
 
-// recompileKernel (re)compiles the shared kernel for the subscription's
-// canonical shape — on Subscribe, and again on Attach (a restored world
-// interns dictionary codes afresh, so cached programs are stale).
-func (s *Sub) recompileKernel(r *Registry) {
-	s.pp = nil
-	s.scalarFn = nil
-	if !s.stable {
-		// Unstable predicates rescan through the scalar closure: its
-		// cross-object reads resolve through the engine (expr.World),
-		// which a gathered kernel cannot do from outside the engine.
-		s.scalarFn = expr.Compile(s.pred)
-		return
-	}
-	if pp, ok := r.progCache[s.key]; ok {
-		s.pp = pp
-		if pp == nil {
-			s.scalarFn = expr.Compile(s.pred)
+// compile (re)compiles the shape's evaluator and caches the shape under its
+// key — on first sight, and again on Attach (a restored world interns
+// dictionary codes afresh, so compiled programs are stale). Unstable
+// predicates rescan through the scalar closure: their cross-object reads
+// resolve through the engine (expr.World), which a gathered kernel cannot
+// do from outside the engine. Stable ones outside the kernel subset
+// (ordered string compares, set probes) fall back to it per candidate.
+func (sh *predShape) compile(r *Registry, class string) {
+	r.progCache[sh.key] = sh
+	sh.prog, sh.scalarFn = nil, nil
+	if sh.stable {
+		var dict vexpr.Dict
+		if d := r.eng.ClassTable(class).Dict(); d != nil {
+			dict = d
 		}
-		return
+		if prog, ok := vexpr.CompileOpts(sh.pred, vexpr.Opts{
+			SlotOK: func(int) bool { return true },
+			Dict:   dict,
+		}); ok {
+			sh.prog = prog
+			return
+		}
 	}
-	var dict vexpr.Dict
-	if d := s.cs.tab.Dict(); d != nil {
-		dict = d
-	}
-	prog, ok := vexpr.CompileOpts(s.pred, vexpr.Opts{
-		SlotOK: func(int) bool { return true },
-		Dict:   dict,
-	})
-	if !ok {
-		// Outside the kernel subset (ordered string compares, set probes):
-		// cache the miss and fall back to the scalar closure per candidate.
-		r.progCache[s.key] = nil
-		s.scalarFn = expr.Compile(s.pred)
-		return
-	}
-	pp := &predProg{prog: prog, nConsts: len(s.consts)}
-	r.progCache[s.key] = pp
-	s.pp = pp
+	sh.scalarFn = expr.Compile(sh.pred)
 }
 
 // canonicalizer deep-copies an expression, replacing numeric literals with

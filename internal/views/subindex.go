@@ -211,19 +211,19 @@ func (r *Registry) indexSub(s *Sub) string {
 	switch {
 	case s.def.Mode != plan.ViewAuto:
 		return whyForced
-	case !s.stable:
+	case !s.sh.stable:
 		return whyUnstable
 	}
 	cs := s.cs
-	g := cs.groups[s.key]
+	g := cs.groups[s.sh.key]
 	if g == nil {
-		cmps, attrs, why := boxShapeOf(s.pred, cs.cls)
+		cmps, attrs, why := boxShapeOf(s.sh.pred, cs.cls)
 		if why != "" {
 			return why
 		}
-		g = &subGroup{key: s.key, cmps: cmps, attrs: attrs, kernels: 16}
-		if s.pp != nil {
-			g.kernels = s.pp.prog.Kernels()
+		g = &subGroup{key: s.sh.key, cmps: cmps, attrs: attrs, kernels: 16}
+		if s.sh.prog != nil {
+			g.kernels = s.sh.prog.Kernels()
 		}
 	}
 	var centre, half [2]float64

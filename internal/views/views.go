@@ -184,17 +184,11 @@ type Sub struct {
 	def Def
 	cs  *classState
 
-	pred     ast.Expr  // canonicalized predicate (constants → frame slots)
-	consts   []float64 // per-subscription constants, in slot order
-	frame    []value.Value
-	key      string    // canonical shape key (kernel cache key)
-	pp       *predProg // shared kernel; nil → scalar closure path
-	scalarFn expr.Fn   // scalar fallback / unstable-predicate evaluator
-	reads    []int     // predicate state reads
-	payload  []int     // payload attr indices (Select)
-	aggAttr  int       // Sum/TopK attr index; -1 otherwise
-	stable   bool
-	reasons  []string
+	sh      *predShape // shared canonical predicate shape
+	consts  []float64  // per-subscription constants, in slot order
+	frame   []value.Value
+	payload []int // payload attr indices (Select)
+	aggAttr int   // Sum/TopK attr index; -1 otherwise
 
 	// cols is reads ∪ payload ∪ aggAttr: the columns whose stillness (plus
 	// an unchanged structure version) makes skipping the subscription
@@ -225,10 +219,10 @@ func (s *Sub) Def() Def { return s.def }
 
 // Stable reports whether the predicate is delta-maintainable; when false,
 // Reasons explains why every tick rescans.
-func (s *Sub) Stable() bool { return s.stable }
+func (s *Sub) Stable() bool { return s.sh.stable }
 
 // Reasons returns the stability analysis's why-reasons (nil when Stable).
-func (s *Sub) Reasons() []string { return s.reasons }
+func (s *Sub) Reasons() []string { return s.sh.reasons }
 
 // Indexed reports whether the subscription sits in a subscription index —
 // its predicate is a box in slot space, so touched rows find it by probe
@@ -258,11 +252,17 @@ func (s *Sub) Top() []TopEntry {
 	return out
 }
 
-// predProg is one compiled predicate shape, shared by every subscription
-// whose predicate canonicalizes to the same key.
-type predProg struct {
-	prog    *vexpr.Prog
-	nConsts int
+// predShape is one canonical predicate shape, shared by every subscription
+// whose predicate canonicalizes to the same key: the canonicalized AST, its
+// analysis and its compiled evaluator.
+type predShape struct {
+	key      string
+	pred     ast.Expr // canonicalized predicate (constants → frame slots)
+	reads    []int    // predicate state reads
+	stable   bool
+	reasons  []string
+	prog     *vexpr.Prog // shared kernel; nil → scalarFn
+	scalarFn expr.Fn     // scalar fallback / unstable-predicate evaluator
 }
 
 // classState is the registry's per-class maintenance state: the drained
@@ -324,7 +324,7 @@ type Registry struct {
 	classList []*classState
 	indexed   int64 // subscriptions currently in an index group
 
-	progCache map[string]*predProg
+	progCache map[string]*predShape
 	mach      vexpr.Machine
 	env       vexpr.Env // retained: a per-call Env escapes to the heap
 
@@ -366,7 +366,7 @@ func New(eng *engine.World, costs plan.Costs) *Registry {
 		costs:     costs,
 		byID:      map[SubID]*Sub{},
 		classes:   map[string]*classState{},
-		progCache: map[string]*predProg{},
+		progCache: map[string]*predShape{},
 	}
 	r.drainFn = r.copyFeed
 	r.queueFn = r.queue
@@ -398,7 +398,7 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 		return nil, fmt.Errorf("views: predicate must be boolean, got %v", ty.Kind)
 	}
 	s := &Sub{def: def, aggAttr: -1}
-	s.compilePred(def.Class, e)
+	r.compilePred(s, def.Class, e)
 
 	switch def.Kind {
 	case Select:
@@ -437,7 +437,7 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 
 	// Version-watched columns: predicate reads plus everything delivered.
 	watched := make([]bool, len(cp.Class.State))
-	for _, c := range s.reads {
+	for _, c := range s.sh.reads {
 		watched[c] = true
 	}
 	for _, c := range s.payload {
@@ -464,7 +464,6 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 	}
 	s.cs = cs
 	s.fresh = true
-	s.recompileKernel(r)
 
 	r.nextID++
 	s.id = r.nextID
@@ -564,7 +563,9 @@ func (r *Registry) Attach(eng *engine.World) {
 		cs.versValid = false
 		cs.dropImage()
 		cs.each(func(s *Sub) {
-			s.recompileKernel(r)
+			if r.progCache[s.sh.key] != s.sh {
+				s.sh.compile(r, cs.name)
+			}
 			s.fresh = true
 			if s.grp != nil {
 				r.fresh = append(r.fresh, s)
