@@ -70,6 +70,29 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 			}
 		})
 	}
+	// A changefeed attached: full kernel columns commit by swap and diff
+	// old against new storage, and the drain hands the marks out.
+	t.Run("changefeed", func(t *testing.T) {
+		w := pooledVehicleWorldOpts(t, 500, &engine.ArenaPool{}, engine.Options{Workers: 1})
+		w.EnableChangeFeed()
+		rows := 0
+		drain := func(d engine.ClassDelta) { rows += len(d.Rows) }
+		tick := func() {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+			w.DrainChangeFeed(drain)
+		}
+		for i := 0; i < 5; i++ {
+			tick()
+		}
+		if avg := testing.AllocsPerRun(20, tick); avg != 0 {
+			t.Fatalf("steady-state RunTick+drain with a changefeed allocates %.1f objects/tick, want 0", avg)
+		}
+		if rows == 0 {
+			t.Fatal("the feed marked no rows: the diff went unmeasured")
+		}
+	})
 	// A physics-owned class: the column loop resolves its handles, stages
 	// whole columns and separates colliding soldiers on retained scratch.
 	t.Run("physics", func(t *testing.T) {

@@ -36,7 +36,6 @@ type changeLog struct {
 	gen   uint64   // current accumulation generation
 	stamp []uint64 // per-row: generation the row was last marked in
 	rows  []int32  // rows marked this generation, unsorted until drain
-	diff  []int32  // SetNumColumnDiff scratch for full-column commits
 
 	killed []value.ID // ids deleted since the last drain
 

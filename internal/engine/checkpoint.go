@@ -113,7 +113,12 @@ func (w *World) Restore(c *Checkpoint) error {
 	w.markResync()
 	// Handlers are pure functions of post-update state; re-running them
 	// reconstructs the effects that were armed for the next tick. They may
-	// probe accum sites, so the replay holds a tick arena like RunTick.
+	// probe accum sites, so the replay holds a tick arena like RunTick, and
+	// on partitions they run by ownership, which must cover the compacted rows.
+	if w.parts != nil {
+		w.ensurePartitionLayouts()
+		w.assignPartitions(false)
+	}
 	w.acquireArena()
 	w.runHandlers()
 	w.releaseArena()

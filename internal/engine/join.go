@@ -590,9 +590,7 @@ func (x *execCtx) foldSegs(s *compile.AccumStep, b *siteBatch, srcRT *classRT, r
 func (x *execCtx) gatherLanes(srcRT *classRT, cols []int, needIDs bool, rows []int32) {
 	k := len(rows)
 	tab := srcRT.tab
-	for len(x.lanes) < len(srcRT.cls.State) {
-		x.lanes = append(x.lanes, nil)
-	}
+	x.lanes = extend(x.lanes, len(srcRT.cls.State))
 	for _, a := range cols {
 		src := tab.NumColumn(a)
 		lane := grow(x.lanes[a], k)
@@ -626,9 +624,7 @@ func (x *execCtx) gatherLanes(srcRT *classRT, cols []int, needIDs bool, rows []i
 // lock-free snapshot readers).
 func (x *execCtx) probeLanes(srcs []vexpr.BcastSrc) [][]float64 {
 	m := len(x.segRows)
-	for len(x.pLanes) < len(srcs) {
-		x.pLanes = append(x.pLanes, nil)
-	}
+	x.pLanes = extend(x.pLanes, len(srcs))
 	tab := x.rt.tab
 	for i, src := range srcs {
 		lane := grow(x.pLanes[i], m)

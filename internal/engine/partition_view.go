@@ -303,9 +303,7 @@ func (w *World) deriveSiteReach(site *siteRT, srcRT *classRT) bool {
 	// Gather anchors and evaluate every self-only dimension's interval per
 	// probing row (all phases: a conservative superset of actual probers).
 	naxes := pc.layout.Axes
-	for len(pw.axisPos) < naxes {
-		pw.axisPos = append(pw.axisPos, nil)
-	}
+	pw.axisPos = extend(pw.axisPos, naxes)
 	for len(pw.boxLo) < dims {
 		pw.boxLo = append(pw.boxLo, nil)
 		pw.boxHi = append(pw.boxHi, nil)

@@ -224,6 +224,7 @@ type classPass struct {
 	kind   passKind
 	rt     *classRT
 	vecSel []bool               // passEffect: phases that run as batch kernels, nil = none
+	vecAll bool                 // passEffect: no row is left for the scalar loop, skip it
 	rules  []compile.UpdatePlan // passRules: the closure-path rules
 	vecOn  bool                 // passRules: rt.vec.updates run as kernels
 
@@ -376,12 +377,17 @@ func (w *World) runShard(slot, si int) {
 				sink.vecRows += int64(w.vecPhaseRange(rt, ph, rt.vec.phases[ph], sh, assign, sc, m, &sink.touched))
 			}
 		}
+		if p.vecAll {
+			sink.load = sink.vecRows
+			return
+		}
 	}
 
 	x := &ws.x
 	x.arm(sink, m, rt.plan.NumSlots)
 	x.part = max(sh.owner, 0)
 	tab := rt.tab
+	pcs := tab.NumColumn(rt.pcCol)
 	rows := int64(0)
 	hoist := p.kind == passEffect && len(rt.hoist) > 0
 	for r := sh.lo; r < sh.hi; r++ {
@@ -408,7 +414,7 @@ func (w *World) runShard(slot, si int) {
 			rows++
 			continue
 		}
-		pc := int(tab.At(r, rt.pcCol).AsNumber())
+		pc := int(pcs[r])
 		if p.vecSel != nil && p.vecSel[pc] {
 			continue
 		}
@@ -540,8 +546,8 @@ func (w *World) runEffectPhase() {
 		if rt.plan.Decl.Run == nil || rt.tab.Len() == 0 {
 			continue
 		}
-		vecSel, work := w.chooseEffectExec(rt)
-		w.runPass(classPass{kind: passEffect, rt: rt, vecSel: vecSel}, work)
+		vecSel, vecAll, work := w.chooseEffectExec(rt)
+		w.runPass(classPass{kind: passEffect, rt: rt, vecSel: vecSel, vecAll: vecAll}, work)
 	}
 }
 

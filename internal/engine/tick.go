@@ -158,13 +158,14 @@ func (rt *classRT) stageColumn(i int) []float64 {
 	return col.num[:rt.tab.Cap()]
 }
 
-// commitStaged writes the next-epoch columns back: every live row of a full
-// column, the listed rows of a cell-staged one. Changefeed marks diff on raw
-// payload bits, so rows rewritten to the same payload stay out of the feed
-// (a whole-column write is not a whole-column change); a set write always
-// counts, its identity being a mutable pointer.
+// commitStaged writes the next-epoch columns back. A full payload column is
+// swapped in whole, and the table's old storage becomes the next tick's
+// staging buffer; a cell-staged one writes its listed rows, as do boxed
+// columns (every live row when full). Changefeed marks diff on raw payload
+// bits, old against new over live rows, so rows rewritten to the same
+// payload stay out of the feed (a whole-column write is not a whole-column
+// change); a set write always counts, its identity being a mutable pointer.
 func (rt *classRT) commitStaged() {
-	alive := rt.tab.AliveMask()
 	for i := range rt.stage {
 		col := &rt.stage[i]
 		switch {
@@ -179,14 +180,17 @@ func (rt *classRT) commitStaged() {
 				}
 				rt.tab.SetAt(row, i, v)
 			}
-		case col.full && rt.vlog == nil:
-			rt.tab.SetNumColumn(i, col.num, alive)
 		case col.full:
-			l := rt.vlog
-			l.diff = rt.tab.SetNumColumnDiff(i, col.num, alive, l.diff[:0])
-			for _, r := range l.diff {
-				l.mark(int(r))
+			old := rt.tab.SwapNumColumn(i, col.num)
+			if rt.vlog != nil {
+				cur := rt.tab.NumColumn(i)
+				for r, ok := range rt.tab.AliveMask() {
+					if ok && !sameBits(old[r], cur[r]) {
+						rt.vlog.mark(r)
+					}
+				}
 			}
+			col.num = old
 		default:
 			for _, r := range col.rows {
 				if rt.vlog != nil && !sameBits(rt.tab.NumColumn(i)[r], col.num[r]) {

@@ -141,13 +141,6 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 	return w.execCosts.ChooseTxn(w.opts.Txn, float64(len(txns)), viewRows, fb)
 }
 
-func growU64(s []uint64, n int) []uint64 {
-	for len(s) < n {
-		s = append(s, 0)
-	}
-	return s
-}
-
 func (s *txnRuntime) find(i int32) int32 {
 	p := s.parent
 	for p[i] != i {
@@ -170,7 +163,7 @@ func (s *txnRuntime) union(a, b int32) {
 func (w *World) txnClaim(i int, rt *classRT, row int) {
 	s := &w.txnrt
 	if len(rt.txnRowGen) < rt.tab.Cap() {
-		rt.txnRowGen = growU64(rt.txnRowGen, rt.tab.Cap())
+		rt.txnRowGen = extend(rt.txnRowGen, rt.tab.Cap())
 		rt.txnRowOwner = grow(rt.txnRowOwner, rt.tab.Cap())
 	}
 	if rt.txnRowGen[row] == s.gen {
@@ -357,17 +350,15 @@ func (w *World) buildTxnView(va txnViewAttr) {
 	s := &w.txnrt
 	rt := va.rt
 	if len(rt.txnViewGen) < len(rt.cls.State) {
-		rt.txnViewGen = growU64(rt.txnViewGen, len(rt.cls.State))
-		for len(rt.txnViewCols) < len(rt.cls.State) {
-			rt.txnViewCols = append(rt.txnViewCols, nil)
-		}
+		rt.txnViewGen = extend(rt.txnViewGen, len(rt.cls.State))
+		rt.txnViewCols = extend(rt.txnViewCols, len(rt.cls.State))
 	}
 	if rt.txnViewGen[va.attr] == s.gen {
 		return
 	}
 	rt.txnViewGen[va.attr] = s.gen
 	n := rt.tab.Cap()
-	rt.txnFxGen = growU64(rt.txnFxGen, len(rt.fx))
+	rt.txnFxGen = extend(rt.txnFxGen, len(rt.fx))
 	for _, ai := range va.prog.FxUsed() {
 		if rt.txnFxGen[ai] == s.gen {
 			continue
@@ -405,9 +396,7 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 	if len(site.envCols) < len(rt.cls.State) {
 		site.envCols = make([][]float64, len(rt.cls.State))
 	}
-	for len(site.colBufs) < len(site.cols) {
-		site.colBufs = append(site.colBufs, nil)
-	}
+	site.colBufs = extend(site.colBufs, len(site.cols))
 	for bi, a := range site.cols {
 		vec := grow(site.colBufs[bi], nl)
 		site.colBufs[bi] = vec
@@ -420,15 +409,11 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		}
 		site.envCols[a] = vec
 	}
-	for len(site.slotBufs) < len(site.slots) {
-		site.slotBufs = append(site.slotBufs, nil)
-	}
+	site.slotBufs = extend(site.slotBufs, len(site.slots))
 	for bi, sl := range site.slots {
 		vec := grow(site.slotBufs[bi], nl)
 		site.slotBufs[bi] = vec
-		for len(site.slotVecs) <= sl {
-			site.slotVecs = append(site.slotVecs, nil)
-		}
+		site.slotVecs = extend(site.slotVecs, sl+1)
 		for k, li := range site.lanes {
 			// String txn args broadcast dictionary codes (interned, so
 			// slot-vs-slot equality matches the closure evaluator).
@@ -534,9 +519,7 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 	// Partition-aware routing: groups whose rows live in one partition
 	// bucket per partition and fan out partition-major; spanning groups
 	// stay serial on the caller.
-	for len(s.partBkt) < w.parts.n {
-		s.partBkt = append(s.partBkt, nil)
-	}
+	s.partBkt = extend(s.partBkt, w.parts.n)
 	s.partList = s.partList[:0]
 	s.crossG = s.crossG[:0]
 	for gi := range s.groups {
@@ -581,9 +564,7 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 
 func (w *World) resetGroupLogs(n int) {
 	s := &w.txnrt
-	for len(s.gtouch) < n {
-		s.gtouch = append(s.gtouch, nil)
-	}
+	s.gtouch = extend(s.gtouch, n)
 	for gi := 0; gi < n; gi++ {
 		s.gtouch[gi] = s.gtouch[gi][:0]
 	}

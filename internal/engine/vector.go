@@ -147,16 +147,19 @@ func (rt *classRT) phaseCounts() []int {
 // phase. The exec axis picks, per phase, batch kernels vs the scalar row
 // loop — before the extent is split, so every worker and partition count
 // makes identical choices; the returned work estimate feeds the parallelism
-// axis (plan.Costs.ChooseWorkers). vecSel is nil when no phase vectorizes.
-// Tracing keeps every phase scalar so the per-emission hook keeps firing.
-func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, work float64) {
+// axis (plan.Costs.ChooseWorkers). vecSel is nil when no phase vectorizes;
+// all reports that the scalar row loop has nothing to do: every phase with
+// steps vectorizes and no join site is hoisted. Tracing keeps every phase
+// scalar so the per-emission hook keeps firing.
+func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool, work float64) {
 	c := w.execCosts
 	vecOK := rt.vec != nil && rt.vec.hasPhases && w.tracer == nil && w.opts.Exec != plan.ExecScalar
 	if !vecOK && (!w.parallelOK() || w.parts != nil) {
-		return nil, 0 // neither axis has a choice: spare the per-phase row count
+		return nil, false, 0 // neither axis has a choice: spare the per-phase row count
 	}
 	counts := rt.phaseCounts()
 	capRows := rt.tab.Cap()
+	all = true
 	for p, steps := range rt.plan.Phases {
 		if len(steps) == 0 {
 			continue
@@ -176,10 +179,11 @@ func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, work float64) {
 			vecSel[p] = true
 			work += c.VecSetup + c.VecVisit*float64(capRows)*float64(vp.kernels)
 		} else {
+			all = false
 			work += c.ScalarVisit * float64(counts[p]) * rt.phaseCost[p]
 		}
 	}
-	return vecSel, work
+	return vecSel, all && vecSel != nil && len(rt.hoist) == 0, work
 }
 
 // buildVecProgs compiles everything vectorizable about a class. Structural
@@ -387,18 +391,24 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (s *vecScratch) buf(i, n int) []float64 {
-	for len(s.bufs) <= i {
-		s.bufs = append(s.bufs, nil)
+// extend returns s lengthened with zero values to at least n elements,
+// keeping its contents.
+func extend[T any](s []T, n int) []T {
+	for len(s) < n {
+		var zero T
+		s = append(s, zero)
 	}
+	return s
+}
+
+func (s *vecScratch) buf(i, n int) []float64 {
+	s.bufs = extend(s.bufs, i+1)
 	s.bufs[i] = grow(s.bufs[i], n)
 	return s.bufs[i]
 }
 
 func (s *vecScratch) mask(depth, n int) []bool {
-	for len(s.masks) <= depth {
-		s.masks = append(s.masks, nil)
-	}
+	s.masks = extend(s.masks, depth+1)
 	s.masks[depth] = grow(s.masks[depth], n)
 	return s.masks[depth]
 }
@@ -434,9 +444,7 @@ func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n 
 		vp := v.phases[p]
 		needIDs = needIDs || vp.needIDs
 		if vp.maxSlot >= 0 {
-			for len(sc.slotVecs) <= vp.maxSlot {
-				sc.slotVecs = append(sc.slotVecs, nil)
-			}
+			sc.slotVecs = extend(sc.slotVecs, vp.maxSlot+1)
 			for i := range sc.slotVecs {
 				sc.slotVecs[i] = grow(sc.slotVecs[i], n)
 			}
@@ -464,9 +472,7 @@ type touchedLog struct {
 }
 
 func (t *touchedLog) ensure(nAttrs int) {
-	for len(t.rows) < nAttrs {
-		t.rows = append(t.rows, nil)
-	}
+	t.rows = extend(t.rows, nAttrs)
 }
 
 func (t *touchedLog) reset() {
@@ -587,9 +593,7 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 // over rows [0, n): the fold column itself for the zero-copy kinds, a fill
 // of the vector's own buffer for the others (Column.ResultPayloads).
 func (rt *classRT) bindFxVec(ai, n int) []float64 {
-	for len(rt.fxVecs) < len(rt.fx) {
-		rt.fxVecs = append(rt.fxVecs, nil)
-	}
+	rt.fxVecs = extend(rt.fxVecs, len(rt.fx))
 	rt.fxVecs[ai] = rt.fx[ai].ResultPayloads(rt.fxVecs[ai], n)
 	return rt.fxVecs[ai]
 }

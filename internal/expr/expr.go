@@ -227,11 +227,11 @@ func compileCall(e *ast.CallExpr) Fn {
 		return func(ctx *Ctx) value.Value { return value.Num(math.Abs(args[0](ctx).AsNumber())) }
 	case ast.BMin:
 		return func(ctx *Ctx) value.Value {
-			return value.Num(math.Min(args[0](ctx).AsNumber(), args[1](ctx).AsNumber()))
+			return value.Num(value.Min(args[0](ctx).AsNumber(), args[1](ctx).AsNumber()))
 		}
 	case ast.BMax:
 		return func(ctx *Ctx) value.Value {
-			return value.Num(math.Max(args[0](ctx).AsNumber(), args[1](ctx).AsNumber()))
+			return value.Num(value.Max(args[0](ctx).AsNumber(), args[1](ctx).AsNumber()))
 		}
 	case ast.BFloor:
 		return func(ctx *Ctx) value.Value { return value.Num(math.Floor(args[0](ctx).AsNumber())) }
@@ -244,7 +244,7 @@ func compileCall(e *ast.CallExpr) Fn {
 			x := args[0](ctx).AsNumber()
 			lo := args[1](ctx).AsNumber()
 			hi := args[2](ctx).AsNumber()
-			return value.Num(math.Min(math.Max(x, lo), hi))
+			return value.Num(value.Min(value.Max(x, lo), hi))
 		}
 	case ast.BDist:
 		return func(ctx *Ctx) value.Value {

@@ -129,7 +129,7 @@ func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 // clamp returns b's position clamped to the bounds, if any.
 func (p *Physics) clamp(b body) (x, y float64) {
 	if bd := p.cfg.Bounds; bd != nil {
-		return math.Min(math.Max(b.x, bd.MinX), bd.MaxX), math.Min(math.Max(b.y, bd.MinY), bd.MaxY)
+		return value.Min(value.Max(b.x, bd.MinX), bd.MaxX), value.Min(value.Max(b.y, bd.MinY), bd.MaxY)
 	}
 	return b.x, b.y
 }

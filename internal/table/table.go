@@ -6,7 +6,6 @@ package table
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/value"
 )
@@ -291,63 +290,26 @@ func (t *Table) SetNumAt(row, ci int, f float64) {
 	}
 }
 
-// SetNumColumn overwrites the payloads of a number/bool/ref column at every
-// row marked alive, bumping the column version once — the bulk counterpart
-// of SetNumAt for staged kernel write-back.
-func (t *Table) SetNumColumn(ci int, vals []float64, alive []bool) {
+// SwapNumColumn installs vals as the payload storage of a number, bool or
+// ref column and returns the storage it replaces, bumping the column version
+// once: the bulk write of a fully computed next-epoch column, O(1) instead
+// of a copy. vals must span Cap rows. Rows on the free list keep their old
+// payload (it is copied into vals), so what a dead slot holds never depends
+// on what the caller computed for it.
+func (t *Table) SwapNumColumn(ci int, vals []float64) []float64 {
 	t.colVer[ci]++
 	switch t.cols[ci].Kind {
 	case value.KindNumber, value.KindBool, value.KindRef:
 	default:
-		panic(fmt.Sprintf("table %s: SetNumColumn on %s column %s", t.name, t.cols[ci].Kind, t.cols[ci].Name))
+		panic(fmt.Sprintf("table %s: SwapNumColumn on %s column %s", t.name, t.cols[ci].Kind, t.cols[ci].Name))
 	}
-	col := t.nums[ci]
-	if t.n == len(t.ids) {
-		// Every physical slot is live: one memmove instead of a masked loop.
-		copy(col, vals[:len(col)])
-		return
+	old := t.nums[ci]
+	vals = vals[:len(old)]
+	for _, r := range t.free {
+		vals[r] = old[r]
 	}
-	for r, ok := range alive {
-		if ok {
-			col[r] = vals[r]
-		}
-	}
-}
-
-// SetNumColumnDiff is SetNumColumn for worlds with a change feed attached:
-// it additionally appends to dirty the live rows whose stored payload bits
-// actually changed, and returns the extended slice. Comparison is on raw
-// float64 bits (math.Float64bits), not float equality, so -0↔+0 flips count
-// as changes and NaN→same-NaN does not — the change feed must never miss a
-// write that could flip a predicate downstream.
-func (t *Table) SetNumColumnDiff(ci int, vals []float64, alive []bool, dirty []int32) []int32 {
-	t.colVer[ci]++
-	switch t.cols[ci].Kind {
-	case value.KindNumber, value.KindBool, value.KindRef:
-	default:
-		panic(fmt.Sprintf("table %s: SetNumColumnDiff on %s column %s", t.name, t.cols[ci].Kind, t.cols[ci].Name))
-	}
-	col := t.nums[ci]
-	if t.n == len(t.ids) {
-		for r := range col {
-			v := vals[r]
-			if math.Float64bits(col[r]) != math.Float64bits(v) {
-				col[r] = v
-				dirty = append(dirty, int32(r))
-			}
-		}
-		return dirty
-	}
-	for r, ok := range alive {
-		if ok {
-			v := vals[r]
-			if math.Float64bits(col[r]) != math.Float64bits(v) {
-				col[r] = v
-				dirty = append(dirty, int32(r))
-			}
-		}
-	}
-	return dirty
+	t.nums[ci] = vals
+	return old
 }
 
 // ForEach invokes fn for every live row in physical order.

@@ -230,6 +230,33 @@ func TestNumColumn(t *testing.T) {
 	}
 }
 
+// TestSwapNumColumn pins the commit swap: the new storage is installed
+// whole and the old one returned, the column version bumps, rows on the
+// free list keep their old payload, and non-payload columns refuse.
+func TestSwapNumColumn(t *testing.T) {
+	tab := New("T", []Column{{Name: "x", Kind: value.KindNumber}, {Name: "tag", Kind: value.KindString}})
+	for id := value.ID(1); id <= 3; id++ {
+		tab.Insert(id, []value.Value{value.Num(float64(id)), value.Str("a")})
+	}
+	tab.Delete(2)
+	ver, prev := tab.ColVersion(0), tab.NumColumn(0)
+	if old := tab.SwapNumColumn(0, []float64{10, 20, 30}); &old[0] != &prev[0] {
+		t.Error("SwapNumColumn must return the storage it replaced")
+	}
+	if got := tab.NumColumn(0); got[0] != 10 || got[1] != 2 || got[2] != 30 {
+		t.Errorf("after swap = %v, want [10 2 30] (dead row 1 keeps its payload)", got)
+	}
+	if tab.ColVersion(0) == ver {
+		t.Error("SwapNumColumn must bump the column version")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SwapNumColumn on a string column must panic")
+		}
+	}()
+	tab.SwapNumColumn(1, make([]float64, 3))
+}
+
 func TestColumnViewsAndSetNumAt(t *testing.T) {
 	tab := New("T", []Column{
 		{Name: "x", Kind: value.KindNumber},

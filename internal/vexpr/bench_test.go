@@ -94,3 +94,30 @@ func BenchmarkVexprConstHoist(b *testing.B) {
 func BenchmarkVexprConstRefill(b *testing.B) {
 	benchRun(b, benchConstExpr(), vexpr.Opts{NoOpt: true})
 }
+
+// BenchmarkVexprClamp is one clamp lane over a column whose values mostly
+// lie inside the bounds, as a speed clamp's do: min/max must stay call-free
+// (value.Min/value.Max inlined into the loop), so a non-inlinable edit to
+// them shows here as a slowdown.
+func BenchmarkVexprClamp(b *testing.B) {
+	e := &ast.CallExpr{Name: "clamp", Builtin: ast.BClamp,
+		Args: []ast.Expr{xIdent(xAttrN0), &ast.NumLit{V: -60}, &ast.NumLit{V: 60}}, Ty: ast.NumberT}
+	prog, ok := vexpr.CompileOpts(e, vexpr.Opts{Dict: newTestDict()})
+	if !ok {
+		b.Fatal("clamp must compile")
+	}
+	rng := rand.New(rand.NewSource(3))
+	cols := make([][]float64, len(xAttrKinds))
+	cols[xAttrN0] = make([]float64, benchRows)
+	for r := range cols[xAttrN0] {
+		cols[xAttrN0][r] = rng.Float64()*128 - 64
+	}
+	env := &vexpr.Env{Cols: cols}
+	out := make([]float64, benchRows)
+	var m vexpr.Machine
+	b.SetBytes(benchRows * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog.Run(&m, env, 0, benchRows, out)
+	}
+}

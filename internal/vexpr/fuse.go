@@ -16,8 +16,8 @@ package vexpr
 //   - IEEE addition and multiplication are operand-order symmetric at the
 //     bit level for every non-NaN input (and all NaN results compare equal
 //     under the engine's NaN-tolerant payload identity);
-//   - math.Min/math.Max are argument-order symmetric including NaN and ±0,
-//     so min(hi, max(x, lo)) fuses to the same clamp as min(max(x, lo), hi);
+//   - min and max are argument-order symmetric including NaN and ±0, so
+//     min(hi, max(x, lo)) fuses to the same clamp as min(max(x, lo), hi);
 //   - comparisons produce exactly 0 or 1, so branching on the comparison
 //     inside cmp-select is identical to selecting on a materialized mask;
 //   - &&/|| lanes are exactly 0 or 1 and evaluation is total, so flattening

@@ -1,6 +1,10 @@
 package vexpr
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/value"
+)
 
 // The kernel executor: every program runs as a chain of prebound closures,
 // one per per-batch instruction, built once at compile time (world build).
@@ -86,11 +90,7 @@ func instrFn(in instr, final bool) batchFn {
 		return func(m *Machine, env *Env, lo, hi, n int, out []float64) {
 			d, a := dst(m, n, out), m.regs[in.a][:n]
 			for i := range d {
-				if a[i] == 0 {
-					d[i] = 1
-				} else {
-					d[i] = 0
-				}
+				d[i] = b2f(a[i] == 0)
 			}
 		}
 	case opAdd:
@@ -206,14 +206,14 @@ func instrFn(in instr, final bool) batchFn {
 		return func(m *Machine, env *Env, lo, hi, n int, out []float64) {
 			d, a, b := dst(m, n, out), m.regs[in.a][:n], m.regs[in.b][:n]
 			for i := range d {
-				d[i] = math.Min(a[i], b[i])
+				d[i] = value.Min(a[i], b[i])
 			}
 		}
 	case opMax:
 		return func(m *Machine, env *Env, lo, hi, n int, out []float64) {
 			d, a, b := dst(m, n, out), m.regs[in.a][:n], m.regs[in.b][:n]
 			for i := range d {
-				d[i] = math.Max(a[i], b[i])
+				d[i] = value.Max(a[i], b[i])
 			}
 		}
 	case opFloor:
@@ -241,7 +241,7 @@ func instrFn(in instr, final bool) batchFn {
 		return func(m *Machine, env *Env, lo, hi, n int, out []float64) {
 			d, x, lov, hiv := dst(m, n, out), m.regs[in.a][:n], m.regs[in.b][:n], m.regs[in.c][:n]
 			for i := range d {
-				d[i] = math.Min(math.Max(x[i], lov[i]), hiv[i])
+				d[i] = value.Min(value.Max(x[i], lov[i]), hiv[i])
 			}
 		}
 	case opDist:
