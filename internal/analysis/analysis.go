@@ -18,7 +18,8 @@
 //   - structural vectorizability per phase (the step-shape half of the
 //     batch-kernel eligibility rule; expression compilability stays with
 //     the vexpr compiler);
-//   - the cross-self-emission hazard that pins a class to scalar execution;
+//   - the cross-self-emission hazard, per effect attribute, that pins a
+//     phase to scalar execution;
 //   - transaction constraint stability (read sets bounded over committed
 //     state) with the ordered read lists the batched admission validator
 //     needs;
@@ -31,9 +32,10 @@
 package analysis
 
 import (
+	"slices"
+
 	"repro/internal/combinator"
 	"repro/internal/compile"
-	"repro/internal/schema"
 	"repro/internal/sgl/ast"
 	"repro/internal/sgl/token"
 	"repro/internal/value"
@@ -70,10 +72,10 @@ type Class struct {
 	Atomics []*Atomic
 	Joins   []*Join
 
-	// CrossSelfEmit reports a direct (non-transactional) targeted emission
-	// into this same class anywhere in the run script: the fold-order
-	// hazard that pins every phase of the class to scalar execution.
-	CrossSelfEmit bool
+	// CrossSelf marks, per effect attribute, a direct (non-transactional)
+	// targeted emission into this same class from some phase: the
+	// fold-order hazard behind Script.Pinned.
+	CrossSelf []bool
 }
 
 // AttrRef names one state attribute of one class.
@@ -112,10 +114,17 @@ type Script struct {
 	Emits []Emit
 
 	// Vectorizable is the structural half of batch-kernel eligibility:
-	// every step is a let, an if, or a self-targeted scalar emission of a
-	// columnar payload kind. Expression compilability is still decided by
-	// the vexpr compiler; the class-level CrossSelfEmit pin applies on top.
+	// every step is a let, an if, a top-level indexed accum loop, or a
+	// scalar emission of a columnar payload kind. Expression compilability
+	// (and whether the accum site hoists) is still decided by the engine.
 	Vectorizable bool
+
+	// Pinned is the first effect attribute this phase self-emits into
+	// directly that Class.CrossSelf marks, -1 if none. Kernels fold
+	// self-emissions in place during the sweep while targeted ones replay
+	// from the shard sink afterwards, so on such an attribute the two would
+	// reach an accumulator out of row order: a pinned phase stays scalar.
+	Pinned int
 }
 
 // Update is the analysis of one expression update rule.
@@ -257,9 +266,9 @@ func (r *Result) analyzeClassBody(c *Class) {
 	}
 
 	for p, steps := range cp.Phases {
-		s := &Script{Phase: p}
+		s := &Script{Phase: p, Pinned: -1}
 		r.collectSteps(c, s, steps, false)
-		s.Vectorizable = len(steps) > 0 && structVec(cp.Class, name, steps)
+		s.Vectorizable = len(steps) > 0 && r.structVec(name, steps, true)
 		c.Phases = append(c.Phases, s)
 	}
 	for _, h := range cp.Handlers {
@@ -269,15 +278,45 @@ func (r *Result) analyzeClassBody(c *Class) {
 		c.Handlers = append(c.Handlers, s)
 	}
 
-	// The cross-self-emission hazard: any phase (not handler) with a
-	// direct targeted emission into the own class outside atomic blocks.
+	// The cross-self-emission hazard: an effect attribute some phase (not
+	// handler) feeds by a direct targeted emission into the own class, and
+	// the phases that also fold a self-emission into it.
+	c.CrossSelf = make([]bool, len(cp.Class.Effects))
 	for _, s := range c.Phases {
 		for _, e := range s.Emits {
 			if e.Targeted && e.Class == name && e.AccumSlot < 0 && !e.InAtomic {
-				c.CrossSelfEmit = true
+				c.CrossSelf[e.Attr] = true
 			}
 		}
 	}
+	for _, s := range c.Phases {
+		for _, e := range s.Emits {
+			if s.Pinned < 0 && e.SelfDirect(name) && c.CrossSelf[e.Attr] {
+				s.Pinned = e.Attr
+			}
+		}
+	}
+}
+
+// PinnedBy lists the structurally vectorizable phases that fold a direct
+// self-emission into effect attribute a, which CrossSelf[a] keeps scalar.
+func (c *Class) PinnedBy(a int) []int {
+	if !c.CrossSelf[a] {
+		return nil
+	}
+	var out []int
+	for p, s := range c.Phases {
+		if s.Vectorizable && slices.ContainsFunc(s.Emits, func(e Emit) bool { return e.Attr == a && e.SelfDirect(c.Name) }) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// SelfDirect reports a direct self-emission of class: no target, no
+// accumulator, no atomic block.
+func (e Emit) SelfDirect(class string) bool {
+	return !e.Targeted && e.Class == class && e.AccumSlot < 0 && !e.InAtomic
 }
 
 // collectSteps walks one step list, recording reads, emissions, joins and
@@ -363,30 +402,37 @@ func (r *Result) analyzeAccum(c *Class, s *Script, st *compile.AccumStep) *Join 
 }
 
 // structVec reports the structural half of phase vectorizability: every
-// step is a let, an if, or a self-targeted scalar emission of a columnar
-// payload kind. Accum loops, atomic blocks, cross-object emissions,
+// step is a let, an if, a top-level accum loop with an analyzed join (its
+// result becomes a lane when the engine hoists the site), or a scalar
+// emission of a columnar payload kind. Atomic blocks, nested accum loops,
 // accumulator contributions and set effects keep the phase scalar.
-func structVec(cls *schema.Class, className string, steps []compile.Step) bool {
+func (r *Result) structVec(className string, steps []compile.Step, top bool) bool {
 	for _, st := range steps {
 		switch st := st.(type) {
 		case *compile.LetStep:
 		case *compile.IfStep:
-			if !structVec(cls, className, st.Then) || !structVec(cls, className, st.Else) {
+			if !r.structVec(className, st.Then, false) || !r.structVec(className, st.Else, false) {
+				return false
+			}
+		case *compile.AccumStep:
+			if !top || st.Join == nil {
 				return false
 			}
 		case *compile.EmitStep:
-			if st.TargetFn != nil || st.SetInsert || st.AccumSlot >= 0 || st.Class != className {
+			if st.SetInsert || st.AccumSlot >= 0 || (st.TargetFn == nil && st.Class != className) {
 				return false
 			}
-			// String effects are columnar too: the world dictionary gives
-			// string payloads a numeric code lane, and the engine decodes at
-			// the accumulator boundary. Only set effects (no payload lane)
-			// stay scalar here.
-			kind := cls.Effects[st.AttrIdx].Kind
-			if kind != value.KindNumber && kind != value.KindBool && kind != value.KindRef && kind != value.KindString {
+			// String effects are columnar too for self-emissions: the world
+			// dictionary gives string payloads a numeric code lane, and the
+			// engine decodes at the accumulator boundary. Targeted
+			// emissions carry plain payloads into the shard sink, and set
+			// effects have no payload lane at all.
+			kind := r.Prog.Classes[st.Class].Class.Effects[st.AttrIdx].Kind
+			if kind != value.KindNumber && kind != value.KindBool && kind != value.KindRef &&
+				(kind != value.KindString || st.TargetFn != nil) {
 				return false
 			}
-		default: // AccumStep, AtomicStep
+		default: // AtomicStep
 			return false
 		}
 	}

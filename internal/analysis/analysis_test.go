@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -51,24 +52,56 @@ func TestFoldClassification(t *testing.T) {
 	}
 }
 
-// TestCrossSelfEmit pins the vectorization hazard: rts soldiers emit
-// damage into their own class through a ref target (pins every phase
-// scalar), while flock boids only self-emit.
+// TestCrossSelfEmit pins the vectorization hazard, per effect attribute:
+// rts soldiers emit damage into their own class through a ref target but
+// self-emit only vx/vy, so no phase is pinned; flock boids only self-emit;
+// and a phase that self-emits into an attribute it also targets is pinned.
 func TestCrossSelfEmit(t *testing.T) {
-	if c := analyzeSrc(t, "rts", core.SrcRTS).Class("Soldier"); !c.CrossSelfEmit {
-		t.Error("Soldier: foe.damage is a cross emission into the own class")
+	c := analyzeSrc(t, "rts", core.SrcRTS).Class("Soldier")
+	if !c.CrossSelf[c.Plan.Class.EffectIndex("damage")] || c.CrossSelf[c.Plan.Class.EffectIndex("vx")] {
+		t.Errorf("Soldier: foe.damage (only) is a cross emission into the own class, got %v", c.CrossSelf)
 	}
-	if c := analyzeSrc(t, "flock", core.SrcFlock).Class("Boid"); c.CrossSelfEmit {
-		t.Error("Boid: only self-emissions, CrossSelfEmit must be false")
+	if p := c.Phases[0]; p.Pinned >= 0 || !p.Vectorizable {
+		t.Errorf("Soldier: phase 0 must stay vectorizable and unpinned, got pinned %d", p.Pinned)
+	}
+	if c := analyzeSrc(t, "flock", core.SrcFlock).Class("Boid"); slices.Contains(c.CrossSelf, true) {
+		t.Error("Boid: only self-emissions, CrossSelf must be all false")
 	}
 	// Atomic bodies are exempt: the admission driver owns their ordering.
-	if c := analyzeSrc(t, "market", core.SrcMarket).Class("Trader"); c.CrossSelfEmit {
-		t.Error("Trader: cross emissions inside atomic blocks must not set CrossSelfEmit")
+	if c := analyzeSrc(t, "market", core.SrcMarket).Class("Trader"); slices.Contains(c.CrossSelf, true) {
+		t.Error("Trader: cross emissions inside atomic blocks must not set CrossSelf")
+	}
+	c = analyzeSrc(t, "pinned", srcSelfAndTargeted).Class("Duelist")
+	if p := c.Phases[0]; p.Pinned != c.Plan.Class.EffectIndex("hits") {
+		t.Errorf("Duelist: phase 0 self-emits into hits, which it also targets: pinned %d", p.Pinned)
+	}
+	if got := c.PinnedBy(c.Plan.Class.EffectIndex("hits")); !slices.Equal(got, []int{0}) {
+		t.Errorf("Duelist: PinnedBy(hits) = %v, want [0]", got)
 	}
 }
 
+const srcSelfAndTargeted = `
+class Duelist {
+  state:
+    number x = 0;
+    ref<Duelist> rival = null;
+  effects:
+    number hits : sum;
+  update:
+    x = x + hits;
+  run {
+    if (rival != null) {
+      rival.hits <- 0.5;
+    }
+    hits <- 0.25;
+  }
+}
+`
+
 // TestVectorizablePhases pins structural phase eligibility: vehicles (lets,
-// ifs, self-emissions) vectorize; phases containing accum loops do not.
+// ifs, self-emissions) and Fig2 (a top-level accum loop, whose hoisted
+// result the kernels read as a lane) vectorize; an accum loop nested in an
+// if does not.
 func TestVectorizablePhases(t *testing.T) {
 	v := analyzeSrc(t, "vehicles", core.SrcVehicles).Class("Vehicle")
 	anyVec := false
@@ -80,11 +113,37 @@ func TestVectorizablePhases(t *testing.T) {
 	}
 	f := analyzeSrc(t, "fig2", core.SrcFig2).Class("Unit")
 	for p, s := range f.Phases {
-		if s.Vectorizable {
-			t.Errorf("Unit phase %d: accum-loop phases must not vectorize", p)
+		if !s.Vectorizable {
+			t.Errorf("Unit phase %d: a top-level accum loop must not keep the phase scalar", p)
 		}
 	}
+	n := analyzeSrc(t, "nested", srcNestedAccum).Class("Unit")
+	if n.Phases[0].Vectorizable {
+		t.Error("Unit: an accum loop nested in an if must keep the phase scalar")
+	}
 }
+
+const srcNestedAccum = `
+class Unit {
+  state:
+    number x = 0;
+  effects:
+    number d : sum;
+  update:
+    x = x + d;
+  run {
+    if (x > 0) {
+      accum number c with sum over Unit u from Unit {
+        if (u.x >= x - 1 && u.x <= x + 1) {
+          c <- 1;
+        }
+      } in {
+        d <- c;
+      }
+    }
+  }
+}
+`
 
 // TestStability pins the §3.1 constraint analysis on the marketplace: both
 // atomic constraints are stable; `gold >= 0` reads an own-row rule-updated

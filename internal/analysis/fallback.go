@@ -91,30 +91,33 @@ func (v *vetter) checkScalarFallback(c *Class) {
 		}
 	}
 
-	// The class-wide pin: a targeted emission into the own class forces
-	// every phase scalar regardless of shape. Report it once, at the first
-	// pinning emission, and skip the per-phase checks (they are moot).
-	if c.CrossSelfEmit {
+	// The per-attribute pin: phases that fold self-emissions into an effect
+	// some own-class targeted emission also feeds stay scalar. Report it
+	// once per attribute, at its first targeted emission, naming the pinned
+	// phases; their kernel checks are moot.
+	for a := range c.CrossSelf {
+		phases := c.PinnedBy(a)
+		if len(phases) == 0 {
+			continue
+		}
 		pos := token.Pos{}
 		for _, s := range c.Phases {
 			for _, e := range s.Emits {
-				if e.Targeted && e.Class == c.Name && e.AccumSlot < 0 && !e.InAtomic {
-					if pos == (token.Pos{}) || lessPos(e.Pos, pos) {
-						pos = e.Pos
-					}
+				if e.Targeted && e.Class == c.Name && e.Attr == a && e.AccumSlot < 0 && !e.InAtomic &&
+					(pos == (token.Pos{}) || lessPos(e.Pos, pos)) {
+					pos = e.Pos
 				}
 			}
 		}
+		eff := c.Plan.Class.Effects[a].Name
 		v.add(pos, c.Name, DiagScalarFallback,
-			"targeted emission into own class %s pins every phase of the class to the scalar path: cross-object contributions must fold in program order with self-emissions",
-			c.Name)
-	} else {
-		// Phases that pass the structural gate can still lose the kernel
-		// path to an expression the compiler bails on.
-		for p, s := range c.Phases {
-			if !s.Vectorizable {
-				continue
-			}
+			"targeted emission into own-class effect %s.%s pins %s of %s to the scalar path: its self-emissions into %s must fold in row order with the cross-object contributions",
+			c.Name, eff, phaseList(phases), c.Name, eff)
+	}
+	// Phases that pass the structural gate can still lose the kernel path
+	// to an expression the compiler bails on.
+	for p, s := range c.Phases {
+		if s.Vectorizable && s.Pinned < 0 {
 			v.checkPhaseKernels(c, c.Plan.Phases[p], o)
 		}
 	}

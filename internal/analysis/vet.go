@@ -7,7 +7,7 @@ package analysis
 // makes its atomic block abort every admission, a half-open join range
 // defeats tight indexing and forces full ghost replication under
 // partitioned execution, and a non-commutative float fold written
-// cross-object pins the whole class to the scalar path.
+// cross-object pins the phases that self-emit into it to the scalar path.
 //
 // The checks are deliberately conservative: a diagnostic fires only when
 // the property is provable from the compiled IR (constant folding over
@@ -17,7 +17,9 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/compile"
 	"repro/internal/sgl/ast"
@@ -183,9 +185,12 @@ func (v *vetter) checkJoins(c *Class) {
 
 // checkNoncommFolds flags cross-object emissions into a non-exact float
 // fold (sum/avg over numbers reassociate) of the emitter's own class when
-// some phase of that class would otherwise vectorize a self-emission into
-// the same effect: the cross emission is exactly what pins every phase of
-// the class to the scalar path (analysis.Class.CrossSelfEmit).
+// some other phase of that class would otherwise vectorize a self-emission
+// into the same effect: the cross emission is exactly what pins that phase
+// to the scalar path (analysis.Class.CrossSelf, Script.Pinned). A phase
+// that itself both targets and self-emits the effect — the transfer idiom
+// `gold <- -p; seller.gold <- p` — is not flagged here; `vet -perf` reports
+// every pinned phase.
 func (v *vetter) checkNoncommFolds(c *Class) {
 	for _, s := range c.Phases {
 		for _, e := range s.Emits {
@@ -193,28 +198,24 @@ func (v *vetter) checkNoncommFolds(c *Class) {
 				continue
 			}
 			f := c.Folds[e.Attr]
-			if f.Exact {
-				continue
-			}
-			pinned := false
-			for _, ps := range c.Phases {
-				if !ps.Vectorizable {
-					continue
-				}
-				for _, pe := range ps.Emits {
-					if !pe.Targeted && pe.Class == c.Name && pe.Attr == e.Attr {
-						pinned = true
-					}
-				}
-			}
-			if !pinned {
+			phases := slices.DeleteFunc(c.PinnedBy(e.Attr), func(p int) bool { return p == s.Phase })
+			if f.Exact || len(phases) == 0 {
 				continue
 			}
 			v.add(e.Pos, c.Name, DiagNoncommFold,
-				"cross-object emission into %s.%s interleaves with vectorized self-emissions under a non-exact float fold (%s); every phase of %s runs scalar to preserve bit-identical accumulation order",
-				c.Name, c.Plan.Class.Effects[e.Attr].Name, f.Comb, c.Name)
+				"cross-object emission into %s.%s interleaves with vectorized self-emissions under a non-exact float fold (%s); %s of %s runs scalar to preserve bit-identical accumulation order",
+				c.Name, c.Plan.Class.Effects[e.Attr].Name, f.Comb, phaseList(phases), c.Name)
 		}
 	}
+}
+
+// phaseList names phase indexes for a diagnostic: "phase 0", "phases 0, 2".
+func phaseList(phases []int) string {
+	s := fmt.Sprint(phases)
+	if len(phases) == 1 {
+		return "phase " + s[1:len(s)-1]
+	}
+	return "phases " + strings.ReplaceAll(s[1:len(s)-1], " ", ", ")
 }
 
 // checkDeadEffects flags effect attributes some script writes but no

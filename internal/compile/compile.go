@@ -94,9 +94,10 @@ type EmitStep struct {
 	SetInsert bool
 	AccumSlot int // >= 0: contribution to the accum accumulator in that slot
 
-	ValSrc ast.Expr
-	KeySrc ast.Expr
-	Pos    token.Pos
+	ValSrc    ast.Expr
+	KeySrc    ast.Expr
+	TargetSrc ast.Expr // nil = self
+	Pos       token.Pos
 }
 
 // AtomicStep wraps body emissions into a transaction intent with
@@ -270,7 +271,7 @@ func compileStmt(info *sem.Info, s ast.Stmt) []Step {
 			Pos:       s.Pos,
 		}
 		if s.Target != nil {
-			st.TargetFn = expr.Compile(s.Target)
+			st.TargetFn, st.TargetSrc = expr.Compile(s.Target), s.Target
 		}
 		if s.Key != nil {
 			st.KeyFn = expr.Compile(s.Key)

@@ -121,6 +121,18 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 			t.Fatal("no collisions: the resolve path went unmeasured")
 		}
 	})
+	// The rts phase around its hoisted join runs as kernels: the join
+	// result is a lane, and foe.damage appends to the shard sink.
+	t.Run("rts/kernel-phase", func(t *testing.T) {
+		w := rtsWorldFor(t, 2000, engine.Options{Workers: 1})
+		w.SetArenaPool(&engine.ArenaPool{})
+		if avg := warmAllocs(w); avg != 0 {
+			t.Fatalf("steady-state rts RunTick allocates %.1f objects/tick, want 0", avg)
+		}
+		if s := w.ExecStats(); s.ScalarRows != 0 || s.VectorRows == 0 || s.JoinProbeRows == 0 {
+			t.Fatalf("the rts phase did not run as kernels around its join: %+v", s)
+		}
+	})
 	fanOut := 0.0 // the most a vehicle Workers=4 row allocates per tick
 	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
 		t.Run(fmt.Sprintf("workers=4/%v", exec), func(t *testing.T) {

@@ -115,11 +115,9 @@ func compileProgram(prog *compile.Program, unfused bool) *Compiled {
 		c.classes[cls.Name] = cc
 		c.order = append(c.order, cc)
 	}
-	// Vectorized kernels compile after every class is registered: txn-site
-	// analysis resolves rule reads against other classes' kernels.
-	for _, cc := range c.order {
-		cc.vec = buildVecProgs(c, cc)
-	}
+	// Site batches compile first (phase kernels read hoisted sites' result
+	// lanes), then the kernels, then the txn programs: txn-site analysis
+	// resolves rule reads against other classes' kernels.
 	for _, cc := range c.order {
 		top := make(map[*compile.AccumStep]bool)
 		for _, steps := range cc.plan.Phases {
@@ -130,13 +128,20 @@ func compileProgram(prog *compile.Program, unfused bool) *Compiled {
 			}
 		}
 		forEachStep(cc.plan, func(s compile.Step) {
-			switch s := s.(type) {
-			case *compile.AccumStep:
-				if b := newSiteBatch(c, s, top[s]); b != nil {
-					c.batches[s] = b
+			if a, ok := s.(*compile.AccumStep); ok {
+				if b := newSiteBatch(c, a, top[a]); b != nil {
+					c.batches[a] = b
 				}
-			case *compile.AtomicStep:
-				c.txns[s] = c.analyzeTxnProgs(s)
+			}
+		})
+	}
+	for _, cc := range c.order {
+		cc.vec = buildVecProgs(c, cc)
+	}
+	for _, cc := range c.order {
+		forEachStep(cc.plan, func(s compile.Step) {
+			if a, ok := s.(*compile.AtomicStep); ok {
+				c.txns[a] = c.analyzeTxnProgs(a)
 			}
 		})
 	}

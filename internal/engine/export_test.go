@@ -19,7 +19,7 @@ import (
 
 // VecDecisions captures a class's batch-kernel eligibility decisions.
 type VecDecisions struct {
-	CrossSelfEmit bool
+	CrossSelf     []bool // per effect attr: fed by an own-class targeted emission
 	Phases        []bool // per phase: compiled to batch form
 	VecUpdates    []int  // update-rule attr indexes on the kernel path
 	ScalarUpdates []int  // update-rule attr indexes kept scalar
@@ -28,7 +28,7 @@ type VecDecisions struct {
 // VecDecisions reports the live (analysis-routed) decisions.
 func (w *World) VecDecisions(class string) VecDecisions {
 	rt := w.classes[class]
-	d := VecDecisions{CrossSelfEmit: rt.ai.CrossSelfEmit, Phases: make([]bool, len(rt.plan.Phases))}
+	d := VecDecisions{CrossSelf: rt.ai.CrossSelf, Phases: make([]bool, len(rt.plan.Phases))}
 	if rt.vec != nil {
 		for p := range rt.plan.Phases {
 			d.Phases[p] = rt.vec.phases[p] != nil
@@ -48,8 +48,10 @@ func (w *World) VecDecisions(class string) VecDecisions {
 }
 
 // OldVecDecisions recomputes the same decisions with the pre-refactor
-// logic: the inline classCrossEmitsSelf walk, per-update payload-kind
-// checks and the structural-check-interleaved phase compiler.
+// logic: an inline cross-self-emission walk, per-update payload-kind
+// checks and the structural-check-interleaved phase compiler — extended by
+// hand with the per-attribute pin, hoisted accum sites and targeted
+// emission lanes, independently of the analysis.
 func (w *World) OldVecDecisions(class string) VecDecisions {
 	rt := w.classes[class]
 	d := VecDecisions{Phases: make([]bool, len(rt.plan.Phases))}
@@ -67,17 +69,15 @@ func (w *World) OldVecDecisions(class string) VecDecisions {
 		anyVec = true
 	}
 
-	d.CrossSelfEmit = oldClassCrossEmitsSelf(rt)
+	d.CrossSelf = oldCrossSelfAttrs(rt)
 	anyPhase := false
-	if !d.CrossSelfEmit {
-		for p, steps := range rt.plan.Phases {
-			if len(steps) == 0 {
-				continue
-			}
-			if vp := oldCompileVecPhase(rt, steps); vp != nil {
-				d.Phases[p] = true
-				anyPhase = true
-			}
+	for p, steps := range rt.plan.Phases {
+		if len(steps) == 0 || oldSelfEmitsInto(steps, d.CrossSelf) {
+			continue
+		}
+		if vp := w.oldCompileVecPhase(rt, steps); vp != nil {
+			d.Phases[p] = true
+			anyPhase = true
 		}
 	}
 	// Pre-refactor buildVecPlan returned nil when nothing compiled, which
@@ -92,46 +92,59 @@ func (w *World) OldVecDecisions(class string) VecDecisions {
 	return d
 }
 
-// oldClassCrossEmitsSelf is the pre-refactor vector.go walk, verbatim.
-func oldClassCrossEmitsSelf(rt *classRT) bool {
-	var walk func(steps []compile.Step) bool
-	walk = func(steps []compile.Step) bool {
+// oldCrossSelfAttrs marks the effect attrs a direct targeted emission of
+// some phase feeds in the own class.
+func oldCrossSelfAttrs(rt *classRT) []bool {
+	out := make([]bool, len(rt.cls.Effects))
+	var walk func(steps []compile.Step)
+	walk = func(steps []compile.Step) {
 		for _, s := range steps {
 			switch s := s.(type) {
 			case *compile.EmitStep:
 				if s.TargetFn != nil && s.Class == rt.name && s.AccumSlot < 0 {
-					return true
+					out[s.AttrIdx] = true
 				}
 			case *compile.IfStep:
-				if walk(s.Then) || walk(s.Else) {
-					return true
-				}
+				walk(s.Then)
+				walk(s.Else)
 			case *compile.AccumStep:
-				if walk(s.Body) {
-					return true
-				}
-				if s.Join != nil && walk(s.Join.Inner) {
-					return true
+				walk(s.Body)
+				if s.Join != nil {
+					walk(s.Join.Inner)
 				}
 			case *compile.AtomicStep:
 			}
 		}
-		return false
 	}
 	for _, steps := range rt.plan.Phases {
-		if walk(steps) {
-			return true
+		walk(steps)
+	}
+	return out
+}
+
+// oldSelfEmitsInto reports a direct self-emission into a marked attr.
+func oldSelfEmitsInto(steps []compile.Step, marked []bool) bool {
+	for _, s := range steps {
+		switch s := s.(type) {
+		case *compile.EmitStep:
+			if s.TargetFn == nil && s.AccumSlot < 0 && marked[s.AttrIdx] {
+				return true
+			}
+		case *compile.IfStep:
+			if oldSelfEmitsInto(s.Then, marked) || oldSelfEmitsInto(s.Else, marked) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
 // oldCompileVecPhase is the pre-refactor compileVecPhase with its
-// structural checks interleaved with expression compilation, verbatim.
-func oldCompileVecPhase(rt *classRT, steps []compile.Step) *vecPhase {
+// structural checks interleaved with expression compilation.
+func (w *World) oldCompileVecPhase(rt *classRT, steps []compile.Step) *vecPhase {
 	vp := &vecPhase{maxSlot: -1}
 	defined := make(map[int]bool)
-	out, ok := oldCompileVecSteps(rt, steps, defined, 0, vp)
+	out, ok := w.oldCompileVecSteps(rt, steps, defined, 0, vp)
 	if !ok {
 		return nil
 	}
@@ -139,7 +152,7 @@ func oldCompileVecPhase(rt *classRT, steps []compile.Step) *vecPhase {
 	return vp
 }
 
-func oldCompileVecSteps(rt *classRT, steps []compile.Step, defined map[int]bool, depth int, vp *vecPhase) ([]vecStep, bool) {
+func (w *World) oldCompileVecSteps(rt *classRT, steps []compile.Step, defined map[int]bool, depth int, vp *vecPhase) ([]vecStep, bool) {
 	slotOK := func(slot int) bool { return defined[slot] }
 	var out []vecStep
 	for _, s := range steps {
@@ -167,20 +180,30 @@ func oldCompileVecSteps(rt *classRT, steps []compile.Step, defined map[int]bool,
 			if depth+1 > vp.maxDepth {
 				vp.maxDepth = depth + 1
 			}
-			if st.then, ok = oldCompileVecSteps(rt, s.Then, defined, depth+1, vp); !ok {
+			if st.then, ok = w.oldCompileVecSteps(rt, s.Then, defined, depth+1, vp); !ok {
 				return nil, false
 			}
-			if st.els, ok = oldCompileVecSteps(rt, s.Else, defined, depth+1, vp); !ok {
+			if st.els, ok = w.oldCompileVecSteps(rt, s.Else, defined, depth+1, vp); !ok {
 				return nil, false
 			}
 			out = append(out, st)
-		case *compile.EmitStep:
-			if s.TargetFn != nil || s.SetInsert || s.AccumSlot >= 0 || s.Class != rt.name {
+		case *compile.AccumStep:
+			if b := w.compiled.batches[s]; depth > 0 || b == nil || !b.hoist {
 				return nil, false
 			}
-			kind := rt.cls.Effects[s.AttrIdx].Kind
+			defined[s.Slot] = true
+		case *compile.EmitStep:
+			if s.SetInsert || s.AccumSlot >= 0 {
+				return nil, false
+			}
+			kind := w.classes[s.Class].cls.Effects[s.AttrIdx].Kind
 			if kind != value.KindNumber && kind != value.KindBool && kind != value.KindRef {
 				return nil, false
+			}
+			if s.TargetFn != nil {
+				if _, ok := vexpr.CompileWithSlots(s.TargetSrc, slotOK); !ok {
+					return nil, false
+				}
 			}
 			val, ok := vexpr.CompileWithSlots(s.ValSrc, slotOK)
 			if !ok {
@@ -199,7 +222,7 @@ func oldCompileVecSteps(rt *classRT, steps []compile.Step, defined map[int]bool,
 				vp.needIDs = vp.needIDs || key.NeedIDs()
 			}
 			out = append(out, st)
-		default: // AccumStep, AtomicStep
+		default: // AtomicStep
 			return nil, false
 		}
 	}

@@ -9,9 +9,10 @@ package engine
 //
 //  1. Probe: each probe's box (or equality key) gathers candidate *rows*
 //     through the index's batch probe, re-checked on raw columns per range
-//     dimension (exact, NaN-safe) and, for single probes, per equality
-//     conjunct; under Partitions each segment is sorted to physical-row
-//     order.
+//     dimension the index did not already test exactly (a grid tests both
+//     of its own; the range tree lets NaN through) and, for single probes,
+//     per equality conjunct; under Partitions each segment is sorted to
+//     physical-row order.
 //  2. Filter: the residual conjuncts run as mask kernels once over the
 //     whole stream, compacting the segments.
 //  3. Fold: the value (and minby/maxby key) kernels run once over the
@@ -228,6 +229,7 @@ func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float6
 	start := len(x.segRows)
 	rows := x.segRows
 	pp := x.sitePart(site)
+	checked := 0 // leading range dimensions the index tested exactly
 	switch site.strategy {
 	case plan.HashIndex:
 		if pp.hash != nil {
@@ -238,6 +240,9 @@ func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float6
 		x.sampleExtent(site, pr, lo, hi)
 		if pp.tree != nil {
 			rows = pp.tree.QueryRows(lo, hi, rows)
+			if _, ok := pp.tree.(*index.Grid); ok {
+				checked = 2
+			}
 		}
 		if x.w.parts != nil {
 			// Partitioned probes canonicalize candidates to physical-row
@@ -256,10 +261,13 @@ func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float6
 	}
 	cand := len(rows) - start
 
-	// Range conjuncts: exact closed-interval compares on raw columns.
-	// Index-covered dimensions are nearly free to re-verify and this also
-	// catches NaN coordinates an index cannot order.
-	for di, rd := range site.step.Join.Ranges {
+	// Range conjuncts: exact closed-interval compares on raw columns. A
+	// grid already tested its two dimensions exactly, on the same values,
+	// and stores no NaN point; the range tree's leaf test (c < lo || c >
+	// hi) lets NaN coordinates through, so every other dimension, index
+	// and scan is re-checked here.
+	for di := checked; di < len(site.step.Join.Ranges); di++ {
+		rd := site.step.Join.Ranges[di]
 		col := srcRT.tab.NumColumn(rd.AttrIdx)
 		l, h := lo[di], hi[di]
 		k := start

@@ -86,20 +86,24 @@ func TestParallelCountersMatchSerial(t *testing.T) {
 		t.Fatal("Workers=4 never dispatched shards on a 3000-row extent")
 	}
 
-	// The scalar-only rts class must count its effect-phase rows too.
-	sRTS := rtsWorldFor(t, 1200, engine.Options{Workers: 1})
-	pRTS := rtsWorldFor(t, 1200, engine.Options{Workers: 4})
-	for _, w := range []*engine.World{sRTS, pRTS} {
-		if err := w.Run(3); err != nil {
-			t.Fatal(err)
+	// rts on the scalar path must count its effect-phase rows too, and on
+	// the kernel path (its phase around a hoisted join) its vector rows.
+	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecAuto} {
+		sRTS := rtsWorldFor(t, 1200, engine.Options{Workers: 1, Exec: exec})
+		pRTS := rtsWorldFor(t, 1200, engine.Options{Workers: 4, Exec: exec})
+		for _, w := range []*engine.World{sRTS, pRTS} {
+			if err := w.Run(3); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if sRTS.ExecStats().ScalarRows != pRTS.ExecStats().ScalarRows {
-		t.Fatalf("rts ScalarRows: serial %d, parallel %d",
-			sRTS.ExecStats().ScalarRows, pRTS.ExecStats().ScalarRows)
-	}
-	if pRTS.ExecStats().ScalarRows == 0 {
-		t.Fatal("rts under Workers=4 reported zero scalar effect-phase rows")
+		ss, ps := sRTS.ExecStats(), pRTS.ExecStats()
+		if ss.ScalarRows != ps.ScalarRows || ss.VectorRows != ps.VectorRows {
+			t.Fatalf("rts %v rows: serial %d/%d, parallel %d/%d", exec,
+				ss.ScalarRows, ss.VectorRows, ps.ScalarRows, ps.VectorRows)
+		}
+		if rows := map[plan.ExecMode]int64{plan.ExecScalar: ps.ScalarRows, plan.ExecAuto: ps.VectorRows}[exec]; rows == 0 {
+			t.Fatalf("rts %v under Workers=4 reported zero effect-phase rows on its path", exec)
+		}
 	}
 
 	// DisableStats must silence every counter on the parallel path as well.

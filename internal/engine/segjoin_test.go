@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,16 +17,93 @@ import (
 )
 
 // segScenario is one join-heavy script for the segmented-driver
-// differential: how to build and populate it, and how to churn it.
+// differential: how to build and populate it, and how to churn it. pinned
+// marks a script whose effect phase must stay on the scalar path.
 type segScenario struct {
 	name, src, class string
 	attrs            []string
 	physics          bool
+	pinned           bool
 	populate         func(w *engine.World) error
 	spawn            func(w *engine.World, i int) error
 }
 
+// srcDuel hoists a maxby join whose `in` block emits two targeted
+// contributions into the own class — one through the join result, one
+// through a stored ref that goes null or dangling as rivals die — and a
+// self-emission into another effect. hits folds a non-exact float sum, so
+// any reordering of its contributions shows in health.
+const srcDuel = `
+class Duelist {
+  state:
+    number team = 0;
+    number x = 0;
+    number y = 0;
+    number range = 12;
+    number health = 100;
+    ref<Duelist> rival = null;
+  effects:
+    number hits : sum;
+    number drift : avg;
+  update:
+    health = health - hits;
+    x = x + drift;
+  run {
+    accum ref<Duelist> foe with maxby over Duelist u from Duelist {
+      if (u.team != team &&
+          u.x >= x - range && u.x <= x + range &&
+          u.y >= y - range && u.y <= y + range) {
+        foe <- u by u.health;
+      }
+    } in {
+      if (foe != null) {
+        foe.hits <- health * 0.013;
+      }
+      rival.hits <- 0.3;
+      drift <- (150 - x) * 0.01;
+    }
+  }
+}
+`
+
+// srcDuelPinned additionally self-emits into hits, the effect its targeted
+// emissions feed: the phase is pinned to the scalar path.
+var srcDuelPinned = strings.Replace(srcDuel, "drift <- (150", "hits <- health * 0.002;\n      drift <- (150", 1)
+
+func duelSpawn(w *engine.World, i int) error {
+	rival := value.NullRef()
+	if ids := w.IDs("Duelist"); i%3 != 0 && len(ids) > 0 {
+		rival = value.Ref(ids[(i*7)%len(ids)])
+	}
+	rng := rand.New(rand.NewSource(int64(i)))
+	_, err := w.Spawn("Duelist", map[string]value.Value{
+		"team": value.Num(float64(i % 2)),
+		"x":    value.Num(rng.Float64() * 200), "y": value.Num(rng.Float64() * 200),
+		"health": value.Num(float64(50 + i%50)), "rival": rival,
+	})
+	return err
+}
+
 func segScenarios() []segScenario {
+	duelAttrs := []string{"team", "x", "y", "range", "health", "rival"}
+	populateDuel := func(w *engine.World) error {
+		for i := 0; i < 700; i++ {
+			if err := duelSpawn(w, i); err != nil {
+				return err
+			}
+		}
+		// Rivals in both row directions: a contribution then lands on either
+		// side of its target's own row in the scalar merge order.
+		ids := w.IDs("Duelist")
+		for i, id := range ids {
+			if i%3 != 0 {
+				if err := w.SetState("Duelist", id, "rival", value.Ref(ids[(i*7919+3)%len(ids)])); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 	return []segScenario{
 		{
 			name: "rts", src: core.SrcRTS, class: "Soldier", physics: true,
@@ -75,12 +153,13 @@ func segScenarios() []segScenario {
 				return err
 			},
 		},
+		{name: "duel", src: srcDuel, class: "Duelist", attrs: duelAttrs, populate: populateDuel, spawn: duelSpawn},
+		{name: "duel-pinned", src: srcDuelPinned, class: "Duelist", attrs: duelAttrs, pinned: true, populate: populateDuel, spawn: duelSpawn},
 	}
 }
 
-// runSegScenario runs a scenario for a few ticks with kill/spawn churn and
-// returns its world.
-func runSegScenario(t *testing.T, sc segScenario, opts engine.Options, oneSegment bool) *engine.World {
+// newSegWorld builds an empty world for a scenario.
+func newSegWorld(t *testing.T, sc segScenario, opts engine.Options, oneSegment bool) *engine.World {
 	t.Helper()
 	s, err := core.LoadScenario(sc.name, sc.src)
 	if err != nil {
@@ -99,44 +178,92 @@ func runSegScenario(t *testing.T, sc segScenario, opts engine.Options, oneSegmen
 			t.Fatal(err)
 		}
 	}
-	if err := sc.populate(w); err != nil {
+	return w
+}
+
+const segTicks = 6
+
+// segTick runs tick `tick` of a scenario's churn schedule and returns the
+// world to continue with: after tick 1 every 9th object dies and 60 spawn
+// into the freed rows; after tick 2 every 5th dies, leaving stored refs to
+// them dangling; after tick 3 the world is checkpointed and continues as a
+// fresh world restored from it.
+func segTick(t *testing.T, sc segScenario, w *engine.World, opts engine.Options, oneSegment bool, tick int) *engine.World {
+	t.Helper()
+	if err := w.RunTick(); err != nil {
 		t.Fatal(err)
 	}
-	for tick := 0; tick < 5; tick++ {
-		if err := w.RunTick(); err != nil {
+	switch tick {
+	case 1, 2:
+		ids := w.IDs(sc.class)
+		for i := 0; i < len(ids); i += 9 - 4*(tick-1) {
+			if err := w.Kill(sc.class, ids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; tick == 1 && i < 60; i++ {
+			if err := sc.spawn(w, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case 3:
+		cp, err := w.Checkpoint()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if tick == 1 {
-			ids := w.IDs(sc.class)
-			for i := 0; i < len(ids); i += 9 {
-				if err := w.Kill(sc.class, ids[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 60; i++ {
-				if err := sc.spawn(w, i); err != nil {
-					t.Fatal(err)
-				}
-			}
+		w = newSegWorld(t, sc, opts, oneSegment)
+		if err := w.Restore(cp); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return w
 }
 
-// diffAllState compares every state attribute of every live object bit for
-// bit.
-func diffAllState(a, b *engine.World, class string, attrs []string) string {
-	ids := a.IDs(class)
-	if len(ids) != len(b.IDs(class)) {
-		return fmt.Sprintf("%d vs %d live objects", len(ids), len(b.IDs(class)))
+// runSegScenario populates a scenario's world and runs its churn schedule,
+// calling check after every tick.
+func runSegScenario(t *testing.T, sc segScenario, opts engine.Options, oneSegment bool, check func(tick int, w *engine.World)) *engine.World {
+	t.Helper()
+	w := newSegWorld(t, sc, opts, oneSegment)
+	if err := sc.populate(w); err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range ids {
+	for tick := 0; tick < segTicks; tick++ {
+		w = segTick(t, sc, w, opts, oneSegment, tick)
+		check(tick, w)
+	}
+	return w
+}
+
+// segState is every state attribute of every live object, in id order.
+type segState struct {
+	ids  []value.ID
+	vals []value.Value
+}
+
+func snapState(w *engine.World, class string, attrs []string) segState {
+	s := segState{ids: w.IDs(class)}
+	for _, id := range s.ids {
 		for _, attr := range attrs {
-			av, _ := a.Get(class, id, attr)
-			bv, ok := b.Get(class, id, attr)
-			if !ok || !sameBits(av, bv) {
-				return fmt.Sprintf("id %d %s: %v vs %v", id, attr, av, bv)
-			}
+			v, _ := w.Get(class, id, attr)
+			s.vals = append(s.vals, v)
+		}
+	}
+	return s
+}
+
+// diffState compares two snapshots bit for bit.
+func diffState(a, b segState, attrs []string) string {
+	if len(a.ids) != len(b.ids) {
+		return fmt.Sprintf("%d vs %d live objects", len(a.ids), len(b.ids))
+	}
+	for i, id := range a.ids {
+		if b.ids[i] != id {
+			return fmt.Sprintf("object %d: id %d vs %d", i, id, b.ids[i])
+		}
+	}
+	for i, av := range a.vals {
+		if bv := b.vals[i]; !sameBits(av, bv) {
+			return fmt.Sprintf("id %d %s: %v vs %v", a.ids[i/len(attrs)], attrs[i%len(attrs)], av, bv)
 		}
 	}
 	return ""
@@ -149,38 +276,48 @@ func sameBits(a, b value.Value) bool {
 	return a.Equal(b)
 }
 
-// TestSegmentedJoinDifferential pins the segmented batch join: on the rts,
-// arena and Fig2 scripts under spawn/kill churn, joins hoisted into
-// per-batch probes, the same batched joins run one probe at a time, and the
-// scalar join interpreter end bit-identical to the Workers=1 unpartitioned
-// scalar reference in every Workers {1, 4} × Partitions {0, 2} cell — and
-// hoisting changes none of the join counters.
+// TestSegmentedJoinDifferential pins the segmented batch join and the
+// kernel phase around it: on the rts, arena, Fig2 and duel scripts under
+// spawn/kill churn, dangling targets and a checkpoint → restore, joins
+// hoisted into per-batch probes with the enclosing phase on the cost
+// model's choice and forced onto kernels, the same batched joins run one
+// probe at a time, and the scalar join interpreter match the Workers=1
+// unpartitioned ExecScalar reference tick by tick, bit for bit, in every
+// Workers {1, 4} × Partitions {0, 2} cell — and hoisting changes none of
+// the join counters. Unpinned scripts run no scalar row under forced
+// kernels; the pinned duel runs its phase scalar in every arm.
 func TestSegmentedJoinDifferential(t *testing.T) {
 	for _, sc := range segScenarios() {
-		ref := runSegScenario(t, sc, engine.Options{Join: plan.JoinScalar, Workers: 1}, false)
+		var ref []segState
+		runSegScenario(t, sc, engine.Options{Join: plan.JoinScalar, Exec: plan.ExecScalar, Workers: 1}, false,
+			func(_ int, w *engine.World) { ref = append(ref, snapState(w, sc.class, sc.attrs)) })
 		for _, strat := range []plan.Strategy{plan.Auto, plan.GridIndex} {
 			for _, workers := range []int{1, 4} {
 				for _, parts := range []int{0, 2} {
-					opts := engine.Options{Strategy: strat, Workers: workers, Partitions: parts}
 					label := fmt.Sprintf("%s/%v/w%d/p%d", sc.name, strat, workers, parts)
-					opts.Join = plan.JoinBatched
-					hoisted := runSegScenario(t, sc, opts, false)
+					arm := func(name string, join plan.JoinMode, exec plan.ExecMode, oneSegment bool) *engine.World {
+						opts := engine.Options{Strategy: strat, Workers: workers, Partitions: parts, Join: join, Exec: exec}
+						return runSegScenario(t, sc, opts, oneSegment, func(tick int, w *engine.World) {
+							if d := diffState(ref[tick], snapState(w, sc.class, sc.attrs), sc.attrs); d != "" {
+								t.Fatalf("%s %s diverged from the reference after tick %d: %s", label, name, tick, d)
+							}
+						})
+					}
+					hoisted := arm("hoisted", plan.JoinBatched, plan.ExecAuto, false)
 					if hoisted.HoistedSites() == 0 {
 						t.Fatalf("%s: no site was hoisted", label)
 					}
-					one := runSegScenario(t, sc, opts, true)
-					opts.Join = plan.JoinScalar
-					scalar := runSegScenario(t, sc, opts, false)
-					for arm, w := range map[string]*engine.World{"hoisted": hoisted, "one-segment": one, "scalar": scalar} {
-						if d := diffAllState(ref, w, sc.class, sc.attrs); d != "" {
-							t.Fatalf("%s %s diverged from the reference: %s", label, arm, d)
-						}
-					}
+					kernel := arm("kernel", plan.JoinBatched, plan.ExecVectorized, false)
+					one := arm("one-segment", plan.JoinBatched, plan.ExecAuto, true)
+					arm("scalar", plan.JoinScalar, plan.ExecAuto, false)
 					hs, os := hoisted.ExecStats(), one.ExecStats()
 					if hs.JoinProbeRows != os.JoinProbeRows || hs.JoinMatchRows != os.JoinMatchRows || hs.JoinBatchedRows != os.JoinBatchedRows {
 						t.Fatalf("%s: join counters hoisted %d/%d/%d, one-segment %d/%d/%d", label,
 							hs.JoinProbeRows, hs.JoinMatchRows, hs.JoinBatchedRows,
 							os.JoinProbeRows, os.JoinMatchRows, os.JoinBatchedRows)
+					}
+					if ks := kernel.ExecStats(); sc.pinned != (ks.ScalarRows > 0) && parts == 0 {
+						t.Fatalf("%s: forced kernels ran %d scalar rows, pinned=%v", label, ks.ScalarRows, sc.pinned)
 					}
 				}
 			}
@@ -304,6 +441,72 @@ func TestGridHugeProbeBoxes(t *testing.T) {
 		last := tree.IDs("U")[n-1]
 		if r, _ := tree.Get("U", last, "n"); !math.IsNaN(huge) && r.AsNumber() < 1 {
 			t.Fatalf("range %v: the huge box matched nearly nothing (%v)", huge, r)
+		}
+	}
+}
+
+const srcCount = `
+class P {
+  state:
+    number x = 0;
+    number y = 0;
+    number n = 0;
+  effects:
+    number c : sum;
+  update:
+    n = c;
+  run {
+    accum number k with sum over P u from P {
+      if (u.x >= x - 5 && u.x <= x + 5 && u.y >= y - 5 && u.y <= y + 5) {
+        k <- 1;
+      }
+    } in {
+      c <- k;
+    }
+  }
+}
+`
+
+// TestNaNCoordinateNeverMatches: a row with a NaN coordinate is inside no
+// box, whichever index serves the probe — the grid leaves NaN points out,
+// and the range tree lets them through to the per-dimension re-check — and
+// its own NaN box matches nothing.
+func TestNaNCoordinateNeverMatches(t *testing.T) {
+	for _, strat := range []plan.Strategy{plan.GridIndex, plan.RangeTreeIndex} {
+		for _, join := range []plan.JoinMode{plan.JoinBatched, plan.JoinScalar} {
+			s, err := core.LoadScenario("count", srcCount)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := s.NewWorld(engine.Options{Strategy: strat, Join: join, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spawn := func(x, y float64) value.ID {
+				id, err := w.Spawn("P", map[string]value.Value{"x": value.Num(x), "y": value.Num(y)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return id
+			}
+			var finite []value.ID
+			for i := 0; i < 20; i++ {
+				finite = append(finite, spawn(float64(i%5), float64(i/5)))
+			}
+			nans := []value.ID{spawn(math.NaN(), 1), spawn(2, math.NaN())}
+			if err := w.Run(2); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range finite {
+				if n, _ := w.Get("P", id, "n"); n.AsNumber() != 20 {
+					t.Fatalf("%v/%v: object %d counts %v neighbours, want the 20 finite ones", strat, join, id, n)
+				}
+			}
+			for _, id := range nans {
+				if n, _ := w.Get("P", id, "n"); n.AsNumber() != 0 {
+					t.Fatalf("%v/%v: NaN object %d counts %v neighbours, want 0", strat, join, id, n)
+				}
+			}
 		}
 	}
 }

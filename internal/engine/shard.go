@@ -362,8 +362,12 @@ func (w *World) runShard(slot, si int) {
 	if sh.owner >= 0 {
 		assign = rt.prt.assign
 	}
+	x := &ws.x
+	x.arm(sink, m, rt.plan.NumSlots)
+	x.part = max(sh.owner, 0)
+	var sc *vecScratch
 	if p.vecSel != nil {
-		sc := &rt.vec.sc
+		sc = &rt.vec.sc
 		if p.private {
 			if ws.pvecGen != p.gen {
 				w.prepareVecScratch(rt, &ws.pvec, p.vecSel, rt.tab.Cap())
@@ -372,60 +376,63 @@ func (w *World) runShard(slot, si int) {
 			sc = &ws.pvec
 		}
 		sink.touched.ensure(len(rt.fx))
-		for ph, on := range p.vecSel {
-			if on {
-				sink.vecRows += int64(w.vecPhaseRange(rt, ph, rt.vec.phases[ph], sh, assign, sc, m, &sink.touched))
-			}
-		}
-		if p.vecAll {
-			sink.load = sink.vecRows
-			return
-		}
 	}
 
-	x := &ws.x
-	x.arm(sink, m, rt.plan.NumSlots)
-	x.part = max(sh.owner, 0)
+	// Window by window: hoisted join sites probe a batch of probing rows
+	// (joinWindow), then kernel sweeps and the scalar loop read the result.
 	tab := rt.tab
 	pcs := tab.NumColumn(rt.pcCol)
 	rows := int64(0)
+	size := sh.hi - sh.lo
 	hoist := p.kind == passEffect && len(rt.hoist) > 0
-	for r := sh.lo; r < sh.hi; r++ {
-		if hoist && r >= x.winHi {
-			// A new window of probing rows: probe the hoisted sites for
-			// all of it at once.
-			x.joinWindow(rt, r, min(r+vexpr.BatchSize, sh.hi), assign, sh.owner)
+	if hoist {
+		size = vexpr.BatchSize
+	}
+	for lo := sh.lo; lo < sh.hi; lo += size {
+		win := shard{lo: lo, hi: min(lo+size, sh.hi), owner: sh.owner}
+		if hoist {
+			x.joinWindow(rt, win.lo, win.hi, assign, sh.owner)
 		}
-		if assign != nil {
-			if assign[r] != sh.owner {
+		for ph, on := range p.vecSel {
+			if on {
+				sink.vecRows += int64(w.vecPhaseRange(x, rt, ph, rt.vec.phases[ph], win, assign, sc))
+			}
+		}
+		if p.vecAll {
+			continue
+		}
+		for r := win.lo; r < win.hi; r++ {
+			if assign != nil {
+				if assign[r] != sh.owner {
+					continue
+				}
+			} else if !tab.Alive(r) {
 				continue
 			}
-		} else if !tab.Alive(r) {
-			continue
-		}
-		if p.kind == passHandlers {
+			if p.kind == passHandlers {
+				sink.curRow = int32(r)
+				x.bindRow(rt, r)
+				for _, h := range rt.plan.Handlers {
+					if h.Cond(&x.ctx).AsBool() {
+						x.runSteps(h.Body)
+					}
+				}
+				rows++
+				continue
+			}
+			pc := int(pcs[r])
+			if p.vecSel != nil && p.vecSel[pc] {
+				continue
+			}
+			steps := rt.plan.Phases[pc]
+			if len(steps) == 0 {
+				continue
+			}
 			sink.curRow = int32(r)
 			x.bindRow(rt, r)
-			for _, h := range rt.plan.Handlers {
-				if h.Cond(&x.ctx).AsBool() {
-					x.runSteps(h.Body)
-				}
-			}
+			x.runSteps(steps)
 			rows++
-			continue
 		}
-		pc := int(pcs[r])
-		if p.vecSel != nil && p.vecSel[pc] {
-			continue
-		}
-		steps := rt.plan.Phases[pc]
-		if len(steps) == 0 {
-			continue
-		}
-		sink.curRow = int32(r)
-		x.bindRow(rt, r)
-		x.runSteps(steps)
-		rows++
 	}
 	if p.kind == passHandlers {
 		sink.handlerRows = rows

@@ -34,30 +34,30 @@ func (w *World) RunTick() error {
 	// (2) Query/effect phase, through the sharded driver (shard.go).
 	w.runEffectPhase()
 
-	// (3) Transaction admission.
+	// (3) Transaction admission, then (4) the update step.
+	var err error
 	if len(w.txns) > 0 {
-		if err := w.admitTxns(); err != nil {
-			w.inTick = false
-			return err
-		}
+		err = w.admitTxns()
+	}
+	if err == nil {
+		err = w.runUpdateStep()
+	}
+	if err == nil {
+		w.advancePCs() // (5) pc advance + interrupts
 	}
 
-	// (4) Update step.
-	if err := w.runUpdateStep(); err != nil {
-		w.inTick = false
-		return err
-	}
-
-	// (5) pc advance + interrupts.
-	w.advancePCs()
-
-	// Effects are consumed; clear before handlers arm next tick's buffers.
+	// Effects and intents are consumed — by a failed tick too, so none
+	// leak into the next; clear before handlers arm next tick's buffers.
 	for _, rt := range w.order {
 		for i := range rt.fx {
 			rt.fx[i].reset()
 		}
 	}
 	w.clearTxns()
+	if err != nil {
+		w.inTick = false
+		return err
+	}
 
 	// (6) Reactive handlers on the new state.
 	w.runHandlers()

@@ -10,15 +10,20 @@ package engine
 // Eligibility is per expression and per phase. An update rule vectorizes
 // when its expression compiles to a kernel (numeric/bool/ref payloads only)
 // and its target attribute is columnar. An effect phase vectorizes when
-// every step is a let, an if, or a self-targeted scalar effect emission
-// whose expressions all compile; accum loops, atomic blocks, cross-object
-// emissions and set effects keep the phase on the scalar path. Self-only
-// emissions are a correctness requirement, not just a simplification: they
-// guarantee each accumulator receives its contributions in exactly the
-// order the scalar row loop would produce, so the two paths are
-// bit-identical, not merely ⊕-equivalent. They are also what makes the
-// kernels shardable: every lane writes only its own row's accumulator, so
-// batch-aligned row shards run concurrently with no synchronization.
+// every step is a let, an if, a scalar effect emission, or a top-level
+// accum loop whose join site hoists (its result is a lane: the kernels run
+// window by window behind joinWindow, join.go), and all their expressions
+// compile; atomic blocks, nested accum loops and set effects stay scalar.
+//
+// Every accumulator still receives its contributions in exactly the order
+// the scalar row loop would produce, so the two paths are bit-identical,
+// not merely ⊕-equivalent. Self-emissions fold in place during the sweep:
+// each lane writes only its own row's accumulator, so batch-aligned row
+// shards run concurrently with no synchronization. Targeted emissions are
+// lanes (target ref, value, key) appended to the shard sink row-major, for
+// the merge to replay in row order. A phase that folds a self-emission into
+// an effect some own-class targeted emission also feeds would interleave
+// the two wrongly, so it stays scalar (analysis.Script.Pinned).
 //
 // The scalar closure evaluator remains the semantic reference; the choice
 // between the two is a physical-plan decision made per class and tick by
@@ -26,6 +31,7 @@ package engine
 // parallelism decision of plan.Costs.ChooseWorkers.
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/compile"
@@ -51,7 +57,7 @@ type vecLet struct {
 
 type vecEmit struct {
 	attrIdx int
-	kind    value.Kind // declared effect value kind
+	kind    value.Kind // declared effect value kind (of the target class)
 	val     *vexpr.Prog
 	key     *vexpr.Prog // non-nil for minby/maxby emissions
 	valBuf  int
@@ -61,6 +67,18 @@ type vecEmit struct {
 	// row. Set for payload-kind emissions unless Options.Unfused pins the
 	// pre-fusion executor; string emissions always decode at the boundary.
 	fold bool
+
+	// target is a targeted emission's ref kernel: its lane, null where the
+	// mask is off, names the receiver in class World.order[dst].
+	target *vexpr.Prog
+	tgtBuf int
+	dst    int
+}
+
+// vecAccum binds a hoisted accum site's result lane as its frame slot.
+type vecAccum struct {
+	step *compile.AccumStep
+	slot int
 }
 
 type vecIf struct {
@@ -71,9 +89,10 @@ type vecIf struct {
 	depth   int
 }
 
-func (*vecLet) vecStep()  {}
-func (*vecEmit) vecStep() {}
-func (*vecIf) vecStep()   {}
+func (*vecLet) vecStep()   {}
+func (*vecEmit) vecStep()  {}
+func (*vecAccum) vecStep() {}
+func (*vecIf) vecStep()    {}
 
 // vecPhase is one effect-phase step list compiled to batch form.
 type vecPhase struct {
@@ -83,6 +102,9 @@ type vecPhase struct {
 	maxSlot  int  // highest frame slot written, -1 if none
 	nBufs    int  // scratch output vectors reserved by emits and ifs
 	maxDepth int  // deepest if-nesting level (selection-mask levels - 1)
+
+	accums  []*compile.AccumStep // hoisted sites whose result lanes the phase reads
+	targets []*vecEmit           // targeted emissions, in step order
 }
 
 // vecScratch is one independent set of kernel I/O state: the environment
@@ -149,8 +171,10 @@ func (rt *classRT) phaseCounts() []int {
 // makes identical choices; the returned work estimate feeds the parallelism
 // axis (plan.Costs.ChooseWorkers). vecSel is nil when no phase vectorizes;
 // all reports that the scalar row loop has nothing to do: every phase with
-// steps vectorizes and no join site is hoisted. Tracing keeps every phase
-// scalar so the per-emission hook keeps firing.
+// steps vectorizes. A phase whose accum site is not hoisted this tick has
+// no result lane and runs scalar; a phase with targeted emissions needs all
+// and no second such phase, its appends being the sink's only, ascending
+// row stream. Tracing keeps every phase scalar for the per-emission hook.
 func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool, work float64) {
 	c := w.execCosts
 	vecOK := rt.vec != nil && rt.vec.hasPhases && w.tracer == nil && w.opts.Exec != plan.ExecScalar
@@ -159,31 +183,47 @@ func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool, work flo
 	}
 	counts := rt.phaseCounts()
 	capRows := rt.tab.Cap()
-	all = true
+	vecSel, all = rt.vecSelBuf[:0], true
+	targeted := 0
 	for p, steps := range rt.plan.Phases {
-		if len(steps) == 0 {
-			continue
-		}
-		var vp *vecPhase
-		if vecOK {
-			vp = rt.vec.phases[p]
-		}
-		if vp != nil && c.ChooseExec(w.opts.Exec, counts[p], capRows, vp.kernels) == plan.ExecVectorized {
-			if vecSel == nil {
-				vecSel = rt.vecSelBuf[:0]
-				for range rt.plan.Phases {
-					vecSel = append(vecSel, false)
-				}
-				rt.vecSelBuf = vecSel
+		on := false
+		if vecOK && len(steps) > 0 {
+			vp := rt.vec.phases[p]
+			on = vp != nil && w.hoistedAll(vp) && c.ChooseExec(w.opts.Exec, counts[p], capRows, vp.kernels) == plan.ExecVectorized
+			if on && len(vp.targets) > 0 {
+				targeted++
 			}
-			vecSel[p] = true
-			work += c.VecSetup + c.VecVisit*float64(capRows)*float64(vp.kernels)
-		} else {
-			all = false
+		}
+		all = all && (on || len(steps) == 0)
+		vecSel = append(vecSel, on)
+	}
+	rt.vecSelBuf = vecSel
+	demote, any := !all || targeted > 1, false
+	for p, steps := range rt.plan.Phases {
+		if vecSel[p] && demote && len(rt.vec.phases[p].targets) > 0 {
+			vecSel[p], all = false, false
+		}
+		if vecSel[p] {
+			any = true
+			work += c.VecSetup + c.VecVisit*float64(capRows)*float64(rt.vec.phases[p].kernels)
+		} else if len(steps) > 0 {
 			work += c.ScalarVisit * float64(counts[p]) * rt.phaseCost[p]
 		}
 	}
-	return vecSel, all && vecSel != nil && len(rt.hoist) == 0, work
+	if !any {
+		return nil, false, work
+	}
+	return vecSel, all, work
+}
+
+// hoistedAll reports that every accum site of the phase hoists this tick.
+func (w *World) hoistedAll(vp *vecPhase) bool {
+	for _, s := range vp.accums {
+		if !w.siteIndex[s].hoisted {
+			return false
+		}
+	}
+	return true
 }
 
 // buildVecProgs compiles everything vectorizable about a class. Structural
@@ -214,24 +254,17 @@ func buildVecProgs(c *Compiled, cc *compiledClass) *vecClassProgs {
 	}
 	v.phases = make([]*vecPhase, len(cc.plan.Phases))
 	any := len(v.updates) > 0
-	// A scalar phase that cross-emits into this same class could interleave
-	// with a vectorized phase's self-emissions in a different order than
-	// the scalar row loop (row 3's cross-contribution into row 9 vs row
-	// 9's own), which would break bit-identity for ⊕ folds. Vectorized
-	// phases themselves never cross-emit (analysis rejects the shape), so
-	// the hazard exists exactly when any phase emits into the own class via
-	// a target expression — analysis.Class.CrossSelfEmit; in that case no
-	// phase of the class vectorizes.
-	if !cc.ai.CrossSelfEmit {
-		for p, steps := range cc.plan.Phases {
-			if !cc.ai.Phases[p].Vectorizable {
-				continue
-			}
-			if vp := compileVecPhase(c, cc, steps); vp != nil {
-				v.phases[p] = vp
-				v.hasPhases = true
-				any = true
-			}
+	// Row 3's targeted emission into row 9 replays from the sink after the
+	// sweep, row 9's self-emission folds during it: on a shared attribute
+	// that breaks ⊕ order, so such phases stay scalar (Script.Pinned).
+	for p, steps := range cc.plan.Phases {
+		if !cc.ai.Phases[p].Vectorizable || cc.ai.Phases[p].Pinned >= 0 {
+			continue
+		}
+		if vp := compileVecPhase(c, cc, steps); vp != nil {
+			v.phases[p] = vp
+			v.hasPhases = true
+			any = true
 		}
 	}
 	if !any {
@@ -291,14 +324,20 @@ func compileVecSteps(c *Compiled, cc *compiledClass, steps []compile.Step, defin
 				return nil, false
 			}
 			out = append(out, st)
+		case *compile.AccumStep: // top-level (analysis); a lane if it hoists
+			if b := c.batches[s]; b == nil || !b.hoist {
+				return nil, false
+			}
+			defined[s.Slot] = true
+			vp.maxSlot = max(vp.maxSlot, s.Slot)
+			vp.accums = append(vp.accums, s)
+			out = append(out, &vecAccum{step: s, slot: s.Slot})
 		case *compile.EmitStep:
-			// The structural requirements — self-targeted scalar emissions
-			// of columnar payload kinds only, which keep per-accumulator
-			// contribution order identical to the scalar row loop — are
-			// certified by analysis.Script.Vectorizable before this runs.
-			// String-valued payloads ride the dictionary: the kernel emits
-			// codes, decoded back at the accumulator boundary below.
-			kind := cc.cls.Effects[s.AttrIdx].Kind
+			// Analysis certified the shapes: scalar emissions of columnar
+			// payload kinds. String-valued self-emissions ride the
+			// dictionary: the kernel emits codes, decoded at the fold.
+			dst := c.classes[s.Class]
+			kind := dst.cls.Effects[s.AttrIdx].Kind
 			val, ok := vexpr.CompileOpts(s.ValSrc, c.kernelOpts(slotOK))
 			if !ok {
 				return nil, false
@@ -308,6 +347,15 @@ func compileVecSteps(c *Compiled, cc *compiledClass, steps []compile.Step, defin
 				fold: !c.unfused && kind != value.KindString,
 			}
 			kc(val)
+			if s.TargetSrc != nil {
+				tgt, ok := vexpr.CompileOpts(s.TargetSrc, c.kernelOpts(slotOK))
+				if !ok {
+					return nil, false
+				}
+				st.target, st.tgtBuf, st.dst = tgt, vp.newBuf(), slices.Index(c.order, dst)
+				kc(tgt)
+				vp.targets = append(vp.targets, st)
+			}
 			if s.KeyFn != nil {
 				// Dictionary codes are first-intern-ordered, not
 				// lexicographic, so a string-typed minby/maxby key must not
@@ -323,7 +371,7 @@ func compileVecSteps(c *Compiled, cc *compiledClass, steps []compile.Step, defin
 				kc(key)
 			}
 			out = append(out, st)
-		default: // AccumStep, AtomicStep
+		default: // AtomicStep
 			return nil, false
 		}
 	}
@@ -481,15 +529,15 @@ func (t *touchedLog) reset() {
 	}
 }
 
-// vecPhaseRange executes one vectorized effect phase over the shard's rows:
-// the base selection mask is (alive, or owned by the shard's partition when
-// assign is non-nil) ∧ pc=phase, refined by nested if conditions; kernels
-// evaluate unmasked (expressions are total, dead lanes are ignored) and only
-// masked rows emit. Emissions are self-only and therefore row-disjoint
-// across shards, so they fold into the shared accumulators directly; tl
-// keeps the shared touched lists out of the concurrent path. sc must have
-// been pre-sized by prepareVecScratch. Returns the number of selected rows.
-func (w *World) vecPhaseRange(rt *classRT, phase int, vp *vecPhase, sh shard, assign []int32, sc *vecScratch, m *vexpr.Machine, tl *touchedLog) int {
+// vecPhaseRange executes one vectorized effect phase over the window sh of
+// the shard's rows: the base selection mask is (alive, or owned by the
+// shard's partition when assign is non-nil) ∧ pc=phase, refined by nested
+// if conditions; kernels evaluate unmasked (expressions are total, dead
+// lanes are ignored) and only masked rows emit. Self-emissions fold into
+// the shared accumulators directly, logging first touches in the sink; x
+// holds the window's join results, the machine and the sink. sc must have
+// been pre-sized by prepareVecScratch. Returns the selected row count.
+func (w *World) vecPhaseRange(x *execCtx, rt *classRT, phase int, vp *vecPhase, sh shard, assign []int32, sc *vecScratch) int {
 	mask := sc.masks[0][sh.lo:sh.hi]
 	if assign == nil {
 		copy(mask, rt.tab.AliveMask()[sh.lo:sh.hi])
@@ -510,16 +558,29 @@ func (w *World) vecPhaseRange(rt *classRT, phase int, vp *vecPhase, sh shard, as
 		}
 	}
 	if selected > 0 {
-		w.execVecSteps(rt, vp.steps, sc.masks[0], sh.lo, sh.hi, sc, m, tl)
+		for _, e := range vp.targets { // lanes an if skips stay null
+			tgt := sc.bufs[e.tgtBuf][sh.lo:sh.hi]
+			for i := range tgt {
+				tgt[i] = float64(value.NullID)
+			}
+		}
+		w.execVecSteps(x, rt, vp.steps, sc.masks[0], sh.lo, sh.hi, sc)
+		if len(vp.targets) > 0 {
+			w.appendTargeted(x.sink, vp, sh.lo, sh.hi, sc)
+		}
 	}
 	return selected
 }
 
-func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi int, sc *vecScratch, m *vexpr.Machine, tl *touchedLog) {
+func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bool, lo, hi int, sc *vecScratch) {
+	m := x.machine
 	for _, s := range steps {
 		switch s := s.(type) {
 		case *vecLet:
 			s.prog.Run(m, &sc.env, lo, hi, sc.slotVecs[s.slot])
+		case *vecAccum:
+			res := x.hoistRes[w.siteIndex[s.step].hoistIdx]
+			copy(sc.slotVecs[s.slot][lo:hi], res[lo-x.winLo:hi-x.winLo])
 		case *vecEmit:
 			val := sc.bufs[s.valBuf]
 			s.val.Run(m, &sc.env, lo, hi, val)
@@ -528,7 +589,17 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 				key = sc.bufs[s.keyBuf]
 				s.key.Run(m, &sc.env, lo, hi, key)
 			}
-			fx, log := &rt.fx[s.attrIdx], &tl.rows[s.attrIdx]
+			if s.target != nil {
+				tgt := sc.bufs[s.tgtBuf]
+				s.target.Run(m, &sc.env, lo, hi, tgt)
+				for r := lo; r < hi; r++ {
+					if !mask[r] {
+						tgt[r] = float64(value.NullID)
+					}
+				}
+				break
+			}
+			fx, log := &rt.fx[s.attrIdx], &x.sink.touched.rows[s.attrIdx]
 			if s.fold {
 				// Fused fold: kernel outputs are already column payloads, so
 				// they go straight into the column's batch payload fold with
@@ -573,7 +644,7 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 				any = any || sub[r]
 			}
 			if any {
-				w.execVecSteps(rt, s.then, sub, lo, hi, sc, m, tl)
+				w.execVecSteps(x, rt, s.then, sub, lo, hi, sc)
 			}
 			if s.els != nil {
 				any = false
@@ -582,8 +653,31 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 					any = any || sub[r]
 				}
 				if any {
-					w.execVecSteps(rt, s.els, sub, lo, hi, sc, m, tl)
+					w.execVecSteps(x, rt, s.els, sub, lo, hi, sc)
 				}
+			}
+		}
+	}
+}
+
+// appendTargeted logs rows [lo, hi)'s targeted emissions to the sink
+// row-major (ascending row, then step order), resolving targets as runEmit
+// does: null, masked-off and dangling targets contribute nothing.
+func (w *World) appendTargeted(sink *shardSink, vp *vecPhase, lo, hi int, sc *vecScratch) {
+	for r := lo; r < hi; r++ {
+		for _, e := range vp.targets {
+			id := value.ID(sc.bufs[e.tgtBuf][r])
+			if id == value.NullID {
+				continue
+			}
+			dst := w.order[e.dst]
+			if row := dst.tab.Row(id); row >= 0 {
+				key := 0.0
+				if e.key != nil {
+					key = sc.bufs[e.keyBuf][r]
+				}
+				sink.curRow = int32(r)
+				sink.emit(dst, row, e.attrIdx, payloadValue(e.kind, sc.bufs[e.valBuf][r]), key)
 			}
 		}
 	}

@@ -145,22 +145,38 @@ func (g *Grid) Cell() float64 { return g.cell }
 // QueryRows appends the rows of the points in the closed box
 // [lo0,hi0]×[lo1,hi1], visiting cells cx-major then cy and each cell in row
 // order. The box is clamped to the cell window, so a huge or infinite box
-// costs at most the window.
+// costs at most the window. Every returned point passed the exact box test
+// on its stored coordinates, and NaN points are never stored, so callers
+// need not re-check the two dimensions.
 func (g *Grid) QueryRows(lo, hi []float64, out []int32) []int32 {
 	if !(lo[0] <= hi[0] && lo[1] <= hi[1]) || len(g.rows) == 0 {
 		return out // empty or NaN box
 	}
-	cx0, cy0, _ := g.key(lo[0], lo[1])
-	cx1, cy1, _ := g.key(hi[0], hi[1])
+	lx, hx, ly, hy := lo[0], hi[0], lo[1], hi[1]
+	cx0, cy0, _ := g.key(lx, ly)
+	cx1, cy1, _ := g.key(hx, hy)
 	for cx := cx0; cx <= cx1; cx++ {
-		base := cx * g.ny
-		for k := g.off[base+cy0]; k < g.off[base+cy1+1]; k++ {
-			if x, y := g.xs[k], g.ys[k]; x >= lo[0] && x <= hi[0] && y >= lo[1] && y <= hi[1] {
-				out = append(out, g.rows[k])
-			}
+		k0, k1 := g.off[cx*g.ny+cy0], g.off[cx*g.ny+cy1+1]
+		rows := g.rows[k0:k1]
+		xs, ys := g.xs[k0:k1][:len(rows)], g.ys[k0:k1][:len(rows)]
+		// Branch-free: room for every candidate, then write each one and
+		// advance past it only if it is inside.
+		n := len(out)
+		out = append(out, rows...)
+		for i, r := range rows {
+			out[n] = r
+			n += b2i(xs[i] >= lx) & b2i(xs[i] <= hx) & b2i(ys[i] >= ly) & b2i(ys[i] <= hy)
 		}
+		out = out[:n]
 	}
 	return out
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // EstimatedBytes approximates resident memory.

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/value"
 )
@@ -127,51 +126,4 @@ func (h *RowHash) EstimatedBytes() int {
 	const entrySize = 8 + 4 // id + row
 	const bucketOverhead = 64
 	return h.n*entrySize + len(h.buckets)*bucketOverhead
-}
-
-// Sorted is a one-dimensional sorted index supporting range lookups, used
-// for single-attribute band predicates.
-type Sorted struct {
-	keys []float64
-	ids  []value.ID
-}
-
-// BuildSorted constructs a sorted index over numeric keys.
-func BuildSorted(keys []float64, ids []value.ID) *Sorted {
-	if len(keys) != len(ids) {
-		panic("index: sorted key/id length mismatch")
-	}
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	s := &Sorted{keys: make([]float64, len(keys)), ids: make([]value.ID, len(ids))}
-	for out, in := range idx {
-		s.keys[out] = keys[in]
-		s.ids[out] = ids[in]
-	}
-	return s
-}
-
-// Len returns the number of indexed entries.
-func (s *Sorted) Len() int { return len(s.keys) }
-
-// Range appends the ids with key in [lo, hi] and returns the slice.
-func (s *Sorted) Range(lo, hi float64, out []value.ID) []value.ID {
-	i := sort.SearchFloat64s(s.keys, lo)
-	for ; i < len(s.keys) && s.keys[i] <= hi; i++ {
-		out = append(out, s.ids[i])
-	}
-	return out
-}
-
-// CountRange returns the number of keys in [lo, hi].
-func (s *Sorted) CountRange(lo, hi float64) int {
-	i := sort.SearchFloat64s(s.keys, lo)
-	j := sort.Search(len(s.keys), func(k int) bool { return s.keys[k] > hi })
-	if j < i {
-		return 0
-	}
-	return j - i
 }

@@ -370,24 +370,6 @@ func TestHashIndex(t *testing.T) {
 	}
 }
 
-func TestSortedIndex(t *testing.T) {
-	keys := []float64{5, 1, 3, 3, 9}
-	ids := []value.ID{50, 10, 30, 31, 90}
-	s := BuildSorted(keys, ids)
-	if got := s.Range(2, 5, nil); !equalIDs(got, []value.ID{30, 31, 50}) {
-		t.Errorf("Range = %v", got)
-	}
-	if got := s.CountRange(2, 5); got != 3 {
-		t.Errorf("CountRange = %d", got)
-	}
-	if got := s.CountRange(10, 20); got != 0 {
-		t.Errorf("CountRange miss = %d", got)
-	}
-	if got := s.Range(3, 3, nil); len(got) != 2 {
-		t.Errorf("point range = %v", got)
-	}
-}
-
 // Property: tree and grid agree with the naive scan on random data and
 // random boxes — the core correctness invariant behind every accum join.
 func TestIndexEquivalenceProperty(t *testing.T) {
@@ -422,6 +404,24 @@ func TestSortRows(t *testing.T) {
 			if rows[i] != want[i] {
 				t.Fatalf("n=%d: rows[%d]=%d want %d", n, i, rows[i], want[i])
 			}
+		}
+	}
+}
+
+// BenchmarkGridQueryRows probes a grid at the rts_joins shape: 20k uniform
+// points at 75 area units each, cell 30, one ±15 box around every point
+// (about a dozen candidates per probe). One op is the 20k probes.
+func BenchmarkGridQueryRows(b *testing.B) {
+	const n = 20000
+	side := math.Sqrt(n * 75)
+	es := randEntries(n, 2, 7, side)
+	g := gridOf(30, es)
+	var out []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range es {
+			x, y := e.Coords[0], e.Coords[1]
+			out = g.QueryRows([]float64{x - 15, y - 15}, []float64{x + 15, y + 15}, out[:0])
 		}
 	}
 }

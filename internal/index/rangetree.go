@@ -208,9 +208,6 @@ func sortEntries(es []Entry, dim int) {
 // Len returns the number of indexed points.
 func (t *RangeTree) Len() int { return t.n }
 
-// Dims returns the dimensionality.
-func (t *RangeTree) Dims() int { return t.dims }
-
 // StoredEntries returns the total number of point replicas stored across
 // the primary and all associated structures — the space term the paper's
 // Θ(n·log^{d−1} n) analysis counts.
