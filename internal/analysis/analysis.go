@@ -32,6 +32,7 @@
 package analysis
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/combinator"
@@ -114,8 +115,9 @@ type Script struct {
 	Emits []Emit
 
 	// Vectorizable is the structural half of batch-kernel eligibility:
-	// every step is a let, an if, a top-level indexed accum loop, or a
-	// scalar emission of a columnar payload kind. Expression compilability
+	// every step is a let, an if, a top-level indexed accum loop, a scalar
+	// emission of a columnar payload kind, or an atomic block of such
+	// emissions in a frame-free class. Expression compilability
 	// (and whether the accum site hoists) is still decided by the engine.
 	Vectorizable bool
 
@@ -268,7 +270,7 @@ func (r *Result) analyzeClassBody(c *Class) {
 	for p, steps := range cp.Phases {
 		s := &Script{Phase: p, Pinned: -1}
 		r.collectSteps(c, s, steps, false)
-		s.Vectorizable = len(steps) > 0 && r.structVec(name, steps, true)
+		s.Vectorizable = len(steps) > 0 && r.structWhy(c, steps, true) == ""
 		c.Phases = append(c.Phases, s)
 	}
 	for _, h := range cp.Handlers {
@@ -401,42 +403,79 @@ func (r *Result) analyzeAccum(c *Class, s *Script, st *compile.AccumStep) *Join 
 	return j
 }
 
-// structVec reports the structural half of phase vectorizability: every
-// step is a let, an if, a top-level accum loop with an analyzed join (its
-// result becomes a lane when the engine hoists the site), or a scalar
-// emission of a columnar payload kind. Atomic blocks, nested accum loops,
-// accumulator contributions and set effects keep the phase scalar.
-func (r *Result) structVec(className string, steps []compile.Step, top bool) bool {
+// structWhy is the structural half of phase vectorizability: it names the
+// first step that keeps the phase scalar, "" when every step is a let, an
+// if, a top-level accum loop with an analyzed join (its result becomes a
+// lane when the engine hoists the site), a scalar emission of a columnar
+// payload kind, or an atomic block whose intents kernels can build. Nested
+// accum loops, accumulator contributions and set effects keep the phase
+// scalar.
+func (r *Result) structWhy(c *Class, steps []compile.Step, top bool) string {
 	for _, st := range steps {
 		switch st := st.(type) {
 		case *compile.LetStep:
 		case *compile.IfStep:
-			if !r.structVec(className, st.Then, false) || !r.structVec(className, st.Else, false) {
-				return false
+			if why := r.structWhy(c, st.Then, false); why != "" {
+				return why
+			}
+			if why := r.structWhy(c, st.Else, false); why != "" {
+				return why
 			}
 		case *compile.AccumStep:
-			if !top || st.Join == nil {
-				return false
+			if !top {
+				return "a nested accum loop"
+			}
+			if st.Join == nil {
+				return "an accum loop without an index-servable join"
 			}
 		case *compile.EmitStep:
-			if st.SetInsert || st.AccumSlot >= 0 || (st.TargetFn == nil && st.Class != className) {
-				return false
+			if st.SetInsert {
+				return "a set effect"
+			}
+			if st.AccumSlot >= 0 || (st.TargetFn == nil && st.Class != c.Name) {
+				return "an accumulator contribution"
 			}
 			// String effects are columnar too for self-emissions: the world
 			// dictionary gives string payloads a numeric code lane, and the
 			// engine decodes at the accumulator boundary. Targeted
-			// emissions carry plain payloads into the shard sink, and set
-			// effects have no payload lane at all.
+			// emissions carry plain payloads into the shard sink.
 			kind := r.Prog.Classes[st.Class].Class.Effects[st.AttrIdx].Kind
 			if kind != value.KindNumber && kind != value.KindBool && kind != value.KindRef &&
 				(kind != value.KindString || st.TargetFn != nil) {
-				return false
+				return "a " + kind.String() + " emission with no payload lane"
 			}
-		default: // AtomicStep
-			return false
+		case *compile.AtomicStep:
+			if why := r.atomicWhy(c, st); why != "" {
+				return why
+			}
 		}
 	}
-	return true
+	return ""
+}
+
+// atomicWhy names what keeps an atomic block's intents off the kernel path,
+// "" when kernels can build them: each intent is filled from the guard mask
+// and one payload lane per emission (plus a target lane for a targeted
+// one), so the block may hold only emissions whose value is the effect's
+// number, bool or ref payload (sem admits only sum/avg/count effects here,
+// so there is no key lane). Every intent also carries a copy of the
+// executing row's frame, which lanes do not keep, so the class must have
+// no frame slot at all.
+func (r *Result) atomicWhy(c *Class, st *compile.AtomicStep) string {
+	if n := c.Plan.NumSlots; n > 0 {
+		return fmt.Sprintf("a live frame slot (%s has %d, and each intent copies the frame)", c.Name, n)
+	}
+	for _, b := range st.Body {
+		e, ok := b.(*compile.EmitStep)
+		if !ok {
+			return "a statement other than an emission inside the block"
+		}
+		kind, vk := r.Prog.Classes[e.Class].Class.Effects[e.AttrIdx].Kind, e.ValSrc.Type().Kind
+		if vk != kind || (kind != value.KindNumber && kind != value.KindBool && kind != value.KindRef) {
+			return fmt.Sprintf("an emission that does not compile (a %s value into a %s effect has no intent lane)", vk, kind)
+		}
+	}
+	return ""
 }
 
 // classifyFold is the combinator lattice: every ⊕ is commutative as a

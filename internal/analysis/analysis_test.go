@@ -99,9 +99,9 @@ class Duelist {
 `
 
 // TestVectorizablePhases pins structural phase eligibility: vehicles (lets,
-// ifs, self-emissions) and Fig2 (a top-level accum loop, whose hoisted
-// result the kernels read as a lane) vectorize; an accum loop nested in an
-// if does not.
+// ifs, self-emissions), Fig2 (a top-level accum loop, whose hoisted result
+// the kernels read as a lane) and the market (an atomic block whose intents
+// kernels build) vectorize; an accum loop nested in an if does not.
 func TestVectorizablePhases(t *testing.T) {
 	v := analyzeSrc(t, "vehicles", core.SrcVehicles).Class("Vehicle")
 	anyVec := false
@@ -116,6 +116,9 @@ func TestVectorizablePhases(t *testing.T) {
 		if !s.Vectorizable {
 			t.Errorf("Unit phase %d: a top-level accum loop must not keep the phase scalar", p)
 		}
+	}
+	if m := analyzeSrc(t, "market", core.SrcMarket).Class("Trader"); !m.Phases[0].Vectorizable {
+		t.Error("Trader: a guarded atomic block of payload emissions in a frame-free class must not keep the phase scalar")
 	}
 	n := analyzeSrc(t, "nested", srcNestedAccum).Class("Unit")
 	if n.Phases[0].Vectorizable {

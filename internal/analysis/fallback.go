@@ -122,6 +122,24 @@ func (v *vetter) checkScalarFallback(c *Class) {
 		}
 	}
 
+	// Atomic sites whose intents stay row-at-a-time, one finding each. A
+	// pinned phase is reported above, and an expression outside the block
+	// that does not compile by checkPhaseKernels.
+	for _, a := range c.Atomics {
+		if a.Phase < 0 || c.Phases[a.Phase].Pinned >= 0 {
+			continue
+		}
+		why := v.r.structWhy(c, c.Plan.Phases[a.Phase], true)
+		if why == "" { // the block is emissions only
+			why = blockKernelWhy(a.Step, o)
+		}
+		if why != "" {
+			v.add(a.Step.Src.Pos, c.Name, DiagScalarFallback,
+				"atomic block in phase %d of %s builds its intents row-at-a-time, not from kernel lanes: %s",
+				a.Phase, c.Name, why)
+		}
+	}
+
 	// Accum joins: residual conjuncts the batched driver cannot turn into
 	// mask kernels, and string-keyed minby/maxby folds.
 	for _, j := range c.Joins {
@@ -170,6 +188,23 @@ func (v *vetter) checkPhaseKernels(c *Class, steps []compile.Step, o vexpr.Opts)
 			}
 		}
 	}
+}
+
+// blockKernelWhy names the first payload or target expression of an atomic
+// block the kernel compiler bails on. Mirrors engine compileVecSteps.
+func blockKernelWhy(st *compile.AtomicStep, o vexpr.Opts) string {
+	for _, b := range st.Body {
+		e := b.(*compile.EmitStep)
+		for _, src := range []ast.Expr{e.ValSrc, e.TargetSrc} {
+			if src == nil {
+				continue
+			}
+			if _, ok := vexpr.CompileOpts(src, o); !ok {
+				return "an emission that does not compile (" + exprWhy(src) + ")"
+			}
+		}
+	}
+	return ""
 }
 
 // checkStringFoldKeys flags string-typed minby/maxby keys inside a join's

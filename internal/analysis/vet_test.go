@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -168,6 +169,62 @@ func TestShippedScenariosVetClean(t *testing.T) {
 	for name, src := range srcs {
 		if out := vetLines(t, name, src); out != "" {
 			t.Errorf("%s: expected zero diagnostics, got:\n%s", name, out)
+		}
+	}
+}
+
+// TestAtomicScalarFallback pins the perf finding for atomic sites: the
+// shipped market builds its intents from kernel lanes and gets no finding;
+// a site kept on the scalar row loop gets one, naming the reason.
+func TestAtomicScalarFallback(t *testing.T) {
+	if out := vetPerfLines(t, "market", core.SrcMarket); out != "" {
+		t.Errorf("market: want no scalar-fallback finding, got:\n%s", out)
+	}
+	const tmpl = `
+class Trader {
+  state:
+    number gold = 0;
+    number x = 0;
+    set<number> tags;
+    ref<Trader> seller = null;
+  effects:
+    number dgold : sum;
+    set<number> dtags : union;
+  update:
+    gold = gold + dgold;
+    tags = dtags;
+  run {
+    %s
+    atomic (gold >= 0) {
+      dgold <- %s;
+      seller.dgold <- 1;
+      %s
+    }
+  }
+}
+`
+	for _, c := range []struct{ name, before, val, body, want string }{
+		{"set effect", "dtags <= gold;", "0 - 1", "", "a set effect"},
+		{"nested accum", `if (gold > 0) {
+      accum number n with sum over Trader u from Trader {
+        if (u.x >= x - 1 && u.x <= x + 1) {
+          n <- 1;
+        }
+      } in {
+        dgold <- n;
+      }
+    }`, "0 - 1", "", "a nested accum loop"},
+		{"emission", "", "size(tags)", "", "an emission that does not compile (set values have no columnar lane)"},
+		{"conditional", "", "0 - 1", "if (x > 0) { dgold <- 1; }", "a statement other than an emission inside the block"},
+	} {
+		var sites []string
+		for _, l := range strings.Split(vetPerfLines(t, c.name, fmt.Sprintf(tmpl, c.before, c.val, c.body)), "\n") {
+			if strings.Contains(l, "atomic block in phase 0 of Trader") {
+				sites = append(sites, l)
+			}
+		}
+		if len(sites) != 1 || !strings.HasSuffix(sites[0], ": "+c.want) {
+			t.Errorf("%s: want one atomic-site finding naming %q, got %q", c.name, c.want, sites)
 		}
 	}
 }

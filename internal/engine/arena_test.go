@@ -133,6 +133,17 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 			t.Fatalf("the rts phase did not run as kernels around its join: %+v", s)
 		}
 	})
+	// The market's atomic block runs as kernels: the guard is a mask and
+	// each intent is filled from payload and target lanes into a pooled Txn.
+	t.Run("market/kernel-atomic", func(t *testing.T) {
+		w := pooledMarketWorld(t, 2000, engine.Options{Workers: 1, Exec: plan.ExecVectorized})
+		if avg := warmAllocs(w); avg != 0 {
+			t.Fatalf("steady-state kernel market RunTick allocates %.1f objects/tick, want 0", avg)
+		}
+		if s := w.ExecStats(); s.ScalarRows != 0 || s.VectorRows == 0 {
+			t.Fatalf("the market phase did not run as kernels: %+v", s)
+		}
+	})
 	fanOut := 0.0 // the most a vehicle Workers=4 row allocates per tick
 	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
 		t.Run(fmt.Sprintf("workers=4/%v", exec), func(t *testing.T) {

@@ -50,8 +50,8 @@ func (w *World) VecDecisions(class string) VecDecisions {
 // OldVecDecisions recomputes the same decisions with the pre-refactor
 // logic: an inline cross-self-emission walk, per-update payload-kind
 // checks and the structural-check-interleaved phase compiler — extended by
-// hand with the per-attribute pin, hoisted accum sites and targeted
-// emission lanes, independently of the analysis.
+// hand with the per-attribute pin, hoisted accum sites, targeted emission
+// lanes and frame-free atomic blocks, independently of the analysis.
 func (w *World) OldVecDecisions(class string) VecDecisions {
 	rt := w.classes[class]
 	d := VecDecisions{Phases: make([]bool, len(rt.plan.Phases))}
@@ -222,8 +222,30 @@ func (w *World) oldCompileVecSteps(rt *classRT, steps []compile.Step, defined ma
 				vp.needIDs = vp.needIDs || key.NeedIDs()
 			}
 			out = append(out, st)
-		default: // AtomicStep
-			return nil, false
+		case *compile.AtomicStep:
+			// Intents from lanes: a frame-free class, and a body of number,
+			// bool or ref emissions whose payloads and targets compile.
+			if rt.plan.NumSlots > 0 {
+				return nil, false
+			}
+			for _, b := range s.Body {
+				e, ok := b.(*compile.EmitStep)
+				if !ok || e.SetInsert {
+					return nil, false
+				}
+				kind := w.classes[e.Class].cls.Effects[e.AttrIdx].Kind
+				if (kind != value.KindNumber && kind != value.KindBool && kind != value.KindRef) || e.ValSrc.Type().Kind != kind {
+					return nil, false
+				}
+				if _, ok := vexpr.CompileWithSlots(e.ValSrc, slotOK); !ok {
+					return nil, false
+				}
+				if e.TargetFn != nil {
+					if _, ok := vexpr.CompileWithSlots(e.TargetSrc, slotOK); !ok {
+						return nil, false
+					}
+				}
+			}
 		}
 	}
 	return out, true

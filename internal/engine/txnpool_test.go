@@ -160,8 +160,9 @@ func (r *marketRecorder) Admit(ctx *UpdateCtx, txns []*Txn) error {
 // The recycled, row-resolved intents are invisible: a contended market with
 // sellers killed mid-run (their buyers keep aiming purchases at the dead
 // rows, which must abort) admits the same transactions with the same
-// outcomes every tick and ends in the same tables under every admission
-// mode, worker count and partition count.
+// outcomes every tick and ends in the same tables under every execution
+// mode (scalar row loop or kernel-built intents), admission mode, worker
+// count and partition count.
 func TestTxnPoolDifferential(t *testing.T) {
 	const ticks = 60
 	run := func(opts Options) ([][]string, []uint64, int) {
@@ -225,17 +226,21 @@ func TestTxnPoolDifferential(t *testing.T) {
 			for _, parts := range []int{0, 2} {
 				name := fmt.Sprintf("%v/workers=%d/partitions=%d", mode, workers, parts)
 				t.Run(name, func(t *testing.T) {
-					log, fp, _ := run(Options{Workers: workers, Txn: mode, Partitions: parts})
-					if len(log) != len(refLog) {
-						t.Fatalf("%d admissions, want %d", len(log), len(refLog))
-					}
-					for tick := range log {
-						if fmt.Sprint(log[tick]) != fmt.Sprint(refLog[tick]) {
-							t.Fatalf("tick %d admission differs from the reference", tick)
-						}
-					}
-					if fmt.Sprint(fp) != fmt.Sprint(refFP) {
-						t.Fatal("final tables differ from the reference")
+					for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
+						t.Run(exec.String(), func(t *testing.T) {
+							log, fp, _ := run(Options{Workers: workers, Txn: mode, Partitions: parts, Exec: exec})
+							if len(log) != len(refLog) {
+								t.Fatalf("%d admissions, want %d", len(log), len(refLog))
+							}
+							for tick := range log {
+								if fmt.Sprint(log[tick]) != fmt.Sprint(refLog[tick]) {
+									t.Fatalf("tick %d admission differs from the reference", tick)
+								}
+							}
+							if fmt.Sprint(fp) != fmt.Sprint(refFP) {
+								t.Fatal("final tables differ from the reference")
+							}
+						})
 					}
 				})
 			}

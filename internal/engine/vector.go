@@ -10,10 +10,11 @@ package engine
 // Eligibility is per expression and per phase. An update rule vectorizes
 // when its expression compiles to a kernel (numeric/bool/ref payloads only)
 // and its target attribute is columnar. An effect phase vectorizes when
-// every step is a let, an if, a scalar effect emission, or a top-level
-// accum loop whose join site hoists (its result is a lane: the kernels run
-// window by window behind joinWindow, join.go), and all their expressions
-// compile; atomic blocks, nested accum loops and set effects stay scalar.
+// every step is a let, an if, a scalar effect emission, a top-level accum
+// loop whose join site hoists (its result is a lane: the kernels run
+// window by window behind joinWindow, join.go), or an atomic block of
+// payload emissions in a frame-free class, and all their expressions
+// compile; nested accum loops and set effects stay scalar.
 //
 // Every accumulator still receives its contributions in exactly the order
 // the scalar row loop would produce, so the two paths are bit-identical,
@@ -21,9 +22,14 @@ package engine
 // each lane writes only its own row's accumulator, so batch-aligned row
 // shards run concurrently with no synchronization. Targeted emissions are
 // lanes (target ref, value, key) appended to the shard sink row-major, for
-// the merge to replay in row order. A phase that folds a self-emission into
-// an effect some own-class targeted emission also feeds would interleave
-// the two wrongly, so it stays scalar (analysis.Script.Pinned).
+// the merge to replay in row order. An atomic block's guard is a mask and
+// its intents are built per window from payload and target lanes, in the
+// order runAtomic makes them; unlike a plain targeted lane, a dangling
+// target stays in its intent (row -1) so that admission aborts the whole
+// transaction instead of half-applying it. A phase that folds a
+// self-emission into an effect some own-class targeted emission also feeds
+// would interleave the two wrongly, so it stays scalar
+// (analysis.Script.Pinned).
 //
 // The scalar closure evaluator remains the semantic reference; the choice
 // between the two is a physical-plan decision made per class and tick by
@@ -36,6 +42,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/plan"
+	"repro/internal/sgl/ast"
 	"repro/internal/stats"
 	"repro/internal/value"
 	"repro/internal/vexpr"
@@ -81,6 +88,44 @@ type vecAccum struct {
 	slot int
 }
 
+// vecAtomic is an atomic block whose intents kernels build: sel keeps the
+// guard mask the block ran under (a mask level past the if-nesting ones),
+// runs are its distinct computed payload and target kernels, and emits
+// reads their lanes per masked row in step order.
+type vecAtomic struct {
+	step  *compile.AtomicStep
+	sel   int
+	runs  []lane // the computed lanes
+	emits []atomicEmit
+}
+
+type atomicEmit struct {
+	attrIdx int
+	kind    value.Kind
+	val     lane
+	tgt     *lane // nil = self
+	dst     int   // target class, World.order index
+}
+
+// lane is where an intent reads one expression's value for a row: a kernel
+// output buffer, a state column read in place, or a constant. Only
+// computed expressions cost a full-extent buffer.
+type lane struct {
+	prog     *vexpr.Prog // computed lanes: writes bufs[buf]
+	buf, col int         // buf >= 0: scratch buffer; else col >= 0: column; else k
+	k        float64
+}
+
+func (l lane) at(sc *vecScratch, r int) float64 {
+	switch {
+	case l.buf >= 0:
+		return sc.bufs[l.buf][r]
+	case l.col >= 0:
+		return sc.env.Cols[l.col][r]
+	}
+	return l.k
+}
+
 type vecIf struct {
 	cond    *vexpr.Prog
 	condBuf int
@@ -89,10 +134,11 @@ type vecIf struct {
 	depth   int
 }
 
-func (*vecLet) vecStep()   {}
-func (*vecEmit) vecStep()  {}
-func (*vecAccum) vecStep() {}
-func (*vecIf) vecStep()    {}
+func (*vecLet) vecStep()    {}
+func (*vecEmit) vecStep()   {}
+func (*vecAccum) vecStep()  {}
+func (*vecIf) vecStep()     {}
+func (*vecAtomic) vecStep() {}
 
 // vecPhase is one effect-phase step list compiled to batch form.
 type vecPhase struct {
@@ -105,7 +151,12 @@ type vecPhase struct {
 
 	accums  []*compile.AccumStep // hoisted sites whose result lanes the phase reads
 	targets []*vecEmit           // targeted emissions, in step order
+	atomics []*vecAtomic         // atomic blocks, in step order
 }
+
+// ordered reports that the phase appends to a sink stream (targeted
+// emissions or intents) that must stay in ascending row order.
+func (vp *vecPhase) ordered() bool { return len(vp.targets) > 0 || len(vp.atomics) > 0 }
 
 // vecScratch is one independent set of kernel I/O state: the environment
 // binding, the id vector for self() kernels, frame-slot vectors, emit/if
@@ -172,9 +223,10 @@ func (rt *classRT) phaseCounts() []int {
 // axis (plan.Costs.ChooseWorkers). vecSel is nil when no phase vectorizes;
 // all reports that the scalar row loop has nothing to do: every phase with
 // steps vectorizes. A phase whose accum site is not hoisted this tick has
-// no result lane and runs scalar; a phase with targeted emissions needs all
-// and no second such phase, its appends being the sink's only, ascending
-// row stream. Tracing keeps every phase scalar for the per-emission hook.
+// no result lane and runs scalar; a phase with targeted emissions or atomic
+// blocks needs all and no second such phase, its appends being the sink's
+// only, ascending row streams. Tracing keeps every phase scalar for the
+// per-emission hook.
 func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool, work float64) {
 	c := w.execCosts
 	vecOK := rt.vec != nil && rt.vec.hasPhases && w.tracer == nil && w.opts.Exec != plan.ExecScalar
@@ -190,7 +242,7 @@ func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool, work flo
 		if vecOK && len(steps) > 0 {
 			vp := rt.vec.phases[p]
 			on = vp != nil && w.hoistedAll(vp) && c.ChooseExec(w.opts.Exec, counts[p], capRows, vp.kernels) == plan.ExecVectorized
-			if on && len(vp.targets) > 0 {
+			if on && vp.ordered() {
 				targeted++
 			}
 		}
@@ -200,7 +252,7 @@ func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool, work flo
 	rt.vecSelBuf = vecSel
 	demote, any := !all || targeted > 1, false
 	for p, steps := range rt.plan.Phases {
-		if vecSel[p] && demote && len(rt.vec.phases[p].targets) > 0 {
+		if vecSel[p] && demote && rt.vec.phases[p].ordered() {
 			vecSel[p], all = false, false
 		}
 		if vecSel[p] {
@@ -283,6 +335,9 @@ func compileVecPhase(c *Compiled, cc *compiledClass, steps []compile.Step) *vecP
 		return nil
 	}
 	vp.steps = out
+	for i, a := range vp.atomics {
+		a.sel = vp.maxDepth + 1 + i
+	}
 	return vp
 }
 
@@ -371,8 +426,52 @@ func compileVecSteps(c *Compiled, cc *compiledClass, steps []compile.Step, defin
 				kc(key)
 			}
 			out = append(out, st)
-		default: // AtomicStep
-			return nil, false
+		case *compile.AtomicStep:
+			// Analysis certified a frame-free class and a body of payload
+			// emissions. Equal expressions share one lane.
+			st := &vecAtomic{step: s}
+			lanes := make(map[string]lane)
+			laneOf := func(src ast.Expr) (lane, bool) {
+				text := ast.ExprString(src)
+				if l, ok := lanes[text]; ok {
+					return l, true
+				}
+				prog, ok := vexpr.CompileOpts(src, c.kernelOpts(slotOK))
+				if !ok {
+					return lane{}, false
+				}
+				l := lane{buf: -1, col: -1}
+				if col, ok := prog.Column(); ok {
+					l.col = col
+				} else if k, ok := prog.Constant(); ok {
+					l.k = k
+				} else {
+					l.prog, l.buf = prog, vp.newBuf()
+					kc(prog)
+					st.runs = append(st.runs, l)
+				}
+				lanes[text] = l
+				return l, true
+			}
+			for _, b := range s.Body {
+				e := b.(*compile.EmitStep)
+				dst := c.classes[e.Class]
+				ae := atomicEmit{attrIdx: e.AttrIdx, kind: dst.cls.Effects[e.AttrIdx].Kind, dst: slices.Index(c.order, dst)}
+				var ok bool
+				if ae.val, ok = laneOf(e.ValSrc); !ok {
+					return nil, false
+				}
+				if e.TargetSrc != nil {
+					tgt, ok := laneOf(e.TargetSrc)
+					if !ok {
+						return nil, false
+					}
+					ae.tgt = &tgt
+				}
+				st.emits = append(st.emits, ae)
+			}
+			out = append(out, st)
+			vp.atomics = append(vp.atomics, st)
 		}
 	}
 	return out, true
@@ -501,7 +600,7 @@ func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n 
 		for i := 0; i < vp.nBufs; i++ {
 			sc.buf(i, n)
 		}
-		for d := 0; d <= vp.maxDepth; d++ {
+		for d := 0; d <= vp.maxDepth+len(vp.atomics); d++ {
 			sc.mask(d, n)
 		}
 	}
@@ -564,9 +663,15 @@ func (w *World) vecPhaseRange(x *execCtx, rt *classRT, phase int, vp *vecPhase, 
 				tgt[i] = float64(value.NullID)
 			}
 		}
+		for _, a := range vp.atomics { // and blocks it skips stay off
+			clear(sc.masks[a.sel][sh.lo:sh.hi])
+		}
 		w.execVecSteps(x, rt, vp.steps, sc.masks[0], sh.lo, sh.hi, sc)
 		if len(vp.targets) > 0 {
 			w.appendTargeted(x.sink, vp, sh.lo, sh.hi, sc)
+		}
+		if len(vp.atomics) > 0 {
+			w.appendIntents(x.sink, rt, vp, sh.lo, sh.hi, sc)
 		}
 	}
 	return selected
@@ -634,6 +739,11 @@ func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bo
 			if decodes > 0 && !w.opts.DisableStats {
 				atomic.AddInt64(&w.execStats.DictLookups, decodes)
 			}
+		case *vecAtomic:
+			copy(sc.masks[s.sel][lo:hi], mask[lo:hi])
+			for _, l := range s.runs {
+				l.prog.Run(m, &sc.env, lo, hi, sc.bufs[l.buf])
+			}
 		case *vecIf:
 			cond := sc.bufs[s.condBuf]
 			s.cond.Run(m, &sc.env, lo, hi, cond)
@@ -679,6 +789,45 @@ func (w *World) appendTargeted(sink *shardSink, vp *vecPhase, lo, hi int, sc *ve
 				sink.curRow = int32(r)
 				sink.emit(dst, row, e.attrIdx, payloadValue(e.kind, sc.bufs[e.valBuf][r]), key)
 			}
+		}
+	}
+}
+
+// appendIntents builds rows [lo, hi)'s transaction intents in the sink
+// row-major (ascending row, then block order) — the order runAtomic
+// produces them in, so admission sees the same sequence. Each intent is
+// filled as runAtomic and runEmit fill it, from the lanes. Unlike
+// appendTargeted, a dangling target is kept with row -1, for live() to
+// abort the whole intent; only a null target skips its emission, and an
+// intent left with none goes back to the pool.
+func (w *World) appendIntents(sink *shardSink, rt *classRT, vp *vecPhase, lo, hi int, sc *vecScratch) {
+	for r := lo; r < hi; r++ {
+		for _, a := range vp.atomics {
+			if !sc.masks[a.sel][r] {
+				continue
+			}
+			t := sink.takeTxn()
+			t.Class, t.Source, t.Constraints, t.step, t.Aborted = rt.name, rt.tab.ID(r), a.step.Constraints, a.step, false
+			t.Frame, t.Emissions, t.fx = t.Frame[:0], t.Emissions[:0], t.fx[:0]
+			t.rt, t.row, t.resolved = rt, int32(r), true
+			for _, e := range a.emits {
+				dst, row, target := rt, r, t.Source
+				if e.tgt != nil {
+					if target = value.ID(e.tgt.at(sc, r)); target == value.NullID {
+						continue
+					}
+					dst = w.order[e.dst]
+					row = dst.tab.Row(target)
+				}
+				t.Emissions = append(t.Emissions, Emission{Class: dst.name, Target: target, AttrIdx: e.attrIdx, Val: payloadValue(e.kind, e.val.at(sc, r))})
+				t.fx = append(t.fx, txnFx{rt: dst, row: int32(row), attr: int32(e.attrIdx)})
+			}
+			if len(t.Emissions) == 0 {
+				sink.txnUsed--
+				continue
+			}
+			sink.curRow = int32(r)
+			sink.addTxn(t)
 		}
 	}
 }

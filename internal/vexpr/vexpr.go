@@ -177,6 +177,29 @@ func (p *Prog) FxUsed() []int { return p.fxUsed }
 // true cost without new tuning constants.
 func (p *Prog) Kernels() int { return p.kernels }
 
+// Column reports that the program is a bare own-row column load, and which
+// column: its output lane is that column itself.
+func (p *Prog) Column() (int, bool) {
+	if len(p.ins) == 1 && p.ins[0].op == opLoadCol {
+		return p.ins[0].attr, true
+	}
+	return 0, false
+}
+
+// Constant reports that the program reads nothing, so every lane holds the
+// same value, and returns that value.
+func (p *Prog) Constant() (float64, bool) {
+	for _, in := range p.ins {
+		switch in.op {
+		case opLoadCol, opLoadFx, opLoadSlot, opSelfID, opGather:
+			return 0, false
+		}
+	}
+	out := []float64{0}
+	p.Run(&Machine{}, &Env{}, 0, 1, out)
+	return out[0], true
+}
+
 // FusedOps returns the number of instructions eliminated by superinstruction
 // fusion — the build-time gauge behind the engine's FusedOps counter.
 func (p *Prog) FusedOps() int { return p.fused }
