@@ -83,15 +83,33 @@ func applySteadyStateZeroAlloc(t *testing.T, mode plan.ViewMode) {
 // TestIndexedApplyShiftingMembershipZeroAlloc is the guard the fixed-churn
 // test above cannot give: memberships that keep changing. Movers walk a
 // closed circuit across 96 interest boxes of mixed radii while healths swing
-// across a band of 40 thresholds in both directions, all of it maintained
-// through the subscription index (ViewAuto, groups large enough to clear the
-// cost rule). Every delta is emitted through the registry's one shared
-// buffer and memberships merge in place with headroom, so once each
-// subscription has seen its fullest moment a round allocates nothing.
+// across a band of 40 thresholds in both directions. Every delta is emitted
+// through the registry's one shared buffer and memberships merge in place
+// with headroom, so once each subscription has seen its fullest moment a
+// round allocates nothing. It runs three ways: through the subscription
+// index (groups large enough to clear the cost rule), and with every group
+// pinned to the per-subscription delta path (the merge over the id-ordered
+// feed) or to the rescan path (box groups query the data grid, rebuilt every
+// round because the movers move). Ranked boxes lose ranked members in all
+// three, so TopK retracts — the bounded selection — run in the measured
+// rounds too.
 func TestIndexedApplyShiftingMembershipZeroAlloc(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		costs plan.Costs
+	}{
+		{"indexed", plan.DefaultCosts()},
+		{"per-sub-delta", perSubCosts(true)},
+		{"per-sub-rescan", perSubCosts(false)},
+	} {
+		t.Run(arm.name, func(t *testing.T) { shiftingMembershipZeroAlloc(t, arm.costs, arm.name == "indexed") })
+	}
+}
+
+func shiftingMembershipZeroAlloc(t *testing.T, costs plan.Costs, indexed bool) {
 	w := unitWorld(t, 400, engine.Options{})
 	ids := w.IDs("Unit")
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w, costs)
 	for i := 0; i < 96; i++ {
 		pred := boxPred(t, float64(i%12)*10, float64(i/12)*15, float64(6+4*(i%4)))
 		def := views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "y", "health"}}
@@ -110,8 +128,25 @@ func TestIndexedApplyShiftingMembershipZeroAlloc(t *testing.T) {
 	}
 
 	const period = 48
-	var sunk int
-	sink := func(d *views.Delta) { sunk += len(d.AddIDs) + len(d.RemIDs) }
+	var sunk, retracts int
+	// A TopK ranking whose kth entry gets worse, or that shrinks, was
+	// recomputed: an incremental merge only ever improves it.
+	var last [256]struct {
+		n   int
+		kth views.TopEntry
+	}
+	sink := func(d *views.Delta) {
+		sunk += len(d.AddIDs) + len(d.RemIDs)
+		n := len(d.Top)
+		if n == 0 || int(d.Sub) >= len(last) {
+			return
+		}
+		l, kth := &last[d.Sub], d.Top[n-1]
+		if n < l.n || n == l.n && (kth.Key < l.kth.Key || kth.Key == l.kth.Key && kth.ID > l.kth.ID) {
+			retracts++
+		}
+		l.n, l.kth = n, kth
+	}
 	step := 0
 	round := func() {
 		// Forty movers on a closed circuit of the map, each a phase apart,
@@ -136,16 +171,20 @@ func TestIndexedApplyShiftingMembershipZeroAlloc(t *testing.T) {
 	for i := 0; i < 3*100; i++ { // the health wave's period is 100 rounds
 		round()
 	}
-	before := w.ExecStats().ViewIndexProbes
-	sunk = 0
+	before := w.ExecStats()
+	sunk, retracts = 0, 0
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Errorf("indexed Apply under shifting membership allocates %.1f times per round, want 0", allocs)
+		t.Errorf("Apply under shifting membership allocates %.1f times per round, want 0", allocs)
 	}
-	if sunk == 0 {
-		t.Fatal("no row entered or left a subscription; the measurement is vacuous")
+	if sunk == 0 || retracts == 0 {
+		t.Fatalf("%d rows entered or left, %d TopK retracts; the measurement is vacuous", sunk, retracts)
 	}
-	if w.ExecStats().ViewIndexProbes == before {
-		t.Fatal("the rounds never probed the subscription index")
+	after := w.ExecStats()
+	if probed := after.ViewIndexProbes > before.ViewIndexProbes; probed != indexed {
+		t.Fatalf("index probed = %v, want %v", probed, indexed)
+	}
+	if rescans := after.ViewRescans > before.ViewRescans; rescans != (costs.ViewScanRow == 0) {
+		t.Fatalf("rescans ran = %v in the measured rounds", rescans)
 	}
 }
 

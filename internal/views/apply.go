@@ -19,12 +19,18 @@ package views
 //     version are unchanged since the previous Apply — nothing the
 //     subscription can observe moved, skip without evaluating anything;
 //  3. delta maintain: run the mask kernel over the gathered candidate
-//     lanes (the feed's rows), adjust membership by binary search against
-//     the sorted member set;
-//  4. rescan: run the kernel over the whole extent and diff memberships —
+//     lanes (the feed's rows), visit them in id order and test membership
+//     with a forward finger over the sorted member set;
+//  4. rescan: evaluate over the whole extent — for a two-attribute box
+//     group, a range query on a grid over the class's live rows instead —
+//     and diff memberships in one merge that also picks out the updates —
 //     chosen by plan.Costs.ChooseView when candidates approach the live
 //     count, forced by unstable predicates, resyncs and fresh
 //     subscriptions.
+//
+// TopK rankings are kept by selection: a bounded heap of K entries, over
+// the whole membership only when a ranked row retracts, then a sort of the
+// K survivors.
 //
 // Rungs 2–4 are the per-subscription path: forced-mode and ineligible
 // subscriptions always take it, and so does a whole index group on a tick
@@ -38,6 +44,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/table"
 	"repro/internal/value"
@@ -58,6 +65,8 @@ func (r *Registry) Apply(fn func(*Delta)) {
 		cs.drained = false
 		cs.lanesBuilt = false
 		cs.idsBuilt = false
+		cs.ordered = false
+		cs.stamped = false
 		cs.rows = cs.rows[:0]
 		cs.killed = cs.killed[:0]
 		cs.resync = false
@@ -66,7 +75,7 @@ func (r *Registry) Apply(fn func(*Delta)) {
 	r.slotSub = nil
 	r.seq++
 	p := &r.probe
-	p.events, p.active, p.count, p.probes = p.events[:0], p.active[:0], p.count[:0], 0
+	p.events, p.count, p.probes = p.events[:0], p.count[:0], 0
 
 	// The worklist: every subscription off the index, every one a probe
 	// produced an event for, and the ones that must rescan regardless.
@@ -78,6 +87,7 @@ func (r *Registry) Apply(fn func(*Delta)) {
 		}
 		if cs.resync {
 			cs.each(r.queueFn)
+			cs.dropGrids()
 		}
 		r.probeClass(cs)
 	}
@@ -102,7 +112,6 @@ func (r *Registry) Apply(fn func(*Delta)) {
 		}
 	}
 	clear(r.work)
-	clear(p.active)
 	for _, cs := range r.classList {
 		cs.syncImage()
 		cs.storeVersions()
@@ -153,7 +162,7 @@ func (r *Registry) maintain(s *Sub, tick int64) bool {
 	r.d.reset(s, tick)
 	switch {
 	case !resync && s.grp != nil && s.grp.probed:
-		if s.evSeq == r.seq {
+		if s.grp.evSeq[s.slot] == r.seq {
 			r.applyEvents(s, cs)
 		}
 	case !resync && s.sh.stable &&
@@ -217,6 +226,37 @@ func (cs *classState) buildCandIDs() {
 		id := raw[row]
 		cs.candIDs = append(cs.candIDs, id)
 		cs.idLane[i] = float64(id)
+	}
+}
+
+// buildOrder sorts the candidates' indexes by id, once per Apply: the order
+// the delta path merges them against memberships in and the index probes
+// visit them in, so both produce id-sorted lists.
+func (cs *classState) buildOrder() {
+	if cs.ordered {
+		return
+	}
+	cs.ordered = true
+	cs.buildCandIDs()
+	cs.order = cs.order[:0]
+	for i := range cs.rows {
+		cs.order = append(cs.order, int32(i))
+	}
+	slices.SortFunc(cs.order, func(a, b int32) int { return cmp.Compare(cs.candIDs[a], cs.candIDs[b]) })
+}
+
+// stampRows marks the feed's rows with this Apply's sequence, once per
+// Apply, so a rescan's diff can tell candidates from other rows.
+func (cs *classState) stampRows(seq uint64) {
+	if cs.stamped {
+		return
+	}
+	cs.stamped = true
+	for len(cs.stamp) < cs.tab.Cap() {
+		cs.stamp = append(cs.stamp, 0)
+	}
+	for _, row := range cs.rows {
+		cs.stamp[row] = seq
 	}
 }
 
@@ -299,16 +339,20 @@ type tabRow struct {
 
 func (t tabRow) Attr(attrIdx int) value.Value { return t.tab.At(t.row, attrIdx) }
 
-// applyDelta maintains membership from the feed's candidates only.
+// applyDelta maintains membership from the feed's candidates only. They are
+// visited in id order, so membership is a forward search and the add and
+// update lists come out sorted.
 func (r *Registry) applyDelta(s *Sub, cs *classState) {
-	cs.buildCandIDs()
+	cs.buildOrder()
 	mask := r.evalCandidates(s, cs)
 	d := &r.d
 	r.addPairs = r.addPairs[:0]
 	r.updPairs = r.updPairs[:0]
-	for i, row := range cs.rows {
-		id := cs.candIDs[i]
-		_, in := slices.BinarySearch(s.members, id)
+	m, at := s.members, 0
+	for _, i := range cs.order {
+		id, row := cs.candIDs[i], cs.rows[i]
+		at = seek(m, at, id)
+		in := at < len(m) && m[at] == id
 		if mask[i] != 0 {
 			if in {
 				r.updPairs = append(r.updPairs, idRow{id, row})
@@ -320,14 +364,23 @@ func (r *Registry) applyDelta(s *Sub, cs *classState) {
 		}
 	}
 	for _, id := range cs.killed {
-		if _, in := slices.BinarySearch(s.members, id); in {
+		if _, in := slices.BinarySearch(m, id); in {
 			d.RemIDs = append(d.RemIDs, id)
 		}
 	}
-	sortPairs(r.addPairs)
-	sortPairs(r.updPairs)
 	slices.Sort(d.RemIDs)
 	r.finishRowDelta(s, cs)
+}
+
+// seek returns the first index at or after from whose id is not below id:
+// an exponential search from the finger, then a binary search.
+func seek(m []value.ID, from int, id value.ID) int {
+	lo, hi := from, from
+	for step := 1; hi < len(m) && m[hi] < id; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	j, _ := slices.BinarySearch(m[lo:min(hi, len(m))], id)
+	return lo + j
 }
 
 // applyRescan recomputes membership from the full extent and diffs.
@@ -349,7 +402,10 @@ func (r *Registry) applyRescan(s *Sub, cs *classState, resync bool) {
 		r.emitRows(s, cs)
 		return
 	}
-	// Diff old vs new membership.
+	// Diff old vs new membership. Updates are member ∩ candidate ∩ pass —
+	// the same set the delta path derives, so both modes emit identical
+	// streams: the rows in both lists that the feed stamped.
+	cs.stampRows(r.seq)
 	old := s.members
 	i, j := 0, 0
 	for i < len(old) || j < len(newPairs) {
@@ -361,23 +417,13 @@ func (r *Registry) applyRescan(s *Sub, cs *classState, resync bool) {
 			r.addPairs = append(r.addPairs, newPairs[j])
 			j++
 		default:
+			if cs.stamp[newPairs[j].row] == r.seq {
+				r.updPairs = append(r.updPairs, newPairs[j])
+			}
 			i++
 			j++
 		}
 	}
-	// Updates are member ∩ candidate ∩ pass — the same set the delta path
-	// derives, so both modes emit identical streams.
-	cs.buildCandIDs()
-	for i, row := range cs.rows {
-		id := cs.candIDs[i]
-		if _, in := slices.BinarySearch(old, id); !in {
-			continue
-		}
-		if pairsContain(newPairs, id) {
-			r.updPairs = append(r.updPairs, idRow{id, row})
-		}
-	}
-	sortPairs(r.updPairs)
 	s.setMembers(newPairs)
 	r.finishAfterMembership(s, cs)
 }
@@ -482,9 +528,9 @@ func (r *Registry) emitRows(s *Sub, cs *classState) {
 
 // recomputeAgg folds the aggregate kinds after membership settles. Sum
 // refolds over members in ascending-id order — the same fold a fresh
-// rescan performs, so the bits match by construction. TopK merges
-// candidates against the current kth key and falls back to a full
-// recompute when a ranked row retracts (leaves, or changes key).
+// rescan performs, so the bits match by construction. TopK selects the K
+// best of its ranking and the candidates, or of the whole membership when
+// a ranked row retracts (leaves, or changes key).
 func (r *Registry) recomputeAgg(s *Sub, cs *classState, force bool) {
 	d := &r.d
 	membersTouched := len(r.addPairs) > 0 || len(d.RemIDs) > 0 || d.Resync
@@ -525,65 +571,42 @@ func (r *Registry) recomputeAgg(s *Sub, cs *classState, force bool) {
 func (r *Registry) maintainTopK(s *Sub, cs *classState, force bool) {
 	d := &r.d
 	col := cs.tab.NumColumn(s.aggAttr)
+	// A ranked row leaving, or changing key, can promote an arbitrary
+	// unranked member: recompute from the full membership. Both lists are
+	// sorted by id, so each ranked row is a search in each.
 	retract := force || d.Resync
-	if !retract {
-		// A ranked row leaving, or changing key, can promote an arbitrary
-		// unranked member: recompute from the full membership.
-		for _, id := range d.RemIDs {
-			if topContains(s.top, id) {
-				retract = true
-				break
-			}
-		}
+	for i := 0; !retract && i < len(s.top); i++ {
+		e := s.top[i]
+		_, gone := slices.BinarySearch(d.RemIDs, e.ID)
+		j, upd := slices.BinarySearchFunc(r.updPairs, idRow{id: e.ID}, comparePairs)
+		retract = gone || upd && !sameBits(e.Key, col[r.updPairs[j].row])
 	}
-	if !retract {
-		for _, p := range r.updPairs {
-			if i := topIndex(s.top, p.id); i >= 0 && !sameBits(s.top[i].Key, col[p.row]) {
-				retract = true
-				break
-			}
-		}
-	}
+	// Select the K best with a heap whose root is the worst kept entry: of
+	// every member on a retract, else of the ranking (worst first is a heap)
+	// and the adds and unranked updates. The order is strict (ids are
+	// unique), so this is exactly the first K of a full sort.
+	h := r.topCand[:0]
 	if retract {
-		r.topCand = r.topCand[:0]
 		for _, id := range s.members {
-			r.topCand = append(r.topCand, TopEntry{ID: id, Key: col[cs.tab.Row(id)]})
+			h = pushTop(h, s.def.K, TopEntry{ID: id, Key: col[cs.tab.Row(id)]})
 		}
-		sortTop(r.topCand)
-		if len(r.topCand) > s.def.K {
-			r.topCand = r.topCand[:s.def.K]
+	} else {
+		for i := len(s.top) - 1; i >= 0; i-- {
+			h = append(h, s.top[i])
 		}
-		r.commitTop(s, force)
-		return
-	}
-	// Incremental: merge adds (and non-ranked updates) that beat the kth
-	// key into the ranking.
-	merged := false
-	consider := func(id value.ID, row int32) {
-		key := col[row]
-		if topIndex(s.top, id) >= 0 {
-			return
-		}
-		if len(s.top) < s.def.K || beats(key, id, s.top[len(s.top)-1]) {
-			s.top = append(s.top, TopEntry{ID: id, Key: key})
-			merged = true
+		for _, pairs := range [2][]idRow{r.addPairs, r.updPairs} {
+			for _, p := range pairs {
+				e := TopEntry{ID: p.id, Key: col[p.row]}
+				if len(h) == s.def.K && compareTop(e, h[0]) >= 0 || topIndex(s.top, p.id) >= 0 {
+					continue // outranked by the whole ranking, or already in it
+				}
+				h = pushTop(h, s.def.K, e)
+			}
 		}
 	}
-	for _, p := range r.addPairs {
-		consider(p.id, p.row)
-	}
-	for _, p := range r.updPairs {
-		consider(p.id, p.row)
-	}
-	if merged {
-		sortTop(s.top)
-		if len(s.top) > s.def.K {
-			s.top = s.top[:s.def.K]
-		}
-		d.Top = append(d.Top[:0], s.top...)
-		d.AggChanged = true
-		d.changed = true
-	}
+	sortTop(h)
+	r.topCand = h
+	r.commitTop(s, force)
 }
 
 // commitTop installs a recomputed ranking, emitting only on change.
@@ -612,15 +635,27 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 	tab := cs.tab
 	n := tab.Cap()
 	pairs := r.fullPairs[:0]
-	if g := s.grp; g != nil {
-		// An indexed predicate is a handful of compares against the
-		// subscription's own constants: scanning the one or two columns
-		// with early exit beats streaming every conjunct over the extent.
+	if g := s.grp; g != nil && len(g.attrs) == 2 {
+		// A box is a range query (§4.1). The grid returns the live rows in
+		// the closed box [lo, hi], a superset of the rows the compares pass
+		// whatever its cell size; the exact recheck keeps those.
+		lo, hi := g.boxBounds(s.consts)
+		r.gridRows = cs.dataGrid(g).QueryRows(lo[:], hi[:], r.gridRows[:0])
+		raw := tab.RawIDs()
+		xs, ys := tab.NumColumn(g.attrs[0]), tab.NumColumn(g.attrs[1])
+		for _, row := range r.gridRows {
+			if g.passes(s.consts, xs[row], ys[row]) && tab.Alive(int(row)) {
+				pairs = append(pairs, idRow{raw[row], row})
+			}
+		}
+	} else if g != nil {
+		// A threshold or band is a compare or two against the
+		// subscription's own constants: scanning the column with early exit
+		// beats streaming every conjunct over the extent.
 		raw := tab.RawIDs()
 		xs := tab.NumColumn(g.attrs[0])
-		ys := tab.NumColumn(g.attrs[len(g.attrs)-1])
 		for row := 0; row < n; row++ {
-			if g.passes(s.consts, xs[row], ys[row]) && tab.Alive(row) {
+			if g.passes(s.consts, xs[row], xs[row]) && tab.Alive(row) {
 				pairs = append(pairs, idRow{raw[row], int32(row)})
 			}
 		}
@@ -661,58 +696,90 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 			}
 		}
 	}
-	sortPairs(pairs)
+	slices.SortFunc(pairs, comparePairs)
 	r.fullPairs = pairs
 	return pairs
 }
 
-func sortPairs(p []idRow) {
-	slices.SortFunc(p, func(a, b idRow) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
-		}
-	})
+// dataGrid indexes a class's live rows on two attributes for box rescans.
+// It is not the engine's join grid, which indexes pre-update positions.
+type dataGrid struct {
+	build index.Builder
+	grid  *index.Grid
+	live  []int32
+	vers  [3]uint64 // structure and column versions at the build
+	valid bool
 }
 
-func pairsContain(pairs []idRow, id value.ID) bool {
-	_, ok := slices.BinarySearchFunc(pairs, id, func(p idRow, id value.ID) int {
-		switch {
-		case p.id < id:
-			return -1
-		case p.id > id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return ok
+// dataGrid returns the grid over the class's live rows on g's attributes,
+// rebuilt when the structure or either column moved since its build — at
+// most once per Apply — with g's cell.
+func (cs *classState) dataGrid(g *subGroup) *index.Grid {
+	attrs := [2]int{g.attrs[0], g.attrs[1]}
+	dg := cs.grids[attrs]
+	if dg == nil {
+		dg = &dataGrid{}
+		cs.grids[attrs] = dg
+	}
+	tab := cs.tab
+	vers := [3]uint64{tab.StructVersion(), tab.ColVersion(attrs[0]), tab.ColVersion(attrs[1])}
+	if !dg.valid || vers != dg.vers {
+		dg.live = tab.LiveRows(dg.live[:0])
+		dg.grid = dg.build.BuildGrid(g.cell, tab.NumColumn(attrs[0]), tab.NumColumn(attrs[1]), dg.live)
+		dg.vers, dg.valid = vers, true
+	}
+	return dg.grid
 }
 
-// sortTop orders a ranking by key descending, id ascending — the total
-// order that makes TopK deterministic under key ties.
-func sortTop(t []TopEntry) {
-	slices.SortFunc(t, func(a, b TopEntry) int {
-		switch {
-		case a.Key > b.Key:
-			return -1
-		case a.Key < b.Key:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+// dropGrids forces the next rescan to rebuild the data grids: the table was
+// replaced or changed in ways the versions may not show.
+func (cs *classState) dropGrids() {
+	for _, dg := range cs.grids {
+		dg.valid = false
+	}
 }
 
-func topContains(t []TopEntry, id value.ID) bool { return topIndex(t, id) >= 0 }
+func comparePairs(a, b idRow) int { return cmp.Compare(a.id, b.id) }
+
+// compareTop is the TopK total order: key descending with NaN after every
+// number, ties (NaN with NaN too) by ascending id.
+func compareTop(a, b TopEntry) int {
+	if c := cmp.Compare(b.Key, a.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+func sortTop(t []TopEntry) { slices.SortFunc(t, compareTop) }
+
+// pushTop offers e to h, a heap of at most k entries whose root is the worst
+// under compareTop, keeping the k best.
+func pushTop(h []TopEntry, k int, e TopEntry) []TopEntry {
+	i := len(h)
+	if i < k {
+		h = append(h, e)
+		for ; i > 0 && compareTop(h[(i-1)/2], e) < 0; i = (i - 1) / 2 {
+			h[i] = h[(i-1)/2]
+		}
+		h[i] = e
+		return h
+	}
+	if compareTop(e, h[0]) >= 0 {
+		return h
+	}
+	for i = 0; 2*i+1 < len(h); {
+		c := 2*i + 1
+		if c+1 < len(h) && compareTop(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if compareTop(h[c], e) <= 0 {
+			break
+		}
+		h[i], i = h[c], c
+	}
+	h[i] = e
+	return h
+}
 
 func topIndex(t []TopEntry, id value.ID) int {
 	for i, e := range t {
@@ -721,14 +788,6 @@ func topIndex(t []TopEntry, id value.ID) int {
 		}
 	}
 	return -1
-}
-
-// beats reports (key, id) outranking the entry under the TopK total order.
-func beats(key float64, id value.ID, e TopEntry) bool {
-	if key != e.Key {
-		return key > e.Key
-	}
-	return id < e.ID
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -3,6 +3,7 @@ package views_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,6 +161,7 @@ func TestViewDifferentialWall(t *testing.T) {
 			}
 		}
 	}
+	t.Run("row-reuse", testRowReuseWall)
 	want := wallStream(t, cfgs[0].opts, plan.ViewRescan)
 	for _, c := range cfgs {
 		for _, m := range []struct {
@@ -176,6 +178,128 @@ func TestViewDifferentialWall(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// perSubCosts returns costs under which no index group ever probes and every
+// per-subscription maintenance takes the delta path (delta) or the rescan
+// path (!delta).
+func perSubCosts(delta bool) plan.Costs {
+	c := plan.DefaultCosts()
+	c.ViewProbe = 1e18
+	if delta {
+		c.ViewDeltaRow = 0
+	} else {
+		c.ViewScanRow = 0
+	}
+	return c
+}
+
+// reuseStream drives interest boxes (selects and aggregates) and a
+// threshold band through churn in which kills come before spawns, so every
+// spawn takes a freed row below older rows with a higher id, and movers
+// touch older rows above it: the feed's rows in row order are not in id
+// order. It returns the serialized stream and how many steps had such an
+// inversion among their touched rows.
+func reuseStream(t *testing.T, mode plan.ViewMode, costs plan.Costs) (string, int) {
+	t.Helper()
+	w := unitWorld(t, 300, engine.Options{})
+	r := views.New(w, costs)
+	rng := rand.New(rand.NewSource(17))
+	var subs []*views.Sub
+	for i := 0; i < 40; i++ {
+		def := views.Def{Class: "Unit", Pred: boxPred(t, rng.Float64()*120, rng.Float64()*120, []float64{10, 20, 35}[i%3]),
+			Payload: []string{"x", "health"}, Mode: mode}
+		switch i % 8 {
+		case 6:
+			def = views.Def{Class: "Unit", Pred: def.Pred, Kind: views.Count, Mode: mode}
+		case 7:
+			def = views.Def{Class: "Unit", Pred: def.Pred, Kind: views.TopK, Attr: "health", K: 3, Mode: mode}
+		}
+		subs = append(subs, mustSub(t, r, def))
+	}
+	for i := 0; i < 8; i++ {
+		subs = append(subs, mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 60+5*i), Payload: []string{"health"}, Mode: mode}))
+	}
+	var b strings.Builder
+	emit := func(d *views.Delta) {
+		fmt.Fprintf(&b, "  sub=%d resync=%v add=%v/%v upd=%v/%v rem=%v agg=%v/%x top=%v\n",
+			d.Sub, d.Resync, d.AddIDs, d.AddCols, d.UpdIDs, d.UpdCols, d.RemIDs, d.AggChanged, d.Agg, d.Top)
+	}
+	r.Apply(emit)
+	tab := w.ClassTable("Unit")
+	inverted := 0
+	for step := 0; step < 16; step++ {
+		ids := w.IDs("Unit")
+		for _, k := range rng.Perm(len(ids))[:6] {
+			if err := w.Kill("Unit", ids[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var spawned []value.ID
+		for i := 0; i < 6; i++ {
+			id, err := w.Spawn("Unit", map[string]value.Value{
+				"x": value.Num(rng.Float64() * 120), "y": value.Num(rng.Float64() * 120), "health": value.Num(40 + rng.Float64()*60),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spawned = append(spawned, id)
+		}
+		ids = w.IDs("Unit")
+		highest := -1
+		for i := 0; i < 24; i++ {
+			id := ids[rng.Intn(len(ids))]
+			for _, attr := range []string{"x", "y", "health"} {
+				v := rng.Float64() * 120
+				if attr == "health" {
+					v = 40 + rng.Float64()*60
+				}
+				if err := w.SetState("Unit", id, attr, value.Num(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !slices.Contains(spawned, id) {
+				highest = max(highest, tab.Row(id))
+			}
+		}
+		if slices.ContainsFunc(spawned, func(id value.ID) bool { return tab.Row(id) < highest }) {
+			inverted++
+		}
+		fmt.Fprintf(&b, "step %d:\n", step)
+		r.Apply(emit)
+	}
+	for _, s := range subs {
+		fmt.Fprintf(&b, "final sub=%d members=%v agg=%x top=%v\n", s.ID(), s.Members(), s.Agg(), s.Top())
+	}
+	return b.String(), inverted
+}
+
+// testRowReuseWall pins the id-ordered paths — the delta path's merge over
+// an id-sorted permutation of the feed, the rescan diff's candidate stamps
+// and the box groups' grid scans — to the forced-rescan oracle on a feed
+// whose row order is not its id order, with every group pinned to the
+// per-subscription delta path, to the rescan path, or left to the costs.
+func testRowReuseWall(t *testing.T) {
+	want, inverted := reuseStream(t, plan.ViewRescan, plan.DefaultCosts())
+	if inverted < 8 {
+		t.Fatalf("only %d of 16 steps touched a spawned row below an older touched row", inverted)
+	}
+	for _, arm := range []struct {
+		name  string
+		mode  plan.ViewMode
+		costs plan.Costs
+	}{
+		{"per-sub-delta", plan.ViewAuto, perSubCosts(true)},
+		{"per-sub-rescan", plan.ViewAuto, perSubCosts(false)},
+		{"auto", plan.ViewAuto, plan.DefaultCosts()},
+		{"forced-delta", plan.ViewDelta, plan.DefaultCosts()},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			if got, _ := reuseStream(t, arm.mode, arm.costs); got != want {
+				t.Errorf("stream diverged from the forced-rescan arm\n%s", firstDiff(want, got))
+			}
+		})
 	}
 }
 

@@ -170,6 +170,12 @@ func hostileStream(t *testing.T, arm hostileArm) string {
 	set(ids[24], "health", math.NaN())
 	set(ids[25], "x", 1e300)
 	apply("nan inf -0")
+	// Fresh boxes whose first scan meets those points: the grid drops the
+	// NaN one, clamps the infinite ones to its edge cells and keeps -0.
+	subscribe(views.Def{Class: "Unit", Pred: box(5, 10, 10), Payload: []string{"x", "y"}})
+	subscribe(views.Def{Class: "Unit", Pred: box(95, 10, 10), Kind: views.Count})
+	subscribe(views.Def{Class: "Unit", Payload: []string{"x"}, Pred: "x > -1 && x < 20 && y > 0 && y < 20"})
+	apply("fresh boxes over nan inf -0")
 	set(ids[20], "x", 10)
 	set(ids[21], "y", 10)
 	set(ids[22], "x", math.NaN())
@@ -182,6 +188,10 @@ func hostileStream(t *testing.T, arm hostileArm) string {
 	kill(ids[30])
 	reborn := spawn(20, 20, 65)
 	apply("kill + same-row spawn")
+	// A fresh box over the reused row, first scanned from the grid.
+	subscribe(views.Def{Class: "Unit", Pred: box(20, 20, 5), Payload: []string{"x", "health"}})
+	subscribe(views.Def{Class: "Unit", Pred: box(20, 20, 5), Kind: views.TopK, Attr: "health", K: 2})
+	apply("fresh boxes over the reused row")
 	kill(reborn)
 	ghost := spawn(25, 25, 70)
 	kill(ghost)

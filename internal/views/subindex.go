@@ -142,6 +142,8 @@ type subGroup struct {
 	free  []int32
 	n     int
 	stamp []uint64 // per slot: probe sequence of the last old-point hit
+	evSeq []uint64 // per slot: Apply sequence evAt is valid for
+	evAt  []int32  // per slot: index into the registry's per-Apply event buckets
 
 	// Two-attribute groups: a grid over the slots' box centres, rebuilt
 	// before the first probe after the membership changed.
@@ -185,11 +187,12 @@ func (g *subGroup) each(fn func(*Sub)) {
 // spread a group over more cells than the grid's window keeps.
 const maxGridKey = 1 << 30
 
-// boxOf returns the centre and half-extent of a two-attribute subscription's
-// box along each axis.
-func (g *subGroup) boxOf(consts []float64) (centre, half [2]float64) {
-	lo := [2]float64{math.Inf(-1), math.Inf(-1)}
-	hi := [2]float64{math.Inf(1), math.Inf(1)}
+// boxBounds returns a two-attribute subscription's closed box: per axis the
+// largest lower and the smallest upper bound (NaN when a bound is NaN).
+// Every point the compares pass lies in it.
+func (g *subGroup) boxBounds(consts []float64) (lo, hi [2]float64) {
+	lo = [2]float64{math.Inf(-1), math.Inf(-1)}
+	hi = [2]float64{math.Inf(1), math.Inf(1)}
 	for _, c := range g.cmps {
 		if b := consts[c.slot]; c.upper() {
 			hi[c.axis] = math.Min(hi[c.axis], b)
@@ -197,6 +200,13 @@ func (g *subGroup) boxOf(consts []float64) (centre, half [2]float64) {
 			lo[c.axis] = math.Max(lo[c.axis], b)
 		}
 	}
+	return lo, hi
+}
+
+// boxOf returns the centre and half-extent of a two-attribute subscription's
+// box along each axis.
+func (g *subGroup) boxOf(consts []float64) (centre, half [2]float64) {
+	lo, hi := g.boxBounds(consts)
 	for a := range centre {
 		centre[a] = lo[a]/2 + hi[a]/2
 		half[a] = hi[a]/2 - lo[a]/2
@@ -251,6 +261,7 @@ func (r *Registry) indexSub(s *Sub) string {
 	} else {
 		g.slots = append(g.slots, s)
 		g.stamp = append(g.stamp, 0)
+		g.evSeq, g.evAt = append(g.evSeq, 0), append(g.evAt, 0)
 		g.cx, g.cy = append(g.cx, 0), append(g.cy, 0)
 	}
 	g.n++
@@ -410,10 +421,12 @@ func (cs *classState) imageRef(attrs []int, delta int) {
 	}
 }
 
-// dropImage forgets the image (the table behind it was replaced); the next
-// syncImage rebuilds it and no group probes until then.
+// dropImage forgets the image and the data grids (the table behind them was
+// replaced); the next syncImage rebuilds the image and no group probes until
+// then.
 func (cs *classState) dropImage() {
 	cs.imgBuilt = false
+	cs.dropGrids()
 	for _, g := range cs.groupList {
 		g.ready = false
 	}
@@ -481,10 +494,11 @@ func (cs *classState) syncImage() {
 	}
 }
 
-// subEvent is one probe result: row id entered, stayed in or left the
-// subscription bucketed at `at`.
+// subEvent is one probe result: the row entered, stayed in or left the
+// subscription bucketed at `at`. A killed id has no row: -1-k stands for
+// the class's killed[k]. Eight bytes, because an Apply moves every event
+// twice.
 type subEvent struct {
-	id  value.ID
 	row int32
 	at  uint32 // bucket index << 2 | kind
 }
@@ -505,25 +519,24 @@ type probeScratch struct {
 	probes   int64
 	events   []subEvent // in probe order
 	bucketed []subEvent // grouped by subscription
-	active   []*Sub     // subscriptions with events this Apply
-	count    []int32    // per active subscription: events, then bucket end
+	count    []int32    // per subscription with events: events, then bucket end
 }
 
-// emit records one event for s, opening its bucket on the first.
-func (r *Registry) emit(s *Sub, id value.ID, row int32, kind uint32) {
-	if s.fresh {
-		return // about to rescan from scratch
-	}
+// emit records one event for the group's slot, opening its bucket on the
+// first. The bookkeeping lives in the group's dense per-slot arrays, so an
+// event does not touch the subscription. (A fresh subscription's events go
+// unread: it rescans from scratch.)
+func (r *Registry) emit(g *subGroup, slot, row int32, kind uint32) {
 	p := &r.probe
-	if s.evSeq != r.seq {
-		s.evSeq = r.seq
-		s.evAt = int32(len(p.active))
-		p.active = append(p.active, s)
+	if g.evSeq[slot] != r.seq {
+		g.evSeq[slot] = r.seq
+		g.evAt[slot] = int32(len(p.count))
 		p.count = append(p.count, 0)
-		r.queue(s)
+		r.queue(g.slots[slot])
 	}
-	p.count[s.evAt]++
-	p.events = append(p.events, subEvent{id: id, row: row, at: uint32(s.evAt)<<2 | kind})
+	at := g.evAt[slot]
+	p.count[at]++
+	p.events = append(p.events, subEvent{row: row, at: uint32(at)<<2 | kind})
 }
 
 // probeClass decides, per index group, between probing and the
@@ -548,26 +561,28 @@ func (r *Registry) probeClass(cs *classState) {
 // for the subscriptions of one group.
 func (r *Registry) probeGroup(cs *classState, g *subGroup) {
 	p := &r.probe
-	for _, id := range cs.killed {
+	for k, id := range cs.killed {
 		row, ok := cs.imgRow[id]
 		if !ok {
 			continue // spawned and killed between two Applies: never seen
 		}
 		p.oldHits = g.match(p, cs.img, row, p.oldHits[:0])
 		for _, slot := range p.oldHits {
-			r.emit(g.slots[slot], id, -1, evRem)
+			r.emit(g, slot, int32(-1-k), evRem)
 		}
 	}
-	raw := cs.tab.RawIDs()
+	// Rows in id order, so each subscription's adds and updates come out
+	// sorted.
+	cs.buildOrder()
 	cols := cs.tab.NumColumns()
-	for _, row := range cs.rows {
-		id := raw[row]
+	for _, i := range cs.order {
+		id, row := cs.candIDs[i], cs.rows[i]
 		p.newHits = g.match(p, cols, row, p.newHits[:0])
 		if int(row) >= len(cs.imgID) || cs.imgID[row] != id {
 			// Spawned since the previous Apply (a previous occupant of the
 			// row left through the killed list above).
 			for _, slot := range p.newHits {
-				r.emit(g.slots[slot], id, row, evAdd)
+				r.emit(g, slot, row, evAdd)
 			}
 			continue
 		}
@@ -579,7 +594,7 @@ func (r *Registry) probeGroup(cs *classState, g *subGroup) {
 		}
 		if !moved {
 			for _, slot := range p.newHits {
-				r.emit(g.slots[slot], id, row, evUpd)
+				r.emit(g, slot, row, evUpd)
 			}
 			continue
 		}
@@ -591,14 +606,14 @@ func (r *Registry) probeGroup(cs *classState, g *subGroup) {
 		for _, slot := range p.newHits {
 			if g.stamp[slot] == p.seq {
 				g.stamp[slot] = p.seq + 1 // in both: stayed
-				r.emit(g.slots[slot], id, row, evUpd)
+				r.emit(g, slot, row, evUpd)
 			} else {
-				r.emit(g.slots[slot], id, row, evAdd)
+				r.emit(g, slot, row, evAdd)
 			}
 		}
 		for _, slot := range p.oldHits {
 			if g.stamp[slot] == p.seq {
-				r.emit(g.slots[slot], id, -1, evRem)
+				r.emit(g, slot, row, evRem)
 			}
 		}
 	}
@@ -640,18 +655,21 @@ func (r *Registry) applyEvents(s *Sub, cs *classState) {
 	d := &r.d
 	r.addPairs = r.addPairs[:0]
 	r.updPairs = r.updPairs[:0]
-	for _, e := range r.probe.bucket(s.evAt) {
+	raw := cs.tab.RawIDs()
+	for _, e := range r.probe.bucket(s.grp.evAt[s.slot]) {
 		switch e.at & 3 {
 		case evAdd:
-			r.addPairs = append(r.addPairs, idRow{e.id, e.row})
+			r.addPairs = append(r.addPairs, idRow{raw[e.row], e.row})
 		case evUpd:
-			r.updPairs = append(r.updPairs, idRow{e.id, e.row})
+			r.updPairs = append(r.updPairs, idRow{raw[e.row], e.row})
 		default:
-			d.RemIDs = append(d.RemIDs, e.id)
+			if e.row < 0 {
+				d.RemIDs = append(d.RemIDs, cs.killed[-1-e.row])
+			} else {
+				d.RemIDs = append(d.RemIDs, raw[e.row]) // moved out
+			}
 		}
 	}
-	sortPairs(r.addPairs)
-	sortPairs(r.updPairs)
 	slices.Sort(d.RemIDs)
 	r.finishRowDelta(s, cs)
 }

@@ -202,8 +202,6 @@ type Sub struct {
 	slot   int32
 	whyNot string
 	queued uint64 // Apply sequence the sub joined the worklist in
-	evSeq  uint64 // Apply sequence evAt is valid for
-	evAt   int32  // index into the registry's per-Apply event buckets
 
 	members []value.ID // current matching ids, ascending
 
@@ -302,7 +300,16 @@ type classState struct {
 	lanesBuilt bool
 	idsBuilt   bool
 
-	fullIDLane []float64 // whole-extent id lane for rescanning kernels
+	// Per Apply as well: the candidates' indexes in id order (the delta
+	// path's merge order), and per row the sequence of the last Apply that
+	// had it as a candidate (the rescan diff's update test).
+	order   []int32
+	stamp   []uint64
+	ordered bool
+	stamped bool
+
+	fullIDLane []float64            // whole-extent id lane for rescanning kernels
+	grids      map[[2]int]*dataGrid // box rescans' data grids, by attribute pair
 
 	// Subscription index (subindex.go).
 	groups    map[string]*subGroup
@@ -340,7 +347,8 @@ type Registry struct {
 	addPairs  []idRow
 	updPairs  []idRow
 	fullPairs []idRow
-	topCand   []TopEntry
+	gridRows  []int32
+	topCand   []TopEntry // TopK selection heap, then the sorted ranking
 	probe     probeScratch
 
 	// Method values bound once: binding per Apply would allocate.
@@ -458,6 +466,7 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 			name: def.Class, cls: cp.Class, tab: r.eng.ClassTable(def.Class),
 			gatherRef: make([]int, len(cp.Class.State)),
 			groups:    map[string]*subGroup{},
+			grids:     map[[2]int]*dataGrid{},
 		}
 		r.classes[def.Class] = cs
 		r.classList = append(r.classList, cs)
