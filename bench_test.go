@@ -332,13 +332,13 @@ func BenchmarkE10_RangeTreeSpace(b *testing.B) {
 
 // E11/E16 — §4.2: shared-nothing partitioned execution on the real engine.
 
-func partitionedCarWorld(b *testing.B, cars, parts int, strat sgl.PartitionStrategy) *sgl.World {
+func stripedCarWorld(b *testing.B, cars, stripes int, opts engine.Options) *sgl.World {
 	b.Helper()
 	net := workload.TrafficNetwork{W: 4000, H: 4000, Roads: 60, Speed: 3}
 	ents := net.Vehicles(cars, 21)
-	core.SortEntitiesByStripe(ents, parts, net.W)
+	core.SortEntitiesByStripe(ents, stripes, net.W)
 	sc := core.MustLoad("traffic-prox", core.SrcTraffic)
-	w, err := sc.NewWorld(engine.Options{Partitions: parts, Partition: strat})
+	w, err := sc.NewWorld(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func BenchmarkE11_Partitioned(b *testing.B) {
 		{"hash4", sgl.PartitionHash},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			w := partitionedCarWorld(b, cars, 4, cfg.strat)
+			w := stripedCarWorld(b, cars, 4, engine.Options{Partitions: 4, Partition: cfg.strat})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := w.RunTick(); err != nil {
@@ -373,67 +373,26 @@ func BenchmarkE11_Partitioned(b *testing.B) {
 	}
 }
 
+// BenchmarkE16_PartitionScaling ticks the same world with Workers=k
+// unpartitioned and with Workers=k, Partitions=k.
 func BenchmarkE16_PartitionScaling(b *testing.B) {
 	const cars = 50000
-	for _, parts := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			w := partitionedCarWorld(b, cars, parts, sgl.PartitionAuto)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.RunTick(); err != nil {
-					b.Fatal(err)
+	for _, k := range []int{1, 2, 4} {
+		for _, parts := range []int{0, k} {
+			b.Run(fmt.Sprintf("workers=%d/parts=%d", k, parts), func(b *testing.B) {
+				w := stripedCarWorld(b, cars, k, engine.Options{Workers: k, Partitions: parts})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := w.RunTick(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.StopTimer()
-			st := w.ExecStats()
-			b.ReportMetric(float64(st.PartMessages())/float64(b.N), "msgs/tick")
-			b.ReportMetric(st.PartImbalance(parts), "imbalance")
-		})
-	}
-}
-
-// E17 — §4.2 under populations that refuse to stay where they were
-// measured: adaptive layout epochs vs frozen first-tick layouts on the
-// drifting, contracting swarm workload.
-
-func swarmBenchWorld(b *testing.B, motes, parts int, pol sgl.RebalancePolicy) *sgl.World {
-	b.Helper()
-	sc := core.MustLoad("swarm", core.SrcSwarm)
-	w, err := sc.NewWorld(engine.Options{
-		Partitions: parts, Partition: sgl.PartitionStripes, Rebalance: pol,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := core.PopulateMotes(w, workload.Uniform(motes, 3000, 3000, 27), 8, 2, 0.003); err != nil {
-		b.Fatal(err)
-	}
-	return w
-}
-
-func BenchmarkE17_AdaptiveDrift(b *testing.B) {
-	const motes, parts = 50000, 8
-	for _, cfg := range []struct {
-		name string
-		pol  sgl.RebalancePolicy
-	}{
-		{"frozen", sgl.RebalanceOff},
-		{"adaptive", sgl.RebalanceAdaptive},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			w := swarmBenchWorld(b, motes, parts, cfg.pol)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.RunTick(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := w.ExecStats()
-			b.ReportMetric(st.PartImbalance(parts), "imbalance")
-			b.ReportMetric(float64(st.PartLoadMax)/float64(b.N), "maxload/tick")
-			b.ReportMetric(float64(st.RebalanceCount), "rebalances")
-		})
+				b.StopTimer()
+				st := w.ExecStats()
+				b.ReportMetric(float64(st.PartMessages())/float64(b.N), "msgs/tick")
+				b.ReportMetric(st.PartImbalance(parts), "imbalance")
+			})
+		}
 	}
 }
 

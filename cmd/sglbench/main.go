@@ -57,8 +57,7 @@ func main() {
 		"flock": {5000, 20000},
 	}
 	e15Ticks := 5
-	e16V, e16Parts, e16Ticks := 50000, []int{1, 2, 4, 8}, 3
-	e17N, e17Parts, e17Ticks := 50000, 8, 60
+	e16V, e16K, e16Ticks := 50000, []int{1, 2, 4}, 10
 	e19Worlds, e19Objects, e19Rounds := 2000, 500, 20
 	e20Pairs, e20Ticks := 10000, 24
 	e21Objects, e21Subs, e21Ticks := 20000, []int{10000, 30000, 100000}, 5
@@ -74,8 +73,7 @@ func main() {
 		e14N, e14Workers = 20000, []int{1, 2, 4}
 		e15Sizes = map[string][]int{"fig2": {2000}, "rts": {2000}, "flock": {2000}}
 		e15Ticks = 2
-		e16V, e16Parts, e16Ticks = 10000, []int{1, 2, 4}, 2
-		e17N, e17Parts, e17Ticks = 10000, 4, 25
+		e16V, e16K, e16Ticks = 10000, []int{1, 2, 4}, 2
 		e19Worlds, e19Objects, e19Rounds = 200, 200, 10
 		e20Pairs, e20Ticks = 2000, 9
 		e21Objects, e21Subs, e21Ticks = 4000, []int{2000, 10000}, 3
@@ -151,10 +149,7 @@ func main() {
 		emit(experiments.E15(e15Sizes, e15Ticks))
 	}
 	if sel("E16") {
-		emit(experiments.E16(e16V, e16Parts, e16Ticks))
-	}
-	if sel("E17") {
-		emit(experiments.E17(e17N, e17Parts, e17Ticks))
+		emit(experiments.E16(e16V, e16K, e16Ticks))
 	}
 	if sel("E19") {
 		emit(experiments.E19(e19Worlds, e19Objects, e19Rounds))

@@ -17,7 +17,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/plan"
 	"repro/internal/value"
@@ -32,29 +31,21 @@ const (
 	BytesPerMigration = 32
 )
 
-// Layout maps object positions to partitions. Layouts are versioned: the
-// first partitioned tick measures world bounds and cuts each spatial axis
-// into equal-width slots (epoch 1), and the engine's rebalancer later
-// derives successor epochs from it — Remeasure refits the uniform slots to
-// drift-widened bounds, Split refits population-quantile cut points so hot
-// slots narrow and cold ones widen. The edge slots always extend to ±Inf,
-// so positions outside the measured bounds clamp to the nearest edge
-// partition instead of escaping ownership (OutOfBounds reports them, so the
-// skew is observable).
+// Layout maps object positions to partitions. The first partitioned tick
+// measures world bounds and cuts each spatial axis into equal-width slots;
+// the layout then stays frozen for the world's life. The edge slots extend
+// to ±Inf, so positions outside the measured bounds clamp to the nearest
+// edge partition instead of escaping ownership (OutOfBounds reports them,
+// so a stale box is observable).
 type Layout struct {
 	Strategy plan.PartitionStrategy // resolved: stripes, grid or hash
 	Parts    int
-	PX, PY   int    // grid factorization; stripes are PX×1
-	Axes     int    // spatial axes in use: 0 (hash), 1 (stripes) or 2
-	Epoch    uint64 // layout version; successor operations bump it
+	PX, PY   int // grid factorization; stripes are PX×1
+	Axes     int // spatial axes in use: 0 (hash), 1 (stripes) or 2
 
 	MinX, MinY float64 // measured box origin
 	MaxX, MaxY float64 // measured box far edge (clamp accounting)
-	WX, WY     float64 // per-slot widths (> 0), used when cuts are nil
-
-	// CutsX/CutsY are optional non-uniform slot boundaries (ascending,
-	// len PX-1 / PY-1) fitted by Split; nil means uniform WX/WY slots.
-	CutsX, CutsY []float64
+	WX, WY     float64 // per-slot widths (> 0)
 }
 
 // NewLayout builds a layout for parts partitions over the measured world
@@ -70,7 +61,7 @@ func NewLayout(costs plan.Costs, mode plan.PartitionStrategy, parts, axes int, m
 	}
 	strat, px, py := costs.ChoosePartition(mode, parts, axes, maxX-minX, maxY-minY)
 	l := Layout{
-		Strategy: strat, Parts: parts, PX: px, PY: py, Axes: axes, Epoch: 1,
+		Strategy: strat, Parts: parts, PX: px, PY: py, Axes: axes,
 		MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY,
 		WX: slotWidth(minX, maxX, px),
 		WY: slotWidth(minY, maxY, py),
@@ -91,105 +82,16 @@ func slotWidth(min, max float64, n int) float64 {
 	return w
 }
 
-// Remeasure produces the layout's successor epoch over freshly measured
-// world bounds (widened by the caller's drift margin): same strategy and
-// factorization, uniform slot widths refitted to the new box. Hash layouts
-// are position-independent; only their epoch bumps.
-func (l Layout) Remeasure(minX, maxX, minY, maxY float64) Layout {
-	n := l
-	n.Epoch = l.Epoch + 1
-	if l.Strategy == plan.PartitionHash {
-		return n
-	}
-	n.MinX, n.MaxX = minX, maxX
-	n.MinY, n.MaxY = minY, maxY
-	n.WX = slotWidth(minX, maxX, l.PX)
-	n.WY = slotWidth(minY, maxY, l.PY)
-	n.CutsX, n.CutsY = nil, nil
-	return n
-}
-
-// Split produces the layout's successor epoch with population-quantile cut
-// points fitted to the sampled member positions: every axis slot receives
-// an equal share of the sample, so overloaded (hot) slots split into
-// narrower ones and sparse slots widen — the rebalance move for clustering
-// populations. The samples are sorted in place and must not contain NaNs
-// (the engine filters them before sampling); ys is ignored by one-axis
-// layouts. Edge slots still extend to ±Inf; the recorded bounds become the
-// sample box (clamp accounting). Hash layouts only bump their epoch.
-func (l Layout) Split(xs, ys []float64) Layout {
-	n := l
-	n.Epoch = l.Epoch + 1
-	if l.Strategy == plan.PartitionHash || l.Axes == 0 || len(xs) == 0 {
-		return n
-	}
-	sort.Float64s(xs)
-	n.CutsX = quantileCuts(xs, l.PX)
-	n.MinX, n.MaxX = xs[0], xs[len(xs)-1]
-	n.WX = slotWidth(n.MinX, n.MaxX, l.PX)
-	if l.Axes > 1 && len(ys) > 0 {
-		sort.Float64s(ys)
-		n.CutsY = quantileCuts(ys, l.PY)
-		n.MinY, n.MaxY = ys[0], ys[len(ys)-1]
-		n.WY = slotWidth(n.MinY, n.MaxY, l.PY)
-	}
-	return n
-}
-
-// quantileCuts picks slots-1 ascending cut points at equal sample-count
-// quantiles of a sorted sample. Duplicate cut values are legal (a run of
-// identical positions can leave interior slots empty); CoordX stays
-// monotone and exact either way.
-func quantileCuts(sorted []float64, slots int) []float64 {
-	if slots <= 1 {
-		return nil
-	}
-	cuts := make([]float64, 0, slots-1)
-	for i := 1; i < slots; i++ {
-		cuts = append(cuts, sorted[i*len(sorted)/slots])
-	}
-	return cuts
-}
-
 // CoordX returns the clamped partition coordinate of a position on axis 0.
-// It is monotone non-decreasing in x — the property the engine's ghost
-// intervals rely on: the set of partitions whose probes can reach a point is
-// exactly [CoordX(x−reachHi), CoordX(x+reachLo)], computed with the same
-// arithmetic as ownership so no float rounding can drop a boundary ghost.
-// The property holds for both uniform slots and quantile cuts.
-func (l Layout) CoordX(x float64) int {
-	if l.CutsX != nil {
-		return cutCoord(x, l.CutsX)
-	}
-	return coord(x, l.MinX, l.WX, l.PX)
-}
+// It is monotone non-decreasing in x over every float64, ±Inf included —
+// the property the engine's ghost intervals rely on: the set of partitions
+// whose probes can reach a point is exactly [CoordX(x−reachHi),
+// CoordX(x+reachLo)], computed with the same arithmetic as ownership so no
+// float rounding can drop a boundary ghost.
+func (l Layout) CoordX(x float64) int { return coord(x, l.MinX, l.WX, l.PX) }
 
 // CoordY is CoordX for axis 1.
-func (l Layout) CoordY(y float64) int {
-	if l.CutsY != nil {
-		return cutCoord(y, l.CutsY)
-	}
-	return coord(y, l.MinY, l.WY, l.PY)
-}
-
-// cutCoord returns the number of cut points <= v: slot i owns the
-// half-open interval [cuts[i-1], cuts[i]), with the edge slots extending to
-// ±Inf. Monotone non-decreasing in v; NaN clamps to slot 0 like coord.
-func cutCoord(v float64, cuts []float64) int {
-	if math.IsNaN(v) {
-		return 0
-	}
-	lo, hi := 0, len(cuts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cuts[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func (l Layout) CoordY(y float64) int { return coord(y, l.MinY, l.WY, l.PY) }
 
 // OutOfBounds reports whether a position falls outside the box the layout
 // was measured over — such rows clamp into edge slots, the skew
@@ -205,15 +107,19 @@ func (l Layout) OutOfBounds(x, y float64) bool {
 	return l.Axes > 1 && !(y >= l.MinY && y <= l.MaxY)
 }
 
+// coord clamps in float before converting: Go leaves the int conversion of
+// an out-of-range float implementation-defined (amd64 yields the minimum
+// int, so 1e300 would land in slot 0), which would break monotonicity.
+// NaN clamps to slot 0.
 func coord(v, min, w float64, n int) int {
-	c := int(math.Floor((v - min) / w))
-	if c < 0 || math.IsNaN(v) {
+	f := math.Floor((v - min) / w)
+	if !(f > 0) {
 		return 0
 	}
-	if c >= n {
+	if f >= float64(n) {
 		return n - 1
 	}
-	return c
+	return int(f)
 }
 
 // Part combines clamped axis coordinates into a partition number.

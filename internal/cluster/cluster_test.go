@@ -84,120 +84,38 @@ func TestHashOwnership(t *testing.T) {
 }
 
 // TestCoordMonotone pins the property the engine's ghost-interval derivation
-// depends on: the clamped coordinate functions are monotone in the position,
-// and agree exactly with ownership (no epsilon mismatch at boundaries).
+// depends on: the clamped coordinate functions are monotone in the position
+// over every float64, and agree exactly with ownership (no epsilon mismatch
+// at boundaries). Past ±1e19 a slot index no longer fits an int; a
+// position there must still clamp to the edge slot, not wrap to slot 0, or
+// it would drop out of a neighboring partition's ghost interval.
 func TestCoordMonotone(t *testing.T) {
-	l := layout(t, plan.PartitionStripes, 7, 1)
-	prev := math.Inf(-1)
-	prevC := 0
+	xs := []float64{math.Inf(-1), -math.MaxFloat64, -1e300, -1e19}
 	for i := 0; i <= 1000; i++ {
-		x := -50 + float64(i)*0.2
-		c := l.CoordX(x)
-		if x >= prev && c < prevC {
-			t.Fatalf("CoordX not monotone: %v->%d after %v->%d", x, c, prev, prevC)
-		}
-		if own := l.Owner(x, 0, 1); own != c {
-			t.Fatalf("Owner(%v)=%d but CoordX=%d", x, own, c)
-		}
-		prev, prevC = x, c
+		xs = append(xs, -50+float64(i)*0.2)
 	}
-}
-
-// TestRemeasureEpoch pins the re-measure successor operation: a new epoch,
-// refitted uniform slots over the widened bounds, ownership arithmetic
-// consistent with the new box, and hash layouts untouched except for the
-// epoch counter.
-func TestRemeasureEpoch(t *testing.T) {
-	l := layout(t, plan.PartitionStripes, 4, 1)
-	if l.Epoch != 1 {
-		t.Fatalf("fresh layout epoch = %d, want 1", l.Epoch)
-	}
-	n := l.Remeasure(100, 300, 0, 100)
-	if n.Epoch != 2 || l.Epoch != 1 {
-		t.Fatalf("epochs = %d/%d, want 2/1", n.Epoch, l.Epoch)
-	}
-	if n.MinX != 100 || n.MaxX != 300 || n.WX != 50 {
-		t.Fatalf("remeasured box: %+v", n)
-	}
-	if n.Owner(110, 0, 1) != 0 || n.Owner(260, 0, 1) != 3 || n.Owner(-50, 0, 1) != 0 || n.Owner(900, 0, 1) != 3 {
-		t.Error("remeasured ownership")
-	}
-	if !n.OutOfBounds(99, 0) || n.OutOfBounds(150, 0) || !n.OutOfBounds(math.NaN(), 0) {
-		t.Error("OutOfBounds after remeasure")
-	}
-
-	h := layout(t, plan.PartitionHash, 4, 2)
-	hn := h.Remeasure(0, 1, 0, 1)
-	if hn.Epoch != 2 || hn.Owner(5, 5, 7) != h.Owner(5, 5, 7) {
-		t.Error("hash remeasure must only bump the epoch")
-	}
-}
-
-// TestSplitQuantiles pins the quantile-cut successor operation: a clustered
-// sample must give the dense region more slots, ownership must stay the
-// composition of the clamped coordinate functions, and coordinates must stay
-// monotone — the ghost-interval property — for cut layouts too.
-func TestSplitQuantiles(t *testing.T) {
-	l := layout(t, plan.PartitionStripes, 4, 1)
-	// 3/4 of the population clustered in [0, 10], the rest spread to 100.
-	xs := make([]float64, 0, 80)
-	for i := 0; i < 60; i++ {
-		xs = append(xs, float64(i%10))
-	}
-	for i := 0; i < 20; i++ {
-		xs = append(xs, 10+float64(i)*4.5)
-	}
-	n := l.Split(xs, nil)
-	if n.Epoch != 2 || len(n.CutsX) != 3 {
-		t.Fatalf("split layout: %+v", n)
-	}
-	for i := 1; i < len(n.CutsX); i++ {
-		if n.CutsX[i] < n.CutsX[i-1] {
-			t.Fatalf("cuts not ascending: %v", n.CutsX)
-		}
-	}
-	if n.CutsX[2] > 15 {
-		t.Fatalf("quantile cuts ignored the cluster: %v", n.CutsX)
-	}
-	// Monotone + owner/coord agreement, including out-of-bounds and NaN.
-	prev := -1
-	for i := 0; i <= 1200; i++ {
-		x := -10 + float64(i)*0.1
-		c := n.CoordX(x)
-		if c < prev || c < 0 || c >= 4 {
-			t.Fatalf("cut CoordX not monotone/clamped at %v: %d after %d", x, c, prev)
-		}
-		if own := n.Owner(x, 0, 3); own != c {
-			t.Fatalf("Owner(%v)=%d but CoordX=%d", x, own, c)
-		}
-		prev = c
-	}
-	if n.CoordX(math.NaN()) != 0 {
-		t.Error("NaN must clamp to slot 0")
-	}
-	// Every slot is reachable: positions at the sample quantiles land in
-	// ascending slots covering [0, PX).
-	seen := map[int]bool{}
-	for _, x := range []float64{-5, 2, 5, 8, 50, 200} {
-		seen[n.CoordX(x)] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("quantile slots unreachable: %v (cuts %v)", seen, n.CutsX)
-	}
-
-	// 2-D grids cut both axes.
-	g := layout(t, plan.PartitionGrid, 4, 2)
-	ys := append([]float64(nil), xs...)
-	gn := g.Split(append([]float64(nil), xs...), ys)
-	if len(gn.CutsX) != g.PX-1 || len(gn.CutsY) != g.PY-1 {
-		t.Fatalf("grid split cuts: %+v", gn)
-	}
-	for cy := 0; cy < gn.PY; cy++ {
-		for cx := 0; cx < gn.PX; cx++ {
-			x, y := 2+float64(cx)*30, 2+float64(cy)*30
-			if own := gn.Owner(x, y, 1); own != gn.Part(gn.CoordX(x), gn.CoordY(y)) {
-				t.Fatalf("grid owner/coord mismatch at (%v,%v)", x, y)
+	xs = append(xs, 1e19, 1e300, math.MaxFloat64, math.Inf(1))
+	for _, l := range []cluster.Layout{
+		layout(t, plan.PartitionStripes, 7, 1),
+		layout(t, plan.PartitionGrid, 4, 2),
+	} {
+		prevX, prevY := 0, 0
+		for _, v := range xs {
+			cx, cy := l.CoordX(v), l.CoordY(v)
+			if cx < prevX || cy < prevY || cx >= l.PX || cy >= l.PY {
+				t.Fatalf("%v: coord(%v) = (%d, %d) after (%d, %d)", l.Strategy, v, cx, cy, prevX, prevY)
 			}
+			want := cx
+			if l.Axes == 2 {
+				want = l.Part(cx, cy)
+			}
+			if own := l.Owner(v, v, 1); own != want {
+				t.Fatalf("%v: Owner(%v) = %d, coords (%d, %d)", l.Strategy, v, own, cx, cy)
+			}
+			prevX, prevY = cx, cy
+		}
+		if prevX != l.PX-1 || prevY != l.PY-1 {
+			t.Fatalf("%v: +Inf clamps to (%d, %d), want the last slots", l.Strategy, prevX, prevY)
 		}
 	}
 }

@@ -285,15 +285,15 @@ class Boid {
 }
 `
 
-// SrcSwarm is the drift workload behind experiment E17: motes carry
-// constant per-object velocities aimed slightly ahead of a shared
-// rendezvous point, so the whole population simultaneously translates
-// (drift) and contracts (clustering) tick over tick, while one bounded
-// neighborhood accum (local density) gives partitioned execution real
-// ghosts, migrations and per-partition load to measure. Any layout frozen
-// at first-tick bounds degrades on this population — the measured box goes
-// stale and ownership piles into edge and hot-spot partitions — which is
-// exactly what adaptive layout epochs (Options.Rebalance) are for.
+// SrcSwarm is a drift workload: motes carry constant per-object velocities
+// aimed slightly ahead of a shared rendezvous point, so the whole
+// population simultaneously translates (drift) and contracts (clustering)
+// tick over tick, while one bounded neighborhood accum (local density)
+// gives partitioned execution real ghosts, migrations and per-partition
+// load to measure. A partition layout, frozen at first-tick bounds, goes
+// stale on this population: rows clamp into edge partitions
+// (ClampedRows) and ownership piles into hot spots, while results stay
+// bit-identical (the analysis differential runs it partitioned).
 const SrcSwarm = `
 class Mote {
   state:

@@ -85,17 +85,6 @@ type Options struct {
 	// partition count produces bit-identical admission outcomes — commit/
 	// abort sets and effect-buffer contents — to the serial loop.
 	Txn plan.TxnMode
-	// Rebalance selects how partitioned layouts evolve across ticks.
-	// Layouts are versioned epochs: under the default
-	// (plan.RebalanceAdaptive) the cost model replaces a class's layout —
-	// re-measured drift-widened bounds, or population-quantile cuts that
-	// split hot partitions — whenever the modeled imbalance penalty
-	// amortizes the re-layout plus mass migration, with hysteresis so
-	// layouts never thrash. plan.RebalanceOff freezes every layout at its
-	// first-tick epoch. Any epoch sequence stays bit-identical to
-	// Partitions=1: rebalancing changes only who computes what, and all
-	// staging merges in (partition, row) order.
-	Rebalance plan.RebalancePolicy
 	// DisableStats turns off runtime statistics collection (experiment E8).
 	DisableStats bool
 	// Unfused compiles every vexpr kernel with the post-compile optimizer

@@ -9,28 +9,21 @@ package engine
 //
 // The runtime is decomposed along its three concerns:
 //
-//   - partition.go (this file): the layout lifecycle. Ownership layouts are
-//     versioned epochs: the first partitioned tick measures world bounds
-//     and installs epoch 1 per class, and from then on a per-class
-//     rebalancer (plan.Rebalancer over plan.Costs.ChooseRebalance) watches
-//     the per-partition load tally, boundary-migration churn and clamped
-//     (out-of-bounds) row counts, and installs a successor epoch when the
-//     modeled imbalance penalty amortizes the re-layout: re-measured
-//     drift-widened bounds (cluster.Layout.Remeasure) when the box went
-//     stale, population-quantile cuts that split hot partitions
-//     (cluster.Layout.Split) when the population clustered. Ownership is
-//     rescanned every tick, so an epoch change shows up as mass migration
-//     and every downstream consumer (member views, indexes, spans)
-//     refreshes through the ordinary version ladder.
+//   - partition.go (this file): layouts and ownership. The first
+//     partitioned tick measures world bounds and installs each class's
+//     layout, which then stays frozen. Ownership is rescanned every tick:
+//     update-step movement across a boundary shows up as migration, and
+//     rows that leave the measured box clamp into the edge partitions
+//     (counted as clamped rows, so a stale box is observable).
 //
 //   - partition_view.go: member views and per-partition indexes. For each
 //     accum site the compiled range conjuncts are evaluated over the frozen
 //     probing extent, plan.InteractionRadius turns them into per-dimension
 //     reaches, and each partition's member view (owned rows + ghosts) is
-//     filled with the layout's own monotone clamped-coordinate arithmetic —
-//     identical under every epoch, so no float rounding can drop a boundary
-//     ghost across a rebalance. Per-partition indexes rebuild over exactly
-//     the member rows whenever anything feeding them changed.
+//     filled with the layout's own monotone clamped-coordinate arithmetic,
+//     so no float rounding can drop a boundary ghost. Per-partition indexes
+//     rebuild over exactly the member rows whenever anything feeding them
+//     changed.
 //
 //   - shard.go: execution. A partition is an ownership-masked shard of the
 //     tick driver: partitions fan out across the worker pool for vectorized
@@ -38,16 +31,13 @@ package engine
 //     row-disjoint across partitions), scalar rows and handlers; the
 //     per-shard sinks merge in (partition, row) order — exactly ascending
 //     physical-row order — which is what makes ANY partition count,
-//     layout, epoch sequence and worker count bit-identical to
-//     Partitions=1.
+//     layout and worker count bit-identical to Partitions=1.
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/plan"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -58,7 +48,7 @@ type partWorld struct {
 	ready     bool   // layouts measured and first assignment done
 	assignVer uint64 // bumps whenever any row's ownership changes
 
-	loads []int64 // per-partition fold scratch (foldPartitionLoads)
+	loads []int64 // this tick's per-partition row visits (foldPartitionLoads)
 
 	buildList []partBuild // per-tick (site, partition) rebuild worklist
 
@@ -82,28 +72,6 @@ type partClass struct {
 	assignID []value.ID // id the assignment was made for (guards row reuse)
 	spanLo   []int32    // per partition: owned physical row span [lo, hi)
 	spanHi   []int32
-
-	// Layout-epoch lifecycle state. loads tallies this tick's per-partition
-	// row visits for this class (each partition is written only by the
-	// worker that owns it); foldPartitionLoads snapshots them into
-	// lastMax/lastSum at tick end, and assignPartitions records the tick's
-	// boundary migrations and clamped rows — the three signals the
-	// rebalancer weighs next tick. All of it is tracked regardless of
-	// DisableStats: it drives execution, not just reporting.
-	reb          *plan.Rebalancer
-	loads        []int64
-	lastMax      int64
-	lastSum      int64
-	lastMigrated int64
-	lastClamped  int64
-
-	// Bounds measured when the current epoch was installed and the tick it
-	// happened: the drift-rate basis for the next epoch's widen margin.
-	measMinX, measMaxX float64
-	measMinY, measMaxY float64
-	measTick           int64
-
-	sampleX, sampleY []float64 // quantile-split position scratch, reused
 }
 
 // span returns partition p's owned row span clamped to the table capacity.
@@ -194,9 +162,9 @@ func (w *World) partitionAxes(rt *classRT) []int {
 }
 
 // ensurePartitionLayouts measures world bounds and installs each class's
-// epoch-1 layout on the first partitioned tick. Later epochs come from
-// maybeRebalanceLayouts; positions outside the measured box always clamp to
-// the edge partitions (and are counted as clamped rows).
+// layout on the first partitioned tick. The layout stays frozen from then
+// on; positions outside the measured box clamp to the edge partitions (and
+// are counted as clamped rows).
 func (w *World) ensurePartitionLayouts() {
 	pw := w.parts
 	if pw.ready {
@@ -222,137 +190,9 @@ func (w *World) ensurePartitionLayouts() {
 			layout: layout,
 			spanLo: make([]int32, pw.n),
 			spanHi: make([]int32, pw.n),
-			loads:  make([]int64, pw.n),
-			reb:    plan.NewRebalancer(w.execCosts, w.opts.Rebalance),
-
-			measMinX: minX, measMaxX: maxX,
-			measMinY: minY, measMaxY: maxY,
-			measTick: w.tick,
 		}
 	}
 	pw.ready = true
-}
-
-// maybeRebalanceLayouts runs the per-class layout maintenance decision at
-// tick start, before ownership is rescanned: each class's rebalancer weighs
-// last tick's load imbalance, migration churn and clamp skew, and when an
-// action fires the class's layout advances to its successor epoch. The new
-// assignment scan then observes the epoch's mass migration through the
-// ordinary ownership diff, and every member view and index refreshes
-// through the assignment-version ladder — nothing downstream knows about
-// epochs beyond that.
-func (w *World) maybeRebalanceLayouts() {
-	pw := w.parts
-	track := !w.opts.DisableStats
-	if pw.n > 1 && w.opts.Rebalance != plan.RebalanceOff {
-		for _, rt := range w.order {
-			pc := rt.prt
-			if pc.layout.Axes == 0 {
-				continue // hash layouts are position-oblivious and stay put
-			}
-			act := pc.reb.Decide(float64(pc.lastMax), float64(pc.lastSum), pw.n,
-				rt.tab.Len(), int(pc.lastMigrated), int(pc.lastClamped))
-			if act == plan.RebalanceNone {
-				continue
-			}
-			var t0 time.Time
-			if track {
-				t0 = time.Now()
-			}
-			w.relayout(rt, act)
-			if track {
-				w.execStats.RebalanceCount++
-				w.execStats.RebalanceNanos += time.Since(t0).Nanoseconds()
-			}
-		}
-	}
-	if track {
-		for _, rt := range w.order {
-			if ep := int64(rt.prt.layout.Epoch); ep > w.execStats.EpochID {
-				w.execStats.EpochID = ep
-			}
-		}
-	}
-}
-
-// relayout installs a class's successor layout epoch. Widen re-measures the
-// world box and extends each side by the measured drift rate — how fast
-// that bound has been moving outward since the epoch was installed —
-// projected over the rebalance horizon, so a population that keeps drifting
-// the way it has stays in-bounds (and unclamped) until the next epoch pays
-// for itself. Split refits population-quantile cut points from the live
-// positions, giving every slot an equal population share.
-func (w *World) relayout(rt *classRT, act plan.RebalanceAction) {
-	pc := rt.prt
-	tab := rt.tab
-	switch act {
-	case plan.RebalanceWiden:
-		minX, maxX := columnBounds(tab, pc.axes[0])
-		minY, maxY := 0.0, 1.0
-		if len(pc.axes) > 1 {
-			minY, maxY = columnBounds(tab, pc.axes[1])
-		}
-		dt := w.tick - pc.measTick
-		if dt < 1 {
-			dt = 1
-		}
-		h := w.execCosts.RebalanceHorizon
-		pc.layout = pc.layout.Remeasure(
-			minX-driftMargin(pc.measMinX-minX, dt, h),
-			maxX+driftMargin(maxX-pc.measMaxX, dt, h),
-			minY-driftMargin(pc.measMinY-minY, dt, h),
-			maxY+driftMargin(maxY-pc.measMaxY, dt, h))
-		pc.measMinX, pc.measMaxX = minX, maxX
-		pc.measMinY, pc.measMaxY = minY, maxY
-	case plan.RebalanceSplit:
-		xs, ys := w.gatherAxisSamples(rt)
-		pc.layout = pc.layout.Split(xs, ys)
-		pc.measMinX, pc.measMaxX = pc.layout.MinX, pc.layout.MaxX
-		pc.measMinY, pc.measMaxY = pc.layout.MinY, pc.layout.MaxY
-	}
-	pc.measTick = w.tick
-}
-
-// driftMargin projects a bound's outward movement per tick over the
-// rebalance horizon. Bounds that held still or moved inward contribute no
-// margin, and non-finite movement (a position exploded to ±Inf/NaN) is
-// ignored rather than poisoning the box.
-func driftMargin(outward float64, dt int64, horizon float64) float64 {
-	if !(outward > 0) || math.IsInf(outward, 1) {
-		return 0
-	}
-	return outward / float64(dt) * horizon
-}
-
-// gatherAxisSamples collects the class's live positions per partition axis
-// (NaNs filtered — cluster.Layout.Split sorts the samples) into retained
-// scratch. The Y sample is gathered only when the layout actually cuts Y
-// (Split's own condition): a stripes layout over a two-axis class never
-// reads it.
-func (w *World) gatherAxisSamples(rt *classRT) (xs, ys []float64) {
-	pc := rt.prt
-	tab := rt.tab
-	colX := tab.NumColumn(pc.axes[0])
-	var colY []float64
-	if pc.layout.Axes > 1 && len(pc.axes) > 1 {
-		colY = tab.NumColumn(pc.axes[1])
-	}
-	pc.sampleX = pc.sampleX[:0]
-	pc.sampleY = pc.sampleY[:0]
-	for r, ok := range tab.AliveMask() {
-		if !ok {
-			continue
-		}
-		if v := colX[r]; !math.IsNaN(v) {
-			pc.sampleX = append(pc.sampleX, v)
-		}
-		if colY != nil {
-			if v := colY[r]; !math.IsNaN(v) {
-				pc.sampleY = append(pc.sampleY, v)
-			}
-		}
-	}
-	return pc.sampleX, pc.sampleY
 }
 
 // columnBounds returns the min/max of a numeric column over live rows,
@@ -385,13 +225,11 @@ func columnBounds(tab *table.Table, ci int) (lo, hi float64) {
 }
 
 // assignPartitions rescans ownership at tick start: every live row's owner
-// is recomputed from its current position with the current layout epoch, so
-// update-step movement across a boundary — and the mass migration a fresh
-// epoch implies — shows up here as migration messages, spawns get assigned
-// and deaths released. The scan also refreshes each partition's owned row
-// span and counts clamped rows (positions outside the epoch's measured box,
-// the §4.2 edge-skew signal). Migration and clamp tallies always run — they
-// feed the rebalancer — while message counters honor track.
+// is recomputed from its current position, so update-step movement across a
+// boundary shows up here as migration messages, spawns get assigned and
+// deaths released. The scan also refreshes each partition's owned row span
+// and, when track is set, counts migrations and clamped rows (positions
+// outside the layout's measured box, the §4.2 edge-skew signal).
 func (w *World) assignPartitions(track bool) {
 	pw := w.parts
 	changed := false
@@ -432,7 +270,7 @@ func (w *World) assignPartitions(track bool) {
 			if colY != nil {
 				y = colY[r]
 			}
-			if colX != nil && pc.layout.OutOfBounds(x, y) {
+			if track && colX != nil && pc.layout.OutOfBounds(x, y) {
 				clamped++
 			}
 			owner := int32(pc.layout.Owner(x, y, ids[r]))
@@ -453,7 +291,6 @@ func (w *World) assignPartitions(track bool) {
 				pc.spanHi[owner] = int32(r) + 1
 			}
 		}
-		pc.lastMigrated, pc.lastClamped = migrated, clamped
 		if track {
 			w.execStats.MigratedRows += migrated
 			w.execStats.PartMsgsMigrate += migrated
@@ -466,41 +303,22 @@ func (w *World) assignPartitions(track bool) {
 	}
 }
 
-// foldPartitionLoads closes the tick's load-balance accounting: per class,
-// the per-partition row-visit tallies snapshot into the rebalancer's
-// feedback (always — rebalancing is engine behavior, not reporting) and
-// reset; the cross-class per-partition totals feed the §4.2
-// PartLoadMax/PartLoadSum counters when statistics are on.
+// foldPartitionLoads closes the tick's load-balance accounting: the
+// per-partition row-visit tallies (summed over classes by mergeSinks) feed
+// the §4.2 PartLoadMax/PartLoadSum counters and reset. With statistics off
+// nothing is tallied.
 func (w *World) foldPartitionLoads() {
-	pw := w.parts
-	for i := range pw.loads {
-		pw.loads[i] = 0
-	}
-	for _, rt := range w.order {
-		pc := rt.prt
-		if pc == nil {
-			continue
-		}
-		maxL, sum := int64(0), int64(0)
-		for p, l := range pc.loads {
-			pw.loads[p] += l
-			sum += l
-			if l > maxL {
-				maxL = l
-			}
-			pc.loads[p] = 0
-		}
-		pc.lastMax, pc.lastSum = maxL, sum
-	}
 	if w.opts.DisableStats {
 		return
 	}
+	pw := w.parts
 	maxLoad, sum := int64(0), int64(0)
-	for _, l := range pw.loads {
+	for p, l := range pw.loads {
 		sum += l
 		if l > maxLoad {
 			maxLoad = l
 		}
+		pw.loads[p] = 0
 	}
 	w.execStats.PartLoadMax += maxLoad
 	w.execStats.PartLoadSum += sum

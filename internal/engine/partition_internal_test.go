@@ -1,8 +1,7 @@
 package engine
 
-// White-box tests for the layout-epoch lifecycle: the owner-consistency
-// property a successor epoch must satisfy, and the zero-allocation guard on
-// the steady-state (no rebalance) prepare path.
+// White-box test for the partitioned prepare path: the zero-allocation guard
+// on the steady-state ownership rescan and load fold.
 
 import (
 	"testing"
@@ -59,83 +58,11 @@ func internalWorld(t *testing.T, src string, opts Options) *World {
 	return w
 }
 
-// TestEpochOwnerConsistencyAfterSplit is the layout-epoch property test:
-// after the rebalancer installs a quantile-cut successor epoch, every live
-// row's recorded owner must equal the epoch's own clamped-coordinate
-// arithmetic (Owner = Part(CoordX, CoordY)), the cuts must be ascending,
-// and every partition's recorded row span must cover exactly its rows —
-// the invariants the member-view ghost intervals lean on.
-func TestEpochOwnerConsistencyAfterSplit(t *testing.T) {
-	w := internalWorld(t, srcClusterJoin, Options{
-		Partitions: 4, Partition: plan.PartitionStripes, Rebalance: plan.RebalanceEager,
-	})
-	// A heavily clustered population: three quarters in [0, 60], the rest
-	// spread to 2000 — the uniform epoch-1 stripes put almost everything in
-	// slot 0, so the eager rebalancer splits immediately.
-	for i := 0; i < 800; i++ {
-		x := float64(i%8) * 7
-		if i%4 == 0 {
-			x = float64(i%40) * 50
-		}
-		if _, err := w.Spawn("P", map[string]value.Value{
-			"x": value.Num(x), "y": value.Num(float64(i%31) * 3),
-			"v": value.Num(float64(i%3) - 1), // movers in both directions
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Run(6); err != nil {
-		t.Fatal(err)
-	}
-	rt := w.classes["P"]
-	pc := rt.prt
-	// Ownership is scanned at tick start; the final update step moved rows
-	// afterwards. Rescan so the recorded assignment and the positions agree
-	// on one instant, exactly as the next tick's prepare would see them.
-	w.assignPartitions(false)
-	if pc.layout.Epoch < 2 || pc.layout.CutsX == nil {
-		t.Fatalf("eager clustered run never split: epoch %d cuts %v", pc.layout.Epoch, pc.layout.CutsX)
-	}
-	for i := 1; i < len(pc.layout.CutsX); i++ {
-		if pc.layout.CutsX[i] < pc.layout.CutsX[i-1] {
-			t.Fatalf("cuts not ascending: %v", pc.layout.CutsX)
-		}
-	}
-	tab := rt.tab
-	colX := tab.NumColumn(pc.axes[0])
-	counts := make([]int, w.parts.n)
-	for r, ok := range tab.AliveMask() {
-		if !ok {
-			if pc.assign[r] != -1 {
-				t.Fatalf("dead row %d still assigned to %d", r, pc.assign[r])
-			}
-			continue
-		}
-		want := int32(pc.layout.Owner(colX[r], 0, tab.ID(r)))
-		if pc.assign[r] != want {
-			t.Fatalf("row %d (x=%v): assigned %d, epoch arithmetic says %d",
-				r, colX[r], pc.assign[r], want)
-		}
-		if r < int(pc.spanLo[want]) || r >= int(pc.spanHi[want]) {
-			t.Fatalf("row %d outside partition %d span [%d, %d)",
-				r, want, pc.spanLo[want], pc.spanHi[want])
-		}
-		counts[want]++
-	}
-	// The split epoch must actually balance the clustered population: no
-	// slot may hold a majority anymore.
-	for p, c := range counts {
-		if c > tab.Len()*6/10 {
-			t.Fatalf("partition %d still holds %d of %d rows after split", p, c, tab.Len())
-		}
-	}
-}
-
-// TestSteadyStateEpochReuseAllocs is the epoch-reuse allocation guard: with
-// no rebalance firing, the per-tick layout lifecycle — rebalancer decision,
-// ownership rescan with migration/clamp tallies, load fold — must allocate
-// nothing. (Assignment slabs, span arrays, rebalancer state and load
-// tallies are all retained across ticks.)
+// TestSteadyStateEpochReuseAllocs is the frozen-layout allocation guard:
+// once the layout is measured, the per-tick ownership rescan with its
+// migration/clamp tallies and the load fold must allocate nothing.
+// (Assignment slabs, span arrays and load tallies are retained across
+// ticks.)
 func TestSteadyStateEpochReuseAllocs(t *testing.T) {
 	w := internalWorld(t, srcClusterJoin, Options{
 		Partitions: 4, Partition: plan.PartitionStripes,
@@ -148,18 +75,14 @@ func TestSteadyStateEpochReuseAllocs(t *testing.T) {
 		}
 	}
 	// Static population (v = 0 everywhere): after warm-up every slab has
-	// its steady-state capacity and no rebalance can fire.
+	// its steady-state capacity.
 	if err := w.Run(3); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		w.maybeRebalanceLayouts()
 		w.assignPartitions(true)
 		w.foldPartitionLoads()
 	}); allocs > 0 {
-		t.Fatalf("steady-state epoch reuse allocated %.1f bytes-worth of objects per run", allocs)
-	}
-	if fires := w.ExecStats().RebalanceCount; fires != 0 {
-		t.Fatalf("static world rebalanced %d times", fires)
+		t.Fatalf("steady-state ownership rescan allocated %.1f objects per run", allocs)
 	}
 }

@@ -451,26 +451,23 @@ class C {
 	}
 }
 
-// TestRebalanceMatrixDifferential is the acceptance guard for layout
-// epochs: Partitions ∈ {1, 2, 4} × Rebalance ∈ {eager, off} × Workers ∈
-// {1, 4} over the traffic (vectorized phases) and flock (three range
-// joins) scenarios, with drift-heavy churn — every tick kills random
-// objects and spawns replacements clustered into one corner, so ownership
-// skews hard and eager worlds install successor epochs mid-run — and every
-// configuration must end bit-identical to the single-partition reference.
-// Rebalancing may only change who computes what, never what is computed.
+// TestRebalanceMatrixDifferential is the frozen-layout wall: Partitions ∈
+// {1, 2, 4} × Workers ∈ {1, 4} over the traffic (vectorized phases) and
+// flock (three range joins) scenarios, with drift-heavy churn — every tick
+// kills random objects and spawns replacements clustered into one corner,
+// outside the box the first tick measured, so ownership skews hard and
+// rows clamp into edge partitions — and every configuration must end
+// bit-identical to the single-partition reference. A layout that has gone
+// stale may only change who computes what, never what is computed.
 func TestRebalanceMatrixDifferential(t *testing.T) {
 	type cfg struct {
 		parts   int
-		reb     plan.RebalancePolicy
 		workers int
 	}
 	var cfgs []cfg
 	for _, p := range []int{1, 2, 4} {
-		for _, rb := range []plan.RebalancePolicy{plan.RebalanceEager, plan.RebalanceOff} {
-			for _, wk := range []int{1, 4} {
-				cfgs = append(cfgs, cfg{p, rb, wk})
-			}
+		for _, wk := range []int{1, 4} {
+			cfgs = append(cfgs, cfg{p, wk})
 		}
 	}
 	scenarios := []struct {
@@ -486,8 +483,7 @@ func TestRebalanceMatrixDifferential(t *testing.T) {
 			name: "traffic", class: "Vehicle", attrs: vehicleAttrs, n: 2000, ticks: 8,
 			build: func(t *testing.T, n int, opts engine.Options) *engine.World {
 				// A clustered population (two tight blobs in a 4000² world)
-				// so uniform first-tick slots start out skewed and eager
-				// worlds have something to split.
+				// so uniform first-tick slots start out skewed.
 				t.Helper()
 				sc, err := core.LoadScenario("vehicles", core.SrcVehicles)
 				if err != nil {
@@ -527,7 +523,7 @@ func TestRebalanceMatrixDifferential(t *testing.T) {
 			worlds := make([]*engine.World, len(cfgs))
 			for i, c := range cfgs {
 				worlds[i] = sc.build(t, sc.n, engine.Options{
-					Partitions: c.parts, Rebalance: c.reb, Workers: c.workers,
+					Partitions: c.parts, Workers: c.workers,
 				})
 			}
 			ref := worlds[0]
@@ -564,23 +560,13 @@ func TestRebalanceMatrixDifferential(t *testing.T) {
 					}
 				}
 			}
-			rebalanced := false
-			for wi := 1; wi < len(worlds); wi++ {
-				if d := diffClassWorlds(ref, worlds[wi], sc.class, sc.attrs, live); d != "" {
+			for wi, w := range worlds {
+				if d := diffClassWorlds(ref, w, sc.class, sc.attrs, live); d != "" {
 					t.Fatalf("cfg %+v diverged from reference: %s", cfgs[wi], d)
 				}
-				if cfgs[wi].parts > 1 && cfgs[wi].reb == plan.RebalanceEager &&
-					worlds[wi].ExecStats().RebalanceCount > 0 {
-					rebalanced = true
+				if cfgs[wi].parts > 1 && w.ExecStats().ClampedRows == 0 {
+					t.Fatalf("cfg %+v: no row left the measured box; the drift exercised nothing", cfgs[wi])
 				}
-				if cfgs[wi].reb == plan.RebalanceOff {
-					if c := worlds[wi].ExecStats().RebalanceCount; c != 0 {
-						t.Fatalf("cfg %+v: frozen layout rebalanced %d times", cfgs[wi], c)
-					}
-				}
-			}
-			if !rebalanced {
-				t.Fatal("no eager configuration installed a successor epoch; the matrix exercised nothing")
 			}
 		})
 	}
@@ -589,9 +575,8 @@ func TestRebalanceMatrixDifferential(t *testing.T) {
 // SrcDriftFlock is a flock whose members share one constant velocity: the
 // whole population translates every tick, so any frozen layout's measured
 // box goes stale and every row eventually clamps into the far edge
-// partition — the §4.2 clamp-skew pathology this PR makes observable
-// (stats.ClampedRows) and fixable (RebalanceWiden with a measured drift
-// margin).
+// partition — the §4.2 clamp-skew pathology stats.ClampedRows makes
+// observable.
 const srcDriftFlock = `
 class Boid {
   state:
@@ -637,55 +622,107 @@ func driftFlockWorld(t *testing.T, n int, opts engine.Options) *engine.World {
 }
 
 // TestDriftingFlockClampSkew is the edge-partition clamp-skew regression: a
-// drifting flock under a frozen layout piles every row into the boundary
-// stripe (clamped rows accumulate, imbalance approaches the partition
-// count), while the adaptive default re-measures drift-widened bounds —
-// epochs advance, clamp skew stays bounded, the imbalance holds near 1 —
-// and the two worlds still end bit-identical, because layouts never change
-// results.
+// drifting flock under its frozen first-tick layout piles every row into
+// the boundary stripe — clamped rows accumulate and the imbalance
+// approaches the partition count, both observable in the counters — and
+// still ends bit-identical to the unpartitioned world, because layouts
+// never change results.
 func TestDriftingFlockClampSkew(t *testing.T) {
 	const n, parts, ticks = 600, 4, 40
 	frozen := driftFlockWorld(t, n, engine.Options{
-		Partitions: parts, Partition: plan.PartitionStripes, Rebalance: plan.RebalanceOff,
-	})
-	adaptive := driftFlockWorld(t, n, engine.Options{
 		Partitions: parts, Partition: plan.PartitionStripes,
 	})
-	for _, w := range []*engine.World{frozen, adaptive} {
+	ref := driftFlockWorld(t, n, engine.Options{})
+	for _, w := range []*engine.World{frozen, ref} {
 		if err := w.Run(ticks); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fs, as := frozen.ExecStats(), adaptive.ExecStats()
-
-	// The skew is observable: the frozen world clamps essentially the whole
-	// population every late tick.
+	fs := frozen.ExecStats()
 	if fs.ClampedRows < int64(n)*int64(ticks)/4 {
 		t.Fatalf("frozen drift clamped only %d row-ticks; skew not observable", fs.ClampedRows)
 	}
-	if fs.RebalanceCount != 0 || fs.EpochID != 1 {
-		t.Fatalf("frozen layout advanced epochs: %d fires, epoch %d", fs.RebalanceCount, fs.EpochID)
-	}
-
-	// The adaptive world re-measures: epochs advance, and the measured
-	// drift margin keeps clamping bounded well below the frozen world.
-	if as.RebalanceCount == 0 || as.EpochID < 2 {
-		t.Fatalf("adaptive drift never rebalanced: %d fires, epoch %d", as.RebalanceCount, as.EpochID)
-	}
-	if as.ClampedRows*2 >= fs.ClampedRows {
-		t.Fatalf("adaptive clamp skew %d not clearly below frozen %d", as.ClampedRows, fs.ClampedRows)
-	}
-	fi, ai := fs.PartImbalance(parts), as.PartImbalance(parts)
-	if ai >= fi {
-		t.Fatalf("adaptive imbalance %.2f did not beat frozen %.2f", ai, fi)
-	}
-	if fi < 2 {
+	if fi := fs.PartImbalance(parts); fi < 2 {
 		t.Fatalf("frozen imbalance %.2f never degraded; drift workload too tame", fi)
 	}
+	if d := diffClassWorlds(ref, frozen, "Boid", []string{"x", "y", "vx", "vy"}, ref.IDs("Boid")); d != "" {
+		t.Fatalf("stale layout diverged from the unpartitioned world: %s", d)
+	}
+}
 
-	// And rebalancing never changed what was computed.
-	if d := diffClassWorlds(frozen, adaptive, "Boid", []string{"x", "y", "vx", "vy"}, frozen.IDs("Boid")); d != "" {
-		t.Fatalf("adaptive layouts diverged from frozen: %s", d)
+// srcWideReach probes a per-row radius, so one row can carry a reach far
+// beyond the measured box.
+const srcWideReach = `
+class P {
+  state:
+    number x = 0;
+    number r = 1;
+    number near = 0;
+  effects:
+    number nb : sum;
+  update:
+    near = nb;
+  run {
+    accum number cnt with sum over P u from P {
+      if (u.x >= x - r && u.x <= x + r) {
+        cnt <- 1;
+      }
+    } in {
+      nb <- cnt;
+    }
+  }
+}
+`
+
+// TestGhostIntervalPastIntOverflow pushes two rows so far past the frozen
+// box that a slot index computed for their ghost interval no longer fits an
+// int. Their owner stays the last stripe, and so must the far end of their
+// ghost interval: a coordinate that wrapped to slot 0 emptied the interval,
+// dropped the rows from every member view, and the partitioned world then
+// counted fewer neighbors than the unpartitioned one.
+func TestGhostIntervalPastIntOverflow(t *testing.T) {
+	sc, err := core.LoadScenario("wide-reach", srcWideReach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worlds []*engine.World
+	var ids []value.ID
+	for _, parts := range []int{0, 4} {
+		w, err := sc.NewWorld(engine.Options{Partitions: parts, Partition: plan.PartitionStripes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = ids[:0]
+		for i := 0; i < 200; i++ {
+			id, err := w.Spawn("P", map[string]value.Value{"x": value.Num(float64(i) / 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		// The first tick measures the box [0, 99.5]; then two rows leave it
+		// by 2e20, where x+r over a 25-unit slot exceeds 2^63.
+		if err := w.RunTick(); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range []struct{ x, r float64 }{{2e20, 1e20}, {2.5e20, 1}} {
+			if err := w.SetState("P", ids[i], "x", value.Num(st.x)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.SetState("P", ids[i], "r", value.Num(st.r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		worlds = append(worlds, w)
+	}
+	if d := diffClassWorlds(worlds[0], worlds[1], "P", []string{"x", "r", "near"}, ids); d != "" {
+		t.Fatalf("partitioned world diverged: %s", d)
+	}
+	if v, _ := worlds[1].Get("P", ids[0], "near"); v.AsNumber() != 2 {
+		t.Fatalf("far row counted %v neighbors, want 2 (itself and its far peer)", v)
 	}
 }
 

@@ -8,8 +8,8 @@ package engine
 // per-dimension reaches around the best-fitting partition axis. A
 // partition's member view is then every source row whose ownership
 // interval — computed with the same clamped-coordinate arithmetic as
-// ownership itself, under whatever layout epoch is current, so float
-// rounding can never drop a boundary ghost — intersects the partition.
+// ownership itself, so float rounding can never drop a boundary ghost —
+// intersects the partition.
 // Sites that cannot be bounded (unbounded or frame-dependent predicates,
 // computed source sets, reactive-handler sites which probe post-update
 // state, hash layouts) fall back to one shared whole-extent index,
@@ -53,10 +53,9 @@ func reachEqual(a, b []dimReach) bool {
 }
 
 // preparePartitionedSites is prepareSites for partitioned worlds: layout
-// maintenance (epoch succession when the rebalancer fires) and ownership
-// rescan, then per site either a shared whole-extent index (with full
-// replication accounted) or per-partition member views and indexes with
-// ghost margins derived from the compiled predicates.
+// measurement (first tick) and ownership rescan, then per site either a
+// shared whole-extent index (with full replication accounted) or per-partition
+// member views and indexes with ghost margins from the compiled predicates.
 func (w *World) preparePartitionedSites() {
 	pw := w.parts
 	track := !w.opts.DisableStats
@@ -65,7 +64,6 @@ func (w *World) preparePartitionedSites() {
 		t0 = time.Now()
 	}
 	w.ensurePartitionLayouts()
-	w.maybeRebalanceLayouts()
 	w.assignPartitions(track)
 	stateVer := w.stateFingerprint()
 

@@ -27,7 +27,7 @@ package engine
 // is logged in the sink tagged with the emitting row and replayed by the
 // merge in ascending row order. Partitioned probes canonicalize candidates
 // to physical-row order (exec.go), so the fold order per accumulator is
-// independent of the split, the layout epoch and the worker schedule: every
+// independent of the split, the layout and the worker schedule: every
 // Workers × Partitions cell is bit-identical to Workers=1, Partitions=1, and
 // without partitions to the serial row loop.
 
@@ -508,8 +508,8 @@ func (w *World) mergeSinks(rt *classRT, sinks []*shardSink, masked bool) {
 			w.execStats.ScalarRows += s.scalarRows
 			w.execStats.HandlerRows += s.handlerRows
 		}
-		if masked {
-			rt.prt.loads[si] += s.load
+		if masked && track {
+			w.parts.loads[si] += s.load
 		}
 		for _, e := range s.extents {
 			e.site.boxExtent.Add(e.ext)

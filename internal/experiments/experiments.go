@@ -457,18 +457,19 @@ func E10(sizes []int) Table {
 	return t
 }
 
-// partitionedTrafficWorld builds the SrcTraffic car scenario with the real
-// engine in partitioned mode, spawned stripe-major so each partition's rows
-// stay in a contiguous span — the shared fixture of E11/E12/E16.
-func partitionedTrafficWorld(cars, parts int, strat plan.PartitionStrategy, seed int64) (*engine.World, error) {
+// stripedTrafficWorld builds the SrcTraffic car scenario with the real
+// engine, spawned stripe-major over the given stripe count so each
+// partition's rows stay in a contiguous span — the shared fixture of
+// E11/E12/E16.
+func stripedTrafficWorld(cars, stripes int, opts engine.Options, seed int64) (*engine.World, error) {
 	net := workload.TrafficNetwork{W: 4000, H: 4000, Roads: 60, Speed: 3}
 	ents := net.Vehicles(cars, seed)
-	core.SortEntitiesByStripe(ents, parts, net.W)
+	core.SortEntitiesByStripe(ents, stripes, net.W)
 	sc, err := core.LoadScenario("traffic-prox", core.SrcTraffic)
 	if err != nil {
 		return nil, err
 	}
-	w, err := sc.NewWorld(engine.Options{Partitions: parts, Partition: strat})
+	w, err := sc.NewWorld(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +494,7 @@ func E11(vehicles int, nodes []int, ticks int) (Table, error) {
 	}
 	for _, k := range nodes {
 		for _, strat := range []plan.PartitionStrategy{plan.PartitionStripes, plan.PartitionHash} {
-			w, err := partitionedTrafficWorld(vehicles, k, strat, 21)
+			w, err := stripedTrafficWorld(vehicles, k, engine.Options{Partitions: k, Partition: strat}, 21)
 			if err != nil {
 				return t, err
 			}
@@ -526,7 +527,7 @@ func E12(vehicles int, nodes []int) (Table, error) {
 	}
 	single := 0.0
 	for i, k := range nodes {
-		w, err := partitionedTrafficWorld(vehicles, k, plan.PartitionStripes, 33)
+		w, err := stripedTrafficWorld(vehicles, k, engine.Options{Partitions: k, Partition: plan.PartitionStripes}, 33)
 		if err != nil {
 			return t, err
 		}

@@ -180,21 +180,35 @@ func TestE16Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 {
+	// One unpartitioned and one partitioned arm per k, same worker count.
+	want := [][2]string{{"1", "0"}, {"1", "1"}, {"4", "0"}, {"4", "4"}}
+	if len(tbl.Rows) != len(want) {
 		t.Fatalf("rows: %d", len(tbl.Rows))
 	}
-	// parts=1 sends nothing; parts=4 must report cross-partition traffic
-	// and positive tick times.
-	if m := num(t, cell(t, tbl, 0, 3)); m != 0 {
-		t.Errorf("single partition sent %v msgs/tick", m)
-	}
-	if m := num(t, cell(t, tbl, 1, 3)); m <= 0 {
-		t.Errorf("4 partitions sent %v msgs/tick, want > 0", m)
-	}
-	for row := 0; row < 2; row++ {
-		if v := num(t, cell(t, tbl, row, 1)); v <= 0 {
+	for row, w := range want {
+		if got := [2]string{cell(t, tbl, row, 0), cell(t, tbl, row, 1)}; got != w {
+			t.Fatalf("row %d is workers/parts %v, want %v", row, got, w)
+		}
+		if v := num(t, cell(t, tbl, row, 2)); v <= 0 {
 			t.Errorf("row %d: non-positive ms/tick %v", row, v)
 		}
+	}
+	// Unpartitioned arms account no messages and are their own baseline;
+	// one partition sends nothing; four must report cross-partition
+	// traffic.
+	for _, row := range []int{0, 2} {
+		if c := cell(t, tbl, row, 5); c != "-" {
+			t.Errorf("row %d: unpartitioned arm reports msgs/tick %q", row, c)
+		}
+		if r := num(t, cell(t, tbl, row, 4)); r != 1 {
+			t.Errorf("row %d: unpartitioned arm is %v× itself", row, r)
+		}
+	}
+	if m := num(t, cell(t, tbl, 1, 5)); m != 0 {
+		t.Errorf("single partition sent %v msgs/tick", m)
+	}
+	if m := num(t, cell(t, tbl, 3, 5)); m <= 0 {
+		t.Errorf("4 partitions sent %v msgs/tick, want > 0", m)
 	}
 }
 

@@ -110,7 +110,7 @@ func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 				vx, vy = vx*s, vy*s
 			}
 		}
-		b := body{id: ids[r], row: int32(r), x: x[r] + vx*cfg.Dt, y: y[r] + vy*cfg.Dt}
+		b := body{id: ids[r], row: int32(r), x: x[r] + float64(vx*cfg.Dt), y: y[r] + float64(vy*cfg.Dt)} // rounded: no FMA
 		if collide {
 			p.bodies = append(p.bodies, b)
 			continue
@@ -181,10 +181,10 @@ func (p *Physics) resolve(bodies []body) {
 					d = 0
 				}
 				push := (r2 - d) / 2
-				bodies[i].x -= nx * push
-				bodies[i].y -= ny * push
-				bodies[j].x += nx * push
-				bodies[j].y += ny * push
+				bodies[i].x -= float64(nx * push) // rounded: no FMA
+				bodies[i].y -= float64(ny * push)
+				bodies[j].x += float64(nx * push)
+				bodies[j].y += float64(ny * push)
 			}
 		}
 		if !moved {

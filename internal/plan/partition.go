@@ -107,150 +107,6 @@ func (c Costs) ChoosePartition(mode PartitionStrategy, parts, axes int, w, h flo
 	return PartitionGrid, bestX, bestY
 }
 
-// RebalancePolicy selects how a partitioned world maintains its layouts
-// across ticks (Options.Rebalance). Layouts are versioned epochs: a
-// rebalance replaces a class's layout with a successor epoch (re-measured
-// bounds or refitted quantile cuts), and the engine's staging discipline
-// keeps any epoch sequence bit-identical to Partitions=1.
-type RebalancePolicy uint8
-
-const (
-	// RebalanceAdaptive lets the cost model re-layout a class whenever the
-	// modeled per-tick imbalance penalty amortizes the re-layout and mass
-	// migration, with hysteresis so layouts cannot thrash (the default).
-	RebalanceAdaptive RebalancePolicy = iota
-	// RebalanceOff freezes every layout at its first-tick epoch (the
-	// pre-epoch behavior; the frozen arm of experiment E17).
-	RebalanceOff
-	// RebalanceEager fires on the raw cost comparison every tick, without
-	// hysteresis or cooldown — a test and ablation knob, not a default.
-	RebalanceEager
-)
-
-func (p RebalancePolicy) String() string {
-	switch p {
-	case RebalanceAdaptive:
-		return "adaptive"
-	case RebalanceOff:
-		return "off"
-	case RebalanceEager:
-		return "eager"
-	default:
-		return fmt.Sprintf("rebalance(%d)", uint8(p))
-	}
-}
-
-// RebalanceAction is the per-class per-tick layout maintenance decision.
-type RebalanceAction uint8
-
-const (
-	// RebalanceNone keeps the current layout epoch.
-	RebalanceNone RebalanceAction = iota
-	// RebalanceWiden re-measures world bounds and refits uniform slots,
-	// widened by the measured drift margin — the move when clamped
-	// (out-of-bounds) rows say the measured box went stale.
-	RebalanceWiden
-	// RebalanceSplit refits population-quantile cut points so hot slots
-	// split — the move when the population clustered inside valid bounds.
-	RebalanceSplit
-)
-
-func (a RebalanceAction) String() string {
-	switch a {
-	case RebalanceNone:
-		return "none"
-	case RebalanceWiden:
-		return "widen"
-	case RebalanceSplit:
-		return "split"
-	default:
-		return fmt.Sprintf("action(%d)", uint8(a))
-	}
-}
-
-// ChooseRebalance is the raw (hysteresis-free) layout maintenance decision
-// for one class this tick. loadMax and loadSum are the previous tick's
-// per-partition row-visit tally (stats.ExecCounters PartLoadMax/PartLoadSum
-// semantics, single tick); migrated and clamped are that tick's boundary
-// migrations and out-of-bounds rows; rows is the class extent.
-//
-// The model compares the per-tick penalty of keeping the layout — the
-// critical-path excess (loadMax − loadSum/parts) plus the boundary-churn
-// term MigrateRow·migrated — against the one-time cost of replacing it,
-// RelayoutRow·rows (bounds re-measure or quantile refit plus the mass
-// migration the new epoch triggers), amortized over RebalanceHorizon ticks.
-// The action is RebalanceWiden when clamped rows say the measured box went
-// stale (drift), RebalanceSplit otherwise (clustering).
-func (c Costs) ChooseRebalance(loadMax, loadSum float64, parts, rows, migrated, clamped int) RebalanceAction {
-	if parts <= 1 || rows <= 0 || loadSum <= 0 {
-		return RebalanceNone
-	}
-	stay := (loadMax - loadSum/float64(parts)) + c.MigrateRow*float64(migrated)
-	move := c.RelayoutRow * float64(rows)
-	if stay*c.RebalanceHorizon <= move {
-		return RebalanceNone
-	}
-	if clamped*16 >= rows {
-		return RebalanceWiden
-	}
-	return RebalanceSplit
-}
-
-// Rebalancer wraps ChooseRebalance with the hysteresis that keeps layouts
-// from thrashing: the raw decision must hold for HoldTicks consecutive
-// ticks before an action fires, and after a fire the class is held out for
-// CooldownTicks (a fresh epoch's mass migration must not immediately count
-// as churn evidence for the next one). The zero value is not ready; use
-// NewRebalancer.
-type Rebalancer struct {
-	Costs         Costs
-	Policy        RebalancePolicy
-	HoldTicks     int
-	CooldownTicks int
-
-	wins     int
-	cooldown int
-	fires    int64
-}
-
-// NewRebalancer returns a rebalancer with the calibrated default
-// hysteresis.
-func NewRebalancer(costs Costs, policy RebalancePolicy) *Rebalancer {
-	return &Rebalancer{Costs: costs, Policy: policy, HoldTicks: 3, CooldownTicks: 8}
-}
-
-// Fires returns how many rebalances have fired.
-func (r *Rebalancer) Fires() int64 { return r.fires }
-
-// Decide folds one tick of load feedback and returns the action to take
-// now: RebalanceNone while the evidence is young, cooling down, or the
-// policy is off; otherwise the action that has won HoldTicks in a row.
-func (r *Rebalancer) Decide(loadMax, loadSum float64, parts, rows, migrated, clamped int) RebalanceAction {
-	if r.Policy == RebalanceOff {
-		return RebalanceNone
-	}
-	if r.cooldown > 0 {
-		r.cooldown--
-		r.wins = 0
-		return RebalanceNone
-	}
-	act := r.Costs.ChooseRebalance(loadMax, loadSum, parts, rows, migrated, clamped)
-	if act == RebalanceNone {
-		r.wins = 0
-		return RebalanceNone
-	}
-	if r.Policy != RebalanceEager {
-		r.wins++
-		if r.wins < r.HoldTicks {
-			return RebalanceNone
-		}
-		r.cooldown = r.CooldownTicks
-	}
-	r.wins = 0
-	r.fires++
-	return act
-}
-
 // InteractionRadius derives the reach of an accum join's probe boxes around
 // per-row anchor positions, for one range dimension against one candidate
 // partition axis: pos[i] is probing row i's position on the axis and

@@ -92,99 +92,3 @@ func TestInteractionRadius(t *testing.T) {
 		t.Fatalf("no-rows reach = %v/%v", rLo, rHi)
 	}
 }
-
-// TestChooseRebalance pins the raw layout-maintenance cost comparison: a
-// balanced class never rebalances, a skewed one does once the critical-path
-// excess amortizes the re-layout, clamp-dominated skew widens bounds while
-// in-bounds clustering splits cuts, and degenerate inputs stay put.
-func TestChooseRebalance(t *testing.T) {
-	c := DefaultCosts()
-	const parts, rows = 4, 10000
-	if a := c.ChooseRebalance(2500, 10000, parts, rows, 0, 0); a != RebalanceNone {
-		t.Fatalf("balanced load rebalanced: %v", a)
-	}
-	// One partition holds everything: excess = 7500/tick, re-layout =
-	// 3·10000 one-time — fires within the default 30-tick horizon.
-	if a := c.ChooseRebalance(10000, 10000, parts, rows, 0, 0); a != RebalanceSplit {
-		t.Fatalf("clustered skew: %v, want split", a)
-	}
-	// Same skew but most rows clamp outside the measured box: drift, so
-	// the fix is re-measured, widened bounds.
-	if a := c.ChooseRebalance(10000, 10000, parts, rows, 0, rows/2); a != RebalanceWiden {
-		t.Fatalf("clamp-dominated skew: %v, want widen", a)
-	}
-	// Boundary churn alone (balanced loads, heavy migration) also pays.
-	if a := c.ChooseRebalance(2500, 10000, parts, rows, 2000, 0); a == RebalanceNone {
-		t.Fatal("migration churn never amortized a re-layout")
-	}
-	for _, a := range []RebalanceAction{
-		c.ChooseRebalance(10000, 10000, 1, rows, 0, 0),
-		c.ChooseRebalance(10000, 10000, parts, 0, 0, 0),
-		c.ChooseRebalance(0, 0, parts, rows, 0, 0),
-	} {
-		if a != RebalanceNone {
-			t.Fatalf("degenerate input rebalanced: %v", a)
-		}
-	}
-}
-
-// TestRebalancerHysteresis pins the thrash guard: the raw decision must win
-// HoldTicks consecutive ticks, a fire starts a cooldown, an interleaved
-// balanced tick resets the streak, RebalanceOff never fires, and
-// RebalanceEager fires on raw evidence alone.
-func TestRebalancerHysteresis(t *testing.T) {
-	const parts, rows = 4, 10000
-	skew := func(r *Rebalancer) RebalanceAction {
-		return r.Decide(10000, 10000, parts, rows, 0, 0)
-	}
-	balanced := func(r *Rebalancer) RebalanceAction {
-		return r.Decide(2500, 10000, parts, rows, 0, 0)
-	}
-
-	r := NewRebalancer(DefaultCosts(), RebalanceAdaptive)
-	for i := 0; i < r.HoldTicks-1; i++ {
-		if a := skew(r); a != RebalanceNone {
-			t.Fatalf("fired after %d ticks of evidence: %v", i+1, a)
-		}
-	}
-	if a := skew(r); a != RebalanceSplit {
-		t.Fatalf("HoldTicks of evidence did not fire: %v", a)
-	}
-	if r.Fires() != 1 {
-		t.Fatalf("fires = %d", r.Fires())
-	}
-	// Cooldown: the same evidence is ignored for CooldownTicks, then the
-	// streak must rebuild from zero.
-	for i := 0; i < r.CooldownTicks+r.HoldTicks-1; i++ {
-		if a := skew(r); a != RebalanceNone {
-			t.Fatalf("fired during cooldown/streak rebuild (tick %d): %v", i, a)
-		}
-	}
-	if a := skew(r); a != RebalanceSplit {
-		t.Fatal("evidence after cooldown did not fire")
-	}
-
-	// A balanced tick in the middle of a streak resets it.
-	r2 := NewRebalancer(DefaultCosts(), RebalanceAdaptive)
-	skew(r2)
-	skew(r2)
-	balanced(r2)
-	if a := skew(r2); a != RebalanceNone || r2.Fires() != 0 {
-		t.Fatalf("streak survived a balanced tick: %v (fires %d)", a, r2.Fires())
-	}
-
-	off := NewRebalancer(DefaultCosts(), RebalanceOff)
-	for i := 0; i < 20; i++ {
-		if a := skew(off); a != RebalanceNone {
-			t.Fatalf("RebalanceOff fired: %v", a)
-		}
-	}
-
-	eager := NewRebalancer(DefaultCosts(), RebalanceEager)
-	if a := skew(eager); a != RebalanceSplit {
-		t.Fatalf("eager did not fire immediately: %v", a)
-	}
-	if a := skew(eager); a != RebalanceSplit {
-		t.Fatalf("eager must ignore cooldown: %v", a)
-	}
-}

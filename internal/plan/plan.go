@@ -202,15 +202,6 @@ type Costs struct {
 	TxnBatchSetup  float64
 	TxnViewRow     float64
 
-	// Layout maintenance (partitioned execution): the per-tick penalty
-	// weight of one boundary migration under the current layout, the
-	// one-time per-row cost of installing a successor layout epoch
-	// (re-measure/quantile refit + mass migration), and the tick horizon
-	// the one-time cost amortizes over. See ChooseRebalance.
-	MigrateRow       float64
-	RelayoutRow      float64
-	RebalanceHorizon float64
-
 	// Subscription views (internal/views): the per-kernel-op cost of
 	// filtering one changed-row candidate through a subscription's mask
 	// kernel (gather + compact-lane eval + membership merge) versus
@@ -262,10 +253,6 @@ func DefaultCosts() Costs {
 		TxnBatchLane:   1.5,
 		TxnBatchSetup:  32,
 		TxnViewRow:     0.35,
-
-		MigrateRow:       2.0,
-		RelayoutRow:      3.0,
-		RebalanceHorizon: 30,
 
 		ViewDeltaRow: 2.0,
 		ViewScanRow:  1.0,

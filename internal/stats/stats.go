@@ -31,7 +31,7 @@ func (e *EMA) Add(x float64) {
 		e.v, e.init = x, true
 		return
 	}
-	e.v += e.alpha * (x - e.v)
+	e.v += float64(e.alpha * (x - e.v)) // rounded product: no FMA on any GOARCH
 }
 
 // Value returns the current average (0 before any sample).
@@ -137,8 +137,9 @@ func (r *Reservoir) Spread() (varX, varY float64) {
 	}
 	mx, my := sx/n, sy/n
 	for _, p := range r.pts {
-		varX += (p[0] - mx) * (p[0] - mx)
-		varY += (p[1] - my) * (p[1] - my)
+		dx, dy := p[0]-mx, p[1]-my
+		varX += float64(dx * dx) // rounded products: no FMA on any GOARCH
+		varY += float64(dy * dy)
 	}
 	return varX / n, varY / n
 }
@@ -205,26 +206,17 @@ type ExecCounters struct {
 	// crossed a partition boundary during the update step). PartBytes is the
 	// modeled wire volume of all three. GhostRows counts resident ghost
 	// replicas across all partition indexes, summed per tick (an occupancy
-	// metric, charged even when the index is reused).
+	// metric, charged even when the index is reused). ClampedRows counts
+	// row-ticks whose position fell outside their layout's measured box and
+	// clamped into an edge partition — the §4.2 skew signal that shows a
+	// frozen layout going stale.
 	PartMsgsGhost   int64
 	PartMsgsEffect  int64
 	PartMsgsMigrate int64
 	PartBytes       int64
 	GhostRows       int64
 	MigratedRows    int64
-
-	// Layout-epoch accounting (adaptive repartitioning). RebalanceCount
-	// counts layout replacements (a class's layout advancing to a successor
-	// epoch — re-measured bounds or refitted quantile cuts); RebalanceNanos
-	// is the wall time spent deriving those successors. EpochID is the
-	// highest layout epoch any class has reached (1 = every layout still on
-	// its first-tick measurement). ClampedRows counts row-ticks whose
-	// position fell outside their layout's measured box and clamped into an
-	// edge partition — the §4.2 skew signal that drives RebalanceWiden.
-	RebalanceCount int64
-	RebalanceNanos int64
-	EpochID        int64
-	ClampedRows    int64
+	ClampedRows     int64
 
 	// Kernel-fusion accounting. FusedOps is a build-time gauge: the number
 	// of superinstructions the vexpr peephole pass produced across every

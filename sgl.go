@@ -61,10 +61,6 @@ type (
 	// PartitionStrategy selects the shared-nothing partition layout
 	// (see Options.Partitions / Options.Partition).
 	PartitionStrategy = plan.PartitionStrategy
-	// RebalancePolicy selects how partitioned layouts evolve across
-	// ticks (see Options.Rebalance): adaptive layout epochs by default,
-	// frozen first-tick layouts with RebalanceOff.
-	RebalancePolicy = plan.RebalancePolicy
 	// UpdateComponent is a non-scripted owner of state attributes
 	// (physics, pathfinding, ...; §2.2 of the paper).
 	UpdateComponent = engine.UpdateComponent
@@ -138,20 +134,6 @@ const (
 	PartitionStripes = plan.PartitionStripes
 	PartitionGrid    = plan.PartitionGrid
 	PartitionHash    = plan.PartitionHash
-)
-
-// Layout rebalance policies (see Options.Rebalance). Partition layouts are
-// versioned epochs: under the default RebalanceAdaptive the cost model
-// replaces a class's layout — re-measured drift-widened bounds, or
-// population-quantile cuts that split hot partitions — whenever the modeled
-// imbalance penalty amortizes the re-layout plus mass migration, with
-// hysteresis so layouts never thrash. RebalanceOff freezes every layout at
-// its first-tick epoch (the frozen arm experiment E17 measures against).
-// Every policy, like every layout, produces bit-identical worlds.
-const (
-	RebalanceAdaptive = plan.RebalanceAdaptive
-	RebalanceOff      = plan.RebalanceOff
-	RebalanceEager    = plan.RebalanceEager
 )
 
 // Value constructors.
