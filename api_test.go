@@ -274,7 +274,7 @@ func TestExecModeOptions(t *testing.T) {
 	}
 	worlds := map[sgl.ExecMode]*sgl.World{}
 	var ids []sgl.ID
-	for _, mode := range []sgl.ExecMode{sgl.ExecScalar, sgl.ExecVectorized, sgl.ExecAuto} {
+	for _, mode := range []sgl.ExecMode{sgl.ExecScalar, sgl.ExecVectorized} {
 		w, err := g.NewWorld(sgl.Options{Exec: mode})
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +297,7 @@ func TestExecModeOptions(t *testing.T) {
 	}
 	for _, id := range ids {
 		want := worlds[sgl.ExecScalar].MustGet("Unit", id, "health")
-		for _, mode := range []sgl.ExecMode{sgl.ExecVectorized, sgl.ExecAuto} {
+		for _, mode := range []sgl.ExecMode{sgl.ExecVectorized} {
 			if got := worlds[mode].MustGet("Unit", id, "health"); !got.Equal(want) {
 				t.Fatalf("%v: unit %d health %v, scalar %v", mode, id, got, want)
 			}

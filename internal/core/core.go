@@ -469,7 +469,7 @@ func MustLoad(name, src string) *Scenario {
 // NewWorld instantiates the engine for the scenario, reusing the cached
 // compilation so repeated instantiation pays only per-world state.
 func (s *Scenario) NewWorld(opts engine.Options) (*engine.World, error) {
-	return engine.NewFromCompiled(s.Compiled(opts.Unfused), opts)
+	return engine.NewFromCompiled(s.Compiled(false), opts)
 }
 
 // NewBaseline instantiates the object-at-a-time interpreter.

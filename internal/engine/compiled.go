@@ -3,8 +3,8 @@ package engine
 // The shared compilation layer behind the many-world server's plan cache.
 // Everything about a program that is immutable after build — the static
 // analysis, the vectorized update/phase kernels, the batched-join and
-// batched-admission analyses, per-class cost weights — compiles once into a
-// Compiled and is shared by every World instantiated from it. 10k rooms
+// batched-admission analyses — compiles once into a Compiled and is shared
+// by every World instantiated from it. 10k rooms
 // running the same script then hold one copy of the kernel programs; and
 // because vexpr machines cache their carved slabs per *Prog, a pooled
 // machine checked out by any of those rooms is already warm for exactly the
@@ -51,17 +51,15 @@ type Compiled struct {
 }
 
 // compiledClass is the shareable half of a class runtime: schema, plan,
-// analysis slice, column layout, cost weights and batch kernels. The
-// per-world half (table, effect accumulators, scratch) lives in classRT.
+// analysis slice, column layout and batch kernels. The per-world half
+// (table, effect accumulators, scratch) lives in classRT.
 type compiledClass struct {
-	name        string
-	cls         *schema.Class
-	plan        *compile.ClassPlan
-	ai          *analysis.Class
-	cols        []table.Column
-	hasRule     []bool
-	phaseCost   []float64
-	handlerCost float64
+	name    string
+	cls     *schema.Class
+	plan    *compile.ClassPlan
+	ai      *analysis.Class
+	cols    []table.Column
+	hasRule []bool
 
 	// vec holds the class's compiled batch kernels, or nil when nothing
 	// about the class is vectorizable.
@@ -73,8 +71,11 @@ type compiledClass struct {
 // NewFromCompiled calls.
 func Compile(prog *compile.Program) *Compiled { return compileProgram(prog, false) }
 
-// CompileUnfused compiles with the post-compile kernel optimizer disabled —
-// the benchmark arm matching Options.Unfused.
+// CompileUnfused compiles with the post-compile kernel optimizer disabled
+// (no superinstruction fusion, no invariant hoisting): the same closure
+// chain runs the unfused instruction list. Benchmark arms build their
+// worlds from it with NewFromCompiled to measure the fusion delta
+// (E13/E15); production callers use Compile.
 func CompileUnfused(prog *compile.Program) *Compiled { return compileProgram(prog, true) }
 
 func compileProgram(prog *compile.Program, unfused bool) *Compiled {
@@ -104,13 +105,6 @@ func compileProgram(prog *compile.Program, unfused bool) *Compiled {
 		}
 		for _, u := range cp.Updates {
 			cc.hasRule[u.AttrIdx] = true
-		}
-		cc.phaseCost = make([]float64, len(cp.Phases))
-		for p, steps := range cp.Phases {
-			cc.phaseCost[p] = stepsCost(steps)
-		}
-		for _, h := range cp.Handlers {
-			cc.handlerCost += 1 + stepsCost(h.Body)
 		}
 		c.classes[cls.Name] = cc
 		c.order = append(c.order, cc)
@@ -150,7 +144,7 @@ func compileProgram(prog *compile.Program, unfused bool) *Compiled {
 
 // kernelOpts is the standard vexpr compilation configuration: the caller's
 // slot gate, the shared string dictionary (string EQ/NEQ and string-valued
-// payloads compile to code-lane kernels), and the Unfused benchmark switch.
+// payloads compile to code-lane kernels), and CompileUnfused's switch.
 func (c *Compiled) kernelOpts(slotOK func(int) bool) vexpr.Opts {
 	return vexpr.Opts{SlotOK: slotOK, Dict: c.dict, NoOpt: c.unfused}
 }

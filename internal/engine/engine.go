@@ -26,31 +26,32 @@ import (
 type Options struct {
 	// Workers caps the worker pool of the sharded tick driver (effect
 	// phase, update rules, reactive handlers); 0 or 1 runs every pass as one
-	// shard on the calling goroutine. The pool is a ceiling, not a mandate:
-	// per class and tick the cost model decides how many batch-aligned row
-	// shards are worth fanning out, so small extents run inline regardless
-	// of Workers. End states are bit-identical across worker counts: shards
-	// log their emissions and the logs replay in row order.
+	// shard on the calling goroutine. A pass splits into min(Workers,
+	// batch-aligned shards) row shards, so an extent of one vexpr batch or
+	// less runs inline regardless of Workers. End states are bit-identical
+	// across worker counts: shards log their emissions and the logs replay
+	// in row order.
 	Workers int
 	// Strategy forces a single physical strategy for every accum join
 	// (plan.Auto enables adaptive selection, the default).
 	Strategy plan.Strategy
 	// Exec selects scalar closure vs vectorized batch execution for update
-	// rules and simple effect phases. The default (plan.ExecAuto) lets the
-	// cost model vectorize every extent large enough to amortize batch
-	// setup; plan.ExecScalar and plan.ExecVectorized force one path. Exec
-	// and Workers compose: within each shard, vectorized phases run their
-	// kernels over the shard's lanes and every other row runs the scalar
-	// row loop. End states are bit-identical across Exec modes and worker
-	// counts.
+	// rules and simple effect phases. The default (plan.ExecVectorized)
+	// runs a phase as kernels when it compiled to kernels, its accum sites
+	// all hoist, no tracer is installed and some live row is at it; update
+	// rules that compiled run as kernels whenever the class has live rows.
+	// plan.ExecScalar forces the closure evaluator. Exec and Workers
+	// compose: within each shard, vectorized phases run their kernels over
+	// the shard's lanes and every other row runs the scalar row loop. End
+	// states are bit-identical across Exec modes and worker counts.
 	Exec plan.ExecMode
 	// Join selects how accum-join matches execute: the interpreted per-match
 	// loop body (plan.JoinScalar), or the batched driver (plan.JoinBatched)
 	// that gathers candidate rows through the index's row probe, re-checks
 	// the split predicate over raw columns and — for single-emission bodies
 	// over columnar payloads — folds contributions through batch kernels.
-	// The default (plan.JoinAuto) decides per site and tick from match-
-	// cardinality feedback. Both paths produce bit-identical results.
+	// The default (plan.JoinBatched) batches every site the compiler gave a
+	// batch analysis. Both paths produce bit-identical results.
 	Join plan.JoinMode
 	// Partitions > 0 enables shared-nothing partitioned execution (§4.2):
 	// each class extent splits into spatial partitions and every partition
@@ -80,19 +81,14 @@ type Options struct {
 	// validates the independent ones whole-batch against a columnar
 	// tentative view through vexpr constraint kernels, and fans true
 	// conflict groups out across the worker pool (partition-major when
-	// partitioned). The default (plan.TxnAuto) decides per tick from the
-	// cost model with batch-fraction feedback. Every mode, worker count and
+	// partitioned). The default (plan.TxnBatched) batches a tick's
+	// transactions whenever every one has an analyzable atomic site, and
+	// falls back to the serial loop otherwise. Every mode, worker count and
 	// partition count produces bit-identical admission outcomes — commit/
 	// abort sets and effect-buffer contents — to the serial loop.
 	Txn plan.TxnMode
 	// DisableStats turns off runtime statistics collection (experiment E8).
 	DisableStats bool
-	// Unfused compiles every vexpr kernel with the post-compile optimizer
-	// disabled (no superinstruction fusion, no invariant hoisting): the
-	// same closure chain runs the unfused instruction list.
-	// Benchmark arms use it to measure the fusion delta (E13/E15);
-	// production callers leave it false.
-	Unfused bool
 }
 
 // World is a running game: tables for every class, compiled plans, effect
@@ -174,9 +170,7 @@ type World struct {
 	// run through numeric kernels instead of falling back to closures.
 	dict *table.Dict
 
-	// execCosts models the scalar-vs-vectorized trade-off (§4.1's cost
-	// model, extended to execution mode); execStats tallies which path ran.
-	execCosts plan.Costs
+	// execStats tallies which execution path ran.
 	execStats stats.ExecCounters
 
 	// gatherFn is the pre-bound gatherState method value; binding it once
@@ -228,14 +222,10 @@ type classRT struct {
 	// batch of probing rows (siteBatch.hoist); siteRT.hoistIdx indexes it.
 	hoist []*siteRT
 
-	// phaseCost and handlerCost are crude per-row work weights (step
-	// counts, accum loops weighted heavily) feeding the parallelism axis
-	// of the cost model; countsBuf and vecSelBuf are per-tick scratch for
-	// the two-axis effect-phase decision.
-	phaseCost   []float64
-	handlerCost float64
-	countsBuf   []int
-	vecSelBuf   []bool
+	// countsBuf and vecSelBuf are per-tick scratch for the effect-phase
+	// exec decision.
+	countsBuf []int
+	vecSelBuf []bool
 
 	fx []fxColumn
 
@@ -319,7 +309,7 @@ func (c *stageCol) ensure(capacity int) {
 // compiles and instantiates in one step. Many-world callers Compile once and
 // call NewFromCompiled per world.
 func New(prog *compile.Program, opts Options) (*World, error) {
-	return NewFromCompiled(compileProgram(prog, opts.Unfused), opts)
+	return NewFromCompiled(Compile(prog), opts)
 }
 
 // NewFromCompiled instantiates a World over a shared compilation. Only the
@@ -330,9 +320,6 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if opts.Unfused != c.unfused {
-		return nil, fmt.Errorf("engine: Options.Unfused=%v does not match the compiled plan (unfused=%v)", opts.Unfused, c.unfused)
-	}
 	w := &World{
 		prog:       c.prog,
 		compiled:   c,
@@ -341,7 +328,6 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 		compByName: make(map[string]UpdateComponent),
 		siteIndex:  make(map[*compile.AccumStep]*siteRT),
 		opts:       opts,
-		execCosts:  plan.DefaultCosts(),
 		nextID:     1,
 		dict:       c.dict,
 	}
@@ -352,16 +338,14 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 	}
 	for _, cc := range c.order {
 		rt := &classRT{
-			name:        cc.name,
-			cls:         cc.cls,
-			plan:        cc.plan,
-			tab:         table.NewWithDict(cc.name, cc.cols, c.dict),
-			pcCol:       len(cc.cls.State),
-			ai:          cc.ai,
-			hasRule:     cc.hasRule,
-			phaseCost:   cc.phaseCost,
-			handlerCost: cc.handlerCost,
-			stage:       make([]stageCol, len(cc.cls.State)),
+			name:    cc.name,
+			cls:     cc.cls,
+			plan:    cc.plan,
+			tab:     table.NewWithDict(cc.name, cc.cols, c.dict),
+			pcCol:   len(cc.cls.State),
+			ai:      cc.ai,
+			hasRule: cc.hasRule,
+			stage:   make([]stageCol, len(cc.cls.State)),
 		}
 		for i, a := range cc.cls.State {
 			rt.stage[i].boxed = a.Kind == value.KindString || a.Kind == value.KindSet

@@ -442,8 +442,7 @@ func (w *World) decideSite(site *siteRT) (srcRT *classRT, n, p int) {
 		site.strategy = forceStrategy(
 			site.selector.Choose(site.candidates, n, p, kHat, len(st.Join.Ranges), sstats), site)
 	}
-	site.batched = site.batch != nil &&
-		w.execCosts.ChooseJoin(w.opts.Join, kHat, site.batch.vec) == plan.JoinBatched
+	site.batched = site.batch != nil && w.opts.Join != plan.JoinScalar
 	site.hoisted = site.batched && site.batch.hoist && !w.oneSegment &&
 		(site.strategy == plan.GridIndex || site.strategy == plan.RangeTreeIndex)
 	return srcRT, n, p

@@ -166,7 +166,6 @@ func (w *World) oldCompileVecSteps(rt *classRT, steps []compile.Step, defined ma
 			if s.Slot > vp.maxSlot {
 				vp.maxSlot = s.Slot
 			}
-			vp.kernels += prog.Kernels()
 			vp.needIDs = vp.needIDs || prog.NeedIDs()
 			out = append(out, &vecLet{slot: s.Slot, prog: prog})
 		case *compile.IfStep:
@@ -175,7 +174,6 @@ func (w *World) oldCompileVecSteps(rt *classRT, steps []compile.Step, defined ma
 				return nil, false
 			}
 			st := &vecIf{cond: cond, condBuf: vp.newBuf(), depth: depth}
-			vp.kernels += cond.Kernels()
 			vp.needIDs = vp.needIDs || cond.NeedIDs()
 			if depth+1 > vp.maxDepth {
 				vp.maxDepth = depth + 1
@@ -210,7 +208,6 @@ func (w *World) oldCompileVecSteps(rt *classRT, steps []compile.Step, defined ma
 				return nil, false
 			}
 			st := &vecEmit{attrIdx: s.AttrIdx, kind: kind, val: val, valBuf: vp.newBuf(), keyBuf: -1}
-			vp.kernels += val.Kernels()
 			vp.needIDs = vp.needIDs || val.NeedIDs()
 			if s.KeyFn != nil {
 				key, ok := vexpr.CompileWithSlots(s.KeySrc, slotOK)
@@ -218,7 +215,6 @@ func (w *World) oldCompileVecSteps(rt *classRT, steps []compile.Step, defined ma
 					return nil, false
 				}
 				st.key, st.keyBuf = key, vp.newBuf()
-				vp.kernels += key.Kernels()
 				vp.needIDs = vp.needIDs || key.NeedIDs()
 			}
 			out = append(out, st)
@@ -677,4 +673,14 @@ func (w *World) HoistedSites() int {
 		}
 	}
 	return n
+}
+
+// EffectExec reports the effect-phase exec decision chooseEffectExec makes
+// for the class's current rows: which phases run as kernels, and whether
+// the scalar row loop runs at all.
+func (w *World) EffectExec(class string) (kernels []bool, scalarLoop bool) {
+	vecSel, all := w.chooseEffectExec(w.classes[class])
+	kernels = make([]bool, len(w.classes[class].plan.Phases))
+	copy(kernels, vecSel)
+	return kernels, !all
 }

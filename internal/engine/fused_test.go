@@ -132,17 +132,17 @@ func TestStringEmissionVectorized(t *testing.T) {
 	}
 }
 
-// TestUnfusedDifferential pins Options.Unfused as a pure physical-plan
+// TestUnfusedDifferential pins CompileUnfused as a pure physical-plan
 // switch: disabling fusion/specialization/hoisting must not change any
 // world bit, while the default build must actually fuse something on the
 // fusion-rich traffic workload.
 func TestUnfusedDifferential(t *testing.T) {
-	build := func(opts engine.Options) *engine.World {
+	build := func(unfused bool) *engine.World {
 		sc, err := core.LoadScenario("vehicles", core.SrcVehicles)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := sc.NewWorld(opts)
+		w, err := engine.NewFromCompiled(sc.Compiled(unfused), engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,8 +151,8 @@ func TestUnfusedDifferential(t *testing.T) {
 		}
 		return w
 	}
-	fused := build(engine.Options{Exec: plan.ExecVectorized})
-	plain := build(engine.Options{Exec: plan.ExecVectorized, Unfused: true})
+	fused := build(false)
+	plain := build(true)
 	if fused.ExecStats().FusedOps == 0 {
 		t.Fatal("traffic workload compiled zero superinstructions")
 	}

@@ -88,7 +88,7 @@ func TestParallelCountersMatchSerial(t *testing.T) {
 
 	// rts on the scalar path must count its effect-phase rows too, and on
 	// the kernel path (its phase around a hoisted join) its vector rows.
-	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecAuto} {
+	for _, exec := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
 		sRTS := rtsWorldFor(t, 1200, engine.Options{Workers: 1, Exec: exec})
 		pRTS := rtsWorldFor(t, 1200, engine.Options{Workers: 4, Exec: exec})
 		for _, w := range []*engine.World{sRTS, pRTS} {
@@ -101,7 +101,7 @@ func TestParallelCountersMatchSerial(t *testing.T) {
 			t.Fatalf("rts %v rows: serial %d/%d, parallel %d/%d", exec,
 				ss.ScalarRows, ss.VectorRows, ps.ScalarRows, ps.VectorRows)
 		}
-		if rows := map[plan.ExecMode]int64{plan.ExecScalar: ps.ScalarRows, plan.ExecAuto: ps.VectorRows}[exec]; rows == 0 {
+		if rows := map[plan.ExecMode]int64{plan.ExecScalar: ps.ScalarRows, plan.ExecVectorized: ps.VectorRows}[exec]; rows == 0 {
 			t.Fatalf("rts %v under Workers=4 reported zero effect-phase rows on its path", exec)
 		}
 	}
@@ -340,7 +340,7 @@ func TestParallelMatrixDifferential(t *testing.T) {
 		{4, plan.PartitionGrid}, {4, plan.PartitionStripes},
 	} {
 		for _, wk := range []int{1, 4} {
-			for _, ex := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized, plan.ExecAuto} {
+			for _, ex := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
 				cfgs = append(cfgs, cfg{wk, ex, l})
 			}
 		}

@@ -38,6 +38,7 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -180,7 +181,7 @@ func (w *World) ensurePartitionLayouts() {
 		if len(axes) > 1 {
 			minY, maxY = columnBounds(rt.tab, axes[1])
 		}
-		layout, err := cluster.NewLayout(w.execCosts, mode, pw.n, len(axes), minX, maxX, minY, maxY)
+		layout, err := cluster.NewLayout(plan.DefaultCosts(), mode, pw.n, len(axes), minX, maxX, minY, maxY)
 		if err != nil {
 			// Partitions >= 1 is validated at construction; unreachable.
 			panic(err)
@@ -196,7 +197,8 @@ func (w *World) ensurePartitionLayouts() {
 }
 
 // columnBounds returns the min/max of a numeric column over live rows,
-// ignoring NaNs; a degenerate or empty extent yields a unit box.
+// ignoring NaNs and infinities (an infinite bound would make every slot
+// infinitely wide); a degenerate or empty extent yields a unit box.
 func columnBounds(tab *table.Table, ci int) (lo, hi float64) {
 	col := tab.NumColumn(ci)
 	lo, hi = math.Inf(1), math.Inf(-1)
@@ -205,7 +207,7 @@ func columnBounds(tab *table.Table, ci int) (lo, hi float64) {
 			continue
 		}
 		v := col[r]
-		if math.IsNaN(v) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
 		if v < lo {

@@ -241,6 +241,27 @@ func TestPartitionCounters(t *testing.T) {
 	}
 }
 
+// TestLayoutBoundsIgnoreInfinitePositions pins that a layout is measured
+// over finite positions only: one boid at x = +Inf must not stretch the
+// box to an infinite slot width that puts every row in partition 0.
+func TestLayoutBoundsIgnoreInfinitePositions(t *testing.T) {
+	const parts = 4
+	w := flockWorldFor(t, 400, engine.Options{Partitions: parts})
+	if _, err := w.Spawn("Boid", map[string]value.Value{"x": value.Num(math.Inf(1)), "y": value.Num(450)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	st := w.ExecStats()
+	if imb := st.PartImbalance(parts); imb > 1.5 {
+		t.Fatalf("imbalance %.2f: the +Inf row collapsed the layout", imb)
+	}
+	if st.PartMessages() == 0 {
+		t.Fatal("no cross-partition messages: every row sits in one partition")
+	}
+}
+
 // TestInteractionRadiiExposed pins the derived per-class-pair interaction
 // radius: flock's ±sight box must anchor both dimensions at the maximum
 // sight (20), and an accum with a one-sided (unbounded) range conjunct must

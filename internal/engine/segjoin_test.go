@@ -279,13 +279,13 @@ func sameBits(a, b value.Value) bool {
 // TestSegmentedJoinDifferential pins the segmented batch join and the
 // kernel phase around it: on the rts, arena, Fig2 and duel scripts under
 // spawn/kill churn, dangling targets and a checkpoint → restore, joins
-// hoisted into per-batch probes with the enclosing phase on the cost
-// model's choice and forced onto kernels, the same batched joins run one
+// hoisted into per-batch probes with the enclosing phase on kernels, the
+// same batched joins run one
 // probe at a time, and the scalar join interpreter match the Workers=1
 // unpartitioned ExecScalar reference tick by tick, bit for bit, in every
 // Workers {1, 4} × Partitions {0, 2} cell — and hoisting changes none of
-// the join counters. Unpinned scripts run no scalar row under forced
-// kernels; the pinned duel runs its phase scalar in every arm.
+// the join counters. Unpinned scripts run no scalar row on the kernel arm;
+// the pinned duel runs its phase scalar in every arm.
 func TestSegmentedJoinDifferential(t *testing.T) {
 	for _, sc := range segScenarios() {
 		var ref []segState
@@ -303,21 +303,20 @@ func TestSegmentedJoinDifferential(t *testing.T) {
 							}
 						})
 					}
-					hoisted := arm("hoisted", plan.JoinBatched, plan.ExecAuto, false)
+					hoisted := arm("hoisted", plan.JoinBatched, plan.ExecVectorized, false)
 					if hoisted.HoistedSites() == 0 {
 						t.Fatalf("%s: no site was hoisted", label)
 					}
-					kernel := arm("kernel", plan.JoinBatched, plan.ExecVectorized, false)
-					one := arm("one-segment", plan.JoinBatched, plan.ExecAuto, true)
-					arm("scalar", plan.JoinScalar, plan.ExecAuto, false)
+					one := arm("one-segment", plan.JoinBatched, plan.ExecVectorized, true)
+					arm("scalar", plan.JoinScalar, plan.ExecVectorized, false)
 					hs, os := hoisted.ExecStats(), one.ExecStats()
 					if hs.JoinProbeRows != os.JoinProbeRows || hs.JoinMatchRows != os.JoinMatchRows || hs.JoinBatchedRows != os.JoinBatchedRows {
 						t.Fatalf("%s: join counters hoisted %d/%d/%d, one-segment %d/%d/%d", label,
 							hs.JoinProbeRows, hs.JoinMatchRows, hs.JoinBatchedRows,
 							os.JoinProbeRows, os.JoinMatchRows, os.JoinBatchedRows)
 					}
-					if ks := kernel.ExecStats(); sc.pinned != (ks.ScalarRows > 0) && parts == 0 {
-						t.Fatalf("%s: forced kernels ran %d scalar rows, pinned=%v", label, ks.ScalarRows, sc.pinned)
+					if sc.pinned != (hs.ScalarRows > 0) && parts == 0 {
+						t.Fatalf("%s: kernels ran %d scalar rows, pinned=%v", label, hs.ScalarRows, sc.pinned)
 					}
 				}
 			}

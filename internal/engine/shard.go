@@ -14,8 +14,8 @@ package engine
 //   - Workers <= 1 (or a tracer is installed): one shard spanning the
 //     extent, run inline on the calling goroutine.
 //   - Workers > 1: contiguous row ranges aligned to the vexpr batch size,
-//     as many as plan.Costs.ChooseWorkers says the modeled work amortizes —
-//     often one, so small extents never pay a goroutine.
+//     min(Workers, batch-aligned shards) of them (shardRows), so an extent
+//     of one batch or less never pays a goroutine.
 //   - Partitions > 0: one shard per partition over that partition's owned
 //     row span, executing only the rows the partition owns; spans may
 //     interleave (hash layouts, drifted ownership). Update rules write
@@ -74,31 +74,6 @@ func shardRows(capRows, maxShards int, buf []shard) []shard {
 		buf = append(buf, shard{lo: lo, hi: hi, owner: -1})
 	}
 	return buf
-}
-
-// stepsCost is the crude per-row work weight of a compiled step list used
-// by the parallelism axis: lets, ifs and emissions count one unit, accum
-// loops count far more because each probes an index (or scans an extent)
-// and runs its body per match. It only has to rank extents against the
-// fan-out overhead, not predict wall time.
-func stepsCost(steps []compile.Step) float64 {
-	c := 0.0
-	for _, s := range steps {
-		switch s := s.(type) {
-		case *compile.IfStep:
-			c += 1 + stepsCost(s.Then) + stepsCost(s.Else)
-		case *compile.AtomicStep:
-			c += 1 + stepsCost(s.Body)
-		case *compile.AccumStep:
-			c += 64 + stepsCost(s.Body)
-			if s.Join != nil {
-				c += stepsCost(s.Join.Inner)
-			}
-		default:
-			c++
-		}
-	}
-	return c
 }
 
 // shardSink is what one shard produces during a pass: effect emissions and
@@ -277,9 +252,8 @@ func (w *World) runPool(n, nw int, fn func(slot, i int)) {
 
 // runPass drives one pass: it splits the class extent into shards, runs
 // them — inline when one worker suffices, else across the pool — and folds
-// their sinks back in (shard, row) order. work is the pass's modeled cost,
-// the input of the parallelism axis.
-func (w *World) runPass(p classPass, work float64) {
+// their sinks back in (shard, row) order.
+func (w *World) runPass(p classPass) {
 	rt := p.rt
 	capRows := rt.tab.Cap()
 	emits := p.kind <= passHandlers
@@ -296,7 +270,7 @@ func (w *World) runPass(p classPass, work float64) {
 		}
 	} else {
 		if w.parallelOK() {
-			nw = w.execCosts.ChooseWorkers(w.opts.Workers, work)
+			nw = w.opts.Workers
 		}
 		shards = shardRows(capRows, nw, shards)
 		nw = len(shards)
@@ -544,17 +518,17 @@ func (w *World) mergeSinks(rt *classRT, sinks []*shardSink, masked bool) {
 	}
 }
 
-// runEffectPhase executes the query/effect phase: per class, the phases the
-// cost model vectorizes run as batch kernels over each shard's lanes and
-// every other row runs the scalar step interpreter. The exec-axis decision
-// is taken before the extent is split, so every split vectorizes alike.
+// runEffectPhase executes the query/effect phase: per class, the phases
+// chooseEffectExec selects run as batch kernels over each shard's lanes and
+// every other row runs the scalar step interpreter. The exec decision is
+// taken before the extent is split, so every split vectorizes alike.
 func (w *World) runEffectPhase() {
 	for _, rt := range w.order {
 		if rt.plan.Decl.Run == nil || rt.tab.Len() == 0 {
 			continue
 		}
-		vecSel, vecAll, work := w.chooseEffectExec(rt)
-		w.runPass(classPass{kind: passEffect, rt: rt, vecSel: vecSel, vecAll: vecAll}, work)
+		vecSel, vecAll := w.chooseEffectExec(rt)
+		w.runPass(classPass{kind: passEffect, rt: rt, vecSel: vecSel, vecAll: vecAll})
 	}
 }
 
@@ -566,21 +540,19 @@ func (w *World) runHandlers() {
 		if len(rt.plan.Handlers) == 0 || rt.tab.Len() == 0 {
 			continue
 		}
-		work := w.execCosts.ScalarVisit * float64(rt.tab.Len()) * rt.handlerCost
-		w.runPass(classPass{kind: passHandlers, rt: rt}, work)
+		w.runPass(classPass{kind: passHandlers, rt: rt})
 	}
 }
 
 // runUpdateRules evaluates a class's update rules over old state + combined
-// effects into their next-epoch columns in one pass: batch kernels when the
-// cost model (or Options.Exec) picks the vectorized path, closures for the
-// rest. Every live row stages every rule attribute, so the columns are full
-// and each shard writes just its own rows' cells.
+// effects into their next-epoch columns in one pass: batch kernels for the
+// rules that compiled to them (unless Options.Exec is ExecScalar), closures
+// for the rest. Every live row stages every rule attribute, so the columns
+// are full and each shard writes just its own rows' cells.
 func (w *World) runUpdateRules(rt *classRT) {
-	c, v, n := w.execCosts, rt.vec, rt.tab.Cap()
+	v, n := rt.vec, rt.tab.Cap()
 	p := classPass{kind: passRules, rt: rt, rules: rt.plan.Updates}
-	p.vecOn = v != nil && len(v.updates) > 0 && c.ChooseExec(w.opts.Exec, rt.tab.Len(), n, v.updateKernels) == plan.ExecVectorized
-	work := 0.0
+	p.vecOn = v != nil && len(v.updates) > 0 && w.opts.Exec != plan.ExecScalar && rt.tab.Len() > 0
 	if p.vecOn {
 		v.sc.bindEnv(w, rt)
 		for _, ai := range v.updateFx {
@@ -595,7 +567,6 @@ func (w *World) runUpdateRules(rt *classRT) {
 			rt.stage[u.attrIdx].full = true
 		}
 		p.rules = v.scalarUpdates
-		work = c.VecSetup + c.VecVisit*float64(n*v.updateKernels)
 		if !w.opts.DisableStats {
 			w.execStats.VectorRows += int64(rt.tab.Len() * len(v.updates))
 		}
@@ -607,7 +578,7 @@ func (w *World) runUpdateRules(rt *classRT) {
 	if !w.opts.DisableStats {
 		w.execStats.ScalarRows += int64(rt.tab.Len() * len(p.rules))
 	}
-	w.runPass(p, work+c.ScalarVisit*float64(rt.tab.Len()*len(p.rules)))
+	w.runPass(p)
 }
 
 // runRuleRange evaluates every rule for the live rows in [lo, hi) over old

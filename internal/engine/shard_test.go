@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"repro/internal/compile"
 	"repro/internal/vexpr"
 )
 
@@ -98,29 +97,5 @@ func TestNextRun(t *testing.T) {
 				t.Fatalf("%d runs, want %d", runs, c.runs)
 			}
 		})
-	}
-}
-
-// TestStepsCostWeighting pins the parallelism-axis work weights: an accum
-// join must dominate plain steps by an order of magnitude, so join-heavy
-// classes fan out at smaller extents than emit-only classes.
-func TestStepsCostWeighting(t *testing.T) {
-	if c := stepsCost(nil); c != 0 {
-		t.Fatalf("empty cost = %v", c)
-	}
-	plain := stepsCost([]compile.Step{&compile.LetStep{}, &compile.EmitStep{}})
-	if plain != 2 {
-		t.Fatalf("two plain steps cost %v, want 2", plain)
-	}
-	nested := stepsCost([]compile.Step{&compile.IfStep{
-		Then: []compile.Step{&compile.EmitStep{}},
-		Else: []compile.Step{&compile.EmitStep{}},
-	}})
-	if nested != 3 {
-		t.Fatalf("if with two emits cost %v, want 3", nested)
-	}
-	join := stepsCost([]compile.Step{&compile.AccumStep{Body: []compile.Step{&compile.EmitStep{}}}})
-	if join < 16*plain {
-		t.Fatalf("accum join cost %v does not dominate plain steps (%v)", join, plain)
 	}
 }

@@ -31,7 +31,6 @@ package engine
 import (
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/stats"
 	"repro/internal/value"
 	"repro/internal/vexpr"
 )
@@ -62,7 +61,6 @@ type txnRuntime struct {
 	parts bool // partition routing active this pass
 
 	machine  vexpr.Machine
-	fBatch   stats.EMA
 	ectx     expr.Ctx // committed-state ctx for stable-base resolution
 	baseRead *rowReader
 
@@ -89,7 +87,6 @@ type txnRuntime struct {
 }
 
 func (s *txnRuntime) init(w *World) {
-	s.fBatch = stats.NewEMA(0.3)
 	s.baseRead = &rowReader{}
 	s.ectx.W = w
 	s.ectx.Self = s.baseRead
@@ -104,10 +101,9 @@ func (s *txnRuntime) init(w *World) {
 	s.viewEnv.Gather = w.gatherFn
 }
 
-// txnAdmitMode picks this batch's admission mode: the serial loop whenever
-// any transaction lacks an analyzable site, else the cost model's choice
-// between per-transaction rule replay and batched validation (forcible via
-// Options.Txn). As a side effect it stamps and collects the batch's
+// txnAdmitMode picks this batch's admission mode: the serial loop when
+// Options.Txn forces it or any transaction lacks an analyzable site, else
+// the batched driver. As a side effect it stamps and collects the batch's
 // distinct sites for the batched driver.
 func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 	if w.opts.Txn == plan.TxnScalar {
@@ -116,7 +112,6 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 	s := &w.txnrt
 	s.gen++
 	s.sites = s.sites[:0]
-	viewRows := 0.0
 	for _, t := range txns {
 		if t.step == nil {
 			return plan.TxnScalar
@@ -129,16 +124,9 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 			site.gen = s.gen
 			site.lanes = site.lanes[:0]
 			s.sites = append(s.sites, site)
-			for _, va := range site.views {
-				viewRows += float64(va.rt.tab.Cap())
-			}
 		}
 	}
-	fb := 0.9 // optimistic prior before feedback arrives
-	if s.fBatch.Ready() {
-		fb = s.fBatch.Value()
-	}
-	return w.execCosts.ChooseTxn(w.opts.Txn, float64(len(txns)), viewRows, fb)
+	return plan.TxnBatched
 }
 
 func (s *txnRuntime) find(i int32) int32 {
@@ -204,7 +192,7 @@ func (w *World) admitBatched(txns []*Txn) {
 	s.part = grow(s.part, n)
 	s.cross = grow(s.cross, n)
 	s.parts = w.parts != nil && w.parts.ready
-	considered, crossCount := 0, 0
+	crossCount := 0
 	for i, t := range txns {
 		s.parent[i], s.root[i] = int32(i), int32(i)
 		s.part[i] = -2
@@ -217,7 +205,6 @@ func (w *World) admitBatched(txns []*Txn) {
 			t.Aborted = true
 			continue
 		}
-		considered++
 		w.txnClaim(i, t.rt, int(t.row))
 		for k := range t.fx {
 			w.txnClaim(i, t.fx[k].rt, int(t.fx[k].row))
@@ -330,11 +317,8 @@ func (w *World) admitBatched(txns []*Txn) {
 			}
 		}
 	}
-	pooled := w.runTxnGroups(txns, total)
+	pooled := w.runTxnGroups(txns)
 
-	if considered > 0 {
-		s.fBatch.Add(float64(singles) / float64(considered))
-	}
 	if !w.opts.DisableStats {
 		w.execStats.TxnBatchedRows += int64(singles)
 		w.execStats.TxnParallelGroups += int64(pooled)
@@ -477,7 +461,7 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 
 // runTxnGroups executes the multi-transaction conflict groups, returning
 // how many were dispatched to the worker pool.
-func (w *World) runTxnGroups(txns []*Txn, total int) int {
+func (w *World) runTxnGroups(txns []*Txn) int {
 	s := &w.txnrt
 	if len(s.groups) == 0 {
 		return 0
@@ -497,9 +481,8 @@ func (w *World) runTxnGroups(txns []*Txn, total int) int {
 	}
 	if !s.parts {
 		nw := 1
-		if w.parallelOK() && len(s.groups) > 1 {
-			nw = w.execCosts.ChooseWorkers(w.opts.Workers,
-				w.execCosts.TxnScalarCheck*float64(total))
+		if w.parallelOK() {
+			nw = min(w.opts.Workers, len(s.groups))
 		}
 		if nw <= 1 {
 			for gi := range s.groups {

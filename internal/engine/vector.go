@@ -31,10 +31,10 @@ package engine
 // would interleave the two wrongly, so it stays scalar
 // (analysis.Script.Pinned).
 //
-// The scalar closure evaluator remains the semantic reference; the choice
-// between the two is a physical-plan decision made per class and tick by
-// plan.Costs.ChooseExec (forcible through Options.Exec), composed with the
-// parallelism decision of plan.Costs.ChooseWorkers.
+// The scalar closure evaluator remains the semantic reference. Which path a
+// phase takes is decided per class and tick by chooseEffectExec from what
+// the tree can observe (compiled, hoisted, untraced, populated), and
+// Options.Exec = ExecScalar forces the reference path.
 
 import (
 	"slices"
@@ -71,7 +71,7 @@ type vecEmit struct {
 	keyBuf  int
 	// fold routes contributions through the unboxed payload fold
 	// (Column.AddPayloadRows) instead of constructing a value.Value per
-	// row. Set for payload-kind emissions unless Options.Unfused pins the
+	// row. Set for payload-kind emissions unless CompileUnfused pins the
 	// pre-fusion executor; string emissions always decode at the boundary.
 	fold bool
 
@@ -143,7 +143,6 @@ func (*vecAtomic) vecStep() {}
 // vecPhase is one effect-phase step list compiled to batch form.
 type vecPhase struct {
 	steps    []vecStep
-	kernels  int  // total batch operators, the cost-model work unit
 	needIDs  bool // any kernel reads self()
 	maxSlot  int  // highest frame slot written, -1 if none
 	nBufs    int  // scratch output vectors reserved by emits and ifs
@@ -181,8 +180,7 @@ type vecScratch struct {
 type vecClassProgs struct {
 	updates       []vecUpdateRule
 	scalarUpdates []compile.UpdatePlan // rules that stay on the closure path
-	updateKernels int
-	updateFx      []int // effect attrs read by update kernels
+	updateFx      []int                // effect attrs read by update kernels
 	updateNeedIDs bool
 
 	phases    []*vecPhase // indexed by phase; nil = scalar only
@@ -216,56 +214,44 @@ func (rt *classRT) phaseCounts() []int {
 	return rt.countsBuf
 }
 
-// chooseEffectExec makes the per-class two-axis decision for the effect
-// phase. The exec axis picks, per phase, batch kernels vs the scalar row
-// loop — before the extent is split, so every worker and partition count
-// makes identical choices; the returned work estimate feeds the parallelism
-// axis (plan.Costs.ChooseWorkers). vecSel is nil when no phase vectorizes;
-// all reports that the scalar row loop has nothing to do: every phase with
-// steps vectorizes. A phase whose accum site is not hoisted this tick has
-// no result lane and runs scalar; a phase with targeted emissions or atomic
-// blocks needs all and no second such phase, its appends being the sink's
-// only, ascending row streams. Tracing keeps every phase scalar for the
-// per-emission hook.
-func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool, work float64) {
-	c := w.execCosts
-	vecOK := rt.vec != nil && rt.vec.hasPhases && w.tracer == nil && w.opts.Exec != plan.ExecScalar
-	if !vecOK && (!w.parallelOK() || w.parts != nil) {
-		return nil, false, 0 // neither axis has a choice: spare the per-phase row count
+// chooseEffectExec picks, per phase, batch kernels or the scalar row loop —
+// before the extent is split, so every worker and partition count makes
+// identical choices. A phase runs as kernels when it compiled to them, its
+// accum sites all hoist this tick (an unhoisted site has no result lane), no
+// tracer is installed (tracing keeps every phase scalar for the
+// per-emission hook) and some live row is at it; a phase no live row is at
+// runs neither. A phase with targeted emissions or atomic blocks needs all
+// and no second such phase, its appends being the sink's only, ascending
+// row streams. vecSel is nil when no phase vectorizes; all reports that the
+// scalar row loop has nothing to do.
+func (w *World) chooseEffectExec(rt *classRT) (vecSel []bool, all bool) {
+	if rt.vec == nil || !rt.vec.hasPhases || w.tracer != nil || w.opts.Exec == plan.ExecScalar {
+		return nil, false
 	}
 	counts := rt.phaseCounts()
-	capRows := rt.tab.Cap()
 	vecSel, all = rt.vecSelBuf[:0], true
 	targeted := 0
 	for p, steps := range rt.plan.Phases {
-		on := false
-		if vecOK && len(steps) > 0 {
-			vp := rt.vec.phases[p]
-			on = vp != nil && w.hoistedAll(vp) && c.ChooseExec(w.opts.Exec, counts[p], capRows, vp.kernels) == plan.ExecVectorized
-			if on && vp.ordered() {
-				targeted++
-			}
+		vp := rt.vec.phases[p]
+		on := len(steps) > 0 && counts[p] > 0 && vp != nil && w.hoistedAll(vp)
+		if on && vp.ordered() {
+			targeted++
 		}
-		all = all && (on || len(steps) == 0)
+		all = all && (on || len(steps) == 0 || counts[p] == 0)
 		vecSel = append(vecSel, on)
 	}
 	rt.vecSelBuf = vecSel
 	demote, any := !all || targeted > 1, false
-	for p, steps := range rt.plan.Phases {
+	for p := range vecSel {
 		if vecSel[p] && demote && rt.vec.phases[p].ordered() {
 			vecSel[p], all = false, false
 		}
-		if vecSel[p] {
-			any = true
-			work += c.VecSetup + c.VecVisit*float64(capRows)*float64(rt.vec.phases[p].kernels)
-		} else if len(steps) > 0 {
-			work += c.ScalarVisit * float64(counts[p]) * rt.phaseCost[p]
-		}
+		any = any || vecSel[p]
 	}
 	if !any {
-		return nil, false, work
+		return nil, false
 	}
-	return vecSel, all, work
+	return vecSel, all
 }
 
 // hoistedAll reports that every accum site of the phase hoists this tick.
@@ -294,7 +280,6 @@ func buildVecProgs(c *Compiled, cc *compiledClass) *vecClassProgs {
 			continue
 		}
 		v.updates = append(v.updates, vecUpdateRule{attrIdx: u.AttrIdx, prog: prog})
-		v.updateKernels += prog.Kernels()
 		v.updateNeedIDs = v.updateNeedIDs || prog.NeedIDs()
 		c.addFusedOps(prog)
 		for _, ai := range prog.FxUsed() {
@@ -344,7 +329,6 @@ func compileVecPhase(c *Compiled, cc *compiledClass, steps []compile.Step) *vecP
 func compileVecSteps(c *Compiled, cc *compiledClass, steps []compile.Step, defined map[int]bool, depth int, vp *vecPhase) ([]vecStep, bool) {
 	slotOK := func(slot int) bool { return defined[slot] }
 	kc := func(prog *vexpr.Prog) {
-		vp.kernels += prog.Kernels()
 		vp.needIDs = vp.needIDs || prog.NeedIDs()
 		c.addFusedOps(prog)
 	}

@@ -375,8 +375,9 @@ func (f *flakyComp) Update(ctx *engine.UpdateCtx) error {
 
 // TestVecStagingDiscardedOnError pins a staleness hazard: if a component
 // error aborts the update step after the vectorized rules staged their
-// dense results, those results must be discarded — a later tick that picks
-// the scalar path must not apply tick-old vectors over fresh values.
+// dense results, those results must be discarded — a later tick over a
+// shrunken extent must not apply tick-old vectors over fresh values. Both
+// arms must match after the failed tick.
 func TestVecStagingDiscardedOnError(t *testing.T) {
 	const src = `
 class Bot {
@@ -408,8 +409,8 @@ class Bot {
 		if err := w.RunTick(); err == nil {
 			t.Fatal("first tick must fail")
 		}
-		// Shrink the extent so ExecAuto flips to scalar (stale staged
-		// vectors would now overwrite the scalar results).
+		// Shrink the extent: rows killed since the failed tick must not
+		// resurface through its staged vectors.
 		for _, id := range ids[4:] {
 			if err := w.Kill("Bot", id); err != nil {
 				t.Fatal(err)
@@ -420,13 +421,13 @@ class Bot {
 		}
 		return w
 	}
-	auto := run(plan.ExecAuto)
+	vec := run(plan.ExecVectorized)
 	scalar := run(plan.ExecScalar)
-	for _, id := range auto.IDs("Bot") {
-		av := auto.MustGet("Bot", id, "x")
+	for _, id := range vec.IDs("Bot") {
+		av := vec.MustGet("Bot", id, "x")
 		sv := scalar.MustGet("Bot", id, "x")
 		if !av.Equal(sv) {
-			t.Fatalf("bot %d x: auto %v, scalar %v (stale staged vector applied)", id, av, sv)
+			t.Fatalf("bot %d x: vectorized %v, scalar %v (stale staged vector applied)", id, av, sv)
 		}
 	}
 }

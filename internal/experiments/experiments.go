@@ -563,7 +563,7 @@ func E13(sizes []int, ticks int) (Table, error) {
 		ID:     "E13",
 		Title:  "vectorized batch kernels vs scalar closures (traffic workload)",
 		Header: []string{"vehicles", "baseline ms/tick", "scalar ms/tick", "unfused ms/tick", "fused ms/tick", "vec speedup", "fused speedup", "vec rows %"},
-		Notes:  "vec speedup = scalar/fused; fused speedup = unfused/fused (fusion+hoisting delta; both arms run one closure per kernel op); vec rows % = share of row evaluations run through batch kernels under ExecAuto",
+		Notes:  "vec speedup = scalar/fused; fused speedup = unfused/fused (fusion+hoisting delta; both arms run one closure per kernel op); vec rows % = share of row evaluations run through batch kernels under the default Options",
 	}
 	sc := core.MustLoad("vehicles", core.SrcVehicles)
 	for _, n := range sizes {
@@ -578,18 +578,22 @@ func E13(sizes []int, ticks int) (Table, error) {
 			return t, err
 		}
 
-		arms := []engine.Options{
-			{Exec: plan.ExecScalar},
-			{Exec: plan.ExecVectorized, Unfused: true},
-			{Exec: plan.ExecVectorized},
+		arms := []struct {
+			opts    engine.Options
+			unfused bool
+		}{
+			{engine.Options{Exec: plan.ExecScalar}, false},
+			{engine.Options{}, true},
+			{engine.Options{}, false},
 		}
 		// The vectorized arms run an order of magnitude faster than the
 		// scalar ones, so they get proportionally more measured ticks to
 		// keep the unfused/fused ratio out of timer noise.
 		vecTicks := ticks * 10
 		times := make([]time.Duration, len(arms))
-		for i, opts := range arms {
-			w, err := sc.NewWorld(opts)
+		var fused *engine.World
+		for i, arm := range arms {
+			w, err := engine.NewFromCompiled(sc.Compiled(arm.unfused), arm.opts)
 			if err != nil {
 				return t, err
 			}
@@ -597,48 +601,37 @@ func E13(sizes []int, ticks int) (Table, error) {
 				return t, err
 			}
 			armTicks := ticks
-			if opts.Exec == plan.ExecVectorized {
+			if arm.opts.Exec != plan.ExecScalar {
 				armTicks = vecTicks
 			}
 			if times[i], err = tickTime(w.RunTick, armTicks); err != nil {
 				return t, err
 			}
+			fused = w
 		}
-		scalar, unfused, fused := times[0], times[1], times[2]
-
-		auto, err := sc.NewWorld(engine.Options{})
-		if err != nil {
-			return t, err
-		}
-		if _, err := core.PopulateVehicles(auto, ps); err != nil {
-			return t, err
-		}
-		if _, err = tickTime(auto.RunTick, ticks); err != nil {
-			return t, err
-		}
+		scalar, unfused, fusedT := times[0], times[1], times[2]
 
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), ms(blTime), ms(scalar), ms(unfused), ms(fused),
-			fmt.Sprintf("%.1fx", float64(scalar)/float64(fused)),
-			fmt.Sprintf("%.2fx", float64(unfused)/float64(fused)),
-			fmt.Sprintf("%.0f%%", auto.ExecStats().VectorFraction()*100),
+			fmt.Sprint(n), ms(blTime), ms(scalar), ms(unfused), ms(fusedT),
+			fmt.Sprintf("%.1fx", float64(scalar)/float64(fusedT)),
+			fmt.Sprintf("%.2fx", float64(unfused)/float64(fusedT)),
+			fmt.Sprintf("%.0f%%", fused.ExecStats().VectorFraction()*100),
 		})
 	}
 	return t, nil
 }
 
 // E14 measures the sharded parallel×vectorized executor: worker scaling on
-// the traffic workload for forced-scalar vs forced-vectorized shards vs the
-// two-axis cost model (ExecAuto), against the Workers=1/scalar reference.
-// The composition claim is that Workers=N + vectorized shards beats both
-// Workers=N scalar (the old parallel path) and Workers=1 vectorized (the
-// old batch path).
+// the traffic workload for scalar vs vectorized shards, against the
+// Workers=1/scalar reference. The composition claim is that Workers=N +
+// vectorized shards beats both Workers=N scalar (the old parallel path) and
+// Workers=1 vectorized (the old batch path).
 func E14(vehicles int, workers []int, ticks int) (Table, error) {
 	t := Table{
 		ID:     "E14",
 		Title:  fmt.Sprintf("sharded parallel×vectorized ticks (traffic, %d vehicles)", vehicles),
-		Header: []string{"workers", "scalar ms/tick", "vectorized ms/tick", "auto ms/tick", "auto speedup", "shards/tick"},
-		Notes:  "speedup vs workers=1 scalar; shards/tick = shards dispatched to the pool under ExecAuto (0 = extent ran inline)",
+		Header: []string{"workers", "scalar ms/tick", "vectorized ms/tick", "vectorized speedup", "shards/tick"},
+		Notes:  "speedup vs workers=1 scalar; shards/tick = shards dispatched to the pool on the vectorized arm (0 = extent ran inline)",
 	}
 	sc := core.MustLoad("vehicles", core.SrcVehicles)
 	ps := workload.Uniform(vehicles, 4000, 4000, 1)
@@ -646,7 +639,7 @@ func E14(vehicles int, workers []int, ticks int) (Table, error) {
 	for _, wk := range workers {
 		times := map[plan.ExecMode]time.Duration{}
 		shards := int64(0)
-		for _, mode := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized, plan.ExecAuto} {
+		for _, mode := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized} {
 			w, err := sc.NewWorld(engine.Options{Workers: wk, Exec: mode})
 			if err != nil {
 				return t, err
@@ -659,7 +652,7 @@ func E14(vehicles int, workers []int, ticks int) (Table, error) {
 				return t, err
 			}
 			times[mode] = d
-			if mode == plan.ExecAuto {
+			if mode == plan.ExecVectorized {
 				shards = w.ExecStats().ParallelShards / int64(ticks)
 			}
 		}
@@ -668,8 +661,8 @@ func E14(vehicles int, workers []int, ticks int) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(wk),
-			ms(times[plan.ExecScalar]), ms(times[plan.ExecVectorized]), ms(times[plan.ExecAuto]),
-			fmt.Sprintf("%.1fx", float64(base)/float64(times[plan.ExecAuto])),
+			ms(times[plan.ExecScalar]), ms(times[plan.ExecVectorized]),
+			fmt.Sprintf("%.1fx", float64(base)/float64(times[plan.ExecVectorized])),
 			fmt.Sprint(shards),
 		})
 	}

@@ -18,13 +18,13 @@ import (
 // strategy selection and the same per-tick indexes; only match execution
 // differs — interpreted loop body per candidate versus batch-gathered rows,
 // split-predicate re-check over raw columns and columnar contribution folds.
-// The last columns expose the new join/index counters on the auto arm.
+// The last columns expose the join/index counters of the batched arm.
 func E15(sizes map[string][]int, ticks int) (Table, error) {
 	t := Table{
 		ID:     "E15",
 		Title:  "batched vs scalar join execution (single core, ms/tick)",
-		Header: []string{"workload", "n", "scalar", "batched", "unfused", "auto", "batched speedup", "fused speedup", "cand/probe", "build ms/tick"},
-		Notes:  "batched speedup = scalar/batched; fused speedup = unfused/batched (residual-mask and fold kernels with fusion disabled) — expect ~1x here: candidate gather and index build dominate batched join ticks, so the fusion delta concentrates in E13's per-object kernels; cand/probe and index build time measured on the batched arm; strategies adapt identically in every arm",
+		Header: []string{"workload", "n", "scalar", "batched", "unfused", "batched speedup", "fused speedup", "cand/probe", "build ms/tick"},
+		Notes:  "batched speedup = scalar/batched; fused speedup = unfused/batched (residual-mask and fold kernels with fusion disabled) — expect ~1x here: candidate gather and index build dominate batched join ticks, so the fusion delta concentrates in E13's per-object kernels; cand/probe and index build time measured on the batched arm; strategies adapt identically in every arm; captured on " + hostStamp(),
 	}
 	type wk struct {
 		name     string
@@ -59,16 +59,18 @@ func E15(sizes map[string][]int, ticks int) (Table, error) {
 			return t, err
 		}
 		for _, n := range sizes[wl.name] {
-			arms := []engine.Options{
-				{Join: plan.JoinScalar},
-				{Join: plan.JoinBatched},
-				{Join: plan.JoinBatched, Unfused: true},
-				{Join: plan.JoinAuto},
+			arms := []struct {
+				join    plan.JoinMode
+				unfused bool
+			}{
+				{plan.JoinScalar, false},
+				{plan.JoinBatched, false},
+				{plan.JoinBatched, true},
 			}
 			times := make([]time.Duration, len(arms))
 			var candPerProbe, buildMS float64
-			for i, opts := range arms {
-				w, err := sc.NewWorld(opts)
+			for i, arm := range arms {
+				w, err := engine.NewFromCompiled(sc.Compiled(arm.unfused), engine.Options{Join: arm.join})
 				if err != nil {
 					return t, err
 				}
@@ -79,24 +81,25 @@ func E15(sizes map[string][]int, ticks int) (Table, error) {
 				// one; more measured ticks keep the unfused/batched ratio
 				// out of timer noise.
 				armTicks := ticks
-				if opts.Join == plan.JoinBatched {
+				if arm.join == plan.JoinBatched {
 					armTicks = ticks * 5
 				}
 				if times[i], err = tickTime(w.RunTick, armTicks); err != nil {
 					return t, err
 				}
-				if opts.Join == plan.JoinBatched && !opts.Unfused {
+				if arm.join == plan.JoinBatched && !arm.unfused {
 					st := w.ExecStats()
 					if st.JoinProbeRows > 0 {
 						candPerProbe = float64(st.JoinBatchedRows) / float64(st.JoinProbeRows)
 					}
-					buildMS = float64(st.IndexBuildNanos) / 1e6 / float64(ticks)
+					// Counters span the warmup tick too.
+					buildMS = float64(st.IndexBuildNanos) / 1e6 / float64(armTicks+1)
 				}
 			}
-			scalar, batched, unfused, auto := times[0], times[1], times[2], times[3]
+			scalar, batched, unfused := times[0], times[1], times[2]
 			t.Rows = append(t.Rows, []string{
 				wl.name, fmt.Sprint(n),
-				ms(scalar), ms(batched), ms(unfused), ms(auto),
+				ms(scalar), ms(batched), ms(unfused),
 				fmt.Sprintf("%.1fx", float64(scalar)/float64(batched)),
 				fmt.Sprintf("%.2fx", float64(unfused)/float64(batched)),
 				fmt.Sprintf("%.1f", candPerProbe),

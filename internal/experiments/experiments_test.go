@@ -231,7 +231,64 @@ func TestE13Shape(t *testing.T) {
 		t.Fatalf("vec rows cell %q is not numeric: %v", cell(t, tbl, 0, 7), err)
 	}
 	if f < 99 {
-		t.Errorf("ExecAuto must fully vectorize the traffic workload, got %v%%", f)
+		t.Errorf("the default Options must fully vectorize the traffic workload, got %v%%", f)
+	}
+}
+
+// TestE14Shape pins E14's arms: scalar and vectorized shards per worker
+// count, with the shards the vectorized arm dispatched.
+func TestE14Shape(t *testing.T) {
+	tbl, err := E14(3000, []int{1, 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"workers", "scalar ms/tick", "vectorized ms/tick", "vectorized speedup", "shards/tick"}
+	if strings.Join(tbl.Header, "|") != strings.Join(want, "|") {
+		t.Fatalf("header %q, want %q", tbl.Header, want)
+	}
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("rows: %d", len(tbl.Rows))
+	}
+	for row := range tbl.Rows {
+		for col := 1; col <= 3; col++ {
+			if v := num(t, cell(t, tbl, row, col)); v <= 0 {
+				t.Errorf("row %d column %d: non-positive %v", row, col, v)
+			}
+		}
+	}
+	// 3000 rows are three vexpr batches: Workers=1 runs inline, Workers=2
+	// dispatches two shards per pass.
+	if s := num(t, cell(t, tbl, 0, 4)); s != 0 {
+		t.Errorf("Workers=1 dispatched %v shards/tick", s)
+	}
+	if s := num(t, cell(t, tbl, 1, 4)); s <= 0 {
+		t.Errorf("Workers=2 dispatched %v shards/tick", s)
+	}
+}
+
+// TestE15Shape pins E15's arms: scalar, batched and unfused batched joins
+// per workload and size, with the batched arm's join counters.
+func TestE15Shape(t *testing.T) {
+	tbl, err := E15(map[string][]int{"fig2": {300}, "rts": {300}, "flock": {300}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"workload", "n", "scalar", "batched", "unfused", "batched speedup", "fused speedup", "cand/probe", "build ms/tick"}
+	if strings.Join(tbl.Header, "|") != strings.Join(want, "|") {
+		t.Fatalf("header %q, want %q", tbl.Header, want)
+	}
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("rows: %d", len(tbl.Rows))
+	}
+	for row := range tbl.Rows {
+		for col := 2; col <= 4; col++ {
+			if v := num(t, cell(t, tbl, row, col)); v <= 0 {
+				t.Errorf("row %d column %d: non-positive time %v", row, col, v)
+			}
+		}
+		if c := num(t, cell(t, tbl, row, 7)); c <= 0 {
+			t.Errorf("row %d: batched arm reports %v candidates per probe", row, c)
+		}
 	}
 }
 

@@ -48,89 +48,78 @@ func (s Strategy) String() string {
 }
 
 // ExecMode selects how per-row expression work (update rules and simple
-// effect-phase scripts) is executed: through the scalar closure evaluator
-// of package expr, or through the vectorized batch kernels of package
-// vexpr that stream whole column slices set-at-a-time.
+// effect-phase scripts) is executed: through the vectorized batch kernels
+// of package vexpr that stream whole column slices set-at-a-time (the
+// default), or through the scalar closure evaluator of package expr.
 type ExecMode uint8
 
 const (
-	// ExecAuto lets the cost model pick per class and tick (the default).
-	ExecAuto ExecMode = iota
-	// ExecScalar forces the closure evaluator everywhere.
+	// ExecVectorized runs every phase and update rule that compiled to
+	// kernels as kernels (the default); the rest runs scalar.
+	ExecVectorized ExecMode = iota
+	// ExecScalar forces the closure evaluator everywhere: the reference
+	// arm of the differential walls.
 	ExecScalar
-	// ExecVectorized forces batch kernels wherever an expression compiled
-	// to one (non-columnar expressions still run scalar).
-	ExecVectorized
 )
 
 func (m ExecMode) String() string {
 	switch m {
-	case ExecAuto:
-		return "auto"
-	case ExecScalar:
-		return "scalar"
 	case ExecVectorized:
 		return "vectorized"
+	case ExecScalar:
+		return "scalar"
 	default:
 		return fmt.Sprintf("exec(%d)", uint8(m))
 	}
 }
 
-// JoinMode selects how accum-join matches execute: through the scalar
-// interpreted loop body, or through the batched driver that gathers
-// candidate rows, re-checks the split predicate and folds contributions
-// columnar.
+// JoinMode selects how accum-join matches execute: through the batched
+// driver that gathers candidate rows, re-checks the split predicate and
+// folds contributions columnar (the default), or through the scalar
+// interpreted loop body.
 type JoinMode uint8
 
 const (
-	// JoinAuto lets the cost model pick per site and tick (the default).
-	JoinAuto JoinMode = iota
+	// JoinBatched runs every site with an analyzed join through the batched
+	// driver (the default); general-form accums still run scalar.
+	JoinBatched JoinMode = iota
 	// JoinScalar forces the interpreted per-match body everywhere.
 	JoinScalar
-	// JoinBatched forces the batch-gathered driver wherever the site has an
-	// analyzed join (general-form accums still run scalar).
-	JoinBatched
 )
 
 func (m JoinMode) String() string {
 	switch m {
-	case JoinAuto:
-		return "auto"
-	case JoinScalar:
-		return "scalar"
 	case JoinBatched:
 		return "batched"
+	case JoinScalar:
+		return "scalar"
 	default:
 		return fmt.Sprintf("join(%d)", uint8(m))
 	}
 }
 
 // TxnMode selects how transaction admission (§3.1) executes: through the
-// serial object-at-a-time greedy loop, or through the batched driver that
-// groups conflict-independent transactions, validates the independent ones
-// whole-batch against a columnar tentative view, and fans true conflict
-// groups out across the worker pool.
+// batched driver that groups conflict-independent transactions, validates
+// the independent ones whole-batch against a columnar tentative view, and
+// fans true conflict groups out across the worker pool (the default), or
+// through the serial object-at-a-time greedy loop.
 type TxnMode uint8
 
 const (
-	// TxnAuto lets the cost model pick per tick (the default).
-	TxnAuto TxnMode = iota
+	// TxnBatched admits a batch through the batched driver whenever every
+	// transaction's atomic block is analyzable (the default); otherwise the
+	// batch falls back to the serial loop.
+	TxnBatched TxnMode = iota
 	// TxnScalar forces the serial per-transaction greedy loop.
 	TxnScalar
-	// TxnBatched forces the grouped/batched admission driver wherever the
-	// program's atomic blocks are analyzable (unanalyzable constraint read
-	// sets still fall back to the serial loop).
-	TxnBatched
 )
 
 func (m TxnMode) String() string {
 	switch m {
-	case TxnAuto:
-		return "auto"
-	case TxnScalar:
-		return "scalar"
 	case TxnBatched:
 		return "batched"
+	case TxnScalar:
+		return "scalar"
 	default:
 		return fmt.Sprintf("txn(%d)", uint8(m))
 	}
@@ -167,8 +156,11 @@ func (m ViewMode) String() string {
 }
 
 // Costs holds the tunable constants of the cost model, in abstract units of
-// "one row visit". Defaults were calibrated on the bench workloads; the
-// ablation bench E7b perturbs them.
+// "one row visit". They are hand-set, not calibrated: only ViewProbe was
+// ever checked against a measurement. They feed the decisions that stay
+// cost-based — the accum-join strategy (Selector), the view maintenance mode
+// (ChooseView, ChooseViewIndex) and the hibernation horizon; the execution
+// axes (Exec, Join, Txn, Workers) follow structural rules in the engine.
 type Costs struct {
 	NLVisit    float64 // visiting one source row in a nested loop
 	GridBuild  float64 // inserting one row into the grid
@@ -176,31 +168,6 @@ type Costs struct {
 	TreeBuild  float64 // amortized per-row tree build cost (× log n)
 	TreeProbe  float64 // per-probe search cost (× log² n)
 	MatchVisit float64 // evaluating residual + contributions per match
-
-	ScalarVisit float64 // interpreting one closure tree for one row
-	VecVisit    float64 // streaming one row through one batch kernel
-	VecSetup    float64 // per-extent fixed cost (effect/id vector builds)
-
-	WorkerSpawn float64 // dispatching one worker shard (goroutine + barrier share)
-
-	// Join-execution axis: interpreting one candidate through the scalar
-	// loop body versus gathering and folding it in the batched driver
-	// (cheaper again when the contribution folds columnar), plus the fixed
-	// per-probe overhead of setting the batch up.
-	JoinScalarMatch float64
-	JoinBatchRow    float64
-	JoinBatchRowVec float64
-	JoinBatchProbe  float64
-
-	// Transaction-admission axis (§3.1): validating one transaction through
-	// the serial greedy loop (per-candidate rule replay) versus streaming it
-	// through a batched constraint lane, plus the fixed batch setup and the
-	// per-row cost of materializing the columnar tentative view the lanes
-	// read. See ChooseTxn.
-	TxnScalarCheck float64
-	TxnBatchLane   float64
-	TxnBatchSetup  float64
-	TxnViewRow     float64
 
 	// Subscription views (internal/views): the per-kernel-op cost of
 	// filtering one changed-row candidate through a subscription's mask
@@ -228,7 +195,7 @@ type Costs struct {
 	HibernateRow float64
 }
 
-// DefaultCosts returns the calibrated defaults.
+// DefaultCosts returns the hand-set defaults.
 func DefaultCosts() Costs {
 	return Costs{
 		NLVisit:    1.0,
@@ -237,22 +204,6 @@ func DefaultCosts() Costs {
 		TreeBuild:  2.5,
 		TreeProbe:  1.5,
 		MatchVisit: 1.2,
-
-		ScalarVisit: 1.0,
-		VecVisit:    0.3,
-		VecSetup:    48,
-
-		WorkerSpawn: 512,
-
-		JoinScalarMatch: 3.0,
-		JoinBatchRow:    1.0,
-		JoinBatchRowVec: 0.35,
-		JoinBatchProbe:  4.0,
-
-		TxnScalarCheck: 14.0,
-		TxnBatchLane:   1.5,
-		TxnBatchSetup:  32,
-		TxnViewRow:     0.35,
 
 		ViewDeltaRow: 2.0,
 		ViewScanRow:  1.0,
@@ -315,103 +266,6 @@ func (c Costs) HibernateHorizon(rows int) int {
 		h = 1
 	}
 	return h
-}
-
-// ChooseJoin resolves the join-execution mode for one accum site this tick:
-// forced modes pass through; JoinAuto compares the modeled per-probe cost of
-// interpreting kHat matches through the loop body against batch-gathering
-// them (with the cheaper fold rate when the contribution is vectorizable).
-// Sites with very low match cardinality stay scalar — the batch setup cannot
-// amortize.
-func (c Costs) ChooseJoin(mode JoinMode, kHat float64, vecInner bool) JoinMode {
-	if mode != JoinAuto {
-		return mode
-	}
-	row := c.JoinBatchRow
-	if vecInner {
-		row = c.JoinBatchRowVec
-	}
-	scalar := c.JoinScalarMatch * kHat
-	batched := c.JoinBatchProbe + row*kHat
-	if batched < scalar {
-		return JoinBatched
-	}
-	return JoinScalar
-}
-
-// ChooseTxn resolves the transaction-admission mode for one tick's batch:
-// forced modes pass through; TxnAuto compares the modeled cost of replaying
-// n candidates through the serial greedy loop against batching them —
-// fixed setup, one tentative-view row per affected lane (viewRows), the
-// batchable fraction fBatch of candidates streamed through constraint
-// kernels, and the remainder still validated serially (conflict groups).
-// fBatch is per-tick feedback: the observed fraction of singleton
-// (conflict-independent) transactions, analogous to ChooseJoin's k̂. Tiny
-// batches stay scalar — the view and setup cannot amortize.
-func (c Costs) ChooseTxn(mode TxnMode, n, viewRows, fBatch float64) TxnMode {
-	if mode != TxnAuto {
-		return mode
-	}
-	if n <= 0 {
-		return TxnScalar
-	}
-	if fBatch < 0 {
-		fBatch = 0
-	} else if fBatch > 1 {
-		fBatch = 1
-	}
-	scalar := c.TxnScalarCheck * n
-	batched := c.TxnBatchSetup + c.TxnViewRow*viewRows +
-		c.TxnBatchLane*n*fBatch + c.TxnScalarCheck*n*(1-fBatch)
-	if batched < scalar {
-		return TxnBatched
-	}
-	return TxnScalar
-}
-
-// ChooseWorkers is the parallelism axis of the two-axis execution model: it
-// picks how many of maxWorkers are worth fanning out for one class extent
-// whose modeled per-tick work is `work` cost units (from the same scale as
-// ChooseExec: scalar rows × kernels, or vector lanes × kernels). Parallel
-// cost is work/k + WorkerSpawn·k, minimized at k* = √(work/WorkerSpawn), so
-// small extents return 1 and stay on the calling goroutine — goroutine
-// fan-out must never be paid where a serial pass is cheaper.
-func (c Costs) ChooseWorkers(maxWorkers int, work float64) int {
-	if maxWorkers <= 1 || work <= 0 || c.WorkerSpawn <= 0 {
-		return 1
-	}
-	k := int(math.Sqrt(work / c.WorkerSpawn))
-	if k < 1 {
-		k = 1
-	}
-	if k > maxWorkers {
-		k = maxWorkers
-	}
-	return k
-}
-
-// ChooseExec resolves an execution mode for one batch of expression work
-// this tick: forced modes pass through, and ExecAuto compares the modeled
-// cost of interpreting rows × kernels closure nodes against streaming
-// lanes × kernels batch lanes plus fixed setup. rows is the number of rows
-// the scalar path would actually visit (live rows at the right script
-// phase); lanes is the number of physical lanes the kernels stream (the
-// table capacity — batch execution cannot skip holes or other phases).
-// Small or sparse extents stay scalar; everything else vectorizes — the
-// paper's set-at-a-time default.
-func (c Costs) ChooseExec(mode ExecMode, rows, lanes, kernels int) ExecMode {
-	if mode != ExecAuto {
-		return mode
-	}
-	if rows <= 0 || kernels <= 0 {
-		return ExecScalar
-	}
-	scalar := c.ScalarVisit * float64(rows) * float64(kernels)
-	vec := c.VecSetup + c.VecVisit*float64(lanes)*float64(kernels)
-	if vec < scalar {
-		return ExecVectorized
-	}
-	return ExecScalar
 }
 
 // Selector picks a strategy for one accum site and applies hysteresis.

@@ -102,64 +102,8 @@ func TestAutoInitializesToFirstCandidate(t *testing.T) {
 	}
 }
 
-func TestChooseExec(t *testing.T) {
-	c := DefaultCosts()
-	if got := c.ChooseExec(ExecScalar, 1<<20, 1<<20, 4); got != ExecScalar {
-		t.Errorf("forced scalar: %v", got)
-	}
-	if got := c.ChooseExec(ExecVectorized, 1, 1, 1); got != ExecVectorized {
-		t.Errorf("forced vectorized: %v", got)
-	}
-	if got := c.ChooseExec(ExecAuto, 0, 0, 4); got != ExecScalar {
-		t.Errorf("empty extent: %v", got)
-	}
-	if got := c.ChooseExec(ExecAuto, 4, 4, 1); got != ExecScalar {
-		t.Errorf("tiny extent must stay scalar (setup does not amortize): %v", got)
-	}
-	if got := c.ChooseExec(ExecAuto, 10000, 10000, 3); got != ExecVectorized {
-		t.Errorf("large extent must vectorize: %v", got)
-	}
-	// Sparse selection: scalar touches 100 rows while kernels would
-	// stream 10000 lanes (e.g. many script phases or a mostly-dead table).
-	if got := c.ChooseExec(ExecAuto, 100, 10000, 3); got != ExecScalar {
-		t.Errorf("sparse extent must stay scalar: %v", got)
-	}
-}
-
-func TestChooseWorkers(t *testing.T) {
-	c := DefaultCosts()
-	if got := c.ChooseWorkers(1, 1e9); got != 1 {
-		t.Errorf("single worker: %v", got)
-	}
-	if got := c.ChooseWorkers(8, 0); got != 1 {
-		t.Errorf("no work: %v", got)
-	}
-	// A few hundred rows of trivial work must never pay goroutine fan-out.
-	if got := c.ChooseWorkers(8, 300); got != 1 {
-		t.Errorf("tiny extent must stay serial: %v", got)
-	}
-	// A 100k-row extent with a handful of kernels saturates the pool.
-	if got := c.ChooseWorkers(8, 100_000*5); got != 8 {
-		t.Errorf("large extent must use the full pool: %v", got)
-	}
-	// Mid-size work picks an intermediate fan-out (√(work/spawn)).
-	mid := c.ChooseWorkers(16, 5000)
-	if mid <= 1 || mid >= 16 {
-		t.Errorf("mid extent fan-out = %v, want 1 < k < 16", mid)
-	}
-	// Monotone in work: more work never chooses fewer workers.
-	prev := 0
-	for _, work := range []float64{100, 1000, 10_000, 100_000, 1_000_000} {
-		k := c.ChooseWorkers(8, work)
-		if k < prev {
-			t.Errorf("fan-out not monotone: work %v -> %d after %d", work, k, prev)
-		}
-		prev = k
-	}
-}
-
 func TestExecModeString(t *testing.T) {
-	for m, want := range map[ExecMode]string{ExecAuto: "auto", ExecScalar: "scalar", ExecVectorized: "vectorized"} {
+	for m, want := range map[ExecMode]string{ExecVectorized: "vectorized", ExecScalar: "scalar", ExecMode(2): "exec(2)"} {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", m, m.String(), want)
 		}

@@ -156,8 +156,8 @@ type ExecCounters struct {
 	ScalarRows int64
 	// ParallelShards counts row shards dispatched to the worker pool (a
 	// class extent that stays serial contributes nothing); it exposes the
-	// parallelism axis of the two-axis execution decision the same way
-	// VectorRows/ScalarRows expose the exec-mode axis.
+	// parallelism axis the same way VectorRows/ScalarRows expose the
+	// exec-mode axis.
 	ParallelShards int64
 	// HandlerRows counts row evaluations of reactive-handler conditions.
 	HandlerRows int64

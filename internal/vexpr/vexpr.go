@@ -172,9 +172,9 @@ func (p *Prog) NeedIDs() bool { return p.needIDs }
 func (p *Prog) FxUsed() []int { return p.fxUsed }
 
 // Kernels returns the number of per-batch operators the program executes —
-// the work unit of the plan cost model. Fusion and invariant hoisting shrink
-// this count, which is how ChooseExec/ChooseJoin learn the fused fast path's
-// true cost without new tuning constants.
+// the work unit of the view cost model (ChooseViewIndex). Fusion and
+// invariant hoisting shrink this count, so the fused fast path is costed as
+// it runs without new tuning constants.
 func (p *Prog) Kernels() int { return p.kernels }
 
 // Column reports that the program is a bare own-row column load, and which

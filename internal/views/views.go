@@ -25,8 +25,7 @@
 //     of every subscription filtering every touched row (subindex.go);
 //   - plan.Costs arbitrates index probe vs per-subscription maintenance per
 //     group per tick (ChooseViewIndex), and delta-maintain vs rescan per
-//     subscription per tick (ChooseView), from the same cost vocabulary as
-//     ChooseExec;
+//     subscription per tick (ChooseView), in plan.Costs' row-visit units;
 //   - spatial interest subscriptions build rectangular predicates whose
 //     reach plan.InteractionRadius bounds — the same box the partitioned
 //     executor ghosts, which is why the changefeed (and thus every view)

@@ -41,10 +41,9 @@ type (
 	BaselineWorld = baseline.World
 	// Options configure engine execution (parallelism, plan forcing,
 	// scalar vs vectorized expression execution). Workers and Exec are
-	// independent axes decided per class and tick by the cost model:
-	// Workers > 1 shards the effect phase, update rules and handlers
-	// across a worker pool, and vectorized phases run their batch
-	// kernels per shard. End states are bit-identical across worker
+	// independent axes: Workers > 1 shards the effect phase, update rules
+	// and handlers across a worker pool, and vectorized phases run their
+	// batch kernels per shard. End states are bit-identical across worker
 	// counts and Exec modes. See README's options table.
 	Options = engine.Options
 	// Strategy selects a physical accum-join strategy.
@@ -86,39 +85,37 @@ const (
 )
 
 // Execution modes for per-row expression work (see Options.Exec). The
-// default ExecAuto vectorizes every extent large enough to amortize batch
-// setup; numeric-only rules and simple effect phases then run as columnar
-// batch kernels instead of per-object closures. With Options.Workers > 1
-// the kernels additionally run shard-parallel across the worker pool.
+// default ExecVectorized runs numeric-only rules and simple effect phases
+// as columnar batch kernels instead of per-object closures wherever they
+// compiled; ExecScalar forces the closures. With Options.Workers > 1 the
+// kernels additionally run shard-parallel across the worker pool.
 const (
-	ExecAuto       = plan.ExecAuto
-	ExecScalar     = plan.ExecScalar
 	ExecVectorized = plan.ExecVectorized
+	ExecScalar     = plan.ExecScalar
 )
 
 // Join-execution modes for accum joins (see Options.Join). The default
-// JoinAuto batches any site whose match cardinality amortizes the batch
-// setup: candidate rows are gathered through the index in bulk, the join
-// predicate is re-checked over raw columns instead of re-interpreting the
-// loop body, and single-emission contributions fold through batch kernels.
+// JoinBatched batches every site with an analyzed join: candidate rows are
+// gathered through the index in bulk, the join predicate is re-checked over
+// raw columns instead of re-interpreting the loop body, and single-emission
+// contributions fold through batch kernels. JoinScalar forces the
+// interpreted loop body.
 const (
-	JoinAuto    = plan.JoinAuto
-	JoinScalar  = plan.JoinScalar
 	JoinBatched = plan.JoinBatched
+	JoinScalar  = plan.JoinScalar
 )
 
-// Transaction-admission modes (§3.1; see Options.Txn). The default TxnAuto
-// batches admission whenever enough transactions arrive per tick to
-// amortize building the columnar tentative view: conflict-free
+// Transaction-admission modes (§3.1; see Options.Txn). The default
+// TxnBatched admits a tick's transactions through the batched driver
+// whenever every atomic block among them is analyzable: conflict-free
 // transactions validate whole-batch through vexpr constraint kernels, true
 // conflict groups replay serially (fanned across the worker pool, routed
-// partition-locally when partitioned execution is active). Every mode,
-// worker count and partition count produces bit-identical admission
-// outcomes under every policy.
+// partition-locally when partitioned execution is active). TxnScalar forces
+// the serial loop. Every mode, worker count and partition count produces
+// bit-identical admission outcomes under every policy.
 const (
-	TxnAuto    = plan.TxnAuto
-	TxnScalar  = plan.TxnScalar
 	TxnBatched = plan.TxnBatched
+	TxnScalar  = plan.TxnScalar
 )
 
 // Partition layouts for shared-nothing partitioned execution (§4.2; see
