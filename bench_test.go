@@ -224,7 +224,8 @@ func BenchmarkE6_Reactive(b *testing.B) {
 	}
 }
 
-// E7 — §4.1: adaptive plan selection vs static plans across regimes.
+// E7 — §4.1: the default plan (index by predicate shape) vs static plans
+// across alternating regimes.
 
 func BenchmarkE7_Adaptive(b *testing.B) {
 	for _, cfg := range []struct {
@@ -233,7 +234,7 @@ func BenchmarkE7_Adaptive(b *testing.B) {
 	}{
 		{"staticNL", plan.NestedLoop},
 		{"staticTree", plan.RangeTreeIndex},
-		{"adaptive", plan.Auto},
+		{"default", plan.Auto},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			const n = 2000

@@ -2,8 +2,8 @@
 // architecture of the paper — scripted targeting via an accum maxby join,
 // movement intentions flowing as avg-combined effects into a physics update
 // component that owns the position attributes (§2.2), reactive low-health
-// handlers, and per-tick adaptive plan selection as the battle shifts from
-// marching (spread out) to melee (clustered).
+// handlers, and the spatial index the targeting join's predicate shape names
+// (a grid over the armies as they march and then melee).
 package main
 
 import (
@@ -85,8 +85,7 @@ func main() {
 			}
 		}
 		a0, a1 := casualties()
-		fmt.Printf("tick %3d: blue %3d alive, red %3d alive, plan switches so far %d\n",
-			world.Tick(), a0, a1, world.PlanSwitches())
+		fmt.Printf("tick %3d: blue %3d alive, red %3d alive\n", world.Tick(), a0, a1)
 	}
 	for _, s := range world.SiteStrategies() {
 		fmt.Println("final plan:", s)

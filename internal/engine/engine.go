@@ -4,7 +4,8 @@
 // (§3.1), an update step in which strictly partitioned update components
 // compute new state (§2.2), and a reactive-handler step that arms effects
 // for the next tick (§3.2). Accum-loop joins are executed through per-tick
-// spatial/hash indexes chosen adaptively per site (§4.1, §4.2).
+// spatial/hash indexes chosen per site by the join predicate's shape (§4.1,
+// §4.2).
 package engine
 
 import (
@@ -32,8 +33,9 @@ type Options struct {
 	// across worker counts: shards log their emissions and the logs replay
 	// in row order.
 	Workers int
-	// Strategy forces a single physical strategy for every accum join
-	// (plan.Auto enables adaptive selection, the default).
+	// Strategy forces a single physical strategy for every accum join that
+	// can run it. The default (plan.Auto) gives each site the index its
+	// predicate's shape names: grid, range tree, hash or nested loop.
 	Strategy plan.Strategy
 	// Exec selects scalar closure vs vectorized batch execution for update
 	// rules and simple effect phases. The default (plan.ExecVectorized)
@@ -457,18 +459,13 @@ func (w *World) AddInspector(i Inspector) { w.inspectors = append(w.inspectors, 
 // Tick returns the current tick number (number of completed ticks).
 func (w *World) Tick() int64 { return w.tick }
 
-// PlanSwitches returns the total number of adaptive plan switches across
-// all accum sites (§4.1).
-func (w *World) PlanSwitches() int64 {
-	var n int64
-	for _, s := range w.sites {
-		n += s.selector.Switches()
-	}
-	return n
-}
+// PlanSwitches always returns 0: each accum site's strategy follows its
+// predicate's shape and never switches. It is kept because the benchmark
+// harness reads it.
+func (w *World) PlanSwitches() int64 { return 0 }
 
 // SiteStrategies reports each accum site's current physical strategy, for
-// the debugger and the adaptive-optimization experiments.
+// the debugger and the plan experiments.
 func (w *World) SiteStrategies() []string {
 	out := make([]string, 0, len(w.sites))
 	for _, s := range w.sites {
@@ -746,8 +743,8 @@ type Emission struct {
 	SetInsert bool
 }
 
-// siteRT is the per-accum-site runtime: adaptive selector, statistics, the
-// compile-time batch plan, and the per-partition prepared indexes. A
+// siteRT is the per-accum-site runtime: the grid's cell-size statistics,
+// the compile-time batch plan, and the per-partition prepared indexes. A
 // non-partitioned world (and every site the partitioned executor must treat
 // whole-world, see partition.go) has exactly one sitePart; a partitioned
 // world gives spatially analyzable sites one sitePart per partition, each
@@ -757,11 +754,8 @@ type siteRT struct {
 	class string // probing class
 	phase int
 
-	ord        int // index in World.sites
-	selector   *plan.Selector
-	stats      *stats.SiteStats
-	boxExtent  stats.EMA // probe-box width, folded after each pass
-	candidates []plan.Strategy
+	ord       int       // index in World.sites
+	boxExtent stats.EMA // probe-box width, folded after each pass
 
 	// batch is the compile-time analysis backing the batched join driver
 	// (nil when the accum has no analyzed join).
@@ -874,11 +868,8 @@ func (w *World) collectSites() {
 						class:     rt.name,
 						phase:     phase,
 						ord:       len(w.sites),
-						stats:     stats.NewSiteStats(),
 						boxExtent: stats.NewEMA(0.3),
 					}
-					site.candidates = candidatesFor(s)
-					site.selector = plan.NewSelector(site.candidates[0])
 					site.batch = w.compiled.batches[s]
 					if site.batch != nil && site.batch.hoist {
 						site.hoistIdx = len(rt.hoist)
@@ -911,23 +902,28 @@ func (w *World) collectSites() {
 	}
 }
 
-func candidatesFor(s *compile.AccumStep) []plan.Strategy {
-	if s.SourceFn != nil || s.Join == nil {
-		return []plan.Strategy{plan.NestedLoop}
-	}
-	j := s.Join
-	switch {
-	case len(j.Ranges) >= 1:
-		c := []plan.Strategy{plan.RangeTreeIndex, plan.NestedLoop}
-		if len(j.Ranges) == 2 && bounded(j.Ranges[0]) && bounded(j.Ranges[1]) {
-			c = append(c, plan.GridIndex)
+// strategyFor returns the index an accum site's predicate shape names: the
+// grid for two bounded range dimensions, the range tree for any other range
+// join, the hash index for an equality-only join, and the nested loop for a
+// computed source set or an unanalyzed body. A forced strategy is honored
+// when the site can run it — the nested loop always, the range tree for a
+// grid-shaped join — and otherwise falls back to the shape's.
+func strategyFor(s *compile.AccumStep, forced plan.Strategy) plan.Strategy {
+	shape := plan.NestedLoop
+	if j := s.Join; s.SourceFn == nil && j != nil {
+		switch {
+		case len(j.Ranges) == 2 && bounded(j.Ranges[0]) && bounded(j.Ranges[1]):
+			shape = plan.GridIndex
+		case len(j.Ranges) >= 1:
+			shape = plan.RangeTreeIndex
+		case len(j.Eqs) >= 1:
+			shape = plan.HashIndex
 		}
-		return c
-	case len(j.Eqs) >= 1:
-		return []plan.Strategy{plan.HashIndex, plan.NestedLoop}
-	default:
-		return []plan.Strategy{plan.NestedLoop}
 	}
+	if forced == plan.NestedLoop || forced == plan.RangeTreeIndex && shape == plan.GridIndex {
+		return forced
+	}
+	return shape
 }
 
 func bounded(r compile.RangeDim) bool { return len(r.Lo) > 0 && len(r.Hi) > 0 }

@@ -69,8 +69,7 @@ type execCtx struct {
 	// context arming and never regrown mid-run (accum[slot] aliases cells).
 	accSlab []combinator.Accumulator
 
-	// probe accounting, flushed into World.execStats and the sites' feedback
-	// statistics when the ctx retires
+	// probe accounting, flushed into World.execStats when the ctx retires
 	pend        []sitePend // by site ordinal
 	joinProbes  int64
 	joinMatches int64
@@ -109,12 +108,10 @@ func (x *execCtx) arm(sink *shardSink, m *vexpr.Machine, slots int) {
 	}
 }
 
-// sitePend is one site's probe accounting inside one shard: probes and
-// candidates not yet charged to the site's statistics, and the 64-row
-// window of the last probe-extent sample (+1; 0 = none yet).
+// sitePend is one site's state inside one shard: the 64-row window of the
+// last probe-extent sample (+1; 0 = none yet).
 type sitePend struct {
-	probes, matches int64
-	sampled         int
+	sampled int
 }
 
 // updateCtx re-arms the world's pooled update context for one component (or
@@ -146,16 +143,10 @@ func (x *execCtx) sitePart(site *siteRT) *sitePart {
 	return &site.parts[x.part]
 }
 
-// flushJoinStats folds the context's probe counters into the world totals
-// and the sites' feedback statistics. Called once per shard; safe to call
-// concurrently.
+// flushJoinStats folds the context's probe counters into the world totals.
+// Called once per shard; safe to call concurrently.
 func (x *execCtx) flushJoinStats() {
-	for i := range x.pend {
-		if p := &x.pend[i]; p.probes != 0 {
-			x.w.sites[i].observe(x.w, p.probes, p.matches)
-		}
-		x.pend[i] = sitePend{}
-	}
+	clear(x.pend)
 	if !x.w.opts.DisableStats {
 		atomic.AddInt64(&x.w.execStats.JoinProbeRows, x.joinProbes)
 		atomic.AddInt64(&x.w.execStats.JoinMatchRows, x.joinMatches)
@@ -297,7 +288,7 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 			for _, r := range rows {
 				runBody(s.Body, ids[r])
 			}
-			x.probed(site, len(rows))
+			x.probed(len(rows))
 			break
 		}
 		tab := srcRT.tab
@@ -306,7 +297,7 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 				runBody(s.Body, ids[r])
 			}
 		}
-		x.probed(site, tab.Len())
+		x.probed(tab.Len())
 	default:
 		// The probed candidates, filtered down to the join's survivors
 		// when batched; the interpreted body re-checks the full predicate
@@ -317,7 +308,7 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 			x.filterOne(s, site, srcRT, cand)
 			body = s.Join.Inner
 		} else {
-			x.probed(site, cand)
+			x.probed(cand)
 		}
 		rows := x.segRows
 		x.segRows = rows[len(rows):]
@@ -388,70 +379,38 @@ func (x *execCtx) evalEqKeys(site *siteRT) uint64 {
 	return h
 }
 
-// probed records one probe of site whose body ran for matches candidates.
-func (x *execCtx) probed(site *siteRT, matches int) {
-	p := &x.pend[site.ord]
-	p.probes++
-	p.matches += int64(matches)
+// probed records one probe whose body ran for matches candidates.
+func (x *execCtx) probed(matches int) {
 	x.joinProbes++
 	x.joinMatches += int64(matches)
 }
 
-// observe records execution feedback. Counters use atomics because the
-// shards of a parallel pass flush concurrently.
-func (s *siteRT) observe(w *World, probes, matches int64) {
-	if w.opts.DisableStats {
-		return
-	}
-	atomic.AddInt64(&s.stats.Probes, probes)
-	atomic.AddInt64(&s.stats.Matches, matches)
-}
-
-// decideSite picks one site's strategy and join-execution mode for this
-// tick from feedback statistics — the decision logic shared verbatim by the
-// single-extent and partitioned preparation paths, so Partitions cannot
-// change which plans run. It returns the source runtime and the extent
-// sizes the maintenance ladder needs; srcRT is nil for sites that always
-// run nested-loop (computed source sets, unanalyzed bodies).
+// decideSite sets one site's strategy and join-execution mode for this
+// tick: the index its predicate's shape names (strategyFor) — the decision
+// shared verbatim by the single-extent and partitioned preparation paths,
+// so Partitions cannot change which plans run. It returns the source
+// runtime and the live row counts of the source and probing classes; srcRT
+// is nil for sites that always run nested-loop (computed source sets,
+// unanalyzed bodies).
 func (w *World) decideSite(site *siteRT) (srcRT *classRT, n, p int) {
 	st := site.step
+	site.strategy = strategyFor(st, w.opts.Strategy)
 	if st.SourceFn != nil || st.Join == nil {
-		site.strategy = plan.NestedLoop
 		site.batched, site.hoisted = false, false
 		return nil, 0, 0
 	}
 	srcRT = w.classes[st.SourceClass]
 	n = srcRT.tab.Len()
 	p = w.classes[site.class].tab.Len()
-	if site.phase >= 0 && w.classes[site.class].plan.NumPhases > 1 {
-		// Only rows in this phase probe; approximate evenly.
-		p = p/w.classes[site.class].plan.NumPhases + 1
-	}
-
-	kHat := 8.0 // optimistic prior before feedback arrives
-	var sstats = site.stats
-	if w.opts.DisableStats {
-		sstats = nil
-	}
-	if sstats != nil && sstats.MatchPerProbe.Ready() {
-		kHat = sstats.MatchPerProbe.Value()
-	}
-	if w.opts.Strategy != plan.Auto {
-		site.strategy = forceStrategy(w.opts.Strategy, site)
-	} else {
-		site.strategy = forceStrategy(
-			site.selector.Choose(site.candidates, n, p, kHat, len(st.Join.Ranges), sstats), site)
-	}
 	site.batched = site.batch != nil && w.opts.Join != plan.JoinScalar
 	site.hoisted = site.batched && site.batch.hoist && !w.oneSegment &&
 		(site.strategy == plan.GridIndex || site.strategy == plan.RangeTreeIndex)
 	return srcRT, n, p
 }
 
-// prepareSites runs once per tick before the effect phase: each site's
-// selector chooses this tick's strategy and join-execution mode from
-// feedback statistics, and the per-tick indexes are built (§4.1's
-// multi-plan switching) — or reused, or skipped entirely when nothing can
+// prepareSites runs once per tick before the effect phase: each site takes
+// its strategy and join-execution mode (decideSite), and the per-tick
+// indexes are built — or reused, or skipped entirely when nothing can
 // probe them. Partitioned worlds run the per-partition variant instead
 // (partition.go).
 func (w *World) prepareSites() {
@@ -572,16 +531,6 @@ func (pp *sitePart) noteBuilt(site *siteRT, tab *table.Table) {
 	for _, a := range site.srcAttrs {
 		pp.builtVers = append(pp.builtVers, tab.ColVersion(a))
 	}
-}
-
-// forceStrategy clamps a forced strategy to what the site supports.
-func forceStrategy(s plan.Strategy, site *siteRT) plan.Strategy {
-	for _, c := range site.candidates {
-		if c == s {
-			return s
-		}
-	}
-	return site.candidates[0]
 }
 
 // buildSiteIndex rebuilds one partition's index into its retained arena:

@@ -1,8 +1,11 @@
 package engine_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/value"
 )
@@ -148,5 +151,107 @@ class Dot {
 	}
 	if got := w.ExecStats().ParallelShards; got != 2 {
 		t.Fatalf("dispatched %d shards, want 2", got)
+	}
+}
+
+// srcShapes holds one accum site per remaining predicate shape: P probes P
+// over a 1-D range and by an equality key, and Seeker — two phases split by
+// waitNextTick — probes P over a 1-D range in its second phase.
+const srcShapes = `
+class P {
+  state:
+    number x = 0;
+    number team = 0;
+    number near = 0;
+    number mates = 0;
+  effects:
+    number dn : sum;
+    number dm : sum;
+  update:
+    near = dn;
+    mates = dm;
+  run {
+    accum number c with sum over P q from P {
+      if (q.x >= x - 5 && q.x <= x + 5) {
+        c <- 1;
+      }
+    } in {
+      dn <- c;
+    }
+    accum number k with sum over P q from P {
+      if (q.team == team) {
+        k <- 1;
+      }
+    } in {
+      dm <- k;
+    }
+  }
+}
+
+class Seeker {
+  state:
+    number x = 0;
+    number seen = 0;
+  effects:
+    number ds : sum;
+  update:
+    seen = seen + ds;
+  run {
+    ds <- 1;
+    waitNextTick;
+    accum number c with sum over P q from P {
+      if (q.x >= x - 5 && q.x <= x + 5) {
+        c <- 1;
+      }
+    } in {
+      ds <- c;
+    }
+  }
+}
+`
+
+// TestIndexFollowsPredicateShape pins the join-strategy rule from the first
+// tick on: two bounded range dimensions take the grid, one range dimension
+// the range tree, an equality key the hash index, and a site whose probing
+// class has no live rows builds nothing, even when that class has several
+// phases over a populated source.
+func TestIndexFollowsPredicateShape(t *testing.T) {
+	fig2, err := core.MustLoad("fig2", core.SrcFig2).NewWorld(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := mustVecWorld(t, srcShapes, engine.Options{})
+	for i := 0; i < 100; i++ {
+		if _, err := fig2.Spawn("Unit", map[string]value.Value{
+			"x": value.Num(float64(i * 7 % 97)), "y": value.Num(float64(i * 13 % 89)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := shapes.Spawn("P", map[string]value.Value{
+			"x": value.Num(float64(i * 7 % 97)), "team": value.Num(float64(i % 3)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		w    *engine.World
+		want []string
+	}{
+		{fig2, []string{"Unit accum(phase 0) -> grid"}},
+		{shapes, []string{
+			"P accum(phase 0) -> range-tree",
+			"P accum(phase 0) -> hash",
+			"Seeker accum(phase 1) -> nested-loop",
+		}},
+	} {
+		for tick := 0; tick < 3; tick++ {
+			if err := c.w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+			got := c.w.SiteStrategies()
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Fatalf("tick %d: strategies\n%s\nwant\n%s", tick, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+			}
+		}
 	}
 }

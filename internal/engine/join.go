@@ -360,7 +360,7 @@ func (x *execCtx) filterOne(s *compile.AccumStep, site *siteRT, srcRT *classRT, 
 	if len(b.resProgs) > 0 {
 		x.filterResidual(b, srcRT)
 	}
-	x.counted(site, 1, cand, len(x.segRows))
+	x.counted(1, cand, len(x.segRows))
 }
 
 func filterPayload(rows []int32, col []float64, p float64) []int32 {
@@ -418,7 +418,7 @@ func (x *execCtx) joinWindow(rt *classRT, lo, hi int, assign []int32, owner int3
 		}
 		matched += x.flushSegs(s, b, srcRT, x.hoistRes[h], lo)
 		if probes > 0 {
-			x.counted(site, probes, cand, matched)
+			x.counted(probes, cand, matched)
 		}
 	}
 }
@@ -498,13 +498,9 @@ func (x *execCtx) flushSegs(s *compile.AccumStep, b *siteBatch, srcRT *classRT, 
 	return len(x.segRows)
 }
 
-// counted charges one batch of probes to the site's feedback statistics and
-// the join counters: probes, the candidates the index produced, and the
-// survivors that reached the fold.
-func (x *execCtx) counted(site *siteRT, probes, cand, matched int) {
-	p := &x.pend[site.ord]
-	p.probes += int64(probes)
-	p.matches += int64(cand)
+// counted charges one batch of probes to the join counters: probes, the
+// candidates the index produced, and the survivors that reached the fold.
+func (x *execCtx) counted(probes, cand, matched int) {
 	x.joinProbes += int64(probes)
 	x.joinMatches += int64(matched)
 	x.joinBatched += int64(cand)

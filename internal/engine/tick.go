@@ -8,7 +8,8 @@ import (
 
 // RunTick executes one complete state-effect cycle:
 //
-//  1. adaptive plan selection and per-tick index builds (§4.1);
+//  1. per-tick index builds, each site on the index its predicate's shape
+//     names (§4.1);
 //  2. the query/effect phase: every object's current script phase runs,
 //     reading frozen state and emitting effect contributions (§2);
 //  3. transaction admission over the collected atomic intents (§3.1);
@@ -68,9 +69,6 @@ func (w *World) RunTick() error {
 	}
 	w.inTick = false
 	w.applyPending()
-	for _, site := range w.sites {
-		site.stats.EndTick()
-	}
 	w.tick++
 	for _, ins := range w.inspectors {
 		ins.TickEnd(w, w.tick-1)

@@ -361,77 +361,6 @@ class Cell {
 	}
 }
 
-// flakyComp owns one attribute and fails its first Update call.
-type flakyComp struct{ fails int }
-
-func (f *flakyComp) Name() string { return "flaky" }
-func (f *flakyComp) Update(ctx *engine.UpdateCtx) error {
-	if f.fails > 0 {
-		f.fails--
-		return fmt.Errorf("induced failure")
-	}
-	return nil
-}
-
-// TestVecStagingDiscardedOnError pins a staleness hazard: if a component
-// error aborts the update step after the vectorized rules staged their
-// dense results, those results must be discarded — a later tick over a
-// shrunken extent must not apply tick-old vectors over fresh values. Both
-// arms must match after the failed tick.
-func TestVecStagingDiscardedOnError(t *testing.T) {
-	const src = `
-class Bot {
-  state:
-    number x = 0;
-    number z = 0 by flaky;
-  effects:
-    number dx : sum;
-  update:
-    x = x + dx;
-  run {
-    dx <- 1;
-  }
-}
-`
-	run := func(mode plan.ExecMode) *engine.World {
-		w := mustVecWorld(t, src, engine.Options{Exec: mode})
-		if err := w.Register(&flakyComp{fails: 1}); err != nil {
-			t.Fatal(err)
-		}
-		var ids []value.ID
-		for i := 0; i < 200; i++ {
-			id, err := w.Spawn("Bot", map[string]value.Value{"x": value.Num(float64(i))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
-		}
-		if err := w.RunTick(); err == nil {
-			t.Fatal("first tick must fail")
-		}
-		// Shrink the extent: rows killed since the failed tick must not
-		// resurface through its staged vectors.
-		for _, id := range ids[4:] {
-			if err := w.Kill("Bot", id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.RunTick(); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	vec := run(plan.ExecVectorized)
-	scalar := run(plan.ExecScalar)
-	for _, id := range vec.IDs("Bot") {
-		av := vec.MustGet("Bot", id, "x")
-		sv := scalar.MustGet("Bot", id, "x")
-		if !av.Equal(sv) {
-			t.Fatalf("bot %d x: vectorized %v, scalar %v (stale staged vector applied)", id, av, sv)
-		}
-	}
-}
-
 // TestVectorizedFallbackMixedProgram forces batch mode on a program that is
 // only partially vectorizable (accum joins, set effects, atomic blocks and
 // string-free scalar rules mixed together) and checks it still matches the

@@ -14,8 +14,8 @@ import (
 // E15 measures batched join execution (PR 3) against the scalar per-match
 // interpreter on join-dominated workloads, single core: the paper's Fig-2
 // crowding loop, the rts combat maxby join, and the flocking scenario whose
-// tick is almost entirely range-join work. Both arms use the same adaptive
-// strategy selection and the same per-tick indexes; only match execution
+// tick is almost entirely range-join work. Both arms use the same
+// strategies and the same per-tick indexes; only match execution
 // differs — interpreted loop body per candidate versus batch-gathered rows,
 // split-predicate re-check over raw columns and columnar contribution folds.
 // The last columns expose the join/index counters of the batched arm.

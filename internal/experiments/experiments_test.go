@@ -36,7 +36,7 @@ func TestE1Shape(t *testing.T) {
 	if len(tbl.Rows) != 2 {
 		t.Fatal("rows")
 	}
-	// At every n the adaptive engine beats the baseline; the speedup grows.
+	// At every n the default engine beats the baseline; the speedup grows.
 	s0 := num(t, cell(t, tbl, 0, 4))
 	s1 := num(t, cell(t, tbl, 1, 4))
 	if s0 <= 1 {
@@ -232,6 +232,27 @@ func TestE13Shape(t *testing.T) {
 	}
 	if f < 99 {
 		t.Errorf("the default Options must fully vectorize the traffic workload, got %v%%", f)
+	}
+}
+
+// TestE7Shape pins E7's arms: static nested-loop, static range-tree and the
+// default (grid by predicate shape), with no adaptive arm or switch count.
+func TestE7Shape(t *testing.T) {
+	tbl, err := E7(300, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"plan", "explore ms", "combat ms", "total ms"}
+	if strings.Join(tbl.Header, "|") != strings.Join(want, "|") {
+		t.Fatalf("header %q, want %q", tbl.Header, want)
+	}
+	if len(tbl.Rows) != 3 || tbl.Rows[2][0] != "default (grid)" {
+		t.Fatalf("rows: %v", tbl.Rows)
+	}
+	for row := range tbl.Rows {
+		if v := num(t, cell(t, tbl, row, 3)); v <= 0 {
+			t.Errorf("row %d: non-positive total %v", row, v)
+		}
 	}
 }
 

@@ -45,9 +45,8 @@ type Builder struct {
 }
 
 // treeIdleBuilds is how many consecutive non-tree builds release the
-// range-tree slabs. It only has to outlast the plan selector's switching
-// hysteresis, so a pooled builder alternating between a tree site and a
-// grid site keeps its slabs.
+// range-tree slabs, so a pooled builder alternating between a tree site
+// and a grid site keeps its slabs.
 const treeIdleBuilds = 8
 
 // Gen returns the builder's build generation. It increments on every

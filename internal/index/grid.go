@@ -2,10 +2,11 @@ package index
 
 import "math"
 
-// Grid is a uniform grid over 2-D points. It is the cheap alternative
-// physical plan the adaptive optimizer (§4.1) weighs against the range
-// tree: O(n) build, queries proportional to the cells touched — excellent
-// for clustered "combat" regimes, poor for huge query boxes.
+// Grid is a uniform grid over 2-D points: the index the engine gives every
+// join with two bounded range dimensions (§4.1), where it beats the range
+// tree in both the clustered "combat" and the spread-out "explore" regime
+// (experiment E7). O(n) build, queries proportional to the cells touched;
+// the engine sizes cells to the mean width of the probe boxes it observes.
 //
 // The layout is dense and static (compressed sparse rows): one int32 offset
 // per cell over the occupied cell-key window, and the points stored in
@@ -37,7 +38,7 @@ func BuildGrid(cellSize float64, x, y []float64, rows []int32) *Grid {
 // maxGridCells bounds the cell window of a grid over n points: a sparse
 // far-flung point set doubles the cell size until the window fits, so a
 // build never allocates more than a constant per point.
-func maxGridCells(n int) float64 { return 16*float64(n) + 65536 }
+func maxGridCells(n int) float64 { return float64(16*float64(n)) + 65536 } // rounded product: no FMA on any GOARCH
 
 // build refills the grid, reusing its arrays. Points with a NaN coordinate
 // are left out (no box contains them); infinite coordinates land in the

@@ -67,7 +67,7 @@ func (c Costs) ChoosePartition(mode PartitionStrategy, parts, axes int, w, h flo
 		return PartitionStripes, parts, 1
 	}
 	cut := func(px, py int) float64 {
-		return float64(px-1)*h + float64(py-1)*w
+		return float64(float64(px-1)*h) + float64(float64(py-1)*w) // rounded products: no FMA on any GOARCH
 	}
 	bestX, bestY := parts, 1
 	bestCut := cut(parts, 1)

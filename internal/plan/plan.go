@@ -1,24 +1,23 @@
-// Package plan implements the adaptive physical-plan selector of §4.1: the
-// compiler produces several physical strategies for each accum join
-// (nested-loop scan, uniform grid, orthogonal range tree, hash), and the
-// engine switches among them at runtime as the workload regime shifts.
-// Switching uses a cost model fed by package stats plus hysteresis so the
-// engine does not thrash when a game oscillates briefly (§4.1: games
-// "transition periodically between a small number of different states").
+// Package plan names the physical plans of §4.1 and the execution modes of
+// the engine: the access path of each accum join (nested-loop scan, uniform
+// grid, orthogonal range tree, hash), the exec/join/txn/view modes with
+// their reference arms, the partition layouts, and the few cost-model
+// decisions that stay adaptive (view maintenance, partition factorization,
+// hibernation). The engine indexes each join by its predicate's shape: two
+// bounded range dimensions take the grid, other ranges the range tree,
+// equality keys the hash index, and anything else the nested loop.
 package plan
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // Strategy names a physical execution strategy for an accum join.
 type Strategy uint8
 
 const (
-	// Auto lets the selector decide per tick.
+	// Auto indexes each join by its predicate's shape (the default).
 	Auto Strategy = iota
 	// NestedLoop scans the whole source extent per probing row.
 	NestedLoop
@@ -158,17 +157,10 @@ func (m ViewMode) String() string {
 // Costs holds the tunable constants of the cost model, in abstract units of
 // "one row visit". They are hand-set, not calibrated: only ViewProbe was
 // ever checked against a measurement. They feed the decisions that stay
-// cost-based — the accum-join strategy (Selector), the view maintenance mode
-// (ChooseView, ChooseViewIndex) and the hibernation horizon; the execution
-// axes (Exec, Join, Txn, Workers) follow structural rules in the engine.
+// cost-based — the view maintenance mode (ChooseView, ChooseViewIndex) and
+// the hibernation horizon; the accum-join strategy and the execution axes
+// (Exec, Join, Txn, Workers) follow structural rules in the engine.
 type Costs struct {
-	NLVisit    float64 // visiting one source row in a nested loop
-	GridBuild  float64 // inserting one row into the grid
-	GridProbe  float64 // fixed probe overhead (cell walk)
-	TreeBuild  float64 // amortized per-row tree build cost (× log n)
-	TreeProbe  float64 // per-probe search cost (× log² n)
-	MatchVisit float64 // evaluating residual + contributions per match
-
 	// Subscription views (internal/views): the per-kernel-op cost of
 	// filtering one changed-row candidate through a subscription's mask
 	// kernel (gather + compact-lane eval + membership merge) versus
@@ -198,13 +190,6 @@ type Costs struct {
 // DefaultCosts returns the hand-set defaults.
 func DefaultCosts() Costs {
 	return Costs{
-		NLVisit:    1.0,
-		GridBuild:  1.5,
-		GridProbe:  4.0,
-		TreeBuild:  2.5,
-		TreeProbe:  1.5,
-		MatchVisit: 1.2,
-
 		ViewDeltaRow: 2.0,
 		ViewScanRow:  1.0,
 		ViewSetup:    16,
@@ -248,7 +233,7 @@ func (c Costs) ChooseViewIndex(subs, live, touched, kernels int) bool {
 		k = 1
 	}
 	perRow := math.Min(c.ViewDeltaRow*float64(touched), c.ViewScanRow*float64(live))
-	perSub := float64(subs) * (c.ViewSetup + k*perRow)
+	perSub := float64(subs) * (c.ViewSetup + float64(k*perRow)) // rounded product: no FMA on any GOARCH
 	return 2*c.ViewProbe*float64(touched) < perSub
 }
 
@@ -266,113 +251,4 @@ func (c Costs) HibernateHorizon(rows int) int {
 		h = 1
 	}
 	return h
-}
-
-// Selector picks a strategy for one accum site and applies hysteresis.
-type Selector struct {
-	Costs Costs
-	// SwitchMargin is the fractional cost improvement a challenger must
-	// show before a switch is considered (e.g. 0.2 = 20% cheaper).
-	SwitchMargin float64
-	// SwitchTicks is how many consecutive ticks the challenger must win
-	// before the switch happens.
-	SwitchTicks int
-
-	current    Strategy
-	challenger Strategy
-	wins       int
-	switches   int64
-}
-
-// NewSelector returns a selector starting on the given strategy.
-func NewSelector(initial Strategy) *Selector {
-	return &Selector{
-		Costs:        DefaultCosts(),
-		SwitchMargin: 0.2,
-		SwitchTicks:  3,
-		current:      initial,
-	}
-}
-
-// Current returns the strategy in force.
-func (s *Selector) Current() Strategy { return s.current }
-
-// Switches returns how many plan switches have happened.
-func (s *Selector) Switches() int64 { return s.switches }
-
-// Force pins the selector to a strategy (used for static-plan baselines and
-// ablations).
-func (s *Selector) Force(st Strategy) { s.current, s.challenger, s.wins = st, Auto, 0 }
-
-// Estimate returns the modeled per-tick cost of a strategy given n source
-// rows, p probing rows and k̂ expected matches per probe. dims is the number
-// of indexed range dimensions (0 means equality-only).
-func (s *Selector) Estimate(st Strategy, n, p int, kHat float64, dims int) float64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	fn, fp := float64(n), float64(p)
-	logN := math.Log2(fn + 2)
-	match := s.Costs.MatchVisit * kHat * fp
-	switch st {
-	case NestedLoop:
-		return s.Costs.NLVisit*fn*fp + match
-	case GridIndex:
-		return s.Costs.GridBuild*fn + s.Costs.GridProbe*fp + match
-	case RangeTreeIndex:
-		probe := s.Costs.TreeProbe * math.Pow(logN, float64(maxInt(dims, 1)))
-		return s.Costs.TreeBuild*fn*logN + probe*fp + match
-	case HashIndex:
-		return s.Costs.GridBuild*fn + 1.0*fp + match
-	default:
-		return math.Inf(1)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Choose evaluates candidates and applies hysteresis, returning the
-// strategy to use this tick. site may be nil on the first tick (no
-// feedback yet), in which case the reservoir estimate k̂ should be passed
-// via kHat.
-func (s *Selector) Choose(candidates []Strategy, n, p int, kHat float64, dims int, site *stats.SiteStats) Strategy {
-	if len(candidates) == 0 {
-		return s.current
-	}
-	if site != nil && site.MatchPerProbe.Ready() {
-		kHat = site.MatchPerProbe.Value()
-	}
-	if s.current == Auto {
-		s.current = candidates[0]
-	}
-	best, bestCost := s.current, s.Estimate(s.current, n, p, kHat, dims)
-	for _, c := range candidates {
-		if c == s.current {
-			continue
-		}
-		if cost := s.Estimate(c, n, p, kHat, dims); cost < bestCost {
-			best, bestCost = c, cost
-		}
-	}
-	curCost := s.Estimate(s.current, n, p, kHat, dims)
-	if best != s.current && curCost > 0 && (curCost-bestCost)/curCost >= s.SwitchMargin {
-		if s.challenger == best {
-			s.wins++
-		} else {
-			s.challenger, s.wins = best, 1
-		}
-		if s.wins >= s.SwitchTicks {
-			s.current = best
-			s.challenger, s.wins = Auto, 0
-			s.switches++
-		}
-	} else {
-		s.challenger, s.wins = Auto, 0
-	}
-	return s.current
 }

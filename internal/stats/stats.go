@@ -1,18 +1,10 @@
-// Package stats collects the lightweight runtime statistics that drive
-// adaptive query optimization (§4.1 of the paper). The workload property
-// that matters for accum joins is the expected number of matches per probe,
-// which shifts dramatically between game regimes (exploring vs fighting).
-// Histograms are a poor fit for multi-dimensional range predicates over
-// fast-changing data (§4.1 cites [2]), so we combine two cheap mechanisms:
-//
-//   - per-site exponential moving averages of observed matches/probe,
-//     updated from execution feedback (free to collect); and
-//   - a bounded reservoir sample of positions, refreshed per tick, that
-//     answers "how many points fall in this box" for plans that have not
-//     run recently.
+// Package stats holds the engine's cheap runtime statistics (§4.1: they
+// must cost little enough for real time): the exponential moving average
+// that sizes grid cells from observed probe boxes, and the counters a world
+// or server exposes — how rows executed (kernels, scalar, batched joins and
+// transactions), index reuse, partition traffic and balance, subscription
+// views, and the many-world server's scheduling and hibernation.
 package stats
-
-import "math/rand"
 
 // EMA is an exponential moving average with configurable smoothing.
 type EMA struct {
@@ -39,110 +31,6 @@ func (e *EMA) Value() float64 { return e.v }
 
 // Ready reports whether at least one sample arrived.
 func (e *EMA) Ready() bool { return e.init }
-
-// SiteStats tracks one accum site's per-tick execution feedback.
-type SiteStats struct {
-	// Per-tick counters, reset by EndTick.
-	Probes  int64
-	Matches int64
-	// Smoothed views.
-	MatchPerProbe EMA
-	ProbeCount    EMA
-}
-
-// NewSiteStats returns site statistics with moderate smoothing.
-func NewSiteStats() *SiteStats {
-	return &SiteStats{
-		MatchPerProbe: NewEMA(0.3),
-		ProbeCount:    NewEMA(0.3),
-	}
-}
-
-// EndTick folds this tick's counters into the moving averages and resets
-// them.
-func (s *SiteStats) EndTick() {
-	if s.Probes > 0 {
-		s.MatchPerProbe.Add(float64(s.Matches) / float64(s.Probes))
-	}
-	s.ProbeCount.Add(float64(s.Probes))
-	s.Probes, s.Matches = 0, 0
-}
-
-// Reservoir is a fixed-size uniform sample of 2-D points maintained with
-// reservoir sampling; it estimates box selectivity for the cost model.
-type Reservoir struct {
-	cap  int
-	pts  [][2]float64
-	seen int64
-	rng  *rand.Rand
-}
-
-// NewReservoir returns a reservoir holding up to capacity points. seed
-// makes sampling deterministic for replay.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	return &Reservoir{cap: capacity, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Reset empties the reservoir for a new tick's population.
-func (r *Reservoir) Reset() {
-	r.pts = r.pts[:0]
-	r.seen = 0
-}
-
-// Add offers one point to the sample.
-func (r *Reservoir) Add(x, y float64) {
-	r.seen++
-	if len(r.pts) < r.cap {
-		r.pts = append(r.pts, [2]float64{x, y})
-		return
-	}
-	if j := r.rng.Int63n(r.seen); j < int64(r.cap) {
-		r.pts[j] = [2]float64{x, y}
-	}
-}
-
-// Len returns the number of sampled points.
-func (r *Reservoir) Len() int { return len(r.pts) }
-
-// Seen returns the number of points offered since Reset.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// EstimateBoxCount estimates how many of the seen points fall inside the
-// closed box, by scaling the sample fraction.
-func (r *Reservoir) EstimateBoxCount(lo0, lo1, hi0, hi1 float64) float64 {
-	if len(r.pts) == 0 {
-		return 0
-	}
-	in := 0
-	for _, p := range r.pts {
-		if p[0] >= lo0 && p[0] <= hi0 && p[1] >= lo1 && p[1] <= hi1 {
-			in++
-		}
-	}
-	return float64(in) / float64(len(r.pts)) * float64(r.seen)
-}
-
-// Spread summarizes positional dispersion: a small spread (clustered
-// armies) favors grids; a large spread with small query boxes favors
-// range trees.
-func (r *Reservoir) Spread() (varX, varY float64) {
-	n := float64(len(r.pts))
-	if n < 2 {
-		return 0, 0
-	}
-	var sx, sy float64
-	for _, p := range r.pts {
-		sx += p[0]
-		sy += p[1]
-	}
-	mx, my := sx/n, sy/n
-	for _, p := range r.pts {
-		dx, dy := p[0]-mx, p[1]-my
-		varX += float64(dx * dx) // rounded products: no FMA on any GOARCH
-		varY += float64(dy * dy)
-	}
-	return varX / n, varY / n
-}
 
 // ExecCounters tallies how much per-row expression work ran through the
 // vectorized batch path versus the scalar closure path, per world. One

@@ -27,98 +27,6 @@ func TestEMA(t *testing.T) {
 	}
 }
 
-func TestSiteStats(t *testing.T) {
-	s := NewSiteStats()
-	s.Probes, s.Matches = 100, 500
-	s.EndTick()
-	if got := s.MatchPerProbe.Value(); got != 5 {
-		t.Errorf("MatchPerProbe = %v", got)
-	}
-	if s.Probes != 0 || s.Matches != 0 {
-		t.Error("EndTick must reset counters")
-	}
-	// Tick with no probes leaves the average untouched.
-	s.EndTick()
-	if got := s.MatchPerProbe.Value(); got != 5 {
-		t.Errorf("idle tick changed MatchPerProbe to %v", got)
-	}
-}
-
-func TestReservoirUniform(t *testing.T) {
-	r := NewReservoir(100, 42)
-	// 1000 points on a line x=i, y=0 in [0,1000).
-	for i := 0; i < 1000; i++ {
-		r.Add(float64(i), 0)
-	}
-	if r.Len() != 100 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	if r.Seen() != 1000 {
-		t.Fatalf("Seen = %d", r.Seen())
-	}
-	// A box covering half the domain should estimate ~500.
-	got := r.EstimateBoxCount(0, -1, 500, 1)
-	if got < 300 || got > 700 {
-		t.Errorf("EstimateBoxCount = %v, want ~500", got)
-	}
-	// Full box estimates everything.
-	if got := r.EstimateBoxCount(-1, -1, 1001, 1); got != 1000 {
-		t.Errorf("full box = %v", got)
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Seen() != 0 {
-		t.Error("Reset")
-	}
-	if r.EstimateBoxCount(0, 0, 1, 1) != 0 {
-		t.Error("empty reservoir estimates 0")
-	}
-}
-
-func TestReservoirSmallInput(t *testing.T) {
-	r := NewReservoir(100, 1)
-	for i := 0; i < 10; i++ {
-		r.Add(float64(i), float64(i))
-	}
-	// With fewer points than capacity the sample is exact.
-	if got := r.EstimateBoxCount(0, 0, 4, 4); got != 5 {
-		t.Errorf("exact estimate = %v, want 5", got)
-	}
-}
-
-func TestSpread(t *testing.T) {
-	clustered := NewReservoir(100, 2)
-	spread := NewReservoir(100, 2)
-	for i := 0; i < 100; i++ {
-		clustered.Add(50+float64(i%3), 50)
-		spread.Add(float64(i*97%1000), float64(i*31%1000))
-	}
-	cvx, _ := clustered.Spread()
-	svx, svy := spread.Spread()
-	if cvx >= svx {
-		t.Errorf("clustered varX %v must be below spread varX %v", cvx, svx)
-	}
-	if svy == 0 {
-		t.Error("spread varY must be positive")
-	}
-	empty := NewReservoir(10, 3)
-	if vx, vy := empty.Spread(); vx != 0 || vy != 0 {
-		t.Error("empty spread")
-	}
-}
-
-func TestReservoirDeterminism(t *testing.T) {
-	a, b := NewReservoir(32, 9), NewReservoir(32, 9)
-	for i := 0; i < 500; i++ {
-		a.Add(float64(i), 0)
-		b.Add(float64(i), 0)
-	}
-	for i := range a.pts {
-		if a.pts[i] != b.pts[i] {
-			t.Fatal("same seed must sample identically (replay requirement)")
-		}
-	}
-}
-
 func TestExecCounters(t *testing.T) {
 	var c ExecCounters
 	if c.VectorFraction() != 0 {

@@ -208,8 +208,8 @@ func (g *subGroup) boxBounds(consts []float64) (lo, hi [2]float64) {
 func (g *subGroup) boxOf(consts []float64) (centre, half [2]float64) {
 	lo, hi := g.boxBounds(consts)
 	for a := range centre {
-		centre[a] = lo[a]/2 + hi[a]/2
-		half[a] = hi[a]/2 - lo[a]/2
+		centre[a] = float64(lo[a]/2) + float64(hi[a]/2) // rounded halves (x/2 is x*0.5): no FMA on any GOARCH
+		half[a] = float64(hi[a]/2) - float64(lo[a]/2)
 	}
 	return centre, half
 }
@@ -366,7 +366,7 @@ func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int
 	}
 	// Centres within the largest half-extent of the point, padded for the
 	// rounding in centre = lo/2 + hi/2; the recheck is exact.
-	reach := g.maxHalf * (1 + 1.0/(1<<16))
+	reach := float64(g.maxHalf * (1 + 1.0/(1<<16))) // rounded product: no FMA on any GOARCH
 	p.lo[0], p.lo[1] = x-reach, y-reach
 	p.hi[0], p.hi[1] = x+reach, y+reach
 	p.cand = g.grid.QueryRows(p.lo[:], p.hi[:], p.cand[:0])

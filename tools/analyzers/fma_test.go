@@ -17,6 +17,15 @@ var fmaPackages = []string{
 	"./internal/stats",
 	"./internal/physics",
 	"./internal/cluster",
+	"./internal/engine",
+	"./internal/views",
+	"./internal/index",
+	"./internal/plan",
+	"./internal/vexpr",
+	"./internal/combinator",
+	"./internal/expr",
+	"./internal/table",
+	"./internal/value",
 }
 
 // fmaAllowed lists fused instructions that are accepted, keyed by
