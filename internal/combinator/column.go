@@ -149,6 +149,34 @@ func (c *Column) AddPayloadRows(mask []bool, lo, hi int, vals, keys []float64, t
 	*touched = t
 }
 
+// AddPayloadAt is the scatter form of AddPayloadRows: it folds payload
+// vals[i] into row rows[i]'s cell for every i, in order, appending each row
+// whose cell was empty to *touched. Each fold is Add's, comparison for
+// comparison. Keyed (minby, maxby) and union columns panic.
+func (c *Column) AddPayloadAt(rows []int32, vals []float64, touched *[]int) {
+	t := *touched
+	switch c.kind {
+	case Sum, Avg:
+		num, n := c.num, c.n
+		for i, r := range rows {
+			if n[r] == 0 {
+				t = append(t, int(r))
+			}
+			num[r] += vals[i]
+			n[r]++
+		}
+	case Count, Min, Max, And, Or:
+		for i, r := range rows {
+			if c.fold(int(r), vals[i]) {
+				t = append(t, int(r))
+			}
+		}
+	default:
+		panic("combinator: AddPayloadAt on a keyed or set-union column")
+	}
+	*touched = t
+}
+
 // Result returns row's combined value and whether any contribution arrived,
 // exactly as Accumulator.Result would.
 func (c *Column) Result(row int) (value.Value, bool) {

@@ -124,10 +124,32 @@ func TestColumnMatchesAccumulators(t *testing.T) {
 					acc  Accumulator
 				}
 				var log []undo
+				scatter := rng.Intn(2) == 0 // fold the writes with AddPayloadAt
+				var srows []int32
+				var svals []float64
 				for i := rng.Intn(4) + 1; i > 0; i-- {
 					r := rng.Intn(rows)
 					log = append(log, undo{r, c.Save(r), ref[r]})
-					add(r, payload())
+					if !scatter {
+						add(r, payload())
+						continue
+					}
+					p := payload()
+					srows, svals = append(srows, int32(r)), append(svals, p)
+					ref[r].AddPayloads([]float64{p}, nil)
+				}
+				if scatter {
+					var want []int
+					for _, r := range srows {
+						if c.Save(int(r)).n == 0 && !slices.Contains(want, int(r)) {
+							want = append(want, int(r))
+						}
+					}
+					before := len(touched)
+					c.AddPayloadAt(srows, svals, &touched)
+					if got := touched[before:]; !slices.Equal(got, want) {
+						t.Fatalf("%v: AddPayloadAt touched %v, want %v", k, got, want)
+					}
 				}
 				if rng.Intn(2) == 0 {
 					for i := len(log) - 1; i >= 0; i-- {

@@ -134,7 +134,7 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 		}
 	})
 	// The market's atomic block runs as kernels: the guard is a mask and
-	// each intent is filled from payload and target lanes into a pooled Txn.
+	// each intent is copied from payload and target lanes into the intent log.
 	t.Run("market/kernel-atomic", func(t *testing.T) {
 		w := pooledMarketWorld(t, 2000, engine.Options{Workers: 1, Exec: plan.ExecVectorized})
 		if avg := warmAllocs(w); avg != 0 {
@@ -142,6 +142,29 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 		}
 		if s := w.ExecStats(); s.ScalarRows != 0 || s.VectorRows == 0 {
 			t.Fatalf("the market phase did not run as kernels: %+v", s)
+		}
+	})
+	// A kernel-built market at a steady ~50 % abort mix: half the sellers
+	// sell out within the first ticks, and from then on their buyers'
+	// intents fail `seller.stock >= 0` every tick, so each tick folds,
+	// validates and rolls back log lanes — on retained storage only.
+	t.Run("market", func(t *testing.T) {
+		w := pooledMarketWorld(t, 500, engine.Options{Workers: 1})
+		if _, _, err := core.PopulateMarket(w, workload.Market{
+			Sellers: 500, BuyersPerItem: 1, Stock: 3, Price: 25, Gold: 1e12,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		counting := &txn.CountingPolicy{}
+		w.SetTxnPolicy(passThrough{counting})
+		if avg := warmAllocs(w); avg != 0 {
+			t.Fatalf("steady-state market RunTick at a ~50%% abort mix allocates %.1f objects/tick, want 0", avg)
+		}
+		if r := counting.Stats.AbortRate(); r < 0.4 || r > 0.6 {
+			t.Fatalf("abort rate %.2f, want about 0.5", r)
+		}
+		if s := w.ExecStats(); s.ScalarRows != 0 || s.TxnBatchedRows == 0 {
+			t.Fatalf("the market did not build its intents with kernels and admit them batched: %+v", s)
 		}
 	})
 	fanOut := 0.0 // the most a vehicle Workers=4 row allocates per tick

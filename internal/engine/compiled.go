@@ -161,28 +161,29 @@ func (c *Compiled) addFusedOps(p *vexpr.Prog) {
 // nested bodies — the walk shared by the compile-time analyses and the
 // per-world site collection.
 func forEachStep(cp *compile.ClassPlan, fn func(compile.Step)) {
-	var walk func(steps []compile.Step)
-	walk = func(steps []compile.Step) {
-		for _, s := range steps {
-			fn(s)
-			switch s := s.(type) {
-			case *compile.IfStep:
-				walk(s.Then)
-				walk(s.Else)
-			case *compile.AtomicStep:
-				walk(s.Body)
-			case *compile.AccumStep:
-				walk(s.Body)
-				if s.Join != nil {
-					walk(s.Join.Inner)
-				}
-			}
-		}
-	}
 	for _, steps := range cp.Phases {
-		walk(steps)
+		walkSteps(steps, fn)
 	}
 	for _, h := range cp.Handlers {
-		walk(h.Body)
+		walkSteps(h.Body, fn)
+	}
+}
+
+// walkSteps invokes fn for every step of a list in pre-order.
+func walkSteps(steps []compile.Step, fn func(compile.Step)) {
+	for _, s := range steps {
+		fn(s)
+		switch s := s.(type) {
+		case *compile.IfStep:
+			walkSteps(s.Then, fn)
+			walkSteps(s.Else, fn)
+		case *compile.AtomicStep:
+			walkSteps(s.Body, fn)
+		case *compile.AccumStep:
+			walkSteps(s.Body, fn)
+			if s.Join != nil {
+				walkSteps(s.Join.Inner, fn)
+			}
+		}
 	}
 }

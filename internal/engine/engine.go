@@ -14,7 +14,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/combinator"
 	"repro/internal/compile"
-	"repro/internal/expr"
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -694,53 +693,6 @@ func (w *World) EffectValue(class string, id value.ID, attr string) (value.Value
 		return value.Value{}, false
 	}
 	return rt.fx[idx].Result(row)
-}
-
-// Txn is a transaction intent collected from an atomic block (§3.1).
-//
-// The engine recycles intents: a *Txn handed to a TxnPolicy is valid only
-// until admission returns. Policies must not retain the pointers or modify
-// Emissions; copy out what must outlive the tick.
-type Txn struct {
-	Class       string
-	Source      value.ID
-	Frame       []value.Value
-	Constraints []expr.Fn
-	Emissions   []Emission
-	// Aborted is set by the admission policy during the update step.
-	Aborted bool
-
-	// step links back to the compiled atomic block, giving admission access
-	// to the build-time constraint analysis (txnsite.go). Nil for
-	// hand-crafted transactions, which always admit through the serial loop.
-	step *compile.AtomicStep
-
-	// The source and emission targets as (class runtime, row): resolved at
-	// emit time for engine intents, which kills deferred to the tick
-	// boundary keep valid, and when admission starts for hand-crafted
-	// ones. Row -1 marks a dead object, which aborts the transaction.
-	rt       *classRT
-	row      int32
-	fx       []txnFx // parallel to Emissions
-	resolved bool
-}
-
-// txnFx is one emission's target cell and its state before the fold.
-type txnFx struct {
-	rt   *classRT
-	row  int32
-	attr int32
-	cell combinator.Cell
-}
-
-// Emission is one effect contribution inside a Txn.
-type Emission struct {
-	Class     string
-	Target    value.ID
-	AttrIdx   int
-	Val       value.Value
-	Key       float64
-	SetInsert bool
 }
 
 // siteRT is the per-accum-site runtime: the grid's cell-size statistics,

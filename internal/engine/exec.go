@@ -33,7 +33,8 @@ type execCtx struct {
 	part int32
 
 	sink   *shardSink
-	curTxn *Txn
+	curLog *txnLog // the intent log of the atomic block running, at curIdx
+	curIdx int
 	dst    *classRT // target class of the last cross-object emission
 
 	// boxBuf holds the probe box being evaluated: lower bounds, then upper.
@@ -79,7 +80,7 @@ type execCtx struct {
 
 // arm readies a worker slot's pooled context for one shard, resetting
 // every piece of per-pass state a fresh context would zero — frame contents
-// (runAtomic copies the whole frame into Txn.Frame), accumulator bindings,
+// (runAtomic copies the whole frame into its intent), accumulator bindings,
 // row bindings, probe sequencing — so pooling is invisible to execution and
 // a warmed tick allocates no execution state. m is the kernel machine the
 // context's batched joins run on.
@@ -101,7 +102,7 @@ func (x *execCtx) arm(sink *shardSink, m *vexpr.Machine, slots int) {
 	x.machine = m
 	x.rt, x.row, x.id = nil, 0, 0
 	x.ctx.Class, x.ctx.SelfID, x.ctx.Self = "", 0, nil
-	x.part, x.curTxn = 0, nil
+	x.part, x.curLog = 0, nil
 	x.winLo, x.winHi = 0, 0
 	if len(x.pend) < len(x.w.sites) {
 		x.pend = make([]sitePend, len(x.w.sites))
@@ -210,9 +211,12 @@ func (x *execCtx) runEmit(s *compile.EmitStep) {
 	if x.w.tracer != nil {
 		x.w.tracer(x.w.tick, x.rt.name, x.id, s.Class, target, dst.cls.Effects[s.AttrIdx].Name, val)
 	}
-	if t := x.curTxn; t != nil {
-		t.Emissions = append(t.Emissions, Emission{Class: s.Class, Target: target, AttrIdx: s.AttrIdx, Val: val, Key: key, SetInsert: s.SetInsert})
-		t.fx = append(t.fx, txnFx{rt: dst, row: int32(row), attr: int32(s.AttrIdx)})
+	if lg, i := x.curLog, x.curIdx; lg != nil {
+		for k := range lg.slots {
+			if lg.slots[k].step == s {
+				lg.tgt[k][i], lg.row[k][i], lg.val[k][i] = target, int32(row), payloadOf(val)
+			}
+		}
 		return
 	}
 	if row < 0 {
@@ -221,22 +225,33 @@ func (x *execCtx) runEmit(s *compile.EmitStep) {
 	x.sink.emit(dst, row, s.AttrIdx, val, key)
 }
 
-// runAtomic collects the block's emissions into a recycled intent whose
-// source is the executing row.
+// runAtomic logs the block as one intent whose source is the executing
+// row: the frame as the block starts, the stable bases' referents (state is
+// frozen for the tick, so they are the ones admission would resolve) and
+// the emissions the body runs. An intent left with none is dropped.
 func (x *execCtx) runAtomic(s *compile.AtomicStep) {
-	t := x.sink.takeTxn()
-	t.Class, t.Source, t.Constraints, t.step, t.Aborted = x.rt.name, x.id, s.Constraints, s, false
-	t.Frame = append(t.Frame[:0], x.frame...)
-	t.Emissions, t.fx = t.Emissions[:0], t.fx[:0]
-	t.rt, t.row, t.resolved = x.rt, int32(x.row), true
-	x.curTxn = t
-	x.runSteps(s.Body)
-	x.curTxn = nil
-	if len(t.Emissions) > 0 {
-		x.sink.addTxn(t)
-	} else {
-		x.sink.txnUsed-- // nothing to admit: the intent goes straight back
+	site := x.w.txnSites[s]
+	lg := x.sink.txnLog(site)
+	i := lg.open(1)
+	lg.src[i] = int32(x.row)
+	copy(lg.frame[i*lg.fw:], x.frame)
+	for k := range lg.slots {
+		lg.row[k][i] = txnNull
 	}
+	for b := range site.bases {
+		lg.base[b][i] = -1
+		if v := site.bases[b].fn(&x.ctx); !v.IsNullRef() {
+			lg.base[b][i] = int32(site.baseRTs[b].tab.Row(v.AsRef()))
+		}
+	}
+	x.curLog, x.curIdx = lg, i
+	x.runSteps(s.Body)
+	x.curLog = nil
+	if lg.empty(i) {
+		lg.src = lg.src[:i]
+		return
+	}
+	x.sink.addTxn(lg.handle(i))
 }
 
 func (x *execCtx) runAccum(s *compile.AccumStep) {
@@ -389,7 +404,8 @@ func (x *execCtx) probed(matches int) {
 // tick: the index its predicate's shape names (strategyFor) — the decision
 // shared verbatim by the single-extent and partitioned preparation paths,
 // so Partitions cannot change which plans run. It returns the source
-// runtime and the live row counts of the source and probing classes; srcRT
+// runtime, the source class's live rows and the probing rows (the live rows
+// at the site's phase; every live row for a handler site); srcRT
 // is nil for sites that always run nested-loop (computed source sets,
 // unanalyzed bodies).
 func (w *World) decideSite(site *siteRT) (srcRT *classRT, n, p int) {
@@ -401,7 +417,9 @@ func (w *World) decideSite(site *siteRT) (srcRT *classRT, n, p int) {
 	}
 	srcRT = w.classes[st.SourceClass]
 	n = srcRT.tab.Len()
-	p = w.classes[site.class].tab.Len()
+	if p = w.classes[site.class].tab.Len(); site.phase >= 0 && p > 0 {
+		p = w.classes[site.class].phaseCounts()[site.phase] // only rows at the site's phase probe
+	}
 	site.batched = site.batch != nil && w.opts.Join != plan.JoinScalar
 	site.hoisted = site.batched && site.batch.hoist && !w.oneSegment &&
 		(site.strategy == plan.GridIndex || site.strategy == plan.RangeTreeIndex)

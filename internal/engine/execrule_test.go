@@ -212,9 +212,10 @@ class Seeker {
 
 // TestIndexFollowsPredicateShape pins the join-strategy rule from the first
 // tick on: two bounded range dimensions take the grid, one range dimension
-// the range tree, an equality key the hash index, and a site whose probing
-// class has no live rows builds nothing, even when that class has several
-// phases over a populated source.
+// the range tree, an equality key the hash index, and a site with no live
+// row at its phase builds nothing, even when that class has several phases
+// over a populated source — whether the class is empty or all its rows sit
+// at another phase.
 func TestIndexFollowsPredicateShape(t *testing.T) {
 	fig2, err := core.MustLoad("fig2", core.SrcFig2).NewWorld(engine.Options{})
 	if err != nil {
@@ -252,6 +253,28 @@ func TestIndexFollowsPredicateShape(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(c.want) {
 				t.Fatalf("tick %d: strategies\n%s\nwant\n%s", tick, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
 			}
+		}
+	}
+
+	// 2000 Seekers over 2000 P rows, every Seeker at phase 0 on tick 0: the
+	// phase-1 site has nothing to probe and builds nothing; on tick 1 every
+	// Seeker is at phase 1 and the site takes its range tree; on tick 2 they
+	// are back at phase 0.
+	w := mustVecWorld(t, srcShapes, engine.Options{})
+	for i := 0; i < 2000; i++ {
+		if _, err := w.Spawn("P", map[string]value.Value{"x": value.Num(float64(i % 97)), "team": value.Num(float64(i % 3))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Spawn("Seeker", map[string]value.Value{"x": value.Num(float64(i % 89))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tick, want := range []string{"nested-loop", "range-tree", "nested-loop"} {
+		if err := w.RunTick(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.SiteStrategies()[2]; got != "Seeker accum(phase 1) -> "+want {
+			t.Fatalf("tick %d: %s, want Seeker accum(phase 1) -> %s", tick, got, want)
 		}
 	}
 }

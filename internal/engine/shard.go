@@ -84,17 +84,19 @@ func shardRows(capRows, maxShards int, buf []shard) []shard {
 // exactly one worker for the duration of a pass, so nothing here needs
 // atomics.
 //
-// txnPool recycles the sink's intents across ticks: the first txnUsed are
-// this tick's, and clearTxns rewinds the cursor once admission is over.
-// extents queues the shard's probe-extent samples for the grid cell EMA.
+// txns are handles on the intents in logs, one intent log per atomic site
+// (by txnSite.ord), kept across passes and ticks: clearTxns rewinds them
+// once admission is over. extents queues the shard's probe-extent samples
+// for the grid cell EMA.
 type shardSink struct {
 	curRow  int32
 	ems     []sinkEm
 	rows    []int32
 	txns    []*Txn
 	txnRows []int32
-	txnPool []*Txn
-	txnUsed int
+	logs    []*txnLog
+	open    []*txnLog // appendIntents scratch: the window's logs
+	starts  []int     // and where its intents start in each
 	extents []extSample
 
 	touched     touchedLog // vectorized-phase empty→touched transitions
@@ -125,13 +127,13 @@ func (s *shardSink) emit(rt *classRT, row, attr int, val value.Value, key float6
 	s.rows = append(s.rows, s.curRow)
 }
 
-// takeTxn returns a recycled intent for the row being executed.
-func (s *shardSink) takeTxn() *Txn {
-	if s.txnUsed == len(s.txnPool) {
-		s.txnPool = append(s.txnPool, &Txn{})
+// txnLog returns the sink's intent log of one atomic site.
+func (s *shardSink) txnLog(site *txnSite) *txnLog {
+	s.logs = extend(s.logs, site.ord+1)
+	if s.logs[site.ord] == nil {
+		s.logs[site.ord] = site.newLog()
 	}
-	s.txnUsed++
-	return s.txnPool[s.txnUsed-1]
+	return s.logs[site.ord]
 }
 
 func (s *shardSink) addTxn(t *Txn) {

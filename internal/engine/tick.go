@@ -77,11 +77,15 @@ func (w *World) RunTick() error {
 }
 
 // clearTxns empties the tick's transaction list and rewinds the sinks'
-// intent pools: admission has returned, so no intent is referenced any more.
+// intent logs: admission has returned, so no intent is referenced any more.
 func (w *World) clearTxns() {
 	w.txns = w.txns[:0]
 	for _, s := range w.sinks {
-		s.txnUsed = 0
+		for _, lg := range s.logs {
+			if lg != nil {
+				lg.reset()
+			}
+		}
 	}
 }
 

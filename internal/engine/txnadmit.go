@@ -74,65 +74,19 @@ func (w *World) admitSerial(txns []*Txn) {
 	}
 }
 
-// resolveTxns resolves hand-crafted intents' sources and emission targets
-// to rows, which engine intents carry from emit time. It runs each time
-// admission starts, since nothing pins the rows of an intent the engine
-// did not collect this tick.
+// resolveTxns resolves hand-crafted intents' source and targets to rows (-1
+// for a dead object, which aborts the intent). Engine intents carry theirs
+// from emit time, but nothing pins the rows of an intent the engine did not
+// collect this tick, so this runs each time admission starts.
 func (w *World) resolveTxns(txns []*Txn) {
 	for _, t := range txns {
-		if t.resolved {
-			continue
-		}
-		rt, row := w.lookup(t.Class, t.Source)
-		t.rt, t.row, t.fx = rt, int32(row), t.fx[:0]
-		for _, e := range t.Emissions {
-			rt, row := w.lookup(e.Class, e.Target)
-			t.fx = append(t.fx, txnFx{rt: rt, row: int32(row), attr: int32(e.AttrIdx)})
+		if lg := t.log; lg.site == nil {
+			lg.src[0] = int32(lg.rt.tab.Row(t.Source))
+			for k := range lg.slots {
+				lg.row[k][0] = int32(lg.slots[k].rt.tab.Row(lg.tgt[k][0]))
+			}
 		}
 	}
-}
-
-// live reports whether the source and every emission target are live rows.
-// §3.1 atomicity means a dead source *or any dead emission target* aborts
-// the whole transaction before anything applies — a half-applied purchase
-// from a despawned seller would otherwise duplicate goods.
-func (t *Txn) live() bool {
-	if t.row < 0 {
-		return false
-	}
-	for i := range t.fx {
-		if t.fx[i].row < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// apply folds the transaction's emissions into their cells, saving each
-// cell first for rollback. A non-nil log records empty→non-empty
-// transitions instead of appending to the shared touched lists (pooled
-// conflict groups merge logs in group order).
-func (t *Txn) apply(log *[]fxTouch) {
-	for k := range t.fx {
-		f, e := &t.fx[k], &t.Emissions[k]
-		col := &f.rt.fx[f.attr]
-		f.cell = col.Save(int(f.row))
-		if log == nil {
-			col.add(int(f.row), e.Val, e.Key)
-		} else if col.Add(int(f.row), e.Val, e.Key) {
-			*log = append(*log, fxTouch{col: col, row: f.row})
-		}
-	}
-}
-
-// rollback aborts the transaction, restoring its cells in reverse
-// application order so a cell it folded into twice ends at its saved state.
-func (t *Txn) rollback() {
-	for k := len(t.fx) - 1; k >= 0; k-- {
-		f := &t.fx[k]
-		f.rt.fx[f.attr].Restore(int(f.row), f.cell)
-	}
-	t.Aborted = true
 }
 
 // tentWorld serves tentative post-update state: for attributes with an
@@ -180,13 +134,13 @@ func (t *tentWorld) at(rt *classRT, row, attrIdx int) value.Value {
 // bindTxn points the constraint context at a transaction's source row, so
 // constraints like `gold >= 0` see the post-update balance.
 func (t *tentWorld) bindTxn(txn *Txn) {
-	t.tent = tentRowReader{tw: t, rt: txn.rt, row: int(txn.row)}
-	t.cons = expr.Ctx{W: t, Class: txn.Class, SelfID: txn.Source, Self: &t.tent, Frame: txn.Frame}
+	t.tent = tentRowReader{tw: t, rt: txn.log.rt, row: int(txn.log.src[txn.idx])}
+	t.cons = expr.Ctx{W: t, Class: txn.Class, SelfID: txn.Source, Self: &t.tent, Frame: txn.Frame()}
 }
 
 func (t *tentWorld) constraintsHold(txn *Txn) bool {
 	t.bindTxn(txn)
-	for _, c := range txn.Constraints {
+	for _, c := range txn.Constraints() {
 		if !c(&t.cons).AsBool() {
 			return false
 		}

@@ -2,34 +2,38 @@ package engine
 
 // The batched transaction-admission driver (§3.1 scaled across the three
 // execution axes). Serial greedy admission validates object-at-a-time,
-// replaying update rules per constraint read; this driver instead:
+// replaying update rules per constraint read; this driver instead reads the
+// intent logs (txnlog.go) lane by lane:
 //
-//  1. claims every transaction's touched rows (source and emission targets
-//     as resolved at emit time, stable-base constraint referents resolved
-//     here), aborting transactions with dead rows up front, and unions
-//     transactions sharing any row into conflict groups — transactions in
-//     different groups commute, because a group's admission outcome and
-//     effect-buffer residue depend only on committed state plus the
-//     group's own accumulator cells;
-//  2. admits all singleton groups whole-batch: their emissions apply in
-//     admission order, a columnar tentative post-update view is built once
-//     per affected (class, attr) by running the attr's vectorized update
-//     rule over the dense combined-effect vectors, and constraints evaluate
-//     as vexpr mask kernels over per-lane gathers of that view (string/set/
-//     iterator constraints fall back to per-lane closures over tentWorld);
+//  1. claims every transaction's touched rows from the log's row lanes —
+//     source, emission targets and stable-base referents, all resolved
+//     when the intent was logged — aborting transactions with dead rows up
+//     front, and unions transactions sharing any row into conflict groups.
+//     Transactions in different groups commute, because a group's admission
+//     outcome and effect-buffer residue depend only on committed state plus
+//     the group's own accumulator cells;
+//  2. admits all singleton groups whole-batch: each log saves its
+//     singletons' cells once and folds every emission slot with one scatter
+//     fold (Column.AddPayloadAt); a columnar tentative post-update view is
+//     built once per affected (class, attr) by running the attr's
+//     vectorized update rule over the dense combined-effect vectors, and
+//     constraints evaluate as vexpr mask kernels over per-lane gathers of
+//     that view (string/set/iterator constraints fall back to per-lane
+//     closures over tentWorld); failed lanes restore their cells;
 //  3. runs true conflict groups through the serial greedy loop group-at-a-
 //     time — in admission order within each group — fanned out across the
 //     worker pool (partition-major when partitioned execution is active;
 //     groups spanning partitions stay on the caller).
 //
 // Every path preserves bit-identity with the serial loop: group
-// disjointness keeps each accumulator cell's add/remove sequence identical,
-// the vectorized tentative view is bitwise equal to per-row rule replay
-// (vexpr ≡ expr by construction), and constraint evaluation is total and
-// side-effect-free, so evaluation order cannot change outcomes.
+// disjointness keeps each accumulator cell's add/remove sequence identical
+// (singletons touch disjoint cells, so folding slot by slot instead of
+// intent by intent changes no cell), the vectorized tentative view is
+// bitwise equal to per-row rule replay (vexpr ≡ expr by construction), and
+// constraint evaluation is total and side-effect-free, so evaluation order
+// cannot change outcomes.
 
 import (
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/value"
 	"repro/internal/vexpr"
@@ -60,9 +64,10 @@ type txnRuntime struct {
 	gen   uint64
 	parts bool // partition routing active this pass
 
-	machine  vexpr.Machine
-	ectx     expr.Ctx // committed-state ctx for stable-base resolution
-	baseRead *rowReader
+	foldRows []int32 // foldSingles scratch
+	foldVals []float64
+
+	machine vexpr.Machine
 
 	gatherTent func(class string, attrIdx int, refs, out []float64, zero float64)
 	viewEnv    vexpr.Env
@@ -87,9 +92,6 @@ type txnRuntime struct {
 }
 
 func (s *txnRuntime) init(w *World) {
-	s.baseRead = &rowReader{}
-	s.ectx.W = w
-	s.ectx.Self = s.baseRead
 	s.gatherTent = func(class string, attrIdx int, refs, out []float64, zero float64) {
 		rt := w.classes[class]
 		col := rt.tab.NumColumn(attrIdx)
@@ -104,7 +106,7 @@ func (s *txnRuntime) init(w *World) {
 // txnAdmitMode picks this batch's admission mode: the serial loop when
 // Options.Txn forces it or any transaction lacks an analyzable site, else
 // the batched driver. As a side effect it stamps and collects the batch's
-// distinct sites for the batched driver.
+// distinct sites, and each site's logs, for the batched driver.
 func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 	if w.opts.Txn == plan.TxnScalar {
 		return plan.TxnScalar
@@ -113,17 +115,19 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 	s.gen++
 	s.sites = s.sites[:0]
 	for _, t := range txns {
-		if t.step == nil {
-			return plan.TxnScalar
-		}
-		site := w.txnSites[t.step]
+		lg := t.log
+		site := lg.site
 		if site == nil || !site.analyzable {
 			return plan.TxnScalar
 		}
 		if site.gen != s.gen {
 			site.gen = s.gen
-			site.lanes = site.lanes[:0]
+			site.lanes, site.laneRows, site.logs = site.lanes[:0], site.laneRows[:0], site.logs[:0]
 			s.sites = append(s.sites, site)
+		}
+		if lg.gen != s.gen {
+			lg.gen, lg.pick = s.gen, lg.pick[:0]
+			site.logs = append(site.logs, lg)
 		}
 	}
 	return plan.TxnBatched
@@ -150,12 +154,12 @@ func (s *txnRuntime) union(a, b int32) {
 // partition into i's routing classification.
 func (w *World) txnClaim(i int, rt *classRT, row int) {
 	s := &w.txnrt
-	if len(rt.txnRowGen) < rt.tab.Cap() {
-		rt.txnRowGen = extend(rt.txnRowGen, rt.tab.Cap())
-		rt.txnRowOwner = grow(rt.txnRowOwner, rt.tab.Cap())
-	}
 	if rt.txnRowGen[row] == s.gen {
-		s.union(int32(i), rt.txnRowOwner[row])
+		o := rt.txnRowOwner[row]
+		if o == int32(i) {
+			return // i's already, partition folded
+		}
+		s.union(int32(i), o)
 	} else {
 		rt.txnRowGen[row] = s.gen
 	}
@@ -193,6 +197,12 @@ func (w *World) admitBatched(txns []*Txn) {
 	s.cross = grow(s.cross, n)
 	s.parts = w.parts != nil && w.parts.ready
 	crossCount := 0
+	for _, rt := range w.order {
+		if len(rt.txnRowGen) < rt.tab.Cap() {
+			rt.txnRowGen = extend(rt.txnRowGen, rt.tab.Cap())
+			rt.txnRowOwner = grow(rt.txnRowOwner, rt.tab.Cap())
+		}
+	}
 	for i, t := range txns {
 		s.parent[i], s.root[i] = int32(i), int32(i)
 		s.part[i] = -2
@@ -205,23 +215,16 @@ func (w *World) admitBatched(txns []*Txn) {
 			t.Aborted = true
 			continue
 		}
-		w.txnClaim(i, t.rt, int(t.row))
-		for k := range t.fx {
-			w.txnClaim(i, t.fx[k].rt, int(t.fx[k].row))
+		lg, j := t.log, t.idx
+		w.txnClaim(i, lg.rt, int(lg.src[j]))
+		for k := range lg.slots {
+			if r := lg.row[k][j]; r >= 0 && !lg.slots[k].self {
+				w.txnClaim(i, lg.slots[k].rt, int(r))
+			}
 		}
-		site := w.txnSites[t.step]
-		if len(site.bases) > 0 {
-			s.baseRead.rt, s.baseRead.row = t.rt, int(t.row)
-			s.ectx.Class, s.ectx.SelfID, s.ectx.Frame = t.Class, t.Source, t.Frame
-			for bi := range site.bases {
-				v := site.bases[bi].fn(&s.ectx)
-				if v.IsNullRef() {
-					continue
-				}
-				brt := site.baseRTs[bi]
-				if brow := brt.tab.Row(v.AsRef()); brow >= 0 {
-					w.txnClaim(i, brt, brow)
-				}
+		for b := range lg.base {
+			if r := lg.base[b][j]; r >= 0 {
+				w.txnClaim(i, lg.site.baseRTs[b], int(r))
 			}
 		}
 	}
@@ -240,8 +243,9 @@ func (w *World) admitBatched(txns []*Txn) {
 		}
 	}
 
-	// (2) Singleton groups: apply emissions in admission order, bucket
-	// lanes per site, validate whole-batch against the tentative view.
+	// (2) Singleton groups: bucket lanes per site and intents per log, fold
+	// each log's emission slots, validate whole-batch against the tentative
+	// view.
 	singles := 0
 	for i, t := range txns {
 		r := s.root[i]
@@ -249,10 +253,16 @@ func (w *World) admitBatched(txns []*Txn) {
 			continue
 		}
 		singles++
-		w.txnSites[t.step].lanes = append(w.txnSites[t.step].lanes, int32(i))
-		t.apply(nil)
+		lg := t.log
+		lg.site.lanes, lg.site.laneRows = append(lg.site.lanes, int32(i)), append(lg.site.laneRows, lg.src[t.idx])
+		lg.pick = append(lg.pick, t.idx)
 	}
 	if singles > 0 {
+		for _, site := range s.sites {
+			for _, lg := range site.logs {
+				w.foldSingles(lg)
+			}
+		}
 		for _, site := range s.sites {
 			for _, va := range site.views {
 				w.buildTxnView(va)
@@ -326,6 +336,27 @@ func (w *World) admitBatched(txns []*Txn) {
 	}
 }
 
+// foldSingles saves the cells of a log's singleton intents and folds their
+// payloads, one scatter fold per emission slot. Singletons touch disjoint
+// cells, so no policy order can change what a cell receives; within an
+// intent, slot order is execution order, and a cell the intent writes
+// twice is saved again before its second fold.
+func (w *World) foldSingles(lg *txnLog) {
+	s := &w.txnrt
+	for k := range lg.slots {
+		col, row, val, cells := lg.slots[k].col(), lg.row[k], lg.val[k], lg.cell[k]
+		rows, vals := s.foldRows[:0], s.foldVals[:0]
+		for _, i := range lg.pick {
+			if r := row[i]; r >= 0 {
+				cells[i] = col.Save(int(r))
+				rows, vals = append(rows, r), append(vals, val[i])
+			}
+		}
+		col.AddPayloadAt(rows, vals, &col.touched)
+		s.foldRows, s.foldVals = rows, vals
+	}
+}
+
 // buildTxnView materializes the tentative post-update column for one
 // (class, attr): the attr's vectorized update rule runs over committed
 // columns plus dense combined-effect vectors — bitwise equal to
@@ -388,8 +419,8 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		if rt.hasRule[a] && a < len(rt.txnViewGen) && rt.txnViewGen[a] == s.gen {
 			col = rt.txnViewCols[a]
 		}
-		for k, li := range site.lanes {
-			vec[k] = col[txns[li].row]
+		for k, r := range site.laneRows {
+			vec[k] = col[r]
 		}
 		site.envCols[a] = vec
 	}
@@ -401,7 +432,7 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		for k, li := range site.lanes {
 			// String txn args broadcast dictionary codes (interned, so
 			// slot-vs-slot equality matches the closure evaluator).
-			if v := txns[li].Frame[sl]; v.Kind() == value.KindString {
+			if v := txns[li].Frame()[sl]; v.Kind() == value.KindString {
 				vec[k] = w.dict.Code(v.AsString())
 			} else {
 				vec[k] = payloadOf(v)

@@ -207,16 +207,12 @@ func TestBatchedAdmissionZeroAlloc(t *testing.T) {
 	}
 	txns := make([]*Txn, 0, pairs)
 	for i := 0; i < pairs; i++ {
-		txns = append(txns, &Txn{
-			Class: "Trader", Source: buyers[i],
-			Constraints: step.Constraints, step: step,
-			Emissions: []Emission{
-				{Class: "Trader", Target: buyers[i], AttrIdx: dgold, Val: value.Num(-25)},
-				{Class: "Trader", Target: sellers[i], AttrIdx: dgold, Val: value.Num(25)},
-				{Class: "Trader", Target: buyers[i], AttrIdx: dstock, Val: value.Num(1)},
-				{Class: "Trader", Target: sellers[i], AttrIdx: dstock, Val: value.Num(-1)},
-			},
-		})
+		txns = append(txns, siteIntent(t, w, step, buyers[i], []Emission{
+			{Class: "Trader", Target: buyers[i], AttrIdx: dgold, Val: value.Num(-25)},
+			{Class: "Trader", Target: sellers[i], AttrIdx: dgold, Val: value.Num(25)},
+			{Class: "Trader", Target: buyers[i], AttrIdx: dstock, Val: value.Num(1)},
+			{Class: "Trader", Target: sellers[i], AttrIdx: dstock, Val: value.Num(-1)},
+		}))
 	}
 	badMode := false
 	run := func() {

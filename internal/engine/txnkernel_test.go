@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/plan"
@@ -99,22 +101,65 @@ type emRec struct {
 	Attr   int
 	Kind   value.Kind
 	Val    uint64
-	Key    uint64
 }
 
-// intentRecorder admits through GreedyPolicy and copies out every intent
-// of the tick's batch with its outcome, in the order the policy was handed
-// them (GreedyPolicy sorts the slice by source id).
-type intentRecorder struct{ cur []intentRec }
+// intentRecorder admits through its arm's policy and copies out every
+// intent of the tick's batch with its outcome, in the order the policy was
+// handed them. Arms: "greedy" (GreedyPolicy sorts the batch by source id);
+// "priority" and "rotating", which reorder the handles as txn.PriorityPolicy
+// (by descending source) and txn.RotatingPolicy do; "read", which reads
+// every intent's emissions before delegating to GreedyPolicy; and "mixed",
+// which appends one hand-crafted intent to the batch, so admission runs
+// the serial loop over log-backed intents.
+type intentRecorder struct {
+	t   *testing.T
+	arm string
+	off int
+	cur []intentRec
+}
 
 func (r *intentRecorder) Admit(ctx *UpdateCtx, txns []*Txn) error {
 	handed := append([]*Txn(nil), txns...)
-	err := GreedyPolicy{}.Admit(ctx, txns)
-	for _, t := range handed {
-		rec := intentRec{Class: t.Class, Source: t.Source, Aborted: t.Aborted, Cons: len(t.Constraints)}
-		for _, e := range t.Emissions {
+	var read [][]Emission
+	switch r.arm {
+	case "read":
+		for _, t := range handed {
+			read = append(read, t.Emissions())
+		}
+	case "mixed":
+		rt := ctx.w.classes["Trader"]
+		gift, err := ctx.w.NewTxn("Trader", handed[0].Source, make([]value.Value, rt.plan.NumSlots), nil,
+			[]Emission{{Class: "Trader", Target: handed[0].Source, AttrIdx: rt.cls.EffectIndex("dgold"), Val: value.Num(0.5)}})
+		if err != nil {
+			return err
+		}
+		if handed = append(handed, gift); ctx.w.txnAdmitMode(handed) != plan.TxnScalar {
+			r.t.Error("a batch holding a hand-crafted intent did not take the serial loop")
+		}
+	}
+	batch := append([]*Txn(nil), handed...)
+	var err error
+	switch r.arm {
+	case "priority":
+		slices.SortStableFunc(batch, func(a, b *Txn) int { return cmp.Compare(b.Source, a.Source) })
+		err = AdmitPrepared(ctx, batch)
+	case "rotating":
+		slices.SortStableFunc(batch, cmpTxn)
+		k := r.off % len(batch)
+		r.off++
+		err = AdmitPrepared(ctx, append(batch[k:], batch[:k]...))
+	default:
+		err = GreedyPolicy{}.Admit(ctx, batch)
+	}
+	for i, t := range handed {
+		rec := intentRec{Class: t.Class, Source: t.Source, Aborted: t.Aborted, Cons: len(t.Constraints())}
+		ems := t.Emissions()
+		if read != nil {
+			ems = read[i]
+		}
+		for _, e := range ems {
 			rec.Ems = append(rec.Ems, emRec{Class: e.Class, Target: e.Target, Attr: e.AttrIdx,
-				Kind: e.Val.Kind(), Val: math.Float64bits(payloadOf(e.Val)), Key: math.Float64bits(e.Key)})
+				Kind: e.Val.Kind(), Val: math.Float64bits(payloadOf(e.Val))})
 		}
 		r.cur = append(r.cur, rec)
 	}
@@ -134,9 +179,9 @@ type txnKernelRun struct {
 // buyers spawned one tick late (so a multi-phase script has rows in both
 // phases), and every tick%10 == 5 a wave of sellers killed, whose buyers
 // keep aiming at the dead rows.
-func runTxnKernelWorld(t *testing.T, src string, opts Options) txnKernelRun {
+func runTxnKernelWorld(t *testing.T, src string, opts Options, arm string, ticks int) txnKernelRun {
 	t.Helper()
-	const ticks, sellers, buyers = 40, 150, 600
+	const sellers, buyers = 150, 600
 	w := newWorld(t, src, opts)
 	var sids []value.ID
 	for i := 0; i < sellers; i++ {
@@ -155,7 +200,7 @@ func runTxnKernelWorld(t *testing.T, src string, opts Options) txnKernelRun {
 		}
 	}
 	spawnBuyers(0, buyers/2)
-	rec := &intentRecorder{}
+	rec := &intentRecorder{t: t, arm: arm}
 	w.SetTxnPolicy(rec)
 	var run txnKernelRun
 	for tick := 0; tick < ticks; tick++ {
@@ -194,19 +239,34 @@ func runTxnKernelWorld(t *testing.T, src string, opts Options) txnKernelRun {
 // fixtures cover null targets (skipped, and an intent left empty is
 // recycled), dangling targets (kept, so the intent aborts), two blocks in
 // one phase (intents row-major) and two intent-appending phases (demoted
-// to the scalar loop).
+// to the scalar loop). The one-phase fixtures also run the intentRecorder's
+// policy arms over two kill waves, each against a reference under the same
+// policy: handles reordered, emissions read before admission, and a batch
+// mixing a hand-crafted intent into the kernel-built ones.
 func TestTxnKernelIntentDifferential(t *testing.T) {
-	for _, fx := range []struct {
+	type arm struct {
 		name   string
 		src    string
 		phases int
-	}{
-		{"unguarded", txnNullSrc, 1},
-		{"market", txnMarketSrc, 1},
-		{"two-phase", txnTwoPhaseSrc, 2},
+		policy string
+		ticks  int
+	}
+	var arms []arm
+	for _, fx := range []arm{
+		{"unguarded", txnNullSrc, 1, "greedy", 40},
+		{"market", txnMarketSrc, 1, "greedy", 40},
+		{"two-phase", txnTwoPhaseSrc, 2, "greedy", 40},
 	} {
+		arms = append(arms, fx)
+		for _, p := range []string{"priority", "rotating", "read", "mixed"} {
+			if fx.phases == 1 {
+				arms = append(arms, arm{fx.name + "/" + p, fx.src, 1, p, 16})
+			}
+		}
+	}
+	for _, fx := range arms {
 		t.Run(fx.name, func(t *testing.T) {
-			ref := runTxnKernelWorld(t, fx.src, Options{Workers: 1, Exec: plan.ExecScalar, Txn: plan.TxnScalar})
+			ref := runTxnKernelWorld(t, fx.src, Options{Workers: 1, Exec: plan.ExecScalar, Txn: plan.TxnScalar}, fx.policy, fx.ticks)
 			aborts, byCons := 0, map[int]int{}
 			for _, tick := range ref.ticks {
 				for _, in := range tick {
@@ -226,7 +286,7 @@ func TestTxnKernelIntentDifferential(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					for _, parts := range []int{0, 2} {
 						t.Run(fmt.Sprintf("%v/workers=%d/partitions=%d", mode, workers, parts), func(t *testing.T) {
-							got := runTxnKernelWorld(t, fx.src, Options{Workers: workers, Partitions: parts, Txn: mode, Exec: plan.ExecVectorized})
+							got := runTxnKernelWorld(t, fx.src, Options{Workers: workers, Partitions: parts, Txn: mode, Exec: plan.ExecVectorized}, fx.policy, fx.ticks)
 							for tick := range ref.ticks {
 								compareIntents(t, tick, got.ticks[tick], ref.ticks[tick])
 							}

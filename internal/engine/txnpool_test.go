@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/value"
 )
@@ -92,11 +93,21 @@ func TestSpawnIntoFreedRowStartsWithoutEffects(t *testing.T) {
 }
 
 // A hand-crafted intent carries names and ids only; admission resolves it
-// when it starts and admits it exactly like an engine intent, through both
-// drivers: a live purchase commits, one aimed at a dead seller aborts whole.
+// when it starts and admits it exactly like an engine intent, under both
+// admission modes (it has no site, so both run the serial loop): a live
+// purchase commits, one aimed at a dead seller aborts whole. The same
+// purchases logged on the market's site, as runAtomic logs them, admit
+// alike through the batched driver.
 func TestHandCraftedTxnAdmits(t *testing.T) {
-	for _, mode := range []plan.TxnMode{plan.TxnScalar, plan.TxnBatched} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, c := range []struct {
+		mode   plan.TxnMode
+		onSite bool
+	}{{plan.TxnScalar, false}, {plan.TxnBatched, false}, {plan.TxnBatched, true}} {
+		mode, name := c.mode, c.mode.String()
+		if c.onSite {
+			name = "site"
+		}
+		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, txnMarketSrc, Options{Txn: mode})
 			rt := w.classes["Trader"]
 			_, _, dgold, dstock := traderIndices(t, rt)
@@ -111,20 +122,33 @@ func TestHandCraftedTxnAdmits(t *testing.T) {
 			}
 			step := anyAtomicStep(t, w)
 			buy := func(from value.ID) *Txn {
-				return &Txn{
-					Class: "Trader", Source: buyer, Constraints: step.Constraints, step: step,
-					Frame: make([]value.Value, rt.plan.NumSlots),
-					Emissions: []Emission{
-						{Class: "Trader", Target: buyer, AttrIdx: dgold, Val: value.Num(-25)},
-						{Class: "Trader", Target: from, AttrIdx: dgold, Val: value.Num(25)},
-						{Class: "Trader", Target: buyer, AttrIdx: dstock, Val: value.Num(1)},
-						{Class: "Trader", Target: from, AttrIdx: dstock, Val: value.Num(-1)},
-					},
+				ems := []Emission{
+					{Class: "Trader", Target: buyer, AttrIdx: dgold, Val: value.Num(-25)},
+					{Class: "Trader", Target: from, AttrIdx: dgold, Val: value.Num(25)},
+					{Class: "Trader", Target: buyer, AttrIdx: dstock, Val: value.Num(1)},
+					{Class: "Trader", Target: from, AttrIdx: dstock, Val: value.Num(-1)},
 				}
+				if c.onSite {
+					return siteIntent(t, w, step, buyer, ems)
+				}
+				tx, err := w.NewTxn("Trader", buyer, make([]value.Value, rt.plan.NumSlots), step.Constraints, ems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tx
 			}
 			live, gone := buy(seller), buy(dead)
-			if mode == plan.TxnScalar {
-				live.step, gone.step = nil, nil // the serial loop's hand-crafted shape
+			for _, bad := range []Emission{{Class: "Nope"}, {Class: "Trader", AttrIdx: len(rt.fx)}} {
+				if _, err := w.NewTxn("Trader", buyer, nil, nil, []Emission{bad}); err == nil {
+					t.Errorf("NewTxn accepted an emission to %s effect %d", bad.Class, bad.AttrIdx)
+				}
+			}
+			want := plan.TxnScalar // a hand-crafted intent has no site
+			if c.onSite {
+				want = plan.TxnBatched
+			}
+			if got := w.txnAdmitMode([]*Txn{live, gone}); got != want {
+				t.Fatalf("admission mode %v under %v, want %v", got, mode, want)
 			}
 			if err := AdmitPrepared(w.updateCtx(""), []*Txn{live, gone}); err != nil {
 				t.Fatal(err)
@@ -246,6 +270,37 @@ func TestTxnPoolDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// siteIntent logs one intent on an atomic site, as runAtomic logs one for
+// source src: its emissions fill the site's slots in order, and rows and
+// base referents resolve now, so the world must not change before the
+// intent is admitted.
+func siteIntent(t *testing.T, w *World, step *compile.AtomicStep, src value.ID, ems []Emission) *Txn {
+	t.Helper()
+	site := w.txnSites[step]
+	lg := site.newLog()
+	if len(ems) != len(lg.slots) {
+		t.Fatalf("%d emissions for %d slots", len(ems), len(lg.slots))
+	}
+	i := lg.open(1)
+	row := site.rt.tab.Row(src)
+	lg.src[i] = int32(row)
+	for k, e := range ems {
+		sl := lg.slots[k]
+		if sl.rt.name != e.Class || sl.attr != e.AttrIdx {
+			t.Fatalf("emission %d is %s.%d, slot %s.%d", k, e.Class, e.AttrIdx, sl.rt.name, sl.attr)
+		}
+		lg.tgt[k][i], lg.row[k][i], lg.val[k][i] = e.Target, int32(sl.rt.tab.Row(e.Target)), payloadOf(e.Val)
+	}
+	ctx := expr.Ctx{W: w, Class: site.rt.name, SelfID: src, Self: rowReader{rt: site.rt, row: row}, Frame: lg.frame}
+	for b := range site.bases {
+		lg.base[b][i] = -1
+		if v := site.bases[b].fn(&ctx); !v.IsNullRef() {
+			lg.base[b][i] = int32(site.baseRTs[b].tab.Row(v.AsRef()))
+		}
+	}
+	return lg.handle(i)
 }
 
 func anyAtomicStep(t *testing.T, w *World) *compile.AtomicStep {

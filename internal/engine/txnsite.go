@@ -27,8 +27,10 @@ package engine
 // vectorized tentative-view column, and the expression compiles.
 
 import (
+	"repro/internal/analysis"
 	"repro/internal/compile"
 	"repro/internal/expr"
+	"repro/internal/sgl/ast"
 	"repro/internal/vexpr"
 )
 
@@ -43,12 +45,31 @@ type txnConstraint struct {
 }
 
 // txnBase is one stable base expression through which a constraint reads a
-// rule-updated attribute of another object. The compiled fn evaluates over
-// committed state per transaction; the referenced row joins the
-// transaction's conflict read set.
+// rule-updated attribute of another object. It evaluates over committed
+// state when the intent is logged (fn per row, or a kernel lane from src);
+// the referenced row joins the transaction's conflict read set.
 type txnBase struct {
 	fn    expr.Fn
 	class string
+	src   ast.Expr
+}
+
+// txnBases lists an atomic block's stable bases in constraint walk order,
+// or nil when some constraint is unstable (its site admits serially and
+// claims no bases). Kernels compute one lane per base (vecAtomic).
+func txnBases(ai *analysis.Atomic) []txnBase {
+	var out []txnBase
+	for _, ca := range ai.Constraints {
+		if !ca.Stable {
+			return nil
+		}
+		for _, rr := range ca.RuleReads {
+			if rr.Base != nil {
+				out = append(out, txnBase{fn: expr.Compile(rr.Base), class: rr.Class, src: rr.Base})
+			}
+		}
+	}
+	return out
 }
 
 // txnViewAttr names one (class, attr) column of the tentative post-update
@@ -87,8 +108,9 @@ type txnProgs struct {
 }
 
 // txnSite is the admission runtime of one atomic block: the shared
-// build-time analysis (embedded) plus this world's resolved view columns
-// and retained per-admission lane scratch for the batched validator.
+// build-time analysis (embedded) plus this world's resolved view columns,
+// base runtimes and emission slots, and retained per-admission lane
+// scratch for the batched validator.
 type txnSite struct {
 	rt   *classRT
 	step *compile.AtomicStep
@@ -97,10 +119,14 @@ type txnSite struct {
 
 	views   []txnViewAttr
 	baseRTs []*classRT // the class runtime of each base, parallel to bases
+	emSlots []txnSlot  // emission slots (txnlog.go)
+	ord     int        // index of the site's log in every shard sink
 
 	// Per-admission lane state (txnbatch.go), generation-stamped.
 	gen      uint64
-	lanes    []int32 // indices into the admission-order transaction slice
+	logs     []*txnLog // the logs holding this admission's intents
+	lanes    []int32   // indices into the admission-order transaction slice
+	laneRows []int32   // each lane's source row
 	envCols  [][]float64
 	colBufs  [][]float64 // backing storage, parallel to cols
 	slotVecs [][]float64
@@ -119,13 +145,20 @@ func (w *World) collectTxnSites() {
 	for _, rt := range w.order {
 		forEachStep(rt.plan, func(s compile.Step) {
 			if step, ok := s.(*compile.AtomicStep); ok {
-				site := &txnSite{rt: rt, step: step, txnProgs: w.compiled.txns[step]}
+				site := &txnSite{rt: rt, step: step, txnProgs: w.compiled.txns[step], ord: len(w.txnSites)}
 				for _, ref := range site.viewRefs {
 					site.views = append(site.views, txnViewAttr{rt: w.classes[ref.class], attr: ref.attr, prog: ref.prog})
 				}
 				for _, b := range site.bases {
 					site.baseRTs = append(site.baseRTs, w.classes[b.class])
 				}
+				walkSteps(step.Body, func(s compile.Step) {
+					// Intent emissions in pre-order; an accum body may hold
+					// only its accumulator's (sem).
+					if e, ok := s.(*compile.EmitStep); ok && e.AccumSlot < 0 {
+						site.emSlots = append(site.emSlots, txnSlot{rt: w.classes[e.Class], attr: e.AttrIdx, step: e, self: e.TargetFn == nil})
+					}
+				})
 				w.txnSites[step] = site
 			}
 		})
@@ -159,6 +192,7 @@ func (c *Compiled) analyzeTxnProgs(step *compile.AtomicStep) *txnProgs {
 	colSeen := make(map[int]bool)
 	slotSeen := make(map[int]bool)
 	viewSeen := make(map[txnViewKey]bool)
+	site.bases = txnBases(ai)
 	for ci, src := range step.Srcs {
 		cons := txnConstraint{fn: step.Constraints[ci]}
 		ca := ai.Constraints[ci]
@@ -169,16 +203,13 @@ func (c *Compiled) analyzeTxnProgs(step *compile.AtomicStep) *txnProgs {
 		}
 		// Resolve the constraint's rule-updated reads against the compiled
 		// update-rule kernels: every one needs a vectorized rule to have a
-		// tentative-view column; cross-object reads additionally register
-		// their stable base in the conflict read set. Conflict read sets
-		// feed grouping for kernel and closure constraints alike.
+		// tentative-view column. (Cross-object reads register their stable
+		// base in the conflict read set through txnBases, which feeds
+		// grouping for kernel and closure constraints alike.)
 		kernelOK := true
 		var views []txnViewRef
 		for _, rr := range ca.RuleReads {
 			tcc := c.classes[rr.Class]
-			if rr.Base != nil {
-				site.bases = append(site.bases, txnBase{fn: expr.Compile(rr.Base), class: rr.Class})
-			}
 			prog := vecRuleProgOf(tcc.vec, rr.Attr)
 			if prog == nil {
 				kernelOK = false

@@ -90,21 +90,20 @@ type vecAccum struct {
 
 // vecAtomic is an atomic block whose intents kernels build: sel keeps the
 // guard mask the block ran under (a mask level past the if-nesting ones),
-// runs are its distinct computed payload and target kernels, and emits
-// reads their lanes per masked row in step order.
+// runs are its distinct computed payload, target and base kernels, emits
+// reads their lanes per masked row in slot order, and bases are the lanes
+// of the site's stable constraint bases (txnBases).
 type vecAtomic struct {
 	step  *compile.AtomicStep
 	sel   int
 	runs  []lane // the computed lanes
 	emits []atomicEmit
+	bases []lane
 }
 
 type atomicEmit struct {
-	attrIdx int
-	kind    value.Kind
-	val     lane
-	tgt     *lane // nil = self
-	dst     int   // target class, World.order index
+	val lane
+	tgt *lane // nil = self
 }
 
 // lane is where an intent reads one expression's value for a row: a kernel
@@ -439,8 +438,7 @@ func compileVecSteps(c *Compiled, cc *compiledClass, steps []compile.Step, defin
 			}
 			for _, b := range s.Body {
 				e := b.(*compile.EmitStep)
-				dst := c.classes[e.Class]
-				ae := atomicEmit{attrIdx: e.AttrIdx, kind: dst.cls.Effects[e.AttrIdx].Kind, dst: slices.Index(c.order, dst)}
+				var ae atomicEmit
 				var ok bool
 				if ae.val, ok = laneOf(e.ValSrc); !ok {
 					return nil, false
@@ -453,6 +451,13 @@ func compileVecSteps(c *Compiled, cc *compiledClass, steps []compile.Step, defin
 					ae.tgt = &tgt
 				}
 				st.emits = append(st.emits, ae)
+			}
+			for _, b := range txnBases(c.ai.Atomic(s)) {
+				l, ok := laneOf(b.src)
+				if !ok {
+					return nil, false
+				}
+				st.bases = append(st.bases, l)
 			}
 			out = append(out, st)
 			vp.atomics = append(vp.atomics, st)
@@ -777,41 +782,61 @@ func (w *World) appendTargeted(sink *shardSink, vp *vecPhase, lo, hi int, sc *ve
 	}
 }
 
-// appendIntents builds rows [lo, hi)'s transaction intents in the sink
-// row-major (ascending row, then block order) — the order runAtomic
-// produces them in, so admission sees the same sequence. Each intent is
-// filled as runAtomic and runEmit fill it, from the lanes. Unlike
-// appendTargeted, a dangling target is kept with row -1, for live() to
-// abort the whole intent; only a null target skips its emission, and an
-// intent left with none goes back to the pool.
+// appendIntents logs rows [lo, hi)'s intents lane by lane: per block the
+// masked rows as sources, then each emission slot's target and payload and
+// each stable base's referent, read from the kernels' lanes. Targets
+// resolve as runEmit resolves them, except that a dangling one stays (row
+// -1) for live() to abort the intent and a null one marks its slot skipped.
+// Handles then go to the sink row-major (ascending row, then block order),
+// the order runAtomic makes them in; an all-null intent gets none.
 func (w *World) appendIntents(sink *shardSink, rt *classRT, vp *vecPhase, lo, hi int, sc *vecScratch) {
-	for r := lo; r < hi; r++ {
-		for _, a := range vp.atomics {
-			if !sc.masks[a.sel][r] {
-				continue
+	ids := rt.tab.RawIDs()
+	sink.starts, sink.open = sink.starts[:0], sink.open[:0]
+	for _, a := range vp.atomics {
+		site := w.txnSites[a.step]
+		lg, mask, n := sink.txnLog(site), sc.masks[a.sel], 0
+		for _, on := range mask[lo:hi] {
+			if on {
+				n++ // an ownership-masked span may be mostly other partitions' rows
 			}
-			t := sink.takeTxn()
-			t.Class, t.Source, t.Constraints, t.step, t.Aborted = rt.name, rt.tab.ID(r), a.step.Constraints, a.step, false
-			t.Frame, t.Emissions, t.fx = t.Frame[:0], t.Emissions[:0], t.fx[:0]
-			t.rt, t.row, t.resolved = rt, int32(r), true
-			for _, e := range a.emits {
-				dst, row, target := rt, r, t.Source
-				if e.tgt != nil {
-					if target = value.ID(e.tgt.at(sc, r)); target == value.NullID {
-						continue
-					}
-					dst = w.order[e.dst]
-					row = dst.tab.Row(target)
+		}
+		i0 := lg.open(n)
+		src := lg.src[i0:i0]
+		for r := lo; r < hi; r++ {
+			if mask[r] {
+				src = append(src, int32(r))
+			}
+		}
+		sink.starts, sink.open = append(sink.starts, i0), append(sink.open, lg)
+		for k, e := range a.emits {
+			tgt, row, val, dst := lg.tgt[k][i0:], lg.row[k][i0:], lg.val[k][i0:], lg.slots[k].rt
+			for j, r := range src {
+				val[j] = e.val.at(sc, int(r))
+				if e.tgt == nil {
+					tgt[j], row[j] = ids[r], r
+				} else if tgt[j], row[j] = value.ID(e.tgt.at(sc, int(r))), txnNull; tgt[j] != value.NullID {
+					row[j] = int32(dst.tab.Row(tgt[j]))
 				}
-				t.Emissions = append(t.Emissions, Emission{Class: dst.name, Target: target, AttrIdx: e.attrIdx, Val: payloadValue(e.kind, e.val.at(sc, r))})
-				t.fx = append(t.fx, txnFx{rt: dst, row: int32(row), attr: int32(e.attrIdx)})
 			}
-			if len(t.Emissions) == 0 {
-				sink.txnUsed--
-				continue
+		}
+		for b, l := range a.bases {
+			for j, r := range src {
+				lg.base[b][i0+j] = -1
+				if id := value.ID(l.at(sc, int(r))); id != value.NullID {
+					lg.base[b][i0+j] = int32(site.baseRTs[b].tab.Row(id))
+				}
 			}
-			sink.curRow = int32(r)
-			sink.addTxn(t)
+		}
+	}
+	for r := lo; r < hi; r++ {
+		for ai, a := range vp.atomics {
+			if sc.masks[a.sel][r] {
+				lg, i := sink.open[ai], sink.starts[ai]
+				if sink.starts[ai]++; !lg.empty(i) {
+					sink.curRow = int32(r)
+					sink.addTxn(lg.handle(i))
+				}
+			}
 		}
 	}
 }

@@ -458,6 +458,9 @@ func (c *checker) checkEffectAssign(s *ast.EffectAssign) {
 	s.AttrIdx = idx
 	attr := targetCls.Effects[idx]
 	if c.inAtomic {
+		if c.inAccum > 0 {
+			c.errorf(s.Pos, "effects written inside atomic cannot sit in an accum body: each write is one contribution of the intent, and a loop would repeat it")
+		}
 		switch attr.Comb {
 		case combinator.Sum, combinator.Avg, combinator.Count:
 		default:

@@ -244,6 +244,16 @@ class C {
     atomic { atomic { e <- 1; } }
   }
 }`, "nested atomic")
+	wantErr(t, `
+class C {
+  state: number x = 0;
+  effects: number e : sum;
+  run {
+    atomic (x >= 0) {
+      accum number n with sum over C o from C { o.e <- 1; n <- 1; } in { e <- n; }
+    }
+  }
+}`, "cannot sit in an accum body")
 }
 
 func TestTypeErrors(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // fmaPackages are the packages whose float arithmetic reaches world state
 // or plan choice and must round identically on every GOARCH. amd64 never
-// fuses a multiply-add; arm64 (and ppc64le, s390x, riscv64) may, unless the
+// fuses a multiply-add; arm64, ppc64le, s390x and riscv64 may, unless the
 // product is rounded explicitly with float64(a*b).
 var fmaPackages = []string{
 	"./internal/stats",
@@ -33,13 +33,20 @@ var fmaPackages = []string{
 // reach state. Empty: every fused site in fmaPackages was rounded.
 var fmaAllowed = map[string]string{}
 
-// fusedOp matches an arm64 fused multiply-add/subtract in the compiler's -S
-// listing and captures the source position it was emitted for.
-var fusedOp = regexp.MustCompile(`\(([^()]+\.go):(\d+)\)\s+(FN?M(?:ADD|SUB)[SD])\s`)
+// fusedArches are the GOARCHes whose compilers may fuse a float multiply
+// and add, each cross-compiled with -S. Their fused mnemonics all match
+// fusedOp: FMADDD/FMSUBD/FNMADDD/FNMSUBD (and S forms) on arm64 and riscv64,
+// FMADD/FMSUB/FNMADD/FNMSUB (and S forms) on ppc64le and s390x.
+var fusedArches = []string{"arm64", "ppc64le", "s390x", "riscv64"}
 
-// TestNoFusedMultiplyAdd cross-compiles fmaPackages for arm64 with -S and
-// fails on any fused multiply-add not in fmaAllowed: a fused product skips
-// one rounding, so an arm64 world would drift from an amd64 one.
+// fusedOp matches a fused multiply-add/subtract in the compiler's -S
+// listing and captures the source position it was emitted for.
+var fusedOp = regexp.MustCompile(`\(([^()]+\.go):(\d+)\)\s+(FN?M(?:ADD|SUB)[SD]?)\s`)
+
+// TestNoFusedMultiplyAdd cross-compiles fmaPackages for every fusedArches
+// GOARCH with -S and fails on any fused multiply-add not in fmaAllowed: a
+// fused product skips one rounding, so such a world would drift from an
+// amd64 one.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -49,24 +56,28 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(goBin, append([]string{"build", "-gcflags=-S"}, fmaPackages...)...)
-	cmd.Dir = root
-	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("arm64 build failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "TEXT") {
-		t.Fatal("no assembly listing in the build output; -S was not applied")
-	}
-	for _, m := range fusedOp.FindAllStringSubmatch(string(out), -1) {
-		rel, err := filepath.Rel(root, m[1])
-		if err != nil {
-			rel = m[1]
-		}
-		key := filepath.ToSlash(rel) + ":" + m[2]
-		if _, ok := fmaAllowed[key]; !ok {
-			t.Errorf("%s: %s fuses a multiply-add; round the product with float64(a*b)", key, m[3])
-		}
+	for _, arch := range fusedArches {
+		t.Run(arch, func(t *testing.T) {
+			cmd := exec.Command(goBin, append([]string{"build", "-gcflags=-S"}, fmaPackages...)...)
+			cmd.Dir = root
+			cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s build failed: %v\n%s", arch, err, out)
+			}
+			if !strings.Contains(string(out), "TEXT") {
+				t.Fatal("no assembly listing in the build output; -S was not applied")
+			}
+			for _, m := range fusedOp.FindAllStringSubmatch(string(out), -1) {
+				rel, err := filepath.Rel(root, m[1])
+				if err != nil {
+					rel = m[1]
+				}
+				key := filepath.ToSlash(rel) + ":" + m[2]
+				if _, ok := fmaAllowed[key]; !ok {
+					t.Errorf("%s: %s fuses a multiply-add on %s; round the product with float64(a*b)", key, m[3], arch)
+				}
+			}
+		})
 	}
 }
