@@ -530,7 +530,7 @@ func BenchmarkAblation_IndexRebuild(b *testing.B) {
 	})
 	b.Run("grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			index.BuildGrid(20, xs, ys, rows)
+			index.BuildGrid(20, xs, ys, nil, rows)
 		}
 	})
 }

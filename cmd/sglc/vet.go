@@ -12,7 +12,8 @@ package main
 // point where execution silently leaves the fused kernel path (update
 // rules and phase expressions the kernel compiler bails on, residual join
 // conjuncts with no mask-kernel form, string-keyed ordered folds) along
-// with the reason. These are trade-offs, not mistakes, so they are not
+// with the reason, and join-residual names each join conjunct the index
+// probe cannot test. These are trade-offs, not mistakes, so they are not
 // part of the default check set.
 //
 // Exit status is 0 when every file is clean, 1 when any file fails to

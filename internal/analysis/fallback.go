@@ -6,10 +6,13 @@ package analysis
 // is often a deliberate trade — set-valued state, ordered string logic —
 // so these checks run only under `sglc vet -perf` / VetPerf.
 //
-// Each finding names the construct that forces row-at-a-time execution and
-// why the kernel compiler cannot take it, mirroring the exact gates in
-// internal/vexpr and the engine's plan builders (engine/vector.go,
-// engine/join.go): a diagnostic fires iff the engine would fall back.
+// Each scalar-fallback finding names the construct that forces
+// row-at-a-time execution and why the kernel compiler cannot take it,
+// mirroring the exact gates in internal/vexpr and the engine's plan
+// builders (engine/vector.go, engine/join.go): a diagnostic fires iff the
+// engine would fall back. A join-residual finding names a join conjunct
+// that compile.analyzeJoin left residual: the index probe does not test
+// it, so the engine gathers every candidate before rejecting any.
 
 import (
 	"sort"
@@ -21,8 +24,14 @@ import (
 	"repro/internal/vexpr"
 )
 
-// DiagScalarFallback is the code for every opt-in performance finding.
+// DiagScalarFallback is the code of the opt-in performance findings that
+// name a construct kept off the fused kernel path.
 const DiagScalarFallback = "scalar-fallback"
+
+// DiagJoinResidual is the code of the opt-in performance finding for a
+// join conjunct the index probe cannot test: it stays residual, run as a
+// mask kernel over candidates gathered first.
+const DiagJoinResidual = "join-residual"
 
 // perfDict is a throwaway intern table satisfying vexpr.Dict: the perf
 // checks only need to know whether an expression *compiles* under a
@@ -140,8 +149,10 @@ func (v *vetter) checkScalarFallback(c *Class) {
 		}
 	}
 
-	// Accum joins: residual conjuncts the batched driver cannot turn into
-	// mask kernels, and string-keyed minby/maxby folds.
+	// Accum joins: every conjunct left residual — tested after the probe,
+	// on gathered candidates, as a mask kernel or, when it does not compile
+	// to one, as the interpreted predicate — and string-keyed minby/maxby
+	// folds.
 	for _, j := range c.Joins {
 		if j.Step.Join == nil {
 			continue
@@ -151,6 +162,10 @@ func (v *vetter) checkScalarFallback(c *Class) {
 				v.add(src.Position(), c.Name, DiagScalarFallback,
 					"join residual conjunct does not compile to a mask kernel (%s); the batched driver re-evaluates the interpreted predicate per candidate",
 					exprWhy(src))
+			} else {
+				v.add(src.Position(), c.Name, DiagJoinResidual,
+					"join conjunct %s stays residual: the index probe tests only closed ranges, equalities and one u.k != k key, so candidates are gathered before a mask kernel tests it",
+					ast.ExprString(src))
 			}
 		}
 		v.checkStringFoldKeys(c, j.Step.Join.Inner)

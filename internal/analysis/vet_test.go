@@ -67,10 +67,10 @@ func vetViewLines(t *testing.T, name, src string) string {
 
 // TestVetCorpusGoldens pins every diagnostic's position, code and message
 // on the testdata/vet corpus — one script per check, each triggering
-// exactly one finding. Files named scalar_fallback* exercise the opt-in
-// perf check (VetPerf) and files named view_* the //view directive check
-// (VetViews) instead of the default set; both must vet clean under plain
-// Vet.
+// exactly one finding. Files named scalar_fallback* and join_residual*
+// exercise the opt-in perf check (VetPerf) and files named view_* the
+// //view directive check (VetViews) instead of the default set; both must
+// vet clean under plain Vet.
 func TestVetCorpusGoldens(t *testing.T) {
 	files, err := filepath.Glob("../../testdata/vet/*.sgl")
 	if err != nil || len(files) == 0 {
@@ -85,7 +85,7 @@ func TestVetCorpusGoldens(t *testing.T) {
 			}
 			var got string
 			switch {
-			case strings.HasPrefix(name, "scalar_fallback"):
+			case strings.HasPrefix(name, "scalar_fallback"), strings.HasPrefix(name, "join_residual"):
 				if out := vetLines(t, name, string(src)); out != "" {
 					t.Errorf("%s: perf corpus file must be clean under plain Vet, got:\n%s", name, out)
 				}

@@ -136,6 +136,7 @@ type AccumStep struct {
 type JoinSpec struct {
 	Ranges   []RangeDim // rectangular conjuncts on iter numeric attrs
 	Eqs      []EqDim    // equality conjuncts on iter scalar attrs
+	Key      *KeyDim    // the key conjunct the index tests in its probe; nil if none
 	Residual expr.Fn    // leftover predicate (iter bound); nil if none
 	// ResidualSrcs are the type-checked residual conjuncts behind Residual,
 	// retained so the batched join driver can recompile them as vectorized
@@ -171,6 +172,19 @@ type RangeDim struct {
 type EqDim struct {
 	AttrIdx int
 	Key     expr.Fn
+}
+
+// KeyDim is a key conjunct `iter.attr != attr`: an attribute of the
+// iterated class against one of the executing row, both of the same
+// payload kind (number, bool, ref) or both dictionary-coded strings, so the
+// test is one float compare of stored payloads (equal codes ⇔ equal
+// strings) that the index applies inside its probe. The executing row's
+// attribute is frozen for the tick, so hoisted probes may read it early.
+// Op is token.NEQ; an `==` of this shape is an EqDim.
+type KeyDim struct {
+	AttrIdx  int // iterated-class attribute
+	SelfAttr int // executing-row attribute
+	Op       token.Kind
 }
 
 func (*LetStep) step()    {}
@@ -388,8 +402,8 @@ func compileConjunction(es []ast.Expr) expr.Fn {
 	}
 }
 
-// classifyConjunct routes one conjunct into spec (ranges or eqs). Returns
-// false if the conjunct must stay in the residual.
+// classifyConjunct routes one conjunct into spec (ranges, eqs or the key).
+// Returns false if the conjunct must stay in the residual.
 func classifyConjunct(c ast.Expr, iterSlot int, iterCls *schema.Class, spec *JoinSpec, ranges map[int]*RangeDim) bool {
 	b, ok := c.(*ast.BinaryExpr)
 	if !ok {
@@ -419,6 +433,16 @@ func classifyConjunct(c ast.Expr, iterSlot int, iterCls *schema.Class, spec *Joi
 		}
 	}
 	switch op {
+	case token.NEQ:
+		// The first key-shaped inequality becomes the key conjunct; the
+		// index stores one key per point, so any further one stays residual.
+		self, ok := other.(*ast.Ident)
+		if !ok || self.Bind.Kind != ast.BindStateAttr || spec.Key != nil ||
+			other.Type().Kind != attr.Kind || attr.Kind == value.KindSet || attr.Kind == value.KindInvalid {
+			return false
+		}
+		spec.Key = &KeyDim{AttrIdx: attrIdx, SelfAttr: self.Bind.AttrIdx, Op: op}
+		return true
 	case token.EQ:
 		if attr.Kind == value.KindSet {
 			return false

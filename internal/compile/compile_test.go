@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/combinator"
+	"repro/internal/sgl/ast"
 	"repro/internal/sgl/parser"
 	"repro/internal/sgl/sem"
+	"repro/internal/sgl/token"
 )
 
 func load(t *testing.T, src string) *Program {
@@ -117,6 +119,48 @@ class Unit {
 	}
 	if j.Residual == nil {
 		t.Error("the hp conjunct must stay in the residual")
+	}
+}
+
+// TestJoinAnalysisKeyConjunct: the first `u.k != k` between attributes of
+// one payload or string kind becomes the join's key conjunct and leaves the
+// residual; a second one and one against a literal stay residual
+// conjuncts.
+func TestJoinAnalysisKeyConjunct(t *testing.T) {
+	prog := load(t, `
+class Unit {
+  state:
+    number x = 0;
+    string side = "";
+    number team = 0;
+    number clan = 0;
+  effects:
+    number damage : sum;
+  run {
+    accum number cnt with sum over Unit u from Unit {
+      if (side != u.side && u.team != team && u.clan != 3 && u.x >= x - 5) {
+        cnt <- 1;
+      }
+    } in { }
+  }
+}
+`)
+	cp := prog.Classes["Unit"]
+	j := findAccum(cp.Phases[0]).Join
+	side := cp.Class.StateIndex("side")
+	if j.Key == nil || j.Key.AttrIdx != side || j.Key.SelfAttr != side || j.Key.Op != token.NEQ {
+		t.Fatalf("key = %+v, want side != side", j.Key)
+	}
+	if len(j.ResidualSrcs) != 2 {
+		t.Fatalf("residual conjuncts = %d, want the team and clan ones", len(j.ResidualSrcs))
+	}
+	for _, src := range j.ResidualSrcs {
+		if strings.Contains(ast.ExprString(src), "side") {
+			t.Errorf("key conjunct %s is also residual", ast.ExprString(src))
+		}
+	}
+	if got := Explain(cp); !strings.Contains(got, "θ: key Unit.side != side — in the index") || !strings.Contains(got, "θ: residual predicate") {
+		t.Errorf("explain does not name the key and the residual:\n%s", got)
 	}
 }
 

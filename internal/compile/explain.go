@@ -84,6 +84,10 @@ func explainSteps(b *strings.Builder, steps []Step, cp *ClassPlan, depth int) {
 					}
 					fmt.Fprintf(b, "%s  θ: equality on (%s) — hash-joinable\n", ind, strings.Join(dims, ", "))
 				}
+				if k := s.Join.Key; k != nil {
+					fmt.Fprintf(b, "%s  θ: key %s.%s %s %s — in the index\n", ind, s.SourceClass,
+						attrName(cp, s.SourceClass, k.AttrIdx), k.Op, cp.Class.State[k.SelfAttr].Name)
+				}
 				if s.Join.Residual != nil {
 					fmt.Fprintf(b, "%s  θ: residual predicate\n", ind)
 				}

@@ -794,11 +794,9 @@ func (pp *sitePart) builderValid() bool {
 	return pp.builder != nil && pp.builder == pp.builtBuilder && pp.builder.Gen() == pp.builtGen
 }
 
-// boxProber is a spatial index answering closed-box probes by physical row,
-// and reporting its resident size for the §4.2 partitioned-memory
-// accounting.
+// boxProber is a spatial index (*index.Grid or *index.RangeTree); its
+// resident size feeds the §4.2 partitioned-memory accounting.
 type boxProber interface {
-	QueryRows(lo, hi []float64, out []int32) []int32
 	EstimatedBytes() int
 }
 
@@ -834,6 +832,9 @@ func (w *World) collectSites() {
 						}
 						for _, eq := range j.Eqs {
 							site.srcAttrs = append(site.srcAttrs, eq.AttrIdx)
+						}
+						if j.Key != nil {
+							site.srcAttrs = append(site.srcAttrs, j.Key.AttrIdx)
 						}
 					}
 					w.sites = append(w.sites, site)

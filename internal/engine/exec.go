@@ -577,7 +577,11 @@ func (w *World) buildSiteIndex(site *siteRT, pp *sitePart, srcRT *classRT, membe
 		pp.tree = pp.builder.BuildRangeTree(len(pp.dims), entries)
 	case plan.GridIndex:
 		cell := w.gridCell(site, pp)
-		pp.tree = pp.builder.BuildGrid(cell, tab.NumColumn(j.Ranges[0].AttrIdx), tab.NumColumn(j.Ranges[1].AttrIdx), rows)
+		var key []float64 // the key conjunct's column, tested inside the probe
+		if j.Key != nil {
+			key = tab.NumColumn(j.Key.AttrIdx)
+		}
+		pp.tree = pp.builder.BuildGrid(cell, tab.NumColumn(j.Ranges[0].AttrIdx), tab.NumColumn(j.Ranges[1].AttrIdx), key, rows)
 		pp.builtCell = cell
 	case plan.HashIndex:
 		// Hash sites have no range conjuncts, so they are never spatially

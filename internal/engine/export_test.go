@@ -254,6 +254,8 @@ type SiteBatchSummary struct {
 	Class, Source string
 	VecFold       bool
 	VecResidual   bool
+	Keyed         bool // the join has a key conjunct tested in the probe
+	Residual      bool // some conjunct stays residual
 }
 
 // SiteBatchSummaries lists every accum site's batch plan in collection
@@ -262,6 +264,9 @@ func (w *World) SiteBatchSummaries() []SiteBatchSummary {
 	var out []SiteBatchSummary
 	for _, site := range w.sites {
 		s := SiteBatchSummary{Class: site.class, Source: site.step.SourceClass}
+		if j := site.step.Join; j != nil {
+			s.Keyed, s.Residual = j.Key != nil, j.Residual != nil
+		}
 		if b := site.batch; b != nil {
 			s.VecFold = b.vec
 			s.VecResidual = len(b.resProgs) > 0

@@ -6,6 +6,7 @@ package engine_test
 // string emissions) without changing a single bit of any world trajectory.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -15,26 +16,41 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRTSStringResidualBatched pins the headline dictionary win: the rts
-// combat predicate `u.player != player` is a *string* inequality, and it
-// must compile to a code-lane mask kernel so the batched join driver keeps
-// its vectorized residual instead of bailing to the per-candidate closure.
+// TestRTSStringResidualBatched pins the dictionary's two wins on the rts
+// combat predicate. The string inequality `u.player != player` is a key
+// conjunct: the grid tests it on code payloads inside the probe and no
+// residual is left. A string conjunct that stays residual (`u.player !=
+// "neutral"`, whose other side is no attribute) compiles to a code-lane mask
+// kernel, so the batched driver keeps its vectorized residual instead of
+// bailing to the per-candidate closure.
 func TestRTSStringResidualBatched(t *testing.T) {
-	sc, err := core.LoadScenario("rts", core.SrcRTS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := sc.NewWorld(engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := w.SiteBatchSummaries()
-	if len(sites) == 0 {
-		t.Fatal("rts has an accum join; expected at least one site")
-	}
-	for _, s := range sites {
-		if s.Class == "Soldier" && !s.VecResidual {
-			t.Errorf("Soldier accum residual (string predicate u.player != player) fell back to the interpreted closure")
+	withLiteral := strings.Replace(core.SrcRTS, "u.player != player &&", `u.player != player && u.player != "neutral" &&`, 1)
+	for _, tc := range []struct {
+		name, src string
+		residual  bool
+	}{{"rts", core.SrcRTS, false}, {"rts+literal", withLiteral, true}} {
+		sc, err := core.LoadScenario(tc.name, tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sc.NewWorld(engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := w.SiteBatchSummaries()
+		if len(sites) == 0 {
+			t.Fatal("rts has an accum join; expected at least one site")
+		}
+		for _, s := range sites {
+			if s.Class != "Soldier" {
+				continue
+			}
+			if !s.Keyed {
+				t.Errorf("%s: u.player != player is not a key conjunct", tc.name)
+			}
+			if s.Residual != tc.residual || s.VecResidual != tc.residual {
+				t.Errorf("%s: residual %v, vectorized %v; want both %v", tc.name, s.Residual, s.VecResidual, tc.residual)
+			}
 		}
 	}
 }

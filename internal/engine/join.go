@@ -7,16 +7,18 @@ package engine
 // (§4.1) over a *segmented candidate stream*: the candidates of one or more
 // probes, one segment per probe.
 //
-//  1. Probe: each probe's box (or equality key) gathers candidate *rows*
-//     through the index's batch probe, re-checked on raw columns per range
-//     dimension the index did not already test exactly (a grid tests both
-//     of its own; the range tree lets NaN through) and, for single probes,
-//     per equality conjunct; under Partitions each segment is sorted to
-//     physical-row order.
-//  2. Filter: the residual conjuncts run as mask kernels once over the
-//     whole stream, compacting the segments.
+//  1. Probe: each probe's box (or equality key) and key conjunct
+//     (compile.KeyDim) gather candidate *rows* through the index's batch
+//     probe; a grid tests both dimensions and the key in one scan. What the
+//     index did not test exactly — other range dimensions, NaN the range
+//     tree lets through, the key off the grid, single probes' equality
+//     conjuncts — is re-checked on raw columns. Under Partitions each
+//     segment is sorted to physical-row order.
+//  2. Filter: the conjuncts the probe cannot test (the residual) run as
+//     mask kernels once over the whole stream, compacting the segments.
 //  3. Fold: the value (and minby/maxby key) kernels run once over the
-//     stream, and each segment folds through combinator.AddPayloads.
+//     stream; each segment folds through combinator.AddPayloads, or, for
+//     minby/maxby, as a (key, payload) pair of floats (foldBy).
 //
 // Probing-row scalars the kernels read (self attributes, the self id,
 // let-bound locals) are expanded along each segment into per-candidate
@@ -42,6 +44,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/sgl/ast"
+	"repro/internal/sgl/token"
 	"repro/internal/value"
 	"repro/internal/vexpr"
 )
@@ -86,7 +89,7 @@ const segFlush = vexpr.BatchSize
 // columnar fold additionally requires the single-emission shape. Fold
 // VALUES stay numeric (payloadValueKind) — an accumulator of strings would
 // need per-contribution decode — but residual predicates compile through
-// the dictionary, so string conjuncts like `u.player != player` run as mask
+// the dictionary, so string conjuncts like `u.name == "x"` run as mask
 // kernels over code lanes instead of bailing the probe to the scalar loop.
 // top reports that s sits directly in a phase's step list. The result is
 // immutable and shared by every world on this compilation.
@@ -96,9 +99,12 @@ func newSiteBatch(c *Compiled, s *compile.AccumStep, top bool) *siteBatch {
 		return nil
 	}
 	o := c.kernelOpts(nil)
+	// The source-class kinds of the equality attrs (analyzeJoin found the
+	// class). The plan is shared by all worlds and workers: immutable after.
 	b := &siteBatch{}
-	for range j.Eqs {
-		b.eqKinds = append(b.eqKinds, value.KindInvalid)
+	srcCls, _ := c.prog.Info.Schema.Class(s.SourceClass)
+	for _, eq := range j.Eqs {
+		b.eqKinds = append(b.eqKinds, srcCls.State[eq.AttrIdx].Kind)
 	}
 	if len(j.Inner) == 1 && payloadValueKind(s.ValKind) && s.Comb != combinator.SetUnion {
 		if em, ok := j.Inner[0].(*compile.EmitStep); ok && em.AccumSlot == s.Slot && !em.SetInsert && em.ValSrc != nil {
@@ -150,13 +156,6 @@ func newSiteBatch(c *Compiled, s *compile.AccumStep, top bool) *siteBatch {
 			for _, p := range progs {
 				c.addFusedOps(p)
 			}
-		}
-	}
-	// Record the source-class kinds of the equality attrs; the batch plan is
-	// shared by all worlds and workers and must be immutable afterwards.
-	if srcCls, ok := c.prog.Info.Schema.Class(s.SourceClass); ok {
-		for i, eq := range j.Eqs {
-			b.eqKinds[i] = srcCls.State[eq.AttrIdx].Kind
 		}
 	}
 	// Hoisting evaluates everything before the probing row's steps run, so
@@ -224,12 +223,18 @@ func (x *execCtx) segReset() {
 
 // probeSeg appends probing row pr's candidates for the box [lo, hi] (or
 // the equality key) to the stream as one segment, re-checked per range
-// dimension, and returns how many candidates the index produced.
+// dimension and against the key conjunct, and returns how many candidates
+// the index produced.
 func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float64, key uint64) int {
 	start := len(x.segRows)
 	rows := x.segRows
 	pp := x.sitePart(site)
+	j := site.step.Join
 	checked := 0 // leading range dimensions the index tested exactly
+	kd, kt := j.Key, index.AnyKey
+	if kd != nil {
+		kt = index.KeyTest{Val: x.rt.tab.NumColumn(kd.SelfAttr)[pr], Ne: kd.Op == token.NEQ}
+	}
 	switch site.strategy {
 	case plan.HashIndex:
 		if pp.hash != nil {
@@ -238,11 +243,12 @@ func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float6
 		}
 	case plan.GridIndex, plan.RangeTreeIndex:
 		x.sampleExtent(site, pr, lo, hi)
-		if pp.tree != nil {
-			rows = pp.tree.QueryRows(lo, hi, rows)
-			if _, ok := pp.tree.(*index.Grid); ok {
-				checked = 2
-			}
+		switch t := pp.tree.(type) {
+		case *index.Grid:
+			rows = t.QueryRows(lo, hi, kt, rows)
+			checked, kd = 2, nil // the grid tested its dimensions and the key
+		case *index.RangeTree:
+			rows = t.QueryRows(lo, hi, rows)
 		}
 		if x.w.parts != nil {
 			// Partitioned probes canonicalize candidates to physical-row
@@ -265,10 +271,9 @@ func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float6
 	// grid already tested its two dimensions exactly, on the same values,
 	// and stores no NaN point; the range tree's leaf test (c < lo || c >
 	// hi) lets NaN coordinates through, so every other dimension, index
-	// and scan is re-checked here.
-	for di := checked; di < len(site.step.Join.Ranges); di++ {
-		rd := site.step.Join.Ranges[di]
-		col := srcRT.tab.NumColumn(rd.AttrIdx)
+	// and scan is re-checked here; so is the key off the grid.
+	for di := checked; di < len(j.Ranges); di++ {
+		col := srcRT.tab.NumColumn(j.Ranges[di].AttrIdx)
 		l, h := lo[di], hi[di]
 		k := start
 		for _, r := range rows[start:] {
@@ -278,6 +283,9 @@ func (x *execCtx) probeSeg(site *siteRT, srcRT *classRT, pr int, lo, hi []float6
 			}
 		}
 		rows = rows[:k]
+	}
+	if kd != nil {
+		rows = rows[:start+len(filterKey(rows[start:], srcRT.tab.NumColumn(kd.AttrIdx), kt))]
 	}
 	x.segRows = rows
 	x.segEnds = append(x.segEnds, int32(len(rows)))
@@ -309,37 +317,20 @@ func (x *execCtx) filterOne(s *compile.AccumStep, site *siteRT, srcRT *classRT, 
 	j, b, tab := s.Join, site.batch, srcRT.tab
 	rows := x.segRows
 	for i, eq := range j.Eqs {
+		// A kind mismatch is never equal. Strings probe through the
+		// dictionary (equal strings ⇔ equal codes), and a never-interned
+		// probe value matches no stored row.
 		want := x.eqVals[i]
-		if payloadValueKind(b.eqKinds[i]) {
-			if want.Kind() != b.eqKinds[i] {
-				rows = rows[:0] // kind mismatch can never be equal
-				break
-			}
-			rows = filterPayload(rows, tab.NumColumn(eq.AttrIdx), payloadOf(want))
-		} else if b.eqKinds[i] == value.KindString && x.w.dict != nil {
-			// Probe through the dictionary: equal strings ⇔ equal codes.
-			// A never-interned probe value cannot match any stored row.
-			if want.Kind() != value.KindString {
-				rows = rows[:0]
-				break
-			}
-			p, interned := x.w.dict.CodeOf(want.AsString())
+		p, ok := payloadOf(want), want.Kind() == b.eqKinds[i]
+		if ok && want.Kind() == value.KindString {
+			p, ok = x.w.dict.CodeOf(want.AsString())
 			x.dictLookups++
-			if !interned {
-				rows = rows[:0]
-				break
-			}
-			rows = filterPayload(rows, tab.NumColumn(eq.AttrIdx), p)
-		} else {
-			k := 0
-			for _, r := range rows {
-				if tab.At(int(r), eq.AttrIdx).Equal(want) {
-					rows[k] = r
-					k++
-				}
-			}
-			rows = rows[:k]
 		}
+		if !ok {
+			rows = rows[:0]
+			break
+		}
+		rows = filterKey(rows, tab.NumColumn(eq.AttrIdx), index.KeyTest{Val: p})
 	}
 	// The residual: conjunct mask kernels when every conjunct compiled,
 	// else the interpreted closure per survivor.
@@ -363,10 +354,11 @@ func (x *execCtx) filterOne(s *compile.AccumStep, site *siteRT, srcRT *classRT, 
 	x.counted(1, cand, len(x.segRows))
 }
 
-func filterPayload(rows []int32, col []float64, p float64) []int32 {
+// filterKey compacts rows to those whose col payload passes kt.
+func filterKey(rows []int32, col []float64, kt index.KeyTest) []int32 {
 	k := 0
 	for _, r := range rows {
-		if col[r] == p {
+		if kt.Pass(col[r]) {
 			rows[k] = r
 			k++
 		}
@@ -572,21 +564,34 @@ func (x *execCtx) foldSegs(s *compile.AccumStep, b *siteBatch, srcRT *classRT, r
 	zero := payloadOf(value.Zero(s.Comb.ResultKind(s.ValKind)))
 	start := int32(0)
 	for si, end := range x.segEnds {
-		acc := combinator.New(s.Comb, s.ValKind)
-		if end > start {
-			var k []float64
-			if keys != nil {
-				k = keys[start:end]
-			}
-			acc.AddPayloads(vals[start:end], k)
-		}
-		p, ok := acc.ResultPayload()
-		if !ok {
-			p = zero
+		p := zero
+		switch {
+		case end == start:
+		case s.Comb == combinator.MinBy || s.Comb == combinator.MaxBy:
+			p = foldBy(s.Comb == combinator.MaxBy, vals[start:end], keys[start:end])
+		default:
+			acc := combinator.New(s.Comb, s.ValKind)
+			acc.AddPayloads(vals[start:end], nil)
+			p, _ = acc.ResultPayload()
 		}
 		res[int(x.segProbe[si])-base] = p
 		start = end
 	}
+}
+
+// foldBy folds a non-empty minby/maxby segment of raw payloads comparison
+// for comparison as Accumulator.Add: a better key, or an equal key with a
+// smaller payload, replaces the winner, so the first of equal pairs wins.
+// Bool and ref lanes carry 0/1 and integral ids: the payload is the result.
+func foldBy(maxBy bool, vals, keys []float64) float64 {
+	bk, bv := keys[0], vals[0]
+	for i, v := range vals[1:] {
+		k := keys[i+1]
+		if k > bk && maxBy || k < bk && !maxBy || k == bk && v < bv {
+			bk, bv = k, v
+		}
+	}
+	return bv
 }
 
 // gatherLanes fills the context's per-attr candidate lanes (and the id lane

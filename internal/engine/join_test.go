@@ -13,7 +13,8 @@ import (
 // diffRangeSrc exercises range joins with exact-arithmetic folds (integer
 // count sums and a maxby with a total deterministic tie-break), so results
 // are bit-identical across candidate orders — and therefore across physical
-// strategies, join-execution modes and worker counts.
+// strategies, join-execution modes and worker counts. The maxby join has a
+// key conjunct, which each index applies in or after its probe.
 const diffRangeSrc = `
 class U {
   state:
@@ -35,7 +36,7 @@ class U {
       }
     } in {
       accum ref<U> tgt with maxby over U u from U {
-        if (u.x >= x - 8 && u.x <= x + 8 && u.y >= y - 8 && u.y <= y + 8 && u.hp > 40) {
+        if (u.x >= x - 8 && u.x <= x + 8 && u.y >= y - 8 && u.y <= y + 8 && u.hp > 40 && u.hp != hp) {
           tgt <- u by u.hp;
         }
       } in {
@@ -49,8 +50,9 @@ class U {
 }
 `
 
-// diffEqSrc exercises a composite equality join (two keyable conjuncts plus
-// a strict-inequality residual) with integer sums.
+// diffEqSrc exercises a composite equality join (two keyable conjuncts, a
+// key conjunct across two attributes, and a strict-inequality residual)
+// with integer sums.
 const diffEqSrc = `
 class V {
   state:
@@ -64,7 +66,7 @@ class V {
     tally = t;
   run {
     accum number s with sum over V v from V {
-      if (v.team == team && v.grp == grp && v.score > 10) {
+      if (v.team == team && v.grp == grp && v.score != grp && v.score > 10) {
         s <- v.score;
       }
     } in {

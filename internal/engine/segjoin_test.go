@@ -84,6 +84,55 @@ func duelSpawn(w *engine.World, i int) error {
 	return err
 }
 
+// srcTies keys its join on a numeric team that is NaN for a third of the
+// objects (a NaN team differs from every team, its own too) and picks its
+// maxby winner by a three-valued rank: most probes see ties on equal keys,
+// which the fold breaks toward the smaller ref exactly as Accumulator.Add
+// does, whatever the candidate order. Ranks stay finite: a leading NaN key
+// is never displaced, so a NaN rank would make the winner depend on the
+// candidate order, which differs between partitioned (row order) and
+// unpartitioned (cell order) probes.
+const srcTies = `
+class Tier {
+  state:
+    number team = 0;
+    number x = 0;
+    number y = 0;
+    number rank = 0;
+    number health = 100;
+  effects:
+    number hits : sum;
+  update:
+    health = health - hits;
+  run {
+    accum ref<Tier> foe with maxby over Tier u from Tier {
+      if (u.team != team &&
+          u.x >= x - 14 && u.x <= x + 14 &&
+          u.y >= y - 14 && u.y <= y + 14) {
+        foe <- u by u.rank;
+      }
+    } in {
+      if (foe != null) {
+        foe.hits <- health * 0.011;
+      }
+    }
+  }
+}
+`
+
+func tiesSpawn(w *engine.World, i int) error {
+	team := float64(i % 2)
+	if i%3 == 0 {
+		team = math.NaN()
+	}
+	rng := rand.New(rand.NewSource(int64(i)))
+	_, err := w.Spawn("Tier", map[string]value.Value{
+		"team": value.Num(team), "rank": value.Num(float64(i % 3)),
+		"x": value.Num(rng.Float64() * 180), "y": value.Num(rng.Float64() * 180),
+	})
+	return err
+}
+
 func segScenarios() []segScenario {
 	duelAttrs := []string{"team", "x", "y", "range", "health", "rival"}
 	populateDuel := func(w *engine.World) error {
@@ -155,6 +204,18 @@ func segScenarios() []segScenario {
 		},
 		{name: "duel", src: srcDuel, class: "Duelist", attrs: duelAttrs, populate: populateDuel, spawn: duelSpawn},
 		{name: "duel-pinned", src: srcDuelPinned, class: "Duelist", attrs: duelAttrs, pinned: true, populate: populateDuel, spawn: duelSpawn},
+		{
+			name: "ties", src: srcTies, class: "Tier", attrs: []string{"team", "x", "y", "rank", "health"},
+			populate: func(w *engine.World) error {
+				for i := 0; i < 700; i++ {
+					if err := tiesSpawn(w, i); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			spawn: tiesSpawn,
+		},
 	}
 }
 
@@ -277,7 +338,7 @@ func sameBits(a, b value.Value) bool {
 }
 
 // TestSegmentedJoinDifferential pins the segmented batch join and the
-// kernel phase around it: on the rts, arena, Fig2 and duel scripts under
+// kernel phase around it: on the rts, arena, Fig2, duel and ties scripts under
 // spawn/kill churn, dangling targets and a checkpoint → restore, joins
 // hoisted into per-batch probes with the enclosing phase on kernels, the
 // same batched joins run one
@@ -449,6 +510,7 @@ class P {
   state:
     number x = 0;
     number y = 0;
+    number team = 0;
     number n = 0;
   effects:
     number c : sum;
@@ -456,7 +518,7 @@ class P {
     n = c;
   run {
     accum number k with sum over P u from P {
-      if (u.x >= x - 5 && u.x <= x + 5 && u.y >= y - 5 && u.y <= y + 5) {
+      if (u.team != team && u.x >= x - 5 && u.x <= x + 5 && u.y >= y - 5 && u.y <= y + 5) {
         k <- 1;
       }
     } in {
@@ -467,11 +529,14 @@ class P {
 `
 
 // TestNaNCoordinateNeverMatches: a row with a NaN coordinate is inside no
-// box, whichever index serves the probe — the grid leaves NaN points out,
-// and the range tree lets them through to the per-dimension re-check — and
-// its own NaN box matches nothing.
+// box, whichever index or scan serves the probe — the grid leaves NaN
+// points out, and the range tree and the nested loop let them through to
+// the per-dimension re-check — and its own NaN box matches nothing. The key conjunct u.team != team compares
+// as value.Equal does, NaN included: a NaN team differs from every team,
+// its own too, so a NaN-team row counts all 20 finite rows and a team-1
+// row only the 10 NaN-team ones.
 func TestNaNCoordinateNeverMatches(t *testing.T) {
-	for _, strat := range []plan.Strategy{plan.GridIndex, plan.RangeTreeIndex} {
+	for _, strat := range []plan.Strategy{plan.GridIndex, plan.RangeTreeIndex, plan.NestedLoop} {
 		for _, join := range []plan.JoinMode{plan.JoinBatched, plan.JoinScalar} {
 			s, err := core.LoadScenario("count", srcCount)
 			if err != nil {
@@ -481,8 +546,8 @@ func TestNaNCoordinateNeverMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spawn := func(x, y float64) value.ID {
-				id, err := w.Spawn("P", map[string]value.Value{"x": value.Num(x), "y": value.Num(y)})
+			spawn := func(x, y, team float64) value.ID {
+				id, err := w.Spawn("P", map[string]value.Value{"x": value.Num(x), "y": value.Num(y), "team": value.Num(team)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -490,15 +555,15 @@ func TestNaNCoordinateNeverMatches(t *testing.T) {
 			}
 			var finite []value.ID
 			for i := 0; i < 20; i++ {
-				finite = append(finite, spawn(float64(i%5), float64(i/5)))
+				finite = append(finite, spawn(float64(i%5), float64(i/5), []float64{math.NaN(), 1}[i%2]))
 			}
-			nans := []value.ID{spawn(math.NaN(), 1), spawn(2, math.NaN())}
+			nans := []value.ID{spawn(math.NaN(), 1, math.NaN()), spawn(2, math.NaN(), 0)}
 			if err := w.Run(2); err != nil {
 				t.Fatal(err)
 			}
-			for _, id := range finite {
-				if n, _ := w.Get("P", id, "n"); n.AsNumber() != 20 {
-					t.Fatalf("%v/%v: object %d counts %v neighbours, want the 20 finite ones", strat, join, id, n)
+			for i, id := range finite {
+				if n, _ := w.Get("P", id, "n"); n.AsNumber() != float64(20-10*(i%2)) {
+					t.Fatalf("%v/%v: object %d (team %v) counts %v neighbours, want %d", strat, join, id, []float64{math.NaN(), 1}[i%2], n, 20-10*(i%2))
 				}
 			}
 			for _, id := range nans {

@@ -89,15 +89,16 @@ func shardRows(capRows, maxShards int, buf []shard) []shard {
 // once admission is over. extents queues the shard's probe-extent samples
 // for the grid cell EMA.
 type shardSink struct {
-	curRow  int32
-	ems     []sinkEm
-	rows    []int32
-	txns    []*Txn
-	txnRows []int32
-	logs    []*txnLog
-	open    []*txnLog // appendIntents scratch: the window's logs
-	starts  []int     // and where its intents start in each
-	extents []extSample
+	curRow   int32
+	ems      []sinkEm
+	rows     []int32
+	txns     []*Txn
+	txnRows  []int32
+	logs     []*txnLog
+	open     []*txnLog      // appendIntents scratch: the window's logs
+	starts   []int          // and where its intents start in each
+	resolved []resolvedLane // and the target lanes it resolved to rows
+	extents  []extSample
 
 	touched     touchedLog // vectorized-phase empty→touched transitions
 	vecRows     int64

@@ -27,9 +27,10 @@ func AdmitOrdered(ctx *UpdateCtx, txns []*Txn) error {
 	return AdmitPrepared(ctx, txns)
 }
 
+// cmpTxn orders by (class, source id); a class's intents share its name.
 func cmpTxn(a, b *Txn) int {
-	if c := strings.Compare(a.Class, b.Class); c != 0 {
-		return c
+	if a.Class != b.Class {
+		return strings.Compare(a.Class, b.Class)
 	}
 	return cmp.Compare(a.Source, b.Source)
 }

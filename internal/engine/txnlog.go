@@ -126,7 +126,7 @@ type txnLog struct {
 	row   [][]int32
 	val   [][]float64
 	cell  [][]combinator.Cell // saved before the fold, for rollback
-	base  [][]int32           // -1: none
+	base  [][]int32           // < 0: none (null or dangling)
 	frame []value.Value       // intent i's is [i*fw, (i+1)*fw)
 
 	handles []*Txn

@@ -808,24 +808,21 @@ func (w *World) appendIntents(sink *shardSink, rt *classRT, vp *vecPhase, lo, hi
 			}
 		}
 		sink.starts, sink.open = append(sink.starts, i0), append(sink.open, lg)
+		sink.resolved = sink.resolved[:0]
 		for k, e := range a.emits {
-			tgt, row, val, dst := lg.tgt[k][i0:], lg.row[k][i0:], lg.val[k][i0:], lg.slots[k].rt
+			tgt, row, val := lg.tgt[k][i0:], lg.row[k][i0:], lg.val[k][i0:]
 			for j, r := range src {
-				val[j] = e.val.at(sc, int(r))
-				if e.tgt == nil {
-					tgt[j], row[j] = ids[r], r
-				} else if tgt[j], row[j] = value.ID(e.tgt.at(sc, int(r))), txnNull; tgt[j] != value.NullID {
-					row[j] = int32(dst.tab.Row(tgt[j]))
+				val[j], tgt[j], row[j] = e.val.at(sc, int(r)), ids[r], r
+				if e.tgt != nil {
+					tgt[j] = value.ID(e.tgt.at(sc, int(r)))
 				}
+			}
+			if e.tgt != nil {
+				sink.resolveRows(*e.tgt, lg.slots[k].rt, sc, src, row)
 			}
 		}
 		for b, l := range a.bases {
-			for j, r := range src {
-				lg.base[b][i0+j] = -1
-				if id := value.ID(l.at(sc, int(r))); id != value.NullID {
-					lg.base[b][i0+j] = int32(site.baseRTs[b].tab.Row(id))
-				}
-			}
+			sink.resolveRows(l, site.baseRTs[b], sc, src, lg.base[b][i0:])
 		}
 	}
 	for r := lo; r < hi; r++ {
@@ -839,6 +836,32 @@ func (w *World) appendIntents(sink *shardSink, rt *classRT, vp *vecPhase, lo, hi
 			}
 		}
 	}
+}
+
+type resolvedLane struct {
+	l    lane
+	dst  *classRT
+	rows []int32
+}
+
+// resolveRows writes the rows of dst that lane l names for the sources src
+// (txnNull for a null id, -1 for a dangling one), copying them when an
+// earlier slot or base of the block resolved the same lane into dst.
+func (sink *shardSink) resolveRows(l lane, dst *classRT, sc *vecScratch, src, rows []int32) {
+	rows = rows[:len(src)]
+	for _, p := range sink.resolved {
+		if p.l == l && p.dst == dst {
+			copy(rows, p.rows)
+			return
+		}
+	}
+	for j, r := range src {
+		rows[j] = txnNull
+		if id := value.ID(l.at(sc, int(r))); id != value.NullID {
+			rows[j] = int32(dst.tab.Row(id))
+		}
+	}
+	sink.resolved = append(sink.resolved, resolvedLane{l, dst, rows})
 }
 
 // bindFxVec points rt.fxVecs[ai] at effect attr ai's dense result payloads

@@ -45,7 +45,8 @@ func E15(sizes map[string][]int, ticks int) (Table, error) {
 			if err := w.Register(ph); err != nil {
 				return err
 			}
-			_, err := core.PopulateSoldiers(w, workload.Clustered(n, 8, 60, 1500, 1500, 11))
+			// Players alternate by index: an even cluster count leaves every cluster one-player.
+			_, err := core.PopulateSoldiers(w, workload.Clustered(n, 7, 60, 1500, 1500, 11))
 			return err
 		}},
 		{"flock", core.SrcFlock, func(w *engine.World, n int) error {

@@ -127,13 +127,14 @@ func (b *Builder) BuildRangeTree(dims int, entries []Entry) *RangeTree {
 }
 
 // BuildGrid rebuilds the builder's retained grid over the points
-// (x[r], y[r]) for r in rows (see BuildGrid); its arrays are reused.
-func (b *Builder) BuildGrid(cellSize float64, x, y []float64, rows []int32) *Grid {
+// (x[r], y[r]) for r in rows, keyed by key[r] unless key is nil (see
+// BuildGrid); its arrays are reused.
+func (b *Builder) BuildGrid(cellSize float64, x, y, key []float64, rows []int32) *Grid {
 	if b.grid == nil {
 		b.grid = new(Grid)
 	}
 	b.otherBuild()
-	b.grid.build(cellSize, x, y, rows)
+	b.grid.build(cellSize, x, y, key, rows)
 	return b.grid
 }
 

@@ -103,7 +103,7 @@ func (s *tableSim) bruteBox(lo, hi []float64) map[value.ID]bool {
 // set, against a brute-force box filter of the live extent.
 func checkGridAgainstFresh(t *testing.T, sim *tableSim, g *Grid, rows []int32, brute bool, rng *rand.Rand) {
 	t.Helper()
-	fresh := BuildGrid(g.Cell(), sim.x, sim.y, rows)
+	fresh := BuildGrid(g.Cell(), sim.x, sim.y, nil, rows)
 	if g.Len() != fresh.Len() || g.Len() != len(rows) {
 		t.Fatalf("reused grid has %d entries, fresh build %d, rows %d", g.Len(), fresh.Len(), len(rows))
 	}
@@ -112,8 +112,8 @@ func checkGridAgainstFresh(t *testing.T, sim *tableSim, g *Grid, rows []int32, b
 		w := float64(rng.Intn(80) + 1)
 		lo := []float64{cx - w, cy - w}
 		hi := []float64{cx + w, cy + w}
-		got := g.QueryRows(lo, hi, nil)
-		want := fresh.QueryRows(lo, hi, nil)
+		got := g.QueryRows(lo, hi, AnyKey, nil)
+		want := fresh.QueryRows(lo, hi, AnyKey, nil)
 		if len(got) != len(want) {
 			t.Fatalf("query %v..%v: reused %d rows, fresh %d", lo, hi, len(got), len(want))
 		}
@@ -148,7 +148,7 @@ func TestGridSyncChurn(t *testing.T) {
 		sim.spawn(rng)
 	}
 	var b Builder
-	g := b.BuildGrid(48, sim.x, sim.y, sim.rows())
+	g := b.BuildGrid(48, sim.x, sim.y, nil, sim.rows())
 	checkGridAgainstFresh(t, sim, g, sim.rows(), true, rng)
 
 	for round := 0; round < 25; round++ {
@@ -163,7 +163,7 @@ func TestGridSyncChurn(t *testing.T) {
 				sim.move(rng)
 			}
 		}
-		g = b.BuildGrid(48, sim.x, sim.y, sim.rows())
+		g = b.BuildGrid(48, sim.x, sim.y, nil, sim.rows())
 		checkGridAgainstFresh(t, sim, g, sim.rows(), true, rng)
 	}
 }
@@ -305,7 +305,7 @@ func TestBuilderZeroAllocSteadyState(t *testing.T) {
 	var gb Builder
 	rows := sim.rows()
 	buildGrid := func() {
-		gb.BuildGrid(32, sim.x, sim.y, rows)
+		gb.BuildGrid(32, sim.x, sim.y, nil, rows)
 	}
 	buildGrid()
 	buildGrid()
@@ -354,7 +354,7 @@ func TestGridSyncRowsMemberChurn(t *testing.T) {
 	var b Builder
 	winLo, winHi := 50.0, 250.0
 	rows := memberRows(winLo, winHi)
-	g := b.BuildGrid(40, sim.x, sim.y, rows)
+	g := b.BuildGrid(40, sim.x, sim.y, nil, rows)
 	checkGridAgainstFresh(t, sim, g, rows, false, rng)
 
 	for round := 0; round < 40; round++ {
@@ -374,7 +374,7 @@ func TestGridSyncRowsMemberChurn(t *testing.T) {
 		}
 		winHi = winLo + 200
 		rows = memberRows(winLo, winHi)
-		g = b.BuildGrid(40, sim.x, sim.y, rows)
+		g = b.BuildGrid(40, sim.x, sim.y, nil, rows)
 		checkGridAgainstFresh(t, sim, g, rows, false, rng)
 	}
 }

@@ -10,28 +10,30 @@ import "math"
 //
 // The layout is dense and static (compressed sparse rows): one int32 offset
 // per cell over the occupied cell-key window, and the points stored in
-// three flat arrays ordered by (cx, cy, input order). Cells are numbered
-// cx-major, so the cells cy0..cy1 of one column are one contiguous run of
-// entries, and a probe is one scan per column. A build is a two-pass
-// counting sort; there is no incremental maintenance — at a large fraction
-// of state changing per tick (§4.1) rebuilding is cheaper than diffing.
+// flat arrays ordered by (cx, cy, input order), plus one float64 key per
+// point in a keyed grid. Cells are numbered cx-major, so the cells cy0..cy1
+// of one column are one contiguous run of entries, and a probe is one scan
+// per column. A build is a two-pass counting sort; there is no incremental
+// maintenance — at a large fraction of state changing per tick (§4.1)
+// rebuilding is cheaper than diffing.
 type Grid struct {
 	cell   float64
 	kx, ky float64 // smallest cell key of the window on each axis
 	nx, ny int     // window size in cells
 	off    []int32 // nx·ny+1 offsets into the entry arrays
 	xs, ys []float64
+	ks     []float64 // per-point keys; empty for an unkeyed grid
 	rows   []int32
 	cellOf []int32 // build scratch: each input's cell, -1 for a NaN point
 }
 
 // BuildGrid buckets the points (x[r], y[r]) for r in rows into square cells
-// of the given size; the grid's rows are the given ones. Callers pass rows
-// ascending so every cell lists its points in row order. cellSize must be
-// positive.
-func BuildGrid(cellSize float64, x, y []float64, rows []int32) *Grid {
+// of the given size; the grid's rows are the given ones, and key[r] is point
+// r's key (nil builds an unkeyed grid). Callers pass rows ascending so every
+// cell lists its points in row order. cellSize must be positive.
+func BuildGrid(cellSize float64, x, y, key []float64, rows []int32) *Grid {
 	g := &Grid{}
-	g.build(cellSize, x, y, rows)
+	g.build(cellSize, x, y, key, rows)
 	return g
 }
 
@@ -43,7 +45,7 @@ func maxGridCells(n int) float64 { return float64(16*float64(n)) + 65536 } // ro
 // build refills the grid, reusing its arrays. Points with a NaN coordinate
 // are left out (no box contains them); infinite coordinates land in the
 // window's edge cells.
-func (g *Grid) build(cellSize float64, x, y []float64, rows []int32) {
+func (g *Grid) build(cellSize float64, x, y, key []float64, rows []int32) {
 	if !(cellSize > 0) {
 		panic("index: grid cell size must be positive")
 	}
@@ -92,7 +94,10 @@ func (g *Grid) build(cellSize float64, x, y []float64, rows []int32) {
 		g.off[c+1] += g.off[c]
 	}
 	n := int(g.off[cells])
-	g.xs, g.ys, g.rows = grow(g.xs, n), grow(g.ys, n), grow(g.rows, n)
+	g.xs, g.ys, g.rows, g.ks = grow(g.xs, n), grow(g.ys, n), grow(g.rows, n), g.ks[:0]
+	if key != nil {
+		g.ks = grow(g.ks, n)
+	}
 	// Scatter with off[c] as cell c's cursor; afterwards off[c] holds the
 	// end of cell c, which is the start of c+1 — shift back by one.
 	for i, r := range rows {
@@ -103,6 +108,9 @@ func (g *Grid) build(cellSize float64, x, y []float64, rows []int32) {
 		k := g.off[c]
 		g.off[c]++
 		g.xs[k], g.ys[k], g.rows[k] = x[r], y[r], r
+		if key != nil {
+			g.ks[k] = key[r]
+		}
 	}
 	copy(g.off[1:], g.off[:cells])
 	g.off[0] = 0
@@ -143,15 +151,31 @@ func (g *Grid) Len() int { return len(g.rows) }
 // the cell-window bound required.
 func (g *Grid) Cell() float64 { return g.cell }
 
+// KeyTest is a probe's key conjunct, which Pass applies by float compare
+// (value.Equal on payloads: NaN equals nothing): key == Val, or key != Val
+// when Ne is set. AnyKey passes every key.
+type KeyTest struct {
+	Val float64
+	Ne  bool
+}
+
+var AnyKey = KeyTest{Val: math.NaN(), Ne: true}
+
+func (t KeyTest) Pass(k float64) bool { return (k == t.Val) != t.Ne }
+
 // QueryRows appends the rows of the points in the closed box
-// [lo0,hi0]×[lo1,hi1], visiting cells cx-major then cy and each cell in row
-// order. The box is clamped to the cell window, so a huge or infinite box
-// costs at most the window. Every returned point passed the exact box test
-// on its stored coordinates, and NaN points are never stored, so callers
-// need not re-check the two dimensions.
-func (g *Grid) QueryRows(lo, hi []float64, out []int32) []int32 {
+// [lo0,hi0]×[lo1,hi1] that pass kt (every point of an unkeyed grid does),
+// visiting cells cx-major then cy and each cell in row order. The box is
+// clamped to the cell window, so a huge or infinite box costs at most the
+// window. NaN points are never stored and the box and key tests are exact
+// on stored values, so callers need not re-check either.
+func (g *Grid) QueryRows(lo, hi []float64, kt KeyTest, out []int32) []int32 {
 	if !(lo[0] <= hi[0] && lo[1] <= hi[1]) || len(g.rows) == 0 {
 		return out // empty or NaN box
+	}
+	ks := g.ks
+	if len(ks) == 0 {
+		ks, kt = g.xs, AnyKey
 	}
 	lx, hx, ly, hy := lo[0], hi[0], lo[1], hi[1]
 	cx0, cy0, _ := g.key(lx, ly)
@@ -159,14 +183,14 @@ func (g *Grid) QueryRows(lo, hi []float64, out []int32) []int32 {
 	for cx := cx0; cx <= cx1; cx++ {
 		k0, k1 := g.off[cx*g.ny+cy0], g.off[cx*g.ny+cy1+1]
 		rows := g.rows[k0:k1]
-		xs, ys := g.xs[k0:k1][:len(rows)], g.ys[k0:k1][:len(rows)]
+		xs, ys, kk := g.xs[k0:k1][:len(rows)], g.ys[k0:k1][:len(rows)], ks[k0:k1][:len(rows)]
 		// Branch-free: room for every candidate, then write each one and
-		// advance past it only if it is inside.
+		// advance past it only if it is inside and passes the key test.
 		n := len(out)
 		out = append(out, rows...)
 		for i, r := range rows {
 			out[n] = r
-			n += b2i(xs[i] >= lx) & b2i(xs[i] <= hx) & b2i(ys[i] >= ly) & b2i(ys[i] <= hy)
+			n += b2i(xs[i] >= lx) & b2i(xs[i] <= hx) & b2i(ys[i] >= ly) & b2i(ys[i] <= hy) & b2i(kt.Pass(kk[i]))
 		}
 		out = out[:n]
 	}
@@ -182,5 +206,5 @@ func b2i(b bool) int {
 
 // EstimatedBytes approximates resident memory.
 func (g *Grid) EstimatedBytes() int {
-	return len(g.rows)*(8+8+4) + len(g.off)*4
+	return len(g.rows)*(8+8+4) + len(g.ks)*8 + len(g.off)*4
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -163,13 +164,13 @@ func gridOf(cell float64, es []Entry) *Grid {
 	for i, e := range es {
 		x[i], y[i], rows[i] = e.Coords[0], e.Coords[1], int32(i)
 	}
-	return BuildGrid(cell, x, y, rows)
+	return BuildGrid(cell, x, y, nil, rows)
 }
 
 // gridIDs probes g and maps the candidate rows back to entry ids.
 func gridIDs(g *Grid, es []Entry, lo, hi []float64) []value.ID {
 	var out []value.ID
-	for _, r := range g.QueryRows(lo, hi, nil) {
+	for _, r := range g.QueryRows(lo, hi, AnyKey, nil) {
 		out = append(out, es[r].ID)
 	}
 	return out
@@ -214,7 +215,10 @@ func TestGridNegativeCoords(t *testing.T) {
 // clamped to the window of finite keys — so a grid over any input answers
 // in the candidate order the engine's bit-identity depends on. Inputs mix
 // negative, infinite and NaN coordinates and boxes, empty grids, and
-// point sets sparse enough to hit the cell-window cap.
+// point sets sparse enough to hit the cell-window cap. A keyed grid over
+// the same points answers every key test — == and !=, NaN point keys, a
+// NaN probe key, a probe key no point has — as that filter followed by the
+// key compare, in the same order, and AnyKey as the unkeyed grid.
 func TestGridQueryRowsMatchesBruteForceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	special := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
@@ -228,15 +232,16 @@ func TestGridQueryRowsMatchesBruteForceOrder(t *testing.T) {
 		n := rng.Intn(120)
 		span := []float64{50, 400, 1e6, 1e12}[rng.Intn(4)]
 		cell := []float64{0.5, 3, 17, 200}[rng.Intn(4)]
-		x, y := make([]float64, n+5), make([]float64, n+5)
+		x, y, key := make([]float64, n+5), make([]float64, n+5), make([]float64, n+5)
 		var rows []int32
 		for r := range x {
 			x[r], y[r] = coord(span), coord(span)
+			key[r] = []float64{0, 1, 2, math.NaN()}[rng.Intn(4)]
 			if rng.Intn(4) != 0 { // not every row is a member
 				rows = append(rows, int32(r))
 			}
 		}
-		g := BuildGrid(cell, x, y, rows)
+		g, gk := BuildGrid(cell, x, y, nil, rows), BuildGrid(cell, x, y, key, rows)
 		c := g.Cell()
 		if c < cell {
 			t.Fatalf("cell shrank: %v < %v", c, cell)
@@ -288,29 +293,41 @@ func TestGridQueryRowsMatchesBruteForceOrder(t *testing.T) {
 				}
 				return keyOf(y[a], 1) < keyOf(y[b], 1)
 			})
-			got := g.QueryRows(lo, hi, nil)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d box %v..%v: %d rows, brute force %d", trial, lo, hi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d box %v..%v: order diverged at %d: %v vs %v", trial, lo, hi, i, got, want)
+			check := func(what string, got, want []int32) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("trial %d box %v..%v %s: %d rows, brute force %d", trial, lo, hi, what, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d box %v..%v %s: order diverged at %d: %v vs %v", trial, lo, hi, what, i, got, want)
+					}
 				}
 			}
+			check("unkeyed", g.QueryRows(lo, hi, AnyKey, nil), want)
+			check("keyed, AnyKey", gk.QueryRows(lo, hi, AnyKey, nil), want)
+			kt := KeyTest{Val: []float64{0, 1, 3, math.NaN()}[rng.Intn(4)], Ne: rng.Intn(2) == 0}
+			var wantK []int32
+			for _, r := range want {
+				if kt.Ne && !(key[r] == kt.Val) || !kt.Ne && key[r] == kt.Val {
+					wantK = append(wantK, r)
+				}
+			}
+			check(fmt.Sprintf("key %+v", kt), gk.QueryRows(lo, hi, kt, nil), wantK)
 		}
 	}
 	// A sparse far-flung set must double its cell rather than allocate a
 	// window per unit of extent.
 	x := []float64{0, 1e12, -1e12, 5}
 	y := []float64{0, 1e12, 3, -1e12}
-	g := BuildGrid(1, x, y, []int32{0, 1, 2, 3})
+	g := BuildGrid(1, x, y, nil, []int32{0, 1, 2, 3})
 	if g.Cell() <= 1 || len(g.off)-1 > int(maxGridCells(4)) {
 		t.Fatalf("cell %v with %d cells: the window cap did not apply", g.Cell(), len(g.off)-1)
 	}
-	if got := g.QueryRows([]float64{-1, -1}, []float64{6, 6}, nil); len(got) != 1 || got[0] != 0 {
+	if got := g.QueryRows([]float64{-1, -1}, []float64{6, 6}, AnyKey, nil); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("sparse probe = %v, want [0]", got)
 	}
-	if got := BuildGrid(8, nil, nil, nil).QueryRows([]float64{-1, -1}, []float64{1, 1}, nil); len(got) != 0 {
+	if got := BuildGrid(8, nil, nil, nil, nil).QueryRows([]float64{-1, -1}, []float64{1, 1}, AnyKey, nil); len(got) != 0 {
 		t.Fatalf("empty grid returned %v", got)
 	}
 }
@@ -332,12 +349,12 @@ func TestBuilderReleasesTreeSlabs(t *testing.T) {
 		x[i], y[i], rows[i] = e.Coords[0], e.Coords[1], int32(i)
 	}
 	for i := 0; i < treeIdleBuilds-1; i++ {
-		b.BuildGrid(10, x, y, rows)
+		b.BuildGrid(10, x, y, nil, rows)
 	}
 	if b.nodes == nil || b.entries == nil {
 		t.Fatal("tree slabs released before the idle bound")
 	}
-	b.BuildGrid(10, x, y, rows)
+	b.BuildGrid(10, x, y, nil, rows)
 	if b.nodes != nil || b.reps != nil || b.trees != nil || b.entries != nil || b.coords != nil {
 		t.Fatal("tree slabs still pinned after the idle bound")
 	}
@@ -411,17 +428,36 @@ func TestSortRows(t *testing.T) {
 // BenchmarkGridQueryRows probes a grid at the rts_joins shape: 20k uniform
 // points at 75 area units each, cell 30, one ±15 box around every point
 // (about a dozen candidates per probe). One op is the 20k probes.
+//
+// The keyed case adds the rts combat key: two alternating sides, each probe
+// keeping the other side's points (key != own side), so about half the box
+// survives.
 func BenchmarkGridQueryRows(b *testing.B) {
 	const n = 20000
 	side := math.Sqrt(n * 75)
 	es := randEntries(n, 2, 7, side)
-	g := gridOf(30, es)
-	var out []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, e := range es {
-			x, y := e.Coords[0], e.Coords[1]
-			out = g.QueryRows([]float64{x - 15, y - 15}, []float64{x + 15, y + 15}, out[:0])
-		}
+	x, y, key := make([]float64, n), make([]float64, n), make([]float64, n)
+	rows := make([]int32, n)
+	for i, e := range es {
+		x[i], y[i], key[i], rows[i] = e.Coords[0], e.Coords[1], float64(i%2), int32(i)
+	}
+	for _, bc := range []struct {
+		name string
+		key  []float64
+	}{{"unkeyed", nil}, {"keyed", key}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := BuildGrid(30, x, y, bc.key, rows)
+			var out []int32
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := range es {
+					kt := AnyKey
+					if bc.key != nil {
+						kt = KeyTest{Val: key[r], Ne: true}
+					}
+					out = g.QueryRows([]float64{x[r] - 15, y[r] - 15}, []float64{x[r] + 15, y[r] + 15}, kt, out[:0])
+				}
+			}
+		})
 	}
 }

@@ -640,7 +640,7 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 		// the closed box [lo, hi], a superset of the rows the compares pass
 		// whatever its cell size; the exact recheck keeps those.
 		lo, hi := g.boxBounds(s.consts)
-		r.gridRows = cs.dataGrid(g).QueryRows(lo[:], hi[:], r.gridRows[:0])
+		r.gridRows = cs.dataGrid(g).QueryRows(lo[:], hi[:], index.AnyKey, r.gridRows[:0])
 		raw := tab.RawIDs()
 		xs, ys := tab.NumColumn(g.attrs[0]), tab.NumColumn(g.attrs[1])
 		for _, row := range r.gridRows {
@@ -725,7 +725,7 @@ func (cs *classState) dataGrid(g *subGroup) *index.Grid {
 	vers := [3]uint64{tab.StructVersion(), tab.ColVersion(attrs[0]), tab.ColVersion(attrs[1])}
 	if !dg.valid || vers != dg.vers {
 		dg.live = tab.LiveRows(dg.live[:0])
-		dg.grid = dg.build.BuildGrid(g.cell, tab.NumColumn(attrs[0]), tab.NumColumn(attrs[1]), dg.live)
+		dg.grid = dg.build.BuildGrid(g.cell, tab.NumColumn(attrs[0]), tab.NumColumn(attrs[1]), nil, dg.live)
 		dg.vers, dg.valid = vers, true
 	}
 	return dg.grid

@@ -295,7 +295,7 @@ func (g *subGroup) rebuildGrid() {
 			g.live = append(g.live, int32(slot))
 		}
 	}
-	g.grid = g.build.BuildGrid(g.cell, g.cx, g.cy, g.live)
+	g.grid = g.build.BuildGrid(g.cell, g.cx, g.cy, nil, g.live)
 	g.stale = false
 }
 
@@ -369,7 +369,7 @@ func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int
 	reach := float64(g.maxHalf * (1 + 1.0/(1<<16))) // rounded product: no FMA on any GOARCH
 	p.lo[0], p.lo[1] = x-reach, y-reach
 	p.hi[0], p.hi[1] = x+reach, y+reach
-	p.cand = g.grid.QueryRows(p.lo[:], p.hi[:], p.cand[:0])
+	p.cand = g.grid.QueryRows(p.lo[:], p.hi[:], index.AnyKey, p.cand[:0])
 	for _, slot := range p.cand {
 		if g.passes(g.slots[slot].consts, x, y) {
 			out = append(out, slot)
