@@ -24,8 +24,8 @@ const (
 	Count         // number of contributions (payload ignored)
 	And           // boolean conjunction
 	Or            // boolean disjunction
-	MinBy         // value carried by the smallest key (deterministic tie-break on key)
-	MaxBy         // value carried by the largest key
+	MinBy         // value carried by the smallest key (NaN last; equal keys: smallest value)
+	MaxBy         // value carried by the largest key (NaN last; equal keys: smallest value)
 	SetUnion      // set union (used by the `<=` set-insert operator)
 )
 
@@ -173,12 +173,8 @@ func (a *Accumulator) Add(v value.Value, key float64) {
 		if v.AsBool() {
 			a.num = 1
 		}
-	case MinBy:
-		if a.n == 0 || key < a.key || (key == a.key && v.Compare(a.val) < 0) {
-			a.key, a.val = key, v
-		}
-	case MaxBy:
-		if a.n == 0 || key > a.key || (key == a.key && v.Compare(a.val) < 0) {
+	case MinBy, MaxBy:
+		if a.n == 0 || a.beatenBy(key, v) {
 			a.key, a.val = key, v
 		}
 	case SetUnion:
@@ -249,19 +245,11 @@ func (a *Accumulator) AddPayloads(vals, keys []float64) {
 			a.n++
 		}
 		return
-	case MinBy:
+	case MinBy, MaxBy:
+		max := a.kind == MaxBy
 		for i, v := range vals {
 			key := keys[i]
-			if a.n == 0 || key < a.key || (key == a.key && v < a.val.AsNumber()) {
-				a.key, a.val = key, payloadValue(a.attrK, v)
-			}
-			a.n++
-		}
-		return
-	case MaxBy:
-		for i, v := range vals {
-			key := keys[i]
-			if a.n == 0 || key > a.key || (key == a.key && v < a.val.AsNumber()) {
+			if a.n == 0 || ByBeats(max, key, a.key, v, a.val.AsNumber()) {
 				a.key, a.val = key, payloadValue(a.attrK, v)
 			}
 			a.n++
@@ -271,6 +259,31 @@ func (a *Accumulator) AddPayloads(vals, keys []float64) {
 		panic("combinator: AddPayloads on a set-union accumulator")
 	}
 	a.n += int64(len(vals))
+}
+
+// ByBeats reports whether a minby (max false) or maxby (max true)
+// contribution of key k and payload v displaces the winner so far, of key bk
+// and payload bv. Keys rank ascending for minby and descending for maxby,
+// NaN after every number; equal keys (NaN with NaN too) rank payloads
+// ascending, NaN last again. So the winner does not depend on the order
+// contributions arrive in.
+func ByBeats(max bool, k, bk, v, bv float64) bool {
+	if k == bk || k != k && bk != bk {
+		return v < bv || bv != bv && v == v
+	}
+	return k == k && (bk != bk || k > bk == max)
+}
+
+// beatenBy is ByBeats over a boxed payload (strings rank lexically).
+func (a *Accumulator) beatenBy(k float64, v value.Value) bool {
+	max := a.kind == MaxBy
+	if v.Kind() != value.KindString {
+		return ByBeats(max, k, a.key, v.AsNumber(), a.val.AsNumber())
+	}
+	if k == a.key || k != k && a.key != a.key {
+		return v.Compare(a.val) < 0
+	}
+	return ByBeats(max, k, a.key, 0, 0)
 }
 
 // ResultPayload returns the combined value as a raw column payload, for
@@ -352,12 +365,8 @@ func (a *Accumulator) Merge(b Accumulator) {
 		if b.num != 0 {
 			a.num = 1
 		}
-	case MinBy:
-		if b.key < a.key || (b.key == a.key && b.val.Compare(a.val) < 0) {
-			a.key, a.val = b.key, b.val
-		}
-	case MaxBy:
-		if b.key > a.key || (b.key == a.key && b.val.Compare(a.val) < 0) {
+	case MinBy, MaxBy:
+		if a.beatenBy(b.key, b.val) {
 			a.key, a.val = b.key, b.val
 		}
 	case SetUnion:

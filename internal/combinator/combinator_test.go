@@ -259,3 +259,48 @@ func TestOrderIndependenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestByWinnerIndependentOfOrder pins minby/maxby to one total order under
+// NaN: keys NaN last, equal keys (NaN with NaN too) broken by the smaller
+// payload, NaN payloads last. Every permutation of contributions with NaN
+// keys and payloads must pick the same winner through Add, AddPayloads and
+// a Merge of two halves.
+func TestByWinnerIndependentOfOrder(t *testing.T) {
+	nan := math.NaN()
+	keys := []float64{nan, 3, 1, 3, nan, 1, 2}
+	vals := []float64{5, nan, 7, 2, 1, 9, nan}
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range []Kind{MinBy, MaxBy} {
+		var want uint64
+		for trial := 0; trial < 200; trial++ {
+			perm := rng.Perm(len(keys))
+			pk, pv := make([]float64, len(keys)), make([]float64, len(keys))
+			for i, j := range perm {
+				pk[i], pv[i] = keys[j], vals[j]
+			}
+			add, batch, lo, hi := New(k, value.KindNumber), New(k, value.KindNumber), New(k, value.KindNumber), New(k, value.KindNumber)
+			for i := range pk {
+				add.Add(value.Num(pv[i]), pk[i])
+			}
+			batch.AddPayloads(pv, pk)
+			lo.AddPayloads(pv[:3], pk[:3])
+			hi.AddPayloads(pv[3:], pk[3:])
+			lo.Merge(hi)
+			var got [3]uint64
+			for i, a := range []*Accumulator{&add, &batch, &lo} {
+				p, _ := a.ResultPayload()
+				got[i] = math.Float64bits(p)
+			}
+			if trial == 0 {
+				want = got[0]
+			}
+			if got != [3]uint64{want, want, want} {
+				t.Fatalf("%v order %v: winners %v, want %x everywhere", k, perm, got, want)
+			}
+		}
+		// minby: key 1 ties, payload 7 < 9; maxby: key 3 ties, payload 2 < NaN.
+		if w := math.Float64frombits(want); k == MinBy && w != 7 || k == MaxBy && w != 2 {
+			t.Errorf("%v picked %v", k, w)
+		}
+	}
+}

@@ -171,11 +171,16 @@ func (w *World) ClassTable(class string) *table.Table {
 	return nil
 }
 
-// ViewTick is one views.Registry.Apply's accounting.
+// ViewTick is one views.Registry.Apply's accounting. Nanos is the whole
+// Apply; ProbeNanos, MaintainNanos and EmitNanos are its probe fan-out (with
+// bucketing), its maintain fan-out and its in-order delta callbacks. The
+// rest of Nanos is serial preparation.
 type ViewTick struct {
 	Subs, IndexedSubs               int64 // gauges: live subscriptions, and those in a subscription index
 	DeltaRows, Rescans, IndexProbes int64
 	Nanos                           int64
+	ProbeNanos, MaintainNanos       int64
+	EmitNanos                       int64
 }
 
 // NoteViewStats folds subscription-view maintenance counters into the
@@ -191,4 +196,7 @@ func (w *World) NoteViewStats(v ViewTick) {
 	w.execStats.ViewRescans += v.Rescans
 	w.execStats.ViewIndexProbes += v.IndexProbes
 	w.execStats.ViewMaintNanos += v.Nanos
+	w.execStats.ViewProbeNanos += v.ProbeNanos
+	w.execStats.ViewMaintainNanos += v.MaintainNanos
+	w.execStats.ViewEmitNanos += v.EmitNanos
 }

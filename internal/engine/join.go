@@ -580,14 +580,14 @@ func (x *execCtx) foldSegs(s *compile.AccumStep, b *siteBatch, srcRT *classRT, r
 }
 
 // foldBy folds a non-empty minby/maxby segment of raw payloads comparison
-// for comparison as Accumulator.Add: a better key, or an equal key with a
-// smaller payload, replaces the winner, so the first of equal pairs wins.
+// for comparison as Accumulator.Add (combinator.ByBeats: NaN keys and
+// payloads rank after every number), so the first of equal pairs wins.
 // Bool and ref lanes carry 0/1 and integral ids: the payload is the result.
 func foldBy(maxBy bool, vals, keys []float64) float64 {
 	bk, bv := keys[0], vals[0]
 	for i, v := range vals[1:] {
 		k := keys[i+1]
-		if k > bk && maxBy || k < bk && !maxBy || k == bk && v < bv {
+		if combinator.ByBeats(maxBy, k, bk, v, bv) {
 			bk, bv = k, v
 		}
 	}

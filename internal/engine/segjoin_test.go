@@ -88,10 +88,10 @@ func duelSpawn(w *engine.World, i int) error {
 // objects (a NaN team differs from every team, its own too) and picks its
 // maxby winner by a three-valued rank: most probes see ties on equal keys,
 // which the fold breaks toward the smaller ref exactly as Accumulator.Add
-// does, whatever the candidate order. Ranks stay finite: a leading NaN key
-// is never displaced, so a NaN rank would make the winner depend on the
-// candidate order, which differs between partitioned (row order) and
-// unpartitioned (cell order) probes.
+// does, whatever the candidate order. Every 11th object's rank is NaN, which
+// ranks after every number: were a leading NaN key never displaced, the
+// winner would depend on the candidate order, which differs between
+// partitioned (row order) and unpartitioned (cell order) probes.
 const srcTies = `
 class Tier {
   state:
@@ -125,9 +125,13 @@ func tiesSpawn(w *engine.World, i int) error {
 	if i%3 == 0 {
 		team = math.NaN()
 	}
+	rank := float64(i % 3)
+	if i%11 == 0 {
+		rank = math.NaN()
+	}
 	rng := rand.New(rand.NewSource(int64(i)))
 	_, err := w.Spawn("Tier", map[string]value.Value{
-		"team": value.Num(team), "rank": value.Num(float64(i % 3)),
+		"team": value.Num(team), "rank": value.Num(rank),
 		"x": value.Num(rng.Float64() * 180), "y": value.Num(rng.Float64() * 180),
 	})
 	return err

@@ -253,6 +253,16 @@ func (w *World) runPool(n, nw int, fn func(slot, i int)) {
 	wg.Wait()
 }
 
+// Workers returns the size of the world's worker pool (Options.Workers).
+func (w *World) Workers() int { return w.opts.Workers }
+
+// RunParallel runs fn(worker, i) for every i in [0, n) on the world's
+// worker pool and returns when all have finished; worker, in [0, Workers()),
+// names the goroutine's private state, and one worker runs every i inline
+// in order. It is for read-only phases between ticks, such as view
+// maintenance: fn must not write the world.
+func (w *World) RunParallel(n int, fn func(worker, i int)) { w.runPool(n, w.opts.Workers, fn) }
+
 // runPass drives one pass: it splits the class extent into shards, runs
 // them — inline when one worker suffices, else across the pool — and folds
 // their sinks back in (shard, row) order.

@@ -173,24 +173,30 @@ func (g *Grid) QueryRows(lo, hi []float64, kt KeyTest, out []int32) []int32 {
 	if !(lo[0] <= hi[0] && lo[1] <= hi[1]) || len(g.rows) == 0 {
 		return out // empty or NaN box
 	}
-	ks := g.ks
-	if len(ks) == 0 {
-		ks, kt = g.xs, AnyKey
-	}
 	lx, hx, ly, hy := lo[0], hi[0], lo[1], hi[1]
 	cx0, cy0, _ := g.key(lx, ly)
 	cx1, cy1, _ := g.key(hx, hy)
+	keyed := len(g.ks) > 0
 	for cx := cx0; cx <= cx1; cx++ {
 		k0, k1 := g.off[cx*g.ny+cy0], g.off[cx*g.ny+cy1+1]
 		rows := g.rows[k0:k1]
-		xs, ys, kk := g.xs[k0:k1][:len(rows)], g.ys[k0:k1][:len(rows)], ks[k0:k1][:len(rows)]
+		xs, ys := g.xs[k0:k1][:len(rows)], g.ys[k0:k1][:len(rows)]
 		// Branch-free: room for every candidate, then write each one and
-		// advance past it only if it is inside and passes the key test.
+		// advance past it only if it is inside (and, keyed, passes the key
+		// test: an unkeyed grid never pays the compare).
 		n := len(out)
 		out = append(out, rows...)
-		for i, r := range rows {
-			out[n] = r
-			n += b2i(xs[i] >= lx) & b2i(xs[i] <= hx) & b2i(ys[i] >= ly) & b2i(ys[i] <= hy) & b2i(kt.Pass(kk[i]))
+		if keyed {
+			ks := g.ks[k0:k1][:len(rows)]
+			for i, r := range rows {
+				out[n] = r
+				n += b2i(xs[i] >= lx) & b2i(xs[i] <= hx) & b2i(ys[i] >= ly) & b2i(ys[i] <= hy) & b2i(kt.Pass(ks[i]))
+			}
+		} else {
+			for i, r := range rows {
+				out[n] = r
+				n += b2i(xs[i] >= lx) & b2i(xs[i] <= hx) & b2i(ys[i] >= ly) & b2i(ys[i] <= hy)
+			}
 		}
 		out = out[:n]
 	}

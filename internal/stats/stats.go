@@ -126,13 +126,19 @@ type ExecCounters struct {
 	// ViewIndexProbes counts point probes of the subscription indexes (a
 	// touched row costs one per index group, two when it moved) — zero on
 	// ticks where the cost model kept every group on the per-subscription
-	// path; ViewMaintNanos is wall time spent maintaining all subscriptions.
-	ViewSubs        int64
-	ViewIndexedSubs int64
-	ViewDeltaRows   int64
-	ViewRescans     int64
-	ViewIndexProbes int64
-	ViewMaintNanos  int64
+	// path; ViewMaintNanos is wall time spent maintaining all subscriptions,
+	// of which ViewProbeNanos, ViewMaintainNanos and ViewEmitNanos are the
+	// probe and maintain fan-outs and the in-order delta callbacks (the
+	// serial steps around them are the rest).
+	ViewSubs          int64
+	ViewIndexedSubs   int64
+	ViewDeltaRows     int64
+	ViewRescans       int64
+	ViewIndexProbes   int64
+	ViewMaintNanos    int64
+	ViewProbeNanos    int64
+	ViewMaintainNanos int64
+	ViewEmitNanos     int64
 
 	// Load balance: per tick the effect-phase row visits (scalar rows,
 	// vectorized rows, join candidates) are tallied per partition;

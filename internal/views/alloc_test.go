@@ -188,6 +188,78 @@ func shiftingMembershipZeroAlloc(t *testing.T, costs plan.Costs, indexed bool) {
 	}
 }
 
+// TestApplyFanOutAllocsIndependentOfSubs is the pool's allocation guard: at
+// Workers 4 an Apply pays for its fan-outs' goroutines and nothing else, so
+// it allocates the same with 200 subscriptions as with 2000 — nothing per
+// subscription, per chunk, per probe task or per delta. Each size is
+// measured three times and judged by its fewest: a worker that drew a larger
+// share of the work than ever before grows its buffers once, and that is
+// not a per-Apply cost.
+func TestApplyFanOutAllocsIndependentOfSubs(t *testing.T) {
+	var allocs [2]float64
+	for i, n := range []int{200, 2000} {
+		w := unitWorld(t, 400, engine.Options{Workers: 4})
+		ids := w.IDs("Unit")
+		r := views.New(w, plan.DefaultCosts())
+		rng := rand.New(rand.NewSource(int64(n)))
+		for k := 0; k < n; k++ {
+			pred := boxPred(t, rng.Float64()*120, rng.Float64()*120, float64(6+4*(k%4)))
+			if k%5 == 4 {
+				pred = fmt.Sprintf("health < %d", 50+k%40)
+			}
+			def := views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "y", "health"}}
+			switch k % 10 {
+			case 3:
+				def = views.Def{Class: "Unit", Pred: pred, Kind: views.Sum, Attr: "health"}
+			case 7:
+				def = views.Def{Class: "Unit", Pred: pred, Kind: views.TopK, Attr: "health", K: 4}
+			}
+			mustSub(t, r, def)
+		}
+		var sunk int
+		sink := func(d *views.Delta) { sunk += len(d.AddIDs) + len(d.UpdIDs) + len(d.RemIDs) }
+		step := 0
+		round := func() {
+			step++
+			for i := 0; i < 40; i++ {
+				phase := 2 * math.Pi * float64((step+i*7)%48) / 48
+				id := ids[i*9]
+				for attr, v := range [...]float64{55 + 50*math.Cos(phase), 55 + 50*math.Sin(phase)} {
+					if err := w.SetState("Unit", id, [...]string{"x", "y"}[attr], value.Num(v)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hp := 45 + math.Abs(float64((step*3+i*5)%100-50))
+				if err := w.SetState("Unit", ids[i*9+1], "health", value.Num(hp)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.Apply(sink)
+		}
+		r.Apply(sink)
+		for k := 0; k < 200; k++ {
+			round()
+		}
+		allocs[i] = math.Inf(1)
+		for k := 0; k < 3; k++ {
+			allocs[i] = min(allocs[i], testing.AllocsPerRun(50, round))
+		}
+		if sunk == 0 {
+			t.Fatalf("%d subscriptions: no deltas; the measurement is vacuous", n)
+		}
+		if probes := w.ExecStats().ViewIndexProbes; probes == 0 {
+			t.Fatalf("%d subscriptions: the index never probed", n)
+		}
+		if c := r.MaxChunks(); c <= 1 {
+			t.Fatalf("%d subscriptions: maintenance never fanned out (%d chunk)", n, c)
+		}
+	}
+	t.Logf("Workers=4: %.1f allocs/Apply", allocs[0])
+	if allocs[0] != allocs[1] {
+		t.Errorf("Workers=4 Apply allocates %.1f objects with 200 subscriptions but %.1f with 2000", allocs[0], allocs[1])
+	}
+}
+
 // TestSubscribeCostIndependentOfRegistrySize pins Subscribe/Unsubscribe to
 // O(log subs): replacing one spectator costs about the same in a registry
 // of ten thousand as in one of a thousand (it was 36 µs against 418 µs when

@@ -1,15 +1,14 @@
 package views
 
-// Per-tick maintenance. Apply drains the engine changefeed once, probes the
-// subscription indexes with it, then maintains each subscription that has
-// anything to do in ascending SubID order — a pure function of committed
-// state, so the emitted delta stream is bit-identical across
-// Workers/Partitions/Exec configurations (the feed itself is) and across
-// maintenance paths (index probe, delta and rescan compute membership from
-// the same compares; updates are defined as member ∩ candidate ∩ pass in all
-// three).
+// Per-tick maintenance. Apply drains the engine changefeed once and then
+// maintains each subscription that has anything to do. Every subscription's
+// delta is a pure function of committed state, so the emitted stream is
+// bit-identical across Workers/Partitions/Exec configurations (the feed
+// itself is) and across maintenance paths (index probe, delta and rescan
+// compute membership from the same compares; updates are defined as member
+// ∩ candidate ∩ pass in all three).
 //
-// The maintenance ladder, cheapest first:
+// A subscription takes the first rung of this ladder that applies:
 //
 //  1. index probe (subindex.go): subscriptions whose predicate is a box in
 //     slot space are found by the touched rows instead of filtering them.
@@ -28,13 +27,39 @@ package views
 //     count, forced by unstable predicates, resyncs and fresh
 //     subscriptions.
 //
-// TopK rankings are kept by selection: a bounded heap of K entries, over
-// the whole membership only when a ranked row retracts, then a sort of the
-// K survivors.
-//
 // Rungs 2–4 are the per-subscription path: forced-mode and ineligible
 // subscriptions always take it, and so does a whole index group on a tick
-// where plan.Costs.ChooseViewIndex prices the probes above it.
+// where plan.Costs.ChooseViewIndex prices the probes above it. TopK rankings
+// are kept by selection: a bounded heap of K entries, over the whole
+// membership only when a ranked row retracts, then a sort of the K
+// survivors.
+//
+// Maintenance is a read-only query phase over committed state (§4.2), so it
+// runs on the world's worker pool (engine.World.RunParallel, at
+// Options.Workers) in five steps:
+//
+//  1. plan (serial): drain the feed, diff versions, decide per index group
+//     and queue the per-subscription work; build the id order and any stale
+//     subscription grid the probes read;
+//  2. probe (parallel): each probe task probes one range of a group's
+//     touched rows into its own event list, bucketed by slot; the same
+//     fan-out rebuilds the data grids the rescans of step 4 will read;
+//  3. prepare (serial): queue the probed subscriptions, sort the worklist by
+//     SubID, pick each subscription's rung and build every shared
+//     structure that rung reads — candidate order, ids and lanes, the
+//     rescan stamps — so nothing shared is written from here until the
+//     fan-out ends;
+//  4. maintain (parallel): the worklist is cut into contiguous SubID
+//     chunks, several per worker and claimed as workers free up, since an
+//     aggregate costs far more than a box. Every scratch buffer a
+//     subscription's maintenance writes is its worker's, and each chunk
+//     logs its deltas as rows, removed ids and rankings;
+//  5. emit (serial): the chunks' logs are replayed through fn in ascending
+//     SubID order, one delta at a time, with the bytes one goroutine would
+//     have produced.
+//
+// One worker is the same path with one task per group and one chunk, run
+// inline.
 
 import (
 	"cmp"
@@ -51,16 +76,145 @@ import (
 	"repro/internal/vexpr"
 )
 
+// chunksPerWorker is how many maintain chunks the worklist is cut into per
+// worker beyond the first: enough that a chunk holding the costly
+// aggregates does not leave the other workers idle at the barrier, few
+// enough that a chunk amortizes its claim.
+const chunksPerWorker = 8
+
+// worker is one pool worker's private maintenance state: everything a probe
+// task or a subscription's maintenance writes, so the fan-outs share nothing
+// writable.
+type worker struct {
+	r *Registry
+
+	d         Delta       // the delta every subscription on this worker builds in
+	slotLanes [][]float64 // constant lanes, indexed by canonical slot
+	slotSub   *Sub        // whose constants currently fill slotLanes
+	slotLen   int
+	mach      vexpr.Machine
+	env       vexpr.Env // retained: a per-call Env escapes to the heap
+	mask      []float64
+	addPairs  []idRow
+	updPairs  []idRow
+	fullPairs []idRow
+	gridRows  []int32
+	topCand   []TopEntry // TopK selection heap, then the sorted ranking
+	idLane    []float64  // whole-extent id lane for rescanning kernels
+	probe     probeScratch
+
+	scratch []slotEvent // the running probe task's events before bucketing
+
+	deltaRows, rescans int64
+}
+
+// chunk is one contiguous SubID range [lo, hi) of the worklist and the
+// deltas its maintenance produced: what it keeps depends on its range, not
+// on which worker maintained it.
+type chunk struct {
+	lo, hi int
+	log    deltaLog
+}
+
+// deltaLog holds deltas until their turn to be emitted, struct-of-arrays:
+// one record per delta, the physical rows of its adds then its updates in
+// rows, its removed ids in rem, its ranking in top. Rows stand for their
+// ids and payload cells, which replay reads from the table: committed state
+// does not move between the maintain fan-out and the emit.
+type deltaLog struct {
+	recs []deltaRec
+	rows []int32
+	rem  []value.ID
+	top  []TopEntry
+}
+
+type deltaRec struct {
+	sub                    *Sub
+	nAdd, nUpd, nRem, nTop int
+	resync, aggChanged     bool
+	agg                    float64
+}
+
+func (l *deltaLog) reset() {
+	clear(l.recs) // drop the *Sub references
+	l.recs, l.rows, l.rem, l.top = l.recs[:0], l.rows[:0], l.rem[:0], l.top[:0]
+}
+
+// add logs the delta worker w just maintained for s.
+func (l *deltaLog) add(s *Sub, w *worker) {
+	d := &w.d
+	l.recs = append(l.recs, deltaRec{
+		sub: s, nAdd: len(w.addPairs), nUpd: len(w.updPairs), nRem: len(d.RemIDs), nTop: len(d.Top),
+		resync: d.Resync, aggChanged: d.AggChanged, agg: d.Agg,
+	})
+	for _, pairs := range [2][]idRow{w.addPairs, w.updPairs} {
+		for _, p := range pairs {
+			l.rows = append(l.rows, p.row)
+		}
+	}
+	l.rem = append(l.rem, d.RemIDs...)
+	l.top = append(l.top, d.Top...)
+}
+
+// replay builds the logged deltas in d, in log order, hands each to fn
+// (when non-nil) and returns their total Delta.Bytes.
+func (l *deltaLog) replay(d *Delta, tick int64, fn func(*Delta)) (bytes int64) {
+	rows, rem, top := l.rows, l.rem, l.top
+	for _, rec := range l.recs {
+		s := rec.sub
+		d.reset(s, tick)
+		d.Resync, d.AggChanged, d.Agg = rec.resync, rec.aggChanged, rec.agg
+		add, upd := rows[:rec.nAdd], rows[rec.nAdd:rec.nAdd+rec.nUpd]
+		rows = rows[rec.nAdd+rec.nUpd:]
+		tab := s.cs.tab
+		raw := tab.RawIDs()
+		for _, row := range add {
+			d.AddIDs = append(d.AddIDs, raw[row])
+		}
+		for _, row := range upd {
+			d.UpdIDs = append(d.UpdIDs, raw[row])
+		}
+		for j, a := range s.payload {
+			col := tab.NumColumn(a)
+			for _, row := range add {
+				d.AddCols[j] = append(d.AddCols[j], col[row])
+			}
+			for _, row := range upd {
+				d.UpdCols[j] = append(d.UpdCols[j], col[row])
+			}
+		}
+		d.RemIDs = append(d.RemIDs, rem[:rec.nRem]...)
+		d.Top = append(d.Top, top[:rec.nTop]...)
+		rem, top = rem[rec.nRem:], top[rec.nTop:]
+		bytes += d.Bytes()
+		if fn != nil {
+			fn(d)
+		}
+	}
+	return bytes
+}
+
 // Apply consumes the tick's changefeed and maintains every subscription,
-// invoking fn (when non-nil) with each subscription's delta. Deltas alias
-// registry buffers: copy to retain. Call between ticks, after
-// engine.RunTick; a detached registry is a no-op.
+// invoking fn (when non-nil) with each subscription's delta, serially and
+// in ascending SubID order. Deltas alias registry buffers: copy to retain.
+// fn must not change the world, whose committed state the later deltas are
+// read from. Call between ticks, after engine.RunTick; a detached registry
+// is a no-op.
 func (r *Registry) Apply(fn func(*Delta)) {
 	if r.eng == nil {
 		return
 	}
 	start := time.Now()
-	r.deltaRows, r.rescans, r.deltaBytes = 0, 0, 0
+	r.seq++
+	r.tick = r.eng.Tick()
+	nw := r.eng.Workers()
+	for len(r.workers) < nw {
+		r.workers = append(r.workers, &worker{r: r})
+	}
+	for _, w := range r.workers {
+		w.slotSub = nil
+		w.deltaRows, w.rescans, w.probe.probes = 0, 0, 0
+	}
 	for _, cs := range r.classList {
 		cs.drained = false
 		cs.lanesBuilt = false
@@ -72,14 +226,15 @@ func (r *Registry) Apply(fn func(*Delta)) {
 		cs.resync = false
 	}
 	r.eng.DrainChangeFeed(r.drainFn)
-	r.slotSub = nil
-	r.seq++
-	p := &r.probe
-	p.events, p.count, p.probes = p.events[:0], p.count[:0], 0
 
 	// The worklist: every subscription off the index, every one a probe
-	// produced an event for, and the ones that must rescan regardless.
+	// produces an event for, and the ones that must rescan regardless.
 	r.work = r.work[:0]
+	r.nTasks = 0
+	r.gridJobs = r.gridJobs[:0]
+	for _, s := range r.fresh {
+		s.grp.freshSeq = r.seq
+	}
 	for _, cs := range r.classList {
 		cs.diffVersions()
 		for _, s := range cs.slow {
@@ -89,37 +244,55 @@ func (r *Registry) Apply(fn func(*Delta)) {
 			cs.each(r.queueFn)
 			cs.dropGrids()
 		}
-		r.probeClass(cs)
+		r.planProbes(cs, nw)
 	}
 	for _, s := range r.fresh {
 		r.queue(s)
 	}
 	clear(r.fresh)
 	r.fresh = r.fresh[:0]
-	p.bucketEvents()
-	slices.SortFunc(r.work, func(a, b *Sub) int { return cmp.Compare(a.id, b.id) })
 
-	tick := r.eng.Tick()
-	for _, s := range r.work {
-		if !r.maintain(s, tick) {
-			continue
-		}
-		if r.d.changed {
-			r.deltaBytes += r.d.Bytes()
-			if fn != nil {
-				fn(&r.d)
-			}
-		}
+	probeStart := time.Now()
+	r.eng.RunParallel(len(r.gridJobs)+r.nTasks, r.probeFn)
+	r.queueProbed()
+	probeEnd := time.Now()
+
+	slices.SortFunc(r.work, func(a, b *Sub) int { return cmp.Compare(a.id, b.id) })
+	r.prepare()
+	r.cutChunks(nw)
+
+	maintainStart := time.Now()
+	r.eng.RunParallel(len(r.chunks), r.maintainFn)
+	emitStart := time.Now()
+	r.deltaBytes = 0
+	for i := range r.chunks {
+		r.deltaBytes += r.chunks[i].log.replay(&r.out, r.tick, fn)
 	}
+	emitEnd := time.Now()
+
 	clear(r.work)
 	for _, cs := range r.classList {
 		cs.syncImage()
 		cs.storeVersions()
 	}
+	var deltaRows, probes int64
+	r.rescans = 0
+	for _, w := range r.workers {
+		deltaRows += w.deltaRows
+		probes += w.probe.probes
+		r.rescans += w.rescans
+	}
+	end := time.Now()
+	r.split = [4]time.Duration{
+		probeStart.Sub(start) + maintainStart.Sub(probeEnd) + end.Sub(emitEnd),
+		probeEnd.Sub(probeStart), emitStart.Sub(maintainStart), emitEnd.Sub(emitStart),
+	}
 	r.eng.NoteViewStats(engine.ViewTick{
 		Subs: int64(len(r.byID)), IndexedSubs: r.indexed,
-		DeltaRows: r.deltaRows, Rescans: r.rescans, IndexProbes: p.probes,
-		Nanos: time.Since(start).Nanoseconds(),
+		DeltaRows: deltaRows, Rescans: r.rescans, IndexProbes: probes,
+		Nanos:      end.Sub(start).Nanoseconds(),
+		ProbeNanos: r.split[1].Nanoseconds(), MaintainNanos: r.split[2].Nanoseconds(),
+		EmitNanos: r.split[3].Nanoseconds(),
 	})
 }
 
@@ -151,29 +324,100 @@ func (r *Registry) copyFeed(d engine.ClassDelta) {
 	cs.drained = true
 }
 
-// maintain runs one subscription into r.d; false reports the version skip
-// (no evaluation happened).
-func (r *Registry) maintain(s *Sub, tick int64) bool {
-	cs := s.cs
-	resync := cs.resync || s.fresh
-	if !resync && s.versionsUnchanged(cs) {
+// A subscription's rung this Apply, picked by prepare.
+const (
+	pathSkip   uint8 = iota // version skip: nothing it watches moved
+	pathEvents              // its index group probed: apply its events
+	pathDelta               // per-subscription delta over the candidates
+	pathRescan              // full-extent rescan (resync when resync is set)
+)
+
+// prepare picks each queued subscription's rung and builds, once, every
+// shared structure the rungs read, so the maintain fan-out writes nothing
+// it shares.
+func (r *Registry) prepare() {
+	for _, s := range r.work {
+		cs := s.cs
+		s.resync = cs.resync || s.fresh
+		switch {
+		case !s.resync && s.versionsUnchanged(cs):
+			s.path = pathSkip
+		case !s.resync && s.grp != nil && s.grp.probed:
+			s.path = pathEvents
+		case !s.resync && s.sh.stable &&
+			r.costs.ChooseView(s.def.Mode, cs.tab.Len(), len(cs.rows)) == plan.ViewDelta:
+			s.path = pathDelta
+			cs.buildOrder()
+			if s.sh.prog != nil {
+				cs.buildLanes()
+			}
+		default:
+			s.path = pathRescan
+			if !s.resync {
+				cs.stampRows(r.seq)
+			}
+			if g := s.grp; g != nil && len(g.attrs) == 2 {
+				g.scan = cs.dataGrid(g)
+			}
+		}
+	}
+}
+
+// cutChunks cuts the sorted worklist into the maintain fan-out's chunks:
+// one with one worker, else chunksPerWorker per worker (at most one per
+// subscription).
+func (r *Registry) cutChunks(nw int) {
+	n, c := len(r.work), 1
+	if nw > 1 {
+		c = nw * chunksPerWorker
+	}
+	c = min(c, n)
+	all := r.chunks[:cap(r.chunks)]
+	for i := range all {
+		all[i].log.reset() // the ones past c too: their logs hold *Subs
+	}
+	for len(all) < c {
+		all = append(all, chunk{})
+	}
+	r.chunks = all[:c]
+	for i := range r.chunks {
+		r.chunks[i].lo, r.chunks[i].hi = i*n/c, (i+1)*n/c
+	}
+	r.maxChunks = max(r.maxChunks, c)
+}
+
+// runChunk is the maintain fan-out's body: chunk ci on worker wk.
+func (r *Registry) runChunk(wk, ci int) {
+	w, c := r.workers[wk], &r.chunks[ci]
+	for _, s := range r.work[c.lo:c.hi] {
+		if w.maintain(s) && w.d.changed {
+			c.log.add(s, w)
+		}
+	}
+}
+
+// maintain runs one subscription into w.d on its prepared rung; false
+// reports the version skip (no evaluation happened).
+func (w *worker) maintain(s *Sub) bool {
+	if s.path == pathSkip {
 		return false
 	}
-	r.d.reset(s, tick)
-	switch {
-	case !resync && s.grp != nil && s.grp.probed:
-		if s.grp.evSeq[s.slot] == r.seq {
-			r.applyEvents(s, cs)
+	cs := s.cs
+	w.d.reset(s, w.r.tick)
+	w.addPairs, w.updPairs = w.addPairs[:0], w.updPairs[:0]
+	switch s.path {
+	case pathEvents:
+		if s.grp.evSeq[s.slot] == w.r.seq {
+			w.applyEvents(s, cs)
 		}
-	case !resync && s.sh.stable &&
-		r.costs.ChooseView(s.def.Mode, cs.tab.Len(), len(cs.rows)) == plan.ViewDelta:
-		r.applyDelta(s, cs)
+	case pathDelta:
+		w.applyDelta(s, cs)
 	default:
-		r.applyRescan(s, cs, resync)
-		r.rescans++
+		w.applyRescan(s, cs, s.resync)
+		w.rescans++
 	}
 	s.fresh = false
-	r.deltaRows += int64(len(r.d.AddIDs) + len(r.d.UpdIDs) + len(r.d.RemIDs))
+	w.deltaRows += int64(len(w.addPairs) + len(w.updPairs) + len(w.d.RemIDs))
 	return true
 }
 
@@ -283,42 +527,41 @@ func (cs *classState) buildLanes() {
 }
 
 // fillSlots materializes the subscription's constants across n lanes of the
-// shared slot vectors (skipped when they already hold them).
-func (r *Registry) fillSlots(s *Sub, n int) {
-	if r.slotSub == s && r.slotLen >= n {
+// worker's slot vectors (skipped when they already hold them).
+func (w *worker) fillSlots(s *Sub, n int) {
+	if w.slotSub == s && w.slotLen >= n {
 		return
 	}
-	for len(r.slotLanes) < len(s.consts) {
-		r.slotLanes = append(r.slotLanes, nil)
+	for len(w.slotLanes) < len(s.consts) {
+		w.slotLanes = append(w.slotLanes, nil)
 	}
 	for i, v := range s.consts {
-		lane := growFloats(r.slotLanes[i], n)
-		r.slotLanes[i] = lane
+		lane := growFloats(w.slotLanes[i], n)
+		w.slotLanes[i] = lane
 		for j := 0; j < n; j++ {
 			lane[j] = v
 		}
 	}
-	r.slotSub = s
-	r.slotLen = n
+	w.slotSub = s
+	w.slotLen = n
 }
 
-// evalCandidates produces the pass mask over the class's candidate lanes.
-func (r *Registry) evalCandidates(s *Sub, cs *classState) []float64 {
+// evalCandidates produces the pass mask over the class's candidate lanes
+// (built by prepare).
+func (w *worker) evalCandidates(s *Sub, cs *classState) []float64 {
 	k := len(cs.rows)
-	mask := growFloats(r.mask, k)
-	r.mask = mask
+	mask := growFloats(w.mask, k)
+	w.mask = mask
 	if k == 0 {
 		return mask
 	}
 	if s.sh.prog != nil {
-		cs.buildLanes()
-		r.fillSlots(s, k)
-		r.env = vexpr.Env{Cols: cs.lanes, IDs: cs.idLane, Slots: r.slotLanes}
-		s.sh.prog.Run(&r.mach, &r.env, 0, k, mask)
+		w.fillSlots(s, k)
+		w.env = vexpr.Env{Cols: cs.lanes, IDs: cs.idLane, Slots: w.slotLanes}
+		s.sh.prog.Run(&w.mach, &w.env, 0, k, mask)
 		return mask
 	}
-	cs.buildCandIDs()
-	ctx := expr.Ctx{W: r.eng, Class: cs.name, Frame: s.frame}
+	ctx := expr.Ctx{W: w.r.eng, Class: cs.name, Frame: s.frame}
 	for i, row := range cs.rows {
 		ctx.SelfID = cs.candIDs[i]
 		ctx.Self = tabRow{cs.tab, int(row)}
@@ -342,12 +585,11 @@ func (t tabRow) Attr(attrIdx int) value.Value { return t.tab.At(t.row, attrIdx) 
 // applyDelta maintains membership from the feed's candidates only. They are
 // visited in id order, so membership is a forward search and the add and
 // update lists come out sorted.
-func (r *Registry) applyDelta(s *Sub, cs *classState) {
-	cs.buildOrder()
-	mask := r.evalCandidates(s, cs)
-	d := &r.d
-	r.addPairs = r.addPairs[:0]
-	r.updPairs = r.updPairs[:0]
+func (w *worker) applyDelta(s *Sub, cs *classState) {
+	mask := w.evalCandidates(s, cs)
+	d := &w.d
+	w.addPairs = w.addPairs[:0]
+	w.updPairs = w.updPairs[:0]
 	m, at := s.members, 0
 	for _, i := range cs.order {
 		id, row := cs.candIDs[i], cs.rows[i]
@@ -355,9 +597,9 @@ func (r *Registry) applyDelta(s *Sub, cs *classState) {
 		in := at < len(m) && m[at] == id
 		if mask[i] != 0 {
 			if in {
-				r.updPairs = append(r.updPairs, idRow{id, row})
+				w.updPairs = append(w.updPairs, idRow{id, row})
 			} else {
-				r.addPairs = append(r.addPairs, idRow{id, row})
+				w.addPairs = append(w.addPairs, idRow{id, row})
 			}
 		} else if in {
 			d.RemIDs = append(d.RemIDs, id)
@@ -369,7 +611,7 @@ func (r *Registry) applyDelta(s *Sub, cs *classState) {
 		}
 	}
 	slices.Sort(d.RemIDs)
-	r.finishRowDelta(s, cs)
+	w.finishRowDelta(s, cs)
 }
 
 // seek returns the first index at or after from whose id is not below id:
@@ -384,28 +626,27 @@ func seek(m []value.ID, from int, id value.ID) int {
 }
 
 // applyRescan recomputes membership from the full extent and diffs.
-func (r *Registry) applyRescan(s *Sub, cs *classState, resync bool) {
-	newPairs := r.evalFull(s, cs) // ascending id
-	d := &r.d
-	r.addPairs = r.addPairs[:0]
-	r.updPairs = r.updPairs[:0]
+func (w *worker) applyRescan(s *Sub, cs *classState, resync bool) {
+	newPairs := w.evalFull(s, cs) // ascending id
+	d := &w.d
+	w.addPairs = w.addPairs[:0]
+	w.updPairs = w.updPairs[:0]
 	if resync {
 		// Full refresh: the whole result ships as adds and the client
 		// replaces its state, so prior membership is irrelevant.
 		d.Resync = true
-		r.addPairs = append(r.addPairs, newPairs...)
+		w.addPairs = append(w.addPairs, newPairs...)
 		s.setMembers(newPairs)
 		if s.def.Kind == Select {
 			d.changed = true
 		}
-		r.recomputeAgg(s, cs, true)
-		r.emitRows(s, cs)
+		w.recomputeAgg(s, cs, true)
+		w.dropAggRows(s)
 		return
 	}
 	// Diff old vs new membership. Updates are member ∩ candidate ∩ pass —
 	// the same set the delta path derives, so both modes emit identical
 	// streams: the rows in both lists that the feed stamped.
-	cs.stampRows(r.seq)
 	old := s.members
 	i, j := 0, 0
 	for i < len(old) || j < len(newPairs) {
@@ -414,18 +655,18 @@ func (r *Registry) applyRescan(s *Sub, cs *classState, resync bool) {
 			d.RemIDs = append(d.RemIDs, old[i])
 			i++
 		case i == len(old) || newPairs[j].id < old[i]:
-			r.addPairs = append(r.addPairs, newPairs[j])
+			w.addPairs = append(w.addPairs, newPairs[j])
 			j++
 		default:
-			if cs.stamp[newPairs[j].row] == r.seq {
-				r.updPairs = append(r.updPairs, newPairs[j])
+			if cs.stamp[newPairs[j].row] == w.r.seq {
+				w.updPairs = append(w.updPairs, newPairs[j])
 			}
 			i++
 			j++
 		}
 	}
 	s.setMembers(newPairs)
-	r.finishAfterMembership(s, cs)
+	w.finishAfterMembership(s, cs)
 }
 
 // setMembers replaces the membership with the ids of pairs (ascending).
@@ -452,8 +693,8 @@ func growIDs(ids []value.ID, n int) []value.ID {
 // membership in place and emits; the tail shared by the delta path and the
 // index path. Only the stretch of the membership at or above the smallest
 // changed id moves.
-func (r *Registry) finishRowDelta(s *Sub, cs *classState) {
-	if rem := r.d.RemIDs; len(rem) > 0 {
+func (w *worker) finishRowDelta(s *Sub, cs *classState) {
+	if rem := w.d.RemIDs; len(rem) > 0 {
 		m := s.members
 		w, _ := slices.BinarySearch(m, rem[0])
 		k := 0
@@ -467,7 +708,7 @@ func (r *Registry) finishRowDelta(s *Sub, cs *classState) {
 		}
 		s.members = m[:w]
 	}
-	if add := r.addPairs; len(add) > 0 {
+	if add := w.addPairs; len(add) > 0 {
 		i := len(s.members) - 1
 		m := growIDs(s.members, len(s.members)+len(add))
 		for j, k := len(add)-1, len(m)-1; j >= 0; k-- {
@@ -481,48 +722,29 @@ func (r *Registry) finishRowDelta(s *Sub, cs *classState) {
 		}
 		s.members = m
 	}
-	r.finishAfterMembership(s, cs)
+	w.finishAfterMembership(s, cs)
 }
 
-// finishAfterMembership emits rows or aggregates once s.members is final.
-// The aggregate fold runs before emitRows: it consults the remove list,
-// which emitRows clears for aggregate kinds.
-func (r *Registry) finishAfterMembership(s *Sub, cs *classState) {
-	d := &r.d
+// finishAfterMembership settles the delta once s.members is final: the
+// add and update pairs and the remove list for Select, the aggregate for
+// the others. The fold runs before dropAggRows: it consults the lists.
+func (w *worker) finishAfterMembership(s *Sub, cs *classState) {
+	d := &w.d
 	if s.def.Kind == Select &&
-		(len(r.addPairs) > 0 || len(r.updPairs) > 0 || len(d.RemIDs) > 0) {
+		(len(w.addPairs) > 0 || len(w.updPairs) > 0 || len(d.RemIDs) > 0) {
 		d.changed = true
 	}
-	r.recomputeAgg(s, cs, false)
-	r.emitRows(s, cs)
+	w.recomputeAgg(s, cs, false)
+	w.dropAggRows(s)
 }
 
-// emitRows fills the delta's id lists and payload columns (Select only;
-// aggregates deliver Agg/Top instead of rows).
-func (r *Registry) emitRows(s *Sub, cs *classState) {
-	d := &r.d
-	for _, p := range r.addPairs {
-		d.AddIDs = append(d.AddIDs, p.id)
-	}
+// dropAggRows empties the row lists of an aggregate subscription: its
+// clients consume Agg/Top, and membership is registry-internal.
+func (w *worker) dropAggRows(s *Sub) {
 	if s.def.Kind != Select {
-		// Aggregate clients consume Agg/Top; drop the row lists the
-		// maintenance pass derived (membership is registry-internal).
-		d.AddIDs = d.AddIDs[:0]
-		d.UpdIDs = d.UpdIDs[:0]
-		d.RemIDs = d.RemIDs[:0]
-		return
-	}
-	for _, p := range r.updPairs {
-		d.UpdIDs = append(d.UpdIDs, p.id)
-	}
-	for j, a := range s.payload {
-		col := cs.tab.NumColumn(a)
-		for _, p := range r.addPairs {
-			d.AddCols[j] = append(d.AddCols[j], col[p.row])
-		}
-		for _, p := range r.updPairs {
-			d.UpdCols[j] = append(d.UpdCols[j], col[p.row])
-		}
+		w.addPairs = w.addPairs[:0]
+		w.updPairs = w.updPairs[:0]
+		w.d.RemIDs = w.d.RemIDs[:0]
 	}
 }
 
@@ -531,9 +753,9 @@ func (r *Registry) emitRows(s *Sub, cs *classState) {
 // rescan performs, so the bits match by construction. TopK selects the K
 // best of its ranking and the candidates, or of the whole membership when
 // a ranked row retracts (leaves, or changes key).
-func (r *Registry) recomputeAgg(s *Sub, cs *classState, force bool) {
-	d := &r.d
-	membersTouched := len(r.addPairs) > 0 || len(d.RemIDs) > 0 || d.Resync
+func (w *worker) recomputeAgg(s *Sub, cs *classState, force bool) {
+	d := &w.d
+	membersTouched := len(w.addPairs) > 0 || len(d.RemIDs) > 0 || d.Resync
 	switch s.def.Kind {
 	case Select:
 		return
@@ -546,7 +768,7 @@ func (r *Registry) recomputeAgg(s *Sub, cs *classState, force bool) {
 			d.changed = true
 		}
 	case Sum:
-		if !force && !membersTouched && len(r.updPairs) == 0 {
+		if !force && !membersTouched && len(w.updPairs) == 0 {
 			return
 		}
 		col := cs.tab.NumColumn(s.aggAttr)
@@ -561,15 +783,15 @@ func (r *Registry) recomputeAgg(s *Sub, cs *classState, force bool) {
 			d.changed = true
 		}
 	case TopK:
-		if !force && !membersTouched && len(r.updPairs) == 0 {
+		if !force && !membersTouched && len(w.updPairs) == 0 {
 			return
 		}
-		r.maintainTopK(s, cs, force)
+		w.maintainTopK(s, cs, force)
 	}
 }
 
-func (r *Registry) maintainTopK(s *Sub, cs *classState, force bool) {
-	d := &r.d
+func (w *worker) maintainTopK(s *Sub, cs *classState, force bool) {
+	d := &w.d
 	col := cs.tab.NumColumn(s.aggAttr)
 	// A ranked row leaving, or changing key, can promote an arbitrary
 	// unranked member: recompute from the full membership. Both lists are
@@ -578,14 +800,14 @@ func (r *Registry) maintainTopK(s *Sub, cs *classState, force bool) {
 	for i := 0; !retract && i < len(s.top); i++ {
 		e := s.top[i]
 		_, gone := slices.BinarySearch(d.RemIDs, e.ID)
-		j, upd := slices.BinarySearchFunc(r.updPairs, idRow{id: e.ID}, comparePairs)
-		retract = gone || upd && !sameBits(e.Key, col[r.updPairs[j].row])
+		j, upd := slices.BinarySearchFunc(w.updPairs, idRow{id: e.ID}, comparePairs)
+		retract = gone || upd && !sameBits(e.Key, col[w.updPairs[j].row])
 	}
 	// Select the K best with a heap whose root is the worst kept entry: of
 	// every member on a retract, else of the ranking (worst first is a heap)
 	// and the adds and unranked updates. The order is strict (ids are
 	// unique), so this is exactly the first K of a full sort.
-	h := r.topCand[:0]
+	h := w.topCand[:0]
 	if retract {
 		for _, id := range s.members {
 			h = pushTop(h, s.def.K, TopEntry{ID: id, Key: col[cs.tab.Row(id)]})
@@ -594,7 +816,7 @@ func (r *Registry) maintainTopK(s *Sub, cs *classState, force bool) {
 		for i := len(s.top) - 1; i >= 0; i-- {
 			h = append(h, s.top[i])
 		}
-		for _, pairs := range [2][]idRow{r.addPairs, r.updPairs} {
+		for _, pairs := range [2][]idRow{w.addPairs, w.updPairs} {
 			for _, p := range pairs {
 				e := TopEntry{ID: p.id, Key: col[p.row]}
 				if len(h) == s.def.K && compareTop(e, h[0]) >= 0 || topIndex(s.top, p.id) >= 0 {
@@ -605,23 +827,23 @@ func (r *Registry) maintainTopK(s *Sub, cs *classState, force bool) {
 		}
 	}
 	sortTop(h)
-	r.topCand = h
-	r.commitTop(s, force)
+	w.topCand = h
+	w.commitTop(s, force)
 }
 
 // commitTop installs a recomputed ranking, emitting only on change.
-func (r *Registry) commitTop(s *Sub, force bool) {
-	d := &r.d
-	changed := force || len(r.topCand) != len(s.top)
+func (w *worker) commitTop(s *Sub, force bool) {
+	d := &w.d
+	changed := force || len(w.topCand) != len(s.top)
 	if !changed {
-		for i, e := range r.topCand {
+		for i, e := range w.topCand {
 			if e.ID != s.top[i].ID || !sameBits(e.Key, s.top[i].Key) {
 				changed = true
 				break
 			}
 		}
 	}
-	s.top = append(s.top[:0], r.topCand...)
+	s.top = append(s.top[:0], w.topCand...)
 	if changed {
 		d.Top = append(d.Top[:0], s.top...)
 		d.AggChanged = true
@@ -631,19 +853,19 @@ func (r *Registry) commitTop(s *Sub, force bool) {
 
 // evalFull evaluates the predicate over the whole extent, returning the
 // passing live rows as (id, row) pairs sorted by ascending id.
-func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
+func (w *worker) evalFull(s *Sub, cs *classState) []idRow {
 	tab := cs.tab
 	n := tab.Cap()
-	pairs := r.fullPairs[:0]
+	pairs := w.fullPairs[:0]
 	if g := s.grp; g != nil && len(g.attrs) == 2 {
 		// A box is a range query (§4.1). The grid returns the live rows in
 		// the closed box [lo, hi], a superset of the rows the compares pass
 		// whatever its cell size; the exact recheck keeps those.
 		lo, hi := g.boxBounds(s.consts)
-		r.gridRows = cs.dataGrid(g).QueryRows(lo[:], hi[:], index.AnyKey, r.gridRows[:0])
+		w.gridRows = g.scan.QueryRows(lo[:], hi[:], index.AnyKey, w.gridRows[:0])
 		raw := tab.RawIDs()
 		xs, ys := tab.NumColumn(g.attrs[0]), tab.NumColumn(g.attrs[1])
-		for _, row := range r.gridRows {
+		for _, row := range w.gridRows {
 			if g.passes(s.consts, xs[row], ys[row]) && tab.Alive(int(row)) {
 				pairs = append(pairs, idRow{raw[row], row})
 			}
@@ -660,21 +882,21 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 			}
 		}
 	} else if s.sh.prog != nil {
-		mask := growFloats(r.mask, n)
-		r.mask = mask
+		mask := growFloats(w.mask, n)
+		w.mask = mask
 		if n > 0 {
-			r.fillSlots(s, n)
-			r.env = vexpr.Env{Cols: tab.NumColumns(), Slots: r.slotLanes}
+			w.fillSlots(s, n)
+			w.env = vexpr.Env{Cols: tab.NumColumns(), Slots: w.slotLanes}
 			if s.sh.prog.NeedIDs() {
-				lane := growFloats(cs.fullIDLane, n)
-				cs.fullIDLane = lane
+				lane := growFloats(w.idLane, n)
+				w.idLane = lane
 				raw := tab.RawIDs()
 				for i := 0; i < n; i++ {
 					lane[i] = float64(raw[i])
 				}
-				r.env.IDs = lane
+				w.env.IDs = lane
 			}
-			s.sh.prog.Run(&r.mach, &r.env, 0, n, mask)
+			s.sh.prog.Run(&w.mach, &w.env, 0, n, mask)
 		}
 		raw := tab.RawIDs()
 		for row := 0; row < n; row++ {
@@ -683,7 +905,7 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 			}
 		}
 	} else {
-		ctx := expr.Ctx{W: r.eng, Class: cs.name, Frame: s.frame}
+		ctx := expr.Ctx{W: w.r.eng, Class: cs.name, Frame: s.frame}
 		raw := tab.RawIDs()
 		for row := 0; row < n; row++ {
 			if !tab.Alive(row) {
@@ -697,38 +919,74 @@ func (r *Registry) evalFull(s *Sub, cs *classState) []idRow {
 		}
 	}
 	slices.SortFunc(pairs, comparePairs)
-	r.fullPairs = pairs
+	w.fullPairs = pairs
 	return pairs
 }
 
 // dataGrid indexes a class's live rows on two attributes for box rescans.
 // It is not the engine's join grid, which indexes pre-update positions.
 type dataGrid struct {
+	attrs [2]int
+	cell  float64 // the cell of the group that last asked for it
 	build index.Builder
 	grid  *index.Grid
 	live  []int32
 	vers  [3]uint64 // structure and column versions at the build
 	valid bool
+	job   uint64 // the Apply sequence a rebuild was last planned in
 }
 
 // dataGrid returns the grid over the class's live rows on g's attributes,
 // rebuilt when the structure or either column moved since its build — at
 // most once per Apply — with g's cell.
 func (cs *classState) dataGrid(g *subGroup) *index.Grid {
+	dg := cs.gridOf(g)
+	dg.refresh(cs.tab)
+	return dg.grid
+}
+
+// gridOf returns the data grid entry on g's attributes, made on first use;
+// its next rebuild takes g's cell.
+func (cs *classState) gridOf(g *subGroup) *dataGrid {
 	attrs := [2]int{g.attrs[0], g.attrs[1]}
 	dg := cs.grids[attrs]
 	if dg == nil {
-		dg = &dataGrid{}
+		dg = &dataGrid{attrs: attrs}
 		cs.grids[attrs] = dg
 	}
-	tab := cs.tab
-	vers := [3]uint64{tab.StructVersion(), tab.ColVersion(attrs[0]), tab.ColVersion(attrs[1])}
-	if !dg.valid || vers != dg.vers {
+	dg.cell = g.cell
+	return dg
+}
+
+func (dg *dataGrid) versions(tab *table.Table) [3]uint64 {
+	return [3]uint64{tab.StructVersion(), tab.ColVersion(dg.attrs[0]), tab.ColVersion(dg.attrs[1])}
+}
+
+// refresh rebuilds the grid when the structure or either column moved since
+// its build.
+func (dg *dataGrid) refresh(tab *table.Table) {
+	if vers := dg.versions(tab); !dg.valid || vers != dg.vers {
 		dg.live = tab.LiveRows(dg.live[:0])
-		dg.grid = dg.build.BuildGrid(g.cell, tab.NumColumn(attrs[0]), tab.NumColumn(attrs[1]), nil, dg.live)
+		dg.grid = dg.build.BuildGrid(dg.cell, tab.NumColumn(dg.attrs[0]), tab.NumColumn(dg.attrs[1]), nil, dg.live)
 		dg.vers, dg.valid = vers, true
 	}
-	return dg.grid
+}
+
+// planGrid makes a box group's data grid current before the maintain
+// fan-out, when a rescan may read it: its rebuild, if due, runs as a job of
+// the probe fan-out, beside the probe tasks.
+func (r *Registry) planGrid(cs *classState, g *subGroup) {
+	dg := cs.gridOf(g)
+	if dg.job != r.seq && (!dg.valid || dg.versions(cs.tab) != dg.vers) {
+		dg.job = r.seq
+		r.gridJobs = append(r.gridJobs, gridJob{dg, cs.tab})
+	}
+}
+
+// gridJob is one data grid rebuild of the probe fan-out.
+type gridJob struct {
+	dg  *dataGrid
+	tab *table.Table
 }
 
 // dropGrids forces the next rescan to rebuild the data grids: the table was

@@ -137,18 +137,20 @@ func wallStream(t *testing.T, opts engine.Options, mode plan.ViewMode) string {
 }
 
 // TestViewDifferentialWall is the acceptance guard for incremental
-// maintenance: across {Workers 1,4} × {Partitions 1,4} × {Exec scalar,
+// maintenance: across {Workers 1,2,4} × {Partitions 1,4} × {Exec scalar,
 // vectorized}, and across maintenance modes (cost-model auto, forced
 // delta, forced every-tick rescan), the emitted delta stream and final
 // subscription state are bit-identical — under spawn/kill churn, physical
-// row reuse and a mid-run checkpoint→restore resync.
+// row reuse and a mid-run checkpoint→restore resync. Workers also sets how
+// many ways view maintenance itself fans out; the many-subscriptions arm
+// makes that fan-out cut its worklist into many chunks.
 func TestViewDifferentialWall(t *testing.T) {
 	type cfg struct {
 		name string
 		opts engine.Options
 	}
 	var cfgs []cfg
-	for _, wk := range []int{1, 4} {
+	for _, wk := range []int{1, 2, 4} {
 		for _, parts := range []int{1, 4} {
 			for _, ex := range []struct {
 				name string
@@ -162,6 +164,7 @@ func TestViewDifferentialWall(t *testing.T) {
 		}
 	}
 	t.Run("row-reuse", testRowReuseWall)
+	t.Run("many-subscriptions", testManySubsWall)
 	want := wallStream(t, cfgs[0].opts, plan.ViewRescan)
 	for _, c := range cfgs {
 		for _, m := range []struct {
@@ -306,10 +309,11 @@ func testRowReuseWall(t *testing.T) {
 // TestViewStatsCounters checks the ExecCounters plumbing and that the
 // counters stay silent under DisableStats while maintenance itself is
 // unaffected (the stream above already proves value-identity; this pins the
-// counter side).
+// counter side). Each Apply's probe, maintain and emit times, with the
+// serial steps around them, re-sum to its ViewMaintNanos.
 func TestViewStatsCounters(t *testing.T) {
 	for _, disable := range []bool{false, true} {
-		w := unitWorld(t, 200, engine.Options{DisableStats: disable})
+		w := unitWorld(t, 200, engine.Options{DisableStats: disable, Workers: 2})
 		r := views.New(w, plan.DefaultCosts())
 		mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 99", Kind: views.Count})
 		mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 99", Mode: plan.ViewRescan})
@@ -321,12 +325,32 @@ func TestViewStatsCounters(t *testing.T) {
 			if err := w.RunTick(); err != nil {
 				t.Fatal(err)
 			}
-			r.Apply(nil)
+			before := w.ExecStats()
+			r.Apply(func(*views.Delta) {})
+			if disable {
+				continue
+			}
+			st, split := w.ExecStats(), r.LastSplit()
+			probe, maintain, emit := st.ViewProbeNanos-before.ViewProbeNanos,
+				st.ViewMaintainNanos-before.ViewMaintainNanos, st.ViewEmitNanos-before.ViewEmitNanos
+			total := st.ViewMaintNanos - before.ViewMaintNanos
+			if probe != split[1].Nanoseconds() || maintain != split[2].Nanoseconds() || emit != split[3].Nanoseconds() {
+				t.Errorf("Apply %d: counters probe %d maintain %d emit %d, split %v", i, probe, maintain, emit, split)
+			}
+			if probe < 0 || maintain <= 0 || emit < 0 {
+				t.Errorf("Apply %d: probe %d, maintain %d, emit %d ns: a step went unmeasured", i, probe, maintain, emit)
+			}
+			sum := split[0].Nanoseconds() + probe + maintain + emit
+			if d := sum - total; d > total/100 || -d > total/100 {
+				t.Errorf("Apply %d: prepare %v + probe %d + maintain %d + emit %d = %d ns, ViewMaintNanos grew %d ns",
+					i, split[0], probe, maintain, emit, sum, total)
+			}
 		}
 		st := w.ExecStats()
 		if disable {
 			if st.ViewSubs != 0 || st.ViewIndexedSubs != 0 || st.ViewDeltaRows != 0 ||
-				st.ViewRescans != 0 || st.ViewIndexProbes != 0 || st.ViewMaintNanos != 0 {
+				st.ViewRescans != 0 || st.ViewIndexProbes != 0 || st.ViewMaintNanos != 0 ||
+				st.ViewProbeNanos != 0 || st.ViewMaintainNanos != 0 || st.ViewEmitNanos != 0 {
 				t.Fatalf("DisableStats: view counters must stay zero, got %+v", st)
 			}
 			continue
@@ -348,6 +372,110 @@ func TestViewStatsCounters(t *testing.T) {
 		}
 		if st.ViewMaintNanos <= 0 {
 			t.Error("ViewMaintNanos not accumulated")
+		}
+	}
+}
+
+// manySubsStream maintains 480 subscriptions — interest boxes of mixed
+// radii and upper and lower health thresholds, as Selects, Counts, Sums and
+// TopKs, so every index group shape forms — through movement, spawn/kill
+// churn and eight unsubscribe/subscribe swaps every tick, and serializes
+// the delta stream and the final state. It also reports the most maintain
+// chunks any Apply cut.
+func manySubsStream(t *testing.T, workers int, mode plan.ViewMode) (string, int) {
+	t.Helper()
+	w := unitWorld(t, 600, engine.Options{Workers: workers})
+	r := views.New(w, plan.DefaultCosts())
+	rng := rand.New(rand.NewSource(59))
+	def := func(i int) views.Def {
+		pred := boxPred(t, rng.Float64()*130-5, rng.Float64()*130-5, []float64{4, 9, 16, 28}[i%4])
+		switch i % 5 {
+		case 3:
+			pred = fmt.Sprintf("health >= %d", 55+rng.Intn(45))
+		case 4:
+			pred = fmt.Sprintf("health < %d", 55+rng.Intn(45))
+		}
+		switch i % 7 {
+		case 4:
+			return views.Def{Class: "Unit", Pred: pred, Kind: views.Count, Mode: mode}
+		case 5:
+			return views.Def{Class: "Unit", Pred: pred, Kind: views.Sum, Attr: "health", Mode: mode}
+		case 6:
+			return views.Def{Class: "Unit", Pred: pred, Kind: views.TopK, Attr: "health", K: 4, Mode: mode}
+		}
+		return views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "y", "health"}, Mode: mode}
+	}
+	var subs []*views.Sub
+	for i := 0; i < 480; i++ {
+		subs = append(subs, mustSub(t, r, def(i)))
+	}
+	var b strings.Builder
+	emit := func(d *views.Delta) {
+		fmt.Fprintf(&b, "  sub=%d tick=%d resync=%v add=%v/%v upd=%v/%v rem=%v agg=%v/%x top=%v\n",
+			d.Sub, d.Tick, d.Resync, d.AddIDs, d.AddCols, d.UpdIDs, d.UpdCols, d.RemIDs, d.AggChanged, d.Agg, d.Top)
+	}
+	for tick := 0; tick < 10; tick++ {
+		if err := w.RunTick(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := w.Spawn("Unit", map[string]value.Value{
+				"x": value.Num(rng.Float64() * 120), "y": value.Num(rng.Float64() * 120), "health": value.Num(50 + rng.Float64()*50),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ids := w.IDs("Unit")
+			if err := w.Kill("Unit", ids[rng.Intn(len(ids))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids := w.IDs("Unit")
+		for i := 0; i < 40; i++ {
+			id := ids[rng.Intn(len(ids))]
+			for attr, v := range [...]float64{rng.Float64() * 120, rng.Float64() * 120, 50 + rng.Float64()*50} {
+				if err := w.SetState("Unit", id, [...]string{"x", "y", "health"}[attr], value.Num(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 8; i++ {
+			k := rng.Intn(len(subs))
+			if !r.Unsubscribe(subs[k].ID()) {
+				t.Fatal("unsubscribe failed")
+			}
+			subs[k] = mustSub(t, r, def(k))
+		}
+		fmt.Fprintf(&b, "tick %d:\n", tick)
+		r.Apply(emit)
+	}
+	for _, s := range subs {
+		fmt.Fprintf(&b, "final sub=%d members=%v agg=%x top=%v\n", s.ID(), s.Members(), s.Agg(), s.Top())
+	}
+	return b.String(), r.MaxChunks()
+}
+
+// testManySubsWall pins the pool split of view maintenance — probe tasks
+// over ranges of the touched rows, SubID chunks maintained by whichever
+// worker is free, deltas replayed in SubID order — to the one-worker
+// forced-rescan oracle, at Workers 1, 2 and 4 and in every maintenance
+// mode, and fails if the fan-out never cut the worklist into more than one
+// chunk.
+func testManySubsWall(t *testing.T) {
+	want, _ := manySubsStream(t, 1, plan.ViewRescan)
+	for _, workers := range []int{1, 2, 4} {
+		for _, mode := range []plan.ViewMode{plan.ViewAuto, plan.ViewDelta, plan.ViewRescan} {
+			if workers == 1 && mode == plan.ViewRescan {
+				continue // the oracle itself
+			}
+			t.Run(fmt.Sprintf("w%d-%v", workers, mode), func(t *testing.T) {
+				got, chunks := manySubsStream(t, workers, mode)
+				if got != want {
+					t.Errorf("stream diverged from the one-worker rescan oracle\n%s", firstDiff(want, got))
+				}
+				if workers > 1 && chunks <= 1 {
+					t.Errorf("Workers %d: maintenance never cut more than %d chunk", workers, chunks)
+				}
+			})
 		}
 	}
 }

@@ -138,7 +138,8 @@ func TestGridScanMatchesBruteForce(t *testing.T) {
 					}
 				}
 				slices.SortFunc(want, func(a, b idRow) int { return cmp.Compare(a.id, b.id) })
-				got := r.evalFull(s, cs)
+				sh.g.scan = cs.dataGrid(sh.g)
+				got := (&worker{r: r}).evalFull(s, cs)
 				if !slices.Equal(got, want) {
 					t.Fatalf("round %d ops %v bounds %v cell %v: grid scan %v, full scan %v", round, sh.ops, b, sh.g.cell, got, want)
 				}

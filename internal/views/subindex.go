@@ -22,9 +22,14 @@ package views
 // columns (the image), because the table only holds the new one. The two
 // hit sets give the subscriptions the row entered, left or stayed in; killed
 // ids have no row any more and are found through the image's id → row map.
-// The events are bucketed per subscription and each bucket feeds the same
-// merge-and-emit tail the per-subscription delta path ends in, so the
-// stream is bit-identical to it.
+//
+// A group's probe order — its killed ids, then its touched rows in id
+// order — is cut into one contiguous range per pool worker, and each range
+// is a probe task: it probes with its worker's scratch and leaves its
+// events bucketed by slot. A subscription's events are its buckets in range
+// order, which is the probe order, so each feeds the same merge-and-emit
+// tail the per-subscription delta path ends in and the stream is
+// bit-identical to it.
 
 import (
 	"cmp"
@@ -141,9 +146,14 @@ type subGroup struct {
 	slots []*Sub // slot → subscription; nil when free
 	free  []int32
 	n     int
-	stamp []uint64 // per slot: probe sequence of the last old-point hit
-	evSeq []uint64 // per slot: Apply sequence evAt is valid for
-	evAt  []int32  // per slot: index into the registry's per-Apply event buckets
+	evSeq []uint64 // per slot: the last Apply sequence a probe task gave it events in
+
+	freshSeq uint64 // the last Apply sequence it had a fresh member in
+
+	// This Apply's probe tasks, as a range of the registry's task list, and
+	// the data grid its box rescans query (set by Registry.prepare).
+	taskLo, taskHi int
+	scan           *index.Grid
 
 	// Two-attribute groups: a grid over the slots' box centres, rebuilt
 	// before the first probe after the membership changed.
@@ -260,8 +270,7 @@ func (r *Registry) indexSub(s *Sub) string {
 		g.slots[slot] = s
 	} else {
 		g.slots = append(g.slots, s)
-		g.stamp = append(g.stamp, 0)
-		g.evSeq, g.evAt = append(g.evSeq, 0), append(g.evAt, 0)
+		g.evSeq = append(g.evSeq, 0)
 		g.cx, g.cy = append(g.cx, 0), append(g.cy, 0)
 	}
 	g.n++
@@ -330,7 +339,8 @@ func (r *Registry) unindexSub(s *Sub) {
 
 // match appends the slots of the group's subscriptions whose box contains
 // the point cols[attr][row] — index probe, then exact recheck against each
-// candidate's constants.
+// candidate's constants. A two-attribute group's grid must be current
+// (Registry.planProbes rebuilds a stale one before the probe tasks start).
 func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int32) []int32 {
 	p.probes++
 	if len(g.attrs) == 1 {
@@ -338,9 +348,16 @@ func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int
 		if math.IsNaN(v) {
 			return out
 		}
+		if len(g.cmps) == 1 {
+			lo, hi := g.run(v)
+			for _, e := range g.bounds[lo:hi] {
+				out = append(out, e.slot)
+			}
+			return out
+		}
 		// Entries whose first bound admits v: a suffix for `v < bound`
 		// shapes, a prefix for `v > bound` ones. The search is inclusive of
-		// ties and the recheck settles strictness.
+		// ties and the recheck settles strictness and the other compares.
 		cand := g.bounds
 		if g.cmps[0].upper() {
 			cand = cand[sort.Search(len(cand), func(i int) bool { return cand[i].bound >= v }):]
@@ -353,9 +370,6 @@ func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int
 			}
 		}
 		return out
-	}
-	if g.stale {
-		g.rebuildGrid()
 	}
 	x, y := cols[g.attrs[0]][row], cols[g.attrs[1]][row]
 	cell := g.cell
@@ -376,6 +390,25 @@ func (g *subGroup) match(p *probeScratch, cols [][]float64, row int32, out []int
 		}
 	}
 	return out
+}
+
+// single reports a one-compare group: its compare is the whole predicate.
+func (g *subGroup) single() bool { return len(g.cmps) == 1 }
+
+// run returns the run [lo, hi) of a one-compare group's sorted bounds whose
+// subscriptions v passes, found by the compare's exact edge: a suffix for
+// `v < bound` shapes, a prefix after the NaN bounds (which sort first and
+// admit nothing) for `v > bound` ones, and empty for a NaN v.
+func (g *subGroup) run(v float64) (lo, hi int) {
+	b, c := g.bounds, g.cmps[0]
+	if math.IsNaN(v) {
+		return 0, 0
+	}
+	if c.upper() {
+		return sort.Search(len(b), func(i int) bool { return c.holds(v, b[i].bound) }), len(b)
+	}
+	lo = sort.Search(len(b), func(i int) bool { return !math.IsNaN(b[i].bound) })
+	return lo, lo + sort.Search(len(b)-lo, func(i int) bool { return !c.holds(v, b[lo+i].bound) })
 }
 
 func (g *subGroup) passes(consts []float64, x, y float64) bool {
@@ -494,13 +527,17 @@ func (cs *classState) syncImage() {
 	}
 }
 
-// subEvent is one probe result: the row entered, stayed in or left the
-// subscription bucketed at `at`. A killed id has no row: -1-k stands for
-// the class's killed[k]. Eight bytes, because an Apply moves every event
-// twice.
-type subEvent struct {
-	row int32
-	at  uint32 // bucket index << 2 | kind
+// subEvent is one probe result in its subscription's bucket: the row
+// entered, stayed in or left the subscription, packed as row << 2 | kind. A
+// killed id has no row: -1-k stands for the class's killed[k]. Rows and
+// killed counts stay far below 1 << 29. Four bytes, because an Apply keeps
+// every event until the maintain fan-out has read it.
+type subEvent int32
+
+// slotEvent is a subEvent before bucketing: it also names its slot.
+type slotEvent struct {
+	ev   subEvent
+	slot int32
 }
 
 const (
@@ -509,167 +546,257 @@ const (
 	evRem
 )
 
-// probeScratch is the registry's retained probing state.
+func (e subEvent) row() int32   { return int32(e) >> 2 }
+func (e subEvent) kind() uint32 { return uint32(e) & 3 }
+
+// probeScratch is one worker's probing state.
 type probeScratch struct {
-	lo, hi   [2]float64
-	cand     []int32 // grid candidates before the exact recheck
-	oldHits  []int32
-	newHits  []int32
-	seq      uint64 // stamp generation, two per moved row
-	probes   int64
-	events   []subEvent // in probe order
-	bucketed []subEvent // grouped by subscription
-	count    []int32    // per subscription with events: events, then bucket end
+	lo, hi  [2]float64
+	cand    []int32 // grid candidates before the exact recheck
+	oldHits []int32
+	newHits []int32
+	stamp   []uint64 // per slot: probe sequence of the last old-point hit
+	seq     uint64   // stamp generation, two per moved row
+	probes  int64
 }
 
-// emit records one event for the group's slot, opening its bucket on the
-// first. The bookkeeping lives in the group's dense per-slot arrays, so an
-// event does not touch the subscription. (A fresh subscription's events go
-// unread: it rescans from scratch.)
-func (r *Registry) emit(g *subGroup, slot, row int32, kind uint32) {
-	p := &r.probe
-	if g.evSeq[slot] != r.seq {
-		g.evSeq[slot] = r.seq
-		g.evAt[slot] = int32(len(p.count))
-		p.count = append(p.count, 0)
-		r.queue(g.slots[slot])
+// probeTask probes one contiguous range [lo, hi) of a group's probe order:
+// the class's killed ids, then its touched rows in id order. Its events
+// gather in its worker's scratch and are then bucketed by slot (a counting
+// sort, so a bucket keeps probe order) into the task's own event list,
+// which holds them until the maintain fan-out has read them. What a task
+// keeps depends on its range, not on which worker ran it.
+type probeTask struct {
+	cs     *classState
+	g      *subGroup
+	lo, hi int
+
+	scratch *[]slotEvent // the running worker's
+	events  []subEvent   // bucketed by slot
+	slots   []int32      // slots with events, in first-event order
+	seen    []uint64
+	start   []int32 // per slot seen this Apply: bucket offset in events
+	end     []int32 // per slot seen this Apply: event count, then the bucket end
+}
+
+// bucket returns the task's events for slot, in probe order.
+func (t *probeTask) bucket(slot int32, seq uint64) []subEvent {
+	if t.seen[slot] != seq {
+		return nil
 	}
-	at := g.evAt[slot]
-	p.count[at]++
-	p.events = append(p.events, subEvent{row: row, at: uint32(at)<<2 | kind})
+	return t.events[t.start[slot]:t.end[slot]]
 }
 
-// probeClass decides, per index group, between probing and the
-// per-subscription path, and runs the probes of the groups that take the
-// index.
-func (r *Registry) probeClass(cs *classState) {
+// emit records one event for slot.
+func (t *probeTask) emit(seq uint64, slot, row int32, kind uint32) {
+	if t.seen[slot] != seq {
+		t.seen[slot] = seq
+		t.end[slot] = 0
+		t.slots = append(t.slots, slot)
+	}
+	t.end[slot]++
+	*t.scratch = append(*t.scratch, slotEvent{subEvent(row<<2 | int32(kind)), slot})
+}
+
+// emitRun emits one event for each subscription in the group's sorted
+// bounds [lo, hi), when the run is not empty.
+func (t *probeTask) emitRun(seq uint64, lo, hi int, row int32, kind uint32) {
+	for _, e := range t.g.bounds[lo:max(lo, hi)] {
+		t.emit(seq, e.slot, row, kind)
+	}
+}
+
+// planProbes decides, per index group, between probing and the
+// per-subscription path, queues the subscriptions of groups that take the
+// latter, and lays out the probe tasks of the groups that take the index:
+// one per worker, each a contiguous range of the group's probe order. The
+// shared structures the tasks read — the id order, a stale subscription
+// grid — are built here, before any task runs.
+func (r *Registry) planProbes(cs *classState, nw int) {
 	touched := len(cs.rows) + len(cs.killed)
 	for _, g := range cs.groupList {
 		g.probed = g.ready && !cs.resync &&
 			r.costs.ChooseViewIndex(g.n, cs.tab.Len(), touched, g.kernels)
+		g.taskLo, g.taskHi = r.nTasks, r.nTasks
+		if len(g.attrs) == 2 && (cs.resync || g.freshSeq == r.seq ||
+			!g.probed && r.costs.ChooseView(plan.ViewAuto, cs.tab.Len(), len(cs.rows)) == plan.ViewRescan) {
+			r.planGrid(cs, g) // some member rescans from the data grid
+		}
 		if !g.probed {
 			g.each(r.queueFn)
 			continue
 		}
-		if touched > 0 {
-			r.probeGroup(cs, g)
+		if touched == 0 {
+			continue
 		}
+		if g.stale {
+			g.rebuildGrid()
+		}
+		cs.buildOrder()
+		k := min(nw, touched)
+		for j := 0; j < k; j++ {
+			if r.nTasks == len(r.tasks) {
+				r.tasks = append(r.tasks, probeTask{})
+			}
+			t := &r.tasks[r.nTasks]
+			t.cs, t.g, t.lo, t.hi = cs, g, j*touched/k, (j+1)*touched/k
+			r.nTasks++
+		}
+		g.taskHi = r.nTasks
 	}
 }
 
-// probeGroup turns the class's drained feed into add/update/remove events
-// for the subscriptions of one group.
-func (r *Registry) probeGroup(cs *classState, g *subGroup) {
-	p := &r.probe
-	for k, id := range cs.killed {
-		row, ok := cs.imgRow[id]
+// runProbe is the probe fan-out's body on worker wk: the data grid
+// rebuilds first, then the probe tasks.
+func (r *Registry) runProbe(wk, i int) {
+	if i < len(r.gridJobs) {
+		r.gridJobs[i].dg.refresh(r.gridJobs[i].tab)
+		return
+	}
+	r.tasks[i-len(r.gridJobs)].run(r.seq, r.workers[wk])
+}
+
+// run turns the task's range of the drained feed into add/update/remove
+// events for the group's subscriptions, bucketed by slot.
+func (t *probeTask) run(seq uint64, w *worker) {
+	t.scratch, t.slots, w.scratch = &w.scratch, t.slots[:0], w.scratch[:0]
+	for n := len(t.g.slots); len(t.seen) < n; {
+		t.seen, t.start, t.end = append(t.seen, 0), append(t.start, 0), append(t.end, 0)
+	}
+	for len(w.probe.stamp) < len(t.g.slots) {
+		w.probe.stamp = append(w.probe.stamp, 0)
+	}
+	t.probe(seq, &w.probe)
+	// Bucket: each slot's stretch of the event list, in first-event order.
+	off := int32(0)
+	for _, slot := range t.slots {
+		n := t.end[slot]
+		t.start[slot], t.end[slot] = off, off // end advances to the bucket end as events land
+		off += n
+	}
+	t.events = slices.Grow(t.events[:0], int(off))[:off]
+	for _, e := range w.scratch {
+		t.events[t.end[e.slot]] = e.ev
+		t.end[e.slot]++
+	}
+}
+
+// probe probes the task's range.
+func (t *probeTask) probe(seq uint64, p *probeScratch) {
+	cs, g := t.cs, t.g
+	nk := len(cs.killed)
+	for k := t.lo; k < min(t.hi, nk); k++ {
+		row, ok := cs.imgRow[cs.killed[k]]
 		if !ok {
 			continue // spawned and killed between two Applies: never seen
 		}
 		p.oldHits = g.match(p, cs.img, row, p.oldHits[:0])
 		for _, slot := range p.oldHits {
-			r.emit(g, slot, int32(-1-k), evRem)
+			t.emit(seq, slot, int32(-1-k), evRem)
 		}
 	}
 	// Rows in id order, so each subscription's adds and updates come out
 	// sorted.
-	cs.buildOrder()
 	cols := cs.tab.NumColumns()
-	for _, i := range cs.order {
+	for _, i := range cs.order[max(t.lo, nk)-nk : max(t.hi, nk)-nk] {
 		id, row := cs.candIDs[i], cs.rows[i]
-		p.newHits = g.match(p, cols, row, p.newHits[:0])
-		if int(row) >= len(cs.imgID) || cs.imgID[row] != id {
-			// Spawned since the previous Apply (a previous occupant of the
-			// row left through the killed list above).
-			for _, slot := range p.newHits {
-				r.emit(g, slot, row, evAdd)
-			}
-			continue
-		}
+		// Spawned since the previous Apply (a previous occupant of the row
+		// left through the killed list above), or moved in the image.
+		spawned := int(row) >= len(cs.imgID) || cs.imgID[row] != id
 		moved := false
 		for _, a := range g.attrs {
-			if math.Float64bits(cs.img[a][row]) != math.Float64bits(cols[a][row]) {
+			if !spawned && math.Float64bits(cs.img[a][row]) != math.Float64bits(cols[a][row]) {
 				moved = true
 			}
 		}
+		if moved && g.single() {
+			// Both hit sets are runs of the sorted bounds sharing an end:
+			// their overlap stayed, the rest of the new run entered and the
+			// rest of the old one left.
+			p.probes += 2
+			a := g.attrs[0]
+			nlo, nhi := g.run(cols[a][row])
+			olo, ohi := g.run(cs.img[a][row])
+			t.emitRun(seq, max(nlo, olo), min(nhi, ohi), row, evUpd)
+			t.emitRun(seq, nlo, min(nhi, olo), row, evAdd)
+			t.emitRun(seq, max(nlo, ohi), nhi, row, evAdd)
+			t.emitRun(seq, olo, min(ohi, nlo), row, evRem)
+			t.emitRun(seq, max(olo, nhi), ohi, row, evRem)
+			continue
+		}
+		p.newHits = g.match(p, cols, row, p.newHits[:0])
+		if spawned {
+			for _, slot := range p.newHits {
+				t.emit(seq, slot, row, evAdd)
+			}
+			continue
+		}
 		if !moved {
 			for _, slot := range p.newHits {
-				r.emit(g, slot, row, evUpd)
+				t.emit(seq, slot, row, evUpd)
 			}
 			continue
 		}
 		p.oldHits = g.match(p, cs.img, row, p.oldHits[:0])
 		p.seq += 2
 		for _, slot := range p.oldHits {
-			g.stamp[slot] = p.seq
+			p.stamp[slot] = p.seq
 		}
 		for _, slot := range p.newHits {
-			if g.stamp[slot] == p.seq {
-				g.stamp[slot] = p.seq + 1 // in both: stayed
-				r.emit(g, slot, row, evUpd)
+			if p.stamp[slot] == p.seq {
+				p.stamp[slot] = p.seq + 1 // in both: stayed
+				t.emit(seq, slot, row, evUpd)
 			} else {
-				r.emit(g, slot, row, evAdd)
+				t.emit(seq, slot, row, evAdd)
 			}
 		}
 		for _, slot := range p.oldHits {
-			if g.stamp[slot] == p.seq {
-				r.emit(g, slot, row, evRem)
+			if p.stamp[slot] == p.seq {
+				t.emit(seq, slot, row, evRem)
 			}
 		}
 	}
 }
 
-// bucketEvents groups the Apply's events by subscription (a counting sort:
-// order within a bucket stays probe order), leaving count[at] as bucket
-// at's end offset.
-func (p *probeScratch) bucketEvents() {
-	end := int32(0)
-	for i, n := range p.count {
-		p.count[i] = end // start for now; advanced to the end by the scatter
-		end += n
+// queueProbed puts every subscription a probe task gave an event on the
+// worklist, once the probe fan-out has finished.
+func (r *Registry) queueProbed() {
+	for i := range r.tasks[:r.nTasks] {
+		t := &r.tasks[i]
+		for _, slot := range t.slots {
+			if t.g.evSeq[slot] != r.seq {
+				t.g.evSeq[slot] = r.seq
+				r.queue(t.g.slots[slot])
+			}
+		}
 	}
-	if cap(p.bucketed) < len(p.events) {
-		p.bucketed = make([]subEvent, len(p.events), len(p.events)+len(p.events)/4)
-	}
-	p.bucketed = p.bucketed[:len(p.events)]
-	for _, e := range p.events {
-		at := e.at >> 2
-		p.bucketed[p.count[at]] = e
-		p.count[at]++
-	}
-}
-
-// bucket returns the events of the subscription bucketed at `at`.
-func (p *probeScratch) bucket(at int32) []subEvent {
-	start := int32(0)
-	if at > 0 {
-		start = p.count[at-1]
-	}
-	return p.bucketed[start:p.count[at]]
 }
 
 // applyEvents maintains an indexed subscription from its probe events: the
 // same three lists the delta path derives with its kernel and per-candidate
 // membership searches, handed to the same merge-and-emit tail.
-func (r *Registry) applyEvents(s *Sub, cs *classState) {
-	d := &r.d
-	r.addPairs = r.addPairs[:0]
-	r.updPairs = r.updPairs[:0]
+func (w *worker) applyEvents(s *Sub, cs *classState) {
+	d := &w.d
+	w.addPairs = w.addPairs[:0]
+	w.updPairs = w.updPairs[:0]
 	raw := cs.tab.RawIDs()
-	for _, e := range r.probe.bucket(s.grp.evAt[s.slot]) {
-		switch e.at & 3 {
-		case evAdd:
-			r.addPairs = append(r.addPairs, idRow{raw[e.row], e.row})
-		case evUpd:
-			r.updPairs = append(r.updPairs, idRow{raw[e.row], e.row})
-		default:
-			if e.row < 0 {
-				d.RemIDs = append(d.RemIDs, cs.killed[-1-e.row])
-			} else {
-				d.RemIDs = append(d.RemIDs, raw[e.row]) // moved out
+	g, seq := s.grp, w.r.seq
+	for i := g.taskLo; i < g.taskHi; i++ {
+		for _, e := range w.r.tasks[i].bucket(s.slot, seq) {
+			switch row := e.row(); e.kind() {
+			case evAdd:
+				w.addPairs = append(w.addPairs, idRow{raw[row], row})
+			case evUpd:
+				w.updPairs = append(w.updPairs, idRow{raw[row], row})
+			default:
+				if row < 0 {
+					d.RemIDs = append(d.RemIDs, cs.killed[-1-row])
+				} else {
+					d.RemIDs = append(d.RemIDs, raw[row]) // moved out
+				}
 			}
 		}
 	}
 	slices.Sort(d.RemIDs)
-	r.finishRowDelta(s, cs)
+	w.finishRowDelta(s, cs)
 }

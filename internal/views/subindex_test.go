@@ -50,7 +50,7 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 			return v >= c.bound
 		}
 	}
-	var boxes, bands []oracle
+	var boxes, bands, thresholds []oracle
 	addBox := func() {
 		radius := float64(1 + rng.Intn(3)*rng.Intn(40))
 		cx, cy := float64(rng.Intn(220)-10), float64(rng.Intn(220)-10)
@@ -85,6 +85,24 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%s not indexed: %s", pred, s.IndexReason())
 		}
 		bands = append(bands, oracle{s, cmps})
+	}
+	// A single compare is a whole predicate, which the probe answers by its
+	// exact edge in the sorted bounds, without a recheck.
+	addThreshold := func() {
+		c := compare{0, []string{"<", "<=", ">", ">="}[rng.Intn(4)], float64(rng.Intn(100) - 20)}
+		bound := fmt.Sprint(c.bound)
+		if rng.Intn(8) == 0 {
+			c.bound, bound = math.Copysign(0, -1), "-0"
+		}
+		pred := fmt.Sprintf("health %s %s", c.op, bound)
+		s, err := r.Subscribe(Def{Class: "Unit", Pred: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Indexed() {
+			t.Fatalf("%s not indexed: %s", pred, s.IndexReason())
+		}
+		thresholds = append(thresholds, oracle{s, []compare{c}})
 	}
 	drop := func(set *[]oracle) {
 		i := rng.Intn(len(*set))
@@ -127,7 +145,10 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 			}
 		}
 		for _, g := range groups {
-			for _, slot := range g.match(&r.probe, cols, 0, nil) {
+			if g.stale {
+				g.rebuildGrid()
+			}
+			for _, slot := range g.match(&probeScratch{}, cols, 0, nil) {
 				got = append(got, g.slots[slot].id)
 			}
 		}
@@ -142,9 +163,11 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 		case round < 40 || rng.Intn(3) > 0:
 			addBox()
 			addBand()
+			addThreshold()
 		default:
 			drop(&boxes)
 			drop(&bands)
+			drop(&thresholds)
 		}
 		for probe := 0; probe < 25; probe++ {
 			p := [2]float64{coord(), coord()}
@@ -152,6 +175,7 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 			check(boxes, p)
 			cols[hAttr][0] = p[0]
 			check(bands, p)
+			check(thresholds, p)
 		}
 	}
 	if len(boxes) < 100 {

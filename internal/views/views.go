@@ -31,10 +31,14 @@
 //     executor ghosts, which is why the changefeed (and thus every view)
 //     is identical under Workers > 1 and Partitions > 1.
 //
-// Everything the registry retains — membership sets, the one delta buffer
-// every subscription emits through, candidate lanes, constant lanes, probe
+// Maintenance is a read-only phase over committed state, so Apply runs it
+// on the world's worker pool and still emits deltas serially in ascending
+// SubID order (apply.go).
+//
+// Everything the registry retains — membership sets, the per-worker delta
+// buffers, the per-chunk delta logs, candidate lanes, constant lanes, probe
 // events — is reused across ticks; steady-state maintenance of a warmed
-// subscription set performs zero heap allocations.
+// subscription set performs zero heap allocations on one worker.
 package views
 
 import (
@@ -43,6 +47,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/compile"
 	"repro/internal/engine"
@@ -201,6 +206,8 @@ type Sub struct {
 	slot   int32
 	whyNot string
 	queued uint64 // Apply sequence the sub joined the worklist in
+	path   uint8  // this Apply's rung (apply.go), set before the maintain fan-out
+	resync bool   // this Apply rescans it from scratch and emits a Resync
 
 	members []value.ID // current matching ids, ascending
 
@@ -307,8 +314,7 @@ type classState struct {
 	ordered bool
 	stamped bool
 
-	fullIDLane []float64            // whole-extent id lane for rescanning kernels
-	grids      map[[2]int]*dataGrid // box rescans' data grids, by attribute pair
+	grids map[[2]int]*dataGrid // box rescans' data grids, by attribute pair
 
 	// Subscription index (subindex.go).
 	groups    map[string]*subGroup
@@ -318,7 +324,8 @@ type classState struct {
 
 // Registry maintains every subscription of one engine world. Not
 // goroutine-safe: Apply must be called between ticks from the goroutine
-// driving the world, the same discipline as engine.World itself.
+// driving the world, the same discipline as engine.World itself. Apply
+// spreads its work over the world's worker pool and returns after it.
 type Registry struct {
 	eng   *engine.World
 	prog  *compile.Program
@@ -331,33 +338,31 @@ type Registry struct {
 	indexed   int64 // subscriptions currently in an index group
 
 	progCache map[string]*predShape
-	mach      vexpr.Machine
-	env       vexpr.Env // retained: a per-call Env escapes to the heap
 
-	// Shared per-Apply scratch.
-	seq       uint64      // Apply sequence number (worklist/event stamps)
-	work      []*Sub      // this Apply's worklist, sorted ascending SubID
-	fresh     []*Sub      // indexed subs awaiting their first (resync) Apply
-	d         Delta       // the one delta every subscription emits through
-	slotLanes [][]float64 // constant lanes, indexed by canonical slot
-	slotSub   *Sub        // whose constants currently fill slotLanes
-	slotLen   int
-	mask      []float64
-	addPairs  []idRow
-	updPairs  []idRow
-	fullPairs []idRow
-	gridRows  []int32
-	topCand   []TopEntry // TopK selection heap, then the sorted ranking
-	probe     probeScratch
+	// Per-Apply state, retained across Applies.
+	seq      uint64      // Apply sequence number (worklist/event stamps)
+	tick     int64       // the world tick the Apply maintains against
+	work     []*Sub      // this Apply's worklist, sorted ascending SubID
+	fresh    []*Sub      // indexed subs awaiting their first (resync) Apply
+	workers  []*worker   // per pool worker: everything a fan-out task writes
+	tasks    []probeTask // probe tasks; the first nTasks are this Apply's
+	nTasks   int
+	gridJobs []gridJob // data grid rebuilds run beside the probe tasks
+	chunks   []chunk   // this Apply's maintain chunks, ascending SubID
+	out      Delta     // the delta every logged one is replayed through
 
 	// Method values bound once: binding per Apply would allocate.
-	drainFn func(engine.ClassDelta)
-	queueFn func(*Sub)
+	drainFn    func(engine.ClassDelta)
+	queueFn    func(*Sub)
+	probeFn    func(worker, i int)
+	maintainFn func(worker, i int)
 
-	// Per-Apply counters.
-	deltaRows  int64
+	// Last-Apply figures: totals over the workers, and the wall time of
+	// the serial steps, the probe, the maintain and the emit.
 	rescans    int64
 	deltaBytes int64
+	split      [4]time.Duration
+	maxChunks  int // most maintain chunks any Apply cut
 }
 
 type idRow struct {
@@ -377,6 +382,8 @@ func New(eng *engine.World, costs plan.Costs) *Registry {
 	}
 	r.drainFn = r.copyFeed
 	r.queueFn = r.queue
+	r.probeFn = r.runProbe
+	r.maintainFn = r.runChunk
 	eng.EnableChangeFeed()
 	return r
 }
@@ -563,7 +570,9 @@ func (r *Registry) Attach(eng *engine.World) {
 	r.eng = eng
 	r.prog = eng.Program()
 	eng.EnableChangeFeed()
-	r.mach = vexpr.Machine{}
+	for _, w := range r.workers {
+		w.mach = vexpr.Machine{}
+	}
 	clear(r.progCache)
 	r.fresh = r.fresh[:0]
 	for _, cs := range r.classList {

@@ -302,6 +302,60 @@ func TestUnstablePredicateRescans(t *testing.T) {
 	}
 }
 
+// TestScalarPredicatesOnPool maintains sixty ref-chasing (unstable, so
+// scalar-closure, rescan-every-tick) subscriptions at Workers 1 and 4: the
+// closures read other objects through the engine's read-only accessors from
+// every worker at once, which the race detector checks, and the streams
+// must be identical.
+func TestScalarPredicatesOnPool(t *testing.T) {
+	stream := func(workers int) (string, int) {
+		sc := core.MustLoad("chase", srcChase)
+		w, err := sc.NewWorld(engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []value.ID
+		for i := 0; i < 40; i++ {
+			id, err := w.Spawn("Unit", map[string]value.Value{"hp": value.Num(60 + 7*float64(i%5))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for i, id := range ids {
+			if err := w.SetState("Unit", id, "target", value.Ref(ids[(i*7+1)%len(ids)])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := views.New(w, plan.DefaultCosts())
+		for i := 0; i < 60; i++ {
+			mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("target != null && target.hp < hp + %d", i%12-6),
+				Payload: []string{"hp"}})
+		}
+		var b []byte
+		for tick := 0; tick < 5; tick++ {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+			r.Apply(func(d *views.Delta) {
+				b = fmt.Appendf(b, "sub=%d add=%v/%v upd=%v/%v rem=%v\n", d.Sub, d.AddIDs, d.AddCols, d.UpdIDs, d.UpdCols, d.RemIDs)
+			})
+			if r.Rescans() != 60 {
+				t.Fatalf("tick %d: %d rescans, want all 60", tick, r.Rescans())
+			}
+		}
+		return string(b), r.MaxChunks()
+	}
+	want, _ := stream(1)
+	got, chunks := stream(4)
+	if got != want {
+		t.Errorf("Workers 4 stream diverged from Workers 1\n%s", firstDiff(want, got))
+	}
+	if chunks <= 1 {
+		t.Errorf("Workers 4 maintained in %d chunk", chunks)
+	}
+}
+
 // TestInterestPred checks the spatial interest helper builds a bounded box
 // predicate that subscribes exactly the rows inside it.
 func TestInterestPred(t *testing.T) {
