@@ -723,7 +723,7 @@ func BenchmarkE21_SubscriptionViews(b *testing.B) {
 			if _, err := core.PopulateArena(w, objects, 0.02, 0.05, 17); err != nil {
 				b.Fatal(err)
 			}
-			r := views.New(w, plan.DefaultCosts())
+			r := views.New(w)
 			side := core.ArenaSide(objects)
 			for i := 0; i < subs; i++ {
 				var def views.Def

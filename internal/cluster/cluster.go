@@ -49,17 +49,17 @@ type Layout struct {
 }
 
 // NewLayout builds a layout for parts partitions over the measured world
-// box, resolving PartitionAuto through the cost model's ChoosePartition
-// (least total cut length = least ghost volume). axes is how many spatial
-// axes the class exposes (0 forces hash).
-func NewLayout(costs plan.Costs, mode plan.PartitionStrategy, parts, axes int, minX, maxX, minY, maxY float64) (Layout, error) {
+// box, resolving PartitionAuto through plan.ChoosePartition (least total cut
+// length = least ghost volume). axes is how many spatial axes the class
+// exposes (0 forces hash).
+func NewLayout(mode plan.PartitionStrategy, parts, axes int, minX, maxX, minY, maxY float64) (Layout, error) {
 	if parts < 1 {
 		return Layout{}, fmt.Errorf("cluster: need >= 1 partition, got %d", parts)
 	}
 	if axes == 0 && mode != plan.PartitionHash {
 		mode = plan.PartitionHash // nothing spatial to cut
 	}
-	strat, px, py := costs.ChoosePartition(mode, parts, axes, maxX-minX, maxY-minY)
+	strat, px, py := plan.ChoosePartition(mode, parts, axes, maxX-minX, maxY-minY)
 	l := Layout{
 		Strategy: strat, Parts: parts, PX: px, PY: py, Axes: axes,
 		MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY,

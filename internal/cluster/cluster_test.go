@@ -11,7 +11,7 @@ import (
 
 func layout(t *testing.T, mode plan.PartitionStrategy, parts, axes int) cluster.Layout {
 	t.Helper()
-	l, err := cluster.NewLayout(plan.DefaultCosts(), mode, parts, axes, 0, 100, 0, 100)
+	l, err := cluster.NewLayout(mode, parts, axes, 0, 100, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,12 +19,12 @@ func layout(t *testing.T, mode plan.PartitionStrategy, parts, axes int) cluster.
 }
 
 func TestLayoutValidation(t *testing.T) {
-	if _, err := cluster.NewLayout(plan.DefaultCosts(), plan.PartitionAuto, 0, 2, 0, 1, 0, 1); err == nil {
+	if _, err := cluster.NewLayout(plan.PartitionAuto, 0, 2, 0, 1, 0, 1); err == nil {
 		t.Fatal("zero partitions must fail")
 	}
 	// A degenerate world box (all objects at one point) must still produce a
 	// usable layout instead of a division by zero.
-	l, err := cluster.NewLayout(plan.DefaultCosts(), plan.PartitionStripes, 4, 1, 5, 5, 0, 0)
+	l, err := cluster.NewLayout(plan.PartitionStripes, 4, 1, 5, 5, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func runSwapWall(t *testing.T, sc swapScenario, opts engine.Options, withViews b
 	w := sc.build(t, opts)
 	var reg *views.Registry
 	if withViews {
-		reg = views.New(w, plan.DefaultCosts())
+		reg = views.New(w)
 		for _, def := range sc.subs(t) {
 			def.Mode = mode
 			if _, err := reg.Subscribe(def); err != nil {

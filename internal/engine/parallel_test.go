@@ -13,8 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// trafficWorld builds a vehicles world sized so the two-axis cost model
-// actually fans out under Workers > 1 (the extent spans several batches).
+// trafficWorld builds a vehicles world sized so its update step actually
+// fans out under Workers > 1 (the extent spans several batches).
 func trafficWorld(t *testing.T, n int, opts engine.Options) *engine.World {
 	t.Helper()
 	sc, err := core.LoadScenario("vehicles", core.SrcVehicles)

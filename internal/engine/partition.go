@@ -38,7 +38,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/plan"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -181,7 +180,7 @@ func (w *World) ensurePartitionLayouts() {
 		if len(axes) > 1 {
 			minY, maxY = columnBounds(rt.tab, axes[1])
 		}
-		layout, err := cluster.NewLayout(plan.DefaultCosts(), mode, pw.n, len(axes), minX, maxX, minY, maxY)
+		layout, err := cluster.NewLayout(mode, pw.n, len(axes), minX, maxX, minY, maxY)
 		if err != nil {
 			// Partitions >= 1 is validated at construction; unreachable.
 			panic(err)

@@ -30,8 +30,8 @@ func readMallocs() uint64 {
 //     ((N-1)/N hit rate) and per-tick arenas checked out of the shared
 //     pool (steady-state allocations per world-tick ≈ 0);
 //   - many-world+hibernate: same fleet with only a rotating 10% of worlds
-//     touched per round, the rest hibernating past the cost model's idle
-//     horizon — the resident-world gauge drops while touched worlds
+//     touched per round, the rest hibernating past their idle horizon —
+//     the resident-world gauge drops while touched worlds
 //     restore transparently.
 func E19(worlds, objects, rounds int) (Table, error) {
 	t := Table{

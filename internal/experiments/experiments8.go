@@ -46,7 +46,7 @@ func e21Run(objects, subs, ticks int, mode plan.ViewMode) (e21Arm, error) {
 	if _, err := core.PopulateArena(w, objects, 0.02, 0.05, 17); err != nil {
 		return a, err
 	}
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 
 	// Spectator mix: mostly camera interest boxes scattered over the map,
 	// a band of health-threshold watchers, and a sprinkle of scoreboard
@@ -143,7 +143,7 @@ func E21(objects int, subSizes []int, ticks int) (Table, error) {
 			"subscription mix 85% spatial interest boxes / 10% health thresholds / 5% aggregates (count, sum, top-10); " +
 			"rescan = every subscription re-evaluated over the full extent per tick (forced ViewRescan), " +
 			"delta = every subscription filters the changefeed through its own kernel (forced ViewDelta), " +
-			"indexed = the default ViewAuto: touched rows probe the per-shape subscription index, the top-10 subscriptions (predicate `true`, no box) stay on the per-subscription path; " +
+			"indexed = the default ViewAuto: touched rows probe every per-shape subscription index group every tick, the top-10 subscriptions (predicate `true`, no box) take the per-subscription delta path, and only a subscription's first Apply rescans; " +
 			"all arms emit identical delta streams; maint ms/tick excludes the engine tick itself; speedup is over rescan, vs delta over the forced-delta arm; " +
 			"allocs/tick = heap allocations during maintenance per tick after a 3-tick warmup: membership sets still reaching their high-water mark as movers cross boxes (headroom growth; a recurring pattern allocates nothing, see the views zero-alloc guards); " +
 			"captured on " + hostStamp(),

@@ -15,7 +15,7 @@ type PartitionStrategy uint8
 
 const (
 	// PartitionAuto lets ChoosePartition pick the spatial layout with the
-	// smallest modeled ghost volume (the default).
+	// shortest total cut (the default).
 	PartitionAuto PartitionStrategy = iota
 	// PartitionStripes cuts 1-D stripes along the first position axis.
 	PartitionStripes
@@ -46,14 +46,14 @@ func (s PartitionStrategy) String() string {
 // returns the resolved strategy plus the grid factorization (px×py == parts;
 // stripes are px=parts, py=1).
 //
-// The cost entry models ghost volume: every cut line of length L forces a
-// ghost margin of 2·R·L around it (R = the interaction radius), so for a
-// fixed R the best layout is the one with the least total cut length.
+// The layout with the least ghost volume wins: every cut line of length L
+// forces a ghost margin of 2·R·L around it (R = the interaction radius), so
+// for a fixed R the best layout is the one with the least total cut length.
 // Stripes cut (parts-1) lines of length h; a px×py grid cuts (px-1) lines of
 // length h plus (py-1) lines of length w. R itself cancels out of the
 // comparison, which is what lets the layout be fixed before the per-tick
 // radius is known.
-func (c Costs) ChoosePartition(mode PartitionStrategy, parts, axes int, w, h float64) (PartitionStrategy, int, int) {
+func ChoosePartition(mode PartitionStrategy, parts, axes int, w, h float64) (PartitionStrategy, int, int) {
 	if parts < 1 {
 		parts = 1
 	}

@@ -6,40 +6,38 @@ import (
 )
 
 func TestChoosePartition(t *testing.T) {
-	c := DefaultCosts()
-
 	// One spatial axis can only stripe.
-	if s, px, py := c.ChoosePartition(PartitionAuto, 4, 1, 100, 100); s != PartitionStripes || px != 4 || py != 1 {
+	if s, px, py := ChoosePartition(PartitionAuto, 4, 1, 100, 100); s != PartitionStripes || px != 4 || py != 1 {
 		t.Fatalf("1-axis auto = %v %dx%d", s, px, py)
 	}
 	// Square world, 4 parts: a 2x2 grid cuts 2 lines instead of 3.
-	if s, px, py := c.ChoosePartition(PartitionAuto, 4, 2, 100, 100); s != PartitionGrid || px != 2 || py != 2 {
+	if s, px, py := ChoosePartition(PartitionAuto, 4, 2, 100, 100); s != PartitionGrid || px != 2 || py != 2 {
 		t.Fatalf("square auto = %v %dx%d", s, px, py)
 	}
 	// Wide flat world: stripes across the long axis win.
-	if s, px, py := c.ChoosePartition(PartitionAuto, 4, 2, 1000, 10); s != PartitionStripes || px != 4 || py != 1 {
+	if s, px, py := ChoosePartition(PartitionAuto, 4, 2, 1000, 10); s != PartitionStripes || px != 4 || py != 1 {
 		t.Fatalf("wide auto = %v %dx%d", s, px, py)
 	}
 	// Tall thin world: the best cut is horizontal stripes, kept as a 1xN grid.
-	if s, px, py := c.ChoosePartition(PartitionAuto, 4, 2, 10, 1000); s != PartitionGrid || px != 1 || py != 4 {
+	if s, px, py := ChoosePartition(PartitionAuto, 4, 2, 10, 1000); s != PartitionGrid || px != 1 || py != 4 {
 		t.Fatalf("tall auto = %v %dx%d", s, px, py)
 	}
 	// Forced modes pass through; prime counts degenerate to a stripe row.
-	if s, px, py := c.ChoosePartition(PartitionStripes, 4, 2, 100, 100); s != PartitionStripes || px != 4 || py != 1 {
+	if s, px, py := ChoosePartition(PartitionStripes, 4, 2, 100, 100); s != PartitionStripes || px != 4 || py != 1 {
 		t.Fatalf("forced stripes = %v %dx%d", s, px, py)
 	}
-	if s, px, py := c.ChoosePartition(PartitionGrid, 6, 2, 100, 100); s != PartitionGrid || px*py != 6 || px == 1 || py == 1 {
+	if s, px, py := ChoosePartition(PartitionGrid, 6, 2, 100, 100); s != PartitionGrid || px*py != 6 || px == 1 || py == 1 {
 		t.Fatalf("forced grid 6 = %v %dx%d", s, px, py)
 	}
-	if s, px, py := c.ChoosePartition(PartitionGrid, 3, 2, 100, 100); s != PartitionGrid || px != 3 || py != 1 {
+	if s, px, py := ChoosePartition(PartitionGrid, 3, 2, 100, 100); s != PartitionGrid || px != 3 || py != 1 {
 		t.Fatalf("forced grid prime = %v %dx%d", s, px, py)
 	}
-	if s, _, _ := c.ChoosePartition(PartitionHash, 4, 2, 100, 100); s != PartitionHash {
+	if s, _, _ := ChoosePartition(PartitionHash, 4, 2, 100, 100); s != PartitionHash {
 		t.Fatalf("forced hash = %v", s)
 	}
 	// Every factorization must multiply back to the partition count.
 	for _, parts := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
-		s, px, py := c.ChoosePartition(PartitionAuto, parts, 2, 300, 200)
+		s, px, py := ChoosePartition(PartitionAuto, parts, 2, 300, 200)
 		if px*py != parts || px < 1 || py < 1 {
 			t.Fatalf("parts=%d: %v %dx%d", parts, s, px, py)
 		}

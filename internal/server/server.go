@@ -11,9 +11,9 @@
 //   - a deadline-aware tick scheduler: batch rounds over a shared worker
 //     pool, or real-time EDF serving with per-world tick periods and
 //     deadline-miss/lag accounting;
-//   - hibernation: a world idle past the cost model's break-even horizon
-//     is checkpointed out and its engine freed; any access transparently
-//     restores it.
+//   - hibernation: a world idle past its horizon — HibernateAfter ticks,
+//     longer for large worlds — is checkpointed out and its engine freed;
+//     any access transparently restores it.
 package server
 
 import (
@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/views"
 )
@@ -41,13 +40,10 @@ type Config struct {
 	Workers int
 	// HibernateAfter is the idle-tick threshold before a world becomes a
 	// hibernation candidate; 0 disables hibernation. The effective horizon
-	// per world is max(HibernateAfter, Costs.HibernateHorizon(rows)) so
-	// large worlds — whose checkpoint/restore round-trip costs more than
-	// idling — hibernate later than small ones.
+	// per world is max(HibernateAfter, ⌈rows/rowsPerIdleTick⌉), so large
+	// worlds — whose checkpoint/restore round trip costs more — hibernate
+	// later than small ones.
 	HibernateAfter int
-	// Costs supplies the hibernation break-even model (plan.DefaultCosts
-	// when zero-valued).
-	Costs plan.Costs
 	// TickPeriod is the real-time base period for Serve: a world with
 	// Every=k ticks every k*TickPeriod. 0 = 50ms. RunRounds ignores it.
 	TickPeriod time.Duration
@@ -61,13 +57,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.NumCPU()
-}
-
-func (c Config) costs() plan.Costs {
-	if c.Costs == (plan.Costs{}) {
-		return plan.DefaultCosts()
-	}
-	return c.Costs
 }
 
 func (c Config) tickPeriod() time.Duration {
@@ -257,7 +246,7 @@ func (h *World) Views() (*views.Registry, error) {
 		return nil, err
 	}
 	if h.views == nil {
-		h.views = views.New(h.eng, h.srv.cfg.costs())
+		h.views = views.New(h.eng)
 	}
 	return h.views, nil
 }
@@ -328,8 +317,8 @@ func (h *World) wakeLocked() error {
 	return nil
 }
 
-// rowsLocked counts live objects across classes (the hibernation
-// break-even input).
+// rowsLocked counts live objects across classes (the hibernation horizon's
+// input).
 func (h *World) rowsLocked() int {
 	n := 0
 	for _, cls := range h.sc.Info.Schema.Classes() {
@@ -359,16 +348,18 @@ func (h *World) tick() error {
 	s.mu.Unlock()
 	h.idle++
 	if after := s.cfg.HibernateAfter; after > 0 {
-		horizon := s.cfg.costs().HibernateHorizon(h.rowsLocked())
-		if horizon < after {
-			horizon = after
-		}
-		if h.idle >= horizon {
+		rows := h.rowsLocked()
+		if h.idle >= max(after, (rows+rowsPerIdleTick-1)/rowsPerIdleTick) {
 			return h.hibernateLocked()
 		}
 	}
 	return nil
 }
+
+// rowsPerIdleTick sets a large world's hibernation horizon: one idle tick
+// per this many rows, where that exceeds HibernateAfter, because its
+// checkpoint and restore round trip grows with the rows it copies.
+const rowsPerIdleTick = 32
 
 // RunRounds advances the server n scheduling rounds. Each round ticks
 // every due world (active, round divisible by Every) once, fanned out over

@@ -278,6 +278,25 @@ func TestHibernationLifecycle(t *testing.T) {
 	}
 }
 
+// TestHibernationHorizon pins when a world parks: after HibernateAfter idle
+// ticks, or one idle tick per 32 rows when that is longer. With
+// HibernateAfter 8, a 500-row world parks on its 16th idle tick and a
+// 100-row world on its 8th.
+func TestHibernationHorizon(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1, HibernateAfter: 8})
+	handles := addFleet(t, srv, []worldSpec{{500, 1, 1}, {100, 2, 1}})
+	for round := 1; round <= 17; round++ {
+		if err := srv.RunRounds(1); err != nil {
+			t.Fatal(err)
+		}
+		for i, parkAt := range []int{16, 8} {
+			if got := handles[i].Hibernated(); got != (round >= parkAt) {
+				t.Fatalf("world %d after %d idle ticks: hibernated = %v, want it parked from tick %d", i, round, got, parkAt)
+			}
+		}
+	}
+}
+
 // TestServeRealtime smoke-tests the EDF scheduler: worlds tick under a
 // real-time period, the context deadline stops serving cleanly, and every
 // world advanced.

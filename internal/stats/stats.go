@@ -120,13 +120,11 @@ type ExecCounters struct {
 	// live subscriptions registered against this world and ViewIndexedSubs
 	// of those sitting in a subscription index; ViewDeltaRows counts delta
 	// rows emitted across all subscriptions (adds + updates + removes);
-	// ViewRescans counts subscription-ticks that fell back to a
-	// full-extent rescan (unstable predicate, structure-version mismatch, or
-	// the cost model deciding churn outweighed the delta path);
-	// ViewIndexProbes counts point probes of the subscription indexes (a
-	// touched row costs one per index group, two when it moved) — zero on
-	// ticks where the cost model kept every group on the per-subscription
-	// path; ViewMaintNanos is wall time spent maintaining all subscriptions,
+	// ViewRescans counts subscription-ticks that re-evaluated the whole
+	// extent (a fresh subscription, a resync, an unstable predicate or
+	// forced ViewRescan); ViewIndexProbes counts point probes of the
+	// subscription indexes (a touched row costs one per index group, two
+	// when it moved); ViewMaintNanos is wall time spent maintaining all subscriptions,
 	// of which ViewProbeNanos, ViewMaintainNanos and ViewEmitNanos are the
 	// probe and maintain fan-outs and the in-order delta callbacks (the
 	// serial steps around them are the rest).

@@ -107,7 +107,7 @@ type Prog struct {
 	// once per machine instead of once per batch; chain holds one prebound
 	// closure per per-batch instruction in SSA order, the last of which
 	// writes the program's output (spec.go). kernels counts the chain's
-	// non-constant operators for the cost model.
+	// non-constant operators.
 	inv     []instr
 	chain   []batchFn
 	kernels int
@@ -171,10 +171,9 @@ func (p *Prog) NeedIDs() bool { return p.needIDs }
 // FxUsed returns the effect-attribute indices the program reads.
 func (p *Prog) FxUsed() []int { return p.fxUsed }
 
-// Kernels returns the number of per-batch operators the program executes —
-// the work unit of the view cost model (ChooseViewIndex). Fusion and
-// invariant hoisting shrink this count, so the fused fast path is costed as
-// it runs without new tuning constants.
+// Kernels returns the number of per-batch operators the program executes.
+// Fusion and invariant hoisting shrink this count; the optimizer's tests
+// pin them by it.
 func (p *Prog) Kernels() int { return p.kernels }
 
 // Column reports that the program is a bare own-row column load, and which

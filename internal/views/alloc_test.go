@@ -34,7 +34,7 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 func applySteadyStateZeroAlloc(t *testing.T, mode plan.ViewMode) {
 	w := unitWorld(t, 256, engine.Options{})
 	ids := w.IDs("Unit")
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	for i := 0; i < 40; i++ {
 		mustSub(t, r, views.Def{
 			Class:   "Unit",
@@ -87,44 +87,44 @@ func applySteadyStateZeroAlloc(t *testing.T, mode plan.ViewMode) {
 // through the registry's one shared buffer and memberships merge in place
 // with headroom, so once each subscription has seen its fullest moment a
 // round allocates nothing. It runs three ways: through the subscription
-// index (groups large enough to clear the cost rule), and with every group
-// pinned to the per-subscription delta path (the merge over the id-ordered
-// feed) or to the rescan path (box groups query the data grid, rebuilt every
-// round because the movers move). Ranked boxes lose ranked members in all
-// three, so TopK retracts — the bounded selection — run in the measured
-// rounds too.
+// index (ViewAuto), and with every subscription forced onto its own delta
+// path (the merge over the id-ordered feed) or its own rescan (the mask
+// kernel over the extent, diffed against the membership). Ranked boxes lose
+// ranked members in all three, so TopK retracts — the bounded selection —
+// run in the measured rounds too.
 func TestIndexedApplyShiftingMembershipZeroAlloc(t *testing.T) {
 	for _, arm := range []struct {
-		name  string
-		costs plan.Costs
+		name string
+		mode plan.ViewMode
 	}{
-		{"indexed", plan.DefaultCosts()},
-		{"per-sub-delta", perSubCosts(true)},
-		{"per-sub-rescan", perSubCosts(false)},
+		{"indexed", plan.ViewAuto},
+		{"per-sub-delta", plan.ViewDelta},
+		{"per-sub-rescan", plan.ViewRescan},
 	} {
-		t.Run(arm.name, func(t *testing.T) { shiftingMembershipZeroAlloc(t, arm.costs, arm.name == "indexed") })
+		t.Run(arm.name, func(t *testing.T) { shiftingMembershipZeroAlloc(t, arm.mode) })
 	}
 }
 
-func shiftingMembershipZeroAlloc(t *testing.T, costs plan.Costs, indexed bool) {
+func shiftingMembershipZeroAlloc(t *testing.T, mode plan.ViewMode) {
 	w := unitWorld(t, 400, engine.Options{})
 	ids := w.IDs("Unit")
-	r := views.New(w, costs)
+	r := views.New(w)
+	indexed := mode == plan.ViewAuto
 	for i := 0; i < 96; i++ {
 		pred := boxPred(t, float64(i%12)*10, float64(i/12)*15, float64(6+4*(i%4)))
-		def := views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "y", "health"}}
+		def := views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "y", "health"}, Mode: mode}
 		switch i % 12 {
 		case 10:
-			def = views.Def{Class: "Unit", Pred: pred, Kind: views.Sum, Attr: "health"}
+			def = views.Def{Class: "Unit", Pred: pred, Kind: views.Sum, Attr: "health", Mode: mode}
 		case 11:
-			def = views.Def{Class: "Unit", Pred: pred, Kind: views.TopK, Attr: "health", K: 4}
+			def = views.Def{Class: "Unit", Pred: pred, Kind: views.TopK, Attr: "health", K: 4, Mode: mode}
 		}
-		if s := mustSub(t, r, def); !s.Indexed() {
-			t.Fatalf("box %d not indexed: %s", i, s.IndexReason())
+		if s := mustSub(t, r, def); s.Indexed() != indexed {
+			t.Fatalf("box %d: indexed = %v (%s), want %v", i, s.Indexed(), s.IndexReason(), indexed)
 		}
 	}
 	for i := 0; i < 40; i++ {
-		mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 50+i), Payload: []string{"health"}})
+		mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 50+i), Payload: []string{"health"}, Mode: mode})
 	}
 
 	const period = 48
@@ -183,7 +183,7 @@ func shiftingMembershipZeroAlloc(t *testing.T, costs plan.Costs, indexed bool) {
 	if probed := after.ViewIndexProbes > before.ViewIndexProbes; probed != indexed {
 		t.Fatalf("index probed = %v, want %v", probed, indexed)
 	}
-	if rescans := after.ViewRescans > before.ViewRescans; rescans != (costs.ViewScanRow == 0) {
+	if rescans := after.ViewRescans > before.ViewRescans; rescans != (mode == plan.ViewRescan) {
 		t.Fatalf("rescans ran = %v in the measured rounds", rescans)
 	}
 }
@@ -200,7 +200,7 @@ func TestApplyFanOutAllocsIndependentOfSubs(t *testing.T) {
 	for i, n := range []int{200, 2000} {
 		w := unitWorld(t, 400, engine.Options{Workers: 4})
 		ids := w.IDs("Unit")
-		r := views.New(w, plan.DefaultCosts())
+		r := views.New(w)
 		rng := rand.New(rand.NewSource(int64(n)))
 		for k := 0; k < n; k++ {
 			pred := boxPred(t, rng.Float64()*120, rng.Float64()*120, float64(6+4*(k%4)))
@@ -285,7 +285,7 @@ func TestSubscribeCostIndependentOfRegistrySize(t *testing.T) {
 		best time.Duration
 	}
 	build := func(n int) *sized {
-		z := &sized{r: views.New(w, plan.DefaultCosts()), best: time.Duration(math.MaxInt64)}
+		z := &sized{r: views.New(w), best: time.Duration(math.MaxInt64)}
 		for i := 0; i < n; i++ {
 			z.ids = append(z.ids, mustSub(t, z.r, def(i)).ID())
 		}

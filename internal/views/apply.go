@@ -22,25 +22,24 @@ package views
 //     with a forward finger over the sorted member set;
 //  4. rescan: evaluate over the whole extent — for a two-attribute box
 //     group, a range query on a grid over the class's live rows instead —
-//     and diff memberships in one merge that also picks out the updates —
-//     chosen by plan.Costs.ChooseView when candidates approach the live
-//     count, forced by unstable predicates, resyncs and fresh
-//     subscriptions.
+//     and diff memberships in one merge that also picks out the updates.
+//     Only fresh subscriptions, resyncs, unstable predicates and forced
+//     ViewRescan take it, however many rows the feed names.
 //
 // Rungs 2–4 are the per-subscription path: forced-mode and ineligible
-// subscriptions always take it, and so does a whole index group on a tick
-// where plan.Costs.ChooseViewIndex prices the probes above it. TopK rankings
-// are kept by selection: a bounded heap of K entries, over the whole
-// membership only when a ranked row retracts, then a sort of the K
-// survivors.
+// subscriptions always take it, and so does a whole index group on an Apply
+// whose last-applied image is not ready (the first after the group forms or
+// its table is replaced). TopK rankings are kept by selection: a bounded
+// heap of K entries, over the whole membership only when a ranked row
+// retracts, then a sort of the K survivors.
 //
 // Maintenance is a read-only query phase over committed state (§4.2), so it
 // runs on the world's worker pool (engine.World.RunParallel, at
 // Options.Workers) in five steps:
 //
-//  1. plan (serial): drain the feed, diff versions, decide per index group
-//     and queue the per-subscription work; build the id order and any stale
-//     subscription grid the probes read;
+//  1. plan (serial): drain the feed, diff versions, mark the index groups
+//     that probe and queue the per-subscription work; build the id order
+//     and any stale subscription grid the probes read;
 //  2. probe (parallel): each probe task probes one range of a group's
 //     touched rows into its own event list, bucketed by slot; the same
 //     fan-out rebuilds the data grids the rescans of step 4 will read;
@@ -344,8 +343,7 @@ func (r *Registry) prepare() {
 			s.path = pathSkip
 		case !s.resync && s.grp != nil && s.grp.probed:
 			s.path = pathEvents
-		case !s.resync && s.sh.stable &&
-			r.costs.ChooseView(s.def.Mode, cs.tab.Len(), len(cs.rows)) == plan.ViewDelta:
+		case !s.resync && s.sh.stable && s.def.Mode != plan.ViewRescan:
 			s.path = pathDelta
 			cs.buildOrder()
 			if s.sh.prog != nil {

@@ -15,10 +15,10 @@ import (
 
 // wallDefs is the subscription mix the differential wall maintains: row
 // selects (threshold and spatial box), every aggregate kind, a
-// match-everything select, and — so the auto arm's index groups clear the
-// cost rule and actually probe — 72 interest boxes of mixed radii (selects
-// and aggregates over the same shape) plus a band of 24 health thresholds
-// and ranges. Mode is stamped per arm.
+// match-everything select, and — so the auto arm's index groups are large
+// — 72 interest boxes of mixed radii (selects and aggregates over the same
+// shape) plus a band of 24 health thresholds and ranges. Mode is stamped
+// per arm.
 func wallDefs(t *testing.T, mode plan.ViewMode) []views.Def {
 	t.Helper()
 	box := func(cx, cy, radius float64) string { return boxPred(t, cx, cy, radius) }
@@ -62,7 +62,7 @@ func wallDefs(t *testing.T, mode plan.ViewMode) []views.Def {
 func wallStream(t *testing.T, opts engine.Options, mode plan.ViewMode) string {
 	t.Helper()
 	w := unitWorld(t, 400, opts)
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	var subs []*views.Sub
 	for _, def := range wallDefs(t, mode) {
 		subs = append(subs, mustSub(t, r, def))
@@ -138,10 +138,11 @@ func wallStream(t *testing.T, opts engine.Options, mode plan.ViewMode) string {
 
 // TestViewDifferentialWall is the acceptance guard for incremental
 // maintenance: across {Workers 1,2,4} × {Partitions 1,4} × {Exec scalar,
-// vectorized}, and across maintenance modes (cost-model auto, forced
-// delta, forced every-tick rescan), the emitted delta stream and final
-// subscription state are bit-identical — under spawn/kill churn, physical
-// row reuse and a mid-run checkpoint→restore resync. Workers also sets how
+// vectorized}, and across maintenance modes (auto's index probe and delta
+// path, forced per-subscription delta, forced every-tick rescan), the
+// emitted delta stream and final subscription state are bit-identical —
+// under spawn/kill churn, physical row reuse and a mid-run
+// checkpoint→restore resync. Workers also sets how
 // many ways view maintenance itself fans out; the many-subscriptions arm
 // makes that fan-out cut its worklist into many chunks.
 func TestViewDifferentialWall(t *testing.T) {
@@ -184,33 +185,19 @@ func TestViewDifferentialWall(t *testing.T) {
 	}
 }
 
-// perSubCosts returns costs under which no index group ever probes and every
-// per-subscription maintenance takes the delta path (delta) or the rescan
-// path (!delta).
-func perSubCosts(delta bool) plan.Costs {
-	c := plan.DefaultCosts()
-	c.ViewProbe = 1e18
-	if delta {
-		c.ViewDeltaRow = 0
-	} else {
-		c.ViewScanRow = 0
-	}
-	return c
-}
-
 // reuseStream drives interest boxes (selects and aggregates) and a
 // threshold band through churn in which kills come before spawns, so every
 // spawn takes a freed row below older rows with a higher id, and movers
 // touch older rows above it: the feed's rows in row order are not in id
-// order. It returns the serialized stream and how many steps had such an
-// inversion among their touched rows.
-func reuseStream(t *testing.T, mode plan.ViewMode, costs plan.Costs) (string, int) {
+// order. Each step also replaces two boxes, whose first Apply reads the
+// data grid over those rows. It returns the serialized stream and how many
+// steps had such an inversion among their touched rows.
+func reuseStream(t *testing.T, mode plan.ViewMode) (string, int) {
 	t.Helper()
 	w := unitWorld(t, 300, engine.Options{})
-	r := views.New(w, costs)
+	r := views.New(w)
 	rng := rand.New(rand.NewSource(17))
-	var subs []*views.Sub
-	for i := 0; i < 40; i++ {
+	boxDef := func(i int) views.Def {
 		def := views.Def{Class: "Unit", Pred: boxPred(t, rng.Float64()*120, rng.Float64()*120, []float64{10, 20, 35}[i%3]),
 			Payload: []string{"x", "health"}, Mode: mode}
 		switch i % 8 {
@@ -219,7 +206,11 @@ func reuseStream(t *testing.T, mode plan.ViewMode, costs plan.Costs) (string, in
 		case 7:
 			def = views.Def{Class: "Unit", Pred: def.Pred, Kind: views.TopK, Attr: "health", K: 3, Mode: mode}
 		}
-		subs = append(subs, mustSub(t, r, def))
+		return def
+	}
+	var subs []*views.Sub
+	for i := 0; i < 40; i++ {
+		subs = append(subs, mustSub(t, r, boxDef(i)))
 	}
 	for i := 0; i < 8; i++ {
 		subs = append(subs, mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 60+5*i), Payload: []string{"health"}, Mode: mode}))
@@ -269,6 +260,12 @@ func reuseStream(t *testing.T, mode plan.ViewMode, costs plan.Costs) (string, in
 		if slices.ContainsFunc(spawned, func(id value.ID) bool { return tab.Row(id) < highest }) {
 			inverted++
 		}
+		for _, k := range []int{step % 40, (step*7 + 3) % 40} {
+			if !r.Unsubscribe(subs[k].ID()) {
+				t.Fatal("unsubscribe failed")
+			}
+			subs[k] = mustSub(t, r, boxDef(k))
+		}
 		fmt.Fprintf(&b, "step %d:\n", step)
 		r.Apply(emit)
 	}
@@ -279,27 +276,22 @@ func reuseStream(t *testing.T, mode plan.ViewMode, costs plan.Costs) (string, in
 }
 
 // testRowReuseWall pins the id-ordered paths — the delta path's merge over
-// an id-sorted permutation of the feed, the rescan diff's candidate stamps
-// and the box groups' grid scans — to the forced-rescan oracle on a feed
-// whose row order is not its id order, with every group pinned to the
-// per-subscription delta path, to the rescan path, or left to the costs.
+// an id-sorted permutation of the feed, the index probe's id-ordered
+// events, the rescan diff's candidate stamps and the box groups' grid scans
+// — to the forced-rescan oracle on a feed whose row order is not its id
+// order: auto probes the index and resyncs fresh boxes from the data grid,
+// forced delta keeps every subscription on its own delta path.
 func testRowReuseWall(t *testing.T) {
-	want, inverted := reuseStream(t, plan.ViewRescan, plan.DefaultCosts())
+	want, inverted := reuseStream(t, plan.ViewRescan)
 	if inverted < 8 {
 		t.Fatalf("only %d of 16 steps touched a spawned row below an older touched row", inverted)
 	}
 	for _, arm := range []struct {
-		name  string
-		mode  plan.ViewMode
-		costs plan.Costs
-	}{
-		{"per-sub-delta", plan.ViewAuto, perSubCosts(true)},
-		{"per-sub-rescan", plan.ViewAuto, perSubCosts(false)},
-		{"auto", plan.ViewAuto, plan.DefaultCosts()},
-		{"forced-delta", plan.ViewDelta, plan.DefaultCosts()},
-	} {
+		name string
+		mode plan.ViewMode
+	}{{"auto", plan.ViewAuto}, {"forced-delta", plan.ViewDelta}} {
 		t.Run(arm.name, func(t *testing.T) {
-			if got, _ := reuseStream(t, arm.mode, arm.costs); got != want {
+			if got, _ := reuseStream(t, arm.mode); got != want {
 				t.Errorf("stream diverged from the forced-rescan arm\n%s", firstDiff(want, got))
 			}
 		})
@@ -314,10 +306,10 @@ func testRowReuseWall(t *testing.T) {
 func TestViewStatsCounters(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		w := unitWorld(t, 200, engine.Options{DisableStats: disable, Workers: 2})
-		r := views.New(w, plan.DefaultCosts())
+		r := views.New(w)
 		mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 99", Kind: views.Count})
 		mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 99", Mode: plan.ViewRescan})
-		// A threshold band big enough for the cost rule to probe it.
+		// A threshold band: one index group, probed every Apply.
 		for i := 0; i < 100; i++ {
 			mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("health < %d", 70+i%30), Payload: []string{"health"}})
 		}
@@ -385,7 +377,7 @@ func TestViewStatsCounters(t *testing.T) {
 func manySubsStream(t *testing.T, workers int, mode plan.ViewMode) (string, int) {
 	t.Helper()
 	w := unitWorld(t, 600, engine.Options{Workers: workers})
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	rng := rand.New(rand.NewSource(59))
 	def := func(i int) views.Def {
 		pred := boxPred(t, rng.Float64()*130-5, rng.Float64()*130-5, []float64{4, 9, 16, 28}[i%4])

@@ -14,32 +14,14 @@ import (
 	"repro/internal/views"
 )
 
-// hostileArm is one way of maintaining the same subscriptions.
-type hostileArm struct {
-	name  string
-	mode  plan.ViewMode
-	costs plan.Costs
-}
-
-func hostileArms() []hostileArm {
-	always := plan.DefaultCosts()
-	always.ViewProbe = 0 // probing is free: every group takes the index on every tick
-	return []hostileArm{
-		{"rescan", plan.ViewRescan, plan.DefaultCosts()},
-		{"delta", plan.ViewDelta, plan.DefaultCosts()},
-		{"auto", plan.ViewAuto, plan.DefaultCosts()},
-		{"auto-always-indexed", plan.ViewAuto, always},
-	}
-}
-
-// hostileStream drives one arm through the cases an index probe can get
-// wrong where a per-subscription kernel cannot: points exactly on box edges,
-// NaN / ±0 / infinite coordinates, a kill whose row is reused before the
-// next Apply, rows touched only in columns nobody watches, subscriptions
+// hostileStream drives one maintenance mode through the cases an index
+// probe can get wrong where a per-subscription kernel cannot: points exactly
+// on box edges, NaN / ±0 / infinite coordinates, a kill whose row is reused
+// before the next Apply, rows touched only in columns nobody watches, subscriptions
 // joining and leaving mid-run, a checkpoint→restore resync and a
 // Detach/Attach onto a rebuilt engine. It serializes every delta and the
-// final memberships; all arms must produce the same string.
-func hostileStream(t *testing.T, arm hostileArm) string {
+// final memberships; all modes must produce the same string.
+func hostileStream(t *testing.T, mode plan.ViewMode) string {
 	t.Helper()
 	w := unitWorld(t, 0, engine.Options{})
 	spawn := func(x, y, health float64) value.ID {
@@ -71,10 +53,10 @@ func hostileStream(t *testing.T, arm hostileArm) string {
 		ids = append(ids, spawn(float64(i%12)*10, float64(i/12)*10, 60+float64(i%40)))
 	}
 
-	r := views.New(w, arm.costs)
+	r := views.New(w)
 	var subs []*views.Sub
 	subscribe := func(def views.Def) *views.Sub {
-		def.Mode = arm.mode
+		def.Mode = mode
 		s := mustSub(t, r, def)
 		subs = append(subs, s)
 		return s
@@ -117,7 +99,7 @@ func hostileStream(t *testing.T, arm hostileArm) string {
 		subscribe(views.Def{Class: "Unit", Pred: "x >= 10 && y <= 50", Payload: []string{"x"}}),
 		subscribe(views.Def{Class: "Unit", Pred: "x >= 50 && x <= 20 && y >= 0 && y <= 9", Payload: []string{"x"}}),
 	}
-	if arm.mode == plan.ViewAuto {
+	if mode == plan.ViewAuto {
 		for _, s := range subs[:len(subs)-len(offIndex)] {
 			if !s.Indexed() {
 				t.Fatalf("sub %d (%s) not indexed: %s", s.ID(), s.Def().Pred, s.IndexReason())
@@ -270,8 +252,8 @@ func hostileStream(t *testing.T, arm hostileArm) string {
 			fmt.Fprintf(&b, "final sub=%d members=%v agg=%x top=%v\n", s.ID(), s.Members(), s.Agg(), s.Top())
 		}
 	}
-	if probes := w.ExecStats().ViewIndexProbes; (probes > 0) != (arm.mode == plan.ViewAuto) {
-		t.Errorf("arm %s: ViewIndexProbes = %d", arm.name, probes)
+	if probes := w.ExecStats().ViewIndexProbes; (probes > 0) != (mode == plan.ViewAuto) {
+		t.Errorf("mode %v: ViewIndexProbes = %d", mode, probes)
 	}
 	return b.String()
 }
@@ -279,14 +261,13 @@ func hostileStream(t *testing.T, arm hostileArm) string {
 // TestIndexedHostileCases pins the indexed path to the forced-mode oracles
 // on the inputs listed at hostileStream.
 func TestIndexedHostileCases(t *testing.T) {
-	arms := hostileArms()
-	want := hostileStream(t, arms[0])
+	want := hostileStream(t, plan.ViewRescan)
 	if !strings.Contains(want, "rem=[") || !strings.Contains(want, "resync=true") {
 		t.Fatal("scenario produced no removes or resyncs; the comparison is vacuous")
 	}
-	for _, arm := range arms[1:] {
-		t.Run(arm.name, func(t *testing.T) {
-			if got := hostileStream(t, arm); got != want {
+	for _, mode := range []plan.ViewMode{plan.ViewDelta, plan.ViewAuto} {
+		t.Run(mode.String(), func(t *testing.T) {
+			if got := hostileStream(t, mode); got != want {
 				t.Errorf("stream diverged from the rescan arm\n%s", firstDiff(want, got))
 			}
 		})

@@ -43,7 +43,7 @@ func TestGridScanMatchesBruteForce(t *testing.T) {
 		spawn()
 	}
 
-	r := New(w, plan.DefaultCosts())
+	r := New(w)
 	type shape struct {
 		g   *subGroup
 		ops [4]string // source order: x lower, x upper, y lower, y upper
@@ -246,7 +246,7 @@ func TestTopKWithNaNKeys(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			r := New(w, plan.DefaultCosts())
+			r := New(w)
 			everyone := func(x, y float64) bool { return true }
 			cases := []struct {
 				def  Def

@@ -138,10 +138,9 @@ func boxShapeOf(pred ast.Expr, cls *schema.Class) (cmps []boxCmp, attrs []int, w
 // predicate shape. Slots are stable small integers handed out per group;
 // they are the grid's "rows" and index the per-probe stamp array.
 type subGroup struct {
-	key     string
-	cmps    []boxCmp
-	attrs   []int // one or two indexed state attributes
-	kernels int   // the shape's kernel op count, for the cost rule
+	key   string
+	cmps  []boxCmp
+	attrs []int // one or two indexed state attributes
 
 	slots []*Sub // slot → subscription; nil when free
 	free  []int32
@@ -169,7 +168,7 @@ type subGroup struct {
 	bounds []boundEntry
 
 	ready  bool // image columns hold last-applied values for this group
-	probed bool // this Apply's cost decision
+	probed bool // probed this Apply: ready and its class not resyncing
 }
 
 type boundEntry struct {
@@ -241,10 +240,7 @@ func (r *Registry) indexSub(s *Sub) string {
 		if why != "" {
 			return why
 		}
-		g = &subGroup{key: s.sh.key, cmps: cmps, attrs: attrs, kernels: 16}
-		if s.sh.prog != nil {
-			g.kernels = s.sh.prog.Kernels()
-		}
+		g = &subGroup{key: s.sh.key, cmps: cmps, attrs: attrs}
 	}
 	var centre, half [2]float64
 	if len(g.attrs) == 2 {
@@ -606,21 +602,19 @@ func (t *probeTask) emitRun(seq uint64, lo, hi int, row int32, kind uint32) {
 	}
 }
 
-// planProbes decides, per index group, between probing and the
-// per-subscription path, queues the subscriptions of groups that take the
-// latter, and lays out the probe tasks of the groups that take the index:
+// planProbes probes every index group whose image is ready and whose class
+// is not resyncing, queues the subscriptions of the other groups for the
+// per-subscription path, and lays out the probe tasks of the probed groups:
 // one per worker, each a contiguous range of the group's probe order. The
 // shared structures the tasks read — the id order, a stale subscription
 // grid — are built here, before any task runs.
 func (r *Registry) planProbes(cs *classState, nw int) {
 	touched := len(cs.rows) + len(cs.killed)
 	for _, g := range cs.groupList {
-		g.probed = g.ready && !cs.resync &&
-			r.costs.ChooseViewIndex(g.n, cs.tab.Len(), touched, g.kernels)
+		g.probed = g.ready && !cs.resync
 		g.taskLo, g.taskHi = r.nTasks, r.nTasks
-		if len(g.attrs) == 2 && (cs.resync || g.freshSeq == r.seq ||
-			!g.probed && r.costs.ChooseView(plan.ViewAuto, cs.tab.Len(), len(cs.rows)) == plan.ViewRescan) {
-			r.planGrid(cs, g) // some member rescans from the data grid
+		if len(g.attrs) == 2 && (cs.resync || g.freshSeq == r.seq) {
+			r.planGrid(cs, g) // some member resyncs from the data grid
 		}
 		if !g.probed {
 			g.each(r.queueFn)

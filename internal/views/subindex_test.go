@@ -24,7 +24,7 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(w, plan.DefaultCosts())
+	r := New(w)
 	rng := rand.New(rand.NewSource(77))
 
 	// The oracle's copy of one subscription: its compares as plain
@@ -190,7 +190,7 @@ func TestIndexEligibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(w, plan.DefaultCosts())
+	r := New(w)
 	for _, c := range []struct {
 		def Def
 		why string

@@ -23,9 +23,10 @@
 //     internal/index grid over box centres, a sorted bound array for
 //     one-attribute shapes — and each touched row probes the index instead
 //     of every subscription filtering every touched row (subindex.go);
-//   - plan.Costs arbitrates index probe vs per-subscription maintenance per
-//     group per tick (ChooseViewIndex), and delta-maintain vs rescan per
-//     subscription per tick (ChooseView), in plan.Costs' row-visit units;
+//   - every ready index group is probed and every other stable
+//     subscription is maintained from the changefeed; only fresh
+//     subscriptions, resyncs, unstable predicates and forced ViewRescan
+//     re-evaluate the extent;
 //   - spatial interest subscriptions build rectangular predicates whose
 //     reach plan.InteractionRadius bounds — the same box the partitioned
 //     executor ghosts, which is why the changefeed (and thus every view)
@@ -97,9 +98,9 @@ type Def struct {
 	Attr string
 	// K bounds the TopK result.
 	K int
-	// Mode pins the maintenance strategy; ViewAuto lets the cost model
-	// decide per tick. Soundness overrides it: unstable predicates and
-	// resyncs always rescan.
+	// Mode pins the maintenance strategy; ViewAuto indexes box-shaped
+	// predicates and maintains the rest from the changefeed. Soundness
+	// overrides it: unstable predicates and resyncs always rescan.
 	Mode plan.ViewMode
 }
 
@@ -231,9 +232,10 @@ func (s *Sub) Reasons() []string { return s.sh.reasons }
 // Indexed reports whether the subscription sits in a subscription index —
 // its predicate is a box in slot space, so touched rows find it by probe
 // instead of it filtering every touched row. When false, IndexReason says
-// what keeps it on the per-subscription path. (Whether an indexed group is
-// actually probed on a given tick is the cost model's call;
-// ExecCounters.ViewIndexProbes shows it.)
+// what keeps it on the per-subscription path. (An indexed group is probed
+// on every Apply except one that resyncs its class or comes before its
+// last-applied image is built; ExecCounters.ViewIndexProbes counts the
+// probes.)
 func (s *Sub) Indexed() bool { return s.grp != nil }
 
 // IndexReason explains why the subscription is not indexed ("" when it is).
@@ -327,9 +329,8 @@ type classState struct {
 // driving the world, the same discipline as engine.World itself. Apply
 // spreads its work over the world's worker pool and returns after it.
 type Registry struct {
-	eng   *engine.World
-	prog  *compile.Program
-	costs plan.Costs
+	eng  *engine.World
+	prog *compile.Program
 
 	nextID    SubID
 	byID      map[SubID]*Sub
@@ -371,11 +372,12 @@ type idRow struct {
 }
 
 // New builds a registry over an engine world and enables its changefeed.
-func New(eng *engine.World, costs plan.Costs) *Registry {
+// It ignores its plan.Costs argument, which no decision reads; callers that
+// still pass plan.DefaultCosts() keep compiling.
+func New(eng *engine.World, _ ...plan.Costs) *Registry {
 	r := &Registry{
 		eng:       eng,
 		prog:      eng.Program(),
-		costs:     costs,
 		byID:      map[SubID]*Sub{},
 		classes:   map[string]*classState{},
 		progCache: map[string]*predShape{},

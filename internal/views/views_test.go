@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/plan"
 	"repro/internal/value"
 	"repro/internal/views"
 	"repro/internal/workload"
@@ -89,7 +88,7 @@ func TestSelectLifecycle(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	if err := w.SetState("Unit", ids[0], "health", value.Num(50)); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestSelectLifecycle(t *testing.T) {
 // checks Count/Sum/TopK after every tick against from-scratch recomputation.
 func TestAggregatesTrackBruteForce(t *testing.T) {
 	w := unitWorld(t, 200, engine.Options{})
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	cnt := mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 100", Kind: views.Count})
 	sum := mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 100", Kind: views.Sum, Attr: "health"})
 	top := mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 100", Kind: views.TopK, Attr: "health", K: 5})
@@ -271,7 +270,7 @@ func TestUnstablePredicateRescans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	s := mustSub(t, r, views.Def{Class: "Unit", Pred: "target != null && target.hp < hp"})
 	if s.Stable() || len(s.Reasons()) == 0 {
 		t.Fatalf("ref-chasing predicate must be unstable with reasons, got stable=%v %v",
@@ -327,7 +326,7 @@ func TestScalarPredicatesOnPool(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r := views.New(w, plan.DefaultCosts())
+		r := views.New(w)
 		for i := 0; i < 60; i++ {
 			mustSub(t, r, views.Def{Class: "Unit", Pred: fmt.Sprintf("target != null && target.hp < hp + %d", i%12-6),
 				Payload: []string{"hp"}})
@@ -371,7 +370,7 @@ func TestInterestPred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	s := mustSub(t, r, views.Def{Class: "Unit", Pred: pred})
 	if !s.Stable() {
 		t.Fatalf("interest box must be stable: %v", s.Reasons())
@@ -388,7 +387,7 @@ func TestInterestPred(t *testing.T) {
 // TestSubscribeValidation covers the declarative surface's error paths.
 func TestSubscribeValidation(t *testing.T) {
 	w := unitWorld(t, 0, engine.Options{})
-	r := views.New(w, plan.DefaultCosts())
+	r := views.New(w)
 	bad := []views.Def{
 		{Class: "Ghost"},
 		{Class: "Unit", Pred: "health +"},
