@@ -102,46 +102,48 @@ func (c *Column) fold(r int, v float64) bool {
 	return first
 }
 
-// AddPayloadRows folds one kernel output batch: for every masked row r in
-// [lo, hi) it appends r to *touched when the cell is empty and then folds
-// the raw column payload vals[r] (bool = 0/1, ref = id) exactly as Add would
-// fold the boxed value, with the combinator dispatch hoisted out of the row
-// loop for the hot kinds. keys carries minby/maxby selection keys and may be
-// nil for other combinators; union has no payload and panics.
-func (c *Column) AddPayloadRows(mask []bool, lo, hi int, vals, keys []float64, touched *[]int) {
-	if hi <= lo {
+// AddPayloadRows folds one kernel output window: for every masked lane i
+// it folds the raw column payload vals[i] (bool = 0/1, ref = id) into row
+// base+i, appending the row to *touched when its cell was empty, exactly as
+// Add would fold the boxed value, with the combinator dispatch hoisted out
+// of the row loop for the hot kinds. mask, vals and keys are
+// window-relative; keys carries minby/maxby selection keys and may be nil
+// for other combinators; union has no payload and panics.
+func (c *Column) AddPayloadRows(base int, mask []bool, vals, keys []float64, touched *[]int) {
+	n := len(mask)
+	if n == 0 {
 		return
 	}
 	t := *touched
 	switch c.kind {
 	case Sum, Avg:
-		num, n := c.num[:hi], c.n[:hi]
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
+		num, cnt, vals := c.num[base:base+n], c.n[base:base+n], vals[:n]
+		for i, on := range mask {
+			if !on {
 				continue
 			}
-			if n[r] == 0 {
-				t = append(t, r)
+			if cnt[i] == 0 {
+				t = append(t, base+i)
 			}
-			num[r] += vals[r]
-			n[r]++
+			num[i] += vals[i]
+			cnt[i]++
 		}
 	case Count, Min, Max, And, Or:
-		for r := lo; r < hi; r++ {
-			if mask[r] && c.fold(r, vals[r]) {
-				t = append(t, r)
+		for i, on := range mask {
+			if on && c.fold(base+i, vals[i]) {
+				t = append(t, base+i)
 			}
 		}
 	case MinBy, MaxBy:
-		for r := lo; r < hi; r++ {
-			if !mask[r] {
+		for i, on := range mask {
+			if !on {
 				continue
 			}
-			a := &c.box[r]
+			a := &c.box[base+i]
 			if a.n == 0 {
-				t = append(t, r)
+				t = append(t, base+i)
 			}
-			a.AddPayloads(vals[r:r+1], keys[r:r+1])
+			a.AddPayloads(vals[i:i+1], keys[i:i+1])
 		}
 	default:
 		panic("combinator: AddPayloadRows on a set-union column")

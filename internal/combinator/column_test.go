@@ -111,7 +111,7 @@ func TestColumnMatchesAccumulators(t *testing.T) {
 					}
 				}
 				before := len(touched)
-				c.AddPayloadRows(mask, lo, hi, vals, nil, &touched)
+				c.AddPayloadRows(lo, mask[lo:hi], vals[lo:hi], nil, &touched)
 				if got := touched[before:]; !slices.Equal(got, want) {
 					t.Fatalf("%v: AddPayloadRows touched %v, want %v", k, got, want)
 				}

@@ -1,10 +1,11 @@
 package engine
 
 // Per-tick execution arenas. Everything a tick needs beyond the tables —
-// the serial kernel machine with its per-program slab cache, the index
-// build arenas with their retained tree/grid/hash slabs — lives in an
-// Arena. A standalone world lazily creates one arena and keeps it forever
-// (exactly the pre-pooling retained-scratch behavior). A many-world server
+// the serial kernel machine with its per-program slab cache and the kernel
+// lanes it runs on, the index build arenas with their retained
+// tree/grid/hash slabs — lives in an Arena. A standalone world lazily
+// creates one arena and keeps it forever (exactly the pre-pooling
+// retained-scratch behavior). A many-world server
 // instead hands every world the same ArenaPool: each world checks an arena
 // out at tick start and returns it at tick end, so N mostly-idle worlds
 // share a handful of warm arenas instead of pinning N copies of the slab
@@ -25,11 +26,12 @@ import (
 	"repro/internal/vexpr"
 )
 
-// Arena is one world-tick's worth of checkout state: a kernel machine for
-// the serial execution paths and one index build arena per site partition,
-// attached on demand in site order.
+// Arena is one world-tick's worth of checkout state: a kernel machine and
+// the kernel lanes of worker slot 0 (at most vexpr.BatchSize long), and one
+// index build arena per site partition, attached on demand in site order.
 type Arena struct {
 	machine  *vexpr.Machine
+	vec      vecScratch
 	builders []*index.Builder
 	pool     *ArenaPool // nil for world-owned arenas
 }
@@ -94,9 +96,10 @@ func (w *World) SetArenaPool(p *ArenaPool) {
 
 // acquireArena makes w.arena usable for the current tick: the owned arena
 // for standalone worlds (created on first use, kept forever), a pool
-// checkout otherwise. Builders attach to the site partitions in site order,
-// so a world that gets its own arena back finds every (builder, gen) pair
-// intact.
+// checkout otherwise. w.arena is valid only until releaseArena (all of
+// RunTick, plus Restore's handler replay). Builders attach to the site
+// partitions in site order, so a world that gets its own arena back finds
+// every (builder, gen) pair intact.
 func (w *World) acquireArena() {
 	if w.arena == nil {
 		if w.arenaPool != nil {
@@ -114,14 +117,10 @@ func (w *World) releaseArena() {
 		return
 	}
 	w.detachBuilders()
+	w.arena.vec.unbind()
 	w.arenaPool.Put(w.arena)
 	w.arena = nil
 }
-
-// arenaMachine is the serial-path kernel machine. Valid only between
-// acquireArena and releaseArena (all of RunTick, plus Restore's handler
-// replay).
-func (w *World) arenaMachine() *vexpr.Machine { return w.arena.machine }
 
 // attachBuilders points every site partition at its arena builder. Also
 // called when a partitioned prepare grows a site's parts mid-tick: builds

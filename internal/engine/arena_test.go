@@ -9,6 +9,7 @@ import (
 	"repro/internal/physics"
 	"repro/internal/plan"
 	"repro/internal/txn"
+	"repro/internal/vexpr"
 	"repro/internal/workload"
 )
 
@@ -31,6 +32,58 @@ func pooledVehicleWorldOpts(t *testing.T, n int, pool *engine.ArenaPool, opts en
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestKernelLanesWithinBatch pins the windowed executor's scratch: every
+// pass runs in vexpr.BatchSize windows on the lanes of the worker running
+// it, so on a vectorized vehicles world of 21 batches no kernel lane the
+// world retains outgrows one batch, at any worker or partition count; and a
+// world ticking on an ArenaPool retains none of its own, worker slot 0's
+// lanes living in the pooled arena.
+func TestKernelLanesWithinBatch(t *testing.T) {
+	const n = 21 * vexpr.BatchSize
+	tick := func(w *engine.World) {
+		for i := 0; i < 3; i++ {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w.ExecStats().VectorRows == 0 {
+			t.Fatal("no row ran as kernels")
+		}
+	}
+	for _, c := range []struct {
+		name string
+		opts engine.Options
+	}{
+		{"workers=1", engine.Options{Workers: 1}},
+		{"workers=2", engine.Options{Workers: 2}},
+		{"partitions=2/workers=2", engine.Options{Workers: 2, Partitions: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := pooledVehicleWorldOpts(t, n, nil, c.opts)
+			tick(w)
+			bytes, longest := w.KernelLanes()
+			if bytes == 0 {
+				t.Fatal("the world's own arena holds no kernel lanes")
+			}
+			if longest > vexpr.BatchSize {
+				t.Fatalf("a retained kernel lane is %d long, want at most %d", longest, vexpr.BatchSize)
+			}
+		})
+	}
+	t.Run("arena-pool", func(t *testing.T) {
+		pool := &engine.ArenaPool{}
+		w := pooledVehicleWorldOpts(t, n, pool, engine.Options{Workers: 1})
+		tick(w)
+		if bytes, _ := w.KernelLanes(); bytes != 0 {
+			t.Fatalf("a pooled world retains %d bytes of kernel lanes, want 0", bytes)
+		}
+		bytes, longest := pool.KernelLanes()
+		if bytes == 0 || longest > vexpr.BatchSize {
+			t.Fatalf("pooled arenas hold %d bytes of kernel lanes, longest %d; want some, at most %d", bytes, longest, vexpr.BatchSize)
+		}
+	})
 }
 
 // TestSteadyStateTickAllocsZero is the arena-pooling acceptance guard: a

@@ -81,10 +81,10 @@ type Options struct {
 	// (plan.TxnBatched) that groups conflict-independent transactions,
 	// validates the independent ones whole-batch against a columnar
 	// tentative view through vexpr constraint kernels, and fans true
-	// conflict groups out across the worker pool (partition-major when
-	// partitioned). The default (plan.TxnBatched) batches a tick's
-	// transactions whenever every one has an analyzable atomic site, and
-	// falls back to the serial loop otherwise. Every mode, worker count and
+	// conflict groups out across the worker pool. The default
+	// (plan.TxnBatched) batches a tick's transactions whenever every one
+	// has an analyzable atomic site, and falls back to the serial loop
+	// otherwise. Every mode, worker count and
 	// partition count produces bit-identical admission outcomes — commit/
 	// abort sets and effect-buffer contents — to the serial loop.
 	Txn plan.TxnMode
@@ -217,7 +217,7 @@ type classRT struct {
 
 	// vec holds the class's batch-kernel plan, or nil when nothing about
 	// the class is vectorizable.
-	vec *vecClassPlan
+	vec *vecClassProgs
 
 	// hoist lists the class's accum sites joinWindow can probe once per
 	// batch of probing rows (siteBatch.hoist); siteRT.hoistIdx indexes it.
@@ -359,7 +359,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 			rt.fx = append(rt.fx, fxColumn{Column: combinator.NewColumn(e.Comb, e.Kind)})
 		}
 		if cc.vec != nil {
-			rt.vec = &vecClassPlan{vecClassProgs: cc.vec}
+			rt.vec = cc.vec
 		}
 		w.classes[cc.name] = rt
 		w.order = append(w.order, rt)

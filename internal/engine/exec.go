@@ -57,13 +57,9 @@ type execCtx struct {
 	accEnv   vexpr.Env
 	machine  *vexpr.Machine
 
-	// Hoisted joins (joinWindow): the probing-row window [winLo, winHi) the
-	// result lanes hold, one lane per hoisted site of the class, and the
-	// window's bound kernel inputs and outputs.
-	winLo, winHi int
-	hoistRes     [][]float64 // result payloads by probing row − winLo
-	boundCols    [][]float64
-	boundOut     [][]float64
+	// sc holds the kernel lanes of the window the shard runs, among them
+	// the hoisted join sites' results (joinWindow).
+	sc *vecScratch
 
 	// accSlab backs the accumulators runAccum arms, one cell per frame
 	// slot, so arming an accum loop never heap-allocates. Sized once at
@@ -82,9 +78,9 @@ type execCtx struct {
 // every piece of per-pass state a fresh context would zero — frame contents
 // (runAtomic copies the whole frame into its intent), accumulator bindings,
 // row bindings, probe sequencing — so pooling is invisible to execution and
-// a warmed tick allocates no execution state. m is the kernel machine the
-// context's batched joins run on.
-func (x *execCtx) arm(sink *shardSink, m *vexpr.Machine, slots int) {
+// a warmed tick allocates no execution state. m and sc are the kernel
+// machine and lanes the shard runs on.
+func (x *execCtx) arm(sink *shardSink, m *vexpr.Machine, sc *vecScratch, slots int) {
 	if cap(x.accSlab) < slots {
 		x.frame = make([]value.Value, slots)
 		x.accum = make([]*combinator.Accumulator, slots)
@@ -99,11 +95,10 @@ func (x *execCtx) arm(sink *shardSink, m *vexpr.Machine, slots int) {
 	}
 	x.ctx.Frame = x.frame
 	x.sink = sink
-	x.machine = m
+	x.machine, x.sc = m, sc
 	x.rt, x.row, x.id = nil, 0, 0
 	x.ctx.Class, x.ctx.SelfID, x.ctx.Self = "", 0, nil
 	x.part, x.curLog = 0, nil
-	x.winLo, x.winHi = 0, 0
 	if len(x.pend) < len(x.w.sites) {
 		x.pend = make([]sitePend, len(x.w.sites))
 	}
@@ -258,7 +253,7 @@ func (x *execCtx) runAccum(s *compile.AccumStep) {
 	site := x.w.siteIndex[s]
 	kind := s.Comb.ResultKind(s.ValKind)
 	if site.hoisted {
-		x.frame[s.Slot] = payloadValue(kind, x.hoistRes[site.hoistIdx][x.row-x.winLo])
+		x.frame[s.Slot] = payloadValue(kind, x.sc.hoist[site.hoistIdx][x.row-x.sc.lo])
 		return
 	}
 	srcRT := x.w.classes[s.SourceClass]

@@ -430,7 +430,7 @@ func (w *World) oldAnalyzeTxnSite(rt *classRT, step *compile.AtomicStep) *txnSit
 func (a *oldConsAnalysis) addCol(attr int) {
 	a.cols = append(a.cols, attr)
 	if a.rt.hasRule[attr] {
-		prog := vecRuleProg(a.rt, attr)
+		prog := vecRuleProg(a.rt.vec, attr)
 		if prog == nil {
 			a.kernelOK = false
 			return
@@ -491,7 +491,7 @@ func (a *oldConsAnalysis) walkField(e *ast.FieldExpr) {
 	}
 	if trt.hasRule[e.AttrIdx] {
 		a.bases = append(a.bases, txnBase{fn: expr.Compile(e.X), class: e.Class})
-		prog := vecRuleProg(trt, e.AttrIdx)
+		prog := vecRuleProg(trt.vec, e.AttrIdx)
 		if prog == nil {
 			a.kernelOK = false
 			return
@@ -688,4 +688,41 @@ func (w *World) EffectExec(class string) (kernels []bool, scalarLoop bool) {
 	kernels = make([]bool, len(w.classes[class].plan.Phases))
 	copy(kernels, vecSel)
 	return kernels, !all
+}
+
+// KernelLanes reports the kernel lanes the world retains between ticks —
+// its worker slots' and, when it owns its arena, the arena's — as their
+// total bytes and the longest lane's length.
+func (w *World) KernelLanes() (bytes, longest int) {
+	for _, ws := range w.slots {
+		bytes, longest = ws.vec.footprint(bytes, longest)
+	}
+	if w.arena != nil {
+		bytes, longest = w.arena.vec.footprint(bytes, longest)
+	}
+	return bytes, longest
+}
+
+// KernelLanes reports the kernel lanes the pool's idle arenas hold.
+func (p *ArenaPool) KernelLanes() (bytes, longest int) {
+	for _, a := range p.free {
+		bytes, longest = a.vec.footprint(bytes, longest)
+	}
+	return bytes, longest
+}
+
+// footprint adds the scratch's own lanes (not its views of table columns)
+// to a running byte total and longest length.
+func (sc *vecScratch) footprint(bytes, longest int) (int, int) {
+	lanes := append([][]float64{sc.ids}, sc.lets...)
+	for _, ls := range [][][]float64{sc.bufs, sc.hoist, sc.bounds} {
+		lanes = append(lanes, ls...)
+	}
+	for _, l := range lanes {
+		bytes, longest = bytes+8*cap(l), max(longest, cap(l))
+	}
+	for _, m := range sc.masks {
+		bytes, longest = bytes+cap(m), max(longest, cap(m))
+	}
+	return bytes, longest
 }

@@ -366,24 +366,25 @@ func filterKey(rows []int32, col []float64, kt index.KeyTest) []int32 {
 	return rows[:k]
 }
 
-// joinWindow probes every hoisted site of class rt for the probing rows in
-// [lo, hi) — the live rows (owned by partition owner, when assign is set)
-// whose program counter is at the site's phase — and leaves each row's
-// combined result in the site's result lane for runAccum to read.
-func (x *execCtx) joinWindow(rt *classRT, lo, hi int, assign []int32, owner int32) {
-	x.rt, x.winLo, x.winHi = rt, lo, hi
+// joinWindow probes every hoisted site of class rt for the probing rows of
+// the window win — the live rows (owned by partition win.owner, when assign
+// is set) whose program counter is at the site's phase — and leaves each
+// row's combined result in the site's result lane (x.sc.hoist, by row −
+// win.lo) for runAccum and the kernels to read. x.sc must be bound to the
+// window.
+func (x *execCtx) joinWindow(rt *classRT, win shard, assign []int32) {
+	x.rt = rt
+	lo, hi := win.lo, win.hi
 	alive := rt.tab.AliveMask()
 	pcs := rt.tab.NumColumn(rt.pcCol)
-	for len(x.hoistRes) < len(rt.hoist) {
-		x.hoistRes = append(x.hoistRes, make([]float64, vexpr.BatchSize))
-	}
 	for h, site := range rt.hoist {
 		if !site.hoisted {
 			continue
 		}
 		s, b := site.step, site.batch
 		srcRT := x.w.classes[s.SourceClass]
-		x.windowBounds(b, rt, lo, hi)
+		x.windowBounds(b, hi-lo)
+		res := window(&x.sc.hoist, h, hi-lo)
 		dims := len(s.Join.Ranges)
 		box := grow(x.boxBuf, 2*dims)
 		x.boxBuf = box
@@ -391,7 +392,7 @@ func (x *execCtx) joinWindow(rt *classRT, lo, hi int, assign []int32, owner int3
 		probes, cand, matched := 0, 0, 0
 		for r := lo; r < hi; r++ {
 			if assign != nil {
-				if assign[r] != owner {
+				if assign[r] != win.owner {
 					continue
 				}
 			} else if !alive[r] {
@@ -404,40 +405,25 @@ func (x *execCtx) joinWindow(rt *classRT, lo, hi int, assign []int32, owner int3
 			cand += x.probeSeg(site, srcRT, r, box[:dims], box[dims:], 0)
 			probes++
 			if len(x.segRows) >= segFlush {
-				matched += x.flushSegs(s, b, srcRT, x.hoistRes[h], lo)
+				matched += x.flushSegs(s, b, srcRT, res, lo)
 				x.segReset()
 			}
 		}
-		matched += x.flushSegs(s, b, srcRT, x.hoistRes[h], lo)
+		matched += x.flushSegs(s, b, srcRT, res, lo)
 		if probes > 0 {
 			x.counted(probes, cand, matched)
 		}
 	}
 }
 
-// windowBounds runs a hoisted site's bound kernels over the probing rows
-// [lo, hi), one output lane per bound in dimension order (lower bounds,
-// then upper bounds), indexed by row − lo.
-func (x *execCtx) windowBounds(b *siteBatch, rt *classRT, lo, hi int) {
-	n := hi - lo
-	cols := rt.tab.NumColumns()
-	x.boundCols = grow(x.boundCols, len(cols))
-	for a, c := range cols {
-		x.boundCols[a] = nil
-		if c != nil {
-			x.boundCols[a] = c[lo:hi]
-		}
-	}
-	env := &x.accEnv // gatherLanes rebinds Cols before any candidate kernel
-	env.Cols, env.Gather = x.boundCols, x.w.gatherFn
-	k := 0
+// windowBounds runs a hoisted site's bound kernels over the n rows of the
+// window, one lane per bound in dimension order (lower bounds, then upper
+// bounds).
+func (x *execCtx) windowBounds(b *siteBatch, n int) {
+	sc, k := x.sc, 0
 	run := func(progs []*vexpr.Prog) {
 		for _, p := range progs {
-			if len(x.boundOut) == k {
-				x.boundOut = append(x.boundOut, nil)
-			}
-			x.boundOut[k] = grow(x.boundOut[k], n)
-			p.Run(x.machine, env, 0, n, x.boundOut[k])
+			p.Run(x.machine, &sc.env, 0, n, window(&sc.bounds, k, n))
 			k++
 		}
 	}
@@ -451,11 +437,11 @@ func (x *execCtx) windowBounds(b *siteBatch, rt *classRT, lo, hi int) {
 // evalDimBounds' semantics: the tightest bounds, and a NaN bound collapses
 // its dimension to the empty interval.
 func (x *execCtx) windowBox(b *siteBatch, i int, lo, hi []float64) {
-	k := 0
+	k, bounds := 0, x.sc.bounds
 	for d := range b.loProgs {
 		l, h, nan := math.Inf(-1), math.Inf(1), false
 		for range b.loProgs[d] {
-			v := x.boundOut[k][i]
+			v := bounds[k][i]
 			k++
 			nan = nan || math.IsNaN(v)
 			if v > l {
@@ -463,7 +449,7 @@ func (x *execCtx) windowBox(b *siteBatch, i int, lo, hi []float64) {
 			}
 		}
 		for range b.hiProgs[d] {
-			v := x.boundOut[k][i]
+			v := bounds[k][i]
 			k++
 			nan = nan || math.IsNaN(v)
 			if v < h {

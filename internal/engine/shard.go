@@ -5,9 +5,10 @@ package engine
 // needs no synchronization and only the effect merge must be ordered. The
 // engine implements it once. Every row loop of the tick — script phases,
 // reactive handlers, update rules — is a pass over one class, split into
-// shards; every shard runs the same body on some worker of the pool and
-// emits into its own sink; after the barrier the sinks fold into the world
-// in (shard, row) order, which is the order of the plain row loop.
+// shards; every shard runs the same body on some worker of the pool, one
+// vexpr.BatchSize window of rows at a time on that worker's kernel lanes,
+// and emits into its own sink; after the barrier the sinks fold into the
+// world in (shard, row) order, which is the order of the plain row loop.
 //
 // What differs between configurations is only how a pass is split:
 //
@@ -154,16 +155,12 @@ func (s *shardSink) reset() {
 
 // workerSlot is the private execution state of one pool worker, re-armed
 // per shard and retained across ticks: the step interpreter's context, a
-// kernel machine (slot 0 runs on the tick arena's instead, so a world that
-// never fans out shares its machine with the pool), and kernel scratch for
-// ownership-masked shards, whose interleaving spans cannot share the
-// class's range-disjoint scratch. pvecGen names the pass pvec was last
-// prepared for.
+// kernel machine and kernel lanes (slot 0 runs on the tick arena's instead,
+// so a world that never fans out shares both with the pool).
 type workerSlot struct {
 	x       execCtx
 	machine vexpr.Machine
-	pvec    vecScratch
-	pvecGen uint64
+	vec     vecScratch
 
 	// Update-rule evaluation context; its readers live here so that binding
 	// a row is two stores, not two interface allocations.
@@ -206,9 +203,7 @@ type classPass struct {
 	rules  []compile.UpdatePlan // passRules: the closure-path rules
 	vecOn  bool                 // passRules: rt.vec.updates run as kernels
 
-	shards  []shard
-	private bool   // kernel sweeps use the worker's scratch, not the class's
-	gen     uint64 // identifies the pass to workerSlot.pvecGen
+	shards []shard
 }
 
 // parallelOK reports whether this tick may use the worker pool at all.
@@ -297,14 +292,7 @@ func (w *World) runPass(p classPass) {
 		s.reset()
 	}
 	p.shards = shards
-	p.private = masked && nw > 1
-	p.gen = w.pass.gen + 1
 	w.pass = p
-	if p.vecSel != nil && !p.private {
-		// Pre-sized here, the class's scratch is only ever written in
-		// range-disjoint slices; lazy growth inside a worker would race.
-		w.prepareVecScratch(rt, &rt.vec.sc, p.vecSel, capRows)
-	}
 	if nw <= 1 {
 		for si := range shards {
 			w.runShard(0, si)
@@ -320,7 +308,9 @@ func (w *World) runPass(p classPass) {
 	}
 }
 
-// runShard executes shard si of the pass in flight on worker slot.
+// runShard executes shard si of the pass in flight on worker slot, one
+// vexpr.BatchSize window of rows at a time, on the slot's kernel machine
+// and lanes (slot 0: the tick arena's).
 func (w *World) runShard(slot, si int) {
 	p := &w.pass
 	rt, sh := p.rt, p.shards[si]
@@ -328,18 +318,19 @@ func (w *World) runShard(slot, si int) {
 		return
 	}
 	ws := w.slots[slot]
-	m := &ws.machine
+	m, sc := &ws.machine, &ws.vec
 	if slot == 0 {
-		m = w.arenaMachine()
+		m, sc = w.arena.machine, &w.arena.vec
 	}
 	if p.kind == passRules {
-		if p.vecOn {
-			for _, u := range rt.vec.updates {
-				u.prog.Run(m, &rt.vec.sc.env, sh.lo, sh.hi, rt.stage[u.attrIdx].num)
+		for lo := sh.lo; lo < sh.hi; lo += vexpr.BatchSize {
+			hi := min(lo+vexpr.BatchSize, sh.hi)
+			if p.vecOn {
+				w.ruleWindow(m, sc, rt, lo, hi)
 			}
-		}
-		if len(p.rules) > 0 {
-			w.runRuleRange(ws, rt, p.rules, sh.lo, sh.hi)
+			if len(p.rules) > 0 {
+				w.runRuleRange(ws, rt, p.rules, lo, hi)
+			}
 		}
 		return
 	}
@@ -350,39 +341,29 @@ func (w *World) runShard(slot, si int) {
 		assign = rt.prt.assign
 	}
 	x := &ws.x
-	x.arm(sink, m, rt.plan.NumSlots)
+	x.arm(sink, m, sc, rt.plan.NumSlots)
 	x.part = max(sh.owner, 0)
-	var sc *vecScratch
 	if p.vecSel != nil {
-		sc = &rt.vec.sc
-		if p.private {
-			if ws.pvecGen != p.gen {
-				w.prepareVecScratch(rt, &ws.pvec, p.vecSel, rt.tab.Cap())
-				ws.pvecGen = p.gen
-			}
-			sc = &ws.pvec
-		}
 		sink.touched.ensure(len(rt.fx))
 	}
 
-	// Window by window: hoisted join sites probe a batch of probing rows
+	// Window by window: hoisted join sites probe the window's probing rows
 	// (joinWindow), then kernel sweeps and the scalar loop read the result.
 	tab := rt.tab
 	pcs := tab.NumColumn(rt.pcCol)
 	rows := int64(0)
-	size := sh.hi - sh.lo
 	hoist := p.kind == passEffect && len(rt.hoist) > 0
-	if hoist {
-		size = vexpr.BatchSize
-	}
-	for lo := sh.lo; lo < sh.hi; lo += size {
-		win := shard{lo: lo, hi: min(lo+size, sh.hi), owner: sh.owner}
+	for lo := sh.lo; lo < sh.hi; lo += vexpr.BatchSize {
+		win := shard{lo: lo, hi: min(lo+vexpr.BatchSize, sh.hi), owner: sh.owner}
+		if hoist || p.vecSel != nil {
+			sc.bindWindow(w, rt, win.lo, win.hi)
+		}
 		if hoist {
-			x.joinWindow(rt, win.lo, win.hi, assign, sh.owner)
+			x.joinWindow(rt, win, assign)
 		}
 		for ph, on := range p.vecSel {
 			if on {
-				sink.vecRows += int64(w.vecPhaseRange(x, rt, ph, rt.vec.phases[ph], win, assign, sc))
+				sink.vecRows += int64(w.vecPhaseRange(x, rt, ph, rt.vec.phases[ph], win, assign))
 			}
 		}
 		if p.vecAll {
@@ -567,13 +548,8 @@ func (w *World) runUpdateRules(rt *classRT) {
 	p := classPass{kind: passRules, rt: rt, rules: rt.plan.Updates}
 	p.vecOn = v != nil && len(v.updates) > 0 && w.opts.Exec != plan.ExecScalar && rt.tab.Len() > 0
 	if p.vecOn {
-		v.sc.bindEnv(w, rt)
 		for _, ai := range v.updateFx {
 			rt.bindFxVec(ai, n)
-		}
-		v.sc.env.Fx = rt.fxVecs
-		if v.updateNeedIDs {
-			v.sc.fillIDs(rt, n)
 		}
 		for _, u := range v.updates {
 			rt.stage[u.attrIdx].ensure(n)
@@ -592,6 +568,24 @@ func (w *World) runUpdateRules(rt *classRT) {
 		w.execStats.ScalarRows += int64(rt.tab.Len() * len(p.rules))
 	}
 	w.runPass(p)
+}
+
+// ruleWindow runs the class's update-rule kernels over rows [lo, hi) of
+// old state + combined effects into their next-epoch columns.
+func (w *World) ruleWindow(m *vexpr.Machine, sc *vecScratch, rt *classRT, lo, hi int) {
+	v, n := rt.vec, hi-lo
+	sc.bindWindow(w, rt, lo, hi)
+	sc.fx = grow(sc.fx, len(rt.fxVecs))
+	for _, ai := range v.updateFx {
+		sc.fx[ai] = rt.fxVecs[ai][lo:hi]
+	}
+	sc.env.Fx = sc.fx
+	if v.updateNeedIDs {
+		sc.fillIDs(rt, n)
+	}
+	for _, u := range v.updates {
+		u.prog.Run(m, &sc.env, 0, n, rt.stage[u.attrIdx].num[lo:hi])
+	}
 }
 
 // runRuleRange evaluates every rule for the live rows in [lo, hi) over old

@@ -22,8 +22,7 @@ package engine
 //     closures over tentWorld); failed lanes restore their cells;
 //  3. runs true conflict groups through the serial greedy loop group-at-a-
 //     time — in admission order within each group — fanned out across the
-//     worker pool (partition-major when partitioned execution is active;
-//     groups spanning partitions stay on the caller).
+//     worker pool, partitioned or not: groups commute.
 //
 // Every path preserves bit-identity with the serial loop: group
 // disjointness keeps each accumulator cell's add/remove sequence identical
@@ -48,21 +47,18 @@ type fxTouch struct {
 }
 
 // txnGroup is one multi-transaction conflict group: members are
-// s.gmem[off:off+n] in admission order; part is the partition owning every
-// touched row, or -1 when the group spans partitions (or partitioning is
-// off).
+// s.gmem[off:off+n] in admission order.
 type txnGroup struct {
 	off  int32
 	n    int32
 	fill int32
-	part int32
 }
 
 // txnRuntime is the retained scratch of the batched admission driver,
 // generation-stamped so nothing clears between admissions.
 type txnRuntime struct {
 	gen   uint64
-	parts bool // partition routing active this pass
+	parts bool // classify transactions by partition this pass (TxnCrossPart)
 
 	foldRows []int32 // foldSingles scratch
 	foldVals []float64
@@ -83,12 +79,9 @@ type txnRuntime struct {
 	part   []int32
 	cross  []bool
 
-	groups   []txnGroup
-	gmem     []int32
-	gtouch   [][]fxTouch
-	partBkt  [][]int32
-	partList []int32
-	crossG   []int32
+	groups []txnGroup
+	gmem   []int32
+	gtouch [][]fxTouch
 }
 
 func (s *txnRuntime) init(w *World) {
@@ -151,7 +144,8 @@ func (s *txnRuntime) union(a, b int32) {
 
 // txnClaim adds one touched row to transaction i's conflict set, unioning
 // with whichever transaction claimed the row before, and folds the row's
-// partition into i's routing classification.
+// partition into i's classification: a transaction whose rows span
+// partitions is a cross-partition one (§4.2's accounting, TxnCrossPart).
 func (w *World) txnClaim(i int, rt *classRT, row int) {
 	s := &w.txnrt
 	if rt.txnRowGen[row] == s.gen {
@@ -179,7 +173,7 @@ func (w *World) txnClaim(i int, rt *classRT, row int) {
 	}
 }
 
-// admitBatched is the batched/parallel/partition-aware admission driver.
+// admitBatched is the batched/parallel admission driver.
 // txnAdmitMode must have stamped the current generation and collected the
 // batch's sites; every transaction carries an analyzable site.
 func (w *World) admitBatched(txns []*Txn) {
@@ -274,7 +268,7 @@ func (w *World) admitBatched(txns []*Txn) {
 	}
 
 	// (3) Multi-transaction groups: serial greedy within each group,
-	// groups fanned out across the pool (partition-major when partitioned).
+	// groups fanned out across the pool.
 	s.groups = s.groups[:0]
 	total := 0
 	for i := range txns {
@@ -293,7 +287,7 @@ func (w *World) admitBatched(txns []*Txn) {
 			}
 			if s.gfirst[r] < 0 {
 				s.gfirst[r] = int32(len(s.groups))
-				s.groups = append(s.groups, txnGroup{part: -2})
+				s.groups = append(s.groups, txnGroup{})
 			}
 			s.groups[s.gfirst[r]].n++
 		}
@@ -312,19 +306,6 @@ func (w *World) admitBatched(txns []*Txn) {
 			g := &s.groups[s.gfirst[r]]
 			s.gmem[g.fill] = int32(i)
 			g.fill++
-			switch {
-			case s.cross[i] || s.part[i] < 0 && s.parts:
-				g.part = -1
-			case g.part == -2:
-				g.part = s.part[i]
-			case g.part >= 0 && g.part != s.part[i]:
-				g.part = -1
-			}
-		}
-		if !s.parts {
-			for gi := range s.groups {
-				s.groups[gi].part = -1
-			}
 		}
 	}
 	pooled := w.runTxnGroups(txns)
@@ -510,70 +491,23 @@ func (w *World) runTxnGroups(txns []*Txn) int {
 			}
 		}
 	}
-	if !s.parts {
-		nw := 1
-		if w.parallelOK() {
-			nw = min(w.opts.Workers, len(s.groups))
-		}
-		if nw <= 1 {
-			for gi := range s.groups {
-				runGroup(gi, 0, nil)
-			}
-			return 0
-		}
-		w.growSlots(nw)
-		w.resetGroupLogs(len(s.groups))
-		w.runPool(len(s.groups), nw, func(slot, gi int) {
-			runGroup(gi, slot, &s.gtouch[gi])
-		})
-		w.mergeGroupLogs(len(s.groups))
-		return len(s.groups)
+	nw := 1
+	if w.parallelOK() {
+		nw = min(w.opts.Workers, len(s.groups))
 	}
-
-	// Partition-aware routing: groups whose rows live in one partition
-	// bucket per partition and fan out partition-major; spanning groups
-	// stay serial on the caller.
-	s.partBkt = extend(s.partBkt, w.parts.n)
-	s.partList = s.partList[:0]
-	s.crossG = s.crossG[:0]
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		if g.part < 0 {
-			s.crossG = append(s.crossG, int32(gi))
-			continue
+	if nw <= 1 {
+		for gi := range s.groups {
+			runGroup(gi, 0, nil)
 		}
-		if len(s.partBkt[g.part]) == 0 {
-			s.partList = append(s.partList, g.part)
-		}
-		s.partBkt[g.part] = append(s.partBkt[g.part], int32(gi))
+		return 0
 	}
-	pooled := 0
-	if w.parallelOK() && len(s.partList) > 1 {
-		w.growSlots(w.opts.Workers)
-		w.resetGroupLogs(len(s.groups))
-		w.runPool(len(s.partList), w.opts.Workers, func(slot, pi int) {
-			for _, gi := range s.partBkt[s.partList[pi]] {
-				runGroup(int(gi), slot, &s.gtouch[gi])
-			}
-		})
-		w.mergeGroupLogs(len(s.groups))
-		for _, p := range s.partList {
-			pooled += len(s.partBkt[p])
-		}
-	} else {
-		for _, p := range s.partList {
-			for _, gi := range s.partBkt[p] {
-				runGroup(int(gi), 0, nil)
-			}
-		}
-	}
-	for _, p := range s.partList {
-		s.partBkt[p] = s.partBkt[p][:0]
-	}
-	for _, gi := range s.crossG {
-		runGroup(int(gi), 0, nil)
-	}
-	return pooled
+	w.growSlots(nw)
+	w.resetGroupLogs(len(s.groups))
+	w.runPool(len(s.groups), nw, func(slot, gi int) {
+		runGroup(gi, slot, &s.gtouch[gi])
+	})
+	w.mergeGroupLogs(len(s.groups))
+	return len(s.groups)
 }
 
 func (w *World) resetGroupLogs(n int) {

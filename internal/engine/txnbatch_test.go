@@ -67,7 +67,7 @@ func checkViewMatchesReplay(t *testing.T, w *World) {
 	s.init(w)
 	s.gen++
 	for _, attr := range []int{gi, si} {
-		prog := vecRuleProg(rt, attr)
+		prog := vecRuleProg(rt.vec, attr)
 		if prog == nil {
 			t.Fatal("trader update rules did not vectorize")
 		}

@@ -167,14 +167,7 @@ func (w *World) collectTxnSites() {
 
 // vecRuleProg returns the vectorized update-rule kernel for a state attr,
 // or nil when the attr's rule stayed on the closure path (or has no rule).
-func vecRuleProg(rt *classRT, attr int) *vexpr.Prog {
-	if rt.vec == nil {
-		return nil
-	}
-	return vecRuleProgOf(rt.vec.vecClassProgs, attr)
-}
-
-func vecRuleProgOf(v *vecClassProgs, attr int) *vexpr.Prog {
+func vecRuleProg(v *vecClassProgs, attr int) *vexpr.Prog {
 	if v == nil {
 		return nil
 	}
@@ -210,7 +203,7 @@ func (c *Compiled) analyzeTxnProgs(step *compile.AtomicStep) *txnProgs {
 		var views []txnViewRef
 		for _, rr := range ca.RuleReads {
 			tcc := c.classes[rr.Class]
-			prog := vecRuleProgOf(tcc.vec, rr.Attr)
+			prog := vecRuleProg(tcc.vec, rr.Attr)
 			if prog == nil {
 				kernelOK = false
 				continue

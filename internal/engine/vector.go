@@ -108,19 +108,20 @@ type atomicEmit struct {
 
 // lane is where an intent reads one expression's value for a row: a kernel
 // output buffer, a state column read in place, or a constant. Only
-// computed expressions cost a full-extent buffer.
+// computed expressions cost a window lane.
 type lane struct {
 	prog     *vexpr.Prog // computed lanes: writes bufs[buf]
 	buf, col int         // buf >= 0: scratch buffer; else col >= 0: column; else k
 	k        float64
 }
 
+// at reads the lane at physical row r of the scratch's window.
 func (l lane) at(sc *vecScratch, r int) float64 {
 	switch {
 	case l.buf >= 0:
-		return sc.bufs[l.buf][r]
+		return sc.bufs[l.buf][r-sc.lo]
 	case l.col >= 0:
-		return sc.env.Cols[l.col][r]
+		return sc.env.Cols[l.col][r-sc.lo]
 	}
 	return l.k
 }
@@ -156,20 +157,29 @@ type vecPhase struct {
 // emissions or intents) that must stay in ascending row order.
 func (vp *vecPhase) ordered() bool { return len(vp.targets) > 0 || len(vp.atomics) > 0 }
 
-// vecScratch is one independent set of kernel I/O state: the environment
-// binding, the id vector for self() kernels, frame-slot vectors, emit/if
-// output buffers and the selection-mask stack. Contiguous shards share the
-// class's embedded scratch (they write range-disjoint [lo, hi) slices, so
-// pre-sizing makes that safe); ownership-masked shards running on several
-// workers use the worker's own (workerSlot.pvec), because partition row
-// spans may interleave arbitrarily — hash layouts, drifted ownership — and
-// so cannot share mask storage.
+// vecScratch is one worker's kernel I/O state for the window of rows
+// [lo, lo+n) it runs: the environment, bound to window views of the class's
+// columns (and, for update rules, of its effect vectors), and the worker's
+// kernel lanes — the id lane for self() kernels, let outputs, emit/if
+// outputs, the selection-mask stack and the hoisted join sites' result and
+// bound lanes. Every lane is window-relative (index = row − lo) and grows
+// only to the longest window run through it, at most vexpr.BatchSize.
+// Worker slot 0 runs on the tick arena's scratch, so worlds ticking on an
+// ArenaPool share it; every other slot owns one (workerSlot.vec). No two
+// workers share a lane, whatever the shards' spans.
 type vecScratch struct {
-	env      vexpr.Env
-	ids      []float64
-	slotVecs [][]float64
-	bufs     [][]float64 // per-emit/if output vectors
-	masks    [][]bool    // selection masks by if-nesting depth
+	env   vexpr.Env
+	lo    int
+	cols  [][]float64 // env.Cols
+	fx    [][]float64 // env.Fx
+	slots [][]float64 // env.Slots: the lane each frame slot reads
+
+	ids    []float64
+	lets   [][]float64 // let outputs by frame slot
+	bufs   [][]float64 // emit/if outputs
+	masks  [][]bool    // selection masks by if-nesting depth, then atomic blocks
+	hoist  [][]float64 // hoisted sites' results by siteRT.hoistIdx
+	bounds [][]float64 // one hoisted site's box bounds
 }
 
 // vecClassProgs is the immutable, compile-time half of a class's batch
@@ -184,15 +194,6 @@ type vecClassProgs struct {
 
 	phases    []*vecPhase // indexed by phase; nil = scalar only
 	hasPhases bool        // any phase compiled (guards the per-tick scan)
-}
-
-// vecClassPlan is the per-world half: the shared kernels (embedded by
-// pointer) plus this world's scratch, sized to its table capacity on
-// demand. Kernels run on the executing worker slot's machine.
-type vecClassPlan struct {
-	*vecClassProgs
-
-	sc vecScratch
 }
 
 // phaseCounts returns the number of live rows at each script phase — the
@@ -537,65 +538,44 @@ func extend[T any](s []T, n int) []T {
 	return s
 }
 
-func (s *vecScratch) buf(i, n int) []float64 {
-	s.bufs = extend(s.bufs, i+1)
-	s.bufs[i] = grow(s.bufs[i], n)
-	return s.bufs[i]
+// window returns lane i of ls sized to n, reallocated only when short.
+func window[T any](ls *[][]T, i, n int) []T {
+	*ls = extend(*ls, i+1)
+	(*ls)[i] = grow((*ls)[i], n)
+	return (*ls)[i]
 }
 
-func (s *vecScratch) mask(depth, n int) []bool {
-	s.masks = extend(s.masks, depth+1)
-	s.masks[depth] = grow(s.masks[depth], n)
-	return s.masks[depth]
-}
-
-// fillIDs materializes the per-row object-id vector for self() kernels.
-func (s *vecScratch) fillIDs(rt *classRT, n int) {
-	s.ids = grow(s.ids, n)
-	for r := 0; r < n; r++ {
-		s.ids[r] = float64(rt.tab.ID(r))
-	}
-	s.env.IDs = s.ids
-}
-
-// bindEnv points the scratch's kernel environment at the class's current
-// columns.
-func (s *vecScratch) bindEnv(w *World, rt *classRT) {
-	s.env.Cols = rt.tab.NumColumns()
-	s.env.Gather = w.gatherFn
-}
-
-// prepareVecScratch readies one scratch for every selected phase —
-// environment binding, id vector, slot/buf/mask sizing — before any kernel
-// runs through it: once per pass for the class's shared scratch, once per
-// worker and pass for private ones.
-func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n int) {
-	v := rt.vec
-	sc.bindEnv(w, rt)
-	needIDs := false
-	for p, on := range vecSel {
-		if !on {
-			continue
-		}
-		vp := v.phases[p]
-		needIDs = needIDs || vp.needIDs
-		if vp.maxSlot >= 0 {
-			sc.slotVecs = extend(sc.slotVecs, vp.maxSlot+1)
-			for i := range sc.slotVecs {
-				sc.slotVecs[i] = grow(sc.slotVecs[i], n)
-			}
-			sc.env.Slots = sc.slotVecs
-		}
-		for i := 0; i < vp.nBufs; i++ {
-			sc.buf(i, n)
-		}
-		for d := 0; d <= vp.maxDepth+len(vp.atomics); d++ {
-			sc.mask(d, n)
+// bindWindow points the kernel environment at rows [lo, hi) of the class's
+// columns; effect vectors, the id lane and slot lanes are bound by the
+// passes that read them.
+func (sc *vecScratch) bindWindow(w *World, rt *classRT, lo, hi int) {
+	cols := rt.tab.NumColumns()
+	sc.lo, sc.cols = lo, grow(sc.cols, len(cols))
+	for a, c := range cols {
+		sc.cols[a] = nil
+		if c != nil {
+			sc.cols[a] = c[lo:hi]
 		}
 	}
-	if needIDs {
-		sc.fillIDs(rt, n)
+	sc.env = vexpr.Env{Cols: sc.cols, Gather: w.gatherFn}
+}
+
+// unbind drops the scratch's views of a world's columns, so a pooled arena
+// keeps no world reachable between checkouts.
+func (sc *vecScratch) unbind() {
+	clear(sc.cols)
+	clear(sc.fx)
+	clear(sc.slots)
+	sc.env = vexpr.Env{}
+}
+
+// fillIDs fills the window's object-id lane for self() kernels.
+func (sc *vecScratch) fillIDs(rt *classRT, n int) {
+	ids := grow(sc.ids, n)
+	for i, id := range rt.tab.RawIDs()[sc.lo : sc.lo+n] {
+		ids[i] = float64(id)
 	}
+	sc.ids, sc.env.IDs = ids, ids
 }
 
 // touchedLog records rows whose accumulator went from empty to non-empty
@@ -617,25 +597,26 @@ func (t *touchedLog) reset() {
 	}
 }
 
-// vecPhaseRange executes one vectorized effect phase over the window sh of
-// the shard's rows: the base selection mask is (alive, or owned by the
-// shard's partition when assign is non-nil) ∧ pc=phase, refined by nested
-// if conditions; kernels evaluate unmasked (expressions are total, dead
-// lanes are ignored) and only masked rows emit. Self-emissions fold into
-// the shared accumulators directly, logging first touches in the sink; x
-// holds the window's join results, the machine and the sink. sc must have
-// been pre-sized by prepareVecScratch. Returns the selected row count.
-func (w *World) vecPhaseRange(x *execCtx, rt *classRT, phase int, vp *vecPhase, sh shard, assign []int32, sc *vecScratch) int {
-	mask := sc.masks[0][sh.lo:sh.hi]
+// vecPhaseRange executes one vectorized effect phase over the window win
+// of the shard's rows, on the lanes of x.sc (bound to the window): the base
+// selection mask is (alive, or owned by the shard's partition when assign
+// is non-nil) ∧ pc=phase, refined by nested if conditions; kernels evaluate
+// unmasked (expressions are total, dead lanes are ignored) and only masked
+// rows emit. Self-emissions fold into the shared accumulators directly,
+// logging first touches in the sink; x holds the window's join results, the
+// machine and the sink. Returns the selected row count.
+func (w *World) vecPhaseRange(x *execCtx, rt *classRT, phase int, vp *vecPhase, win shard, assign []int32) int {
+	sc, n := x.sc, win.hi-win.lo
+	mask := window(&sc.masks, 0, n)
 	if assign == nil {
-		copy(mask, rt.tab.AliveMask()[sh.lo:sh.hi])
+		copy(mask, rt.tab.AliveMask()[win.lo:win.hi])
 	} else {
-		for i, o := range assign[sh.lo:sh.hi] {
-			mask[i] = o == sh.owner
+		for i, o := range assign[win.lo:win.hi] {
+			mask[i] = o == win.owner
 		}
 	}
 	if rt.plan.NumPhases > 1 {
-		for i, pc := range rt.tab.NumColumn(rt.pcCol)[sh.lo:sh.hi] {
+		for i, pc := range rt.tab.NumColumn(rt.pcCol)[win.lo:win.hi] {
 			mask[i] = mask[i] && int(pc) == phase
 		}
 	}
@@ -645,50 +626,59 @@ func (w *World) vecPhaseRange(x *execCtx, rt *classRT, phase int, vp *vecPhase, 
 			selected++
 		}
 	}
-	if selected > 0 {
-		for _, e := range vp.targets { // lanes an if skips stay null
-			tgt := sc.bufs[e.tgtBuf][sh.lo:sh.hi]
-			for i := range tgt {
-				tgt[i] = float64(value.NullID)
-			}
+	if selected == 0 {
+		return 0
+	}
+	if vp.needIDs {
+		sc.fillIDs(rt, n)
+	}
+	sc.slots = extend(sc.slots, vp.maxSlot+1)
+	sc.env.Slots = sc.slots
+	for _, e := range vp.targets { // lanes an if skips stay null
+		tgt := window(&sc.bufs, e.tgtBuf, n)
+		for i := range tgt {
+			tgt[i] = float64(value.NullID)
 		}
-		for _, a := range vp.atomics { // and blocks it skips stay off
-			clear(sc.masks[a.sel][sh.lo:sh.hi])
-		}
-		w.execVecSteps(x, rt, vp.steps, sc.masks[0], sh.lo, sh.hi, sc)
-		if len(vp.targets) > 0 {
-			w.appendTargeted(x.sink, vp, sh.lo, sh.hi, sc)
-		}
-		if len(vp.atomics) > 0 {
-			w.appendIntents(x.sink, rt, vp, sh.lo, sh.hi, sc)
-		}
+	}
+	for _, a := range vp.atomics { // and blocks it skips stay off
+		clear(window(&sc.masks, a.sel, n))
+	}
+	w.execVecSteps(x, rt, vp.steps, mask)
+	if len(vp.targets) > 0 {
+		w.appendTargeted(x.sink, vp, win.lo, win.hi, sc)
+	}
+	if len(vp.atomics) > 0 {
+		w.appendIntents(x.sink, rt, vp, win.lo, win.hi, sc)
 	}
 	return selected
 }
 
-func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bool, lo, hi int, sc *vecScratch) {
-	m := x.machine
+// execVecSteps runs steps over the window under mask, one lane per row of
+// the window.
+func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bool) {
+	m, sc, n := x.machine, x.sc, len(mask)
 	for _, s := range steps {
 		switch s := s.(type) {
 		case *vecLet:
-			s.prog.Run(m, &sc.env, lo, hi, sc.slotVecs[s.slot])
-		case *vecAccum:
-			res := x.hoistRes[w.siteIndex[s.step].hoistIdx]
-			copy(sc.slotVecs[s.slot][lo:hi], res[lo-x.winLo:hi-x.winLo])
+			out := window(&sc.lets, s.slot, n)
+			s.prog.Run(m, &sc.env, 0, n, out)
+			sc.slots[s.slot] = out
+		case *vecAccum: // the hoisted result lane, read in place
+			sc.slots[s.slot] = sc.hoist[w.siteIndex[s.step].hoistIdx][:n]
 		case *vecEmit:
-			val := sc.bufs[s.valBuf]
-			s.val.Run(m, &sc.env, lo, hi, val)
+			val := window(&sc.bufs, s.valBuf, n)
+			s.val.Run(m, &sc.env, 0, n, val)
 			var key []float64
 			if s.key != nil {
-				key = sc.bufs[s.keyBuf]
-				s.key.Run(m, &sc.env, lo, hi, key)
+				key = window(&sc.bufs, s.keyBuf, n)
+				s.key.Run(m, &sc.env, 0, n, key)
 			}
 			if s.target != nil {
 				tgt := sc.bufs[s.tgtBuf]
-				s.target.Run(m, &sc.env, lo, hi, tgt)
-				for r := lo; r < hi; r++ {
-					if !mask[r] {
-						tgt[r] = float64(value.NullID)
+				s.target.Run(m, &sc.env, 0, n, tgt)
+				for i, on := range mask {
+					if !on {
+						tgt[i] = float64(value.NullID)
 					}
 				}
 				break
@@ -698,7 +688,7 @@ func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bo
 				// Fused fold: kernel outputs are already column payloads, so
 				// they go straight into the column's batch payload fold with
 				// no per-row boxing or combinator dispatch.
-				fx.AddPayloadRows(mask, lo, hi, val, key, log)
+				fx.AddPayloadRows(sc.lo, mask, val, key, log)
 				break
 			}
 			// String-valued kernels emit dictionary codes; decode at the
@@ -706,22 +696,22 @@ func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bo
 			// scalar row loop would contribute.
 			isStr := s.kind == value.KindString
 			decodes := int64(0)
-			for r := lo; r < hi; r++ {
-				if !mask[r] {
+			for i, on := range mask {
+				if !on {
 					continue
 				}
 				k := 0.0
 				if key != nil {
-					k = key[r]
+					k = key[i]
 				}
 				var v value.Value
 				if isStr {
-					v = value.Str(w.dict.Lookup(val[r]))
+					v = value.Str(w.dict.Lookup(val[i]))
 					decodes++
 				} else {
-					v = payloadValue(s.kind, val[r])
+					v = payloadValue(s.kind, val[i])
 				}
-				if fx.Add(r, v, k) {
+				if r := sc.lo + i; fx.Add(r, v, k) {
 					*log = append(*log, r)
 				}
 			}
@@ -729,30 +719,30 @@ func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bo
 				atomic.AddInt64(&w.execStats.DictLookups, decodes)
 			}
 		case *vecAtomic:
-			copy(sc.masks[s.sel][lo:hi], mask[lo:hi])
+			copy(sc.masks[s.sel], mask)
 			for _, l := range s.runs {
-				l.prog.Run(m, &sc.env, lo, hi, sc.bufs[l.buf])
+				l.prog.Run(m, &sc.env, 0, n, window(&sc.bufs, l.buf, n))
 			}
 		case *vecIf:
-			cond := sc.bufs[s.condBuf]
-			s.cond.Run(m, &sc.env, lo, hi, cond)
-			sub := sc.masks[s.depth+1]
+			cond := window(&sc.bufs, s.condBuf, n)
+			s.cond.Run(m, &sc.env, 0, n, cond)
+			sub := window(&sc.masks, s.depth+1, n)
 			any := false
-			for r := lo; r < hi; r++ {
-				sub[r] = mask[r] && cond[r] != 0
-				any = any || sub[r]
+			for i, on := range mask {
+				sub[i] = on && cond[i] != 0
+				any = any || sub[i]
 			}
 			if any {
-				w.execVecSteps(x, rt, s.then, sub, lo, hi, sc)
+				w.execVecSteps(x, rt, s.then, sub)
 			}
 			if s.els != nil {
 				any = false
-				for r := lo; r < hi; r++ {
-					sub[r] = mask[r] && cond[r] == 0
-					any = any || sub[r]
+				for i, on := range mask {
+					sub[i] = on && cond[i] == 0
+					any = any || sub[i]
 				}
 				if any {
-					w.execVecSteps(x, rt, s.els, sub, lo, hi, sc)
+					w.execVecSteps(x, rt, s.els, sub)
 				}
 			}
 		}
@@ -763,9 +753,9 @@ func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bo
 // row-major (ascending row, then step order), resolving targets as runEmit
 // does: null, masked-off and dangling targets contribute nothing.
 func (w *World) appendTargeted(sink *shardSink, vp *vecPhase, lo, hi int, sc *vecScratch) {
-	for r := lo; r < hi; r++ {
+	for i := range hi - lo {
 		for _, e := range vp.targets {
-			id := value.ID(sc.bufs[e.tgtBuf][r])
+			id := value.ID(sc.bufs[e.tgtBuf][i])
 			if id == value.NullID {
 				continue
 			}
@@ -773,10 +763,10 @@ func (w *World) appendTargeted(sink *shardSink, vp *vecPhase, lo, hi int, sc *ve
 			if row := dst.tab.Row(id); row >= 0 {
 				key := 0.0
 				if e.key != nil {
-					key = sc.bufs[e.keyBuf][r]
+					key = sc.bufs[e.keyBuf][i]
 				}
-				sink.curRow = int32(r)
-				sink.emit(dst, row, e.attrIdx, payloadValue(e.kind, sc.bufs[e.valBuf][r]), key)
+				sink.curRow = int32(lo + i)
+				sink.emit(dst, row, e.attrIdx, payloadValue(e.kind, sc.bufs[e.valBuf][i]), key)
 			}
 		}
 	}
@@ -795,16 +785,16 @@ func (w *World) appendIntents(sink *shardSink, rt *classRT, vp *vecPhase, lo, hi
 	for _, a := range vp.atomics {
 		site := w.txnSites[a.step]
 		lg, mask, n := sink.txnLog(site), sc.masks[a.sel], 0
-		for _, on := range mask[lo:hi] {
+		for _, on := range mask {
 			if on {
-				n++ // an ownership-masked span may be mostly other partitions' rows
+				n++ // an ownership-masked window may be mostly other partitions' rows
 			}
 		}
 		i0 := lg.open(n)
 		src := lg.src[i0:i0]
-		for r := lo; r < hi; r++ {
-			if mask[r] {
-				src = append(src, int32(r))
+		for i, on := range mask {
+			if on {
+				src = append(src, int32(lo+i))
 			}
 		}
 		sink.starts, sink.open = append(sink.starts, i0), append(sink.open, lg)
@@ -825,13 +815,13 @@ func (w *World) appendIntents(sink *shardSink, rt *classRT, vp *vecPhase, lo, hi
 			sink.resolveRows(l, site.baseRTs[b], sc, src, lg.base[b][i0:])
 		}
 	}
-	for r := lo; r < hi; r++ {
+	for i := range hi - lo {
 		for ai, a := range vp.atomics {
-			if sc.masks[a.sel][r] {
-				lg, i := sink.open[ai], sink.starts[ai]
-				if sink.starts[ai]++; !lg.empty(i) {
-					sink.curRow = int32(r)
-					sink.addTxn(lg.handle(i))
+			if sc.masks[a.sel][i] {
+				lg, j := sink.open[ai], sink.starts[ai]
+				if sink.starts[ai]++; !lg.empty(j) {
+					sink.curRow = int32(lo + i)
+					sink.addTxn(lg.handle(j))
 				}
 			}
 		}

@@ -214,14 +214,11 @@ func TestAdmissionDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestParallelConflictGroups drives admission at a scale where the cost
-// model actually fans conflict groups across the worker pool (the small
-// matrix workloads stay under the fan-out threshold): 100 sellers with 3
-// contending buyers each form 100 four-transaction conflict groups. The
-// seller count is divisible by the partition count, so under the id-hash
-// layout every group's rows share a partition and the partitioned arm
-// exercises partition-local group admission. Outcomes must stay
-// bit-identical to the serial loop and TxnParallelGroups must be nonzero.
+// TestParallelConflictGroups drives admission with many conflict groups:
+// 100 sellers with 3 contending buyers each form 100 four-transaction
+// groups, which the batched driver fans across the worker pool whether or
+// not the world is partitioned. Outcomes must stay bit-identical to the
+// serial loop and TxnParallelGroups must be nonzero in both arms.
 func TestParallelConflictGroups(t *testing.T) {
 	m := workload.Market{Sellers: 100, BuyersPerItem: 3, Stock: 1, Price: 25, Gold: 100}
 	run := func(opts engine.Options) ([]uint64, txn.Stats, *engine.World) {
