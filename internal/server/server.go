@@ -8,21 +8,23 @@
 //   - a shared arena pool: vexpr machines and index-build arenas are
 //     checked out per tick and returned at tick end, so scratch memory
 //     scales with concurrency (pool workers), not world count;
-//   - a deadline-aware tick scheduler: batch rounds over a shared worker
-//     pool, or real-time EDF serving with per-world tick periods and
-//     deadline-miss/lag accounting;
+//   - one deadline-aware dispatcher: batch rounds and real-time serving
+//     both hand a list of due worlds to the shared worker pool, which
+//     claims them in list order; Serve releases each period's worlds as
+//     one batch ordered by deadline (ties in registration order) and
+//     counts per-world deadline misses and lag;
 //   - hibernation: a world idle past its horizon — HibernateAfter ticks,
 //     longer for large worlds — is checkpointed out and its engine freed;
 //     any access transparently restores it.
 package server
 
 import (
-	"container/heap"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,11 +92,14 @@ type World struct {
 	views *views.Registry
 	sink  func(*views.Delta)
 
-	// Real-time serving state (owned by Serve's scheduler loop). A tick
-	// is released at `release` (becomes eligible to run) and must start
-	// by `deadline` = release + the world's period.
+	// Real-time serving state. Serve's loop sets release and deadline
+	// between batches: a tick is released at `release` (joins the next
+	// batch) and must start by `deadline` = release + the world's period.
+	// A timed tick sets done when it finishes; misses and lag are guarded
+	// by mu.
 	release  time.Time
 	deadline time.Time
+	done     time.Time
 	misses   int64
 	lag      time.Duration
 }
@@ -110,7 +115,17 @@ type Server struct {
 	worlds    map[string]*World
 	order     []*World // registration order (deterministic round sweep)
 	round     int64
-	counters  stats.ServerCounters
+
+	counters counters
+}
+
+// counters are stats.ServerCounters as atomics, so a world tick, a miss or
+// a hibernation bumps them without taking the server lock.
+type counters struct {
+	worldsActive, worldsHibernated atomic.Int64
+	ticksRun, misses, lagNanos     atomic.Int64
+	planHits, planMisses           atomic.Int64
+	hibernations, restores         atomic.Int64
 }
 
 // New returns an empty server.
@@ -173,11 +188,11 @@ func (s *Server) AddWorld(id, script string, every int) (*World, error) {
 	}
 	s.worlds[id] = h
 	s.order = append(s.order, h)
-	s.counters.WorldsActive++
+	s.counters.worldsActive.Add(1)
 	if ok {
-		s.counters.PlanCacheHits++
+		s.counters.planHits.Add(1)
 	} else {
-		s.counters.PlanCacheMisses++
+		s.counters.planMisses.Add(1)
 	}
 	return h, nil
 }
@@ -190,11 +205,23 @@ func (s *Server) World(id string) (*World, bool) {
 	return h, ok
 }
 
-// Counters snapshots the server counters.
+// Counters snapshots the server counters. Each field is read atomically on
+// its own, so a snapshot taken while worlds tick or hibernate may see one
+// field of a pair (a hibernation's gauges, a miss and its lag) move before
+// the other.
 func (s *Server) Counters() stats.ServerCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters
+	c := &s.counters
+	return stats.ServerCounters{
+		WorldsActive:       c.worldsActive.Load(),
+		WorldsHibernated:   c.worldsHibernated.Load(),
+		TicksRun:           c.ticksRun.Load(),
+		TickDeadlineMisses: c.misses.Load(),
+		TickLagNanos:       c.lagNanos.Load(),
+		PlanCacheHits:      c.planHits.Load(),
+		PlanCacheMisses:    c.planMisses.Load(),
+		Hibernations:       c.hibernations.Load(),
+		Restores:           c.restores.Load(),
+	}
 }
 
 // Engine returns the world's engine for direct access (spawn, query,
@@ -280,12 +307,10 @@ func (h *World) hibernateLocked() error {
 		h.views.Detach()
 	}
 	h.eng = nil
-	s := h.srv
-	s.mu.Lock()
-	s.counters.Hibernations++
-	s.counters.WorldsActive--
-	s.counters.WorldsHibernated++
-	s.mu.Unlock()
+	n := &h.srv.counters
+	n.hibernations.Add(1)
+	n.worldsActive.Add(-1)
+	n.worldsHibernated.Add(1)
 	return nil
 }
 
@@ -308,12 +333,10 @@ func (h *World) wakeLocked() error {
 		// objects: rebind, recompile kernels, resync every subscription.
 		h.views.Attach(eng)
 	}
-	s := h.srv
-	s.mu.Lock()
-	s.counters.Restores++
-	s.counters.WorldsActive++
-	s.counters.WorldsHibernated--
-	s.mu.Unlock()
+	n := &h.srv.counters
+	n.restores.Add(1)
+	n.worldsActive.Add(1)
+	n.worldsHibernated.Add(-1)
 	return nil
 }
 
@@ -329,12 +352,23 @@ func (h *World) rowsLocked() int {
 
 // tick runs one scheduled world tick and applies the hibernation policy.
 // Hibernated worlds are frozen: the scheduler skips them entirely, so a
-// woken world resumes exactly where its checkpoint left it.
-func (h *World) tick() error {
+// woken world resumes exactly where its checkpoint left it. A timed tick
+// (Serve) that starts past the world's deadline counts a miss and its lag,
+// and every timed tick records when it finished.
+func (h *World) tick(timed bool) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.hib != nil {
 		return nil
+	}
+	s := h.srv
+	if timed {
+		if late := time.Since(h.deadline); late > 0 {
+			h.misses++
+			h.lag += late
+			s.counters.misses.Add(1)
+			s.counters.lagNanos.Add(int64(late))
+		}
 	}
 	if err := h.eng.RunTick(); err != nil {
 		return fmt.Errorf("server: tick %s: %w", h.ID, err)
@@ -342,10 +376,10 @@ func (h *World) tick() error {
 	if h.views != nil {
 		h.views.Apply(h.sink)
 	}
-	s := h.srv
-	s.mu.Lock()
-	s.counters.TicksRun++
-	s.mu.Unlock()
+	if timed {
+		h.done = time.Now()
+	}
+	s.counters.ticksRun.Add(1)
 	h.idle++
 	if after := s.cfg.HibernateAfter; after > 0 {
 		rows := h.rowsLocked()
@@ -379,7 +413,7 @@ func (s *Server) RunRounds(n int) error {
 			}
 		}
 		s.mu.Unlock()
-		if err := s.tickAll(due); err != nil {
+		if err := s.tickAll(context.Background(), due, false); err != nil {
 			return err
 		}
 	}
@@ -387,42 +421,43 @@ func (s *Server) RunRounds(n int) error {
 }
 
 // tickAll ticks every world of due once and returns the error of the first
-// failing world in due's order.
-func (s *Server) tickAll(due []*World) error {
-	workers := min(s.cfg.workers(), len(due))
-	if workers <= 1 {
-		var first error
-		for _, h := range due {
-			if err := h.tick(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+// failing world in due's order. The calling goroutine is worker slot 0 and
+// up to Workers-1 more join it; each claims the next world by an atomic
+// index, so the worlds start in due's order. Workers stop claiming once
+// ctx is done, which leaves the rest of due unticked.
+func (s *Server) tickAll(ctx context.Context, due []*World, timed bool) error {
+	if len(due) == 0 {
+		return nil
 	}
+	workers := min(s.cfg.workers(), len(due))
 	// Workers claim increasing indexes, so each worker's first failure is
 	// its earliest; the earliest across workers is the first in order.
 	type failure struct {
 		at  int
 		err error
 	}
-	var next int64
-	var wg sync.WaitGroup
+	var next atomic.Int64
 	fails := make([]failure, workers)
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			for {
-				j := int(atomic.AddInt64(&next, 1)) - 1
-				if j >= len(due) {
-					return
-				}
-				if err := due[j].tick(); err != nil && fails[wk].err == nil {
-					fails[wk] = failure{at: j, err: err}
-				}
+	work := func(wk int) {
+		for ctx.Err() == nil {
+			j := int(next.Add(1)) - 1
+			if j >= len(due) {
+				return
 			}
-		}(wk)
+			if err := due[j].tick(timed); err != nil && fails[wk].err == nil {
+				fails[wk] = failure{at: j, err: err}
+			}
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for wk := 1; wk < workers; wk++ {
+		go func() {
+			defer wg.Done()
+			work(wk)
+		}()
+	}
+	work(0)
 	wg.Wait()
 	first := failure{at: len(due)}
 	for _, f := range fails {
@@ -433,173 +468,77 @@ func (s *Server) tickAll(due []*World) error {
 	return first.err
 }
 
-// worldHeap is a min-heap of worlds under a caller-chosen time key.
-type worldHeap struct {
-	ws []*World
-	by func(h *World) time.Time
-}
-
-func (q worldHeap) Len() int            { return len(q.ws) }
-func (q worldHeap) Less(i, j int) bool  { return q.by(q.ws[i]).Before(q.by(q.ws[j])) }
-func (q worldHeap) Swap(i, j int)       { q.ws[i], q.ws[j] = q.ws[j], q.ws[i] }
-func (q *worldHeap) Push(x interface{}) { q.ws = append(q.ws, x.(*World)) }
-func (q *worldHeap) Pop() interface{} {
-	old := q.ws
-	n := len(old)
-	h := old[n-1]
-	old[n-1] = nil
-	q.ws = old[:n-1]
-	return h
-}
-
 // Serve runs the real-time earliest-deadline-first scheduler until ctx is
 // done. A world with divisor Every releases a tick every Every*TickPeriod;
-// a released tick must start by its deadline (release + period). Released
-// ticks dispatch to the shared pool in EDF order; a tick that starts past
-// its deadline counts a miss and accumulates the lag, and its next release
-// is clamped forward so one stall does not cascade into a spiral of
-// misses.
+// a released tick must start by its deadline (release + period), and one
+// that starts later counts a miss and accumulates the lag. Serve sleeps
+// until the earliest release, then ticks every released world as one batch
+// through tickAll, ordered by deadline with ties in registration order. A
+// world released while a batch runs waits for the next batch. After the
+// batch each world's next release is a period after its last one, clamped
+// forward to the world's own completion when that was later, so one stall
+// does not cascade into a spiral of misses; a hibernated world whose next
+// release has passed idles a full period from the batch's end instead, so
+// its no-op ticks never spin. On a failure the batch still finishes, and
+// Serve returns the error of the first failing world in batch order.
 func (s *Server) Serve(ctx context.Context) error {
 	period := s.cfg.tickPeriod()
-
-	// pending orders unreleased worlds by release time; ready orders
-	// released worlds by deadline (the EDF dispatch queue). Both are only
-	// touched by this scheduler goroutine.
-	pending := &worldHeap{by: func(h *World) time.Time { return h.release }}
-	ready := &worldHeap{by: func(h *World) time.Time { return h.deadline }}
 	s.mu.Lock()
+	worlds := slices.Clone(s.order)
+	s.mu.Unlock()
+	if len(worlds) == 0 {
+		<-ctx.Done()
+		return ctx.Err()
+	}
 	now := time.Now()
-	for _, h := range s.order {
+	for _, h := range worlds {
 		h.release = now
 		h.deadline = now.Add(time.Duration(h.Every) * period)
-		pending.ws = append(pending.ws, h)
-	}
-	s.mu.Unlock()
-	heap.Init(pending)
-
-	var errMu sync.Mutex
-	var serveErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if serveErr == nil {
-			serveErr = err
-		}
-		errMu.Unlock()
-	}
-	getErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return serveErr
-	}
-
-	jobs := make(chan *World)
-	done := make(chan *World)
-	var wg sync.WaitGroup
-	workers := s.cfg.workers()
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for h := range jobs {
-				start := time.Now()
-				if start.After(h.deadline) && !h.Hibernated() {
-					late := start.Sub(h.deadline)
-					h.mu.Lock()
-					h.misses++
-					h.lag += late
-					h.mu.Unlock()
-					s.mu.Lock()
-					s.counters.TickDeadlineMisses++
-					s.counters.TickLagNanos += int64(late)
-					s.mu.Unlock()
-				}
-				if err := h.tick(); err != nil {
-					setErr(err)
-				}
-				done <- h
-			}
-		}()
-	}
-
-	// reschedule computes a finished world's next release, clamped
-	// forward when the schedule has slipped by a full period: an
-	// overloaded world releases again immediately (ticks back-to-back,
-	// one miss per tick), while a hibernated one idles a full period so
-	// its no-op scheduling checks never spin.
-	reschedule := func(h *World) {
-		step := time.Duration(h.Every) * period
-		r := h.release.Add(step)
-		if now := time.Now(); r.Before(now) {
-			if h.Hibernated() {
-				r = now.Add(step)
-			} else {
-				r = now
-			}
-		}
-		h.release = r
-		h.deadline = r.Add(step)
-		heap.Push(pending, h)
 	}
 
 	timer := time.NewTimer(0)
 	defer timer.Stop()
-	inFlight := 0
-	for getErr() == nil {
-		// Promote every released world into the EDF ready queue.
-		now := time.Now()
-		for len(pending.ws) > 0 && !pending.ws[0].release.After(now) {
-			heap.Push(ready, heap.Pop(pending))
+	batch := make([]*World, 0, len(worlds))
+	for {
+		next := worlds[0].release
+		for _, h := range worlds[1:] {
+			if h.release.Before(next) {
+				next = h.release
+			}
+		}
+		timer.Reset(time.Until(next))
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 
-		switch {
-		case len(ready.ws) > 0:
-			h := heap.Pop(ready).(*World)
-			inFlight++
-			select {
-			case jobs <- h:
-			case fin := <-done:
-				inFlight--
-				reschedule(fin)
-				jobs <- h
-			case <-ctx.Done():
-				inFlight--
-				goto shutdown
-			}
-		case len(pending.ws) > 0:
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(time.Until(pending.ws[0].release))
-			select {
-			case <-timer.C:
-			case fin := <-done:
-				inFlight--
-				reschedule(fin)
-			case <-ctx.Done():
-				goto shutdown
-			}
-		default:
-			select {
-			case fin := <-done:
-				inFlight--
-				reschedule(fin)
-			case <-ctx.Done():
-				goto shutdown
+		now := time.Now()
+		batch = batch[:0]
+		for _, h := range worlds {
+			if !h.release.After(now) {
+				batch = append(batch, h)
 			}
 		}
+		slices.SortStableFunc(batch, func(a, b *World) int { return a.deadline.Compare(b.deadline) })
+		if err := s.tickAll(ctx, batch, true); err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+
+		end := time.Now()
+		for _, h := range batch {
+			step := time.Duration(h.Every) * period
+			r := h.release.Add(step)
+			if r.Before(end) && h.Hibernated() {
+				r = end.Add(step)
+			} else if r.Before(h.done) {
+				r = h.done
+			}
+			h.release = r
+			h.deadline = r.Add(step)
+		}
 	}
-shutdown:
-	for inFlight > 0 {
-		<-done
-		inFlight--
-	}
-	close(jobs)
-	wg.Wait()
-	if err := getErr(); err != nil {
-		return err
-	}
-	return ctx.Err()
 }

@@ -1,9 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"testing"
 	"time"
 
@@ -183,9 +186,18 @@ func (failingComponent) Update(*engine.UpdateCtx) error { return errBoom }
 // other due world still ticks exactly once, and the error returned is the
 // failing world's, for any pool size.
 func TestRunRoundsFailingWorld(t *testing.T) {
+	checkFailingWorld(t, server.Config{}, func(srv *server.Server) error { return srv.RunRounds(1) })
+}
+
+// checkFailingWorld runs three worlds, the second failing every tick,
+// through run at Workers 1 and 4: run must return the failing world's
+// error, the same at both pool sizes, after the other two ticked once.
+func checkFailingWorld(t *testing.T, cfg server.Config, run func(*server.Server) error) {
+	t.Helper()
 	var msgs []string
 	for _, workers := range []int{1, 4} {
-		srv := server.New(server.Config{Workers: workers})
+		cfg.Workers = workers
+		srv := server.New(cfg)
 		handles := addFleet(t, srv, fleetSpecs[:3])
 		bad, err := handles[1].Engine()
 		if err != nil {
@@ -194,9 +206,9 @@ func TestRunRoundsFailingWorld(t *testing.T) {
 		if err := bad.Register(failingComponent{}); err != nil {
 			t.Fatal(err)
 		}
-		err = srv.RunRounds(1)
+		err = run(srv)
 		if !errors.Is(err, errBoom) {
-			t.Fatalf("Workers=%d: RunRounds error %v, want the failing world's", workers, err)
+			t.Fatalf("Workers=%d: error %v, want the failing world's", workers, err)
 		}
 		msgs = append(msgs, err.Error())
 		for _, i := range []int{0, 2} {
@@ -324,6 +336,229 @@ func TestServeRealtime(t *testing.T) {
 			t.Fatalf("world %d diverged under real-time serving: %s", i, d)
 		}
 	}
+}
+
+// mixedSpec is one world of a fleet that mixes the fleet benchmark's three
+// scripts: spectated Figure-2 battles, markets and vehicles.
+type mixedSpec struct {
+	script   string
+	every    int
+	populate func(*engine.World) error
+	// subs are the world's spectator subscriptions, registered in order.
+	subs []views.Def
+}
+
+var fig2Subs = []views.Def{
+	{Class: "Unit", Pred: "health < 99", Payload: []string{"x", "health"}},
+	{Class: "Unit", Pred: "x < 30 && health < 100", Kind: views.Count},
+	{Class: "Unit", Pred: "true", Kind: views.TopK, Attr: "health", K: 5},
+}
+
+func mixedSpecs() []mixedSpec {
+	fig2 := func(n int, seed int64) func(*engine.World) error {
+		return func(w *engine.World) error {
+			_, err := core.PopulateUnits(w, workload.Uniform(n, 60, 60, seed), 10)
+			return err
+		}
+	}
+	market := func(sellers, stock int) func(*engine.World) error {
+		return func(w *engine.World) error {
+			_, _, err := core.PopulateMarket(w, workload.Market{
+				Sellers: sellers, BuyersPerItem: 2, Stock: stock, Price: 25, Gold: 1000,
+			})
+			return err
+		}
+	}
+	vehicles := func(n int, seed int64) func(*engine.World) error {
+		return func(w *engine.World) error {
+			_, err := core.PopulateVehicles(w, workload.Uniform(n, 4000, 4000, seed))
+			return err
+		}
+	}
+	return []mixedSpec{
+		{core.SrcFig2, 1, fig2(120, 1), fig2Subs},
+		{core.SrcMarket, 1, market(20, 3), nil},
+		{core.SrcVehicles, 2, vehicles(60, 3), nil},
+		{core.SrcFig2, 2, fig2(90, 4), fig2Subs},
+		{core.SrcMarket, 2, market(15, 1<<20), nil},
+		{core.SrcVehicles, 1, vehicles(45, 6), nil},
+	}
+}
+
+// mixedWorld is a hosted world of the mixed fleet with its delta stream
+// folded into a running hash.
+type mixedWorld struct {
+	h      *server.World
+	deltas hash.Hash
+}
+
+func addMixedFleet(t *testing.T, srv *server.Server) []*mixedWorld {
+	t.Helper()
+	var ws []*mixedWorld
+	for i, sp := range mixedSpecs() {
+		h, err := srv.AddWorld(fmt.Sprintf("m%02d", i), sp.script, sp.every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := h.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.populate(eng); err != nil {
+			t.Fatal(err)
+		}
+		mw := &mixedWorld{h: h, deltas: sha256.New()}
+		if len(sp.subs) > 0 {
+			vr, err := h.Views()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, def := range sp.subs {
+				if _, err := vr.Subscribe(def); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.SetViewSink(func(d *views.Delta) {
+				fmt.Fprintln(mw.deltas, d.Sub, d.Class, d.Tick, d.Resync, d.AddIDs, d.AddCols,
+					d.UpdIDs, d.UpdCols, d.RemIDs, d.AggChanged, d.Agg, d.Top)
+			})
+		}
+		ws = append(ws, mw)
+	}
+	return ws
+}
+
+// state renders a world's checkpoint: tick, next id and every table's ids
+// and columns, floats in their shortest exact form.
+func state(t *testing.T, h *server.World) (int64, string) {
+	t.Helper()
+	eng, err := h.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp.Tick, fmt.Sprint(*cp)
+}
+
+// TestServeMatchesRunRounds pins the one dispatcher: a mixed fleet served
+// in real time, at any pool size, leaves every world with exactly the table
+// state and delta stream a RunRounds twin reaches at the same tick count.
+func TestServeMatchesRunRounds(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv := server.New(server.Config{Workers: workers, TickPeriod: 2 * time.Millisecond})
+			served := addMixedFleet(t, srv)
+			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+			defer cancel()
+			if err := srv.Serve(ctx); err != context.DeadlineExceeded {
+				t.Fatalf("Serve returned %v, want context.DeadlineExceeded", err)
+			}
+
+			type want struct {
+				tick   int64
+				state  string
+				deltas []byte
+			}
+			wants := make([]*want, len(served))
+			for i, mw := range served {
+				tick, st := state(t, mw.h)
+				if tick == 0 {
+					t.Fatalf("world %d never ticked under Serve", i)
+				}
+				wants[i] = &want{tick, st, mw.deltas.Sum(nil)}
+			}
+
+			// Each twin world is compared at the round its tick count
+			// reaches the served world's.
+			twin := server.New(server.Config{Workers: workers})
+			twins := addMixedFleet(t, twin)
+			for left := len(wants); left > 0; {
+				if err := twin.RunRounds(1); err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range wants {
+					if w == nil {
+						continue
+					}
+					tick, st := state(t, twins[i].h)
+					if tick < w.tick {
+						continue
+					}
+					if st != w.state {
+						t.Errorf("world %d: served state differs from the RunRounds twin at tick %d", i, w.tick)
+					}
+					if !bytes.Equal(w.deltas, twins[i].deltas.Sum(nil)) {
+						t.Errorf("world %d: served delta stream differs from the RunRounds twin at tick %d", i, w.tick)
+					}
+					wants[i] = nil
+					left--
+				}
+			}
+		})
+	}
+}
+
+// slowInspector stalls every tick of the world it inspects.
+type slowInspector struct{ d time.Duration }
+
+func (s slowInspector) TickStart(*engine.World, int64) { time.Sleep(s.d) }
+func (slowInspector) TickEnd(*engine.World, int64)     {}
+
+// TestServeDeadlineMisses pins Serve's miss accounting on one worker: a
+// world whose ticks overrun the period makes the world behind it in each
+// batch start late, that world counts misses and lag, a hibernated world
+// counts none, and the server counters are the sums of the per-world ones.
+func TestServeDeadlineMisses(t *testing.T) {
+	const period = 2 * time.Millisecond
+	srv := server.New(server.Config{Workers: 1, TickPeriod: period})
+	handles := addFleet(t, srv, []worldSpec{{40, 1, 1}, {40, 2, 1}, {40, 3, 1}})
+	slow, victim, parked := handles[0], handles[1], handles[2]
+	eng, err := slow.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AddInspector(slowInspector{3 * period})
+	if err := parked.Hibernate(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	if err := srv.Serve(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Serve returned %v, want context.DeadlineExceeded", err)
+	}
+
+	if misses, lag := victim.Stats(); misses == 0 || lag <= 0 {
+		t.Errorf("world behind the slow one: misses=%d lag=%v, want both positive", misses, lag)
+	}
+	if misses, lag := parked.Stats(); misses != 0 || lag != 0 {
+		t.Errorf("hibernated world: misses=%d lag=%v, want none", misses, lag)
+	}
+	var misses int64
+	var lag time.Duration
+	for _, h := range handles {
+		m, l := h.Stats()
+		misses += m
+		lag += l
+	}
+	c := srv.Counters()
+	if c.TickDeadlineMisses != misses || c.TickLagNanos != int64(lag) {
+		t.Errorf("counters misses=%d lag=%d, per-world sums %d and %d",
+			c.TickDeadlineMisses, c.TickLagNanos, misses, int64(lag))
+	}
+}
+
+// TestServeFailingWorld pins Serve under a failing world, the rule
+// RunRounds keeps: the first batch still ticks every other world once, and
+// Serve returns the failing world's error, for any pool size.
+func TestServeFailingWorld(t *testing.T) {
+	checkFailingWorld(t, server.Config{TickPeriod: time.Millisecond}, func(srv *server.Server) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return srv.Serve(ctx)
+	})
 }
 
 // TestViewsSurviveHibernation is the hibernate→restore leg of the
