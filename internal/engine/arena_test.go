@@ -123,6 +123,20 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 			}
 		})
 	}
+	// A partitioned join whose probing class spans two kernel windows: the
+	// reach derivation folds window by window on the arena's lanes.
+	t.Run("fig2/partitions=4/two-windows", func(t *testing.T) {
+		w := reachFig2World(t, vexpr.BatchSize+500, engine.Options{Workers: 1, Partitions: 4})
+		w.SetArenaPool(&engine.ArenaPool{})
+		if avg := warmAllocs(w); avg != 0 {
+			t.Fatalf("steady-state partitioned fig2 RunTick allocates %.1f objects/tick, want 0", avg)
+		}
+		for _, r := range w.InteractionRadii() {
+			if r.Shared {
+				t.Fatalf("%s←%s fell back to the shared index: the reach went unmeasured", r.Class, r.Source)
+			}
+		}
+	})
 	// A changefeed attached: full kernel columns commit by swap and diff
 	// old against new storage, and the drain hands the marks out.
 	t.Run("changefeed", func(t *testing.T) {

@@ -732,16 +732,10 @@ type siteRT struct {
 	// reach[d] is this tick's derived interaction reach of range dimension
 	// d around its anchor axis (partitioned execution only; see
 	// deriveSiteReach). builtReach is the reach the current member views
-	// reflect. Derivation evaluates the bound expressions over the whole
-	// probing extent, so it is cached behind the world state fingerprint:
-	// bounds are pure reads of committed state (possibly of other objects
-	// through refs), hence unchanged state ⇒ unchanged reach.
-	reach         []dimReach
-	builtReach    []dimReach
-	builtReachOK  bool
-	reachDerived  bool
-	reachSpatial  bool
-	reachStateVer uint64
+	// reflect.
+	reach        []dimReach
+	builtReach   []dimReach
+	builtReachOK bool
 }
 
 // sitePart is the prepared index state of one partition of one accum site:

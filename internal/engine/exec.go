@@ -347,6 +347,36 @@ func (x *execCtx) evalBox(site *siteRT) (lo, hi []float64) {
 	return lo, hi
 }
 
+// evalDimBounds evaluates one range dimension's probe interval for the
+// bound row — the per-dimension core of evalBox, shared semantics included:
+// a NaN bound collapses the interval to empty.
+func evalDimBounds(ctx *expr.Ctx, rd compile.RangeDim) (lo, hi float64) {
+	lo, hi = math.Inf(-1), math.Inf(1)
+	nan := false
+	for _, f := range rd.Lo {
+		v := f(ctx).AsNumber()
+		if math.IsNaN(v) {
+			nan = true
+		}
+		if v > lo {
+			lo = v
+		}
+	}
+	for _, f := range rd.Hi {
+		v := f(ctx).AsNumber()
+		if math.IsNaN(v) {
+			nan = true
+		}
+		if v < hi {
+			hi = v
+		}
+	}
+	if nan {
+		lo, hi = math.Inf(1), math.Inf(-1)
+	}
+	return lo, hi
+}
+
 // sampleExtent feeds the probe-box EMA that sizes grid cells: the first
 // probe of the site in every 64-row window of probing rows contributes its
 // box's mean width. The samples queue in the shard's sink and fold after

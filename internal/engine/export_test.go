@@ -542,7 +542,7 @@ type ReachDim struct {
 	Lo, Hi float64
 }
 
-// ReachComparison pairs the live and pre-refactor reach derivations of one
+// ReachComparison pairs the kernel and closure reach derivations of one
 // accum site at the same world state.
 type ReachComparison struct {
 	Class   string
@@ -557,11 +557,13 @@ type ReachComparison struct {
 }
 
 // CompareReachDerivations re-derives every indexed accum site's
-// interaction reach twice at the current world state — once through the
-// live analysis-routed deriveSiteReach, once through the pre-refactor copy
-// — and reports both. Valid on a partitioned world after at least one
-// tick (layouts exist).
+// interaction reach twice at the current world state — once through
+// deriveSiteReach's bound kernels, once through the closure oracle
+// oldDeriveSiteReach — and reports both. Valid on a partitioned world
+// after at least one tick (layouts exist).
 func (w *World) CompareReachDerivations() []ReachComparison {
+	w.acquireArena()
+	defer w.releaseArena()
 	var out []ReachComparison
 	for _, site := range w.sites {
 		if site.step.Join == nil || site.step.SourceFn != nil {
@@ -575,7 +577,7 @@ func (w *World) CompareReachDerivations() []ReachComparison {
 			Shared: site.shared,
 		}
 		saved := append([]dimReach(nil), site.reach...)
-		rc.Spatial = w.deriveSiteReach(site, srcRT)
+		rc.Spatial = w.deriveSiteReach(site)
 		for _, d := range site.reach {
 			rc.Reach = append(rc.Reach, ReachDim{Axis: d.axis, Lo: d.lo, Hi: d.hi})
 		}
@@ -586,9 +588,9 @@ func (w *World) CompareReachDerivations() []ReachComparison {
 	return out
 }
 
-// oldDeriveSiteReach is the pre-refactor derivation, verbatim except that
-// it evaluates into local buffers and returns the reach instead of
-// mutating the site.
+// oldDeriveSiteReach is the closure oracle of deriveSiteReach: every
+// probing row's box evaluated by evalDimBounds, one plan.InteractionRadius
+// over the whole extent per (dimension, axis), into local buffers.
 func (w *World) oldDeriveSiteReach(site *siteRT, srcRT *classRT) (bool, []ReachDim) {
 	if site.phase < 0 {
 		return false, nil

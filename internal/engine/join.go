@@ -73,8 +73,10 @@ type siteBatch struct {
 	resNeedIDs bool
 
 	// hoist marks a site joinWindow may probe once per batch of probing
-	// rows; loProgs/hiProgs[d] are the kernels of range dimension d's
-	// bounds over the probing class.
+	// rows. loProgs/hiProgs[d] are the kernels of range dimension d's
+	// bounds over the probing class, nil for a dimension that is not
+	// self-only or did not compile; the hoisted probe and the partition
+	// reach (deriveSiteReach) both run them.
 	hoist   bool
 	loProgs [][]*vexpr.Prog
 	hiProgs [][]*vexpr.Prog
@@ -160,15 +162,18 @@ func newSiteBatch(c *Compiled, s *compile.AccumStep, top bool) *siteBatch {
 	}
 	// Hoisting evaluates everything before the probing row's steps run, so
 	// no kernel may read its frame slots.
+	bounded := b.compileBounds(c, j.Ranges)
 	b.hoist = top && b.vec && (j.Residual == nil || b.resProgs != nil) &&
-		len(j.Eqs) == 0 && len(j.Ranges) > 0 && b.compileBounds(c, j.Ranges) &&
+		len(j.Eqs) == 0 && len(j.Ranges) > 0 && bounded &&
 		!readsSlots(b.valBcast) && !readsSlots(b.keyBcast) && !slices.ContainsFunc(b.resBcast, readsSlots)
 	return b
 }
 
-// compileBounds compiles every range bound as a kernel over the probing
-// class, reporting whether all of them compiled and read nothing but the
-// probing row's own columns and constants.
+// compileBounds compiles each self-only range dimension's bounds as kernels
+// over the probing class, reporting whether every dimension compiled to
+// kernels that read nothing but the probing row's own columns and
+// constants. A dimension that does not gets no kernels: windowBox then
+// leaves it unbounded.
 func (b *siteBatch) compileBounds(c *Compiled, dims []compile.RangeDim) bool {
 	o := c.kernelOpts(nil)
 	compileAll := func(srcs []ast.Expr) ([]*vexpr.Prog, bool) {
@@ -182,20 +187,22 @@ func (b *siteBatch) compileBounds(c *Compiled, dims []compile.RangeDim) bool {
 		}
 		return progs, true
 	}
-	var los, his [][]*vexpr.Prog
-	for _, rd := range dims {
+	b.loProgs, b.hiProgs = make([][]*vexpr.Prog, len(dims)), make([][]*vexpr.Prog, len(dims))
+	all := true
+	for d, rd := range dims {
 		if !rd.SelfOnly || len(rd.LoSrcs) != len(rd.Lo) || len(rd.HiSrcs) != len(rd.Hi) {
-			return false
+			all = false
+			continue
 		}
 		lo, okLo := compileAll(rd.LoSrcs)
 		hi, okHi := compileAll(rd.HiSrcs)
 		if !okLo || !okHi {
-			return false
+			all = false
+			continue
 		}
-		los, his = append(los, lo), append(his, hi)
+		b.loProgs[d], b.hiProgs[d] = lo, hi
 	}
-	b.loProgs, b.hiProgs = los, his
-	return true
+	return all
 }
 
 func readsSlots(srcs []vexpr.BcastSrc) bool {
@@ -383,7 +390,7 @@ func (x *execCtx) joinWindow(rt *classRT, win shard, assign []int32) {
 		}
 		s, b := site.step, site.batch
 		srcRT := x.w.classes[s.SourceClass]
-		x.windowBounds(b, hi-lo)
+		b.windowBounds(x.machine, x.sc, hi-lo)
 		res := window(&x.sc.hoist, h, hi-lo)
 		dims := len(s.Join.Ranges)
 		box := grow(x.boxBuf, 2*dims)
@@ -401,7 +408,7 @@ func (x *execCtx) joinWindow(rt *classRT, win shard, assign []int32) {
 			if int(pcs[r]) != site.phase {
 				continue
 			}
-			x.windowBox(b, r-lo, box[:dims], box[dims:])
+			b.windowBox(x.sc, r-lo, box[:dims], box[dims:])
 			cand += x.probeSeg(site, srcRT, r, box[:dims], box[dims:], 0)
 			probes++
 			if len(x.segRows) >= segFlush {
@@ -416,14 +423,15 @@ func (x *execCtx) joinWindow(rt *classRT, win shard, assign []int32) {
 	}
 }
 
-// windowBounds runs a hoisted site's bound kernels over the n rows of the
-// window, one lane per bound in dimension order (lower bounds, then upper
-// bounds).
-func (x *execCtx) windowBounds(b *siteBatch, n int) {
-	sc, k := x.sc, 0
+// windowBounds runs the site's bound kernels on machine m over the n rows
+// of the window sc is bound to, one lane of sc.bounds per bound in
+// dimension order (lower bounds, then upper bounds), and returns the lane
+// count.
+func (b *siteBatch) windowBounds(m *vexpr.Machine, sc *vecScratch, n int) int {
+	k := 0
 	run := func(progs []*vexpr.Prog) {
 		for _, p := range progs {
-			p.Run(x.machine, &sc.env, 0, n, window(&sc.bounds, k, n))
+			p.Run(m, &sc.env, 0, n, window(&sc.bounds, k, n))
 			k++
 		}
 	}
@@ -431,13 +439,15 @@ func (x *execCtx) windowBounds(b *siteBatch, n int) {
 		run(b.loProgs[d])
 		run(b.hiProgs[d])
 	}
+	return k
 }
 
-// windowBox assembles probing row i's box from the bound lanes with
+// windowBox assembles window row i's box from the bound lanes with
 // evalDimBounds' semantics: the tightest bounds, and a NaN bound collapses
-// its dimension to the empty interval.
-func (x *execCtx) windowBox(b *siteBatch, i int, lo, hi []float64) {
-	k, bounds := 0, x.sc.bounds
+// its dimension to the empty interval. A dimension without kernels is
+// unbounded.
+func (b *siteBatch) windowBox(sc *vecScratch, i int, lo, hi []float64) {
+	k, bounds := 0, sc.bounds
 	for d := range b.loProgs {
 		l, h, nan := math.Inf(-1), math.Inf(1), false
 		for range b.loProgs[d] {

@@ -17,9 +17,9 @@ package engine
 //     (counted as clamped rows, so a stale box is observable).
 //
 //   - partition_view.go: member views and per-partition indexes. For each
-//     accum site the compiled range conjuncts are evaluated over the frozen
-//     probing extent, plan.InteractionRadius turns them into per-dimension
-//     reaches, and each partition's member view (owned rows + ghosts) is
+//     accum site the range bounds' kernels run over the probing extent,
+//     plan.InteractionRadius turns the boxes into per-dimension reaches,
+//     and each partition's member view (owned rows + ghosts) is
 //     filled with the layout's own monotone clamped-coordinate arithmetic,
 //     so no float rounding can drop a boundary ghost. Per-partition indexes
 //     rebuild over exactly the member rows whenever anything feeding them
@@ -52,10 +52,9 @@ type partWorld struct {
 
 	buildList []partBuild // per-tick (site, partition) rebuild worklist
 
-	// Reach-derivation scratch, reused across sites.
-	axisPos [][]float64 // per probing axis: anchor positions
-	boxLo   [][]float64 // per range dim: evaluated probe interval
-	boxHi   [][]float64
+	// Reach-derivation scratch, reused across sites (deriveSiteReach).
+	radii [][2]float64 // per (range dim, axis): running reach below, above
+	box   []float64    // one row's box: lower bounds, then upper bounds
 }
 
 type partBuild struct {

@@ -3,17 +3,18 @@ package engine
 // Member views and per-partition indexes for shared-nothing partitioned
 // execution — the ghost-derivation half of partition.go's §4.2 runtime.
 //
-// For each accum site, the compiled range conjuncts are evaluated over the
-// frozen probing extent and plan.InteractionRadius turns them into
-// per-dimension reaches around the best-fitting partition axis. A
-// partition's member view is then every source row whose ownership
+// For each accum site, the range conjuncts' bound kernels — the ones the
+// hoisted probe runs (siteBatch.loProgs/hiProgs, join.go) — are run over
+// the probing extent window by window, and plan.InteractionRadius folds
+// the boxes into per-dimension reaches around the best-fitting partition
+// axis, every tick. A partition's member view is then every source row whose ownership
 // interval — computed with the same clamped-coordinate arithmetic as
 // ownership itself, so float rounding can never drop a boundary ghost —
 // intersects the partition.
 // Sites that cannot be bounded (unbounded or frame-dependent predicates,
-// computed source sets, reactive-handler sites which probe post-update
-// state, hash layouts) fall back to one shared whole-extent index,
-// accounted as a full replica per partition.
+// bounds without kernels, computed source sets, reactive-handler sites
+// which probe post-update state, hash layouts) fall back to one shared
+// whole-extent index, accounted as a full replica per partition.
 //
 // Per-partition indexes are reused when nothing that feeds them changed
 // (columns, structure, ownership, reach, strategy) and rebuilt otherwise,
@@ -24,9 +25,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compile"
-	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/vexpr"
 )
 
 // dimReach is one range dimension's derived interaction reach: probes bound
@@ -65,7 +65,6 @@ func (w *World) preparePartitionedSites() {
 	}
 	w.ensurePartitionLayouts()
 	w.assignPartitions(track)
-	stateVer := w.stateFingerprint()
 
 	pw.buildList = pw.buildList[:0]
 	for _, site := range w.sites {
@@ -93,15 +92,7 @@ func (w *World) preparePartitionedSites() {
 			continue
 		}
 
-		spatial := false
-		if site.reachDerived && site.reachStateVer == stateVer {
-			spatial = site.reachSpatial // state untouched ⇒ reach untouched
-		} else {
-			spatial = w.deriveSiteReach(site, srcRT)
-			site.reachDerived = true
-			site.reachSpatial = spatial
-			site.reachStateVer = stateVer
-		}
+		spatial := w.deriveSiteReach(site)
 		site.shared = !spatial
 		if !spatial {
 			w.fillSharedView(site, srcRT, track)
@@ -256,29 +247,19 @@ func (w *World) prepareSpatialSite(site *siteRT, srcRT *classRT, track bool) {
 	}
 }
 
-// stateFingerprint folds every table's structural and per-column write
-// versions into one monotone counter: equality across ticks means no
-// committed state changed anywhere, which is the (sound, conservative)
-// condition under which cached reach derivations stay valid.
-func (w *World) stateFingerprint() uint64 {
-	var v uint64
-	for _, rt := range w.order {
-		v += rt.tab.StructVersion()
-		for ci := range rt.tab.Columns() {
-			v += rt.tab.ColVersion(ci)
-		}
-	}
-	return v
-}
-
-// deriveSiteReach evaluates the site's compiled range conjuncts over the
-// frozen probing extent and anchors each dimension to the partition axis
-// with the tightest finite reach (plan.InteractionRadius). Returns false —
-// whole-world fallback — when nothing could be bounded: no self-only range
-// conjuncts, a hash layout, a reactive-handler site (it probes post-update
-// state the tick-start ghosts would not cover), or unbounded predicates.
-func (w *World) deriveSiteReach(site *siteRT, srcRT *classRT) bool {
-	pw := w.parts
+// deriveSiteReach anchors each range dimension of the site to the
+// partition axis with the tightest finite reach (plan.InteractionRadius)
+// around the probe boxes of every live probing row (all phases: a
+// conservative superset of actual probers). The boxes come from the bound
+// kernels the hoisted probe runs (windowBounds, windowBox), in
+// vexpr.BatchSize windows on the tick arena's machine and lanes; the reach
+// is a max-reduction, so it folds window by window. A dimension without
+// kernels stays unanchored, which only widens member views. Returns false
+// — whole-world fallback — when nothing could be bounded: no self-only
+// range conjuncts, a hash layout, a reactive-handler site (it probes
+// post-update state the tick-start ghosts would not cover), or unbounded
+// predicates.
+func (w *World) deriveSiteReach(site *siteRT) bool {
 	// The static preconditions — a non-handler site with at least one
 	// self-only range dimension — come from the unified analysis; the
 	// spatial-layout requirement and the bound evaluation below are the
@@ -288,105 +269,76 @@ func (w *World) deriveSiteReach(site *siteRT, srcRT *classRT) bool {
 	}
 	probeRT := w.classes[site.class]
 	pc := probeRT.prt
-	if pc.layout.Axes == 0 {
+	naxes := pc.layout.Axes
+	if naxes == 0 {
 		return false // hash layout or no spatial axes
 	}
-	j := site.step.Join
-	dims := len(j.Ranges)
-	site.reach = site.reach[:0]
-	for d := 0; d < dims; d++ {
-		site.reach = append(site.reach, dimReach{axis: -1})
+	pw, b := w.parts, site.batch
+	dims := len(b.loProgs)
+	// radii[d·naxes+k]: dimension d's running reach below and above axis k.
+	radii := grow(pw.radii, dims*naxes)
+	pw.radii = radii
+	for i := range radii {
+		radii[i] = [2]float64{math.Inf(-1), math.Inf(-1)}
 	}
+	box := grow(pw.box, 2*dims)
+	pw.box = box
 
-	// Gather anchors and evaluate every self-only dimension's interval per
-	// probing row (all phases: a conservative superset of actual probers).
-	naxes := pc.layout.Axes
-	pw.axisPos = extend(pw.axisPos, naxes)
-	for len(pw.boxLo) < dims {
-		pw.boxLo = append(pw.boxLo, nil)
-		pw.boxHi = append(pw.boxHi, nil)
-	}
-	for k := 0; k < naxes; k++ {
-		pw.axisPos[k] = pw.axisPos[k][:0]
-	}
-	for d := range j.Ranges {
-		pw.boxLo[d] = pw.boxLo[d][:0]
-		pw.boxHi[d] = pw.boxHi[d][:0]
-	}
-	ctx := expr.Ctx{W: w, Class: site.class}
+	m, sc := w.arena.machine, &w.arena.vec
 	tab := probeRT.tab
-	for r, ok := range tab.AliveMask() {
-		if !ok {
-			continue
+	alive := tab.AliveMask()
+	for lo := 0; lo < len(alive); lo += vexpr.BatchSize {
+		hi := min(lo+vexpr.BatchSize, len(alive))
+		n := hi - lo
+		sc.bindWindow(w, probeRT, lo, hi)
+		nb := b.windowBounds(m, sc, n)
+		// The boxes go to lanes after the bound lanes: dimension d's lower
+		// bounds at nb+2d, its upper bounds at nb+2d+1. A dead row's box
+		// is empty.
+		for k := nb; k < nb+2*dims; k++ {
+			window(&sc.bounds, k, n)
 		}
-		ctx.SelfID = tab.ID(r)
-		ctx.Self = rowReader{rt: probeRT, row: r}
-		for k := 0; k < naxes; k++ {
-			pw.axisPos[k] = append(pw.axisPos[k], tab.NumColumn(pc.axes[k])[r])
-		}
-		for d, rd := range j.Ranges {
-			if !rd.SelfOnly {
-				continue
+		lanes := sc.bounds[nb:]
+		for i, ok := range alive[lo:hi] {
+			if ok {
+				b.windowBox(sc, i, box[:dims], box[dims:])
 			}
-			lo, hi := evalDimBounds(&ctx, rd)
-			pw.boxLo[d] = append(pw.boxLo[d], lo)
-			pw.boxHi[d] = append(pw.boxHi[d], hi)
+			for d := range dims {
+				lanes[2*d][i], lanes[2*d+1][i] = math.Inf(1), math.Inf(-1)
+				if ok {
+					lanes[2*d][i], lanes[2*d+1][i] = box[d], box[dims+d]
+				}
+			}
+		}
+		for d := range dims {
+			for k := range naxes {
+				rLo, rHi := plan.InteractionRadius(tab.NumColumn(pc.axes[k])[lo:hi], lanes[2*d][:n], lanes[2*d+1][:n])
+				// Strictly greater, as inside InteractionRadius: the fold
+				// keeps the first of equal reaches, -0 included.
+				r := &radii[d*naxes+k]
+				if rLo > r[0] {
+					r[0] = rLo
+				}
+				if rHi > r[1] {
+					r[1] = rHi
+				}
+			}
 		}
 	}
 
+	site.reach = site.reach[:0]
 	anchored := false
-	for d, rd := range j.Ranges {
-		if !rd.SelfOnly {
-			continue
-		}
-		best, bestSpan := -1, math.Inf(1)
-		var bestLo, bestHi float64
-		for k := 0; k < naxes; k++ {
-			rLo, rHi := plan.InteractionRadius(pw.axisPos[k], pw.boxLo[d], pw.boxHi[d])
-			if !plan.BoundedReach(rLo, rHi) {
-				continue
-			}
-			if span := rLo + rHi; span < bestSpan {
-				best, bestSpan = k, span
-				bestLo, bestHi = rLo, rHi
+	for d := range dims {
+		best, bestSpan := dimReach{axis: -1}, math.Inf(1)
+		for k, r := range radii[d*naxes : (d+1)*naxes] {
+			if span := r[0] + r[1]; plan.BoundedReach(r[0], r[1]) && span < bestSpan {
+				best, bestSpan = dimReach{axis: k, lo: r[0], hi: r[1]}, span
 			}
 		}
-		if best >= 0 {
-			site.reach[d] = dimReach{axis: best, lo: bestLo, hi: bestHi}
-			anchored = true
-		}
+		site.reach = append(site.reach, best)
+		anchored = anchored || best.axis >= 0
 	}
 	return anchored
-}
-
-// evalDimBounds evaluates one range dimension's probe interval for the
-// bound row — the per-dimension core of evalBox, shared semantics included:
-// a NaN bound collapses the interval to empty.
-func evalDimBounds(ctx *expr.Ctx, rd compile.RangeDim) (lo, hi float64) {
-	lo, hi = math.Inf(-1), math.Inf(1)
-	nan := false
-	for _, f := range rd.Lo {
-		v := f(ctx).AsNumber()
-		if math.IsNaN(v) {
-			nan = true
-		}
-		if v > lo {
-			lo = v
-		}
-	}
-	for _, f := range rd.Hi {
-		v := f(ctx).AsNumber()
-		if math.IsNaN(v) {
-			nan = true
-		}
-		if v < hi {
-			hi = v
-		}
-	}
-	if nan {
-		lo, hi = math.Inf(1), math.Inf(-1)
-	}
-	return lo, hi
 }
 
 // fillSiteMembers rebuilds every partition's member view for a spatial

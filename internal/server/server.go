@@ -479,34 +479,17 @@ func (s *Server) tickAll(ctx context.Context, due []*World, timed bool) error {
 // forward to the world's own completion when that was later, so one stall
 // does not cascade into a spiral of misses; a hibernated world whose next
 // release has passed idles a full period from the batch's end instead, so
-// its no-op ticks never spin. On a failure the batch still finishes, and
-// Serve returns the error of the first failing world in batch order.
+// its no-op ticks never spin. Serve wakes at least once a period and
+// re-reads the registrations, so a world added while it runs is released
+// at the first wake that sees it. On a failure the batch still finishes,
+// and Serve returns the error of the first failing world in batch order.
 func (s *Server) Serve(ctx context.Context) error {
 	period := s.cfg.tickPeriod()
-	s.mu.Lock()
-	worlds := slices.Clone(s.order)
-	s.mu.Unlock()
-	if len(worlds) == 0 {
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	now := time.Now()
-	for _, h := range worlds {
-		h.release = now
-		h.deadline = now.Add(time.Duration(h.Every) * period)
-	}
-
+	var worlds []*World // registration order: AddWorld only appends
 	timer := time.NewTimer(0)
 	defer timer.Stop()
-	batch := make([]*World, 0, len(worlds))
+	var batch []*World
 	for {
-		next := worlds[0].release
-		for _, h := range worlds[1:] {
-			if h.release.Before(next) {
-				next = h.release
-			}
-		}
-		timer.Reset(time.Until(next))
 		select {
 		case <-timer.C:
 		case <-ctx.Done():
@@ -514,6 +497,13 @@ func (s *Server) Serve(ctx context.Context) error {
 		}
 
 		now := time.Now()
+		s.mu.Lock()
+		for _, h := range s.order[len(worlds):] {
+			h.release = now
+			h.deadline = now.Add(time.Duration(h.Every) * period)
+			worlds = append(worlds, h)
+		}
+		s.mu.Unlock()
 		batch = batch[:0]
 		for _, h := range worlds {
 			if !h.release.After(now) {
@@ -540,5 +530,14 @@ func (s *Server) Serve(ctx context.Context) error {
 			h.release = r
 			h.deadline = r.Add(step)
 		}
+		// Wake at the earliest release, and at least once a period to pick
+		// up worlds added meanwhile.
+		next := now.Add(period)
+		for _, h := range worlds {
+			if h.release.Before(next) {
+				next = h.release
+			}
+		}
+		timer.Reset(time.Until(next))
 	}
 }

@@ -338,6 +338,39 @@ func TestServeRealtime(t *testing.T) {
 	}
 }
 
+// TestServeTicksWorldAddedWhileRunning pins that Serve re-reads the
+// registrations: a world added 20 ms into a 2 ms-period Serve ticks before
+// Serve returns, whether Serve started with a world or with none.
+func TestServeTicksWorldAddedWhileRunning(t *testing.T) {
+	for _, initial := range []int{0, 1} {
+		t.Run(fmt.Sprintf("initial=%d", initial), func(t *testing.T) {
+			srv := server.New(server.Config{Workers: 2, TickPeriod: 2 * time.Millisecond})
+			handles := addFleet(t, srv, fleetSpecs[:initial])
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve(ctx) }()
+			time.Sleep(20 * time.Millisecond)
+			late, err := srv.AddWorld("late", core.SrcVehicles, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-served; err != context.DeadlineExceeded {
+				t.Fatalf("Serve returned %v, want context.DeadlineExceeded", err)
+			}
+			for _, h := range append(handles, late) {
+				eng, err := h.Engine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eng.Tick() == 0 {
+					t.Errorf("world %s never ticked under Serve", h.ID)
+				}
+			}
+		})
+	}
+}
+
 // mixedSpec is one world of a fleet that mixes the fleet benchmark's three
 // scripts: spectated Figure-2 battles, markets and vehicles.
 type mixedSpec struct {
