@@ -151,32 +151,41 @@ func (c *Column) AddPayloadRows(base int, mask []bool, vals, keys []float64, tou
 	*touched = t
 }
 
-// AddPayloadAt is the scatter form of AddPayloadRows: it folds payload
-// vals[i] into row rows[i]'s cell for every i, in order, appending each row
-// whose cell was empty to *touched. Each fold is Add's, comparison for
-// comparison. Keyed (minby, maxby) and union columns panic.
-func (c *Column) AddPayloadAt(rows []int32, vals []float64, touched *[]int) {
-	t := *touched
+// SaveFoldAt is the scatter fold of transaction intents: for every j in idx
+// whose rows[j] is a row (>= 0), in order, it saves that row's cell into
+// saved[j] for a later Restore and folds payload vals[j] into it. It
+// returns how many of those cells were empty before their fold. Each fold
+// is Add's, comparison for comparison. Keyed (minby, maxby) and union
+// columns panic.
+func (c *Column) SaveFoldAt(idx, rows []int32, vals []float64, saved []Cell) (first int) {
 	switch c.kind {
 	case Sum, Avg:
 		num, n := c.num, c.n
-		for i, r := range rows {
-			if n[r] == 0 {
-				t = append(t, int(r))
+		for _, j := range idx {
+			r := rows[j]
+			if r < 0 {
+				continue
 			}
-			num[r] += vals[i]
+			saved[j] = Cell{num[r], n[r]}
+			if n[r] == 0 {
+				first++
+			}
+			num[r] += vals[j]
 			n[r]++
 		}
 	case Count, Min, Max, And, Or:
-		for i, r := range rows {
-			if c.fold(int(r), vals[i]) {
-				t = append(t, int(r))
+		for _, j := range idx {
+			if r := rows[j]; r >= 0 {
+				saved[j] = c.Save(int(r))
+				if c.fold(int(r), vals[j]) {
+					first++
+				}
 			}
 		}
 	default:
-		panic("combinator: AddPayloadAt on a keyed or set-union column")
+		panic("combinator: SaveFoldAt on a keyed or set-union column")
 	}
-	*touched = t
+	return first
 }
 
 // Result returns row's combined value and whether any contribution arrived,
@@ -254,6 +263,9 @@ type Cell struct {
 // subtracting, so an aborted contribution leaves no float residue. Payload
 // kinds only (the language admits only sum/avg/count inside atomic blocks).
 func (c *Column) Save(row int) Cell { return Cell{c.num[row], c.n[row]} }
+
+// Empty reports that the saved cell had no contribution.
+func (s Cell) Empty() bool { return s.n == 0 }
 
 // Restore sets row's fold state back to a state Save returned.
 func (c *Column) Restore(row int, s Cell) { c.num[row], c.n[row] = s.num, s.n }

@@ -124,7 +124,7 @@ func TestColumnMatchesAccumulators(t *testing.T) {
 					acc  Accumulator
 				}
 				var log []undo
-				scatter := rng.Intn(2) == 0 // fold the writes with AddPayloadAt
+				scatter := rng.Intn(2) == 0 // fold the writes with SaveFoldAt
 				var srows []int32
 				var svals []float64
 				for i := rng.Intn(4) + 1; i > 0; i-- {
@@ -145,11 +145,22 @@ func TestColumnMatchesAccumulators(t *testing.T) {
 							want = append(want, int(r))
 						}
 					}
-					before := len(touched)
-					c.AddPayloadAt(srows, svals, &touched)
-					if got := touched[before:]; !slices.Equal(got, want) {
-						t.Fatalf("%v: AddPayloadAt touched %v, want %v", k, got, want)
+					idx := make([]int32, len(srows))
+					for j := range idx {
+						idx[j] = int32(j)
 					}
+					saved := make([]Cell, len(srows))
+					first := c.SaveFoldAt(idx, srows, svals, saved)
+					var got []int
+					for j, r := range srows {
+						if saved[j].Empty() {
+							got = append(got, int(r))
+						}
+					}
+					if !slices.Equal(got, want) || first != len(want) {
+						t.Fatalf("%v: SaveFoldAt first contributions %v (%d), want %v", k, got, first, want)
+					}
+					touched = append(touched, got...)
 				}
 				if rng.Intn(2) == 0 {
 					for i := len(log) - 1; i >= 0; i-- {

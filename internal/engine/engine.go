@@ -20,6 +20,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/value"
+	"repro/internal/vexpr"
 )
 
 // Options configure a World.
@@ -152,7 +153,9 @@ type World struct {
 	// The sharded tick driver's retained state (shard.go): the pass in
 	// flight, per-worker execution state, per-shard sinks and the merge's
 	// scratch. runShardFn is the pre-bound runShard method value, so a
-	// fan-out allocates no closure per pass.
+	// fan-out allocates no closure per pass; pool is the fan-out's own
+	// retained state (runPool).
+	pool       workPool
 	pass       classPass
 	slots      []*workerSlot
 	sinks      []*shardSink
@@ -241,16 +244,20 @@ type classRT struct {
 	ai *analysis.Class
 
 	// Batched-admission scratch (txnbatch.go), all generation-stamped so
-	// nothing is cleared between admissions. txnRowOwner maps a physical
-	// row to the transaction that last claimed it during conflict grouping;
-	// txnViewCols holds the columnar tentative post-update view per state
-	// attr; txnFxGen marks which dense effect vectors in fxVecs are
-	// fresh for the current admission pass.
+	// nothing is cleared between admissions. txnRowClaim counts the
+	// transactions touching a physical row (gen<<2 | claim state);
+	// txnRowOwner maps a shared row to the transaction that last claimed it
+	// during conflict grouping; txnViewCols holds the columnar tentative
+	// post-update view per state attr, built over txnEnv (txnIDs: the row
+	// ids, for rules that read them); txnFxGen marks which dense effect
+	// vectors in fxVecs are fresh for the current admission pass.
+	txnRowClaim []uint64
 	txnRowOwner []int32
-	txnRowGen   []uint64
 	txnViewCols [][]float64
 	txnViewGen  []uint64
 	txnFxGen    []uint64
+	txnEnv      vexpr.Env
+	txnIDs      []float64
 
 	// stage holds this update step's next-epoch columns, one per state
 	// attr; effectZero is the cached expr.Ctx.EffectZero callback.
@@ -334,6 +341,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 	}
 	w.gatherFn = w.gatherState
 	w.runShardFn = w.runShard
+	w.pool.worker = w.pool.poolWorker
 	if !opts.DisableStats {
 		w.execStats.FusedOps = c.fusedOps
 	}

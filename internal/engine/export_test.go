@@ -666,6 +666,15 @@ func (w *World) oldDeriveSiteReach(site *siteRT, srcRT *classRT) (bool, []ReachD
 	return anchored, reach
 }
 
+// buildTxnView stages one tentative-view column and runs its windows
+// inline, as admission's view pass does for every column its lanes read.
+func (w *World) buildTxnView(va txnViewAttr) {
+	s := &w.txnrt
+	s.views, s.wins = s.views[:0], s.wins[:0]
+	w.stageTxnView(va)
+	w.runPool(len(s.wins), 1, s.viewFn)
+}
+
 // SetOneSegment keeps every batched join on the one-probe driver: the
 // reference arm of the segmented-join differential.
 func (w *World) SetOneSegment(on bool) { w.oneSegment = on }

@@ -211,11 +211,25 @@ type classPass struct {
 // order.
 func (w *World) parallelOK() bool { return w.opts.Workers > 1 && w.tracer == nil }
 
+// workPool is the retained state of the world's fan-out (runPool): the
+// body in flight, the shared worklist counter, the slot counter and the
+// barrier. worker is the pre-bound poolWorker method value, so starting a
+// worker captures nothing.
+type workPool struct {
+	fn          func(slot, i int)
+	n           int64
+	next, slots atomic.Int64
+	wg          sync.WaitGroup
+	worker      func()
+}
+
 // runPool dispatches fn(slot, i) for every i in [0, n) across up to nw
 // worker goroutines pulling from a shared worklist, and waits for the
 // barrier; slot identifies the worker's private state. nw <= 1 runs inline.
-// Workers take their slot from a counter rather than an argument so that a
-// fan-out costs the same few allocations whatever nw is.
+// The fan-out's state lives on the World and workers take their slot from a
+// counter rather than an argument, so a fan-out allocates nothing whatever
+// nw is. Fan-outs never nest: fn must not fan out again on the same world
+// (runPool panics if it does), and a world runs one fan-out at a time.
 func (w *World) runPool(n, nw int, fn func(slot, i int)) {
 	if nw > n {
 		nw = n
@@ -226,26 +240,33 @@ func (w *World) runPool(n, nw int, fn func(slot, i int)) {
 		}
 		return
 	}
-	var (
-		next, slots int64
-		wg          sync.WaitGroup
-	)
-	worker := func() {
-		defer wg.Done()
-		slot := int(atomic.AddInt64(&slots, 1)) - 1
-		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= n {
-				return
-			}
-			fn(slot, i)
-		}
+	p := &w.pool
+	if p.fn != nil {
+		panic("engine: nested worker-pool fan-out")
 	}
-	wg.Add(nw)
+	p.fn, p.n = fn, int64(n)
+	p.next.Store(0)
+	p.slots.Store(0)
+	p.wg.Add(nw)
 	for s := 0; s < nw; s++ {
-		go worker()
+		go p.worker()
 	}
-	wg.Wait()
+	p.wg.Wait()
+	p.fn = nil
+}
+
+// poolWorker is one fan-out goroutine: it takes a slot, then pulls
+// worklist items until none are left.
+func (p *workPool) poolWorker() {
+	defer p.wg.Done()
+	slot := int(p.slots.Add(1)) - 1
+	for {
+		i := p.next.Add(1) - 1
+		if i >= p.n {
+			return
+		}
+		p.fn(slot, int(i))
+	}
 }
 
 // Workers returns the size of the world's worker pool (Options.Workers).

@@ -3,36 +3,50 @@ package engine
 // The batched transaction-admission driver (§3.1 scaled across the three
 // execution axes). Serial greedy admission validates object-at-a-time,
 // replaying update rules per constraint read; this driver instead reads the
-// intent logs (txnlog.go) lane by lane:
+// intent logs (txnlog.go) lane by lane, in vexpr.BatchSize windows of the
+// batch on the world's worker pool:
 //
-//  1. claims every transaction's touched rows from the log's row lanes —
-//     source, emission targets and stable-base referents, all resolved
-//     when the intent was logged — aborting transactions with dead rows up
-//     front, and unions transactions sharing any row into conflict groups.
-//     Transactions in different groups commute, because a group's admission
-//     outcome and effect-buffer residue depend only on committed state plus
-//     the group's own accumulator cells;
-//  2. admits all singleton groups whole-batch: each log saves its
-//     singletons' cells once and folds every emission slot with one scatter
-//     fold (Column.AddPayloadAt); a columnar tentative post-update view is
-//     built once per affected (class, attr) by running the attr's
-//     vectorized update rule over the dense combined-effect vectors, and
-//     constraints evaluate as vexpr mask kernels over per-lane gathers of
-//     that view (string/set/iterator constraints fall back to per-lane
-//     closures over tentWorld); failed lanes restore their cells;
+//  1. claims: each window aborts its transactions with a dead row up front,
+//     classifies the live ones by partition, and counts each one's touched rows
+//     — source, emission targets and stable-base referents, all resolved when
+//     the intent was logged; a transaction's repeated rows count once — on
+//     generation-stamped per-row claim words, atomically when windows run
+//     concurrently. A live transaction all of whose rows count one shares none:
+//     it is a singleton. Only the others union over their shared rows, serially
+//     in admission order, into conflict groups. Singletons share no row, so the
+//     groups, their order and their members' order are those of a union-find
+//     over the whole batch. Transactions in different groups commute, because a
+//     group's admission outcome and effect-buffer residue depend only on
+//     committed state plus the group's own accumulator cells;
+//  2. admits all singletons whole-batch: each window buckets its singletons
+//     by log and folds every emission slot of every bucket with one scatter
+//     fold (Column.SaveFoldAt), saving each cell first. A columnar tentative
+//     post-update view is built per affected (class, attr) by running the
+//     attr's vectorized update rule window by window over the dense
+//     combined-effect vectors; then each window of a site's lanes writes its
+//     empty→non-empty transitions into the touched lists, at offsets counted
+//     log by log, slot by slot, window by window, and evaluates the
+//     constraints as vexpr mask kernels over per-lane gathers of that view on
+//     the worker's machine (string/set/iterator constraints fall back to
+//     per-lane closures over the worker's tentWorld); failed lanes restore
+//     their cells;
 //  3. runs true conflict groups through the serial greedy loop group-at-a-
 //     time — in admission order within each group — fanned out across the
 //     worker pool, partitioned or not: groups commute.
 //
-// Every path preserves bit-identity with the serial loop: group
-// disjointness keeps each accumulator cell's add/remove sequence identical
-// (singletons touch disjoint cells, so folding slot by slot instead of
-// intent by intent changes no cell), the vectorized tentative view is
-// bitwise equal to per-row rule replay (vexpr ≡ expr by construction), and
-// constraint evaluation is total and side-effect-free, so evaluation order
-// cannot change outcomes.
+// A batch of at most one window runs steps 1 and 2 inline, as runPass runs a
+// one-batch extent. Every path preserves bit-identity with the serial loop:
+// group disjointness keeps each accumulator cell's add/remove sequence
+// identical (singletons touch disjoint cells, so neither folding slot by
+// slot nor any window schedule changes a cell, and every touched list is
+// written in the order a serial slot-by-slot fold appends it), the
+// vectorized tentative view is bitwise equal to per-row rule replay (vexpr ≡
+// expr by construction), and constraint evaluation is total and
+// side-effect-free, so evaluation order cannot change outcomes.
 
 import (
+	"sync/atomic"
+
 	"repro/internal/plan"
 	"repro/internal/value"
 	"repro/internal/vexpr"
@@ -54,31 +68,82 @@ type txnGroup struct {
 	fill int32
 }
 
+// txnClaimLane is one lane of rows an intent log's intents claim: the
+// sources, a non-self emission slot's targets or a stable base's
+// referents. A row < 0 claims nothing.
+type txnClaimLane struct {
+	rt   *classRT
+	rows []int32
+}
+
+// txnWin is one window [lo, hi) of a view column (s.views[of]) or of a
+// site's lanes (s.sites[of]) inside one window of the batch.
+type txnWin struct{ of, lo, hi int32 }
+
+// Per-transaction admission states.
+const (
+	txnDead   uint8 = iota // aborted before anything applied
+	txnLive                // claimed, not yet sorted
+	txnSingle              // shares no row
+	txnShared              // in a conflict group
+)
+
+// Row claim states, the low two bits of classRT.txnRowClaim under the
+// admission's generation (gen<<2).
+const (
+	claimOne   = 1 // one transaction touches the row
+	claimMany  = 2 // several do
+	claimOwned = 3 // grouping reached it; txnRowOwner names the last claimant
+)
+
 // txnRuntime is the retained scratch of the batched admission driver,
 // generation-stamped so nothing clears between admissions.
 type txnRuntime struct {
-	gen   uint64
-	parts bool // classify transactions by partition this pass (TxnCrossPart)
+	gen        uint64
+	parts      bool // classify transactions by partition this pass (TxnCrossPart)
+	concurrent bool // this pass's windows run concurrently
 
-	foldRows []int32 // foldSingles scratch
-	foldVals []float64
-
-	machine vexpr.Machine
+	machine vexpr.Machine // worker slot 0's
 
 	gatherTent func(class string, attrIdx int, refs, out []float64, zero float64)
-	viewEnv    vexpr.Env
-	viewIDs    []float64
 
 	sites []*txnSite
+	logs  []*txnLog     // every site's logs, site by site; txnLog.ord indexes it
+	nslot int           // emission slots over all logs; txnLog.slot0 indexes them
+	views []txnViewAttr // the view columns this admission builds
+	wins  []txnWin      // the view or check pass's windows
 
-	// Per-transaction state, indexed by admission-order position.
+	// The batch in flight and its window count, and the window bodies bound
+	// once so a fan-out allocates nothing.
+	txns                            []*Txn
+	nwin                            int
+	claimFn, placeFn, viewFn, chkFn func(slot, i int)
+	groupFn                         func(slot, i int)
+	pooledGroups                    bool // groupFn logs touched cells privately
+
+	state []uint8 // per transaction, by admission-order position
+
+	// The window layout: window [lo, hi) of pos holds the batch positions
+	// of that window's singletons, bucketed by log in log order and in
+	// admission order within a bucket, then its shared transactions; idx
+	// holds each placed transaction's intent index in its log (until the
+	// check pass compacts a bucket's failed intents to its front).
+	pos, idx []int32
+	// wcnt holds per window, stride len(logs)+3: where each log's bucket
+	// starts relative to the window, where the shared transactions start
+	// and end, and the window's cross-partition count.
+	wcnt []int32
+	// tcnt holds per window, stride nslot, each emission slot's
+	// empty→non-empty transitions; after the fold pass, where the window's
+	// transitions go in the slot's touched list.
+	tcnt []int32
+
+	// Conflict groups over the shared transactions, indexed by position in
+	// shared (admission order).
+	shared []int32
 	parent []int32
 	root   []int32
-	gsize  []int32
 	gfirst []int32
-	part   []int32
-	cross  []bool
-
 	groups []txnGroup
 	gmem   []int32
 	gtouch [][]fxTouch
@@ -93,7 +158,24 @@ func (s *txnRuntime) init(w *World) {
 		}
 		gatherRows(rt, col, refs, out, zero)
 	}
-	s.viewEnv.Gather = w.gatherFn
+	s.claimFn, s.placeFn, s.viewFn, s.chkFn = w.txnClaimWindow, w.txnPlaceWindow, w.txnViewWindow, w.txnCheckWindow
+	s.groupFn = w.txnRunGroup
+}
+
+// poolWidth is how many workers admission's passes fan out to.
+func (w *World) poolWidth() int {
+	if w.parallelOK() {
+		return w.opts.Workers
+	}
+	return 1
+}
+
+// txnMachine is worker slot's kernel machine for admission.
+func (w *World) txnMachine(slot int) *vexpr.Machine {
+	if slot == 0 {
+		return &w.txnrt.machine
+	}
+	return &w.slots[slot].machine
 }
 
 // txnAdmitMode picks this batch's admission mode: the serial loop when
@@ -115,15 +197,39 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 		}
 		if site.gen != s.gen {
 			site.gen = s.gen
-			site.lanes, site.laneRows, site.logs = site.lanes[:0], site.laneRows[:0], site.logs[:0]
+			site.logs = site.logs[:0]
 			s.sites = append(s.sites, site)
 		}
 		if lg.gen != s.gen {
-			lg.gen, lg.pick = s.gen, lg.pick[:0]
+			lg.gen = s.gen
 			site.logs = append(site.logs, lg)
 		}
 	}
+	s.logs, s.nslot = s.logs[:0], 0
+	for _, site := range s.sites {
+		for _, lg := range site.logs {
+			lg.ord, lg.slot0 = len(s.logs), s.nslot
+			s.logs = append(s.logs, lg)
+			s.nslot += len(lg.slots)
+			lg.bindClaims()
+		}
+	}
 	return plan.TxnBatched
+}
+
+// bindClaims lists the log's claim lanes over its current row lanes: the
+// sources, each non-self emission slot's targets (a self slot's is the
+// source), each stable base's referents.
+func (lg *txnLog) bindClaims() {
+	lg.claims = append(lg.claims[:0], txnClaimLane{rt: lg.rt, rows: lg.src})
+	for k := range lg.slots {
+		if !lg.slots[k].self {
+			lg.claims = append(lg.claims, txnClaimLane{rt: lg.slots[k].rt, rows: lg.row[k]})
+		}
+	}
+	for b := range lg.base {
+		lg.claims = append(lg.claims, txnClaimLane{rt: lg.site.baseRTs[b], rows: lg.base[b]})
+	}
 }
 
 func (s *txnRuntime) find(i int32) int32 {
@@ -142,207 +248,276 @@ func (s *txnRuntime) union(a, b int32) {
 	}
 }
 
-// txnClaim adds one touched row to transaction i's conflict set, unioning
-// with whichever transaction claimed the row before, and folds the row's
-// partition into i's classification: a transaction whose rows span
-// partitions is a cross-partition one (§4.2's accounting, TxnCrossPart).
-func (w *World) txnClaim(i int, rt *classRT, row int) {
-	s := &w.txnrt
-	if rt.txnRowGen[row] == s.gen {
-		o := rt.txnRowOwner[row]
-		if o == int32(i) {
-			return // i's already, partition folded
-		}
-		s.union(int32(i), o)
-	} else {
-		rt.txnRowGen[row] = s.gen
-	}
-	rt.txnRowOwner[row] = int32(i)
-	if s.parts {
-		p := int32(-1)
-		if rt.prt != nil && row < len(rt.prt.assign) {
-			p = rt.prt.assign[row]
-		}
-		switch {
-		case p < 0 || (s.part[i] >= 0 && s.part[i] != p):
-			s.part[i] = -1
-			s.cross[i] = true
-		case s.part[i] == -2:
-			s.part[i] = p
-		}
-	}
+// window returns the bounds of window wi of the batch.
+func (s *txnRuntime) window(wi int) (lo, hi int) {
+	lo = wi * vexpr.BatchSize
+	return lo, min(lo+vexpr.BatchSize, len(s.txns))
+}
+
+// stride is the row length of wcnt.
+func (s *txnRuntime) stride() int { return len(s.logs) + 3 }
+
+// bucket returns where log ord's singletons lie in window wi's layout,
+// as absolute positions; ord len(logs) is the shared transactions.
+func (s *txnRuntime) bucket(wi, ord int) (a, b int) {
+	c := s.wcnt[wi*s.stride()+ord:]
+	lo := wi * vexpr.BatchSize
+	return lo + int(c[0]), lo + int(c[1])
 }
 
 // admitBatched is the batched/parallel admission driver.
 // txnAdmitMode must have stamped the current generation and collected the
 // batch's sites; every transaction carries an analyzable site.
 func (w *World) admitBatched(txns []*Txn) {
-	w.resolveTxns(txns)
 	s := &w.txnrt
 	n := len(txns)
-
-	// (1) Pre-abort dead transactions, group conflicts over the rows the
-	// intents resolved at emit time.
-	s.parent = grow(s.parent, n)
-	s.root = grow(s.root, n)
-	s.gsize = grow(s.gsize, n)
-	s.gfirst = grow(s.gfirst, n)
-	s.part = grow(s.part, n)
-	s.cross = grow(s.cross, n)
+	s.txns, s.nwin = txns, (n+vexpr.BatchSize-1)/vexpr.BatchSize
+	nw := 1
+	if s.nwin > 1 {
+		nw = w.poolWidth()
+	}
+	w.growSlots(nw)
+	s.state, s.pos, s.idx = grow(s.state, n), grow(s.pos, n), grow(s.idx, n)
+	s.wcnt = grow(s.wcnt, s.nwin*s.stride())
+	s.tcnt = grow(s.tcnt, s.nwin*s.nslot)
 	s.parts = w.parts != nil && w.parts.ready
-	crossCount := 0
+	s.concurrent = nw > 1
 	for _, rt := range w.order {
-		if len(rt.txnRowGen) < rt.tab.Cap() {
-			rt.txnRowGen = extend(rt.txnRowGen, rt.tab.Cap())
+		if len(rt.txnRowClaim) < rt.tab.Cap() {
+			rt.txnRowClaim = extend(rt.txnRowClaim, rt.tab.Cap())
 			rt.txnRowOwner = grow(rt.txnRowOwner, rt.tab.Cap())
 		}
 	}
-	for i, t := range txns {
-		s.parent[i], s.root[i] = int32(i), int32(i)
-		s.part[i] = -2
-		s.cross[i] = false
-		if !t.live() {
-			// A dead source or dead emission target aborts the whole
-			// transaction before anything applies (§3.1 atomicity), exactly
-			// like the serial loop.
-			s.root[i] = -1
-			t.Aborted = true
-			continue
-		}
-		lg, j := t.log, t.idx
-		w.txnClaim(i, lg.rt, int(lg.src[j]))
-		for k := range lg.slots {
-			if r := lg.row[k][j]; r >= 0 && !lg.slots[k].self {
-				w.txnClaim(i, lg.slots[k].rt, int(r))
-			}
-		}
-		for b := range lg.base {
-			if r := lg.base[b][j]; r >= 0 {
-				w.txnClaim(i, lg.site.baseRTs[b], int(r))
-			}
-		}
-	}
-	for i := range txns {
-		s.gsize[i] = 0
-		if s.root[i] >= 0 {
-			s.root[i] = s.find(int32(i))
-		}
-	}
-	for i := range txns {
-		if r := s.root[i]; r >= 0 {
-			s.gsize[r]++
-			if s.cross[i] {
-				crossCount++
-			}
-		}
-	}
 
-	// (2) Singleton groups: bucket lanes per site and intents per log, fold
-	// each log's emission slots, validate whole-batch against the tentative
-	// view.
-	singles := 0
-	for i, t := range txns {
-		r := s.root[i]
-		if r < 0 || s.gsize[r] != 1 {
-			continue
-		}
-		singles++
-		lg := t.log
-		lg.site.lanes, lg.site.laneRows = append(lg.site.lanes, int32(i)), append(lg.site.laneRows, lg.src[t.idx])
-		lg.pick = append(lg.pick, t.idx)
-	}
+	// (1) Pre-abort dead transactions and count claims over the rows the
+	// intents resolved at emit time; then split the live ones into
+	// singletons and shared transactions, and fold the singletons.
+	w.runPool(s.nwin, nw, s.claimFn)
+	w.runPool(s.nwin, nw, s.placeFn)
+	singles, cross := s.layoutTotals()
+
+	// (2) Singletons: validate whole-batch against the tentative view.
 	if singles > 0 {
-		for _, site := range s.sites {
-			for _, lg := range site.logs {
-				w.foldSingles(lg)
-			}
-		}
-		for _, site := range s.sites {
-			for _, va := range site.views {
-				w.buildTxnView(va)
-			}
-		}
-		for _, site := range s.sites {
-			w.runTxnSiteLanes(site, txns)
-		}
+		s.touchedOffsets()
+		w.buildTxnViews(nw)
+		w.checkTxnLanes(nw)
 	}
 
-	// (3) Multi-transaction groups: serial greedy within each group,
-	// groups fanned out across the pool.
-	s.groups = s.groups[:0]
-	total := 0
-	for i := range txns {
-		if r := s.root[i]; r >= 0 && s.gsize[r] > 1 {
-			total++
-		}
-	}
-	if total > 0 {
-		for i := range txns {
-			s.gfirst[i] = -1
-		}
-		for i := range txns {
-			r := s.root[i]
-			if r < 0 || s.gsize[r] <= 1 {
-				continue
-			}
-			if s.gfirst[r] < 0 {
-				s.gfirst[r] = int32(len(s.groups))
-				s.groups = append(s.groups, txnGroup{})
-			}
-			s.groups[s.gfirst[r]].n++
-		}
-		off := int32(0)
-		for gi := range s.groups {
-			g := &s.groups[gi]
-			g.off, g.fill = off, off
-			off += g.n
-		}
-		s.gmem = grow(s.gmem, total)
-		for i := range txns {
-			r := s.root[i]
-			if r < 0 || s.gsize[r] <= 1 {
-				continue
-			}
-			g := &s.groups[s.gfirst[r]]
-			s.gmem[g.fill] = int32(i)
-			g.fill++
-		}
-	}
-	pooled := w.runTxnGroups(txns)
+	// (3) Shared transactions: conflict groups, serial greedy within each
+	// group, groups fanned out across the pool.
+	s.groupShared()
+	pooled := w.runTxnGroups()
+	s.txns = nil
 
 	if !w.opts.DisableStats {
 		w.execStats.TxnBatchedRows += int64(singles)
 		w.execStats.TxnParallelGroups += int64(pooled)
-		w.execStats.TxnCrossPart += int64(crossCount)
+		w.execStats.TxnCrossPart += int64(cross)
 	}
 }
 
-// foldSingles saves the cells of a log's singleton intents and folds their
-// payloads, one scatter fold per emission slot. Singletons touch disjoint
-// cells, so no policy order can change what a cell receives; within an
-// intent, slot order is execution order, and a cell the intent writes
-// twice is saved again before its second fold.
-func (w *World) foldSingles(lg *txnLog) {
+// countClaim counts one more transaction touching the row whose claim word
+// is c: claimOne for the first this admission (stamp), claimMany after.
+// Windows that run concurrently count with atomics; inline ones need none.
+func countClaim(c *uint64, stamp uint64, concurrent bool) {
+	if !concurrent {
+		switch {
+		case *c&^3 != stamp:
+			*c = stamp | claimOne
+		case *c&3 == claimOne:
+			*c = stamp | claimMany
+		}
+		return
+	}
+	for {
+		old := atomic.LoadUint64(c)
+		nw := stamp | claimOne
+		if old&^3 == stamp {
+			if old&3 != claimOne {
+				return
+			}
+			nw = stamp | claimMany
+		}
+		if atomic.CompareAndSwapUint64(c, old, nw) {
+			return
+		}
+	}
+}
+
+// txnClaimWindow is pass (1a) over window wi: dead transactions abort
+// (§3.1 atomicity: a dead source or emission target aborts the whole
+// transaction before anything applies, exactly like the serial loop), and
+// every live one counts its distinct rows and folds their partitions: a
+// transaction whose rows span partitions is a cross-partition one (§4.2's
+// accounting, TxnCrossPart).
+func (w *World) txnClaimWindow(_, wi int) {
 	s := &w.txnrt
-	for k := range lg.slots {
-		col, row, val, cells := lg.slots[k].col(), lg.row[k], lg.val[k], lg.cell[k]
-		rows, vals := s.foldRows[:0], s.foldVals[:0]
-		for _, i := range lg.pick {
-			if r := row[i]; r >= 0 {
-				cells[i] = col.Save(int(r))
-				rows, vals = append(rows, r), append(vals, val[i])
+	stamp := s.gen << 2
+	cross := int32(0)
+	lo, hi := s.window(wi)
+	for i := lo; i < hi; i++ {
+		t := s.txns[i]
+		if !t.live() {
+			s.state[i], t.Aborted = txnDead, true
+			continue
+		}
+		s.state[i] = txnLive
+		lg, j := t.log, t.idx
+		part := int32(-2)
+	claims:
+		for q, c := range lg.claims {
+			r := c.rows[j]
+			if r < 0 {
+				continue
+			}
+			for _, p := range lg.claims[:q] {
+				if p.rows[j] == r && p.rt == c.rt {
+					continue claims
+				}
+			}
+			countClaim(&c.rt.txnRowClaim[r], stamp, s.concurrent)
+			if s.parts {
+				p := int32(-1)
+				if c.rt.prt != nil && int(r) < len(c.rt.prt.assign) {
+					p = c.rt.prt.assign[r]
+				}
+				switch {
+				case p < 0 || (part >= 0 && part != p):
+					part = -1
+				case part == -2:
+					part = p
+				}
 			}
 		}
-		col.AddPayloadAt(rows, vals, &col.touched)
-		s.foldRows, s.foldVals = rows, vals
+		if part == -1 {
+			cross++
+		}
+	}
+	s.wcnt[(wi+1)*s.stride()-1] = cross
+}
+
+// txnPlaceWindow is pass (1b) over window wi, after every claim is counted:
+// a live transaction is a singleton when each of its rows counts one. The
+// window lays its singletons out by log and its shared transactions after
+// them, then folds each log's singletons slot by slot, saving every cell
+// first and counting the slot's empty→non-empty transitions. Singletons
+// touch disjoint cells, so the windows fold concurrently and no schedule
+// changes a cell.
+func (w *World) txnPlaceWindow(_, wi int) {
+	s := &w.txnrt
+	one := s.gen<<2 | claimOne
+	nl := len(s.logs)
+	start := s.wcnt[wi*s.stride() : wi*s.stride()+nl+2]
+	clear(start)
+	lo, hi := s.window(wi)
+	for i := lo; i < hi; i++ {
+		if s.state[i] != txnLive {
+			continue
+		}
+		t := s.txns[i]
+		lg, j := t.log, t.idx
+		st, b := txnSingle, lg.ord
+		for _, c := range lg.claims {
+			if r := c.rows[j]; r >= 0 && c.rt.txnRowClaim[r] != one {
+				st, b = txnShared, nl
+				break
+			}
+		}
+		s.state[i] = st
+		start[b]++
+	}
+	// The counts become bucket starts and serve as placement cursors; each
+	// cursor ends at its bucket's end, the next bucket's start.
+	off := int32(0)
+	for b := range start[:nl+1] {
+		start[b], off = off, off+start[b]
+	}
+	for i := lo; i < hi; i++ {
+		b := nl
+		switch s.state[i] {
+		case txnSingle:
+			b = s.txns[i].log.ord
+		case txnShared:
+		default:
+			continue
+		}
+		p := lo + int(start[b])
+		start[b]++
+		s.pos[p], s.idx[p] = int32(i), s.txns[i].idx
+	}
+	copy(start[1:], start[:nl+1])
+	start[0] = 0
+	tc := s.tcnt[wi*s.nslot : (wi+1)*s.nslot]
+	for o, lg := range s.logs {
+		a, b := s.bucket(wi, o)
+		for k := range lg.slots {
+			tc[lg.slot0+k] = 0
+			if a < b {
+				tc[lg.slot0+k] = int32(lg.slots[k].col().SaveFoldAt(s.idx[a:b], lg.row[k], lg.val[k], lg.cell[k]))
+			}
+		}
 	}
 }
 
-// buildTxnView materializes the tentative post-update column for one
-// (class, attr): the attr's vectorized update rule runs over committed
-// columns plus dense combined-effect vectors — bitwise equal to
-// tentWorld.StateValue's per-row rule replay.
-func (w *World) buildTxnView(va txnViewAttr) {
+// layoutTotals counts the singletons per site (txnSite.lanes) and returns
+// the batch's singleton and cross-partition totals.
+func (s *txnRuntime) layoutTotals() (singles, cross int) {
+	nl := len(s.logs)
+	for _, site := range s.sites {
+		site.lanes = 0
+	}
+	for wi := 0; wi < s.nwin; wi++ {
+		c := s.wcnt[wi*s.stride():]
+		singles += int(c[nl])
+		cross += int(c[nl+2])
+		for _, lg := range s.logs {
+			lg.site.lanes += int(c[lg.ord+1] - c[lg.ord])
+		}
+	}
+	return singles, cross
+}
+
+// touchedOffsets turns the per-window transition counts into offsets in
+// the touched lists and lengthens each list to hold them: log by log, slot
+// by slot, window by window — the order a serial fold of each log's
+// singletons, slot by slot in admission order, appends them.
+func (s *txnRuntime) touchedOffsets() {
+	for _, lg := range s.logs {
+		for k := range lg.slots {
+			col := lg.slots[k].col()
+			n := int32(len(col.touched))
+			for wi := 0; wi < s.nwin; wi++ {
+				c := &s.tcnt[wi*s.nslot+lg.slot0+k]
+				*c, n = n, n+*c
+			}
+			col.touched = resize(col.touched, int(n))
+		}
+	}
+}
+
+// buildTxnViews materializes the tentative post-update columns the
+// batch's lanes read, one (class, attr) at a time: the attr's vectorized
+// update rule runs over committed columns plus dense combined-effect
+// vectors — bitwise equal to tentWorld.StateValue's per-row rule replay —
+// window by window on the pool.
+func (w *World) buildTxnViews(nw int) {
+	s := &w.txnrt
+	s.views, s.wins = s.views[:0], s.wins[:0]
+	for _, site := range s.sites {
+		if site.lanes > 0 {
+			for _, va := range site.views {
+				w.stageTxnView(va)
+			}
+		}
+	}
+	w.runPool(len(s.wins), nw, s.viewFn)
+}
+
+// stageTxnView prepares one view column for the windowed build: it stamps
+// the column, binds the dense effect vectors the rule reads and its class's
+// kernel environment, and queues the column's windows. A column another
+// site already staged this admission is skipped.
+func (w *World) stageTxnView(va txnViewAttr) {
 	s := &w.txnrt
 	rt := va.rt
 	if len(rt.txnViewGen) < len(rt.cls.State) {
@@ -362,88 +537,150 @@ func (w *World) buildTxnView(va txnViewAttr) {
 		rt.txnFxGen[ai] = s.gen
 		rt.bindFxVec(ai, n)
 	}
-	out := grow(rt.txnViewCols[va.attr], n)
-	rt.txnViewCols[va.attr] = out
-	s.viewEnv.Cols = rt.tab.NumColumns()
-	s.viewEnv.Fx = rt.fxVecs
+	rt.txnViewCols[va.attr] = grow(rt.txnViewCols[va.attr], n)
+	env := &rt.txnEnv
+	env.Cols, env.Fx, env.Gather = rt.tab.NumColumns(), rt.fxVecs, w.gatherFn
 	if va.prog.NeedIDs() {
-		s.viewIDs = grow(s.viewIDs, n)
+		rt.txnIDs = grow(rt.txnIDs, n)
 		for r := 0; r < n; r++ {
-			s.viewIDs[r] = float64(rt.tab.ID(r))
+			rt.txnIDs[r] = float64(rt.tab.ID(r))
 		}
-		s.viewEnv.IDs = s.viewIDs
+		env.IDs = rt.txnIDs
 	}
-	va.prog.Run(&s.machine, &s.viewEnv, 0, n, out)
+	s.views = append(s.views, va)
+	for lo := 0; lo < n; lo += vexpr.BatchSize {
+		s.wins = append(s.wins, txnWin{of: int32(len(s.views) - 1), lo: int32(lo), hi: int32(min(lo+vexpr.BatchSize, n))})
+	}
 }
 
-// runTxnSiteLanes validates one site's singleton lanes: kernel constraints
-// run whole-batch over gathered lane vectors (self attrs read the tentative
-// view for rule attrs, committed columns otherwise; frame slots broadcast
-// per lane; cross-object reads gather through the view), closure
-// constraints evaluate per lane over tentWorld. Failed lanes roll their
-// emissions back and abort.
-func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
-	nl := len(site.lanes)
-	if nl == 0 {
-		return
-	}
+// txnViewWindow runs one window of a staged view column's rule.
+func (w *World) txnViewWindow(slot, i int) {
 	s := &w.txnrt
-	rt := site.rt
+	win := s.wins[i]
+	va := s.views[win.of]
+	va.prog.Run(w.txnMachine(slot), &va.rt.txnEnv, int(win.lo), int(win.hi), va.rt.txnViewCols[va.attr])
+}
+
+// checkTxnLanes validates every site's singleton lanes, one window of the
+// batch at a time on the pool, and rolls the failed ones back. A site's
+// lanes in a window are its logs' buckets, which lie side by side.
+func (w *World) checkTxnLanes(nw int) {
+	s := &w.txnrt
+	s.wins = s.wins[:0]
+	for si, site := range s.sites {
+		if site.lanes == 0 {
+			continue
+		}
+		w.bindTxnLanes(site)
+		first, last := site.logs[0].ord, site.logs[len(site.logs)-1].ord
+		for wi := 0; wi < s.nwin; wi++ {
+			a, _ := s.bucket(wi, first)
+			_, b := s.bucket(wi, last)
+			if a < b {
+				s.wins = append(s.wins, txnWin{of: int32(si), lo: int32(a), hi: int32(b)})
+			}
+		}
+	}
+	w.runPool(len(s.wins), nw, s.chkFn)
+}
+
+// bindTxnLanes sizes a site's lane vectors to the batch and binds its
+// kernel environment over them. Frame-slot lanes fill here, serially,
+// because a string argument may intern its dictionary code (interned, so
+// slot-vs-slot equality matches the closure evaluator).
+func (w *World) bindTxnLanes(site *txnSite) {
+	s := &w.txnrt
+	rt, n := site.rt, len(s.txns)
 	if len(site.envCols) < len(rt.cls.State) {
 		site.envCols = make([][]float64, len(rt.cls.State))
 	}
 	site.colBufs = extend(site.colBufs, len(site.cols))
 	for bi, a := range site.cols {
-		vec := grow(site.colBufs[bi], nl)
-		site.colBufs[bi] = vec
-		col := rt.tab.NumColumn(a)
-		if rt.hasRule[a] && a < len(rt.txnViewGen) && rt.txnViewGen[a] == s.gen {
-			col = rt.txnViewCols[a]
-		}
-		for k, r := range site.laneRows {
-			vec[k] = col[r]
-		}
-		site.envCols[a] = vec
+		site.colBufs[bi] = grow(site.colBufs[bi], n)
+		site.envCols[a] = site.colBufs[bi]
 	}
 	site.slotBufs = extend(site.slotBufs, len(site.slots))
 	for bi, sl := range site.slots {
-		vec := grow(site.slotBufs[bi], nl)
+		vec := grow(site.slotBufs[bi], n)
 		site.slotBufs[bi] = vec
 		site.slotVecs = extend(site.slotVecs, sl+1)
-		for k, li := range site.lanes {
-			// String txn args broadcast dictionary codes (interned, so
-			// slot-vs-slot equality matches the closure evaluator).
-			if v := txns[li].Frame()[sl]; v.Kind() == value.KindString {
-				vec[k] = w.dict.Code(v.AsString())
-			} else {
-				vec[k] = payloadOf(v)
+		for _, lg := range site.logs {
+			for wi := 0; wi < s.nwin; wi++ {
+				a, b := s.bucket(wi, lg.ord)
+				for p := a; p < b; p++ {
+					if v := s.txns[s.pos[p]].Frame()[sl]; v.Kind() == value.KindString {
+						vec[p] = w.dict.Code(v.AsString())
+					} else {
+						vec[p] = payloadOf(v)
+					}
+				}
 			}
 		}
 		site.slotVecs[sl] = vec
 	}
 	if site.needIDs {
-		site.idBuf = grow(site.idBuf, nl)
-		for k, li := range site.lanes {
-			site.idBuf[k] = float64(txns[li].Source)
-		}
+		site.idBuf = grow(site.idBuf, n)
 	}
 	env := &site.env
-	env.Cols = site.envCols
-	env.Slots = site.slotVecs
-	env.IDs = site.idBuf
-	env.Gather = s.gatherTent
-	site.outBuf = grow(site.outBuf, nl)
-	site.passBuf = grow(site.passBuf, nl)
-	pass := site.passBuf
+	env.Cols, env.Slots, env.IDs, env.Gather = site.envCols, site.slotVecs, site.idBuf, s.gatherTent
+	site.outBuf = grow(site.outBuf, n)
+	site.passBuf = grow(site.passBuf, n)
+}
+
+// txnCheckWindow admits one window of a site's lanes on worker slot's
+// machine and tentative world. It first writes the window's empty→non-empty
+// transitions into the touched lists at their counted offsets; then kernel
+// constraints run over gathered lane vectors (self attrs read the tentative
+// view for rule attrs, committed columns otherwise; cross-object reads
+// gather through the view) and closure constraints evaluate per lane over
+// tentWorld. Failed lanes roll their emissions back and abort. Lanes touch
+// disjoint cells, so windows validate and roll back concurrently.
+func (w *World) txnCheckWindow(slot, i int) {
+	s := &w.txnrt
+	win := s.wins[i]
+	site := s.sites[win.of]
+	lo, hi := int(win.lo), int(win.hi)
+	wi := lo / vexpr.BatchSize
+	rt := site.rt
+	for _, lg := range site.logs {
+		a, b := s.bucket(wi, lg.ord)
+		idx := s.idx[a:b]
+		for k := range lg.slots {
+			col, row, cell := lg.slots[k].col(), lg.row[k], lg.cell[k]
+			t := s.tcnt[wi*s.nslot+lg.slot0+k]
+			for _, j := range idx {
+				if r := row[j]; r >= 0 && cell[j].Empty() {
+					col.touched[t] = int(r)
+					t++
+				}
+			}
+		}
+		for bi, at := range site.cols {
+			col := rt.tab.NumColumn(at)
+			if rt.hasRule[at] && at < len(rt.txnViewGen) && rt.txnViewGen[at] == s.gen {
+				col = rt.txnViewCols[at]
+			}
+			vec := site.colBufs[bi][a:b]
+			for q, j := range idx {
+				vec[q] = col[lg.src[j]]
+			}
+		}
+	}
+	if site.needIDs {
+		for p := lo; p < hi; p++ {
+			site.idBuf[p] = float64(s.txns[s.pos[p]].Source)
+		}
+	}
+	pass := site.passBuf[lo:hi]
 	for k := range pass {
 		pass[k] = true
 	}
 	for ci := range site.cons {
 		c := &site.cons[ci]
 		if c.prog != nil {
-			c.prog.Run(&s.machine, env, 0, nl, site.outBuf)
-			for k := range pass {
-				if site.outBuf[k] == 0 {
+			c.prog.Run(w.txnMachine(slot), &site.env, lo, hi, site.outBuf)
+			for k, v := range site.outBuf[lo:hi] {
+				if v == 0 {
 					pass[k] = false
 				}
 			}
@@ -453,61 +690,142 @@ func (w *World) runTxnSiteLanes(site *txnSite, txns []*Txn) {
 		// world — group disjointness confines its reads to the lane's own
 		// accumulators. Constraints are total and side-effect-free, so
 		// skipping already-failed lanes cannot change outcomes.
-		tw := &w.slots[0].tw
-		for k, li := range site.lanes {
+		tw := &w.slots[slot].tw
+		for k, p := range s.pos[lo:hi] {
 			if !pass[k] {
 				continue
 			}
-			tw.bindTxn(txns[li])
+			tw.bindTxn(s.txns[p])
 			if !c.fn(&tw.cons).AsBool() {
 				pass[k] = false
 			}
 		}
 	}
-	for k, li := range site.lanes {
-		if !pass[k] {
-			txns[li].rollback()
+	// Failed lanes abort and roll back column-wise: each log's failed
+	// intents, compacted to the front of its bucket in idx, restore their
+	// cells slot by slot in reverse fold order (Txn.rollback's order).
+	for _, lg := range site.logs {
+		a, b := s.bucket(wi, lg.ord)
+		m := a
+		for p := a; p < b; p++ {
+			if !pass[p-lo] {
+				s.idx[m] = s.idx[p]
+				s.txns[s.pos[p]].Aborted = true
+				m++
+			}
 		}
+		for k := len(lg.slots) - 1; k >= 0 && m > a; k-- {
+			col, row, cell := lg.slots[k].col(), lg.row[k], lg.cell[k]
+			for _, j := range s.idx[a:m] {
+				if r := row[j]; r >= 0 {
+					col.Restore(int(r), cell[j])
+				}
+			}
+		}
+	}
+}
+
+// groupShared unions the shared transactions, in admission order, over the
+// rows they share into conflict groups: groups in first-member order, each
+// group's members in admission order. Rows one transaction claims alone
+// union nothing and are skipped.
+func (s *txnRuntime) groupShared() {
+	s.groups, s.shared = s.groups[:0], s.shared[:0]
+	for wi := 0; wi < s.nwin; wi++ {
+		a, b := s.bucket(wi, len(s.logs))
+		s.shared = append(s.shared, s.pos[a:b]...)
+	}
+	ns := len(s.shared)
+	if ns == 0 {
+		return
+	}
+	s.parent, s.root, s.gfirst = grow(s.parent, ns), grow(s.root, ns), grow(s.gfirst, ns)
+	for m := range ns {
+		s.parent[m], s.gfirst[m] = int32(m), -1
+	}
+	stamp := s.gen << 2
+	for m, i := range s.shared {
+		lg, j := s.txns[i].log, s.txns[i].idx
+		for _, c := range lg.claims {
+			r := c.rows[j]
+			if r < 0 {
+				continue
+			}
+			switch cw := &c.rt.txnRowClaim[r]; *cw {
+			case stamp | claimOne:
+				continue
+			case stamp | claimOwned:
+				s.union(int32(m), c.rt.txnRowOwner[r])
+			default:
+				*cw = stamp | claimOwned
+			}
+			c.rt.txnRowOwner[r] = int32(m)
+		}
+	}
+	for m := range ns {
+		r := s.find(int32(m))
+		s.root[m] = r
+		if s.gfirst[r] < 0 {
+			s.gfirst[r] = int32(len(s.groups))
+			s.groups = append(s.groups, txnGroup{})
+		}
+		s.groups[s.gfirst[r]].n++
+	}
+	off := int32(0)
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		g.off, g.fill = off, off
+		off += g.n
+	}
+	s.gmem = grow(s.gmem, ns)
+	for m, i := range s.shared {
+		g := &s.groups[s.gfirst[s.root[m]]]
+		s.gmem[g.fill] = i
+		g.fill++
 	}
 }
 
 // runTxnGroups executes the multi-transaction conflict groups, returning
 // how many were dispatched to the worker pool.
-func (w *World) runTxnGroups(txns []*Txn) int {
+func (w *World) runTxnGroups() int {
 	s := &w.txnrt
-	if len(s.groups) == 0 {
+	ng := len(s.groups)
+	if ng == 0 {
 		return 0
 	}
-	// runGroup is the serial greedy loop over one conflict group, with the
-	// tentative view of the worker slot it runs on (log as for Txn.apply).
-	runGroup := func(gi, slot int, log *[]fxTouch) {
-		g := &s.groups[gi]
-		tw := &w.slots[slot].tw
-		for _, m := range s.gmem[g.off : g.off+g.n] {
-			t := txns[m]
-			t.apply(log)
-			if !tw.constraintsHold(t) {
-				t.rollback()
-			}
-		}
-	}
-	nw := 1
-	if w.parallelOK() {
-		nw = min(w.opts.Workers, len(s.groups))
-	}
-	if nw <= 1 {
-		for gi := range s.groups {
-			runGroup(gi, 0, nil)
+	nw := min(w.poolWidth(), ng)
+	s.pooledGroups = nw > 1
+	if !s.pooledGroups {
+		for gi := range ng {
+			w.txnRunGroup(0, gi)
 		}
 		return 0
 	}
 	w.growSlots(nw)
-	w.resetGroupLogs(len(s.groups))
-	w.runPool(len(s.groups), nw, func(slot, gi int) {
-		runGroup(gi, slot, &s.gtouch[gi])
-	})
-	w.mergeGroupLogs(len(s.groups))
-	return len(s.groups)
+	w.resetGroupLogs(ng)
+	w.runPool(ng, nw, s.groupFn)
+	w.mergeGroupLogs(ng)
+	return ng
+}
+
+// txnRunGroup is the serial greedy loop over conflict group gi, with the
+// tentative view of the worker slot it runs on; a pooled group logs its
+// touched cells privately (as for Txn.apply).
+func (w *World) txnRunGroup(slot, gi int) {
+	s := &w.txnrt
+	g := &s.groups[gi]
+	tw := &w.slots[slot].tw
+	var log *[]fxTouch
+	if s.pooledGroups {
+		log = &s.gtouch[gi]
+	}
+	for _, m := range s.gmem[g.off : g.off+g.n] {
+		t := s.txns[m]
+		t.apply(log)
+		if !tw.constraintsHold(t) {
+			t.rollback()
+		}
+	}
 }
 
 func (w *World) resetGroupLogs(n int) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/plan"
 	"repro/internal/value"
+	"repro/internal/vexpr"
 )
 
 const txnMarketSrc = `
@@ -174,12 +175,25 @@ func FuzzTxnViewReplay(f *testing.F) {
 // TestBatchedAdmissionZeroAlloc pins the steady-state batched admission
 // path at zero heap allocations per batch: all scratch (lane buffers,
 // views, dense effect vectors, conflict-group state) must be retained and
-// generation-stamped, never reallocated.
+// generation-stamped, never reallocated. The pooled arm's batch spans two
+// kernel windows, so every admission pass fans out across the workers.
 func TestBatchedAdmissionZeroAlloc(t *testing.T) {
-	w := newWorld(t, txnMarketSrc, Options{Txn: plan.TxnBatched})
+	for _, arm := range []struct {
+		name  string
+		opts  Options
+		pairs int
+	}{
+		{"serial", Options{Txn: plan.TxnBatched}, 8},
+		{"workers=2/windows", Options{Txn: plan.TxnBatched, Workers: 2}, vexpr.BatchSize + 500},
+	} {
+		t.Run(arm.name, func(t *testing.T) { batchedAdmissionZeroAlloc(t, arm.opts, arm.pairs) })
+	}
+}
+
+func batchedAdmissionZeroAlloc(t *testing.T, opts Options, pairs int) {
+	w := newWorld(t, txnMarketSrc, opts)
 	rt := w.classes["Trader"]
 	_, _, dgold, dstock := traderIndices(t, rt)
-	const pairs = 8
 	sellers := make([]value.ID, pairs)
 	buyers := make([]value.ID, pairs)
 	for i := 0; i < pairs; i++ {
@@ -232,6 +246,9 @@ func TestBatchedAdmissionZeroAlloc(t *testing.T) {
 	run()
 	if badMode {
 		t.Fatal("forced batched mode fell back to serial")
+	}
+	if opts.Workers > 1 && (!w.parallelOK() || w.txnrt.nwin < 2) {
+		t.Fatalf("%d transactions in %d windows (pool usable: %v): the admission passes never fanned out", len(txns), w.txnrt.nwin, w.parallelOK())
 	}
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Fatalf("batched admission allocates %v times per batch, want 0", avg)

@@ -131,8 +131,15 @@ type txnLog struct {
 
 	handles []*Txn
 	nh      int
-	gen     uint64  // the admission that collected pick
-	pick    []int32 // that admission's singleton intents
+
+	// The batched admission that last collected the log (txnbatch.go): its
+	// generation, the log's index in txnRuntime.logs, the index of its
+	// first emission slot among all logs' slots, and the lanes of rows its
+	// intents claim.
+	gen    uint64
+	ord    int
+	slot0  int
+	claims []txnClaimLane
 }
 
 func (site *txnSite) newLog() *txnLog {

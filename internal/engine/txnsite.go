@@ -122,11 +122,11 @@ type txnSite struct {
 	emSlots []txnSlot  // emission slots (txnlog.go)
 	ord     int        // index of the site's log in every shard sink
 
-	// Per-admission lane state (txnbatch.go), generation-stamped.
+	// Per-admission lane state (txnbatch.go), generation-stamped. Lane
+	// vectors are indexed by position in the batch's window layout.
 	gen      uint64
 	logs     []*txnLog // the logs holding this admission's intents
-	lanes    []int32   // indices into the admission-order transaction slice
-	laneRows []int32   // each lane's source row
+	lanes    int       // this admission's singletons
 	envCols  [][]float64
 	colBufs  [][]float64 // backing storage, parallel to cols
 	slotVecs [][]float64
