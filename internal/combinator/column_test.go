@@ -127,6 +127,7 @@ func TestColumnMatchesAccumulators(t *testing.T) {
 				scatter := rng.Intn(2) == 0 // fold the writes with SaveFoldAt
 				var srows []int32
 				var svals []float64
+				var saved []Cell
 				for i := rng.Intn(4) + 1; i > 0; i-- {
 					r := rng.Intn(rows)
 					log = append(log, undo{r, c.Save(r), ref[r]})
@@ -149,12 +150,18 @@ func TestColumnMatchesAccumulators(t *testing.T) {
 					for j := range idx {
 						idx[j] = int32(j)
 					}
-					saved := make([]Cell, len(srows))
+					saved = make([]Cell, len(srows))
 					first := c.SaveFoldAt(idx, srows, svals, saved)
 					var got []int
 					for j, r := range srows {
 						if saved[j].Empty() {
 							got = append(got, int(r))
+						}
+						// A row's first write saves its state before the batch.
+						if !slices.Contains(srows[:j], r) {
+							if s := log[j].cell; saved[j].n != s.n || !sameFloat(saved[j].num, s.num) {
+								t.Fatalf("%v: SaveFoldAt saved row %d as %v, want %v", k, r, saved[j], s)
+							}
 						}
 					}
 					if !slices.Equal(got, want) || first != len(want) {
@@ -163,8 +170,14 @@ func TestColumnMatchesAccumulators(t *testing.T) {
 					touched = append(touched, got...)
 				}
 				if rng.Intn(2) == 0 {
+					// Roll back in reverse; a scatter fold restores from the
+					// cells SaveFoldAt saved, as admission does.
 					for i := len(log) - 1; i >= 0; i-- {
-						c.Restore(log[i].r, log[i].cell)
+						if scatter {
+							c.Restore(int(srows[i]), saved[i])
+						} else {
+							c.Restore(log[i].r, log[i].cell)
+						}
 						ref[log[i].r] = log[i].acc
 					}
 				}

@@ -672,6 +672,7 @@ func (w *World) buildTxnView(va txnViewAttr) {
 	s := &w.txnrt
 	s.views, s.wins = s.views[:0], s.wins[:0]
 	w.stageTxnView(va)
+	w.growSlots(1)
 	w.runPool(len(s.wins), 1, s.viewFn)
 }
 

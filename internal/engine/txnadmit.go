@@ -41,11 +41,12 @@ func cmpTxn(a, b *Txn) int {
 //
 // How the order executes is an engine decision (Options.Txn): the serial
 // loop validates one transaction at a time by rule replay; the batched
-// driver (txnbatch.go) groups conflicting transactions, validates
-// non-conflicting ones whole-batch against a columnar tentative view, fans
-// conflict groups across the worker pool and routes single-partition
-// groups partition-locally. Both produce bit-identical admission outcomes
-// for any policy order, worker count and partition count.
+// driver (txnbatch.go) runs in vexpr.BatchSize windows of the batch on the
+// worker pool, validates non-conflicting transactions whole-batch against a
+// columnar tentative view, and fans conflict groups across the pool whether
+// the world is partitioned or not (cross-partition transactions are only
+// counted). Both produce bit-identical admission outcomes for any policy
+// order, worker count and partition count.
 func AdmitPrepared(ctx *UpdateCtx, txns []*Txn) error {
 	if len(txns) == 0 {
 		return nil

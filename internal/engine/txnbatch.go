@@ -10,10 +10,10 @@ package engine
 //     classifies the live ones by partition, and counts each one's touched rows
 //     — source, emission targets and stable-base referents, all resolved when
 //     the intent was logged; a transaction's repeated rows count once — on
-//     generation-stamped per-row claim words, atomically when windows run
-//     concurrently. A live transaction all of whose rows count one shares none:
-//     it is a singleton. Only the others union over their shared rows, serially
-//     in admission order, into conflict groups. Singletons share no row, so the
+//     generation-stamped per-row claim words with atomic compare-and-swap. A
+//     live transaction all of whose rows count one shares none: it is a
+//     singleton. Only the others union over their shared rows, serially in
+//     admission order, into conflict groups. Singletons share no row, so the
 //     groups, their order and their members' order are those of a union-find
 //     over the whole batch. Transactions in different groups commute, because a
 //     group's admission outcome and effect-buffer residue depend only on
@@ -99,11 +99,8 @@ const (
 // txnRuntime is the retained scratch of the batched admission driver,
 // generation-stamped so nothing clears between admissions.
 type txnRuntime struct {
-	gen        uint64
-	parts      bool // classify transactions by partition this pass (TxnCrossPart)
-	concurrent bool // this pass's windows run concurrently
-
-	machine vexpr.Machine // worker slot 0's
+	gen   uint64
+	parts bool // classify transactions by partition this pass (TxnCrossPart)
 
 	gatherTent func(class string, attrIdx int, refs, out []float64, zero float64)
 
@@ -168,14 +165,6 @@ func (w *World) poolWidth() int {
 		return w.opts.Workers
 	}
 	return 1
-}
-
-// txnMachine is worker slot's kernel machine for admission.
-func (w *World) txnMachine(slot int) *vexpr.Machine {
-	if slot == 0 {
-		return &w.txnrt.machine
-	}
-	return &w.slots[slot].machine
 }
 
 // txnAdmitMode picks this batch's admission mode: the serial loop when
@@ -281,7 +270,6 @@ func (w *World) admitBatched(txns []*Txn) {
 	s.wcnt = grow(s.wcnt, s.nwin*s.stride())
 	s.tcnt = grow(s.tcnt, s.nwin*s.nslot)
 	s.parts = w.parts != nil && w.parts.ready
-	s.concurrent = nw > 1
 	for _, rt := range w.order {
 		if len(rt.txnRowClaim) < rt.tab.Cap() {
 			rt.txnRowClaim = extend(rt.txnRowClaim, rt.tab.Cap())
@@ -318,17 +306,8 @@ func (w *World) admitBatched(txns []*Txn) {
 
 // countClaim counts one more transaction touching the row whose claim word
 // is c: claimOne for the first this admission (stamp), claimMany after.
-// Windows that run concurrently count with atomics; inline ones need none.
-func countClaim(c *uint64, stamp uint64, concurrent bool) {
-	if !concurrent {
-		switch {
-		case *c&^3 != stamp:
-			*c = stamp | claimOne
-		case *c&3 == claimOne:
-			*c = stamp | claimMany
-		}
-		return
-	}
+// Windows may count concurrently, so it counts with a CAS loop.
+func countClaim(c *uint64, stamp uint64) {
 	for {
 		old := atomic.LoadUint64(c)
 		nw := stamp | claimOne
@@ -375,7 +354,7 @@ func (w *World) txnClaimWindow(_, wi int) {
 					continue claims
 				}
 			}
-			countClaim(&c.rt.txnRowClaim[r], stamp, s.concurrent)
+			countClaim(&c.rt.txnRowClaim[r], stamp)
 			if s.parts {
 				p := int32(-1)
 				if c.rt.prt != nil && int(r) < len(c.rt.prt.assign) {
@@ -558,7 +537,7 @@ func (w *World) txnViewWindow(slot, i int) {
 	s := &w.txnrt
 	win := s.wins[i]
 	va := s.views[win.of]
-	va.prog.Run(w.txnMachine(slot), &va.rt.txnEnv, int(win.lo), int(win.hi), va.rt.txnViewCols[va.attr])
+	va.prog.Run(&w.slots[slot].machine, &va.rt.txnEnv, int(win.lo), int(win.hi), va.rt.txnViewCols[va.attr])
 }
 
 // checkTxnLanes validates every site's singleton lanes, one window of the
@@ -678,7 +657,7 @@ func (w *World) txnCheckWindow(slot, i int) {
 	for ci := range site.cons {
 		c := &site.cons[ci]
 		if c.prog != nil {
-			c.prog.Run(w.txnMachine(slot), &site.env, lo, hi, site.outBuf)
+			c.prog.Run(&w.slots[slot].machine, &site.env, lo, hi, site.outBuf)
 			for k, v := range site.outBuf[lo:hi] {
 				if v == 0 {
 					pass[k] = false
