@@ -46,36 +46,31 @@ func (c *Column) Grow(capacity int) {
 // payload combinators.
 func (c *Column) BoxedCells() int { return len(c.box) }
 
-// Add folds one contribution into row's cell and reports whether it was the
-// cell's first. For minby/maxby, key selects the winner; other combinators
-// ignore key.
-func (c *Column) Add(row int, v value.Value, key float64) bool {
+// Add folds one contribution into row's cell. For minby/maxby, key selects
+// the winner; other combinators ignore key.
+func (c *Column) Add(row int, v value.Value, key float64) {
 	switch c.kind {
 	case Sum, Avg:
-		first := c.n[row] == 0
 		c.num[row] += v.AsNumber()
 		c.n[row]++
-		return first
 	case Min, Max:
-		return c.fold(row, v.AsNumber())
+		c.fold(row, v.AsNumber())
 	case And, Or:
 		p := 0.0
 		if v.AsBool() {
 			p = 1
 		}
-		return c.fold(row, p)
+		c.fold(row, p)
 	case Count:
-		return c.fold(row, 0)
+		c.fold(row, 0)
+	default:
+		c.box[row].Add(v, key)
 	}
-	a := &c.box[row]
-	first := a.n == 0
-	a.Add(v, key)
-	return first
 }
 
-// fold folds payload v into a min, max, count, and or or cell, reporting a
-// first contribution (sum and avg fold inline at their call sites).
-func (c *Column) fold(r int, v float64) bool {
+// fold folds payload v into a min, max, count, and or or cell (sum and avg
+// fold inline at their call sites).
+func (c *Column) fold(r int, v float64) {
 	first := c.n[r] == 0
 	switch c.kind {
 	case Min:
@@ -99,65 +94,51 @@ func (c *Column) fold(r int, v float64) bool {
 		}
 	}
 	c.n[r]++
-	return first
 }
 
 // AddPayloadRows folds one kernel output window: for every masked lane i
 // it folds the raw column payload vals[i] (bool = 0/1, ref = id) into row
-// base+i, appending the row to *touched when its cell was empty, exactly as
-// Add would fold the boxed value, with the combinator dispatch hoisted out
-// of the row loop for the hot kinds. mask, vals and keys are
-// window-relative; keys carries minby/maxby selection keys and may be nil
-// for other combinators; union has no payload and panics.
-func (c *Column) AddPayloadRows(base int, mask []bool, vals, keys []float64, touched *[]int) {
+// base+i, exactly as Add would fold the boxed value, with the combinator
+// dispatch hoisted out of the row loop for the hot kinds. mask, vals and
+// keys are window-relative; keys carries minby/maxby selection keys and may
+// be nil for other combinators; union has no payload and panics.
+func (c *Column) AddPayloadRows(base int, mask []bool, vals, keys []float64) {
 	n := len(mask)
 	if n == 0 {
 		return
 	}
-	t := *touched
 	switch c.kind {
 	case Sum, Avg:
 		num, cnt, vals := c.num[base:base+n], c.n[base:base+n], vals[:n]
 		for i, on := range mask {
-			if !on {
-				continue
+			if on {
+				num[i] += vals[i]
+				cnt[i]++
 			}
-			if cnt[i] == 0 {
-				t = append(t, base+i)
-			}
-			num[i] += vals[i]
-			cnt[i]++
 		}
 	case Count, Min, Max, And, Or:
 		for i, on := range mask {
-			if on && c.fold(base+i, vals[i]) {
-				t = append(t, base+i)
+			if on {
+				c.fold(base+i, vals[i])
 			}
 		}
 	case MinBy, MaxBy:
 		for i, on := range mask {
-			if !on {
-				continue
+			if on {
+				c.box[base+i].AddPayloads(vals[i:i+1], keys[i:i+1])
 			}
-			a := &c.box[base+i]
-			if a.n == 0 {
-				t = append(t, base+i)
-			}
-			a.AddPayloads(vals[i:i+1], keys[i:i+1])
 		}
 	default:
 		panic("combinator: AddPayloadRows on a set-union column")
 	}
-	*touched = t
 }
 
 // SaveFoldAt is the scatter fold of transaction intents: for every j in idx
 // whose rows[j] is a row (>= 0), in order, it saves that row's cell into
-// saved[j] for a later Restore and folds payload vals[j] into it. It
-// returns how many of those cells were empty before their fold. Each fold
+// saved[j] for a later Restore and folds payload vals[j] into it. Each fold
 // is Add's, comparison for comparison. Keyed (minby, maxby) and union
 // columns panic.
-func (c *Column) SaveFoldAt(idx, rows []int32, vals []float64, saved []Cell) (first int) {
+func (c *Column) SaveFoldAt(idx, rows []int32, vals []float64, saved []Cell) {
 	switch c.kind {
 	case Sum, Avg:
 		num, n := c.num, c.n
@@ -167,9 +148,6 @@ func (c *Column) SaveFoldAt(idx, rows []int32, vals []float64, saved []Cell) (fi
 				continue
 			}
 			saved[j] = Cell{num[r], n[r]}
-			if n[r] == 0 {
-				first++
-			}
 			num[r] += vals[j]
 			n[r]++
 		}
@@ -177,15 +155,12 @@ func (c *Column) SaveFoldAt(idx, rows []int32, vals []float64, saved []Cell) (fi
 		for _, j := range idx {
 			if r := rows[j]; r >= 0 {
 				saved[j] = c.Save(int(r))
-				if c.fold(int(r), vals[j]) {
-					first++
-				}
+				c.fold(int(r), vals[j])
 			}
 		}
 	default:
 		panic("combinator: SaveFoldAt on a keyed or set-union column")
 	}
-	return first
 }
 
 // Result returns row's combined value and whether any contribution arrived,
@@ -264,23 +239,8 @@ type Cell struct {
 // kinds only (the language admits only sum/avg/count inside atomic blocks).
 func (c *Column) Save(row int) Cell { return Cell{c.num[row], c.n[row]} }
 
-// Empty reports that the saved cell had no contribution.
-func (s Cell) Empty() bool { return s.n == 0 }
-
 // Restore sets row's fold state back to a state Save returned.
 func (c *Column) Restore(row int, s Cell) { c.num[row], c.n[row] = s.num, s.n }
-
-// Reset empties the listed rows. When they cover at least half the column it
-// clears the whole column instead: one streaming pass beats a scatter.
-func (c *Column) Reset(rows []int) {
-	if !c.kind.boxed() && 2*len(rows) >= len(c.n) {
-		c.Clear()
-		return
-	}
-	for _, r := range rows {
-		c.ResetRow(r)
-	}
-}
 
 // ResetRow empties one row's cell.
 func (c *Column) ResetRow(r int) {

@@ -98,7 +98,6 @@ func (w *World) Restore(c *Checkpoint) error {
 		}
 		for i := range rt.fx {
 			rt.fx[i].Clear()
-			rt.fx[i].touched = rt.fx[i].touched[:0]
 			rt.fx[i].Grow(rt.tab.Cap())
 		}
 	}

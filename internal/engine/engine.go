@@ -231,7 +231,8 @@ type classRT struct {
 	countsBuf []int
 	vecSelBuf []bool
 
-	fx []fxColumn
+	// fx[ai] is effect attr ai's per-tick buffer, dense over physical rows.
+	fx []combinator.Column
 
 	// prt is the class's shared-nothing partitioning state (nil until the
 	// first partitioned tick measures the layouts; see partition.go).
@@ -270,24 +271,6 @@ type classRT struct {
 	// vlog accumulates the class's state changes for the subscription-view
 	// changefeed (nil until EnableChangeFeed; see changefeed.go).
 	vlog *changeLog
-}
-
-// fxColumn is the per-tick effect buffer of one effect attribute, dense
-// over physical rows, plus the rows that received a first contribution.
-type fxColumn struct {
-	combinator.Column
-	touched []int
-}
-
-func (f *fxColumn) reset() {
-	f.Reset(f.touched)
-	f.touched = f.touched[:0]
-}
-
-func (f *fxColumn) add(row int, v value.Value, key float64) {
-	if f.Add(row, v, key) {
-		f.touched = append(f.touched, row)
-	}
 }
 
 // stageCol is the update step's next-epoch column of one state attribute,
@@ -364,7 +347,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 			return value.Zero(e.Comb.ResultKind(e.Kind))
 		}
 		for _, e := range cc.cls.Effects {
-			rt.fx = append(rt.fx, fxColumn{Column: combinator.NewColumn(e.Comb, e.Kind)})
+			rt.fx = append(rt.fx, combinator.NewColumn(e.Comb, e.Kind))
 		}
 		if cc.vec != nil {
 			rt.vec = cc.vec

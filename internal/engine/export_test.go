@@ -738,3 +738,24 @@ func (sc *vecScratch) footprint(bytes, longest int) (int, int) {
 	}
 	return bytes, longest
 }
+
+// FilledEffects lists, per effect of class in declaration order, the ids
+// of the objects whose effect cell holds a contribution, in row order; a
+// filled cell on a dead row is listed as value.NullID.
+func (w *World) FilledEffects(class string) [][]value.ID {
+	rt := w.classes[class]
+	out := make([][]value.ID, len(rt.fx))
+	for ai := range rt.fx {
+		for r := 0; r < rt.tab.Cap(); r++ {
+			if _, ok := rt.fx[ai].Result(r); !ok {
+				continue
+			}
+			id := value.NullID
+			if rt.tab.Alive(r) {
+				id = rt.tab.ID(r)
+			}
+			out[ai] = append(out[ai], id)
+		}
+	}
+	return out
+}

@@ -240,9 +240,9 @@ func crossFloatWorld(t *testing.T, n int, opts engine.Options) *engine.World {
 
 // srcMixedEffects pins sink reuse across classes: Hub (three effects, a
 // vectorizable run block) runs its pass before Leaf (one effect, a scalar run
-// block emitting to a Hub and to itself), on the same pooled sinks. A sink's
-// vectorized touched log is sized by the widest class that used it, so the
-// merge of a narrower class's pass must not read the log by slot count.
+// block emitting to a Hub and to itself), on the same pooled sinks. A
+// narrower class's pass on a sink a wider class used before must fold only
+// its own emissions, each into the effect column of the class it targets.
 const srcMixedEffects = `
 class Hub {
   state:

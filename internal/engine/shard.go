@@ -23,14 +23,14 @@ package engine
 //     row-disjoint state and probe nothing, so they stay contiguous.
 //
 // Determinism: vectorized phases emit only to the executing object, so
-// shards write row-disjoint accumulator cells directly and log the rows they
-// touched first; everything else — scalar emissions, transaction intents —
-// is logged in the sink tagged with the emitting row and replayed by the
-// merge in ascending row order. Partitioned probes canonicalize candidates
-// to physical-row order (exec.go), so the fold order per accumulator is
-// independent of the split, the layout and the worker schedule: every
-// Workers × Partitions cell is bit-identical to Workers=1, Partitions=1, and
-// without partitions to the serial row loop.
+// shards fold into row-disjoint accumulator cells directly; everything else
+// — scalar emissions, transaction intents — is logged in the sink tagged
+// with the emitting row and replayed by the merge in ascending row order.
+// Partitioned probes canonicalize candidates to physical-row order
+// (exec.go), so the fold order per accumulator is independent of the split,
+// the layout and the worker schedule: every Workers × Partitions cell is
+// bit-identical to Workers=1, Partitions=1, and without partitions to the
+// serial row loop.
 
 import (
 	"math"
@@ -78,9 +78,8 @@ func shardRows(capRows, maxShards int, buf []shard) []shard {
 }
 
 // shardSink is what one shard produces during a pass: effect emissions and
-// transaction intents, each tagged with the emitting physical row, the rows
-// whose accumulators its vectorized sweeps touched first, and its row
-// counters. Rows are appended in ascending order (the shard's row loop),
+// transaction intents, each tagged with the emitting physical row, and its
+// row counters. Rows are appended in ascending order (the shard's row loop),
 // which makes the merge a k-way merge of sorted streams. A sink belongs to
 // exactly one worker for the duration of a pass, so nothing here needs
 // atomics.
@@ -101,7 +100,6 @@ type shardSink struct {
 	resolved []resolvedLane // and the target lanes it resolved to rows
 	extents  []extSample
 
-	touched     touchedLog // vectorized-phase empty→touched transitions
 	vecRows     int64
 	scalarRows  int64
 	handlerRows int64
@@ -149,7 +147,6 @@ func (s *shardSink) reset() {
 	s.txns = s.txns[:0]
 	s.txnRows = s.txnRows[:0]
 	s.extents = s.extents[:0]
-	s.touched.reset()
 	s.vecRows, s.scalarRows, s.handlerRows, s.load = 0, 0, 0, 0
 }
 
@@ -325,7 +322,7 @@ func (w *World) runPass(p classPass) {
 		}
 	}
 	if emits {
-		w.mergeSinks(rt, w.sinks[:len(shards)], masked)
+		w.mergeSinks(w.sinks[:len(shards)], masked)
 	}
 }
 
@@ -364,9 +361,6 @@ func (w *World) runShard(slot, si int) {
 	x := &ws.x
 	x.arm(sink, m, sc, rt.plan.NumSlots)
 	x.part = max(sh.owner, 0)
-	if p.vecSel != nil {
-		sink.touched.ensure(len(rt.fx))
-	}
 
 	// Window by window: hoisted join sites probe the window's probing rows
 	// (joinWindow), then kernel sweeps and the scalar loop read the result.
@@ -471,27 +465,18 @@ func nextRun(streams [][]int32, idx []int) (si, from, to int) {
 }
 
 // mergeSinks folds a pass's sinks into the world after the barrier: the
-// vectorized touched-row logs and row counters in shard order, then the
-// emission and transaction logs in ascending source-row order — the order
-// the plain row loop would have produced them in. For one sink that is a
-// straight replay and for contiguous shards a concatenation. The sinks'
-// probe-extent samples fold in shard order, on contiguous shards row order. The merged
-// touched lists are deterministic but row-sorted only while spans do not
-// interleave; every consumer treats them as a set (accumulator resets, dense
-// effect-vector scatter). On ownership-masked passes each shard's visits
-// are charged to its partition's load, and an emission whose target row
-// another partition owns counts as a cross-partition effect message.
-func (w *World) mergeSinks(rt *classRT, sinks []*shardSink, masked bool) {
+// row counters in shard order, then the emission and transaction logs in
+// ascending source-row order — the order the plain row loop would have
+// produced them in. For one sink that is a straight replay and for
+// contiguous shards a concatenation. The sinks' probe-extent samples fold in
+// shard order, on contiguous shards row order. On ownership-masked passes
+// each shard's visits are charged to its partition's load, and an emission
+// whose target row another partition owns counts as a cross-partition
+// effect message.
+func (w *World) mergeSinks(sinks []*shardSink, masked bool) {
 	track := !w.opts.DisableStats
 	streams, idx := w.mergeRows[:0], w.mergeIdx[:0]
 	for si, s := range sinks {
-		// Sinks are reused across classes and the log only grows: slots past
-		// this class's effects exist but stay empty.
-		for ai, rows := range s.touched.rows {
-			if len(rows) > 0 {
-				rt.fx[ai].touched = append(rt.fx[ai].touched, rows...)
-			}
-		}
 		if track {
 			w.execStats.VectorRows += s.vecRows
 			w.execStats.ScalarRows += s.scalarRows
@@ -514,7 +499,7 @@ func (w *World) mergeSinks(rt *classRT, sinks []*shardSink, masked bool) {
 		}
 		for i := from; i < to; i++ {
 			e := &sinks[si].ems[i]
-			e.rt.fx[e.attr].add(int(e.row), e.val, e.key)
+			e.rt.fx[e.attr].Add(int(e.row), e.val, e.key)
 			if masked && track && e.rt.prt.assign[e.row] != int32(si) {
 				w.execStats.PartMsgsEffect++
 				w.execStats.PartBytes += cluster.BytesPerEffect

@@ -49,9 +49,12 @@ func (w *World) RunTick() error {
 
 	// Effects and intents are consumed — by a failed tick too, so none
 	// leak into the next; clear before handlers arm next tick's buffers.
+	// Every effect column clears whole: the update step already read every
+	// live row of the columns its rules consume, so one streaming pass costs
+	// no more than that read, and no fold has to log which cells it filled.
 	for _, rt := range w.order {
 		for i := range rt.fx {
-			rt.fx[i].reset()
+			rt.fx[i].Clear()
 		}
 	}
 	w.clearTxns()

@@ -69,7 +69,7 @@ func (w *World) admitSerial(txns []*Txn) {
 			t.Aborted = true
 			continue
 		}
-		t.apply(nil)
+		t.apply()
 		if !tw.constraintsHold(t) {
 			t.rollback()
 		}

@@ -7,7 +7,7 @@ package engine
 // batch on the world's worker pool:
 //
 //  1. claims: each window aborts its transactions with a dead row up front,
-//     classifies the live ones by partition, and counts each one's touched rows
+//     classifies the live ones by partition, and counts each one's rows
 //     — source, emission targets and stable-base referents, all resolved when
 //     the intent was logged; a transaction's repeated rows count once — on
 //     generation-stamped per-row claim words with atomic compare-and-swap. A
@@ -23,13 +23,11 @@ package engine
 //     fold (Column.SaveFoldAt), saving each cell first. A columnar tentative
 //     post-update view is built per affected (class, attr) by running the
 //     attr's vectorized update rule window by window over the dense
-//     combined-effect vectors; then each window of a site's lanes writes its
-//     empty→non-empty transitions into the touched lists, at offsets counted
-//     log by log, slot by slot, window by window, and evaluates the
-//     constraints as vexpr mask kernels over per-lane gathers of that view on
-//     the worker's machine (string/set/iterator constraints fall back to
-//     per-lane closures over the worker's tentWorld); failed lanes restore
-//     their cells;
+//     combined-effect vectors; then each window of a site's lanes evaluates
+//     the constraints as vexpr mask kernels over per-lane gathers of that
+//     view on the worker's machine (string/set/iterator constraints fall
+//     back to per-lane closures over the worker's tentWorld); failed lanes
+//     restore their cells;
 //  3. runs true conflict groups through the serial greedy loop group-at-a-
 //     time — in admission order within each group — fanned out across the
 //     worker pool, partitioned or not: groups commute.
@@ -38,11 +36,10 @@ package engine
 // one-batch extent. Every path preserves bit-identity with the serial loop:
 // group disjointness keeps each accumulator cell's add/remove sequence
 // identical (singletons touch disjoint cells, so neither folding slot by
-// slot nor any window schedule changes a cell, and every touched list is
-// written in the order a serial slot-by-slot fold appends it), the
-// vectorized tentative view is bitwise equal to per-row rule replay (vexpr ≡
-// expr by construction), and constraint evaluation is total and
-// side-effect-free, so evaluation order cannot change outcomes.
+// slot nor any window schedule changes a cell), the vectorized tentative
+// view is bitwise equal to per-row rule replay (vexpr ≡ expr by
+// construction), and constraint evaluation is total and side-effect-free,
+// so evaluation order cannot change outcomes.
 
 import (
 	"sync/atomic"
@@ -51,14 +48,6 @@ import (
 	"repro/internal/value"
 	"repro/internal/vexpr"
 )
-
-// fxTouch records one accumulator cell's empty→non-empty transition made by
-// a pooled conflict group; the logs merge into the shared touched lists in
-// group order after the barrier.
-type fxTouch struct {
-	col *fxColumn
-	row int32
-}
 
 // txnGroup is one multi-transaction conflict group: members are
 // s.gmem[off:off+n] in admission order.
@@ -106,7 +95,6 @@ type txnRuntime struct {
 
 	sites []*txnSite
 	logs  []*txnLog     // every site's logs, site by site; txnLog.ord indexes it
-	nslot int           // emission slots over all logs; txnLog.slot0 indexes them
 	views []txnViewAttr // the view columns this admission builds
 	wins  []txnWin      // the view or check pass's windows
 
@@ -116,7 +104,6 @@ type txnRuntime struct {
 	nwin                            int
 	claimFn, placeFn, viewFn, chkFn func(slot, i int)
 	groupFn                         func(slot, i int)
-	pooledGroups                    bool // groupFn logs touched cells privately
 
 	state []uint8 // per transaction, by admission-order position
 
@@ -130,10 +117,6 @@ type txnRuntime struct {
 	// starts relative to the window, where the shared transactions start
 	// and end, and the window's cross-partition count.
 	wcnt []int32
-	// tcnt holds per window, stride nslot, each emission slot's
-	// empty→non-empty transitions; after the fold pass, where the window's
-	// transitions go in the slot's touched list.
-	tcnt []int32
 
 	// Conflict groups over the shared transactions, indexed by position in
 	// shared (admission order).
@@ -143,7 +126,6 @@ type txnRuntime struct {
 	gfirst []int32
 	groups []txnGroup
 	gmem   []int32
-	gtouch [][]fxTouch
 }
 
 func (s *txnRuntime) init(w *World) {
@@ -194,12 +176,11 @@ func (w *World) txnAdmitMode(txns []*Txn) plan.TxnMode {
 			site.logs = append(site.logs, lg)
 		}
 	}
-	s.logs, s.nslot = s.logs[:0], 0
+	s.logs = s.logs[:0]
 	for _, site := range s.sites {
 		for _, lg := range site.logs {
-			lg.ord, lg.slot0 = len(s.logs), s.nslot
+			lg.ord = len(s.logs)
 			s.logs = append(s.logs, lg)
-			s.nslot += len(lg.slots)
 			lg.bindClaims()
 		}
 	}
@@ -268,7 +249,6 @@ func (w *World) admitBatched(txns []*Txn) {
 	w.growSlots(nw)
 	s.state, s.pos, s.idx = grow(s.state, n), grow(s.pos, n), grow(s.idx, n)
 	s.wcnt = grow(s.wcnt, s.nwin*s.stride())
-	s.tcnt = grow(s.tcnt, s.nwin*s.nslot)
 	s.parts = w.parts != nil && w.parts.ready
 	for _, rt := range w.order {
 		if len(rt.txnRowClaim) < rt.tab.Cap() {
@@ -286,7 +266,6 @@ func (w *World) admitBatched(txns []*Txn) {
 
 	// (2) Singletons: validate whole-batch against the tentative view.
 	if singles > 0 {
-		s.touchedOffsets()
 		w.buildTxnViews(nw)
 		w.checkTxnLanes(nw)
 	}
@@ -379,9 +358,8 @@ func (w *World) txnClaimWindow(_, wi int) {
 // a live transaction is a singleton when each of its rows counts one. The
 // window lays its singletons out by log and its shared transactions after
 // them, then folds each log's singletons slot by slot, saving every cell
-// first and counting the slot's empty→non-empty transitions. Singletons
-// touch disjoint cells, so the windows fold concurrently and no schedule
-// changes a cell.
+// first. Singletons touch disjoint cells, so the windows fold concurrently
+// and no schedule changes a cell.
 func (w *World) txnPlaceWindow(_, wi int) {
 	s := &w.txnrt
 	one := s.gen<<2 | claimOne
@@ -426,13 +404,10 @@ func (w *World) txnPlaceWindow(_, wi int) {
 	}
 	copy(start[1:], start[:nl+1])
 	start[0] = 0
-	tc := s.tcnt[wi*s.nslot : (wi+1)*s.nslot]
 	for o, lg := range s.logs {
-		a, b := s.bucket(wi, o)
-		for k := range lg.slots {
-			tc[lg.slot0+k] = 0
-			if a < b {
-				tc[lg.slot0+k] = int32(lg.slots[k].col().SaveFoldAt(s.idx[a:b], lg.row[k], lg.val[k], lg.cell[k]))
+		if a, b := s.bucket(wi, o); a < b {
+			for k := range lg.slots {
+				lg.slots[k].col().SaveFoldAt(s.idx[a:b], lg.row[k], lg.val[k], lg.cell[k])
 			}
 		}
 	}
@@ -454,24 +429,6 @@ func (s *txnRuntime) layoutTotals() (singles, cross int) {
 		}
 	}
 	return singles, cross
-}
-
-// touchedOffsets turns the per-window transition counts into offsets in
-// the touched lists and lengthens each list to hold them: log by log, slot
-// by slot, window by window — the order a serial fold of each log's
-// singletons, slot by slot in admission order, appends them.
-func (s *txnRuntime) touchedOffsets() {
-	for _, lg := range s.logs {
-		for k := range lg.slots {
-			col := lg.slots[k].col()
-			n := int32(len(col.touched))
-			for wi := 0; wi < s.nwin; wi++ {
-				c := &s.tcnt[wi*s.nslot+lg.slot0+k]
-				*c, n = n, n+*c
-			}
-			col.touched = resize(col.touched, int(n))
-		}
-	}
 }
 
 // buildTxnViews materializes the tentative post-update columns the
@@ -607,13 +564,12 @@ func (w *World) bindTxnLanes(site *txnSite) {
 }
 
 // txnCheckWindow admits one window of a site's lanes on worker slot's
-// machine and tentative world. It first writes the window's empty→non-empty
-// transitions into the touched lists at their counted offsets; then kernel
-// constraints run over gathered lane vectors (self attrs read the tentative
-// view for rule attrs, committed columns otherwise; cross-object reads
-// gather through the view) and closure constraints evaluate per lane over
-// tentWorld. Failed lanes roll their emissions back and abort. Lanes touch
-// disjoint cells, so windows validate and roll back concurrently.
+// machine and tentative world. Kernel constraints run over gathered lane
+// vectors (self attrs read the tentative view for rule attrs, committed
+// columns otherwise; cross-object reads gather through the view) and
+// closure constraints evaluate per lane over tentWorld. Failed lanes roll
+// their emissions back and abort. Lanes touch disjoint cells, so windows
+// validate and roll back concurrently.
 func (w *World) txnCheckWindow(slot, i int) {
 	s := &w.txnrt
 	win := s.wins[i]
@@ -624,16 +580,6 @@ func (w *World) txnCheckWindow(slot, i int) {
 	for _, lg := range site.logs {
 		a, b := s.bucket(wi, lg.ord)
 		idx := s.idx[a:b]
-		for k := range lg.slots {
-			col, row, cell := lg.slots[k].col(), lg.row[k], lg.cell[k]
-			t := s.tcnt[wi*s.nslot+lg.slot0+k]
-			for _, j := range idx {
-				if r := row[j]; r >= 0 && cell[j].Empty() {
-					col.touched[t] = int(r)
-					t++
-				}
-			}
-		}
 		for bi, at := range site.cols {
 			col := rt.tab.NumColumn(at)
 			if rt.hasRule[at] && at < len(rt.txnViewGen) && rt.txnViewGen[at] == s.gen {
@@ -773,53 +719,28 @@ func (w *World) runTxnGroups() int {
 		return 0
 	}
 	nw := min(w.poolWidth(), ng)
-	s.pooledGroups = nw > 1
-	if !s.pooledGroups {
+	if nw <= 1 {
 		for gi := range ng {
 			w.txnRunGroup(0, gi)
 		}
 		return 0
 	}
 	w.growSlots(nw)
-	w.resetGroupLogs(ng)
 	w.runPool(ng, nw, s.groupFn)
-	w.mergeGroupLogs(ng)
 	return ng
 }
 
 // txnRunGroup is the serial greedy loop over conflict group gi, with the
-// tentative view of the worker slot it runs on; a pooled group logs its
-// touched cells privately (as for Txn.apply).
+// tentative view of the worker slot it runs on.
 func (w *World) txnRunGroup(slot, gi int) {
 	s := &w.txnrt
 	g := &s.groups[gi]
 	tw := &w.slots[slot].tw
-	var log *[]fxTouch
-	if s.pooledGroups {
-		log = &s.gtouch[gi]
-	}
 	for _, m := range s.gmem[g.off : g.off+g.n] {
 		t := s.txns[m]
-		t.apply(log)
+		t.apply()
 		if !tw.constraintsHold(t) {
 			t.rollback()
-		}
-	}
-}
-
-func (w *World) resetGroupLogs(n int) {
-	s := &w.txnrt
-	s.gtouch = extend(s.gtouch, n)
-	for gi := 0; gi < n; gi++ {
-		s.gtouch[gi] = s.gtouch[gi][:0]
-	}
-}
-
-func (w *World) mergeGroupLogs(n int) {
-	s := &w.txnrt
-	for gi := 0; gi < n; gi++ {
-		for _, t := range s.gtouch[gi] {
-			t.col.touched = append(t.col.touched, int(t.row))
 		}
 	}
 }

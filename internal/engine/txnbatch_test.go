@@ -138,10 +138,10 @@ func TestTxnViewMatchesReplayBitwise(t *testing.T) {
 				continue
 			}
 			for k := rng.Intn(5); k > 0; k-- {
-				rt.fx[dgold].add(row, value.Num(draw()), 0)
+				rt.fx[dgold].Add(row, value.Num(draw()), 0)
 			}
 			for k := rng.Intn(5); k > 0; k-- {
-				rt.fx[dstock].add(row, value.Num(draw()), 0)
+				rt.fx[dstock].Add(row, value.Num(draw()), 0)
 			}
 		}
 		checkViewMatchesReplay(t, w)
@@ -165,9 +165,9 @@ func FuzzTxnViewReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		row := rt.tab.Row(id)
-		rt.fx[dgold].add(row, value.Num(d1), 0)
-		rt.fx[dgold].add(row, value.Num(d2), 0)
-		rt.fx[dstock].add(row, value.Num(d1), 0)
+		rt.fx[dgold].Add(row, value.Num(d1), 0)
+		rt.fx[dgold].Add(row, value.Num(d2), 0)
+		rt.fx[dstock].Add(row, value.Num(d1), 0)
 		checkViewMatchesReplay(t, w)
 	})
 }
@@ -239,7 +239,7 @@ func batchedAdmissionZeroAlloc(t *testing.T, opts Options, pairs int) {
 		}
 		w.admitBatched(txns)
 		for i := range rt.fx {
-			rt.fx[i].reset()
+			rt.fx[i].Clear()
 		}
 	}
 	run() // warm: grow every retained buffer once

@@ -109,7 +109,7 @@ type txnSlot struct {
 	self bool              // the target is the source row
 }
 
-func (s *txnSlot) col() *fxColumn { return &s.rt.fx[s.attr] }
+func (s *txnSlot) col() *combinator.Column { return &s.rt.fx[s.attr] }
 
 // txnLog is one intent log. Lanes are indexed [slot or base][intent]; each
 // takes its length from src, so open resizes them all and reset truncates
@@ -133,12 +133,10 @@ type txnLog struct {
 	nh      int
 
 	// The batched admission that last collected the log (txnbatch.go): its
-	// generation, the log's index in txnRuntime.logs, the index of its
-	// first emission slot among all logs' slots, and the lanes of rows its
-	// intents claim.
+	// generation, the log's index in txnRuntime.logs, and the lanes of rows
+	// its intents claim.
 	gen    uint64
 	ord    int
-	slot0  int
 	claims []txnClaimLane
 }
 
@@ -220,25 +218,14 @@ func (t *Txn) live() bool {
 }
 
 // apply folds the transaction's payloads into their cells, saving each
-// cell first for rollback. A non-nil log records empty→non-empty
-// transitions instead of appending to the shared touched lists (pooled
-// conflict groups merge logs in group order).
-func (t *Txn) apply(log *[]fxTouch) {
+// cell first for rollback.
+func (t *Txn) apply() {
 	lg, i := t.log, t.idx
 	for k := range lg.slots {
-		r := lg.row[k][i]
-		if r < 0 {
-			continue
-		}
-		col := lg.slots[k].col()
-		lg.cell[k][i] = col.Save(int(r))
-		if !col.Add(int(r), value.Num(lg.val[k][i]), 0) {
-			continue
-		}
-		if log == nil {
-			col.touched = append(col.touched, int(r))
-		} else {
-			*log = append(*log, fxTouch{col: col, row: r})
+		if r := lg.row[k][i]; r >= 0 {
+			col := lg.slots[k].col()
+			lg.cell[k][i] = col.Save(int(r))
+			col.Add(int(r), value.Num(lg.val[k][i]), 0)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 type admitSnap struct {
 	aborted map[value.ID]bool
 	cells   [][]combinator.Cell // [effect][live trader, id order]
-	touched []int               // len(touched) per effect column
 	singles int                 // the fewest singletons a non-empty log held (batched arms)
 }
 
@@ -52,7 +51,6 @@ func (p *snapPolicy) Admit(ctx *UpdateCtx, txns []*Txn) error {
 			cells = append(cells, col.Save(rt.tab.Row(id)))
 		}
 		snap.cells = append(snap.cells, cells)
-		snap.touched = append(snap.touched, len(col.touched))
 	}
 	if p.w.opts.Txn == plan.TxnBatched {
 		s := &p.w.txnrt
@@ -145,8 +143,7 @@ func runWindowArm(t *testing.T, opts Options, reverse bool, ticks int) ([]admitS
 // more than two kernel windows of singleton intents in every log, the
 // claim, place-and-fold, view and validation passes fan out over the pool,
 // and every tick must match the serial TxnScalar loop on the commit/abort
-// sets, the table bits, every effect cell before reset and the length of
-// every effect column's touched list — under Greedy and a reversed custom
+// sets, the table bits and every effect cell before reset — under Greedy and a reversed custom
 // order, at Workers {1, 2, 4} × Partitions {0, 2}.
 func TestAdmissionWindowsDifferential(t *testing.T) {
 	const ticks = 6
@@ -185,9 +182,6 @@ func TestAdmissionWindowsDifferential(t *testing.T) {
 							}
 						}
 						for ai := range want.cells {
-							if got.touched[ai] != want.touched[ai] {
-								t.Fatalf("%s tick %d effect %d: %d touched rows, want %d", arm, k, ai, got.touched[ai], want.touched[ai])
-							}
 							for r := range want.cells[ai] {
 								if g, w := got.cells[ai][r], want.cells[ai][r]; g != w {
 									t.Fatalf("%s tick %d effect %d trader %d: cell %+v, want %+v", arm, k, ai, r, g, w)

@@ -578,32 +578,13 @@ func (sc *vecScratch) fillIDs(rt *classRT, n int) {
 	sc.ids, sc.env.IDs = ids, ids
 }
 
-// touchedLog records rows whose accumulator went from empty to non-empty
-// during a shard's vectorized sweeps. Shards write the shared accumulator
-// cells directly (rows are disjoint) but must not append to the shared
-// touched lists concurrently; the logs merge in shard order after the
-// barrier, keeping the list contents deterministic.
-type touchedLog struct {
-	rows [][]int // indexed by effect attr
-}
-
-func (t *touchedLog) ensure(nAttrs int) {
-	t.rows = extend(t.rows, nAttrs)
-}
-
-func (t *touchedLog) reset() {
-	for i := range t.rows {
-		t.rows[i] = t.rows[i][:0]
-	}
-}
-
 // vecPhaseRange executes one vectorized effect phase over the window win
 // of the shard's rows, on the lanes of x.sc (bound to the window): the base
 // selection mask is (alive, or owned by the shard's partition when assign
 // is non-nil) ∧ pc=phase, refined by nested if conditions; kernels evaluate
 // unmasked (expressions are total, dead lanes are ignored) and only masked
-// rows emit. Self-emissions fold into the shared accumulators directly,
-// logging first touches in the sink; x holds the window's join results, the
+// rows emit. Self-emissions fold into the shared accumulators directly
+// (shards own disjoint rows); x holds the window's join results, the
 // machine and the sink. Returns the selected row count.
 func (w *World) vecPhaseRange(x *execCtx, rt *classRT, phase int, vp *vecPhase, win shard, assign []int32) int {
 	sc, n := x.sc, win.hi-win.lo
@@ -683,12 +664,12 @@ func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bo
 				}
 				break
 			}
-			fx, log := &rt.fx[s.attrIdx], &x.sink.touched.rows[s.attrIdx]
+			fx := &rt.fx[s.attrIdx]
 			if s.fold {
 				// Fused fold: kernel outputs are already column payloads, so
 				// they go straight into the column's batch payload fold with
 				// no per-row boxing or combinator dispatch.
-				fx.AddPayloadRows(sc.lo, mask, val, key, log)
+				fx.AddPayloadRows(sc.lo, mask, val, key)
 				break
 			}
 			// String-valued kernels emit dictionary codes; decode at the
@@ -711,9 +692,7 @@ func (w *World) execVecSteps(x *execCtx, rt *classRT, steps []vecStep, mask []bo
 				} else {
 					v = payloadValue(s.kind, val[i])
 				}
-				if r := sc.lo + i; fx.Add(r, v, k) {
-					*log = append(*log, r)
-				}
+				fx.Add(sc.lo+i, v, k)
 			}
 			if decodes > 0 && !w.opts.DisableStats {
 				atomic.AddInt64(&w.execStats.DictLookups, decodes)

@@ -588,8 +588,7 @@ func (p *Prog) fillInv(m *Machine, fresh bool) {
 		return
 	}
 	for _, in := range p.inv {
-		dst := m.regs[in.dst][:batchSize]
-		v := in.imm
+		dst, v := m.regs[in.dst][:batchSize], in.imm
 		for i := range dst {
 			dst[i] = v
 		}
@@ -600,6 +599,7 @@ func (p *Prog) fillInv(m *Machine, fresh bool) {
 // so branching on the comparison directly is bitwise identical to opSel over
 // a materialized mask.
 func cmpSel(cmp op, dst, a, b, tv, fv []float64) {
+	a, b, tv, fv = a[:len(dst)], b[:len(dst)], tv[:len(dst)], fv[:len(dst)]
 	switch cmp {
 	case opLT:
 		for i := range dst {
